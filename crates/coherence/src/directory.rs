@@ -57,11 +57,56 @@ pub enum WritePolicy {
     WriteBack,
 }
 
+/// A set of CPUs (L1 caches), iterated in ascending id order — the
+/// directory's sharer bitset handed out by value, so reporting who must
+/// be invalidated allocates nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SharerSet(u64);
+
+impl SharerSet {
+    /// Number of CPUs in the set.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `cpu` is in the set.
+    #[inline]
+    pub fn contains(self, cpu: CpuId) -> bool {
+        self.0 >> cpu.index() & 1 != 0
+    }
+
+    /// The lowest-numbered CPU in the set.
+    #[inline]
+    pub fn first(self) -> Option<CpuId> {
+        self.iter().next()
+    }
+
+    /// The CPUs in the set, lowest first.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = CpuId> {
+        nim_types::bits(self.0).map(|i| CpuId(i as u16))
+    }
+}
+
+impl PartialEq<Vec<CpuId>> for SharerSet {
+    /// Equal to a list naming exactly the set's CPUs in ascending order.
+    fn eq(&self, other: &Vec<CpuId>) -> bool {
+        self.iter().eq(other.iter().copied())
+    }
+}
+
 /// The coherence actions one access requires.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoherenceOutcome {
     /// L1s that must invalidate their copy.
-    pub invalidations: Vec<CpuId>,
+    pub invalidations: SharerSet,
     /// A previous owner must flush dirty data before the access proceeds
     /// (write-back mode only).
     pub flush_from: Option<CpuId>,
@@ -71,15 +116,6 @@ pub struct CoherenceOutcome {
 struct Entry {
     state: LineState,
     sharers: u64,
-}
-
-impl Entry {
-    fn sharer_list(&self) -> Vec<CpuId> {
-        (0..64)
-            .filter(|i| self.sharers & (1 << i) != 0)
-            .map(|i| CpuId(i as u16))
-            .collect()
-    }
 }
 
 /// The directory: line → (state, sharer set).
@@ -142,10 +178,8 @@ impl Directory {
     }
 
     /// CPUs currently holding the line.
-    pub fn sharers(&self, line: LineAddr) -> Vec<CpuId> {
-        self.entries
-            .get(&line)
-            .map_or_else(Vec::new, Entry::sharer_list)
+    pub fn sharers(&self, line: LineAddr) -> SharerSet {
+        SharerSet(self.entries.get(&line).map_or(0, |e| e.sharers))
     }
 
     /// Whether `cpu` holds the line.
@@ -172,7 +206,7 @@ impl Directory {
             DirAccess::Read => {
                 if entry.state == LineState::Modified && entry.sharers != bit {
                     // Owner must provide data and demote to Shared.
-                    out.flush_from = entry.sharer_list().first().copied();
+                    out.flush_from = SharerSet(entry.sharers).first();
                 }
                 entry.state = if entry.sharers == 0
                     && self.protocol == Protocol::Mesi
@@ -191,7 +225,7 @@ impl Directory {
             }
             DirAccess::Write => {
                 if entry.state == LineState::Modified && entry.sharers != bit {
-                    out.flush_from = entry.sharer_list().first().copied();
+                    out.flush_from = SharerSet(entry.sharers).first();
                 }
                 let silent_upgrade = entry.state == LineState::Exclusive
                     && entry.sharers == bit
@@ -199,13 +233,9 @@ impl Directory {
                 // Everyone else invalidates.
                 let others = entry.sharers & !bit;
                 if others != 0 {
-                    out.invalidations = Entry {
-                        state: entry.state,
-                        sharers: others,
-                    }
-                    .sharer_list();
+                    out.invalidations = SharerSet(others);
                     self.invalidations_sent += out.invalidations.len() as u64;
-                    for inv in &out.invalidations {
+                    for inv in out.invalidations.iter() {
                         self.obs
                             .emit(Category::Coherence, || EventData::Invalidate {
                                 line: line.0,
@@ -249,22 +279,17 @@ impl Directory {
 
     /// Invalidates every L1 copy (e.g. when the L2 evicts the line).
     /// Returns the CPUs that must be told.
-    pub fn invalidate_all(&mut self, line: LineAddr) -> Vec<CpuId> {
-        match self.entries.remove(&line) {
-            Some(e) => {
-                let list = e.sharer_list();
-                self.invalidations_sent += list.len() as u64;
-                if !list.is_empty() {
-                    self.obs
-                        .emit(Category::Coherence, || EventData::InvalidateAll {
-                            line: line.0,
-                            sharers: list.len() as u32,
-                        });
-                }
-                list
-            }
-            None => Vec::new(),
+    pub fn invalidate_all(&mut self, line: LineAddr) -> SharerSet {
+        let told = SharerSet(self.entries.remove(&line).map_or(0, |e| e.sharers));
+        self.invalidations_sent += told.len() as u64;
+        if !told.is_empty() {
+            self.obs
+                .emit(Category::Coherence, || EventData::InvalidateAll {
+                    line: line.0,
+                    sharers: told.len() as u32,
+                });
         }
+        told
     }
 
     /// Number of lines the directory currently tracks.
@@ -361,9 +386,7 @@ mod tests {
             d.access(CpuId(c), LINE, DirAccess::Read);
         }
         let out = d.access(CpuId(0), LINE, DirAccess::Write);
-        let mut inv = out.invalidations.clone();
-        inv.sort_unstable();
-        assert_eq!(inv, vec![CpuId(1), CpuId(2), CpuId(3)]);
+        assert_eq!(out.invalidations, vec![CpuId(1), CpuId(2), CpuId(3)]);
         assert_eq!(d.sharers(LINE), vec![CpuId(0)]);
         assert_eq!(
             d.state(LINE),
@@ -383,9 +406,7 @@ mod tests {
         let out = d.access(CpuId(2), LINE, DirAccess::Read);
         assert_eq!(out.flush_from, Some(CpuId(1)));
         assert_eq!(d.state(LINE), LineState::Shared);
-        let mut sharers = d.sharers(LINE);
-        sharers.sort_unstable();
-        assert_eq!(sharers, vec![CpuId(1), CpuId(2)]);
+        assert_eq!(d.sharers(LINE), vec![CpuId(1), CpuId(2)]);
         d.check_invariants().unwrap();
     }
 
@@ -430,9 +451,9 @@ mod tests {
         for c in [0u16, 3, 7] {
             d.access(CpuId(c), LINE, DirAccess::Read);
         }
-        let mut told = d.invalidate_all(LINE);
-        told.sort_unstable();
+        let told = d.invalidate_all(LINE);
         assert_eq!(told, vec![CpuId(0), CpuId(3), CpuId(7)]);
+        assert!(told.contains(CpuId(3)) && !told.contains(CpuId(4)));
         assert_eq!(d.state(LINE), LineState::Invalid);
         assert!(d.invalidate_all(LINE).is_empty(), "idempotent");
     }

@@ -24,4 +24,6 @@
 
 mod directory;
 
-pub use directory::{CoherenceOutcome, DirAccess, Directory, LineState, Protocol, WritePolicy};
+pub use directory::{
+    CoherenceOutcome, DirAccess, Directory, LineState, Protocol, SharerSet, WritePolicy,
+};

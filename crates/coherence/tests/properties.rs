@@ -44,7 +44,7 @@ fn check(policy: WritePolicy, ops: Vec<Op>) -> Result<(), TestCaseError> {
             Op::Write(c, l) => {
                 let out = dir.access(cpu(c), line(l), DirAccess::Write);
                 // The writer never invalidates itself.
-                prop_assert!(!out.invalidations.contains(&cpu(c)));
+                prop_assert!(!out.invalidations.contains(cpu(c)));
                 // After a write, the writer is the only holder.
                 prop_assert_eq!(dir.sharers(line(l)), vec![cpu(c)]);
             }

@@ -163,13 +163,9 @@ impl Engine {
     fn issue_search_step(&mut self, f: &mut impl Fabric, id: TxnId, step: u8, now: Cycle) {
         let t = *self.txns.get(id).expect("live txn");
         let plan = &self.plans[t.cpu.index()];
-        let clusters: Vec<ClusterId> = if step == 1 {
-            plan.step1.clone()
-        } else {
-            plan.step2.clone()
-        };
+        let clusters = if step == 1 { &plan.step1 } else { &plan.step2 };
         let local = plan.local;
-        let seat = *self.seat(t.cpu);
+        let seat = self.seats[t.cpu.index()];
         let my_layer = seat.coord.layer;
         // Step 1 reaches remote layers with one broadcast per layer (the
         // tag rides the pillar once and fans out to the cylinder's tag
@@ -177,39 +173,27 @@ impl Engine {
         // remote ones included, gets its own request packet (paper
         // §4.2.1), so step-2 searches load the pillars individually.
         let broadcast_remote = step == 1;
-        let direct: Vec<ClusterId> = if broadcast_remote {
-            clusters
-                .iter()
-                .copied()
-                .filter(|cl| self.layout.cluster_layer(*cl) == my_layer)
-                .collect()
-        } else {
-            clusters.clone()
-        };
-        let mut remote_layers: Vec<u8> = if broadcast_remote {
-            clusters
-                .iter()
-                .map(|cl| self.layout.cluster_layer(*cl))
-                .filter(|l| *l != my_layer)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        remote_layers.sort_unstable();
-        remote_layers.dedup();
-        let remote_broadcast_targets = clusters.len() - direct.len();
+        let layout = &self.layout;
+        let is_direct = |cl: ClusterId| !broadcast_remote || layout.cluster_layer(cl) == my_layer;
+        let direct = clusters.iter().filter(|&&cl| is_direct(cl)).count();
+        // Remote layers to broadcast to, as a bitmask (at most 8 layers).
+        let remote_layers = clusters
+            .iter()
+            .filter(|&&cl| !is_direct(cl))
+            .fold(0u8, |mask, &cl| mask | 1 << layout.cluster_layer(cl));
         f.obs().emit(Category::Search, || EventData::SearchStep {
             txn: u64::from(id),
             step,
             targets: clusters.len() as u32,
         });
-        // Every probed tag array answers individually.
+        // Every probed tag array answers individually, broadcast targets
+        // included.
         self.txns
             .get_mut(id)
             .expect("live txn")
-            .begin_step(step, (direct.len() + remote_broadcast_targets) as u32);
-        self.counters.tag_accesses += direct.len() as u64;
-        for cl in direct {
+            .begin_step(step, clusters.len() as u32);
+        self.counters.tag_accesses += direct as u64;
+        for &cl in clusters.iter().filter(|&&cl| is_direct(cl)) {
             if cl == local {
                 // The local tag array is directly connected (paper §4.1).
                 let delay = f.tag_delay(cl, now);
@@ -225,7 +209,7 @@ impl Engine {
             } else {
                 f.send(
                     seat.coord,
-                    self.layout.cluster_center(cl),
+                    layout.cluster_center(cl),
                     TrafficClass::Control,
                     1,
                     Token::Probe {
@@ -236,11 +220,11 @@ impl Engine {
                 );
             }
         }
-        for layer in remote_layers {
+        for layer in (0..8u8).filter(|l| remote_layers >> l & 1 != 0) {
             let pillar = seat.pillar.expect("remote layers imply a pillar");
             f.send(
                 seat.coord,
-                self.layout.pillar_coord(pillar, layer),
+                layout.pillar_coord(pillar, layer),
                 TrafficClass::Control,
                 1,
                 Token::VerticalProbe {
@@ -373,15 +357,13 @@ impl Engine {
         let plan = &self.plans[t.cpu.index()];
         let set = if step == 1 { &plan.step1 } else { &plan.step2 };
         let layer = at.layer;
-        let clusters: Vec<ClusterId> = set
-            .iter()
-            .copied()
-            .filter(|cl| self.layout.cluster_layer(*cl) == layer)
-            .collect();
-        debug_assert!(!clusters.is_empty(), "broadcast to a layer with no targets");
-        self.counters.tag_accesses += clusters.len() as u64;
-        for cl in clusters {
-            let fanout = u64::from(at.manhattan_2d(self.center(cl)));
+        let layout = &self.layout;
+        let on_layer = |cl: &&ClusterId| layout.cluster_layer(**cl) == layer;
+        let targets = set.iter().filter(on_layer).count();
+        debug_assert!(targets > 0, "broadcast to a layer with no targets");
+        self.counters.tag_accesses += targets as u64;
+        for &cl in set.iter().filter(on_layer) {
+            let fanout = u64::from(at.manhattan_2d(layout.cluster_center(cl)));
             let delay = f.tag_delay(cl, now);
             f.schedule(
                 now,
@@ -795,7 +777,7 @@ impl Engine {
             );
         }
         let outcome = self.dir.access(t.cpu, t.line, DirAccess::Write);
-        for sharer in outcome.invalidations {
+        for sharer in outcome.invalidations.iter() {
             self.counters.invalidations += 1;
             let dst = self.seat(sharer).coord;
             f.send(
@@ -824,7 +806,7 @@ impl Engine {
             return; // a replica was evicted; the line itself lives on
         }
         self.counters.l2_evictions += 1;
-        for sharer in self.dir.invalidate_all(victim) {
+        for sharer in self.dir.invalidate_all(victim).iter() {
             self.counters.invalidations += 1;
             let dst = self.seat(sharer).coord;
             f.send(
@@ -1095,7 +1077,7 @@ impl Engine {
                 };
                 let placed = eng.l2.insert_at(line, cluster);
                 if let Some(victim) = placed.evicted {
-                    for sharer in eng.dir.invalidate_all(victim) {
+                    for sharer in eng.dir.invalidate_all(victim).iter() {
                         eng.cores[sharer.index()].invalidate(victim);
                     }
                 }

@@ -2,8 +2,8 @@
 //! the full system and the transaction outcomes are checked exactly.
 //! Small CPU counts keep every L2 transaction attributable.
 
-use nim_core::{RunError, Scheme, SystemBuilder};
-use nim_types::{AccessKind, Address, CpuId, SystemConfig, TraceOp};
+use nim_core::{BuildError, RunError, Scheme, SystemBuilder};
+use nim_types::{AccessKind, Address, ConfigError, CpuId, SystemConfig, TraceOp};
 use nim_workload::ReplayTrace;
 
 fn op(kind: AccessKind, addr: u64) -> TraceOp {
@@ -169,4 +169,53 @@ fn repeated_reads_by_one_cpu_pull_the_line_home() {
         report.counters.l2_hits >= 55,
         "every later round hits the L2"
     );
+}
+
+/// A VC geometry the routers cannot be built with is a typed build
+/// error for every scheme (2D ones flatten the chip but keep the
+/// routers), never a panic inside `nim-noc`.
+fn build_with_vcs(scheme: Scheme, vcs: u32, depth: u32) -> Result<(), BuildError> {
+    let mut cfg = SystemConfig::default();
+    cfg.network.vcs_per_port = vcs;
+    cfg.network.vc_depth_flits = depth;
+    SystemBuilder::new(scheme).config(cfg).build().map(drop)
+}
+
+#[test]
+fn zero_vcs_per_port_is_a_build_error() {
+    for scheme in Scheme::ALL {
+        assert!(matches!(
+            build_with_vcs(scheme, 0, 4),
+            Err(BuildError::Config(ConfigError::Zero(
+                "network.vcs_per_port"
+            )))
+        ));
+    }
+}
+
+#[test]
+fn zero_vc_depth_is_a_build_error() {
+    for scheme in Scheme::ALL {
+        assert!(matches!(
+            build_with_vcs(scheme, 3, 0),
+            Err(BuildError::Config(ConfigError::Zero(
+                "network.vc_depth_flits"
+            )))
+        ));
+    }
+}
+
+#[test]
+fn more_vcs_than_the_router_masks_hold_is_a_build_error() {
+    for scheme in Scheme::ALL {
+        assert!(matches!(
+            build_with_vcs(scheme, 9, 4),
+            Err(BuildError::Config(ConfigError::TooLarge {
+                what: "network.vcs_per_port",
+                value: 9,
+                max: 8,
+            }))
+        ));
+    }
+    build_with_vcs(Scheme::CmpDnuca3d, 8, 4).expect("8 VCs per port fit the masks");
 }

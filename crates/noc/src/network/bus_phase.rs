@@ -21,21 +21,16 @@ impl Network {
         if self.bus_active.is_empty() {
             return;
         }
-        let mut work =
-            std::mem::replace(&mut self.bus_active, std::mem::take(&mut self.bus_scratch));
-        work.sort_unstable();
-        for &b in &work {
-            self.in_bus_active[b as usize] = false;
-        }
-        for &b in &work {
-            let b = b as usize;
+        // A bus only ever re-marks itself, so the active set is drained
+        // and refilled in place.
+        let mut at = 0;
+        while let Some(b) = self.bus_active.take_next(at) {
+            at = b + 1;
             self.process_bus(b, now);
             if self.bus_queued(b) > 0 {
-                self.mark_bus(b);
+                self.bus_active.insert(b);
             }
         }
-        work.clear();
-        self.bus_scratch = work;
     }
 
     /// One dTDMA arbitration round: at most one flit crosses the bus.
@@ -44,9 +39,9 @@ impl Network {
         if self.bus_ready_at[b] > now.0 {
             return;
         }
-        let layers = self.layout.layers() as usize;
+        let layers = self.geo.rt.layout.layers() as usize;
         let mut eligible = 0u64;
-        for layer in 0..self.layout.layers() {
+        for layer in 0..self.geo.rt.layout.layers() {
             let (s, i) = self.iface_pos(b, layer);
             let st = &self.shards[s];
             if st.ifaces[i]
@@ -62,30 +57,33 @@ impl Network {
         }
         let rr = self.buses[b].rr;
         for off in 0..layers {
-            let i = (rr + off) % layers;
+            let i = if rr + off >= layers {
+                rr + off - layers
+            } else {
+                rr + off
+            };
             let (src_shard, src_iface) = self.iface_pos(b, i as u8);
             let front = {
                 let st = &self.shards[src_shard];
                 st.ifaces[src_iface].q.front(&st.arena).copied()
             };
-            let Some(front) = front else {
+            let Some(front) = front.filter(|f| f.arrived < now) else {
                 continue;
             };
-            if front.arrived >= now {
-                continue;
-            }
             let (px, py) = self.buses[b].xy;
-            let dest_idx = self.layout.node_index(Coord::new(px, py, front.dst.layer));
+            let dest_idx = self
+                .geo
+                .rt
+                .layout
+                .node_index(Coord::new(px, py, front.dst.layer));
             let vi = Dir::Vertical.index();
-            let port = self.routers[dest_idx].inputs[vi]
-                .as_ref()
-                .expect("pillar node lacks vertical port");
+            let dest = &self.routers[dest_idx];
             let vc_sel = if front.kind.is_head() {
-                port.free_vc()
+                dest.free_vc(vi)
             } else {
                 self.shards[src_shard].ifaces[src_iface]
                     .bound_vc
-                    .filter(|&v| port.vc(v).accepts_continuation(front.pkt))
+                    .filter(|&v| dest.vc(vi, v).accepts_continuation(front.pkt))
             };
             let Some(vc) = vc_sel else {
                 continue;
@@ -116,13 +114,14 @@ impl Network {
             f.bus_wait += (now.0 - f.arrived.0) as u32;
             f.arrived = now;
             f.hops += 1;
-            let dest_shard = self.shard_of_node(dest_idx);
-            self.routers[dest_idx].inputs[vi]
-                .as_mut()
-                .expect("checked above")
-                .vc_mut(vc)
-                .push(&mut self.shards[dest_shard].arena, f);
-            self.routers[dest_idx].occupancy += 1;
+            let dest_shard = usize::from(self.geo.shard_of[dest_idx]);
+            self.routers[dest_idx].push(
+                &mut self.shards[dest_shard].arena,
+                &self.geo.rt,
+                vi,
+                vc,
+                f,
+            );
             self.mark_dirty(dest_idx);
             let iface = &mut self.shards[src_shard].ifaces[src_iface];
             iface.bound_vc = if f.kind.is_tail() {
@@ -140,7 +139,7 @@ impl Network {
                 from_layer: i as u16,
                 to_layer: u16::from(f.dst.layer),
             });
-            self.buses[b].rr = (i + 1) % layers;
+            self.buses[b].rr = if i + 1 == layers { 0 } else { i + 1 };
             self.bus_ready_at[b] = now.0 + self.bus_cycles_per_flit;
             break; // one flit per bus grant
         }

@@ -24,77 +24,68 @@ impl Network {
 }
 
 impl Lane<'_> {
+    /// Injection never leaves the node, so shards are fully independent
+    /// here, and a node only ever re-marks itself — the active set is
+    /// drained and refilled in place.
     pub(super) fn injection_phase(&mut self, now: Cycle) {
         for si in 0..self.shards.len() {
-            self.injection_phase_shard(si, now);
+            let first = si * self.geo.nodes_per_shard;
+            let mut at = 0;
+            while let Some(off) = self.shards[si].inj_active.take_next(at) {
+                at = off + 1;
+                self.inject_at(si, first + off, now);
+                if !self.injectors[first + off].queue.is_empty() {
+                    self.shards[si].inj_active.insert(off);
+                }
+            }
         }
     }
 
-    /// Injection for one shard's active nodes. Injection never leaves
-    /// the node, so shards are fully independent here.
-    fn injection_phase_shard(&mut self, si: usize, now: Cycle) {
-        if self.shards[si].inj_active.is_empty() {
+    /// Streams at most one flit of the oldest pending packet of the node
+    /// at lane-local index `local` (owned by the lane's shard `si`) into
+    /// a local-input VC.
+    fn inject_at(&mut self, si: usize, local: usize, now: Cycle) {
+        let li = Dir::Local.index();
+        let Some(p) = self.injectors[local].queue.front().copied() else {
             return;
+        };
+        let kind = FlitKind::for_position(p.seq, p.req.flits);
+        let router = &self.routers[local];
+        let vc_sel = if kind.is_head() {
+            router.free_vc(li)
+        } else {
+            self.injectors[local]
+                .vc
+                .filter(|&v| router.vc(li, v).accepts_continuation(p.id))
+        };
+        let Some(v) = vc_sel else {
+            return;
+        };
+        let flit = Flit {
+            pkt: p.id,
+            kind,
+            src: p.req.src,
+            dst: p.req.dst,
+            via: p.req.via,
+            class: p.req.class,
+            token: p.req.token,
+            injected: p.injected,
+            arrived: now,
+            hops: 0,
+            bus_wait: 0,
+        };
+        self.routers[local].push(&mut self.shards[si].arena, &self.geo.rt, li, v, flit);
+        self.shards[si]
+            .dirty
+            .insert(local - si * self.geo.nodes_per_shard);
+        let inj = &mut self.injectors[local];
+        let front = inj.queue.front_mut().expect("checked above");
+        front.seq += 1;
+        if front.seq == front.req.flits {
+            inj.queue.pop_front();
+            inj.vc = None;
+        } else {
+            inj.vc = Some(v);
         }
-        let mut active = std::mem::replace(
-            &mut self.shards[si].inj_active,
-            std::mem::take(&mut self.shards[si].inj_scratch),
-        );
-        active.sort_unstable();
-        for &n in &active {
-            self.in_inj[n as usize - self.base] = false;
-        }
-        for &n in &active {
-            let n = n as usize;
-            let local = n - self.base;
-            let li = Dir::Local.index();
-            if let Some(p) = self.injectors[local].queue.front().copied() {
-                let kind = FlitKind::for_position(p.seq, p.req.flits);
-                let port = self.routers[local].inputs[li].as_mut().expect("local port");
-                let vc_sel = if kind.is_head() {
-                    port.free_vc()
-                } else {
-                    self.injectors[local]
-                        .vc
-                        .filter(|&v| port.vc(v).accepts_continuation(p.id))
-                };
-                if let Some(v) = vc_sel {
-                    let flit = Flit {
-                        pkt: p.id,
-                        kind,
-                        src: p.req.src,
-                        dst: p.req.dst,
-                        via: p.req.via,
-                        class: p.req.class,
-                        token: p.req.token,
-                        injected: p.injected,
-                        arrived: now,
-                        hops: 0,
-                        bus_wait: 0,
-                    };
-                    self.routers[local].inputs[li]
-                        .as_mut()
-                        .expect("local port")
-                        .vc_mut(v)
-                        .push(&mut self.shards[si].arena, flit);
-                    self.routers[local].occupancy += 1;
-                    self.mark_dirty(n);
-                    let inj = &mut self.injectors[local];
-                    let front = inj.queue.front_mut().expect("checked above");
-                    front.seq += 1;
-                    if front.seq == front.req.flits {
-                        inj.queue.pop_front();
-                        inj.vc = None;
-                    } else {
-                        inj.vc = Some(v);
-                    }
-                }
-            }
-            if !self.injectors[local].queue.is_empty() {
-                self.mark_inj(n);
-            }
-        }
-        active.clear();
-        self.shards[si].inj_scratch = active;
     }
 }

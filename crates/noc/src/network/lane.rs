@@ -3,8 +3,9 @@
 //! [`Lane`] borrows exactly the state the router and injection phases of
 //! a contiguous *range of shards* may touch — their
 //! [`ShardState`](super::ShardState)s plus the node-indexed slices
-//! (routers, injectors, mark flags, traversal counters) restricted to
-//! the range's contiguous node span. The sequential tick runs one
+//! (routers, injectors, traversal counters) restricted to the range's
+//! contiguous node span, and the network's read-only
+//! [`Geometry`](super::Geometry). The sequential tick runs one
 //! whole-chip lane (every shard; cross-shard mesh hops move a flit
 //! between two shard arenas in-place), while the window executor runs
 //! one single-shard lane per shard, where a cross-shard hop is a
@@ -19,22 +20,20 @@
 //!   barrier, and treats a delivery as a bug: the window planner proved
 //!   no flit can reach a local port inside the window.
 //!
-//! Statistics counters that outlive a phase (`flit_hops`,
-//! `switch_contention`, …) accumulate on the `Lane` itself and are
-//! folded into [`NetworkStats`] when the lane retires, so threaded
-//! lanes never contend on shared counters.
+//! Statistics counters that outlive a phase ([`LaneStats`]) accumulate
+//! on the `Lane` itself and are folded into [`NetworkStats`] when the
+//! lane retires, so threaded lanes never contend on shared counters.
 
 use std::collections::VecDeque;
 
 use nim_obs::{Category, EventData, Obs};
-use nim_topology::{ChipLayout, RouteMap};
-use nim_types::{Coord, Cycle};
+use nim_types::{Coord, Cycle, IdSet};
 
 use crate::packet::{Delivered, Flit};
-use crate::routing::VerticalMode;
+use crate::router::Router;
 use crate::stats::NetworkStats;
 
-use super::{c3, IfaceSlot, Injector, Network, ShardState};
+use super::{c3, Geometry, Injector, Network, ShardState};
 
 /// A `FlitHop` event deferred by a window lane: (cycle, position,
 /// traffic-class name).
@@ -55,8 +54,7 @@ pub(super) trait DeliverySink {
 pub(super) struct LiveSink<'a> {
     pub obs: &'a Obs,
     pub outbox: &'a mut [VecDeque<Delivered>],
-    pub in_delivered: &'a mut [bool],
-    pub delivered_nodes: &'a mut Vec<u32>,
+    pub delivered_nodes: &'a mut IdSet,
     pub flits_in_flight: &'a mut u64,
     pub stats: &'a mut NetworkStats,
 }
@@ -85,10 +83,7 @@ impl DeliverySink for LiveSink<'_> {
                     hops: u32::from(d.hops),
                 });
             self.outbox[node].push_back(d);
-            if !self.in_delivered[node] {
-                self.in_delivered[node] = true;
-                self.delivered_nodes.push(node as u32);
-            }
+            self.delivered_nodes.insert(node);
         }
     }
 
@@ -100,14 +95,15 @@ impl DeliverySink for LiveSink<'_> {
 
 /// A window lane's sink: `Send`, defers hops, and rejects deliveries
 /// (the conservative horizon guarantees none can occur in-window).
-pub(super) struct WindowSink {
-    pub hops: Vec<DeferredHop>,
+pub(super) struct WindowSink<'a> {
+    /// The shard's deferred-hop buffer, reused across windows.
+    pub hops: &'a mut Vec<DeferredHop>,
     /// Whether hop events are wanted at all; when the trace category is
     /// off, deferring them would only burn memory.
     pub record: bool,
 }
 
-impl DeliverySink for WindowSink {
+impl DeliverySink for WindowSink<'_> {
     fn local_pop(&mut self, node: usize, f: Flit, now: Cycle) {
         unreachable!(
             "packet {} delivered at node {node} in cycle {} inside a \
@@ -137,85 +133,88 @@ impl DeliverySink for WindowSink {
 pub(super) struct Lane<'a> {
     /// Global node id of the range's first node.
     pub base: usize,
-    /// Shard index (network-global) of `shards[0]`.
+    /// Shard index (network-global) of `shards[0]`; shards are
+    /// node-contiguous, so the lane's `i`-th shard owns nodes
+    /// `base + i * nodes_per_shard ..`.
     pub first_shard: usize,
-    /// Nodes per shard: shards are node-contiguous, so
-    /// `node / nodes_per_shard - first_shard` locates a node's shard in
-    /// `shards`.
-    pub nodes_per_shard: usize,
     pub shards: &'a mut [ShardState],
-    pub routers: &'a mut [crate::router::Router],
+    pub routers: &'a mut [Router],
     pub injectors: &'a mut [Injector],
-    pub in_dirty: &'a mut [bool],
-    pub in_inj: &'a mut [bool],
     pub traversals: &'a mut [u64],
-    pub layout: &'a ChipLayout,
-    pub routes: &'a RouteMap,
-    pub mode: VerticalMode,
-    pub vcs: usize,
-    pub router_latency: u64,
-    pub bus_of_node: &'a [Option<u16>],
-    /// Transceiver-interface locations, indexed `bus * layers + layer`.
-    pub iface_slots: &'a [IfaceSlot],
-    /// Counters folded into [`NetworkStats`] when the lane retires.
+    pub geo: &'a Geometry,
+    pub stats: LaneStats,
+}
+
+/// Counters a lane accumulates and [`LaneStats::fold_into`] adds to the
+/// [`NetworkStats`] when it retires.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct LaneStats {
     pub flit_hops: u64,
     pub flit_hops_by_class: [u64; 4],
     pub switch_contention: u64,
+}
+
+impl LaneStats {
+    pub(super) fn fold_into(self, stats: &mut NetworkStats) {
+        stats.flit_hops += self.flit_hops;
+        for (total, add) in stats
+            .flit_hops_by_class
+            .iter_mut()
+            .zip(self.flit_hops_by_class)
+        {
+            *total += add;
+        }
+        stats.switch_contention += self.switch_contention;
+    }
+}
+
+/// The earliest cycle `>= after` at which the router or injection phase
+/// of any of `shards` could change state, or `u64::MAX` when they are
+/// all quiescent; `routers` are those shards' own, in order. Injection
+/// streams one flit per cycle while packets pend, and a front flit moves
+/// once it has dwelt `router_latency` cycles; `after` is the floor, so
+/// the scan stops at the first thing already due.
+pub(super) fn next_shard_event(
+    shards: &[ShardState],
+    routers: &[Router],
+    geo: &Geometry,
+    after: u64,
+) -> u64 {
+    let mut earliest = u64::MAX;
+    for (st, routers) in shards.iter().zip(routers.chunks(geo.nodes_per_shard)) {
+        if !st.inj_active.is_empty() {
+            return after;
+        }
+        for off in st.dirty.iter() {
+            for (_, _, f) in routers[off].fronts(&st.arena) {
+                let movable = f.arrived.0 + geo.router_latency;
+                if movable <= after {
+                    return after;
+                }
+                earliest = earliest.min(movable);
+            }
+        }
+    }
+    earliest
 }
 
 impl Lane<'_> {
     /// Index into `self.shards` of the shard owning a global node id.
     #[inline]
     pub(super) fn shard_ix(&self, node: usize) -> usize {
-        node / self.nodes_per_shard - self.first_shard
+        if self.shards.len() == 1 {
+            0
+        } else {
+            usize::from(self.geo.shard_of[node]) - self.first_shard
+        }
     }
 
     #[inline]
     pub(super) fn mark_dirty(&mut self, node: usize) {
-        let local = node - self.base;
-        if !self.in_dirty[local] {
-            self.in_dirty[local] = true;
-            let s = self.shard_ix(node);
-            self.shards[s].dirty.push(node as u32);
-        }
-    }
-
-    #[inline]
-    pub(super) fn mark_inj(&mut self, node: usize) {
-        let local = node - self.base;
-        if !self.in_inj[local] {
-            self.in_inj[local] = true;
-            let s = self.shard_ix(node);
-            self.shards[s].inj_active.push(node as u32);
-        }
-    }
-
-    /// The earliest cycle `>= after` at which a router or injection
-    /// phase of this lane's shards could change state, or `u64::MAX`
-    /// when they are quiescent. The shard-local analogue of
-    /// [`Network::next_event_at`](super::Network::next_event_at): cycles
-    /// strictly before the result are provably dead *for these shards*.
-    pub(super) fn next_local_event(&self, after: u64) -> u64 {
-        let mut earliest = u64::MAX;
-        for st in self.shards.iter() {
-            if !st.inj_active.is_empty() {
-                earliest = after;
-            }
-            for &n in &st.dirty {
-                let r = &self.routers[n as usize - self.base];
-                if r.occupancy == 0 {
-                    continue;
-                }
-                for port in r.inputs.iter().flatten() {
-                    for vc in 0..self.vcs {
-                        if let Some(f) = port.vc(vc).front(&st.arena) {
-                            earliest = earliest.min((f.arrived.0 + self.router_latency).max(after));
-                        }
-                    }
-                }
-            }
-        }
-        earliest
+        let s = self.shard_ix(node);
+        self.shards[s]
+            .dirty
+            .insert(node - self.base - s * self.geo.nodes_per_shard);
     }
 
     /// Runs this lane's router and injection phases for every cycle in
@@ -226,7 +225,9 @@ impl Lane<'_> {
     pub(super) fn run_window(&mut self, from: u64, to: u64, sink: &mut impl DeliverySink) {
         let mut t = from;
         while t <= to {
-            let event = self.next_local_event(t);
+            // Cycles before the next local event are provably dead for
+            // this lane's shards.
+            let event = next_shard_event(self.shards, self.routers, self.geo, t);
             if event > to {
                 return;
             }
@@ -244,67 +245,23 @@ impl Network {
     /// holding the network-global delivery state — the sequential tick's
     /// working set, built on the stack with no allocation.
     pub(super) fn live_parts(&mut self) -> (Lane<'_>, LiveSink<'_>) {
-        let Network {
-            shards,
-            routers,
-            injectors,
-            in_dirty,
-            in_inj,
-            traversals,
-            outbox,
-            in_delivered,
-            delivered_nodes,
-            flits_in_flight,
-            stats,
-            obs,
-            layout,
-            routes,
-            mode,
-            vcs,
-            router_latency,
-            bus_of_node,
-            iface_slots,
-            nodes_per_shard,
-            ..
-        } = self;
         let lane = Lane {
             base: 0,
             first_shard: 0,
-            nodes_per_shard: *nodes_per_shard,
-            shards,
-            routers,
-            injectors,
-            in_dirty,
-            in_inj,
-            traversals,
-            layout,
-            routes,
-            mode: *mode,
-            vcs: *vcs,
-            router_latency: *router_latency,
-            bus_of_node,
-            iface_slots,
-            flit_hops: 0,
-            flit_hops_by_class: [0; 4],
-            switch_contention: 0,
+            shards: &mut self.shards,
+            routers: &mut self.routers,
+            injectors: &mut self.injectors,
+            traversals: &mut self.traversals,
+            geo: &self.geo,
+            stats: LaneStats::default(),
         };
         let sink = LiveSink {
-            obs,
-            outbox,
-            in_delivered,
-            delivered_nodes,
-            flits_in_flight,
-            stats,
+            obs: &self.obs,
+            outbox: &mut self.outbox,
+            delivered_nodes: &mut self.delivered_nodes,
+            flits_in_flight: &mut self.flits_in_flight,
+            stats: &mut self.stats,
         };
         (lane, sink)
-    }
-
-    /// Folds a retired lane's counters into the global statistics.
-    pub(super) fn fold_lane(&mut self, flit_hops: u64, by_class: [u64; 4], contention: u64) {
-        self.stats.flit_hops += flit_hops;
-        for (total, add) in self.stats.flit_hops_by_class.iter_mut().zip(by_class) {
-            *total += add;
-        }
-        self.stats.switch_contention += contention;
     }
 }

@@ -18,9 +18,9 @@
 //!
 //! A flit stamped `arrived == now` cannot move again in the same cycle, so
 //! ordering of phases never lets a flit traverse two hops per cycle.
-//! Routers with no buffered flits are skipped entirely via a dirty list,
-//! buses with nothing queued via an active-pillar list, which keeps big
-//! idle meshes cheap to tick.
+//! Routers with no buffered flits are skipped entirely via a dirty set,
+//! buses with nothing queued via an active-pillar set (both bitmaps,
+//! walked in id order), which keeps big idle meshes cheap to tick.
 //!
 //! Beyond per-cycle ticking, [`Network::next_event_at`] reports the
 //! earliest future cycle at which any phase could change state, and
@@ -52,13 +52,13 @@ mod window;
 use std::collections::VecDeque;
 
 use nim_obs::{Category, EventData, Obs};
-use nim_topology::{ChipLayout, RouteMap, ShardPlan};
-use nim_types::{Coord, Cycle, Dir, NetworkConfig, PacketId};
+use nim_topology::{ChipLayout, ShardPlan};
+use nim_types::{Coord, Cycle, Dir, IdSet, NetworkConfig, PacketId};
 
 use crate::dtdma::{BusStats, DtdmaBus, Iface};
-use crate::packet::{Delivered, Flit, FlitArena, SendRequest};
+use crate::packet::{Delivered, FlitArena, SendRequest};
 use crate::router::Router;
-use crate::routing::VerticalMode;
+use crate::routing::{Routing, VerticalMode};
 use crate::stats::NetworkStats;
 
 use lane::DeferredHop;
@@ -82,28 +82,16 @@ struct Injector {
     vc: Option<usize>,
 }
 
-/// One movable head flit found during a router's single input scan,
-/// with its route already computed (look-ahead routing runs once per
-/// flit instead of once per output port probed).
-#[derive(Clone, Copy, Debug)]
-struct Candidate {
-    /// `in_dir * vcs + vc`, the round-robin arbitration slot.
-    slot: u16,
-    /// Output port the flit requests.
-    out: Dir,
-    flit: Flit,
-}
-
 /// The mutable state owned by one shard: a contiguous run of cluster
 /// rows whose router and injection phases can advance between windows
 /// without touching any other shard.
 ///
-/// The flit arena, work lists, and scratch buffers are per-shard so a
-/// shard's phases never share a cache line (or a `&mut`) with another
-/// shard's. The dTDMA transceiver interfaces of the pillar nodes the
-/// shard owns live here too — a vertical move fills the sender's own
-/// interface; only the (sequential) bus phase drains interfaces across
-/// shards.
+/// The flit arena and work sets are per-shard so a shard's phases never
+/// share a cache line (or a `&mut`) with another shard's; the node sets
+/// hold offsets from the shard's first node. The dTDMA transceiver
+/// interfaces of the pillar nodes the shard owns live here too — a
+/// vertical move fills the sender's own interface; only the
+/// (sequential) bus phase drains interfaces across shards.
 #[derive(Clone, Debug, Default)]
 pub(super) struct ShardState {
     /// Pooled backing store for every VC and transceiver FIFO of the
@@ -112,34 +100,48 @@ pub(super) struct ShardState {
     /// Transceiver interfaces of the shard's pillar nodes; slot indices
     /// live in the network-global [`Network`]`::iface_slots` table.
     ifaces: Vec<Iface>,
-    /// Routers (global node ids) with buffered flits.
-    dirty: Vec<u32>,
-    /// Nodes (global ids) with packets pending injection.
-    inj_active: Vec<u32>,
-    /// Retired work lists, kept to reuse their capacity each cycle.
-    dirty_scratch: Vec<u32>,
-    inj_scratch: Vec<u32>,
-    cand_scratch: Vec<Candidate>,
+    /// Routers with buffered flits: between phases, exactly those with
+    /// `occupancy > 0`.
+    dirty: IdSet,
+    /// The set the router phase is walking. It trades places with
+    /// `dirty` as the phase starts, so a router marked mid-phase is
+    /// visited next cycle, not later in this one; empty between phases.
+    visiting: IdSet,
+    /// Nodes with packets pending injection.
+    inj_active: IdSet,
     /// Buses that received a flit since the last settle
-    /// ([`Network::settle_touched`] folds them into the active list and
+    /// ([`Network::settle_touched`] folds them into the active set and
     /// peak-occupancy statistics at the next barrier).
-    touched_buses: Vec<u16>,
-    in_touched: Vec<bool>,
+    touched_buses: IdSet,
+}
+
+/// What is fixed once the network is built — the read-only half of a
+/// [`lane::Lane`]'s working set.
+#[derive(Clone, Debug)]
+pub(super) struct Geometry {
+    rt: Routing,
+    /// Cycles a flit dwells in a router before it may leave (Table 4:
+    /// 1-cycle single-stage router; the 7-port ablation uses 2).
+    router_latency: u64,
+    /// Bus index at each node position, if the node is a pillar node.
+    bus_of_node: Vec<Option<u16>>,
+    /// Nodes per shard: cluster-row cuts keep a shard's nodes
+    /// contiguous under layer-major indexing, so shard `s` owns nodes
+    /// `s * nodes_per_shard ..`.
+    nodes_per_shard: usize,
+    /// The shard owning each node — `node / nodes_per_shard`, tabulated
+    /// so the per-flit paths never divide.
+    shard_of: Vec<u16>,
+    /// Where each pillar bus's per-layer transceiver interface lives,
+    /// indexed `bus * layers + layer`.
+    iface_slots: Vec<IfaceSlot>,
 }
 
 /// The on-chip network: stacked wormhole meshes joined by dTDMA pillars
 /// (or by a full 3D mesh in the ablation mode).
 #[derive(Clone, Debug)]
 pub struct Network {
-    layout: ChipLayout,
-    /// Precomputed nearest-pillar table (decision-identical to the
-    /// layout's linear scan) — the O(1) fallback for unpinned routes.
-    routes: RouteMap,
-    mode: VerticalMode,
-    vcs: usize,
-    /// Cycles a flit dwells in a router before it may leave (Table 4:
-    /// 1-cycle single-stage router; the 7-port ablation uses 2).
-    router_latency: u64,
+    geo: Geometry,
     /// Bus cycles per flit on the pillars (1 for a flit-wide bus; more
     /// when the via budget only affords a narrower vertical bus).
     bus_cycles_per_flit: u64,
@@ -147,31 +149,19 @@ pub struct Network {
     bus_ready_at: Vec<u64>,
     routers: Vec<Router>,
     buses: Vec<DtdmaBus>,
-    /// Bus index at each node position, if the node is a pillar node.
-    bus_of_node: Vec<Option<u16>>,
     injectors: Vec<Injector>,
     outbox: Vec<VecDeque<Delivered>>,
-    delivered_nodes: Vec<u32>,
-    in_delivered: Vec<bool>,
-    in_dirty: Vec<bool>,
-    in_inj: Vec<bool>,
+    /// Nodes whose outbox holds undrained deliveries.
+    delivered_nodes: IdSet,
     /// Buses with at least one queued flit (the pillar analogue of the
-    /// router dirty list).
-    bus_active: Vec<u16>,
-    in_bus_active: Vec<bool>,
+    /// router dirty set).
+    bus_active: IdSet,
     /// Per-shard mutable state; one entry when unsharded.
     shards: Vec<ShardState>,
     /// How the chip is cut: cluster-row shard geometry plus the
     /// y-band/boundary tables the window planner's mesh-boundary
     /// lookahead reads.
     plan: ShardPlan,
-    /// Nodes per shard (cluster-row cuts keep a shard's nodes
-    /// contiguous under layer-major indexing, so
-    /// `node / nodes_per_shard` is its shard).
-    nodes_per_shard: usize,
-    /// Where each pillar bus's per-layer transceiver interface lives,
-    /// indexed `bus * layers + layer`.
-    iface_slots: Vec<IfaceSlot>,
     /// Worker threads the window executor may use (≤ shard count).
     window_workers: usize,
     /// Minimum window length (cycles) before threads are spawned;
@@ -189,8 +179,6 @@ pub struct Network {
     /// across windows.
     hop_bufs: Vec<Vec<DeferredHop>>,
     hop_scratch: Vec<DeferredHop>,
-    /// Retired bus work list, kept to reuse its capacity each tick.
-    bus_scratch: Vec<u16>,
     now: Cycle,
     next_pkt: u64,
     flits_in_flight: u64,
@@ -245,121 +233,120 @@ impl Network {
         let vcs = cfg.vcs_per_port as usize;
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
-        // Only pillar mode keeps all router-phase traffic within a layer
-        // band; the 3D-mesh ablation's `Up`/`Down` hops cross layers
-        // freely, so it cannot be cut.
-        let plan = if mode == VerticalMode::Pillars && layout.layers() > 1 {
-            ShardPlan::new(layout, shards)
-        } else {
-            ShardPlan::new(layout, 1)
-        };
+        // Only pillar mode has buses, and only it keeps all router-phase
+        // traffic within a layer band; the 3D-mesh ablation's `Up`/`Down`
+        // hops cross layers freely, so it cannot be cut.
+        let pillars = mode == VerticalMode::Pillars && layout.layers() > 1;
+        let plan = ShardPlan::new(layout, if pillars { shards } else { 1 });
         let num_shards = plan.shards();
         let nodes_per_shard = plan.nodes_per_shard();
-        let mut shard_states: Vec<ShardState> =
-            (0..num_shards).map(|_| ShardState::default()).collect();
+        let buses_len = if pillars {
+            layout.num_pillars() as usize
+        } else {
+            0
+        };
+        let mut shard_states: Vec<ShardState> = (0..num_shards)
+            .map(|_| ShardState {
+                dirty: IdSet::new(nodes_per_shard),
+                visiting: IdSet::new(nodes_per_shard),
+                inj_active: IdSet::new(nodes_per_shard),
+                touched_buses: IdSet::new(buses_len),
+                ..ShardState::default()
+            })
+            .collect();
+        let shard_of: Vec<u16> = (0..n).map(|i| plan.shard_of_node(i) as u16).collect();
         let mut routers = Vec::with_capacity(n);
         let mut bus_of_node = vec![None; n];
+        let mut ports = Vec::with_capacity(Dir::COUNT);
         for i in 0..n {
             let c = layout.coord_of_index(i);
-            let mut dirs = vec![Dir::Local];
+            ports.clear();
+            ports.push(Dir::Local);
             for d in Dir::MESH {
                 if d.step(c.x, c.y, layout.width(), layout.height()).is_some() {
-                    dirs.push(d);
+                    ports.push(d);
                 }
             }
             match mode {
                 VerticalMode::Pillars => {
-                    if layout.layers() > 1 && layout.is_pillar_node(c) {
-                        dirs.push(Dir::Vertical);
+                    if pillars && layout.is_pillar_node(c) {
+                        ports.push(Dir::Vertical);
                     }
                 }
                 VerticalMode::Mesh3d => {
                     if c.layer + 1 < layout.layers() {
-                        dirs.push(Dir::Up);
+                        ports.push(Dir::Up);
                     }
                     if c.layer > 0 {
-                        dirs.push(Dir::Down);
+                        ports.push(Dir::Down);
                     }
                 }
             }
-            let arena = &mut shard_states[i / nodes_per_shard].arena;
-            routers.push(Router::new(arena, c, &dirs, &dirs, vcs, depth));
+            let arena = &mut shard_states[usize::from(shard_of[i])].arena;
+            let mut router = Router::new(arena, c, &ports, vcs, depth);
+            // Tabulate where each output leads, so a hop is one load
+            // (`Local` and `Vertical` step nowhere: they link to `i`).
+            for &d in &ports {
+                let (x, y) = d
+                    .step(c.x, c.y, layout.width(), layout.height())
+                    .expect("port exists");
+                let layer = match d {
+                    Dir::Up => c.layer + 1,
+                    Dir::Down => c.layer - 1,
+                    _ => c.layer,
+                };
+                router.next[d.index()] = layout.node_index(Coord::new(x, y, layer)) as u32;
+            }
+            routers.push(router);
         }
-        let mut buses = Vec::new();
-        let mut iface_slots = Vec::new();
-        if mode == VerticalMode::Pillars && layout.layers() > 1 {
-            for p in 0..layout.num_pillars() {
-                let pillar = nim_types::PillarId(p);
-                let xy = layout.pillar_xy(pillar);
-                for layer in 0..layout.layers() {
-                    let idx = layout.node_index(Coord::new(xy.0, xy.1, layer));
-                    bus_of_node[idx] = Some(p);
-                }
-                buses.push(DtdmaBus::new(pillar, xy));
+        // Each (bus, layer) interface belongs to the shard owning that
+        // layer's pillar node; the slot table records where.
+        let mut buses = Vec::with_capacity(buses_len);
+        let mut iface_slots = Vec::with_capacity(buses_len * layout.layers() as usize);
+        for p in 0..buses_len as u16 {
+            let pillar = nim_types::PillarId(p);
+            let xy = layout.pillar_xy(pillar);
+            for layer in 0..layout.layers() {
+                let idx = layout.node_index(Coord::new(xy.0, xy.1, layer));
+                bus_of_node[idx] = Some(p);
+                let st = &mut shard_states[usize::from(shard_of[idx])];
+                iface_slots.push(IfaceSlot {
+                    shard: u32::from(shard_of[idx]),
+                    slot: st.ifaces.len() as u32,
+                });
+                let iface = Iface::new(&mut st.arena, depth);
+                st.ifaces.push(iface);
             }
-            // Each (bus, layer) interface belongs to the shard owning
-            // that layer's pillar node; the slot table records where.
-            for (b, bus) in buses.iter().enumerate() {
-                for layer in 0..layout.layers() {
-                    let idx = layout.node_index(Coord::new(bus.xy.0, bus.xy.1, layer));
-                    let owner = plan.shard_of_node(idx);
-                    let st = &mut shard_states[owner];
-                    debug_assert_eq!(
-                        iface_slots.len(),
-                        b * layout.layers() as usize + layer as usize
-                    );
-                    iface_slots.push(IfaceSlot {
-                        shard: owner as u32,
-                        slot: st.ifaces.len() as u32,
-                    });
-                    let iface = Iface::new(&mut st.arena, depth);
-                    st.ifaces.push(iface);
-                }
-            }
-            for st in &mut shard_states {
-                st.in_touched = vec![false; buses.len()];
-            }
+            buses.push(DtdmaBus::new(pillar, xy));
         }
         let window_workers = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get)
             .min(num_shards);
         Self {
-            layout: layout.clone(),
-            routes: RouteMap::new(layout),
-            mode,
-            vcs,
-            router_latency: u64::from(cfg.router_latency).max(1),
+            geo: Geometry {
+                rt: Routing::new(layout, mode),
+                router_latency: u64::from(cfg.router_latency).max(1),
+                bus_of_node,
+                nodes_per_shard,
+                shard_of,
+                iface_slots,
+            },
             bus_cycles_per_flit: u64::from(cfg.bus_cycles_per_flit()).max(1),
-            bus_ready_at: vec![
-                0;
-                if mode == VerticalMode::Pillars && layout.layers() > 1 {
-                    layout.num_pillars() as usize
-                } else {
-                    0
-                }
-            ],
-            in_bus_active: vec![false; buses.len()],
+            bus_ready_at: vec![0; buses_len],
+            bus_active: IdSet::new(buses_len),
             routers,
             buses,
-            bus_of_node,
             injectors: vec![Injector::default(); n],
             outbox: vec![VecDeque::new(); n],
-            delivered_nodes: Vec::new(),
-            in_delivered: vec![false; n],
-            in_dirty: vec![false; n],
-            in_inj: vec![false; n],
-            bus_active: Vec::new(),
+            delivered_nodes: IdSet::new(n),
             shards: shard_states,
             plan,
-            nodes_per_shard,
-            iface_slots,
             window_workers,
             window_spawn_min: window::DEFAULT_SPAWN_MIN,
             tuner: SpawnTuner::default(),
             win_stats: WindowStats::default(),
             hop_bufs: vec![Vec::new(); num_shards],
             hop_scratch: Vec::new(),
-            bus_scratch: Vec::new(),
             now: Cycle::ZERO,
             next_pkt: 0,
             flits_in_flight: 0,
@@ -449,16 +436,9 @@ impl Network {
         buf.extend(self.buses.iter().map(|b| b.stats));
     }
 
-    /// Flits currently queued at each pillar bus's transceiver
-    /// interfaces, indexed by pillar — the instantaneous occupancy the
-    /// epoch sampler snapshots.
-    pub fn bus_occupancies(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.bus_occupancies_into(&mut out);
-        out
-    }
-
-    /// Clears `buf` and fills it with the per-pillar queued-flit counts;
+    /// Clears `buf` and fills it with the flits currently queued at each
+    /// pillar bus's transceiver interfaces, indexed by pillar — the
+    /// instantaneous occupancy the epoch sampler snapshots;
     /// see [`Network::bus_stats_into`].
     pub fn bus_occupancies_into(&self, buf: &mut Vec<usize>) {
         buf.clear();
@@ -483,18 +463,18 @@ impl Network {
     pub fn send(&mut self, req: SendRequest) -> PacketId {
         assert!(req.flits >= 1, "packet must have at least one flit");
         assert!(
-            self.layout.contains(req.src),
+            self.geo.rt.layout.contains(req.src),
             "src {} outside mesh",
             req.src
         );
         assert!(
-            self.layout.contains(req.dst),
+            self.geo.rt.layout.contains(req.dst),
             "dst {} outside mesh",
             req.dst
         );
         let id = PacketId(self.next_pkt);
         self.next_pkt += 1;
-        let node = self.layout.node_index(req.src);
+        let node = self.geo.rt.layout.node_index(req.src);
         self.injectors[node].queue.push_back(Pending {
             id,
             req,
@@ -516,7 +496,7 @@ impl Network {
 
     /// Pops the oldest packet delivered at node `c`, if any.
     pub fn pop_delivered(&mut self, c: Coord) -> Option<Delivered> {
-        let idx = self.layout.node_index(c);
+        let idx = self.geo.rt.layout.node_index(c);
         self.outbox[idx].pop_front()
     }
 
@@ -537,32 +517,11 @@ impl Network {
     /// arrival order per node), touching only the nodes that actually
     /// received something.
     pub fn drain_delivered_into(&mut self, buf: &mut Vec<Delivered>) {
-        // Single receiver — the common case when draining every cycle —
-        // needs no sort.
-        if let [n] = self.delivered_nodes[..] {
-            self.delivered_nodes.clear();
-            self.in_delivered[n as usize] = false;
-            buf.extend(self.outbox[n as usize].drain(..));
-            return;
+        let mut at = 0;
+        while let Some(n) = self.delivered_nodes.take_next(at) {
+            at = n + 1;
+            buf.extend(self.outbox[n].drain(..));
         }
-        let mut nodes = std::mem::take(&mut self.delivered_nodes);
-        nodes.sort_unstable();
-        for &n in &nodes {
-            self.in_delivered[n as usize] = false;
-            buf.extend(self.outbox[n as usize].drain(..));
-        }
-        nodes.clear();
-        self.delivered_nodes = nodes;
-    }
-
-    /// Advances the clock over a known-quiet span without ticking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any flit is in flight — skipping would change behaviour.
-    pub fn advance_idle(&mut self, cycles: u64) {
-        assert!(self.is_idle(), "advance_idle with traffic in flight");
-        self.advance_to(Cycle(self.now.0 + cycles));
     }
 
     /// Batch-advances the clock to `to` without running per-cycle phases,
@@ -595,46 +554,36 @@ impl Network {
             return None;
         }
         let next = self.now.0 + 1;
-        let mut earliest = u64::MAX;
-        for st in &self.shards {
-            // Injection streams one flit per cycle while packets pend.
-            if !st.inj_active.is_empty() {
-                earliest = next;
-            }
-            // A router moves a front flit once it has dwelt
-            // `router_latency`.
-            for &n in &st.dirty {
-                let r = &self.routers[n as usize];
-                if r.occupancy == 0 {
-                    continue;
-                }
-                for port in r.inputs.iter().flatten() {
-                    for vc in 0..self.vcs {
-                        if let Some(f) = port.vc(vc).front(&st.arena) {
-                            earliest = earliest.min((f.arrived.0 + self.router_latency).max(next));
-                        }
-                    }
-                }
-            }
+        let mut earliest = lane::next_shard_event(&self.shards, &self.routers, &self.geo, next);
+        if earliest == next {
+            return Some(Cycle(next));
         }
         // A bus grants once it is free of any serialisation window and a
         // queued flit has dwelt one cycle at its transceiver interface.
-        for &b in &self.bus_active {
-            let b = b as usize;
-            let mut front = u64::MAX;
-            for layer in 0..self.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
-                if let Some(f) = self.shards[s].ifaces[i].q.front(&self.shards[s].arena) {
-                    front = front.min(f.arrived.0 + 1);
-                }
-            }
-            if front != u64::MAX {
-                earliest = earliest.min(front.max(self.bus_ready_at[b]).max(next));
-            }
+        for b in self.bus_active.iter() {
+            earliest = earliest.min(self.bus_next_grant(b).max(next));
         }
         // Flits in flight always sit in some queue the scans above cover;
         // fall back to the very next cycle rather than ever over-skipping.
         Some(Cycle(if earliest == u64::MAX { next } else { earliest }))
+    }
+
+    /// The earliest cycle bus `b` could grant: a queued flit has dwelt
+    /// one cycle at its transceiver interface and the bus is free of its
+    /// serialisation window. `u64::MAX` when nothing is queued.
+    fn bus_next_grant(&self, b: usize) -> u64 {
+        let mut front = u64::MAX;
+        for layer in 0..self.geo.rt.layout.layers() {
+            let (s, i) = self.iface_pos(b, layer);
+            if let Some(f) = self.shards[s].ifaces[i].q.front(&self.shards[s].arena) {
+                front = front.min(f.arrived.0 + 1);
+            }
+        }
+        if front == u64::MAX {
+            front
+        } else {
+            front.max(self.bus_ready_at[b])
+        }
     }
 
     /// Advances the network by one clock cycle.
@@ -645,6 +594,8 @@ impl Network {
         self.router_phase(self.now);
         self.injection_phase(self.now);
         self.settle_touched();
+        #[cfg(test)]
+        self.check_invariants();
     }
 
     /// Ticks until the network is idle, up to `max_cycles`. Returns the
@@ -665,13 +616,13 @@ impl Network {
     /// bus `b` on `layer`.
     #[inline]
     fn iface_pos(&self, b: usize, layer: u8) -> (usize, usize) {
-        let s = self.iface_slots[b * self.layout.layers() as usize + layer as usize];
+        let s = self.geo.iface_slots[b * self.geo.rt.layout.layers() as usize + layer as usize];
         (s.shard as usize, s.slot as usize)
     }
 
     /// Total flits queued across all of bus `b`'s interfaces.
     fn bus_queued(&self, b: usize) -> usize {
-        (0..self.layout.layers())
+        (0..self.geo.rt.layout.layers())
             .map(|layer| {
                 let (s, i) = self.iface_pos(b, layer);
                 self.shards[s].ifaces[i].q.len()
@@ -687,55 +638,85 @@ impl Network {
     /// running maximum the per-enqueue update used to record.
     fn settle_touched(&mut self) {
         for s in 0..self.shards.len() {
-            if self.shards[s].touched_buses.is_empty() {
-                continue;
-            }
-            let mut work = std::mem::take(&mut self.shards[s].touched_buses);
-            for &b in &work {
-                self.shards[s].in_touched[b as usize] = false;
-            }
-            for &b in &work {
-                let b = b as usize;
+            let mut at = 0;
+            while let Some(b) = self.shards[s].touched_buses.take_next(at) {
+                at = b + 1;
                 let queued = self.bus_queued(b) as u64;
                 let stats = &mut self.buses[b].stats;
                 stats.peak_queued = stats.peak_queued.max(queued);
-                self.mark_bus(b);
+                self.bus_active.insert(b);
             }
-            work.clear();
-            self.shards[s].touched_buses = work;
         }
-    }
-
-    /// The shard owning a (layer-major) node index.
-    #[inline]
-    fn shard_of_node(&self, node: usize) -> usize {
-        node / self.nodes_per_shard
     }
 
     #[inline]
     fn mark_dirty(&mut self, node: usize) {
-        if !self.in_dirty[node] {
-            self.in_dirty[node] = true;
-            let s = self.shard_of_node(node);
-            self.shards[s].dirty.push(node as u32);
-        }
+        let s = usize::from(self.geo.shard_of[node]);
+        self.shards[s]
+            .dirty
+            .insert(node - s * self.geo.nodes_per_shard);
     }
 
     #[inline]
     fn mark_inj(&mut self, node: usize) {
-        if !self.in_inj[node] {
-            self.in_inj[node] = true;
-            let s = self.shard_of_node(node);
-            self.shards[s].inj_active.push(node as u32);
-        }
+        let s = usize::from(self.geo.shard_of[node]);
+        self.shards[s]
+            .inj_active
+            .insert(node - s * self.geo.nodes_per_shard);
     }
 
-    #[inline]
-    fn mark_bus(&mut self, bus: usize) {
-        if !self.in_bus_active[bus] {
-            self.in_bus_active[bus] = true;
-            self.bus_active.push(bus as u16);
+    /// Asserts the structural invariants the derived hot state must keep:
+    /// every router's masks, counters and cached routes agree with its VC
+    /// contents (`Router::check_invariants`); between phases a router is
+    /// in the dirty set iff it buffers a flit, a node in the injection
+    /// set iff packets pend there, a bus active iff flits queue at it,
+    /// and every non-empty outbox is in the delivered set; and
+    /// `flits_in_flight` counts exactly the buffered, interface-queued
+    /// and not-yet-injected flits.
+    ///
+    /// Cost is linear in the chip; meant for tests and debug builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node or bus, on the first violation.
+    pub fn check_invariants(&self) {
+        let mut flits = 0u64;
+        for (n, router) in self.routers.iter().enumerate() {
+            let s = usize::from(self.geo.shard_of[n]);
+            let (st, off) = (&self.shards[s], n - s * self.geo.nodes_per_shard);
+            flits += router.check_invariants(&st.arena, &self.geo.rt);
+            assert!(st.visiting.is_empty(), "shard {s}: mid-phase visiting set");
+            assert_eq!(
+                st.dirty.contains(off),
+                router.occupancy() > 0,
+                "node {n}: dirty set disagrees with occupancy"
+            );
+            let inj = &self.injectors[n];
+            assert_eq!(
+                st.inj_active.contains(off),
+                !inj.queue.is_empty(),
+                "node {n}: injection set disagrees with its queue"
+            );
+            flits += inj
+                .queue
+                .iter()
+                .map(|p| u64::from(p.req.flits - p.seq))
+                .sum::<u64>();
+            assert!(
+                self.outbox[n].is_empty() || self.delivered_nodes.contains(n),
+                "node {n}: deliveries missing from the delivered set"
+            );
         }
+        for b in 0..self.buses.len() {
+            let queued = self.bus_queued(b);
+            assert_eq!(
+                self.bus_active.contains(b),
+                queued > 0,
+                "bus {b}: active set disagrees with its interfaces"
+            );
+            flits += queued as u64;
+        }
+        assert_eq!(self.flits_in_flight, flits, "flits_in_flight");
     }
 }
 

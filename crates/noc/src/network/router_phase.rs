@@ -4,24 +4,30 @@
 //! The phase body lives on [`Lane`] so the sequential tick and the
 //! window executor share one implementation; only the
 //! [`DeliverySink`] differs. Node-major indexing is layer-major and
-//! shards are node-contiguous, so processing shards in order and each
-//! shard's sorted dirty list within equals processing one globally
-//! sorted dirty list — the sharded phase is order-identical to the
-//! pre-sharding code. A mesh hop across a shard boundary (possible only
-//! in the whole-chip sequential lane) marks the destination router in
-//! the *current* phase's list when the destination shard has not run
-//! yet; the just-arrived flit is stamped `arrived == now`, so that
-//! visit is provably a no-op and the router is re-marked for the next
-//! cycle — exactly what the pre-sharding single-list code did.
+//! shards are node-contiguous, so walking shards in order and each
+//! shard's dirty bitmap within equals walking one global dirty set in
+//! ascending node order. A mesh hop across a shard boundary (possible
+//! only in the whole-chip sequential lane) marks the destination router
+//! in a set this cycle's walk still reaches when the destination shard
+//! has not run yet; the just-arrived flit is stamped `arrived == now`,
+//! so that visit is provably a no-op and the router is re-marked for
+//! the next cycle.
+//!
+//! # What a visit costs
+//!
+//! A visit reads the router's occupancy mask and the front flit of each
+//! occupied VC — nothing else. Movable head flits become one request
+//! bitmask per output; only outputs that are requested or held are
+//! served, in ascending [`Dir::index`] order — the order `Dir::ALL`
+//! gives, so outputs contend for inputs exactly as if every port were
+//! probed (DESIGN.md §6e has the full argument).
 
-use nim_types::{Coord, Cycle, Dir};
+use nim_types::{bits, Cycle, Dir};
 
-use crate::packet::Flit;
-use crate::router::Hold;
-use crate::routing::route;
+use crate::router::{vc_bit, Hold};
 
 use super::lane::{DeliverySink, Lane};
-use super::{Candidate, Network};
+use super::Network;
 
 impl Network {
     pub(super) fn router_phase(&mut self, now: Cycle) {
@@ -30,176 +36,142 @@ impl Network {
         }
         let (mut lane, mut sink) = self.live_parts();
         lane.router_phase(now, &mut sink);
-        let (hops, by_class, cont) = (
-            lane.flit_hops,
-            lane.flit_hops_by_class,
-            lane.switch_contention,
-        );
-        self.fold_lane(hops, by_class, cont);
+        lane.stats.fold_into(sink.stats);
     }
 }
 
 impl Lane<'_> {
     pub(super) fn router_phase(&mut self, now: Cycle, sink: &mut impl DeliverySink) {
         for si in 0..self.shards.len() {
-            if self.shards[si].dirty.is_empty() {
+            let st = &mut self.shards[si];
+            if st.dirty.is_empty() {
                 continue;
             }
-            let mut work = std::mem::replace(
-                &mut self.shards[si].dirty,
-                std::mem::take(&mut self.shards[si].dirty_scratch),
-            );
-            work.sort_unstable();
-            for &n in &work {
-                self.in_dirty[n as usize - self.base] = false;
-            }
-            for &n in &work {
-                let n = n as usize;
-                if self.routers[n - self.base].occupancy == 0 {
-                    continue;
-                }
-                self.process_router(n, now, sink);
-                if self.routers[n - self.base].occupancy > 0 {
-                    self.mark_dirty(n);
+            // Routers marked from here on belong to the next cycle.
+            std::mem::swap(&mut st.dirty, &mut st.visiting);
+            let first = self.base + si * self.geo.nodes_per_shard;
+            let mut at = 0;
+            while let Some(off) = self.shards[si].visiting.take_next(at) {
+                at = off + 1;
+                self.process_router(first + off, now, sink);
+                if self.routers[first + off - self.base].occupancy() > 0 {
+                    self.shards[si].dirty.insert(off);
                 }
             }
-            work.clear();
-            self.shards[si].dirty_scratch = work;
         }
     }
 
-    /// Switch allocation for one router: a single scan over the input VCs
-    /// collects every movable head flit (routing each once), then every
-    /// output port arbitrates among its candidates in round-robin slot
-    /// order. Moves performed while an output is served only ever change
-    /// the fronts of inputs recorded in `used_input`, which later outputs
-    /// skip, so the pre-collected candidates stay exact.
+    /// Switch allocation for one router: one pass over the occupied VCs
+    /// sorts every movable head flit into its output's request mask
+    /// (the route was cached when the flit entered the VC), then every
+    /// requested or held output is served in port order. Moves performed
+    /// while an output is served only ever change the fronts of inputs
+    /// recorded in `used`, which later outputs mask out, so the
+    /// pre-collected requests stay exact.
     fn process_router(&mut self, n: usize, now: Cycle, sink: &mut impl DeliverySink) {
-        let vcs = self.vcs;
-        let local = n - self.base;
-        let si = self.shard_ix(n);
-        let at = self.routers[local].coord;
-        let mut cands = std::mem::take(&mut self.shards[si].cand_scratch);
-        debug_assert!(cands.is_empty());
-        for (in_dir, input) in self.routers[local].inputs.iter().enumerate() {
-            let Some(port) = input else { continue };
-            for vc in 0..vcs {
-                let Some(front) = port.vc(vc).front(&self.shards[si].arena) else {
-                    continue;
-                };
-                if front.arrived.0 + self.router_latency > now.0 || !front.kind.is_head() {
-                    continue;
-                }
-                cands.push(Candidate {
-                    slot: (in_dir * vcs + vc) as u16,
-                    out: route(
-                        self.layout,
-                        self.routes,
-                        self.mode,
-                        at,
-                        front.dst,
-                        front.via,
-                    ),
-                    flit: *front,
-                });
+        let router = &self.routers[n - self.base];
+        let arena = &self.shards[self.shard_ix(n)].arena;
+        let mut requests = [0u64; Dir::COUNT];
+        let mut requested = 0u8;
+        for (bit, out, front) in router.fronts(arena) {
+            if front.arrived.0 + self.geo.router_latency <= now.0 && front.kind.is_head() {
+                requests[out.index()] |= 1 << bit;
+                requested |= 1 << out.index();
             }
         }
-        let mut used_input = [false; Dir::COUNT];
-        for out in Dir::ALL {
-            if self.routers[local].has_output(out) {
-                self.process_output(n, out, now, &mut used_input, &cands, sink);
-            }
+        let outputs = (requested | router.held_mask()) & router.ports();
+        // VCs of input ports that already moved a flit this cycle.
+        let mut used = 0u64;
+        for oi in bits(u64::from(outputs)) {
+            self.process_output(n, Dir::ALL[oi], now, requests[oi], &mut used, sink);
         }
-        cands.clear();
-        self.shards[si].cand_scratch = cands;
     }
 
-    /// Switch allocation and traversal for one output port of one router.
+    /// Switch allocation and traversal for one output port of one router;
+    /// `requests` are the movable head flits routed to it.
     fn process_output(
         &mut self,
         n: usize,
         out: Dir,
         now: Cycle,
-        used_input: &mut [bool; Dir::COUNT],
-        cands: &[Candidate],
+        requests: u64,
+        used: &mut u64,
         sink: &mut impl DeliverySink,
     ) {
         let oi = out.index();
         let local = n - self.base;
-        let si = self.shard_ix(n);
         // An output already claimed by a packet serves only that packet.
-        if let Some(hold) = self.routers[local].held[oi] {
-            if used_input[hold.in_dir] {
+        if let Some(hold) = self.routers[local].hold(oi) {
+            let (in_dir, vc) = (usize::from(hold.in_dir), usize::from(hold.vc));
+            if *used >> vc_bit(in_dir, 0) & 0xff != 0 {
                 return;
             }
-            let front = self.routers[local].inputs[hold.in_dir]
-                .as_ref()
-                .and_then(|p| p.vc(hold.vc).front(&self.shards[si].arena))
-                .copied();
-            let Some(front) = front else { return };
-            if front.pkt != hold.pkt || front.arrived.0 + self.router_latency > now.0 {
+            let arena = &self.shards[self.shard_ix(n)].arena;
+            let Some(front) = self.routers[local].vc(in_dir, vc).fifo.front(arena) else {
+                return;
+            };
+            if front.pkt != hold.pkt || front.arrived.0 + self.geo.router_latency > now.0 {
                 return;
             }
-            if self.try_move(n, hold.in_dir, hold.vc, out, &front, now, sink) {
-                used_input[hold.in_dir] = true;
-                if front.kind.is_tail() {
-                    self.routers[local].held[oi] = None;
+            let is_tail = front.kind.is_tail();
+            if self.try_move(n, in_dir, vc, out, now, sink) {
+                *used |= 0xff << vc_bit(in_dir, 0);
+                if is_tail {
+                    self.routers[local].set_hold(oi, None);
                 }
             } else {
-                self.switch_contention += 1;
+                self.stats.switch_contention += 1;
             }
             return;
         }
         // Free output: round-robin over head flits requesting it.
-        let vcs = self.vcs;
-        let total = (Dir::COUNT * vcs) as u16;
-        let rrp = self.routers[local].rr[oi];
-        let mut winner: Option<Candidate> = None;
-        let mut best_rank = u16::MAX;
-        let mut eligible = 0u64;
-        for c in cands {
-            if c.out != out || used_input[usize::from(c.slot) / vcs] {
-                continue;
-            }
-            eligible += 1;
-            let rank = (c.slot + total - rrp) % total;
-            if rank < best_rank {
-                best_rank = rank;
-                winner = Some(*c);
-            }
-        }
-        if eligible > 1 {
-            self.switch_contention += eligible - 1;
-        }
-        let Some(c) = winner else {
+        let eligible = requests & !*used;
+        if eligible == 0 {
             return;
-        };
-        let (in_dir, vc) = (usize::from(c.slot) / vcs, usize::from(c.slot) % vcs);
-        if self.try_move(n, in_dir, vc, out, &c.flit, now, sink) {
-            used_input[in_dir] = true;
-            if !c.flit.kind.is_tail() {
-                self.routers[local].held[oi] = Some(Hold {
-                    pkt: c.flit.pkt,
-                    in_dir,
-                    vc,
-                });
-            }
-            self.routers[local].rr[oi] = (c.slot + 1) % total;
+        }
+        self.stats.switch_contention += u64::from(eligible.count_ones() - 1);
+        let at_or_after = eligible & (!0 << self.routers[local].rr[oi]);
+        let bit = if at_or_after != 0 {
+            at_or_after.trailing_zeros()
         } else {
-            self.switch_contention += 1;
+            eligible.trailing_zeros()
+        } as usize;
+        let (in_dir, vc) = (bit >> 3, bit & 7);
+        let arena = &self.shards[self.shard_ix(n)].arena;
+        let front = self.routers[local]
+            .vc(in_dir, vc)
+            .fifo
+            .front(arena)
+            .expect("requesting VC has a front flit");
+        let (pkt, is_tail) = (front.pkt, front.kind.is_tail());
+        if self.try_move(n, in_dir, vc, out, now, sink) {
+            *used |= 0xff << vc_bit(in_dir, 0);
+            let router = &mut self.routers[local];
+            if !is_tail {
+                router.set_hold(
+                    oi,
+                    Some(Hold {
+                        pkt,
+                        in_dir: in_dir as u8,
+                        vc: vc as u8,
+                    }),
+                );
+            }
+            router.advance_rr(oi, bit);
+        } else {
+            self.stats.switch_contention += 1;
         }
     }
 
-    /// Attempts the actual flit traversal. Returns `false` when downstream
-    /// has no space or no free VC (speculation failure — retry next cycle).
-    #[allow(clippy::too_many_arguments)]
+    /// Attempts to move the front flit of `(in_dir, vc)` through `out`.
+    /// Returns `false` when downstream has no space or no free VC
+    /// (speculation failure — retry next cycle).
     fn try_move(
         &mut self,
         n: usize,
         in_dir: usize,
         vc: usize,
         out: Dir,
-        front: &Flit,
         now: Cycle,
         sink: &mut impl DeliverySink,
     ) -> bool {
@@ -207,15 +179,9 @@ impl Lane<'_> {
         let si = self.shard_ix(n);
         match out {
             Dir::Local => {
-                let f = self.routers[local].inputs[in_dir]
-                    .as_mut()
-                    .expect("input exists")
-                    .vc_mut(vc)
-                    .pop(&self.shards[si].arena)
-                    .expect("front checked");
-                self.routers[local].occupancy -= 1;
+                let f = self.routers[local].pop(&self.shards[si].arena, in_dir, vc);
                 sink.local_pop(n, f, now);
-                true
+                return true;
             }
             Dir::Vertical => {
                 // The vertical move fills this pillar node's own
@@ -223,101 +189,85 @@ impl Lane<'_> {
                 // the (sequential) bus phase is what later drains it
                 // across shards.
                 let bus_idx =
-                    self.bus_of_node[n].expect("vertical output on non-pillar node") as usize;
-                let layer = self.routers[local].coord.layer;
-                let is = self.iface_slots[bus_idx * self.layout.layers() as usize + layer as usize];
+                    self.geo.bus_of_node[n].expect("vertical output on non-pillar node") as usize;
+                let layers = self.geo.rt.layout.layers() as usize;
+                let layer = self.routers[local].coord.layer as usize;
+                let is = self.geo.iface_slots[bus_idx * layers + layer];
                 debug_assert_eq!(is.shard as usize, si + self.first_shard);
                 let slot = is.slot as usize;
                 if self.shards[si].ifaces[slot].q.is_full() {
                     return false;
                 }
-                let mut f = self.routers[local].inputs[in_dir]
-                    .as_mut()
-                    .expect("input exists")
-                    .vc_mut(vc)
-                    .pop(&self.shards[si].arena)
-                    .expect("front checked");
-                f.arrived = now;
                 let st = &mut self.shards[si];
+                let mut f = self.routers[local].pop(&st.arena, in_dir, vc);
+                f.arrived = now;
                 st.ifaces[slot].q.push_back(&mut st.arena, f);
-                if !st.in_touched[bus_idx] {
-                    st.in_touched[bus_idx] = true;
-                    st.touched_buses.push(bus_idx as u16);
-                }
-                self.routers[local].occupancy -= 1;
-                self.flit_hops += 1;
-                self.flit_hops_by_class[f.class.index()] += 1;
-                self.traversals[local] += 1;
-                let at = self.routers[local].coord;
-                sink.flit_hop(now, at, f.class.name());
-                true
+                st.touched_buses.insert(bus_idx);
+                self.count_hop(local, now, f.class, sink);
             }
             _ => {
-                let c = self.routers[local].coord;
-                let dest = match out {
-                    Dir::Up => Coord::new(c.x, c.y, c.layer + 1),
-                    Dir::Down => Coord::new(c.x, c.y, c.layer - 1),
-                    d => {
-                        let (x, y) = d
-                            .step(c.x, c.y, self.layout.width(), self.layout.height())
-                            .expect("routing stays on the mesh");
-                        Coord::new(x, y, c.layer)
-                    }
-                };
                 // In the whole-chip sequential lane every destination is
                 // in range and a hop may cross a shard (band) boundary.
                 // A window lane holds exactly one shard, and the window
                 // planner's mesh-boundary lookahead ended the window
                 // before any flit could reach a boundary router — so an
                 // out-of-range destination there is a planner bug.
-                let dest_idx = self.layout.node_index(dest);
+                let dest_idx = self.routers[local].next[out.index()] as usize;
                 let dest_local = dest_idx.wrapping_sub(self.base);
                 if dest_local >= self.routers.len() {
                     unreachable!(
-                        "packet {} hopped {c} -> {dest} across a shard boundary in cycle {} \
+                        "a flit hopped {} -> node {dest_idx} across a shard boundary in cycle {} \
                          inside a conservative shard window — the boundary lookahead \
                          under-estimated",
-                        front.pkt.0, now.0
+                        self.routers[local].coord, now.0
                     );
                 }
                 debug_assert_ne!(dest_local, local);
                 let dsi = self.shard_ix(dest_idx);
                 let ii = out.opposite().index();
-                let dvc = {
-                    let port = self.routers[dest_local].inputs[ii]
-                        .as_ref()
-                        .expect("link implies input port");
-                    if front.kind.is_head() {
-                        port.free_vc()
-                    } else {
-                        port.continuation_vc(front.pkt)
-                    }
+                let front = self.routers[local]
+                    .vc(in_dir, vc)
+                    .fifo
+                    .front(&self.shards[si].arena)
+                    .expect("front checked");
+                let dest = &self.routers[dest_local];
+                let dvc = if front.kind.is_head() {
+                    dest.free_vc(ii)
+                } else {
+                    dest.continuation_vc(ii, front.pkt)
                 };
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                let mut f = self.routers[local].inputs[in_dir]
-                    .as_mut()
-                    .expect("input exists")
-                    .vc_mut(vc)
-                    .pop(&self.shards[si].arena)
-                    .expect("front checked");
+                let mut f = self.routers[local].pop(&self.shards[si].arena, in_dir, vc);
                 f.arrived = now;
                 f.hops += 1;
-                self.routers[dest_local].inputs[ii]
-                    .as_mut()
-                    .expect("checked above")
-                    .vc_mut(dvc)
-                    .push(&mut self.shards[dsi].arena, f);
-                self.routers[local].occupancy -= 1;
-                self.routers[dest_local].occupancy += 1;
+                self.routers[dest_local].push(
+                    &mut self.shards[dsi].arena,
+                    &self.geo.rt,
+                    ii,
+                    dvc,
+                    f,
+                );
                 self.mark_dirty(dest_idx);
-                self.flit_hops += 1;
-                self.flit_hops_by_class[f.class.index()] += 1;
-                self.traversals[local] += 1;
-                sink.flit_hop(now, c, f.class.name());
-                true
+                self.count_hop(local, now, f.class, sink);
             }
         }
+        true
+    }
+
+    /// Accounts one flit traversal out of router `local`.
+    #[inline]
+    fn count_hop(
+        &mut self,
+        local: usize,
+        now: Cycle,
+        class: crate::packet::TrafficClass,
+        sink: &mut impl DeliverySink,
+    ) {
+        self.stats.flit_hops += 1;
+        self.stats.flit_hops_by_class[class.index()] += 1;
+        self.traversals[local] += 1;
+        sink.flit_hop(now, self.routers[local].coord, class.name());
     }
 }

@@ -10,29 +10,27 @@
 //! reproduces the uninterrupted one exactly).
 //!
 //! Restore targets a freshly built [`Network`] with the same layout and
-//! configuration; the derived work lists (router dirty lists, active
-//! injectors, active buses, delivered-node list) are recomputed from the
-//! restored queues rather than serialized, and scratch state (window
-//! tuner, diagnostics) intentionally starts fresh.
+//! configuration. Everything derived is recomputed from the restored
+//! queues rather than serialized: the work sets (dirty routers, active
+//! injectors, active buses, delivered nodes), and each router's
+//! occupancy masks, flit count and cached look-ahead routes, which
+//! [`Router::restore_vc`](crate::router::Router::restore_vc) rebuilds as
+//! it refills the VCs. The image keeps the field layout it had before
+//! those existed (round-robin pointers as `in_dir * vcs + vc` slots, a
+//! per-router flit count that restore now cross-checks), so images stay
+//! byte-compatible. Scratch state (window tuner, diagnostics)
+//! intentionally starts fresh.
 
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{Coord, Cycle, PacketId, PillarId};
+use nim_types::{Cycle, Dir, PacketId, PillarId};
 
-use crate::packet::{Delivered, Flit, FlitKind, SendRequest, TrafficClass};
-use crate::router::Hold;
+use crate::packet::{
+    restore_class, restore_coord, save_coord, Delivered, Flit, FlitKind, SendRequest,
+};
+use crate::router::{vc_bit, Hold};
 use crate::stats::{LatencyHistogram, NetworkStats};
 
 use super::{Network, Pending};
-
-fn save_coord(w: &mut ByteWriter, c: Coord) {
-    w.u8(c.x);
-    w.u8(c.y);
-    w.u8(c.layer);
-}
-
-fn restore_coord(r: &mut ByteReader<'_>) -> Result<Coord, CodecError> {
-    Ok(Coord::new(r.u8()?, r.u8()?, r.u8()?))
-}
 
 fn save_via(w: &mut ByteWriter, via: Option<PillarId>) {
     match via {
@@ -50,14 +48,6 @@ fn restore_via(r: &mut ByteReader<'_>) -> Result<Option<PillarId>, CodecError> {
         1 => Ok(Some(PillarId(r.u16()?))),
         _ => Err(CodecError::Corrupt("bad pillar option tag")),
     }
-}
-
-fn restore_class(r: &mut ByteReader<'_>) -> Result<TrafficClass, CodecError> {
-    let tag = usize::from(r.u8()?);
-    TrafficClass::ALL
-        .get(tag)
-        .copied()
-        .ok_or(CodecError::Corrupt("bad traffic class tag"))
 }
 
 fn save_kind(w: &mut ByteWriter, kind: FlitKind) {
@@ -201,39 +191,40 @@ impl Checkpoint for Network {
         // Routers: ports and VC contents in (node, direction, VC) order.
         w.u32(self.routers.len() as u32);
         for (n, router) in self.routers.iter().enumerate() {
-            let st = &self.shards[self.shard_of_node(n)];
-            for input in &router.inputs {
-                match input {
-                    None => w.u8(0),
-                    Some(port) => {
-                        w.u8(1);
-                        w.u8(port.num_vcs() as u8);
-                        for v in 0..port.num_vcs() {
-                            let vc = port.vc(v);
-                            w.opt_u64(vc.owner().map(|p| p.0));
-                            w.u16(vc.fifo().len() as u16);
-                            for f in vc.fifo().iter(&st.arena) {
-                                save_flit(w, f);
-                            }
-                        }
+            let st = &self.shards[usize::from(self.geo.shard_of[n])];
+            let vcs = router.vcs_per_port();
+            for in_dir in 0..Dir::COUNT {
+                if !router.has_port(in_dir) {
+                    w.u8(0);
+                    continue;
+                }
+                w.u8(1);
+                w.u8(vcs as u8);
+                for v in 0..vcs {
+                    let vc = router.vc(in_dir, v);
+                    w.opt_u64(vc.owner.map(|p| p.0));
+                    w.u16(vc.fifo.len() as u16);
+                    for f in vc.fifo.iter(&st.arena) {
+                        save_flit(w, f);
                     }
                 }
             }
-            for held in &router.held {
-                match held {
+            for oi in 0..Dir::COUNT {
+                match router.hold(oi) {
                     None => w.u8(0),
                     Some(h) => {
                         w.u8(1);
                         w.u64(h.pkt.0);
-                        w.u8(h.in_dir as u8);
-                        w.u8(h.vc as u8);
+                        w.u8(h.in_dir);
+                        w.u8(h.vc);
                     }
                 }
             }
-            for &rr in &router.rr {
-                w.u16(rr);
+            for oi in 0..Dir::COUNT {
+                let bit = usize::from(router.rr[oi]);
+                w.u16(((bit >> 3) * vcs + (bit & 7)) as u16);
             }
-            w.u32(router.occupancy);
+            w.u32(router.occupancy());
         }
 
         // Injection queues and delivery outboxes, in node order.
@@ -260,7 +251,7 @@ impl Checkpoint for Network {
             w.u64(bus.stats.busy_cycles);
             w.u64(bus.stats.contention_cycles);
             w.u64(bus.stats.peak_queued);
-            for layer in 0..self.layout.layers() {
+            for layer in 0..self.geo.rt.layout.layers() {
                 let (s, i) = self.iface_pos(b, layer);
                 let iface = &self.shards[s].ifaces[i];
                 w.opt_u64(iface.bound_vc.map(|v| v as u64));
@@ -292,56 +283,70 @@ impl Checkpoint for Network {
             return Err(CodecError::Corrupt("router count mismatch"));
         }
         let mut flit_buf = Vec::new();
+        let rt = &self.geo.rt;
         for n in 0..self.routers.len() {
-            let s = self.shard_of_node(n);
-            let arena = &mut self.shards[s].arena;
+            let arena = &mut self.shards[usize::from(self.geo.shard_of[n])].arena;
             let router = &mut self.routers[n];
-            for input in &mut router.inputs {
-                let present = r.u8()? == 1;
-                let Some(port) = input.as_mut() else {
-                    if present {
-                        return Err(CodecError::Corrupt("input port structure mismatch"));
-                    }
-                    continue;
-                };
-                if !present {
+            let vcs = router.vcs_per_port();
+            for in_dir in 0..Dir::COUNT {
+                if (r.u8()? == 1) != router.has_port(in_dir) {
                     return Err(CodecError::Corrupt("input port structure mismatch"));
                 }
-                if usize::from(r.u8()?) != port.num_vcs() {
+                if !router.has_port(in_dir) {
+                    continue;
+                }
+                if usize::from(r.u8()?) != vcs {
                     return Err(CodecError::Corrupt("VC count mismatch"));
                 }
-                for v in 0..port.num_vcs() {
+                for v in 0..vcs {
                     let owner = r.opt_u64()?.map(PacketId);
                     let count = usize::from(r.u16()?);
-                    if count > port.vc(v).fifo().capacity() {
+                    if count > router.vc(in_dir, v).fifo.capacity() {
                         return Err(CodecError::Corrupt("VC deeper than its capacity"));
                     }
                     flit_buf.clear();
                     for _ in 0..count {
                         flit_buf.push(restore_flit(r)?);
                     }
-                    port.vc_mut(v).restore_flits(arena, &flit_buf, owner);
+                    router.restore_vc(arena, rt, (in_dir, v), &flit_buf, owner);
                 }
             }
-            for held in &mut router.held {
-                *held = match r.u8()? {
+            for oi in 0..Dir::COUNT {
+                let hold = match r.u8()? {
                     0 => None,
                     1 => Some(Hold {
                         pkt: PacketId(r.u64()?),
-                        in_dir: usize::from(r.u8()?),
-                        vc: usize::from(r.u8()?),
+                        in_dir: r.u8()?,
+                        vc: r.u8()?,
                     }),
                     _ => return Err(CodecError::Corrupt("bad hold tag")),
                 };
+                if hold.is_some_and(|h| {
+                    !router.has_port(usize::from(h.in_dir)) || usize::from(h.vc) >= vcs
+                }) {
+                    return Err(CodecError::Corrupt("hold names a VC that does not exist"));
+                }
+                router.set_hold(oi, hold);
             }
-            for rr in &mut router.rr {
-                *rr = r.u16()?;
+            for oi in 0..Dir::COUNT {
+                let slot = usize::from(r.u16()?);
+                if slot >= Dir::COUNT * vcs {
+                    return Err(CodecError::Corrupt("round-robin pointer out of range"));
+                }
+                router.rr[oi] = vc_bit(slot / vcs, slot % vcs) as u8;
             }
-            router.occupancy = r.u32()?;
+            if r.u32()? != router.occupancy() {
+                return Err(CodecError::Corrupt("router flit count mismatch"));
+            }
         }
 
+        let vcs = self.routers.first().map_or(0, |r| r.vcs_per_port()) as u64;
+        let bound_vc = |v: Option<u64>| match v {
+            Some(v) if v >= vcs => Err(CodecError::Corrupt("bound VC out of range")),
+            v => Ok(v.map(|v| v as usize)),
+        };
         for inj in &mut self.injectors {
-            inj.vc = r.opt_u64()?.map(|v| v as usize);
+            inj.vc = bound_vc(r.opt_u64()?)?;
             inj.queue.clear();
             for _ in 0..r.u32()? {
                 inj.queue.push_back(restore_pending(r)?);
@@ -359,19 +364,22 @@ impl Checkpoint for Network {
         }
         for b in 0..self.buses.len() {
             self.buses[b].rr = r.usize()?;
+            if self.buses[b].rr >= self.geo.rt.layout.layers() as usize {
+                return Err(CodecError::Corrupt("bus round-robin pointer out of range"));
+            }
             self.buses[b].stats.transfers = r.u64()?;
             self.buses[b].stats.busy_cycles = r.u64()?;
             self.buses[b].stats.contention_cycles = r.u64()?;
             self.buses[b].stats.peak_queued = r.u64()?;
-            for layer in 0..self.layout.layers() {
+            for layer in 0..self.geo.rt.layout.layers() {
                 let (s, i) = self.iface_pos(b, layer);
-                let bound_vc = r.opt_u64()?.map(|v| v as usize);
+                let bound = bound_vc(r.opt_u64()?)?;
                 let count = usize::from(r.u16()?);
                 let st = &mut self.shards[s];
                 if count > st.ifaces[i].q.capacity() {
                     return Err(CodecError::Corrupt("interface deeper than its capacity"));
                 }
-                st.ifaces[i].bound_vc = bound_vc;
+                st.ifaces[i].bound_vc = bound;
                 for _ in 0..count {
                     let f = restore_flit(r)?;
                     st.ifaces[i].q.push_back(&mut st.arena, f);
@@ -379,29 +387,21 @@ impl Checkpoint for Network {
             }
         }
 
-        // Rebuild the derived work lists from the restored queues (in
-        // ascending node/bus order — any deterministic order works; the
-        // phases are order-independent, as the shard-invariance suite
-        // proves).
+        // Rebuild the derived work sets from the restored queues.
         for n in 0..self.routers.len() {
-            if self.routers[n].occupancy > 0 {
+            if self.routers[n].occupancy() > 0 {
                 self.mark_dirty(n);
             }
-        }
-        for n in 0..self.injectors.len() {
             if !self.injectors[n].queue.is_empty() {
                 self.mark_inj(n);
             }
-        }
-        for n in 0..self.outbox.len() {
-            if !self.outbox[n].is_empty() && !self.in_delivered[n] {
-                self.in_delivered[n] = true;
-                self.delivered_nodes.push(n as u32);
+            if !self.outbox[n].is_empty() {
+                self.delivered_nodes.insert(n);
             }
         }
         for b in 0..self.buses.len() {
             if self.bus_queued(b) > 0 {
-                self.mark_bus(b);
+                self.bus_active.insert(b);
             }
         }
         self.obs.set_now(self.now.0);
@@ -412,6 +412,7 @@ impl Checkpoint for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::TrafficClass;
     use crate::routing::VerticalMode;
     use nim_topology::ChipLayout;
     use nim_types::SystemConfig;
@@ -461,6 +462,7 @@ mod tests {
                 Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, restore_shards);
             let mut r = ByteReader::new(&bytes);
             restored.restore(&mut r).unwrap();
+            restored.check_invariants();
             assert_eq!(r.remaining(), 0);
             assert_eq!(restored.now(), original.now());
 

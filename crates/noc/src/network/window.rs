@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, PillarId};
 
-use super::lane::{Lane, WindowSink};
+use super::lane::{Lane, LaneStats, WindowSink};
 use super::Network;
 
 /// Windows shorter than this run inline on the calling thread until the
@@ -178,6 +178,8 @@ impl Network {
         self.now = Cycle(end);
         self.replay_hops();
         self.obs.set_now(end);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         len
     }
 
@@ -221,20 +223,13 @@ impl Network {
         let next = self.now.0 + 1;
         let mut horizon = u64::MAX;
         for (s, st) in self.shards.iter().enumerate() {
+            let first = s * self.geo.nodes_per_shard;
             // Buffered flits: VC fronts bound everything behind them.
-            for &n in &st.dirty {
-                let r = &self.routers[n as usize];
-                if r.occupancy == 0 {
-                    continue;
-                }
-                for port in r.inputs.iter().flatten() {
-                    for vc in 0..self.vcs {
-                        let Some(f) = port.vc(vc).front(&st.arena) else {
-                            continue;
-                        };
-                        let movable = (f.arrived.0 + self.router_latency).max(next);
-                        horizon = horizon.min(self.flit_bound(s, r.coord, f.dst, f.via, movable));
-                    }
+            for off in st.dirty.iter() {
+                let r = &self.routers[first + off];
+                for (_, _, f) in r.fronts(&st.arena) {
+                    let movable = (f.arrived.0 + self.geo.router_latency).max(next);
+                    horizon = horizon.min(self.flit_bound(s, r.coord, f.dst, f.via, movable));
                 }
             }
             // Pending injections: every queued packet can start flowing
@@ -242,10 +237,10 @@ impl Network {
             // remaining flit enters a local VC no earlier than one cycle
             // per flit still ahead of it in the queue, then dwells
             // before moving.
-            for &n in &st.inj_active {
+            for off in st.inj_active.iter() {
                 let mut flits_ahead = 0u64;
-                for p in &self.injectors[n as usize].queue {
-                    let movable = next + flits_ahead + self.router_latency;
+                for p in &self.injectors[first + off].queue {
+                    let movable = next + flits_ahead + self.geo.router_latency;
                     horizon =
                         horizon.min(self.flit_bound(s, p.req.src, p.req.dst, p.req.via, movable));
                     flits_ahead += u64::from(p.req.flits - p.seq);
@@ -254,18 +249,8 @@ impl Network {
         }
         // Flits already queued at transceiver interfaces: a grant needs
         // one full cycle at the interface and a free bus.
-        for &b in &self.bus_active {
-            let b = b as usize;
-            let mut front = u64::MAX;
-            for layer in 0..self.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
-                if let Some(f) = self.shards[s].ifaces[i].q.front(&self.shards[s].arena) {
-                    front = front.min(f.arrived.0 + 1);
-                }
-            }
-            if front != u64::MAX {
-                horizon = horizon.min(front.max(self.bus_ready_at[b]).max(next));
-            }
+        for b in self.bus_active.iter() {
+            horizon = horizon.min(self.bus_next_grant(b).max(next));
         }
         horizon
     }
@@ -280,7 +265,7 @@ impl Network {
         via: Option<PillarId>,
         movable: u64,
     ) -> u64 {
-        let lat = self.router_latency;
+        let lat = self.geo.router_latency;
         let (y0, y1) = self
             .plan
             .band(s, at.layer)
@@ -314,7 +299,7 @@ impl Network {
             // its interface, and wait out the bus's serialisation
             // window.
             let via_pillar = |p: PillarId| {
-                let (px, py) = self.layout.pillar_xy(p);
+                let (px, py) = self.geo.rt.layout.pillar_xy(p);
                 if py < y0 {
                     return cross_north;
                 }
@@ -331,7 +316,7 @@ impl Network {
                 // either stays in-band until an (in-band) grant or
                 // crosses toward an out-of-band pillar — both covered
                 // by the min.
-                None => (0..self.layout.num_pillars())
+                None => (0..self.geo.rt.layout.num_pillars())
                     .map(|p| via_pillar(PillarId(p)))
                     .min()
                     .unwrap_or(movable),
@@ -345,102 +330,58 @@ impl Network {
     /// in claiming shards from an atomic cursor (the engine thread
     /// works instead of idling at the barrier).
     fn run_lanes(&mut self, from: u64, to: u64, record: bool, threaded: bool) {
-        let nodes = self.nodes_per_shard;
+        let nodes = self.geo.nodes_per_shard;
         let workers = self.window_workers;
-        let (mut fh, mut byc, mut sc) = (0u64, [0u64; 4], 0u64);
-        {
-            let Network {
-                shards,
-                routers,
-                injectors,
-                in_dirty,
-                in_inj,
-                traversals,
-                layout,
-                routes,
-                mode,
-                vcs,
-                router_latency,
-                bus_of_node,
-                iface_slots,
-                hop_bufs,
-                ..
-            } = self;
-            let cells_iter = shards
-                .chunks_mut(1)
-                .zip(hop_bufs.iter_mut())
-                .zip(routers.chunks_mut(nodes))
-                .zip(injectors.chunks_mut(nodes))
-                .zip(in_dirty.chunks_mut(nodes))
-                .zip(in_inj.chunks_mut(nodes))
-                .zip(traversals.chunks_mut(nodes))
-                .enumerate();
-            let mut cells: Vec<(Lane<'_>, WindowSink, &mut Vec<_>)> = cells_iter
-                .map(
-                    |(s, ((((((st, hop_buf), routers), injectors), in_dirty), in_inj), trav))| {
-                        let lane = Lane {
-                            base: s * nodes,
-                            first_shard: s,
-                            nodes_per_shard: nodes,
-                            shards: st,
-                            routers,
-                            injectors,
-                            in_dirty,
-                            in_inj,
-                            traversals: trav,
-                            layout,
-                            routes,
-                            mode: *mode,
-                            vcs: *vcs,
-                            router_latency: *router_latency,
-                            bus_of_node,
-                            iface_slots,
-                            flit_hops: 0,
-                            flit_hops_by_class: [0; 4],
-                            switch_contention: 0,
-                        };
-                        let sink = WindowSink {
-                            hops: std::mem::take(hop_buf),
-                            record,
-                        };
-                        (lane, sink, hop_buf)
-                    },
-                )
-                .collect();
-            if threaded {
-                let cursor = AtomicUsize::new(0);
-                let slots: Vec<Mutex<&mut (Lane<'_>, WindowSink, &mut Vec<_>)>> =
-                    cells.iter_mut().map(Mutex::new).collect();
-                let work = || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else { break };
-                    let mut cell = slot.lock().expect("window lane poisoned");
-                    let (lane, sink, _) = &mut **cell;
-                    lane.run_window(from, to, sink);
-                };
-                std::thread::scope(|scope| {
-                    for _ in 1..workers.min(slots.len()) {
-                        scope.spawn(work);
-                    }
-                    // The engine thread claims shards too instead of
-                    // blocking on the barrier.
-                    work();
-                });
-            } else {
-                for (lane, sink, _) in &mut cells {
-                    lane.run_window(from, to, sink);
+        let geo = &self.geo;
+        let mut cells: Vec<(Lane<'_>, WindowSink<'_>)> = (self.shards.chunks_mut(1))
+            .zip(self.hop_bufs.iter_mut())
+            .zip(self.routers.chunks_mut(nodes))
+            .zip(self.injectors.chunks_mut(nodes))
+            .zip(self.traversals.chunks_mut(nodes))
+            .enumerate()
+            .map(
+                |(s, ((((shards, hops), routers), injectors), traversals))| {
+                    let lane = Lane {
+                        base: s * nodes,
+                        first_shard: s,
+                        shards,
+                        routers,
+                        injectors,
+                        traversals,
+                        geo,
+                        stats: LaneStats::default(),
+                    };
+                    (lane, WindowSink { hops, record })
+                },
+            )
+            .collect();
+        if threaded {
+            let cursor = AtomicUsize::new(0);
+            let slots: Vec<Mutex<&mut (Lane<'_>, WindowSink<'_>)>> =
+                cells.iter_mut().map(Mutex::new).collect();
+            let work = || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let mut cell = slot.lock().expect("window lane poisoned");
+                let (lane, sink) = &mut **cell;
+                lane.run_window(from, to, sink);
+            };
+            std::thread::scope(|scope| {
+                for _ in 1..workers.min(slots.len()) {
+                    scope.spawn(work);
                 }
-            }
-            for (lane, sink, hop_buf) in cells {
-                fh += lane.flit_hops;
-                for (total, add) in byc.iter_mut().zip(lane.flit_hops_by_class) {
-                    *total += add;
-                }
-                sc += lane.switch_contention;
-                *hop_buf = sink.hops;
+                // The engine thread claims shards too instead of
+                // blocking on the barrier.
+                work();
+            });
+        } else {
+            for (lane, sink) in &mut cells {
+                lane.run_window(from, to, sink);
             }
         }
-        self.fold_lane(fh, byc, sc);
+        for (lane, _) in cells {
+            lane.stats.fold_into(&mut self.stats);
+        }
     }
 
     /// Replays deferred `FlitHop` events in (cycle, shard) order —

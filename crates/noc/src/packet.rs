@@ -168,6 +168,9 @@ impl FlitArena {
 }
 
 /// A bounded flit FIFO: a ring over a fixed [`FlitArena`] window.
+///
+/// Ring indices wrap by compare, never by `%`: every index is below
+/// `2 × cap`, and a FIFO push or pop sits on the per-flit hot path.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FlitFifo {
     base: u32,
@@ -177,6 +180,15 @@ pub(crate) struct FlitFifo {
 }
 
 impl FlitFifo {
+    /// The FIFO of a port that does not exist: zero capacity, no arena
+    /// slots, always both empty and full.
+    pub(crate) const ABSENT: FlitFifo = FlitFifo {
+        base: 0,
+        cap: 0,
+        head: 0,
+        len: 0,
+    };
+
     /// Creates a FIFO of `cap` flits backed by freshly reserved arena
     /// slots.
     pub(crate) fn new(arena: &mut FlitArena, cap: usize) -> Self {
@@ -184,8 +196,7 @@ impl FlitFifo {
         Self {
             base: arena.alloc(cap),
             cap: cap as u16,
-            head: 0,
-            len: 0,
+            ..Self::ABSENT
         }
     }
 
@@ -214,9 +225,14 @@ impl FlitFifo {
         self.len == self.cap
     }
 
+    /// Arena index of the `i`-th queued flit (`i <= len <= cap`).
     #[inline]
     fn slot(&self, i: u16) -> usize {
-        self.base as usize + usize::from((self.head + i) % self.cap)
+        let mut k = self.head + i;
+        if k >= self.cap {
+            k -= self.cap;
+        }
+        self.base as usize + usize::from(k)
     }
 
     /// Appends a flit.
@@ -225,6 +241,7 @@ impl FlitFifo {
     ///
     /// Panics (debug) when full — callers check
     /// [`is_full`](Self::is_full) first.
+    #[inline]
     pub(crate) fn push_back(&mut self, arena: &mut FlitArena, flit: Flit) {
         debug_assert!(!self.is_full(), "push into full flit FIFO");
         let s = self.slot(self.len);
@@ -243,12 +260,16 @@ impl FlitFifo {
     }
 
     /// Removes and returns the oldest queued flit.
+    #[inline]
     pub(crate) fn pop_front(&mut self, arena: &FlitArena) -> Option<Flit> {
         if self.len == 0 {
             return None;
         }
         let f = arena.slots[self.slot(0)];
-        self.head = (self.head + 1) % self.cap;
+        self.head += 1;
+        if self.head == self.cap {
+            self.head = 0;
+        }
         self.len -= 1;
         Some(f)
     }
@@ -298,6 +319,23 @@ pub struct Delivered {
     pub bus_wait: u32,
 }
 
+pub(crate) fn save_coord(w: &mut ByteWriter, c: Coord) {
+    w.u8(c.x);
+    w.u8(c.y);
+    w.u8(c.layer);
+}
+
+pub(crate) fn restore_coord(r: &mut ByteReader<'_>) -> Result<Coord, CodecError> {
+    Ok(Coord::new(r.u8()?, r.u8()?, r.u8()?))
+}
+
+pub(crate) fn restore_class(r: &mut ByteReader<'_>) -> Result<TrafficClass, CodecError> {
+    TrafficClass::ALL
+        .get(usize::from(r.u8()?))
+        .copied()
+        .ok_or(CodecError::Corrupt("bad traffic class tag"))
+}
+
 impl Delivered {
     /// End-to-end packet latency in cycles (injection to tail ejection).
     #[inline]
@@ -309,11 +347,8 @@ impl Delivered {
     /// [`Delivered::restore`]).
     pub fn save(&self, w: &mut ByteWriter) {
         w.u64(self.packet.0);
-        for c in [self.src, self.dst] {
-            w.u8(c.x);
-            w.u8(c.y);
-            w.u8(c.layer);
-        }
+        save_coord(w, self.src);
+        save_coord(w, self.dst);
         w.u8(self.class.index() as u8);
         w.u64(self.token);
         w.u64(self.injected.0);
@@ -329,18 +364,11 @@ impl Delivered {
     /// Returns a [`CodecError`] on truncated bytes or an unknown
     /// traffic-class tag.
     pub fn restore(r: &mut ByteReader<'_>) -> Result<Delivered, CodecError> {
-        let packet = PacketId(r.u64()?);
-        let src = Coord::new(r.u8()?, r.u8()?, r.u8()?);
-        let dst = Coord::new(r.u8()?, r.u8()?, r.u8()?);
-        let class = TrafficClass::ALL
-            .get(usize::from(r.u8()?))
-            .copied()
-            .ok_or(CodecError::Corrupt("bad traffic class tag"))?;
         Ok(Delivered {
-            packet,
-            src,
-            dst,
-            class,
+            packet: PacketId(r.u64()?),
+            src: restore_coord(r)?,
+            dst: restore_coord(r)?,
+            class: restore_class(r)?,
             token: r.u64()?,
             injected: Cycle(r.u64()?),
             delivered: Cycle(r.u64()?),

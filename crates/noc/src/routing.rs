@@ -92,6 +92,33 @@ pub(crate) fn route(
     }
 }
 
+/// The static routing context of a network: everything [`route`] needs
+/// besides the flit and its position.
+#[derive(Clone, Debug)]
+pub(crate) struct Routing {
+    pub layout: ChipLayout,
+    /// Precomputed nearest-pillar table (decision-identical to the
+    /// layout's linear scan) — the O(1) fallback for unpinned routes.
+    pub routes: RouteMap,
+    pub mode: VerticalMode,
+}
+
+impl Routing {
+    pub(crate) fn new(layout: &ChipLayout, mode: VerticalMode) -> Self {
+        Self {
+            layout: layout.clone(),
+            routes: RouteMap::new(layout),
+            mode,
+        }
+    }
+
+    /// Output port at `at` for a flit heading to `dst` over `via`.
+    #[inline]
+    pub(crate) fn out(&self, at: Coord, dst: Coord, via: Option<PillarId>) -> Dir {
+        route(&self.layout, &self.routes, self.mode, at, dst, via)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

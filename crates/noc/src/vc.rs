@@ -1,4 +1,4 @@
-//! Virtual channels and input ports.
+//! Virtual channels.
 //!
 //! Each physical channel of a router has a number of virtual channels
 //! (VCs): FIFO flit buffers holding flits of different pending messages
@@ -7,29 +7,44 @@
 //! is released when the tail flit drains, so a packet never interleaves
 //! with another inside one VC.
 //!
-//! Flit storage lives in the network-wide [`FlitArena`]; the `Vc` itself
-//! is a small inline record (ring indices + owner), so scanning a
-//! router's VCs for occupancy touches no per-queue heap allocation.
+//! Flit storage lives in the network-wide
+//! [`FlitArena`](crate::packet::FlitArena); the `Vc` itself
+//! is a small inline record (ring indices, owner, cached output port),
+//! and a router keeps all of its VCs in one flat array
+//! ([`Router`](crate::router::Router)), so a visit touches one VC record
+//! and one arena line per occupied VC.
 
-use nim_types::PacketId;
+use nim_types::{Dir, PacketId};
 
-use crate::packet::{Flit, FlitArena, FlitFifo};
+use crate::packet::FlitFifo;
 
 /// One virtual channel: a bounded FIFO owned by at most one packet.
+///
+/// Plain data: [`Router::push`](crate::router::Router::push) and
+/// [`Router::pop`](crate::router::Router::pop) run the owner protocol,
+/// together with the router masks that summarise it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Vc {
-    fifo: FlitFifo,
-    owner: Option<PacketId>,
+    pub fifo: FlitFifo,
+    /// The packet whose head flit allocated the VC, until its tail pops.
+    pub owner: Option<PacketId>,
+    /// Look-ahead route of the packet the VC holds: the output port its
+    /// flits request at this router. A head flit only ever enters an
+    /// empty VC, so the route is computed once, as the head becomes the
+    /// front, and a blocked flit costs no routing on later cycles.
+    /// Derived state: meaningful only while the VC is non-empty, and
+    /// recomputed on restore.
+    pub out: Dir,
 }
 
 impl Vc {
-    pub(crate) fn new(arena: &mut FlitArena, cap: usize) -> Self {
-        assert!(cap >= 1, "VC depth must be at least one flit");
-        Self {
-            fifo: FlitFifo::new(arena, cap),
-            owner: None,
-        }
-    }
+    /// The VC slot of a port the router does not have: zero capacity,
+    /// never written.
+    pub(crate) const ABSENT: Vc = Vc {
+        fifo: FlitFifo::ABSENT,
+        owner: None,
+        out: Dir::Local,
+    };
 
     /// Whether a head flit of a *new* packet may allocate this VC.
     #[inline]
@@ -42,131 +57,18 @@ impl Vc {
     pub(crate) fn accepts_continuation(&self, pkt: PacketId) -> bool {
         self.owner == Some(pkt) && !self.fifo.is_full()
     }
-
-    /// Pushes a flit.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the push violates ownership or capacity — callers
-    /// must check [`is_free`](Self::is_free) /
-    /// [`accepts_continuation`](Self::accepts_continuation) first.
-    pub(crate) fn push(&mut self, arena: &mut FlitArena, flit: Flit) {
-        if flit.kind.is_head() {
-            debug_assert!(self.is_free(), "head flit into occupied VC");
-            self.owner = Some(flit.pkt);
-        } else {
-            debug_assert!(
-                self.accepts_continuation(flit.pkt),
-                "continuation flit into foreign or full VC"
-            );
-        }
-        self.fifo.push_back(arena, flit);
-    }
-
-    /// The flit at the head of the FIFO, if any.
-    #[inline]
-    pub(crate) fn front<'a>(&self, arena: &'a FlitArena) -> Option<&'a Flit> {
-        self.fifo.front(arena)
-    }
-
-    /// Pops the head flit, releasing ownership if it was the tail.
-    pub(crate) fn pop(&mut self, arena: &FlitArena) -> Option<Flit> {
-        let flit = self.fifo.pop_front(arena)?;
-        if flit.kind.is_tail() {
-            debug_assert!(self.fifo.is_empty(), "flits behind a tail");
-            self.owner = None;
-        }
-        Some(flit)
-    }
-
-    #[inline]
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
-    pub(crate) fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
-    /// The owning packet, if any (snapshot save).
-    #[inline]
-    pub(crate) fn owner(&self) -> Option<PacketId> {
-        self.owner
-    }
-
-    /// The underlying FIFO (snapshot save iterates its flits).
-    #[inline]
-    pub(crate) fn fifo(&self) -> &FlitFifo {
-        &self.fifo
-    }
-
-    /// Pushes a flit without ownership bookkeeping and then pins the
-    /// owner explicitly — the snapshot-restore path, which rebuilds VCs
-    /// that may hold a packet mid-stream (body flits without their head,
-    /// so [`Vc::push`]'s head/continuation invariants do not apply).
-    pub(crate) fn restore_flits(
-        &mut self,
-        arena: &mut FlitArena,
-        flits: &[Flit],
-        owner: Option<PacketId>,
-    ) {
-        debug_assert!(self.fifo.is_empty() && self.owner.is_none());
-        for &f in flits {
-            self.fifo.push_back(arena, f);
-        }
-        self.owner = owner;
-    }
-}
-
-/// One input port: the VCs fed by one upstream link.
-#[derive(Clone, Debug)]
-pub(crate) struct InputPort {
-    vcs: Vec<Vc>,
-}
-
-impl InputPort {
-    pub(crate) fn new(arena: &mut FlitArena, num_vcs: usize, depth: usize) -> Self {
-        assert!(num_vcs >= 1);
-        Self {
-            vcs: (0..num_vcs).map(|_| Vc::new(arena, depth)).collect(),
-        }
-    }
-
-    /// Index of a VC a new packet's head flit may allocate.
-    pub(crate) fn free_vc(&self) -> Option<usize> {
-        self.vcs.iter().position(Vc::is_free)
-    }
-
-    /// Index of the VC owned by `pkt` with space for another flit.
-    pub(crate) fn continuation_vc(&self, pkt: PacketId) -> Option<usize> {
-        self.vcs.iter().position(|vc| vc.accepts_continuation(pkt))
-    }
-
-    #[inline]
-    pub(crate) fn vc(&self, idx: usize) -> &Vc {
-        &self.vcs[idx]
-    }
-
-    #[inline]
-    pub(crate) fn vc_mut(&mut self, idx: usize) -> &mut Vc {
-        &mut self.vcs[idx]
-    }
-
-    #[inline]
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
-    pub(crate) fn num_vcs(&self) -> usize {
-        self.vcs.len()
-    }
-
-    /// Total buffered flits across all VCs.
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
-    pub(crate) fn occupancy(&self) -> usize {
-        self.vcs.iter().map(Vc::len).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlitKind, TrafficClass};
-    use nim_types::{Coord, Cycle, PacketId};
+    use crate::packet::{Flit, FlitArena, FlitKind, TrafficClass};
+    use crate::router::Router;
+    use crate::routing::{Routing, VerticalMode};
+    use nim_topology::ChipLayout;
+    use nim_types::{Coord, Cycle, SystemConfig};
+
+    const EAST: usize = Dir::East.index();
 
     fn flit(pkt: u64, kind: FlitKind) -> Flit {
         Flit {
@@ -184,56 +86,63 @@ mod tests {
         }
     }
 
+    /// A router at the origin with one east input port of `vcs` VCs.
+    fn one_port(vcs: usize) -> (FlitArena, Routing, Router) {
+        let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
+        let mut arena = FlitArena::default();
+        let r = Router::new(&mut arena, Coord::new(0, 0, 0), &[Dir::East], vcs, 4);
+        (arena, Routing::new(&layout, VerticalMode::Pillars), r)
+    }
+
     #[test]
     fn ownership_lifecycle() {
-        let mut arena = FlitArena::default();
-        let mut vc = Vc::new(&mut arena, 4);
-        assert!(vc.is_free());
-        vc.push(&mut arena, flit(1, FlitKind::Head));
-        assert!(!vc.is_free());
-        assert!(vc.accepts_continuation(PacketId(1)));
-        assert!(!vc.accepts_continuation(PacketId(2)));
-        vc.push(&mut arena, flit(1, FlitKind::Body));
-        vc.push(&mut arena, flit(1, FlitKind::Body));
-        vc.push(&mut arena, flit(1, FlitKind::Tail));
-        assert!(!vc.accepts_continuation(PacketId(1)), "full");
-        assert_eq!(vc.pop(&arena).unwrap().kind, FlitKind::Head);
-        assert_eq!(vc.pop(&arena).unwrap().kind, FlitKind::Body);
-        assert!(!vc.is_free(), "owner retained until tail pops");
-        vc.pop(&arena);
-        vc.pop(&arena);
-        assert!(vc.is_free(), "tail pop releases ownership");
+        let (mut arena, rt, mut r) = one_port(1);
+        assert!(r.vc(EAST, 0).is_free());
+        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Head));
+        assert!(!r.vc(EAST, 0).is_free());
+        assert!(r.vc(EAST, 0).accepts_continuation(PacketId(1)));
+        assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(2)));
+        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Body));
+        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Body));
+        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Tail));
+        assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(1)), "full");
+        assert_eq!(r.pop(&arena, EAST, 0).kind, FlitKind::Head);
+        assert_eq!(r.pop(&arena, EAST, 0).kind, FlitKind::Body);
+        assert!(!r.vc(EAST, 0).is_free(), "owner retained until tail pops");
+        assert_eq!(r.free_vc(EAST), None, "drained for now, but still owned");
+        r.pop(&arena, EAST, 0);
+        r.pop(&arena, EAST, 0);
+        assert!(r.vc(EAST, 0).is_free(), "tail pop releases ownership");
+        r.check_invariants(&arena, &rt);
     }
 
     #[test]
     fn single_flit_packet_frees_immediately() {
-        let mut arena = FlitArena::default();
-        let mut vc = Vc::new(&mut arena, 4);
-        vc.push(&mut arena, flit(9, FlitKind::HeadTail));
-        assert!(!vc.is_free());
-        vc.pop(&arena);
-        assert!(vc.is_free());
+        let (mut arena, rt, mut r) = one_port(1);
+        r.push(&mut arena, &rt, EAST, 0, flit(9, FlitKind::HeadTail));
+        assert!(!r.vc(EAST, 0).is_free());
+        r.pop(&arena, EAST, 0);
+        assert!(r.vc(EAST, 0).is_free());
     }
 
     #[test]
     fn input_port_vc_selection() {
-        let mut arena = FlitArena::default();
-        let mut port = InputPort::new(&mut arena, 3, 4);
-        assert_eq!(port.free_vc(), Some(0));
-        port.vc_mut(0).push(&mut arena, flit(1, FlitKind::Head));
-        assert_eq!(port.free_vc(), Some(1), "skips the owned VC");
-        assert_eq!(port.continuation_vc(PacketId(1)), Some(0));
-        assert_eq!(port.continuation_vc(PacketId(2)), None);
-        assert_eq!(port.occupancy(), 1);
-        assert_eq!(port.num_vcs(), 3);
+        let (mut arena, rt, mut r) = one_port(3);
+        assert_eq!(r.free_vc(EAST), Some(0));
+        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Head));
+        assert_eq!(r.free_vc(EAST), Some(1), "skips the owned VC");
+        assert_eq!(r.continuation_vc(EAST, PacketId(1)), Some(0));
+        assert_eq!(r.continuation_vc(EAST, PacketId(2)), None);
+        assert_eq!(r.occupancy(), 1);
+        assert_eq!(r.vc(EAST, 0).out, Dir::East, "route cached at head push");
+        r.check_invariants(&arena, &rt);
     }
 
     #[test]
     fn all_vcs_busy_blocks_new_heads() {
-        let mut arena = FlitArena::default();
-        let mut port = InputPort::new(&mut arena, 2, 4);
-        port.vc_mut(0).push(&mut arena, flit(1, FlitKind::Head));
-        port.vc_mut(1).push(&mut arena, flit(2, FlitKind::Head));
-        assert_eq!(port.free_vc(), None);
+        let (mut arena, rt, mut r) = one_port(2);
+        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Head));
+        r.push(&mut arena, &rt, EAST, 1, flit(2, FlitKind::Head));
+        assert_eq!(r.free_vc(EAST), None);
     }
 }

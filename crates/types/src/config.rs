@@ -42,6 +42,17 @@ pub enum ConfigError {
     /// The dTDMA bus saturates beyond 8 layers (paper §3.1: the bus is
     /// preferable to a vertical NoC only below 9 device layers).
     TooManyLayers(u8),
+    /// A parameter exceeds what the model can represent (a router's
+    /// occupancy masks give every port 8 VC bits; a VC ring indexes its
+    /// flits with 14 bits).
+    TooLarge {
+        /// Name of the offending parameter.
+        what: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -66,6 +77,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::TooManyLayers(layers) => {
                 write!(f, "{layers} layers exceed the 8-layer dTDMA bus limit")
+            }
+            ConfigError::TooLarge { what, value, max } => {
+                write!(f, "{what} must be at most {max}, got {value}")
             }
         }
     }
@@ -383,6 +397,25 @@ impl SystemConfig {
         if self.network.layers > 1 && self.network.bus_width_bits == 0 {
             return Err(ConfigError::Zero("network.bus_width_bits"));
         }
+        for (what, value, max) in [
+            ("network.vcs_per_port", self.network.vcs_per_port, 8),
+            (
+                "network.vc_depth_flits",
+                self.network.vc_depth_flits,
+                1 << 14,
+            ),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::Zero(what));
+            }
+            if value > max {
+                return Err(ConfigError::TooLarge {
+                    what,
+                    value: value.into(),
+                    max: max.into(),
+                });
+            }
+        }
         if self.memory_controllers == 0 {
             return Err(ConfigError::Zero("memory_controllers"));
         }
@@ -538,6 +571,37 @@ mod tests {
     fn validate_rejects_nine_layers() {
         let cfg = SystemConfig::default().with_layers(9);
         assert_eq!(cfg.validate(), Err(ConfigError::TooManyLayers(9)));
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_vc_geometry() {
+        let with = |vcs, depth| {
+            let mut cfg = SystemConfig::default();
+            cfg.network.vcs_per_port = vcs;
+            cfg.network.vc_depth_flits = depth;
+            cfg.validate()
+        };
+        assert_eq!(with(0, 4), Err(ConfigError::Zero("network.vcs_per_port")));
+        assert_eq!(with(3, 0), Err(ConfigError::Zero("network.vc_depth_flits")));
+        let too_many = ConfigError::TooLarge {
+            what: "network.vcs_per_port",
+            value: 9,
+            max: 8,
+        };
+        assert!(too_many.to_string().contains("at most 8, got 9"));
+        assert_eq!(with(9, 4), Err(too_many));
+        assert!(matches!(
+            with(3, (1 << 14) + 1),
+            Err(ConfigError::TooLarge {
+                what: "network.vc_depth_flits",
+                ..
+            })
+        ));
+        assert_eq!(
+            with(8, 1 << 14),
+            Ok(()),
+            "the limits themselves are allowed"
+        );
     }
 
     #[test]

@@ -185,6 +185,7 @@ impl Dir {
     /// `Vertical` leave the position unchanged.
     ///
     /// Returns `None` if the hop would leave the `width`×`height` mesh.
+    #[inline]
     pub fn step(self, x: u8, y: u8, width: u8, height: u8) -> Option<(u8, u8)> {
         match self {
             Dir::North => (y + 1 < height).then(|| (x, y + 1)),

@@ -13,6 +13,7 @@
 //! * [`time`] — the [`Cycle`] newtype used for all simulated time.
 //! * [`config`] — [`SystemConfig`], the paper's Table 4 parameters.
 //! * [`hash`] — [`FxHashMap`], the de-SipHashed map for hot-path keys.
+//! * [`bitset`] — [`IdSet`], ordered small-integer sets as bitmaps.
 //! * [`codec`] — the versioned binary snapshot codec and [`Checkpoint`]
 //!   seam.
 //!
@@ -30,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod bitset;
 pub mod codec;
 pub mod config;
 pub mod geom;
@@ -39,6 +41,7 @@ pub mod time;
 pub mod trace;
 
 pub use addr::{Address, LineAddr};
+pub use bitset::{bits, IdSet};
 pub use codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
 pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, PillarPlacement, SystemConfig};
 pub use geom::{Coord, Dir};
