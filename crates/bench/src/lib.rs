@@ -3,11 +3,12 @@
 //!
 //! * `cargo run --release -p nim-bench --bin tables` — Tables 1–3.
 //! * `cargo run --release -p nim-bench --bin figures` — Figures 13–18.
-//! * `cargo bench -p nim-bench` — Criterion benchmarks, one per exhibit.
+//! * `cargo run --release -p nim-bench --bin report` — both, as Markdown.
 //!
 //! The experiment scale is controlled by the `NIM_SCALE` environment
-//! variable: `quick` (default for Criterion), or `full` (the scale the
-//! shipped EXPERIMENTS.md numbers were produced at).
+//! variable: `quick`, or `full` (the scale the shipped EXPERIMENTS.md
+//! numbers were produced at). Simulator speed is measured by
+//! `examples/nimbench`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

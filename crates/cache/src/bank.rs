@@ -6,7 +6,9 @@
 //! occupies each slot (data contents are not modelled; only placement and
 //! movement matter for latency/energy).
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
+use nim_types::codec::{
+    restore_each, save_each, ByteReader, ByteWriter, Checkpoint, Codec, CodecError,
+};
 use nim_types::LineAddr;
 
 use crate::plru::TreePlru;
@@ -123,44 +125,28 @@ impl Bank {
     }
 }
 
-impl Checkpoint for Bank {
+impl Checkpoint for Set {
     fn save(&self, w: &mut ByteWriter) {
-        w.u32(self.sets.len() as u32);
-        for set in &self.sets {
-            w.u32(set.plru.raw_bits());
-            w.u32(set.lines.len() as u32);
-            // Way-slot positions are load-bearing (lookup and insert walk
-            // them by position), so empty slots are written explicitly.
-            for slot in &set.lines {
-                match slot {
-                    Some(line) => {
-                        w.u8(1);
-                        w.u64(line.0);
-                    }
-                    None => w.u8(0),
-                }
-            }
-        }
+        self.plru.save(w);
+        // Way-slot positions are load-bearing (lookup and insert walk
+        // them by position), so empty slots are written explicitly.
+        self.lines.put(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.u32()? as usize != self.sets.len() {
-            return Err(CodecError::Corrupt("bank set count mismatch"));
-        }
-        for set in &mut self.sets {
-            set.plru.set_raw_bits(r.u32()?);
-            if r.u32()? as usize != set.lines.len() {
-                return Err(CodecError::Corrupt("bank way count mismatch"));
-            }
-            for slot in &mut set.lines {
-                *slot = match r.u8()? {
-                    0 => None,
-                    1 => Some(LineAddr(r.u64()?)),
-                    _ => return Err(CodecError::Corrupt("bad way slot tag")),
-                };
-            }
-        }
+        self.plru.restore(r)?;
+        self.lines = r.seq_of_len(self.lines.len(), "bank way count mismatch")?;
         Ok(())
+    }
+}
+
+impl Checkpoint for Bank {
+    fn save(&self, w: &mut ByteWriter) {
+        save_each(&self.sets, w);
+    }
+
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        restore_each(&mut self.sets, r, "bank set count mismatch")
     }
 }
 

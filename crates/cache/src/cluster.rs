@@ -6,7 +6,7 @@
 //! the tag array lookup is exactly one set probe in one bank.
 
 use nim_types::addr::L2Map;
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
+use nim_types::codec::{restore_each, save_each, ByteReader, ByteWriter, Checkpoint, CodecError};
 use nim_types::{ClusterId, LineAddr};
 
 use crate::bank::{Bank, Inserted};
@@ -71,20 +71,11 @@ impl Cluster {
 
 impl Checkpoint for Cluster {
     fn save(&self, w: &mut ByteWriter) {
-        w.u32(self.banks.len() as u32);
-        for bank in &self.banks {
-            bank.save(w);
-        }
+        save_each(&self.banks, w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.u32()? as usize != self.banks.len() {
-            return Err(CodecError::Corrupt("cluster bank count mismatch"));
-        }
-        for bank in &mut self.banks {
-            bank.restore(r)?;
-        }
-        Ok(())
+        restore_each(&mut self.banks, r, "cluster bank count mismatch")
     }
 }
 

@@ -19,7 +19,9 @@
 
 use nim_obs::{Category, EventData, Obs};
 use nim_types::addr::L2Map;
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
+use nim_types::codec::{
+    restore_each, save_each, ByteReader, ByteWriter, Checkpoint, Codec, CodecError,
+};
 use nim_types::{ClusterId, FxHashMap, L2Config, LineAddr};
 
 use crate::cluster::Cluster;
@@ -84,6 +86,15 @@ pub struct L2Stats {
     /// Replicas dropped (write invalidations, evictions, removals).
     pub replicas_dropped: u64,
 }
+
+nim_types::codec_struct!(L2Stats {
+    insertions,
+    evictions,
+    migrations,
+    migrations_aborted,
+    replicas_created,
+    replicas_dropped
+});
 
 /// The shared NUCA L2 cache.
 #[derive(Clone, Debug)]
@@ -431,33 +442,44 @@ impl NucaL2 {
         self.replicas.values().map(Vec::len).sum()
     }
 
-    /// Saves one line → cluster map, key-sorted for determinism.
-    fn save_line_map(w: &mut ByteWriter, map: &FxHashMap<LineAddr, ClusterId>) {
-        let mut entries: Vec<(LineAddr, ClusterId)> = map.iter().map(|(l, c)| (*l, *c)).collect();
-        entries.sort_unstable_by_key(|(l, _)| *l);
-        w.u32(entries.len() as u32);
-        for (line, cl) in entries {
-            w.u64(line.0);
-            w.u16(cl.0);
+    /// Checks the location maps a snapshot carried against the bank tag
+    /// arrays it carried: every mapped copy (primary or replica) sits
+    /// in its cluster's bank, and — the counts being equal and the
+    /// mapped copies distinct — every bank line is mapped. The run-time
+    /// paths rely on this (`Bank::touch` panics on a mapped line its
+    /// bank does not hold).
+    fn check_location_maps(&self) -> Result<(), CodecError> {
+        let in_range = |cl: &ClusterId| cl.index() < self.clusters.len();
+        let held =
+            |line: LineAddr, cl: ClusterId| self.clusters[cl.index()].contains(&self.map, line);
+        if !self
+            .resident
+            .values()
+            .chain(self.migrating.values())
+            .all(in_range)
+        {
+            return Err(CodecError::Corrupt("cluster id out of range"));
         }
-    }
-
-    fn restore_line_map(
-        r: &mut ByteReader<'_>,
-        clusters: usize,
-    ) -> Result<FxHashMap<LineAddr, ClusterId>, CodecError> {
-        let n = r.u32()? as usize;
-        let mut map = FxHashMap::default();
-        map.reserve(n);
-        for _ in 0..n {
-            let line = LineAddr(r.u64()?);
-            let cl = ClusterId(r.u16()?);
-            if cl.index() >= clusters {
-                return Err(CodecError::Corrupt("cluster id out of range"));
+        if !self.resident.iter().all(|(&line, &cl)| held(line, cl)) {
+            return Err(CodecError::Corrupt("resident line missing from its bank"));
+        }
+        for (&line, holders) in &self.replicas {
+            let primary = self.locate(line);
+            for (i, &cl) in holders.iter().enumerate() {
+                if !in_range(&cl) {
+                    return Err(CodecError::Corrupt("replica cluster out of range"));
+                }
+                let distinct = primary != Some(cl) && !holders[..i].contains(&cl);
+                if primary.is_none() || !distinct || !held(line, cl) {
+                    return Err(CodecError::Corrupt("replica missing from its bank"));
+                }
             }
-            map.insert(line, cl);
         }
-        Ok(map)
+        let in_banks: usize = self.clusters.iter().map(Cluster::occupancy).sum();
+        if in_banks != self.resident.len() + self.replica_count() {
+            return Err(CodecError::Corrupt("bank holds a line no map names"));
+        }
+        Ok(())
     }
 
     /// Marks a hit on the copy of `line` held by `cluster` — primary or
@@ -478,65 +500,22 @@ impl NucaL2 {
 
 impl Checkpoint for NucaL2 {
     fn save(&self, w: &mut ByteWriter) {
-        w.u64(self.stats.insertions);
-        w.u64(self.stats.evictions);
-        w.u64(self.stats.migrations);
-        w.u64(self.stats.migrations_aborted);
-        w.u64(self.stats.replicas_created);
-        w.u64(self.stats.replicas_dropped);
-        w.u32(self.clusters.len() as u32);
-        for cluster in &self.clusters {
-            cluster.save(w);
-        }
-        Self::save_line_map(w, &self.resident);
-        Self::save_line_map(w, &self.migrating);
+        self.stats.put(w);
+        save_each(&self.clusters, w);
+        self.resident.put(w);
+        self.migrating.put(w);
         // Replica vectors keep their insertion order (swap_remove depends
-        // on it), so entries are key-sorted but each Vec is verbatim.
-        let mut reps: Vec<(&LineAddr, &Vec<ClusterId>)> = self.replicas.iter().collect();
-        reps.sort_unstable_by_key(|(l, _)| **l);
-        w.u32(reps.len() as u32);
-        for (line, clusters) in reps {
-            w.u64(line.0);
-            w.u32(clusters.len() as u32);
-            for cl in clusters {
-                w.u16(cl.0);
-            }
-        }
+        // on it): entries are key-sorted, each Vec is verbatim.
+        self.replicas.put(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.stats.insertions = r.u64()?;
-        self.stats.evictions = r.u64()?;
-        self.stats.migrations = r.u64()?;
-        self.stats.migrations_aborted = r.u64()?;
-        self.stats.replicas_created = r.u64()?;
-        self.stats.replicas_dropped = r.u64()?;
-        if r.u32()? as usize != self.clusters.len() {
-            return Err(CodecError::Corrupt("L2 cluster count mismatch"));
-        }
-        for cluster in &mut self.clusters {
-            cluster.restore(r)?;
-        }
-        let clusters = self.clusters.len();
-        self.resident = Self::restore_line_map(r, clusters)?;
-        self.migrating = Self::restore_line_map(r, clusters)?;
-        let n = r.u32()? as usize;
-        self.replicas = FxHashMap::default();
-        self.replicas.reserve(n);
-        for _ in 0..n {
-            let line = LineAddr(r.u64()?);
-            let count = r.u32()? as usize;
-            let mut holders = Vec::with_capacity(count.min(clusters));
-            for _ in 0..count {
-                let cl = ClusterId(r.u16()?);
-                if cl.index() >= clusters {
-                    return Err(CodecError::Corrupt("replica cluster out of range"));
-                }
-                holders.push(cl);
-            }
-            self.replicas.insert(line, holders);
-        }
-        Ok(())
+        self.stats = Codec::get(r)?;
+        restore_each(&mut self.clusters, r, "L2 cluster count mismatch")?;
+        self.resident = Codec::get(r)?;
+        self.migrating = Codec::get(r)?;
+        self.replicas = Codec::get(r)?;
+        self.check_location_maps()
     }
 }
 

@@ -26,6 +26,10 @@ pub struct TreePlru {
     ways: u8,
 }
 
+// The tree bits are the live state; `ways` is geometry the scaffold
+// rebuilds.
+nim_types::checkpoint_fields!(TreePlru { bits });
+
 impl TreePlru {
     /// Creates the replacement state for a set of `ways` ways.
     ///
@@ -47,18 +51,6 @@ impl TreePlru {
     #[inline]
     pub fn ways(&self) -> u32 {
         u32::from(self.ways)
-    }
-
-    /// The packed tree bits (snapshot save).
-    #[inline]
-    pub fn raw_bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Overwrites the packed tree bits (snapshot restore).
-    #[inline]
-    pub fn set_raw_bits(&mut self, bits: u32) {
-        self.bits = bits;
     }
 
     #[inline]

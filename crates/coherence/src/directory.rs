@@ -8,8 +8,7 @@
 //! must generate. Transport and timing belong to `nim-core`.
 
 use nim_obs::{Category, EventData, Obs};
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{CpuId, FxHashMap, LineAddr};
+use nim_types::{checkpoint_fields, codec_enum, codec_struct, CpuId, FxHashMap, LineAddr};
 
 /// Global coherence state of one line across all L1s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,6 +25,8 @@ pub enum LineState {
     /// configurations only; the paper's write-through L1s never hold M).
     Modified,
 }
+
+codec_enum!(LineState, "bad line state tag" { 0 => Invalid, 1 => Shared, 2 => Exclusive, 3 => Modified });
 
 /// Which protocol family the directory runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,6 +118,8 @@ struct Entry {
     state: LineState,
     sharers: u64,
 }
+
+codec_struct!(Entry { state, sharers });
 
 /// The directory: line → (state, sharer set).
 ///
@@ -317,51 +320,15 @@ impl Directory {
     }
 }
 
-impl Checkpoint for Directory {
-    fn save(&self, w: &mut ByteWriter) {
-        w.u64(self.invalidations_sent);
-        // Key-sorted for deterministic bytes regardless of hash-map
-        // iteration order.
-        let mut lines: Vec<&LineAddr> = self.entries.keys().collect();
-        lines.sort_unstable();
-        w.u32(lines.len() as u32);
-        for line in lines {
-            let e = &self.entries[line];
-            w.u64(line.0);
-            w.u8(match e.state {
-                LineState::Invalid => 0,
-                LineState::Shared => 1,
-                LineState::Exclusive => 2,
-                LineState::Modified => 3,
-            });
-            w.u64(e.sharers);
-        }
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.invalidations_sent = r.u64()?;
-        let count = r.u32()? as usize;
-        self.entries = FxHashMap::default();
-        self.entries.reserve(count);
-        for _ in 0..count {
-            let line = LineAddr(r.u64()?);
-            let state = match r.u8()? {
-                0 => LineState::Invalid,
-                1 => LineState::Shared,
-                2 => LineState::Exclusive,
-                3 => LineState::Modified,
-                _ => return Err(CodecError::Corrupt("bad line state tag")),
-            };
-            let sharers = r.u64()?;
-            self.entries.insert(line, Entry { state, sharers });
-        }
-        Ok(())
-    }
-}
+checkpoint_fields!(Directory {
+    invalidations_sent,
+    entries
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nim_types::Checkpoint as _;
 
     fn dir(policy: WritePolicy) -> Directory {
         Directory::new(8, policy)
@@ -569,5 +536,26 @@ mod tests {
         let mut d = Directory::with_protocol(8, WritePolicy::WriteBack, Protocol::Msi);
         d.access(CpuId(0), LINE, DirAccess::Read);
         assert_eq!(d.state(LINE), LineState::Shared, "MSI has no E state");
+    }
+
+    mod codec_laws {
+        use super::super::{Entry, LineState};
+        use nim_types::codec::assert_laws;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn line_states_and_entries(variant in 0usize..4, sharers in any::<u64>()) {
+                let state = [
+                    LineState::Invalid,
+                    LineState::Shared,
+                    LineState::Exclusive,
+                    LineState::Modified,
+                ][variant];
+                prop_assert_eq!(assert_laws(&state), state);
+                let entry = assert_laws(&Entry { state, sharers });
+                prop_assert_eq!((entry.state, entry.sharers), (state, sharers));
+            }
+        }
     }
 }

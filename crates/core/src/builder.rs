@@ -40,21 +40,48 @@ use crate::txn::TxnTable;
 /// ```
 #[derive(Clone, Debug)]
 pub struct SystemBuilder {
-    scheme: Scheme,
-    cfg: SystemConfig,
-    seed: u64,
-    warmup: u64,
-    sample: u64,
-    prewarm: bool,
-    vicinity_stop: bool,
-    replication: bool,
-    edge_memory: bool,
-    skip: bool,
+    pub(crate) recipe: Recipe,
     shards: ShardRequest,
     window_tuning: Option<(u64, usize)>,
-    fabric: FabricKind,
     obs: Obs,
 }
+
+/// The build recipe: every value that decides which system `build()`
+/// assembles and how its runs are driven. A built [`System`] keeps it
+/// (with `cfg` as built — flattened for the 2D schemes), a snapshot's
+/// `CFG ` section is its image in this field order, and
+/// [`SystemBuilder::resume_from`] rebuilds from it. Shard count, window
+/// tuning and the observability handle are not part of it: they change
+/// how a run executes, never what it computes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Recipe {
+    pub(crate) scheme: Scheme,
+    pub(crate) fabric: FabricKind,
+    pub(crate) vicinity_stop: bool,
+    pub(crate) replication: bool,
+    pub(crate) edge_memory: bool,
+    /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
+    pub(crate) skip: bool,
+    pub(crate) prewarm: bool,
+    pub(crate) seed: u64,
+    pub(crate) warmup: u64,
+    pub(crate) sample: u64,
+    pub(crate) cfg: SystemConfig,
+}
+
+nim_types::codec_struct!(Recipe {
+    scheme,
+    fabric,
+    vicinity_stop,
+    replication,
+    edge_memory,
+    skip,
+    prewarm,
+    seed,
+    warmup,
+    sample,
+    cfg
+});
 
 /// A shard-count request: an explicit number, or `Auto` — pick the
 /// largest count the topology supports that does not exceed the
@@ -98,52 +125,54 @@ impl SystemBuilder {
     /// Starts from the paper's Table 4 configuration.
     pub fn new(scheme: Scheme) -> Self {
         Self {
-            scheme,
-            cfg: SystemConfig::default(),
-            seed: 42,
-            warmup: 1_000,
-            sample: 10_000,
-            prewarm: true,
-            vicinity_stop: true,
-            replication: false,
-            edge_memory: false,
-            skip: std::env::var_os("NIM_NO_SKIP").is_none(),
+            recipe: Recipe {
+                scheme,
+                fabric: FabricKind::default(),
+                vicinity_stop: true,
+                replication: false,
+                edge_memory: false,
+                skip: std::env::var_os("NIM_NO_SKIP").is_none(),
+                prewarm: true,
+                seed: 42,
+                warmup: 1_000,
+                sample: 10_000,
+                cfg: SystemConfig::default(),
+            },
             shards: shards_from_env(),
             window_tuning: None,
-            fabric: FabricKind::default(),
             obs: Obs::disabled(),
         }
     }
 
     /// Replaces the whole system configuration.
     pub fn config(mut self, cfg: SystemConfig) -> Self {
-        self.cfg = cfg;
+        self.recipe.cfg = cfg;
         self
     }
 
     /// Number of device layers (3D schemes only; 2D schemes always
     /// flatten to one layer).
     pub fn layers(mut self, layers: u8) -> Self {
-        self.cfg.network.layers = layers;
+        self.recipe.cfg.network.layers = layers;
         self
     }
 
     /// Number of vertical pillars.
     pub fn pillars(mut self, pillars: u16) -> Self {
-        self.cfg.network.pillars = pillars;
+        self.recipe.cfg.network.pillars = pillars;
         self
     }
 
     /// Number of CPUs seated on the chip.
     pub fn cpus(mut self, n: u32) -> Self {
-        self.cfg.num_cpus = n;
+        self.recipe.cfg.num_cpus = n;
         self
     }
 
     /// Where the vertical pillars land on each layer's mesh (spread,
     /// corners, or diagonal — see [`PillarPlacement`]).
     pub fn pillar_placement(mut self, placement: PillarPlacement) -> Self {
-        self.cfg.network.pillar_placement = placement;
+        self.recipe.cfg.network.pillar_placement = placement;
         self
     }
 
@@ -151,7 +180,7 @@ impl SystemBuilder {
     /// pillar placement — see [`TopoSpec`]) on top of the current
     /// configuration. Later explicit knobs still win.
     pub fn topology(mut self, spec: &TopoSpec) -> Self {
-        spec.apply(&mut self.cfg);
+        spec.apply(&mut self.recipe.cfg);
         self
     }
 
@@ -159,32 +188,32 @@ impl SystemBuilder {
     /// network (default), the analytic latency-table fabric, or the
     /// ideal contention-free fabric — see [`FabricKind`].
     pub fn fabric(mut self, kind: FabricKind) -> Self {
-        self.fabric = kind;
+        self.recipe.fabric = kind;
         self
     }
 
     /// Scales the L2 capacity by a power-of-two factor (Fig. 16: wider
     /// clusters, same cluster count and associativity).
     pub fn l2_scale(mut self, factor: u32) -> Self {
-        self.cfg.l2 = self.cfg.l2.scaled(factor);
+        self.recipe.cfg.l2 = self.recipe.cfg.l2.scaled(factor);
         self
     }
 
     /// Workload seed (runs are deterministic per seed).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.recipe.seed = seed;
         self
     }
 
     /// Transactions to complete before measurement starts.
     pub fn warmup_transactions(mut self, n: u64) -> Self {
-        self.warmup = n;
+        self.recipe.warmup = n;
         self
     }
 
     /// Transactions measured after warm-up.
     pub fn sampled_transactions(mut self, n: u64) -> Self {
-        self.sample = n;
+        self.recipe.sample = n;
         self
     }
 
@@ -192,7 +221,7 @@ impl SystemBuilder {
     /// the hot/code sets in the L1s before simulating (replaces the
     /// paper's 500 M-cycle cache warm-up phase; default on).
     pub fn prewarm(mut self, on: bool) -> Self {
-        self.prewarm = on;
+        self.recipe.prewarm = on;
         self
     }
 
@@ -202,7 +231,7 @@ impl SystemBuilder {
     /// migrations — "the increased locality" is why 3D migrates less
     /// (§5.2, Fig. 14).
     pub fn vicinity_stop(mut self, on: bool) -> Self {
-        self.vicinity_stop = on;
+        self.recipe.vicinity_stop = on;
         self
     }
 
@@ -212,7 +241,7 @@ impl SystemBuilder {
     /// invalidates them. Off by default — the paper's design relies on
     /// migration alone.
     pub fn replication(mut self, on: bool) -> Self {
-        self.replication = on;
+        self.recipe.replication = on;
         self
     }
 
@@ -222,7 +251,7 @@ impl SystemBuilder {
     /// of the paper's flat 260-cycle memory latency. Off by default so
     /// the headline experiments match the paper's memory model.
     pub fn edge_memory_controllers(mut self, on: bool) -> Self {
-        self.edge_memory = on;
+        self.recipe.edge_memory = on;
         self
     }
 
@@ -234,7 +263,7 @@ impl SystemBuilder {
     /// either way — skipping only elides cycles in which nothing
     /// observable happens (`noc_skip_equivalence` asserts this).
     pub fn horizon_skipping(mut self, on: bool) -> Self {
-        self.skip = on;
+        self.recipe.skip = on;
         self
     }
 
@@ -261,9 +290,9 @@ impl SystemBuilder {
     }
 
     /// Overrides the window executor's spawn threshold and worker count
-    /// (see `Network::set_window_tuning`), disabling the runtime
-    /// calibration. Results are bit-identical for any values; exists so
-    /// tests can force the threaded path onto arbitrarily short windows.
+    /// (see `Network::set_window_tuning`). Results are bit-identical for
+    /// any values; exists so tests can force the threaded path onto
+    /// arbitrarily short windows.
     #[doc(hidden)]
     pub fn window_tuning(mut self, spawn_min: u64, workers: usize) -> Self {
         self.window_tuning = Some((spawn_min, workers));
@@ -286,16 +315,16 @@ impl SystemBuilder {
     /// Returns a [`BuildError`] if the configuration, topology, or CPU
     /// placement is invalid.
     pub fn build(self) -> Result<System, BuildError> {
-        let cfg = if self.scheme.is_3d() {
-            self.cfg
-        } else {
-            self.cfg.flattened()
-        };
+        let mut recipe = self.recipe;
+        if !recipe.scheme.is_3d() {
+            recipe.cfg = recipe.cfg.flattened();
+        }
+        let cfg = recipe.cfg;
         cfg.validate()?;
         let layout = ChipLayout::new(&cfg)?;
         let share_pillars =
             cfg.network.layers > 1 && u32::from(layout.num_pillars()) < cfg.num_cpus;
-        let placement = self.scheme.placement(share_pillars);
+        let placement = recipe.scheme.placement(share_pillars);
         let seats = placement.place(&layout, cfg.num_cpus)?;
         let plans = seats
             .iter()
@@ -326,15 +355,15 @@ impl SystemBuilder {
             .map(|s| InOrderCore::new(s.cpu, &cfg.l1))
             .collect();
         let policy = policy_for(
-            self.scheme,
+            recipe.scheme,
             PolicyKnobs {
-                vicinity_stop: self.vicinity_stop,
-                replication: self.replication,
-                edge_memory: self.edge_memory,
+                vicinity_stop: recipe.vicinity_stop,
+                replication: recipe.replication,
+                edge_memory: recipe.edge_memory,
                 memory_latency: u64::from(cfg.memory_latency),
             },
         );
-        let model = match self.fabric {
+        let model = match recipe.fabric {
             FabricKind::Sim => None,
             FabricKind::LatencyTable => Some(LatencyModel::latency_table(
                 MeshTopology::new(layout.clone(), cfg.network.router_latency),
@@ -379,24 +408,12 @@ impl SystemBuilder {
         };
         let sharded = fabric.net.shards() > 1;
         Ok(System {
-            scheme: self.scheme,
-            cfg,
+            recipe,
             engine,
             fabric,
             sample_buf: SampleBuf::default(),
-            seed: self.seed,
-            warmup: self.warmup,
-            sample: self.sample,
-            prewarm: self.prewarm,
-            skip: self.skip,
             sharded,
             obs: self.obs,
-            knobs: crate::system::RebuildKnobs {
-                vicinity_stop: self.vicinity_stop,
-                replication: self.replication,
-                edge_memory: self.edge_memory,
-                fabric: self.fabric,
-            },
             progress: None,
         })
     }

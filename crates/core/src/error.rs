@@ -55,6 +55,9 @@ impl From<PlacementError> for BuildError {
     }
 }
 
+const NO_GENERATOR: &str =
+    "the snapshot records no generator position: drive the resumed run from its own source";
+
 /// Error during a simulation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
@@ -66,6 +69,11 @@ pub enum RunError {
         /// Transactions completed before the stall.
         completed: u64,
     },
+    /// A [`ResumedRun`](crate::ResumedRun) was asked to drive itself but
+    /// its snapshot recorded no generator position (a replay-trace or
+    /// custom-source run): reload the source and use
+    /// [`ResumedRun::finish_with`](crate::ResumedRun::finish_with).
+    NoGenerator,
 }
 
 impl fmt::Display for RunError {
@@ -75,6 +83,7 @@ impl fmt::Display for RunError {
                 f,
                 "simulation stalled at cycle {cycle} after {completed} transactions"
             ),
+            RunError::NoGenerator => write!(f, "{NO_GENERATOR}"),
         }
     }
 }
@@ -105,6 +114,10 @@ pub enum SnapshotError {
     Build(BuildError),
     /// The snapshot names a benchmark this binary does not know.
     UnknownBenchmark(String),
+    /// [`ResumedRun::snapshot`](crate::ResumedRun::snapshot) on a run
+    /// whose snapshot recorded no generator position — snapshot it with
+    /// [`System::snapshot`](crate::System::snapshot) and its own source.
+    NoGenerator,
 }
 
 impl fmt::Display for SnapshotError {
@@ -123,6 +136,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnknownBenchmark(name) => {
                 write!(f, "snapshot names unknown benchmark '{name}'")
             }
+            SnapshotError::NoGenerator => write!(f, "{NO_GENERATOR}"),
         }
     }
 }

@@ -24,7 +24,7 @@ use std::collections::BinaryHeap;
 use nim_noc::{zero_load_path, Network, SendRequest};
 use nim_obs::{Category, EventData, Obs};
 use nim_topology::{MeshTopology, Topology};
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
+use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::{ClusterId, Coord, Cycle, NetworkConfig, PacketId, PillarId};
 
 use crate::timing::{Banks, MemoryChannels, TagArrays};
@@ -102,6 +102,8 @@ pub enum FabricKind {
     Ideal,
 }
 
+nim_types::codec_enum!(FabricKind, "bad fabric tag" { 0 => Sim, 1 => LatencyTable, 2 => Ideal });
+
 impl FabricKind {
     /// Every kind, in CLI listing order.
     pub const ALL: [FabricKind; 3] = [FabricKind::Sim, FabricKind::LatencyTable, FabricKind::Ideal];
@@ -178,6 +180,8 @@ struct Modeled {
     seq: u64,
     delivery: Delivered,
 }
+
+nim_types::codec_struct!(Modeled { due, seq, delivery });
 
 impl PartialEq for Modeled {
     fn eq(&self, other: &Self) -> bool {
@@ -335,37 +339,33 @@ impl SimFabric {
     }
 }
 
+/// A min-heap's image is its elements in ascending order: heaps iterate
+/// in arbitrary order, and the `(due, seq)` keys are unique.
+fn put_heap<T: Codec + Ord>(heap: &BinaryHeap<Reverse<T>>, w: &mut ByteWriter) {
+    let mut items: Vec<&T> = heap.iter().map(|Reverse(t)| t).collect();
+    items.sort_unstable();
+    w.len_prefix(items.len());
+    for item in items {
+        item.put(w);
+    }
+}
+
+fn get_heap<T: Codec + Ord>(r: &mut ByteReader<'_>) -> Result<BinaryHeap<Reverse<T>>, CodecError> {
+    Ok(Vec::get(r)?.into_iter().map(Reverse).collect())
+}
+
 impl Checkpoint for SimFabric {
     fn save(&self, w: &mut ByteWriter) {
         self.net.save(w);
-        // The heaps iterate in arbitrary order; sort by the unique
-        // (due, seq) key for a canonical encoding.
-        let mut evs: Vec<(u64, u64, TimedEvent)> =
-            self.events.iter().map(|Reverse(t)| *t).collect();
-        evs.sort_unstable_by_key(|&(due, seq, _)| (due, seq));
-        w.u32(evs.len() as u32);
-        for (due, seq, ev) in &evs {
-            w.u64(*due);
-            w.u64(*seq);
-            ev.save(w);
+        put_heap(&self.events, w);
+        self.next_seq.put(w);
+        // Of the model only the pillar ready-at table is live state.
+        w.bool(self.model.is_some());
+        if let Some(m) = &self.model {
+            m.ready_at.put(w);
         }
-        w.u64(self.next_seq);
-        match &self.model {
-            None => w.u8(0),
-            Some(m) => {
-                w.u8(1);
-                w.u64_slice(&m.ready_at);
-            }
-        }
-        let mut modeled: Vec<&Modeled> = self.modeled.iter().map(|Reverse(m)| m).collect();
-        modeled.sort_unstable_by_key(|m| (m.due, m.seq));
-        w.u32(modeled.len() as u32);
-        for m in modeled {
-            w.u64(m.due);
-            w.u64(m.seq);
-            m.delivery.save(w);
-        }
-        w.u64(self.modeled_seq);
+        put_heap(&self.modeled, w);
+        self.modeled_seq.put(w);
         self.tags.save(w);
         self.banks.save(w);
         self.memory.save(w);
@@ -373,37 +373,15 @@ impl Checkpoint for SimFabric {
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.net.restore(r)?;
-        self.events.clear();
-        for _ in 0..r.u32()? {
-            let due = r.u64()?;
-            let seq = r.u64()?;
-            self.events
-                .push(Reverse((due, seq, TimedEvent::restore(r)?)));
+        self.events = get_heap(r)?;
+        self.next_seq = Codec::get(r)?;
+        match (Option::<Vec<u64>>::get(r)?, &mut self.model) {
+            (None, None) => {}
+            (Some(ready), Some(m)) if ready.len() == m.ready_at.len() => m.ready_at = ready,
+            _ => return Err(CodecError::Corrupt("fabric model mismatch")),
         }
-        self.next_seq = r.u64()?;
-        match (r.u8()?, &mut self.model) {
-            (0, None) => {}
-            (1, Some(m)) => {
-                let ready = r.u64_vec()?;
-                if ready.len() != m.ready_at.len() {
-                    return Err(CodecError::Corrupt("fabric model mismatch"));
-                }
-                m.ready_at = ready;
-            }
-            (0 | 1, _) => return Err(CodecError::Corrupt("fabric model mismatch")),
-            _ => return Err(CodecError::Corrupt("bad fabric model tag")),
-        }
-        self.modeled.clear();
-        for _ in 0..r.u32()? {
-            let due = r.u64()?;
-            let seq = r.u64()?;
-            self.modeled.push(Reverse(Modeled {
-                due,
-                seq,
-                delivery: Delivered::restore(r)?,
-            }));
-        }
-        self.modeled_seq = r.u64()?;
+        self.modeled = get_heap(r)?;
+        self.modeled_seq = Codec::get(r)?;
         self.tags.restore(r)?;
         self.banks.restore(r)?;
         self.memory.restore(r)
@@ -553,5 +531,61 @@ impl Fabric for TestFabric {
 
     fn obs(&self) -> &Obs {
         &self.obs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nim_types::codec::assert_laws;
+
+    fn modeled(due: u64, seq: u64) -> Modeled {
+        Modeled {
+            due,
+            seq,
+            delivery: Delivered {
+                packet: PacketId(seq),
+                src: Coord::new(1, 2, 0),
+                dst: Coord::new(3, 0, 1),
+                class: TrafficClass::Data,
+                token: due ^ seq,
+                injected: Cycle(due / 2),
+                delivered: Cycle(due),
+                hops: 5,
+                bus_wait: 2,
+            },
+        }
+    }
+
+    #[test]
+    fn modeled_deliveries_obey_the_codec_laws() {
+        for (due, seq) in [(0, 0), (9, 1), (u64::MAX, u64::MAX)] {
+            let back = assert_laws(&modeled(due, seq));
+            assert_eq!((back.due, back.seq), (due, seq));
+            assert_eq!(back.delivery, modeled(due, seq).delivery);
+        }
+    }
+
+    #[test]
+    fn heap_images_are_ascending_whatever_the_push_order() {
+        let keys = [(7, 3), (2, 9), (7, 1), (0, 4), (2, 2)];
+        let image = |order: &[usize]| {
+            let heap: BinaryHeap<_> = order
+                .iter()
+                .map(|&i| Reverse(modeled(keys[i].0, keys[i].1)))
+                .collect();
+            let mut w = ByteWriter::new();
+            put_heap(&heap, &mut w);
+            w.into_bytes()
+        };
+        let bytes = image(&[0, 1, 2, 3, 4]);
+        assert_eq!(bytes, image(&[4, 2, 0, 3, 1]));
+        let mut heap: BinaryHeap<Reverse<Modeled>> =
+            get_heap(&mut ByteReader::new(&bytes)).unwrap();
+        let mut popped = Vec::new();
+        while let Some(Reverse(m)) = heap.pop() {
+            popped.push((m.due, m.seq));
+        }
+        assert_eq!(popped, [(0, 4), (2, 2), (2, 9), (7, 1), (7, 3)]);
     }
 }

@@ -36,6 +36,8 @@
 
 mod attribution;
 mod builder;
+#[cfg(test)]
+mod codec_tests;
 mod error;
 pub mod experiments;
 mod fabric;

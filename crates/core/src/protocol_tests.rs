@@ -30,7 +30,7 @@ fn harness(
     let fabric = TestFabric::new(
         sys.engine.layout.num_clusters() as usize,
         sys.engine.layout.num_nodes(),
-        sys.cfg.memory_controllers as usize,
+        sys.recipe.cfg.memory_controllers as usize,
     );
     (sys.engine, fabric)
 }

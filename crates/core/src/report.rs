@@ -2,7 +2,6 @@
 
 use nim_noc::NetworkStats;
 use nim_power::{ActivityCounts, EnergyBreakdown, EnergyModel};
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
 
 use crate::scheme::Scheme;
 
@@ -60,33 +59,53 @@ pub struct Counters {
     pub mem_wait_cycles: u64,
 }
 
-impl Counters {
-    pub(crate) fn minus(&self, earlier: &Counters) -> Counters {
-        Counters {
-            l2_transactions: self.l2_transactions - earlier.l2_transactions,
-            l2_hits: self.l2_hits - earlier.l2_hits,
-            l2_misses: self.l2_misses - earlier.l2_misses,
-            hit_latency_sum: self.hit_latency_sum - earlier.hit_latency_sum,
-            miss_latency_sum: self.miss_latency_sum - earlier.miss_latency_sum,
-            migrations: self.migrations - earlier.migrations,
-            bank_accesses: self.bank_accesses - earlier.bank_accesses,
-            tag_accesses: self.tag_accesses - earlier.tag_accesses,
-            invalidations: self.invalidations - earlier.invalidations,
-            l2_evictions: self.l2_evictions - earlier.l2_evictions,
-            search_retries: self.search_retries - earlier.search_retries,
-            step1_hits: self.step1_hits - earlier.step1_hits,
-            step2_hits: self.step2_hits - earlier.step2_hits,
-            step1_latency_sum: self.step1_latency_sum - earlier.step1_latency_sum,
-            step2_latency_sum: self.step2_latency_sum - earlier.step2_latency_sum,
-            replicas_created: self.replicas_created - earlier.replicas_created,
-            noc_hop_cycles: self.noc_hop_cycles - earlier.noc_hop_cycles,
-            pillar_wait_cycles: self.pillar_wait_cycles - earlier.pillar_wait_cycles,
-            resource_queue_cycles: self.resource_queue_cycles - earlier.resource_queue_cycles,
-            l2_service_cycles: self.l2_service_cycles - earlier.l2_service_cycles,
-            mem_wait_cycles: self.mem_wait_cycles - earlier.mem_wait_cycles,
-        }
-    }
+/// Everything that enumerates the counters is generated from the one
+/// field list below: the snapshot image, [`Counters::minus`] and
+/// [`Counters::as_array`] (a field missing from the list fails to
+/// compile in `minus`).
+macro_rules! counter_fields {
+    ($($f:ident),* $(,)?) => {
+        nim_types::codec_struct!(Counters { $($f),* });
 
+        impl Counters {
+            pub(crate) fn minus(&self, earlier: &Counters) -> Counters {
+                Counters { $($f: self.$f - earlier.$f),* }
+            }
+
+            /// Every counter in declaration order — the enumeration
+            /// [`RunReport::fingerprint`] hashes.
+            pub fn as_array(&self) -> [u64; [$(stringify!($f)),*].len()] {
+                [$(self.$f),*]
+            }
+        }
+    };
+}
+
+counter_fields!(
+    l2_transactions,
+    l2_hits,
+    l2_misses,
+    hit_latency_sum,
+    miss_latency_sum,
+    migrations,
+    bank_accesses,
+    tag_accesses,
+    invalidations,
+    l2_evictions,
+    search_retries,
+    step1_hits,
+    step2_hits,
+    step1_latency_sum,
+    step2_latency_sum,
+    replicas_created,
+    noc_hop_cycles,
+    pillar_wait_cycles,
+    resource_queue_cycles,
+    l2_service_cycles,
+    mem_wait_cycles,
+);
+
+impl Counters {
     /// The five attribution buckets in [`Phase`](crate::txn::Phase)
     /// order. Their sum equals `hit_latency_sum + miss_latency_sum`
     /// exactly — every completed transaction's end-to-end latency is
@@ -100,84 +119,10 @@ impl Counters {
             self.mem_wait_cycles,
         ]
     }
-
-    /// Every counter in declaration order — the single place that fixes
-    /// the field enumeration shared by the snapshot codec and
-    /// [`RunReport::fingerprint`]. Adding a `Counters` field means
-    /// extending this array (the compiler enforces the length).
-    pub fn as_array(&self) -> [u64; 21] {
-        [
-            self.l2_transactions,
-            self.l2_hits,
-            self.l2_misses,
-            self.hit_latency_sum,
-            self.miss_latency_sum,
-            self.migrations,
-            self.bank_accesses,
-            self.tag_accesses,
-            self.invalidations,
-            self.l2_evictions,
-            self.search_retries,
-            self.step1_hits,
-            self.step2_hits,
-            self.step1_latency_sum,
-            self.step2_latency_sum,
-            self.replicas_created,
-            self.noc_hop_cycles,
-            self.pillar_wait_cycles,
-            self.resource_queue_cycles,
-            self.l2_service_cycles,
-            self.mem_wait_cycles,
-        ]
-    }
-
-    /// Rebuilds counters from [`Counters::as_array`] order.
-    pub fn from_array(v: [u64; 21]) -> Counters {
-        Counters {
-            l2_transactions: v[0],
-            l2_hits: v[1],
-            l2_misses: v[2],
-            hit_latency_sum: v[3],
-            miss_latency_sum: v[4],
-            migrations: v[5],
-            bank_accesses: v[6],
-            tag_accesses: v[7],
-            invalidations: v[8],
-            l2_evictions: v[9],
-            search_retries: v[10],
-            step1_hits: v[11],
-            step2_hits: v[12],
-            step1_latency_sum: v[13],
-            step2_latency_sum: v[14],
-            replicas_created: v[15],
-            noc_hop_cycles: v[16],
-            pillar_wait_cycles: v[17],
-            resource_queue_cycles: v[18],
-            l2_service_cycles: v[19],
-            mem_wait_cycles: v[20],
-        }
-    }
-}
-
-impl Checkpoint for Counters {
-    fn save(&self, w: &mut ByteWriter) {
-        for v in self.as_array() {
-            w.u64(v);
-        }
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let mut v = [0u64; 21];
-        for slot in &mut v {
-            *slot = r.u64()?;
-        }
-        *self = Counters::from_array(v);
-        Ok(())
-    }
 }
 
 /// The result of one simulation run (one scheme × one benchmark).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Scheme simulated.
     pub scheme: Scheme,
@@ -337,6 +282,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nim_types::codec::{ByteReader, ByteWriter, Checkpoint};
 
     fn report() -> RunReport {
         RunReport {

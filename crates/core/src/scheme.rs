@@ -19,6 +19,8 @@ pub enum Scheme {
     CmpDnuca3d,
 }
 
+nim_types::codec_enum!(Scheme, "bad scheme tag" { 0 => CmpDnuca, 1 => CmpDnuca2d, 2 => CmpSnuca3d, 3 => CmpDnuca3d });
+
 impl Scheme {
     /// All schemes in the paper's presentation order.
     pub const ALL: [Scheme; 4] = [

@@ -3,14 +3,15 @@
 //! A snapshot is the versioned, serializable state tree of a run in
 //! flight: six tagged sections behind the global
 //! [`nim_types::codec`] header, each carrying one layer of the
-//! simulator through its [`Checkpoint`] seam.
+//! simulator as the image of one value — this file frames the sections
+//! and enumerates no fields (see [`nim_types::codec`] for the rules).
 //!
 //! | tag    | contents                                                    |
 //! |--------|-------------------------------------------------------------|
-//! | `CFG ` | the build recipe: scheme, fabric, knobs, full config        |
+//! | `CFG ` | the build [`Recipe`]: scheme, fabric, knobs, full config    |
 //! | `OBS ` | observability: sampler rows, metrics registry, epoch arm    |
 //! | `WKLD` | workload position: benchmark name + [`TraceCursor`]         |
-//! | `PROG` | the run loop's carried bookkeeping ([`RunProgress`])        |
+//! | `PROG` | the run loop's carried bookkeeping ([`LoopCarried`])        |
 //! | `ENGN` | protocol engine: counters, L2, directory, cores, txn table  |
 //! | `FABR` | simulation fabric: NoC, event heaps, timing models          |
 //!
@@ -32,18 +33,17 @@
 
 use std::path::Path;
 
-use nim_obs::{CategoryMask, LatencyHistogram, Metric, Obs, ObsConfig, SampleRow};
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{
-    CpuId, L1Config, L2Config, LineAddr, NetworkConfig, PillarPlacement, SystemConfig,
+use nim_obs::{Metric, Obs, ObsConfig, SampleRow};
+use nim_types::codec::{
+    restore_each, save_each, ByteReader, ByteWriter, Checkpoint, Codec, CodecError,
 };
-use nim_workload::{BenchmarkProfile, GeneratorCursor, TraceCursor, TraceGenerator, TraceSource};
+use nim_workload::{BenchmarkProfile, TraceCursor, TraceGenerator, TraceSource};
 
+use crate::builder::Recipe;
 use crate::error::{RunError, SnapshotError};
-use crate::fabric::FabricKind;
-use crate::report::{Counters, RunReport};
-use crate::scheme::Scheme;
-use crate::system::{RunProgress, System};
+use crate::protocol::Engine;
+use crate::report::RunReport;
+use crate::system::{LoopCarried, RunProgress, System};
 use crate::SystemBuilder;
 
 /// Section tags, all 4 bytes so the encoded layout stays self-evident
@@ -63,6 +63,72 @@ const V_WKLD: u16 = 1;
 const V_PROG: u16 = 1;
 const V_ENGN: u16 = 1;
 const V_FABR: u16 = 1;
+
+/// Writes one tagged, versioned, length-prefixed section.
+fn put_section(w: &mut ByteWriter, tag: &str, version: u16, body: impl FnOnce(&mut ByteWriter)) {
+    let h = w.begin_section(tag, version);
+    body(w);
+    w.end_section(h);
+}
+
+/// Reads the next section, which must carry `tag`, and checks that
+/// `body` consumed it exactly.
+fn get_section<T>(
+    r: &mut ByteReader<'_>,
+    tag: &str,
+    max_version: u16,
+    body: impl FnOnce(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut sec = r.section(tag, max_version)?;
+    let value = body(&mut sec.reader)?;
+    sec.finish()?;
+    Ok(value)
+}
+
+/// The `OBS ` section of an enabled handle: its configuration, the
+/// armed epoch boundary, every sample row, and the metrics registry
+/// (which carries the cumulative hit/miss matrices). The bounded trace
+/// ring is deliberately *not* serialized: a resumed run's ring holds
+/// exactly the trace suffix from the snapshot cycle onward, comparable
+/// via [`Obs::trace_digest_from`].
+struct ObsState {
+    config: ObsConfig,
+    next_sample: u64,
+    columns: Vec<String>,
+    rows: Vec<SampleRow>,
+    metrics: Vec<(String, Metric)>,
+}
+
+nim_types::codec_struct!(ObsState {
+    config,
+    next_sample,
+    columns,
+    rows,
+    metrics
+});
+
+/// Engine live state. Geometry (layout, seats, plans, policy) is
+/// rebuilt from `CFG `; only what the run mutated is carried.
+impl Checkpoint for Engine {
+    fn save(&self, w: &mut ByteWriter) {
+        self.counters.put(w);
+        self.l2.save(w);
+        self.dir.save(w);
+        save_each(&self.cores, w);
+        self.txns.save(w);
+        self.last_accessor.put(w);
+    }
+
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        self.counters = Codec::get(r)?;
+        self.l2.restore(r)?;
+        self.dir.restore(r)?;
+        restore_each(&mut self.cores, r, "core count mismatch")?;
+        self.txns.restore(r)?;
+        self.last_accessor = Codec::get(r)?;
+        Ok(())
+    }
+}
 
 impl System {
     /// Serializes the entire simulator mid-run into a snapshot.
@@ -86,16 +152,27 @@ impl System {
         if self.obs.sample_every() != 0 && self.obs.last_sample_cycle() != Some(now) {
             return Err(SnapshotError::NotEpochBoundary { cycle: now });
         }
+        let obs_state = self.obs.config().map(|config| {
+            let (columns, rows) = self.obs.sampler_state().unwrap_or_default();
+            ObsState {
+                config,
+                next_sample: self.obs.next_sample_at().unwrap_or(0),
+                columns,
+                rows,
+                metrics: self.obs.metrics_state().unwrap_or_default(),
+            }
+        });
         let mut w = ByteWriter::new();
         w.header();
-        self.save_cfg(&mut w);
-        self.save_obs(&mut w);
-        save_wkld(&mut w, &progress.benchmark, &source.cursor());
-        save_prog(&mut w, progress);
-        self.save_engine(&mut w);
-        let h = w.begin_section(SEC_FABR, V_FABR);
-        self.fabric.save(&mut w);
-        w.end_section(h);
+        put_section(&mut w, SEC_CFG, V_CFG, |w| self.recipe.put(w));
+        put_section(&mut w, SEC_OBS, V_OBS, |w| obs_state.put(w));
+        put_section(&mut w, SEC_WKLD, V_WKLD, |w| {
+            progress.benchmark.put(w);
+            source.cursor().put(w);
+        });
+        put_section(&mut w, SEC_PROG, V_PROG, |w| progress.carried.put(w));
+        put_section(&mut w, SEC_ENGN, V_ENGN, |w| self.engine.save(w));
+        put_section(&mut w, SEC_FABR, V_FABR, |w| self.fabric.save(w));
         Ok(w.into_bytes())
     }
 
@@ -114,186 +191,6 @@ impl System {
         std::fs::write(path, bytes)?;
         Ok(())
     }
-
-    /// The build recipe: everything `SystemBuilder` needs to reproduce
-    /// this exact system before live state is restored into it.
-    fn save_cfg(&self, w: &mut ByteWriter) {
-        let h = w.begin_section(SEC_CFG, V_CFG);
-        w.u8(index_of(&Scheme::ALL, &self.scheme));
-        w.u8(index_of(&FabricKind::ALL, &self.knobs.fabric));
-        w.bool(self.knobs.vicinity_stop);
-        w.bool(self.knobs.replication);
-        w.bool(self.knobs.edge_memory);
-        w.bool(self.skip);
-        w.bool(self.prewarm);
-        w.u64(self.seed);
-        w.u64(self.warmup);
-        w.u64(self.sample);
-        let cfg = &self.cfg;
-        w.u32(cfg.num_cpus);
-        w.u32(cfg.issue_width);
-        w.u32(cfg.l1.bytes);
-        w.u32(cfg.l1.ways);
-        w.u32(cfg.l1.line_bytes);
-        w.u32(cfg.l1.latency);
-        w.bool(cfg.l1.write_through);
-        w.u32(cfg.l2.clusters);
-        w.u32(cfg.l2.banks_per_cluster);
-        w.u32(cfg.l2.bank_bytes);
-        w.u32(cfg.l2.ways);
-        w.u32(cfg.l2.line_bytes);
-        w.u32(cfg.l2.bank_latency);
-        w.u32(cfg.l2.tag_latency);
-        w.u32(cfg.memory_latency);
-        w.u16(cfg.memory_controllers);
-        w.u32(cfg.memory_interval);
-        let net = &cfg.network;
-        w.u8(net.layers);
-        w.u16(net.pillars);
-        w.u8(index_of(&PillarPlacement::ALL, &net.pillar_placement));
-        w.u32(net.flit_bits);
-        w.u32(net.bus_width_bits);
-        w.u32(net.data_packet_flits);
-        w.u32(net.control_packet_flits);
-        w.u32(net.router_latency);
-        w.u32(net.vcs_per_port);
-        w.u32(net.vc_depth_flits);
-        w.end_section(h);
-    }
-
-    /// Observability state: the handle's configuration, the armed epoch
-    /// boundary, every sample row, and the metrics registry (which
-    /// carries the cumulative hit/miss matrices). The bounded trace
-    /// ring is deliberately *not* serialized: a resumed run's ring
-    /// holds exactly the trace suffix from the snapshot cycle onward,
-    /// comparable via [`Obs::trace_digest_from`].
-    fn save_obs(&self, w: &mut ByteWriter) {
-        let h = w.begin_section(SEC_OBS, V_OBS);
-        match self.obs.config() {
-            None => w.u8(0),
-            Some(cfg) => {
-                w.u8(1);
-                w.bool(cfg.trace);
-                w.usize(cfg.trace_capacity);
-                w.u16(cfg.mask.bits());
-                w.u64(cfg.sample_every);
-                w.u64(cfg.txn_sample);
-                w.u64(self.obs.next_sample_at().unwrap_or(0));
-                let (columns, rows) = self.obs.sampler_state().unwrap_or_default();
-                w.u32(columns.len() as u32);
-                for c in &columns {
-                    w.str(c);
-                }
-                w.u32(rows.len() as u32);
-                for row in &rows {
-                    w.u64(row.cycle);
-                    w.f64(row.wall_secs);
-                    w.u32(row.values.len() as u32);
-                    for v in &row.values {
-                        w.f64(*v);
-                    }
-                }
-                let metrics = self.obs.metrics_state().unwrap_or_default();
-                w.u32(metrics.len() as u32);
-                for (name, metric) in &metrics {
-                    w.str(name);
-                    match metric {
-                        Metric::Counter(v) => {
-                            w.u8(0);
-                            w.u64(*v);
-                        }
-                        Metric::Gauge(v) => {
-                            w.u8(1);
-                            w.f64(*v);
-                        }
-                        Metric::Histogram(hist) => {
-                            w.u8(2);
-                            for b in hist.buckets() {
-                                w.u64(*b);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        w.end_section(h);
-    }
-
-    /// Engine live state. Geometry (layout, seats, plans, policy) is
-    /// rebuilt from `CFG `; only what the run mutated is carried.
-    fn save_engine(&self, w: &mut ByteWriter) {
-        let h = w.begin_section(SEC_ENGN, V_ENGN);
-        let e = &self.engine;
-        e.counters.save(w);
-        e.l2.save(w);
-        e.dir.save(w);
-        w.u32(e.cores.len() as u32);
-        for core in &e.cores {
-            core.save(w);
-        }
-        e.txns.save(w);
-        let mut last: Vec<(u64, u16)> = e
-            .last_accessor
-            .iter()
-            .map(|(line, cpu)| (line.0, cpu.0))
-            .collect();
-        last.sort_unstable();
-        w.u32(last.len() as u32);
-        for (line, cpu) in &last {
-            w.u64(*line);
-            w.u16(*cpu);
-        }
-        w.end_section(h);
-    }
-}
-
-fn save_wkld(w: &mut ByteWriter, benchmark: &str, cursor: &TraceCursor) {
-    let h = w.begin_section(SEC_WKLD, V_WKLD);
-    w.str(benchmark);
-    match cursor {
-        TraceCursor::None => w.u8(0),
-        TraceCursor::Generator(c) => {
-            w.u8(1);
-            w.u64(c.rotation);
-            w.u64(c.ops_until_rotate);
-            w.u64_slice(&c.thread_ops);
-        }
-        TraceCursor::Replay(consumed) => {
-            w.u8(2);
-            w.u64_slice(consumed);
-        }
-    }
-    w.end_section(h);
-}
-
-fn save_prog(w: &mut ByteWriter, p: &RunProgress) {
-    let h = w.begin_section(SEC_PROG, V_PROG);
-    w.bool(p.warmed);
-    match &p.window_start {
-        None => w.u8(0),
-        Some((counters, cycle, instr)) => {
-            w.u8(1);
-            counters.save(w);
-            w.u64(*cycle);
-            w.u64(*instr);
-        }
-    }
-    w.u64(p.last_progress);
-    w.u64(p.last_count);
-    w.end_section(h);
-}
-
-/// The position of `v` in `all` — the stable codec tag for enums that
-/// expose an `ALL` array instead of explicit discriminants.
-fn index_of<T: PartialEq>(all: &[T], v: &T) -> u8 {
-    all.iter().position(|x| x == v).expect("variant in ALL") as u8
-}
-
-/// Reads `v` back from its [`index_of`] tag.
-fn from_index<T: Copy>(all: &[T], idx: u8, what: &'static str) -> Result<T, CodecError> {
-    all.get(idx as usize)
-        .copied()
-        .ok_or(CodecError::Corrupt(what))
 }
 
 /// A run reconstructed mid-flight from a snapshot: the rebuilt+restored
@@ -336,24 +233,12 @@ impl ResumedRun {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Stalled`] exactly like [`System::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was not generator-driven (use
-    /// [`ResumedRun::finish_with`]).
+    /// [`RunError::Stalled`] exactly like [`System::run`], and
+    /// [`RunError::NoGenerator`] if the snapshot was not
+    /// generator-driven (use [`ResumedRun::finish_with`]).
     pub fn finish(&mut self) -> Result<RunReport, RunError> {
-        let gen = self
-            .generator
-            .as_mut()
-            .expect("resumed run has no generator; drive it with finish_with");
-        match self.system.advance(gen, None) {
-            Ok(_) => Ok(self.system.finish_report()),
-            Err(e) => {
-                self.system.progress = None;
-                Err(e)
-            }
-        }
+        let gen = self.generator.as_mut().ok_or(RunError::NoGenerator)?;
+        self.system.finish_run(gen)
     }
 
     /// Drives the resumed run with its own generator until at least
@@ -362,16 +247,9 @@ impl ResumedRun {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Stalled`] exactly like [`System::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was not generator-driven.
+    /// As for [`ResumedRun::finish`].
     pub fn run_until(&mut self, stop_after: u64) -> Result<Option<RunReport>, RunError> {
-        let gen = self
-            .generator
-            .as_mut()
-            .expect("resumed run has no generator; drive it with finish_with");
+        let gen = self.generator.as_mut().ok_or(RunError::NoGenerator)?;
         self.system.run_until(gen, stop_after)
     }
 
@@ -380,16 +258,11 @@ impl ResumedRun {
     ///
     /// # Errors
     ///
-    /// Everything [`System::snapshot`] returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was not generator-driven.
+    /// Everything [`System::snapshot`] returns, and
+    /// [`SnapshotError::NoGenerator`] if the snapshot was not
+    /// generator-driven.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        let gen = self
-            .generator
-            .as_ref()
-            .expect("resumed run has no generator; snapshot via System::snapshot");
+        let gen = self.generator.as_ref().ok_or(SnapshotError::NoGenerator)?;
         self.system.snapshot(gen)
     }
 
@@ -401,13 +274,7 @@ impl ResumedRun {
     ///
     /// Returns [`RunError::Stalled`] exactly like [`System::run`].
     pub fn finish_with(&mut self, source: &mut dyn TraceSource) -> Result<RunReport, RunError> {
-        match self.system.advance(source, None) {
-            Ok(_) => Ok(self.system.finish_report()),
-            Err(e) => {
-                self.system.progress = None;
-                Err(e)
-            }
-        }
+        self.system.finish_run(source)
     }
 }
 
@@ -444,37 +311,27 @@ impl SystemBuilder {
     pub fn resume_from(bytes: &[u8], shards: Option<usize>) -> Result<ResumedRun, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         r.header()?;
-        let recipe = read_cfg(&mut r)?;
-        let obs_state = read_obs(&mut r)?;
-        let (benchmark, cursor) = read_wkld(&mut r)?;
-        let progress = read_prog(&mut r, benchmark.clone())?;
+        let recipe: Recipe = get_section(&mut r, SEC_CFG, V_CFG, Codec::get)?;
+        let obs_state: Option<ObsState> = get_section(&mut r, SEC_OBS, V_OBS, Codec::get)?;
+        let (benchmark, cursor): (String, TraceCursor) =
+            get_section(&mut r, SEC_WKLD, V_WKLD, Codec::get)?;
+        let carried: LoopCarried = get_section(&mut r, SEC_PROG, V_PROG, Codec::get)?;
 
         let profile = profile_by_name(&benchmark)?;
         let obs = match &obs_state {
             None => Obs::disabled(),
             Some(s) => Obs::new(s.config.clone()),
         };
-        let mut builder = SystemBuilder::new(recipe.scheme)
-            .config(recipe.cfg)
-            .seed(recipe.seed)
-            .warmup_transactions(recipe.warmup)
-            .sampled_transactions(recipe.sample)
-            .prewarm(recipe.prewarm)
-            .vicinity_stop(recipe.vicinity_stop)
-            .replication(recipe.replication)
-            .edge_memory_controllers(recipe.edge_memory)
-            .horizon_skipping(recipe.skip)
-            .fabric(recipe.fabric)
-            .observability(obs.clone());
+        // Geometry is re-derived from the recipe, never trusted.
+        let mut builder = SystemBuilder::new(recipe.scheme).observability(obs.clone());
+        builder.recipe = recipe;
         if let Some(n) = shards {
             builder = builder.shards(n);
         }
         let mut system = builder.build()?;
 
-        read_engine(&mut r, &mut system)?;
-        let mut sec = r.section(SEC_FABR, V_FABR)?;
-        system.fabric.restore(&mut sec.reader)?;
-        sec.finish()?;
+        get_section(&mut r, SEC_ENGN, V_ENGN, |r| system.engine.restore(r))?;
+        get_section(&mut r, SEC_FABR, V_FABR, |r| system.fabric.restore(r))?;
         if r.remaining() != 0 {
             return Err(CodecError::Corrupt("snapshot has trailing bytes").into());
         }
@@ -484,7 +341,10 @@ impl SystemBuilder {
             obs.restore_metrics_state(s.metrics);
         }
         obs.set_now(system.fabric.net.now().0);
-        system.progress = Some(progress);
+        system.progress = Some(RunProgress {
+            benchmark: benchmark.clone(),
+            carried,
+        });
 
         let (generator, replay) = match cursor {
             TraceCursor::None => (None, None),
@@ -513,220 +373,37 @@ fn profile_by_name(name: &str) -> Result<BenchmarkProfile, SnapshotError> {
     BenchmarkProfile::by_name(name).ok_or_else(|| SnapshotError::UnknownBenchmark(name.to_string()))
 }
 
-/// The decoded `CFG ` section.
-struct Recipe {
-    scheme: Scheme,
-    fabric: FabricKind,
-    vicinity_stop: bool,
-    replication: bool,
-    edge_memory: bool,
-    skip: bool,
-    prewarm: bool,
-    seed: u64,
-    warmup: u64,
-    sample: u64,
-    cfg: SystemConfig,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nim_types::codec::assert_laws;
 
-fn read_cfg(r: &mut ByteReader<'_>) -> Result<Recipe, CodecError> {
-    let mut sec = r.section(SEC_CFG, V_CFG)?;
-    let r = &mut sec.reader;
-    let scheme = from_index(&Scheme::ALL, r.u8()?, "bad scheme tag")?;
-    let fabric = from_index(&FabricKind::ALL, r.u8()?, "bad fabric tag")?;
-    let vicinity_stop = r.bool()?;
-    let replication = r.bool()?;
-    let edge_memory = r.bool()?;
-    let skip = r.bool()?;
-    let prewarm = r.bool()?;
-    let seed = r.u64()?;
-    let warmup = r.u64()?;
-    let sample = r.u64()?;
-    let cfg = SystemConfig {
-        num_cpus: r.u32()?,
-        issue_width: r.u32()?,
-        l1: L1Config {
-            bytes: r.u32()?,
-            ways: r.u32()?,
-            line_bytes: r.u32()?,
-            latency: r.u32()?,
-            write_through: r.bool()?,
-        },
-        l2: L2Config {
-            clusters: r.u32()?,
-            banks_per_cluster: r.u32()?,
-            bank_bytes: r.u32()?,
-            ways: r.u32()?,
-            line_bytes: r.u32()?,
-            bank_latency: r.u32()?,
-            tag_latency: r.u32()?,
-        },
-        memory_latency: r.u32()?,
-        memory_controllers: r.u16()?,
-        memory_interval: r.u32()?,
-        network: NetworkConfig {
-            layers: r.u8()?,
-            pillars: r.u16()?,
-            pillar_placement: from_index(&PillarPlacement::ALL, r.u8()?, "bad placement tag")?,
-            flit_bits: r.u32()?,
-            bus_width_bits: r.u32()?,
-            data_packet_flits: r.u32()?,
-            control_packet_flits: r.u32()?,
-            router_latency: r.u32()?,
-            vcs_per_port: r.u32()?,
-            vc_depth_flits: r.u32()?,
-        },
-    };
-    sec.finish()?;
-    Ok(Recipe {
-        scheme,
-        fabric,
-        vicinity_stop,
-        replication,
-        edge_memory,
-        skip,
-        prewarm,
-        seed,
-        warmup,
-        sample,
-        cfg,
-    })
-}
-
-/// The decoded `OBS ` section (for an enabled handle).
-struct ObsState {
-    config: ObsConfig,
-    next_sample: u64,
-    columns: Vec<String>,
-    rows: Vec<SampleRow>,
-    metrics: Vec<(String, Metric)>,
-}
-
-fn read_obs(r: &mut ByteReader<'_>) -> Result<Option<ObsState>, CodecError> {
-    let mut sec = r.section(SEC_OBS, V_OBS)?;
-    let r = &mut sec.reader;
-    let state = match r.u8()? {
-        0 => None,
-        1 => {
-            let config = ObsConfig {
-                trace: r.bool()?,
-                trace_capacity: r.usize()?,
-                mask: CategoryMask::from_bits(r.u16()?),
-                sample_every: r.u64()?,
-                txn_sample: r.u64()?,
-            };
-            let next_sample = r.u64()?;
-            let mut columns = Vec::new();
-            for _ in 0..r.u32()? {
-                columns.push(r.str()?);
-            }
-            let mut rows = Vec::new();
-            for _ in 0..r.u32()? {
-                let cycle = r.u64()?;
-                let wall_secs = r.f64()?;
-                let mut values = Vec::new();
-                for _ in 0..r.u32()? {
-                    values.push(r.f64()?);
-                }
-                rows.push(SampleRow {
-                    cycle,
-                    wall_secs,
-                    values,
-                });
-            }
-            let mut metrics = Vec::new();
-            for _ in 0..r.u32()? {
-                let name = r.str()?;
-                let metric = match r.u8()? {
-                    0 => Metric::Counter(r.u64()?),
-                    1 => Metric::Gauge(r.f64()?),
-                    2 => {
-                        let mut buckets = [0u64; 16];
-                        for b in &mut buckets {
-                            *b = r.u64()?;
-                        }
-                        Metric::Histogram(LatencyHistogram::from_buckets(buckets))
-                    }
-                    _ => return Err(CodecError::Corrupt("bad metric tag")),
-                };
-                metrics.push((name, metric));
-            }
-            Some(ObsState {
-                config,
-                next_sample,
-                columns,
-                rows,
-                metrics,
-            })
-        }
-        _ => return Err(CodecError::Corrupt("bad obs tag")),
-    };
-    sec.finish()?;
-    Ok(state)
-}
-
-fn read_wkld(r: &mut ByteReader<'_>) -> Result<(String, TraceCursor), CodecError> {
-    let mut sec = r.section(SEC_WKLD, V_WKLD)?;
-    let r = &mut sec.reader;
-    let benchmark = r.str()?;
-    let cursor = match r.u8()? {
-        0 => TraceCursor::None,
-        1 => TraceCursor::Generator(GeneratorCursor {
-            rotation: r.u64()?,
-            ops_until_rotate: r.u64()?,
-            thread_ops: r.u64_vec()?,
-        }),
-        2 => TraceCursor::Replay(r.u64_vec()?),
-        _ => return Err(CodecError::Corrupt("bad cursor tag")),
-    };
-    sec.finish()?;
-    Ok((benchmark, cursor))
-}
-
-fn read_prog(r: &mut ByteReader<'_>, benchmark: String) -> Result<RunProgress, CodecError> {
-    let mut sec = r.section(SEC_PROG, V_PROG)?;
-    let r = &mut sec.reader;
-    let warmed = r.bool()?;
-    let window_start = match r.u8()? {
-        0 => None,
-        1 => {
-            let mut counters = Counters::default();
-            counters.restore(r)?;
-            Some((counters, r.u64()?, r.u64()?))
-        }
-        _ => return Err(CodecError::Corrupt("bad window tag")),
-    };
-    let last_progress = r.u64()?;
-    let last_count = r.u64()?;
-    sec.finish()?;
-    Ok(RunProgress {
-        benchmark,
-        warmed,
-        window_start,
-        last_progress,
-        last_count,
-    })
-}
-
-fn read_engine(r: &mut ByteReader<'_>, system: &mut System) -> Result<(), CodecError> {
-    let mut sec = r.section(SEC_ENGN, V_ENGN)?;
-    let r = &mut sec.reader;
-    let e = &mut system.engine;
-    e.counters.restore(r)?;
-    e.l2.restore(r)?;
-    e.dir.restore(r)?;
-    let cores = r.u32()? as usize;
-    if cores != e.cores.len() {
-        return Err(CodecError::Corrupt("core count mismatch"));
+    #[test]
+    fn obs_sections_obey_the_codec_laws() {
+        let mut hist = nim_obs::LatencyHistogram::default();
+        hist.record(37);
+        let state = Some(ObsState {
+            config: ObsConfig {
+                trace: true,
+                sample_every: 400,
+                ..ObsConfig::default()
+            },
+            next_sample: 800,
+            columns: vec!["l2/hits".to_string(), "pillar/0/occupancy".to_string()],
+            rows: vec![SampleRow {
+                cycle: 400,
+                wall_secs: 0.25,
+                values: vec![12.0, 0.5],
+            }],
+            metrics: vec![
+                ("a/counter".to_string(), Metric::Counter(9)),
+                ("a/gauge".to_string(), Metric::Gauge(-1.5)),
+                ("a/histogram".to_string(), Metric::Histogram(hist)),
+            ],
+        });
+        let back = assert_laws(&state).expect("presence survives");
+        assert_eq!(back.metrics, state.as_ref().unwrap().metrics);
+        assert_eq!(back.next_sample, 800);
+        assert!(assert_laws(&None::<ObsState>).is_none());
     }
-    for core in &mut e.cores {
-        core.restore(r)?;
-    }
-    e.txns.restore(r)?;
-    e.last_accessor.clear();
-    for _ in 0..r.u32()? {
-        let line = LineAddr(r.u64()?);
-        let cpu = CpuId(r.u16()?);
-        e.last_accessor.insert(line, cpu);
-    }
-    sec.finish()
 }

@@ -23,6 +23,7 @@ use nim_topology::{ChipLayout, CpuSeat};
 use nim_types::{ClusterId, CpuId, Cycle, SystemConfig};
 use nim_workload::{BenchmarkProfile, TraceGenerator, TraceSource};
 
+use crate::builder::Recipe;
 use crate::error::RunError;
 use crate::fabric::SimFabric;
 use crate::protocol::Engine;
@@ -61,26 +62,21 @@ const SAMPLE_COUNTERS: [&str; 10] = [
     "phase/mem_wait",
 ];
 
-/// Builder knobs a running [`System`] cannot reconstruct from its built
-/// state — carried so a snapshot records the exact build recipe and
-/// [`SystemBuilder::resume`](crate::SystemBuilder::resume) can rebuild
-/// an identical system before restoring live state into it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RebuildKnobs {
-    pub(crate) vicinity_stop: bool,
-    pub(crate) replication: bool,
-    pub(crate) edge_memory: bool,
-    pub(crate) fabric: crate::fabric::FabricKind,
-}
-
-/// The loop-carried bookkeeping of a run in flight, hoisted out of
-/// `run_with_source`'s locals so a run can pause at an epoch boundary,
-/// be serialized, and continue in another process exactly where it
-/// left off.
+/// A run in flight: hoisted out of the driver loop's locals so a run can
+/// pause at an epoch boundary, be serialized, and continue in another
+/// process exactly where it left off.
 #[derive(Clone, Debug)]
 pub(crate) struct RunProgress {
-    /// Benchmark name the eventual [`RunReport`] carries.
+    /// Benchmark name the eventual [`RunReport`] carries (a snapshot
+    /// records it beside the workload cursor).
     pub(crate) benchmark: String,
+    /// What the driver loop carries from one cycle to the next.
+    pub(crate) carried: LoopCarried,
+}
+
+/// The driver loop's carried bookkeeping — a snapshot's `PROG` section.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LoopCarried {
     /// Whether the warm-up target has been passed.
     pub(crate) warmed: bool,
     /// Counter/cycle/instruction baselines at the start of the
@@ -92,32 +88,32 @@ pub(crate) struct RunProgress {
     pub(crate) last_count: u64,
 }
 
+nim_types::codec_struct!(LoopCarried {
+    warmed,
+    window_start,
+    last_progress,
+    last_count
+});
+
 /// The assembled chip multiprocessor.
 #[derive(Debug)]
 pub struct System {
-    pub(crate) scheme: Scheme,
-    pub(crate) cfg: SystemConfig,
+    /// What this system was built from, with the configuration as built
+    /// (2D schemes flattened); a snapshot records it so
+    /// [`SystemBuilder::resume`](crate::SystemBuilder::resume) can
+    /// rebuild an identical system before restoring live state into it.
+    pub(crate) recipe: Recipe,
     /// The protocol engine: chip state + every L2 transition.
     pub(crate) engine: Engine,
     /// The simulation substrate: NoC, event heap, contention models.
     pub(crate) fabric: SimFabric,
     /// Reused epoch-sampling buffers (names formatted once per run).
     pub(crate) sample_buf: SampleBuf,
-    pub(crate) seed: u64,
-    pub(crate) warmup: u64,
-    pub(crate) sample: u64,
-    pub(crate) prewarm: bool,
-    /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
-    ///
-    /// [`SystemBuilder::horizon_skipping`]: crate::SystemBuilder::horizon_skipping
-    pub(crate) skip: bool,
     /// The network was cut into more than one shard (see
     /// [`SystemBuilder::shards`](crate::SystemBuilder::shards)); enables
     /// the multi-threaded window path in the run loop.
     pub(crate) sharded: bool,
     pub(crate) obs: Obs,
-    /// Build-recipe knobs recorded for snapshots (see [`RebuildKnobs`]).
-    pub(crate) knobs: RebuildKnobs,
     /// The paused/running state of an in-flight run (`None` between
     /// runs). [`System::snapshot`](crate::System::snapshot) requires it.
     pub(crate) progress: Option<RunProgress>,
@@ -126,12 +122,12 @@ pub struct System {
 impl System {
     /// The scheme being simulated.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.recipe.scheme
     }
 
     /// The effective configuration (2D schemes are flattened).
     pub fn config(&self) -> &SystemConfig {
-        &self.cfg
+        &self.recipe.cfg
     }
 
     /// The chip geometry.
@@ -172,13 +168,7 @@ impl System {
     /// progress (a protocol bug — should never happen).
     pub fn run(&mut self, profile: &BenchmarkProfile) -> Result<RunReport, RunError> {
         let mut gen = self.begin(profile);
-        match self.advance(&mut gen, None) {
-            Ok(_) => Ok(self.finish_report()),
-            Err(e) => {
-                self.progress = None;
-                Err(e)
-            }
-        }
+        self.finish_run(&mut gen)
     }
 
     /// Starts a run of `profile` without driving it: pre-warms the L2
@@ -188,11 +178,11 @@ impl System {
     /// at an epoch boundary and [`System::snapshot`](crate::System)
     /// the whole simulator mid-flight.
     pub fn begin(&mut self, profile: &BenchmarkProfile) -> TraceGenerator {
-        if self.prewarm && self.engine.l2.occupancy() == 0 {
+        if self.recipe.prewarm && self.engine.l2.occupancy() == 0 {
             self.engine.prewarm(profile);
         }
         self.begin_run(profile.name);
-        TraceGenerator::new(profile, self.cfg.num_cpus, self.seed)
+        TraceGenerator::new(profile, self.recipe.cfg.num_cpus, self.recipe.seed)
     }
 
     /// Drives a begun run until at least `stop_after` transactions have
@@ -219,19 +209,21 @@ impl System {
         source: &mut dyn TraceSource,
         stop_after: u64,
     ) -> Result<Option<RunReport>, RunError> {
-        match self.advance(source, Some(stop_after)) {
-            Ok(true) => Ok(Some(self.finish_report())),
-            Ok(false) => Ok(None),
-            Err(e) => {
-                self.progress = None;
-                Err(e)
-            }
-        }
+        self.advance(source, Some(stop_after))
+    }
+
+    /// Drives the run in progress to its sampling target and reports it.
+    pub(crate) fn finish_run(
+        &mut self,
+        source: &mut dyn TraceSource,
+    ) -> Result<RunReport, RunError> {
+        let report = self.advance(source, None)?;
+        Ok(report.expect("with no stop requested the loop ends only at the sampling target"))
     }
 
     /// Arms the run bookkeeping for a fresh run.
     pub(crate) fn begin_run(&mut self, benchmark: &str) {
-        let warmed = self.warmup == 0;
+        let warmed = self.recipe.warmup == 0;
         let window_start = if warmed {
             Some((
                 self.engine.counters,
@@ -243,27 +235,29 @@ impl System {
         };
         self.progress = Some(RunProgress {
             benchmark: benchmark.to_string(),
-            warmed,
-            window_start,
-            last_progress: self.fabric.net.now().0,
-            last_count: self.engine.counters.l2_transactions,
+            carried: LoopCarried {
+                warmed,
+                window_start,
+                last_progress: self.fabric.net.now().0,
+                last_count: self.engine.counters.l2_transactions,
+            },
         });
     }
 
     /// Builds the report for a completed run and clears the run state.
-    pub(crate) fn finish_report(&mut self) -> RunReport {
+    fn finish_report(&mut self) -> RunReport {
         let p = self.progress.take().expect("run in progress");
         let (start_counters, start_cycle, start_instr) =
-            p.window_start.expect("sampling window started");
+            p.carried.window_start.expect("sampling window started");
         let mut bus = Vec::new();
         self.fabric.net.bus_stats_into(&mut bus);
         self.publish_obs_metrics(&bus);
         RunReport {
-            scheme: self.scheme,
+            scheme: self.recipe.scheme,
             benchmark: p.benchmark,
             cycles: self.fabric.net.now().0 - start_cycle,
             instructions: self.total_instructions() - start_instr,
-            num_cpus: self.cfg.num_cpus,
+            num_cpus: self.recipe.cfg.num_cpus,
             counters: self.engine.counters.minus(&start_counters),
             network: self.fabric.net.stats().clone(),
             bus_transfers: bus.iter().map(|b| b.transfers).sum(),
@@ -289,31 +283,29 @@ impl System {
         source: &mut dyn TraceSource,
     ) -> Result<RunReport, RunError> {
         self.begin_run(benchmark);
-        match self.advance(source, None) {
-            Ok(_) => Ok(self.finish_report()),
-            Err(e) => {
-                self.progress = None;
-                Err(e)
-            }
-        }
+        self.finish_run(source)
     }
 
     /// The driver loop. Advances the simulation until the sampling
-    /// target is reached (returns `Ok(true)`), or — with `stop_after`
-    /// set — until at least that many transactions have completed *and*
-    /// the clock sits on a snapshot-legal cycle (returns `Ok(false)`).
-    /// The loop-carried bookkeeping lives in [`RunProgress`], so a
-    /// paused run serializes and continues bit-identically.
-    pub(crate) fn advance(
+    /// target is reached (returns the report and ends the run), or —
+    /// with `stop_after` set — until at least that many transactions
+    /// have completed *and* the clock sits on a snapshot-legal cycle
+    /// (returns `Ok(None)`, the run still in progress). A stalled run
+    /// is over: it leaves no run in progress. The loop-carried
+    /// bookkeeping lives in [`RunProgress`], so a paused run serializes
+    /// and continues bit-identically.
+    fn advance(
         &mut self,
         source: &mut dyn TraceSource,
         stop_after: Option<u64>,
-    ) -> Result<bool, RunError> {
-        let target = self.warmup + self.sample;
-        let (mut warmed, mut window_start, mut last_progress, mut last_count) = {
-            let p = self.progress.as_ref().expect("run in progress");
-            (p.warmed, p.window_start, p.last_progress, p.last_count)
-        };
+    ) -> Result<Option<RunReport>, RunError> {
+        let target = self.recipe.warmup + self.recipe.sample;
+        let LoopCarried {
+            mut warmed,
+            mut window_start,
+            mut last_progress,
+            mut last_count,
+        } = self.progress.as_ref().expect("run in progress").carried;
         // Double-buffered delivery hand-off: the network drains into
         // `incoming`, which is then swapped with `serving` before the
         // engine consumes it. The network never appends to the list the
@@ -411,18 +403,25 @@ impl System {
                 last_count = self.engine.counters.l2_transactions;
                 last_progress = now.0;
             }
-            if !warmed && self.engine.counters.l2_transactions >= self.warmup {
+            if !warmed && self.engine.counters.l2_transactions >= self.recipe.warmup {
                 warmed = true;
                 window_start = Some((self.engine.counters, now.0, self.total_instructions()));
             }
         };
-        if let Some(p) = self.progress.as_mut() {
-            p.warmed = warmed;
-            p.window_start = window_start;
-            p.last_progress = last_progress;
-            p.last_count = last_count;
+        self.progress.as_mut().expect("run in progress").carried = LoopCarried {
+            warmed,
+            window_start,
+            last_progress,
+            last_count,
+        };
+        match result {
+            Ok(true) => Ok(Some(self.finish_report())),
+            Ok(false) => Ok(None),
+            Err(e) => {
+                self.progress = None;
+                Err(e)
+            }
         }
-        result
     }
 
     fn total_instructions(&self) -> u64 {
@@ -553,69 +552,71 @@ impl System {
             .gauge_set("sim/cycles_per_sec", self.obs.cycles_per_sec());
     }
 
-    /// Batch-advances the clock through a span it can prove is dead:
-    /// every core is mid-gap, halted, or waiting on memory
-    /// ([`InOrderCore::next_wakeup`]), no timed event comes due, and the
-    /// network's own horizon ([`Network::next_event_at`]) says no phase
-    /// would fire — even with traffic still buffered in flight. The skip
-    /// lands one cycle *before* the earliest of the three horizons, so
-    /// the very next `tick` replays exactly the cycle the naive loop
-    /// would have reached. Core wakeups are checked first because they
-    /// are the cheapest bound and, under steady load, the one that is
-    /// almost always zero.
-    fn try_fast_forward(&mut self) {
-        if !self.skip || self.fabric.net.has_deliveries() {
-            return;
+    /// The first cycle at which something outside the network acts: a
+    /// core's next tick that is not mid-burst or blocked
+    /// ([`InOrderCore::next_wakeup`]), the earliest timed event, the
+    /// earliest modeled delivery. Every cycle strictly before it can be
+    /// batch-advanced; `u64::MAX` means nothing is pending at all.
+    /// `None` when skipping is off, deliveries are waiting, or that
+    /// cycle is the very next one — cores are checked first because
+    /// they are the cheapest bound and, under steady load, the one that
+    /// almost always says "next cycle".
+    fn next_act_at(&self) -> Option<u64> {
+        if !self.recipe.skip || self.fabric.net.has_deliveries() {
+            return None;
         }
-        let core_bound = self
+        let wake = self
             .engine
             .cores
             .iter()
-            .map(|c| match c.next_wakeup() {
-                u64::MAX => u64::MAX,
-                wake => wake - 1,
-            })
+            .map(InOrderCore::next_wakeup)
             .min()
-            .unwrap_or(0);
-        if core_bound == 0 {
-            return;
+            .unwrap_or(1);
+        if wake == 1 {
+            return None;
         }
         let now = self.fabric.net.now().0;
-        let event_bound = match self.fabric.events.peek() {
-            Some(&Reverse((due, _, _))) => due.saturating_sub(now + 1),
-            None => u64::MAX,
-        };
-        if event_bound == 0 {
-            return;
+        let mut next = now.saturating_add(wake);
+        if let Some(&Reverse((due, _, _))) = self.fabric.events.peek() {
+            next = next.min(due);
         }
-        let net_bound = match self.fabric.net.next_event_at() {
-            Some(t) => t.0 - (now + 1),
-            None => u64::MAX,
+        if let Some(due) = self.fabric.next_modeled_at() {
+            next = next.min(due);
+        }
+        (next > now + 1).then_some(next)
+    }
+
+    /// Batch-advances the clock through a span it can prove is dead:
+    /// nothing outside the network acts ([`System::next_act_at`]) and
+    /// the network's own horizon ([`Network::next_event_at`]) says no
+    /// phase would fire — even with traffic still buffered in flight.
+    /// The skip lands one cycle *before* the earliest horizon, so the
+    /// very next `tick` replays exactly the cycle the naive loop would
+    /// have reached.
+    fn try_fast_forward(&mut self) {
+        let Some(mut next) = self.next_act_at() else {
+            return;
         };
-        let modeled_bound = match self.fabric.next_modeled_at() {
-            Some(due) => due.saturating_sub(now + 1),
-            None => u64::MAX,
-        };
-        let delta = core_bound
-            .min(event_bound)
-            .min(net_bound)
-            .min(modeled_bound);
-        if delta == 0 || delta == u64::MAX {
+        if let Some(t) = self.fabric.net.next_event_at() {
+            next = next.min(t.0);
+        }
+        let now = self.fabric.net.now().0;
+        if next <= now + 1 || next == u64::MAX {
             // Either something needs attention next cycle, or everything
             // is blocked with no pending horizon (the watchdog will catch
             // a genuine deadlock).
             return;
         }
+        let end = next - 1;
         for core in &mut self.engine.cores {
-            core.skip(delta);
+            core.skip(end - now);
         }
-        self.fabric.net.advance_to(Cycle(now + delta));
-        self.replay_skipped_samples(now + delta);
+        self.fabric.net.advance_to(Cycle(end));
+        self.replay_skipped_samples(end);
     }
 
     /// Advances the sharded network concurrently through a window where
-    /// nothing outside it can act: every core is mid-gap or waiting
-    /// ([`InOrderCore::next_wakeup`]), no timed event comes due, and no
+    /// nothing outside it can act ([`System::next_act_at`]) and no
     /// sample boundary is crossed (sampled columns like `net/flit_hops`
     /// *do* move inside a window, unlike in a dead span, so the window
     /// is capped strictly before the next boundary). Within those caps
@@ -625,37 +626,16 @@ impl System {
     /// span. Runs right after [`System::try_fast_forward`], picking up
     /// traffic-heavy stretches that dead-span elision cannot touch.
     fn try_shard_window(&mut self) {
-        if !self.skip || self.fabric.net.has_deliveries() {
+        let Some(mut next) = self.next_act_at() else {
             return;
-        }
-        let core_bound = self
-            .engine
-            .cores
-            .iter()
-            .map(|c| match c.next_wakeup() {
-                u64::MAX => u64::MAX,
-                wake => wake - 1,
-            })
-            .min()
-            .unwrap_or(0);
-        if core_bound == 0 {
-            return;
-        }
-        let now = self.fabric.net.now().0;
-        let mut end = now.saturating_add(core_bound);
-        if let Some(&Reverse((due, _, _))) = self.fabric.events.peek() {
-            end = end.min(due - 1);
-        }
-        if let Some(due) = self.fabric.next_modeled_at() {
-            end = end.min(due.saturating_sub(1));
-        }
+        };
         if let Some(boundary) = self.obs.next_sample_at() {
-            end = end.min(boundary.saturating_sub(1));
+            next = next.min(boundary);
         }
-        if end <= now {
+        if next <= self.fabric.net.now().0 + 1 {
             return;
         }
-        let advanced = self.fabric.net.advance_window(end);
+        let advanced = self.fabric.net.advance_window(next - 1);
         if advanced > 0 {
             for core in &mut self.engine.cores {
                 core.skip(advanced);

@@ -13,23 +13,8 @@
 //! [`SimFabric`]: crate::fabric::SimFabric
 //! [`Fabric`]: crate::fabric::Fabric
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
+use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::{ClusterId, Cycle};
-
-/// Restores one busy-until style table in place, validating that the
-/// snapshot was taken on a same-shaped resource.
-fn restore_table(
-    dst: &mut Vec<u64>,
-    r: &mut ByteReader<'_>,
-    what: &'static str,
-) -> Result<(), CodecError> {
-    let v = r.u64_vec()?;
-    if v.len() != dst.len() {
-        return Err(CodecError::Corrupt(what));
-    }
-    *dst = v;
-    Ok(())
-}
 
 /// Cycles between successive probe initiations at one (pipelined) tag
 /// array — concurrent searches crowding a cluster's tag array queue up.
@@ -94,11 +79,12 @@ impl TagArrays {
 
 impl Checkpoint for TagArrays {
     fn save(&self, w: &mut ByteWriter) {
-        w.u64_slice(&self.busy);
+        self.busy.put(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        restore_table(&mut self.busy, r, "tag array count mismatch")
+        self.busy = r.seq_of_len(self.busy.len(), "tag array count mismatch")?;
+        Ok(())
     }
 }
 
@@ -147,13 +133,15 @@ impl Banks {
 
 impl Checkpoint for Banks {
     fn save(&self, w: &mut ByteWriter) {
-        w.u64_slice(&self.busy);
-        w.u64_slice(&self.access_counts);
+        self.busy.put(w);
+        self.access_counts.put(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        restore_table(&mut self.busy, r, "bank count mismatch")?;
-        restore_table(&mut self.access_counts, r, "bank census count mismatch")
+        self.busy = r.seq_of_len(self.busy.len(), "bank count mismatch")?;
+        self.access_counts =
+            r.seq_of_len(self.access_counts.len(), "bank census count mismatch")?;
+        Ok(())
     }
 }
 
@@ -193,11 +181,12 @@ impl MemoryChannels {
 
 impl Checkpoint for MemoryChannels {
     fn save(&self, w: &mut ByteWriter) {
-        w.u64_slice(&self.ready);
+        self.ready.put(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        restore_table(&mut self.ready, r, "memory controller count mismatch")
+        self.ready = r.seq_of_len(self.ready.len(), "memory controller count mismatch")?;
+        Ok(())
     }
 }
 

@@ -6,8 +6,7 @@
 //! address) into the cookie; [`TimedEvent`] is the non-network companion
 //! for fixed-latency steps (tag probes, bank accesses, memory fetches).
 
-use nim_types::codec::{ByteReader, ByteWriter, CodecError};
-use nim_types::{ClusterId, Coord, LineAddr};
+use nim_types::{codec_enum, ClusterId, Coord, LineAddr};
 
 use crate::txn::TxnId;
 
@@ -198,115 +197,16 @@ pub(crate) enum TimedEvent {
     ReplicaInstalled { line: LineAddr, cluster: ClusterId },
 }
 
-impl TimedEvent {
-    /// Serializes the event for a snapshot (mirror of
-    /// [`TimedEvent::restore`]).
-    pub(crate) fn save(&self, w: &mut ByteWriter) {
-        match *self {
-            TimedEvent::ProbeResolved {
-                txn,
-                cluster,
-                queue,
-            } => {
-                w.u8(0);
-                w.u32(txn);
-                w.u16(cluster.0);
-                w.u64(queue);
-            }
-            TimedEvent::VerticalClusterResolved {
-                txn,
-                cluster,
-                layer,
-                queue,
-                fanout,
-            } => {
-                w.u8(1);
-                w.u32(txn);
-                w.u16(cluster.0);
-                w.u8(layer);
-                w.u64(queue);
-                w.u64(fanout);
-            }
-            TimedEvent::BankReadDone { txn, at, queue } => {
-                w.u8(2);
-                w.u32(txn);
-                w.u8(at.x);
-                w.u8(at.y);
-                w.u8(at.layer);
-                w.u64(queue);
-            }
-            TimedEvent::BankWritten { txn, at, queue } => {
-                w.u8(3);
-                w.u32(txn);
-                w.u8(at.x);
-                w.u8(at.y);
-                w.u8(at.layer);
-                w.u64(queue);
-            }
-            TimedEvent::MemoryReady { line, mc } => {
-                w.u8(4);
-                w.u64(line.0);
-                w.u16(mc);
-            }
-            TimedEvent::MemoryFetched { line } => {
-                w.u8(5);
-                w.u64(line.0);
-            }
-            TimedEvent::MigrationDone { line } => {
-                w.u8(6);
-                w.u64(line.0);
-            }
-            TimedEvent::ReplicaInstalled { line, cluster } => {
-                w.u8(7);
-                w.u64(line.0);
-                w.u16(cluster.0);
-            }
-        }
-    }
-
-    /// Reads an event written by [`TimedEvent::save`].
-    pub(crate) fn restore(r: &mut ByteReader<'_>) -> Result<TimedEvent, CodecError> {
-        Ok(match r.u8()? {
-            0 => TimedEvent::ProbeResolved {
-                txn: r.u32()?,
-                cluster: ClusterId(r.u16()?),
-                queue: r.u64()?,
-            },
-            1 => TimedEvent::VerticalClusterResolved {
-                txn: r.u32()?,
-                cluster: ClusterId(r.u16()?),
-                layer: r.u8()?,
-                queue: r.u64()?,
-                fanout: r.u64()?,
-            },
-            2 => TimedEvent::BankReadDone {
-                txn: r.u32()?,
-                at: Coord::new(r.u8()?, r.u8()?, r.u8()?),
-                queue: r.u64()?,
-            },
-            3 => TimedEvent::BankWritten {
-                txn: r.u32()?,
-                at: Coord::new(r.u8()?, r.u8()?, r.u8()?),
-                queue: r.u64()?,
-            },
-            4 => TimedEvent::MemoryReady {
-                line: LineAddr(r.u64()?),
-                mc: r.u16()?,
-            },
-            5 => TimedEvent::MemoryFetched {
-                line: LineAddr(r.u64()?),
-            },
-            6 => TimedEvent::MigrationDone {
-                line: LineAddr(r.u64()?),
-            },
-            7 => TimedEvent::ReplicaInstalled {
-                line: LineAddr(r.u64()?),
-                cluster: ClusterId(r.u16()?),
-            },
-            _ => return Err(CodecError::Corrupt("bad timed event tag")),
-        })
-    }
-}
+codec_enum!(TimedEvent, "bad timed event tag" {
+    0 => ProbeResolved { txn, cluster, queue },
+    1 => VerticalClusterResolved { txn, cluster, layer, queue, fanout },
+    2 => BankReadDone { txn, at, queue },
+    3 => BankWritten { txn, at, queue },
+    4 => MemoryReady { line, mc },
+    5 => MemoryFetched { line },
+    6 => MigrationDone { line },
+    7 => ReplicaInstalled { line, cluster },
+});
 
 #[cfg(test)]
 mod tests {
@@ -397,17 +297,18 @@ mod tests {
                 cluster: ClusterId(9),
             },
         ];
+        use nim_types::Codec as _;
         let mut w = nim_types::codec::ByteWriter::new();
         for e in &samples {
-            e.save(&mut w);
+            e.put(&mut w);
         }
         let bytes = w.into_bytes();
         let mut r = nim_types::codec::ByteReader::new(&bytes);
         for e in &samples {
-            assert_eq!(TimedEvent::restore(&mut r).unwrap(), *e);
+            assert_eq!(TimedEvent::get(&mut r).unwrap(), *e);
         }
         assert_eq!(r.remaining(), 0);
         let mut r = nim_types::codec::ByteReader::new(&[200u8]);
-        assert!(TimedEvent::restore(&mut r).is_err());
+        assert!(TimedEvent::get(&mut r).is_err());
     }
 }

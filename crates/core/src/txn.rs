@@ -21,8 +21,10 @@
 //! [`TxnTable`] also owns the MSHR-style miss-merge bookkeeping: all
 //! concurrent misses on one line share a single memory fetch.
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{AccessKind, Address, ClusterId, CpuId, Cycle, FxHashMap, LineAddr};
+use nim_types::{
+    checkpoint_fields, codec_enum, codec_struct, AccessKind, Address, ClusterId, CpuId, Cycle,
+    FxHashMap, LineAddr,
+};
 
 /// Transaction identifier (index into the system's live-transaction
 /// table; dense, so per-transaction maps hash cheaply).
@@ -88,6 +90,8 @@ pub(crate) struct TxnTimeline {
     buckets: [u64; Phase::ALL.len()],
 }
 
+codec_struct!(TxnTimeline { last, buckets });
+
 impl TxnTimeline {
     /// A fresh timeline: nothing attributed yet, anchored at issue.
     pub(crate) fn new(issued: Cycle) -> Self {
@@ -143,11 +147,6 @@ impl TxnTimeline {
     pub(crate) fn attributed_to(&self) -> u64 {
         self.last
     }
-
-    /// Rebuilds a timeline from its serialized parts (snapshot resume).
-    pub(crate) fn from_parts(last: u64, buckets: [u64; Phase::ALL.len()]) -> Self {
-        Self { last, buckets }
-    }
 }
 
 /// Search restarts allowed after racing migrations before giving up and
@@ -176,6 +175,12 @@ pub(crate) enum TxnState {
     MemoryWait,
 }
 
+codec_enum!(TxnState, "bad txn state tag" {
+    0 => Searching { outstanding },
+    1 => Serving { cluster },
+    2 => MemoryWait,
+});
+
 /// One in-flight L2 transaction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Txn {
@@ -201,6 +206,18 @@ pub(crate) struct Txn {
     /// spans are *emitted*, never whether cycles are attributed).
     pub(crate) timeline: TxnTimeline,
 }
+
+codec_struct!(Txn {
+    cpu,
+    kind,
+    addr,
+    line,
+    issued,
+    step,
+    retries,
+    state,
+    timeline
+});
 
 /// What a probe-miss reply means to its transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -377,125 +394,18 @@ impl TxnTable {
     }
 }
 
-fn save_txn(w: &mut ByteWriter, t: &Txn) {
-    w.u16(t.cpu.0);
-    w.u8(match t.kind {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-        AccessKind::IFetch => 2,
-    });
-    w.u64(t.addr.0);
-    w.u64(t.line.0);
-    w.u64(t.issued.0);
-    w.u8(t.step);
-    w.u8(t.retries);
-    match t.state {
-        TxnState::Searching { outstanding } => {
-            w.u8(0);
-            w.u32(outstanding);
-        }
-        TxnState::Serving { cluster } => {
-            w.u8(1);
-            w.u16(cluster.0);
-        }
-        TxnState::MemoryWait => w.u8(2),
-    }
-    w.u64(t.timeline.attributed_to());
-    for b in t.timeline.buckets() {
-        w.u64(b);
-    }
-}
-
-fn restore_txn(r: &mut ByteReader<'_>) -> Result<Txn, CodecError> {
-    let cpu = CpuId(r.u16()?);
-    let kind = match r.u8()? {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        2 => AccessKind::IFetch,
-        _ => return Err(CodecError::Corrupt("bad access kind tag")),
-    };
-    let addr = Address(r.u64()?);
-    let line = LineAddr(r.u64()?);
-    let issued = Cycle(r.u64()?);
-    let step = r.u8()?;
-    let retries = r.u8()?;
-    let state = match r.u8()? {
-        0 => TxnState::Searching {
-            outstanding: r.u32()?,
-        },
-        1 => TxnState::Serving {
-            cluster: ClusterId(r.u16()?),
-        },
-        2 => TxnState::MemoryWait,
-        _ => return Err(CodecError::Corrupt("bad txn state tag")),
-    };
-    let last = r.u64()?;
-    let mut buckets = [0u64; Phase::ALL.len()];
-    for b in &mut buckets {
-        *b = r.u64()?;
-    }
-    Ok(Txn {
-        cpu,
-        kind,
-        addr,
-        line,
-        issued,
-        step,
-        retries,
-        state,
-        timeline: TxnTimeline::from_parts(last, buckets),
-    })
-}
-
-impl Checkpoint for TxnTable {
-    fn save(&self, w: &mut ByteWriter) {
-        // Hash maps iterate in arbitrary order; key-sort for a canonical
-        // encoding (waiter vectors keep their arrival order verbatim —
-        // fill completion walks them in order).
-        let mut ids: Vec<TxnId> = self.txns.keys().copied().collect();
-        ids.sort_unstable();
-        w.u32(ids.len() as u32);
-        for id in ids {
-            w.u32(id);
-            save_txn(w, &self.txns[&id]);
-        }
-        w.u32(self.next);
-        let mut lines: Vec<LineAddr> = self.pending_fills.keys().copied().collect();
-        lines.sort_unstable_by_key(|l| l.0);
-        w.u32(lines.len() as u32);
-        for line in lines {
-            w.u64(line.0);
-            let waiters = &self.pending_fills[&line];
-            w.u32(waiters.len() as u32);
-            for &id in waiters {
-                w.u32(id);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.txns.clear();
-        for _ in 0..r.u32()? {
-            let id = r.u32()?;
-            self.txns.insert(id, restore_txn(r)?);
-        }
-        self.next = r.u32()?;
-        self.pending_fills.clear();
-        for _ in 0..r.u32()? {
-            let line = LineAddr(r.u64()?);
-            let mut waiters = Vec::new();
-            for _ in 0..r.u32()? {
-                waiters.push(r.u32()?);
-            }
-            self.pending_fills.insert(line, waiters);
-        }
-        Ok(())
-    }
-}
+// Waiter vectors keep their arrival order verbatim — fill completion
+// walks them in order.
+checkpoint_fields!(TxnTable {
+    txns,
+    next,
+    pending_fills
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nim_types::codec::{ByteReader, ByteWriter, Checkpoint};
 
     fn txn() -> Txn {
         Txn::new(

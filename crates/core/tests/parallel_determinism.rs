@@ -31,8 +31,7 @@ fn parallel_sweep_is_bit_identical_to_sequential_and_repeat_stable() {
         set_jobs_override(Some(jobs));
         let reports = run_cells(&benchmarks, scale, &specs).expect("sweep runs");
         set_jobs_override(None);
-        // RunReport has no PartialEq; its Debug form covers every field.
-        format!("{reports:?}")
+        reports
     };
 
     let sequential = run(1);

@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use nim_core::{Scheme, SystemBuilder};
+use nim_core::{RunReport, Scheme, SystemBuilder};
 use nim_obs::{CategoryMask, Obs, ObsConfig};
 use nim_types::SystemConfig;
 use nim_workload::BenchmarkProfile;
@@ -38,7 +38,7 @@ struct Cell {
 /// Everything a run can disagree on, as one comparable blob.
 #[derive(PartialEq, Debug)]
 struct Fingerprint {
-    report: String,
+    report: RunReport,
     final_cycle: u64,
     /// `l2/hits/{local}/{serve}` + `l2/miss_from/{local}` counters.
     hit_matrix: String,
@@ -104,8 +104,7 @@ fn run_one(scheme: Scheme, profile: &BenchmarkProfile, cell: Cell, shards: usize
         .collect::<Vec<_>>()
         .join("\n");
     Fingerprint {
-        // RunReport has no PartialEq; its Debug form covers every field.
-        report: format!("{report:?}"),
+        report,
         final_cycle,
         hit_matrix,
         samples,

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use nim_core::{Scheme, SystemBuilder};
+use nim_core::{RunReport, Scheme, SystemBuilder};
 use nim_obs::{Obs, ObsConfig};
 use nim_types::SystemConfig;
 use nim_workload::BenchmarkProfile;
@@ -14,7 +14,7 @@ use nim_workload::BenchmarkProfile;
 /// Everything a run can disagree on, as one comparable blob.
 #[derive(PartialEq, Debug)]
 struct Fingerprint {
-    report: String,
+    report: RunReport,
     final_cycle: u64,
     /// `l2/hits/{local}/{serve}` + `l2/miss_from/{local}` counters.
     hit_matrix: String,
@@ -72,8 +72,7 @@ fn run_one(
         .collect::<Vec<_>>()
         .join("\n");
     Fingerprint {
-        // RunReport has no PartialEq; its Debug form covers every field.
-        report: format!("{report:?}"),
+        report,
         final_cycle,
         hit_matrix,
         samples,

@@ -148,12 +148,7 @@ fn assert_cell_equivalence(cell: Cell) {
     let cold_report = cold.run(&profile).expect("cold run finishes");
     let uninterrupted = observe(&cold, cold_report.fingerprint(), suffix_from);
 
-    assert_eq!(
-        format!("{cold_report:?}"),
-        format!("{report:?}"),
-        "{}: reports diverge",
-        cell.label()
-    );
+    assert_eq!(cold_report, report, "{}: reports diverge", cell.label());
     assert_eq!(
         uninterrupted,
         interrupted,
@@ -334,6 +329,65 @@ fn unknown_benchmarks_fail_with_a_typed_error() {
 }
 
 #[test]
+fn resumed_runs_without_a_generator_return_typed_errors() {
+    use nim_core::RunError;
+    use nim_workload::{TraceCursor, TraceSource};
+    /// A source positioned like a replay trace or a custom stub: its
+    /// cursor is a tag byte any image handed to `--resume` may carry.
+    struct Positioned(TraceCursor);
+    impl TraceSource for Positioned {
+        fn next_for(&mut self, _: nim_types::CpuId) -> Option<nim_types::TraceOp> {
+            None
+        }
+        fn cursor(&self) -> TraceCursor {
+            self.0.clone()
+        }
+    }
+    let mut system = Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim).build();
+    let mut gen = system.begin(&BenchmarkProfile::synthetic());
+    assert!(system
+        .run_until(&mut gen, STOP_AT)
+        .expect("pauses")
+        .is_none());
+    for cursor in [TraceCursor::None, TraceCursor::Replay(vec![3; 8])] {
+        let image = system
+            .snapshot(&Positioned(cursor.clone()))
+            .expect("snapshot");
+        let mut resumed = SystemBuilder::resume_from(&image, None).expect("resumes");
+        assert_eq!(resumed.finish(), Err(RunError::NoGenerator));
+        assert_eq!(resumed.run_until(STOP_AT + 1), Err(RunError::NoGenerator));
+        assert_eq!(resumed.snapshot(), Err(SnapshotError::NoGenerator));
+        // The caller's own source still drives the run.
+        assert_eq!(
+            resumed.replay_cursor().is_some(),
+            matches!(cursor, TraceCursor::Replay(_))
+        );
+        let mut rest = TraceGenerator::at_cursor(
+            &BenchmarkProfile::synthetic(),
+            resumed.system().config().num_cpus,
+            SEED,
+            &gen.cursor(),
+        )
+        .expect("cursor fits");
+        resumed.finish_with(&mut rest).expect("finishes");
+    }
+}
+
+#[test]
+fn an_oversized_shard_request_resumes_clamped_and_bit_identical() {
+    // What `--resume img --shards auto` asks for on a host with more
+    // cores than the topology has cluster rows.
+    let image = valid_snapshot();
+    let report = |shards| {
+        SystemBuilder::resume_from(&image, shards)
+            .expect("resumes")
+            .finish()
+            .expect("finishes")
+    };
+    assert_eq!(report(Some(4096)), report(None));
+}
+
+#[test]
 fn snapshot_legality_is_enforced() {
     let profile = BenchmarkProfile::synthetic();
     let cell = Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim);
@@ -352,5 +406,149 @@ fn snapshot_legality_is_enforced() {
     assert!(matches!(
         system.snapshot(&gen),
         Err(SnapshotError::NotEpochBoundary { .. })
+    ));
+}
+
+// ---------------------------------------------------------------------------
+// The image format is pinned: a refactor of the save/restore code must
+// reproduce these bytes exactly.
+// ---------------------------------------------------------------------------
+
+/// Pauses a run of `builder`'s system at `STOP_AT` and returns the
+/// image's length and FxHash. `SampleRow::wall_secs` is host time, so
+/// it is zeroed before the image is taken.
+fn image_digest(builder: SystemBuilder) -> (usize, u64) {
+    use std::hash::Hasher as _;
+    let mut system = builder
+        .seed(SEED)
+        .warmup_transactions(WARMUP)
+        .sampled_transactions(SAMPLE)
+        .build()
+        .expect("cell builds");
+    let mut gen = system.begin(&BenchmarkProfile::synthetic());
+    assert!(system
+        .run_until(&mut gen, STOP_AT)
+        .expect("pauses")
+        .is_none());
+    let obs = system.obs();
+    if let Some((columns, mut rows)) = obs.sampler_state() {
+        for row in &mut rows {
+            row.wall_secs = 0.0;
+        }
+        let next = obs.next_sample_at().unwrap_or(0);
+        obs.restore_sampler_state(columns, rows, next);
+    }
+    let bytes = system.snapshot(&gen).expect("snapshot");
+    let mut h = nim_types::FxHasher::default();
+    h.write(&bytes);
+    (bytes.len(), h.finish())
+}
+
+#[test]
+fn snapshot_images_are_byte_stable() {
+    let dnuca3d = || SystemBuilder::new(Scheme::CmpDnuca3d);
+    let observed = Obs::new(ObsConfig {
+        trace: true,
+        trace_capacity: 1 << 16,
+        sample_every: SAMPLE_EVERY,
+        ..ObsConfig::default()
+    });
+    let cells = [
+        ("sim 2-layer", dnuca3d(), (1199660, 0xe2657d57fb2b798e)),
+        (
+            "sim 4-layer x 4 shards",
+            dnuca3d().layers(4).shards(4),
+            (1203716, 0xd84f51bb7efea923),
+        ),
+        (
+            "latency table",
+            dnuca3d().fabric(FabricKind::LatencyTable),
+            (1201780, 0x40fa29d337901ef0),
+        ),
+        (
+            "ideal",
+            SystemBuilder::new(Scheme::CmpSnuca3d)
+                .layers(4)
+                .fabric(FabricKind::Ideal),
+            (1201478, 0x1c0e25a5fb5a72c2),
+        ),
+        (
+            "replication + edge memory controllers",
+            dnuca3d().replication(true).edge_memory_controllers(true),
+            (1199660, 0x85f45520a0bf1e28),
+        ),
+        (
+            "sampling and tracing on",
+            dnuca3d().observability(observed),
+            (1204118, 0x2723e005ce661f6c),
+        ),
+    ];
+    let (got, want): (Vec<_>, Vec<_>) = cells
+        .into_iter()
+        .map(|(label, builder, want)| ((label, image_digest(builder)), (label, want)))
+        .unzip();
+    assert_eq!(got, want, "(label, (image bytes, FxHash of the image))");
+}
+
+// ---------------------------------------------------------------------------
+// No corrupted image may panic — neither while it resumes nor afterwards.
+// ---------------------------------------------------------------------------
+
+/// Resumes `image` and drives it to the end under `catch_unwind`:
+/// `Ok(true)` for a completed run, `Ok(false)` for a typed error from
+/// either step, `Err` with the panic message otherwise.
+fn resume_and_finish(image: &[u8]) -> Result<bool, String> {
+    let outcome = std::panic::catch_unwind(|| {
+        let Ok(mut resumed) = SystemBuilder::resume_from(image, None) else {
+            return false;
+        };
+        resumed.finish().is_ok()
+    });
+    outcome.map_err(|panic| {
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    })
+}
+
+/// One in `FLIP_THINNING` of the offsets of the full sweep (XOR `0xFF`
+/// from byte 0, `0x01` from byte 13, `0x80` from byte 29, each every
+/// 1 499th byte), which keeps the test under ten seconds unoptimized.
+/// The thinned `0xFF` series still passes through byte 112 425 — the
+/// first offset that, before `NucaL2::restore` checked its maps against
+/// the bank tag arrays, resumed cleanly and then panicked in
+/// `Bank::touch`.
+const FLIP_THINNING: usize = 25;
+
+#[test]
+fn flipped_bytes_yield_typed_errors_or_completed_runs_never_panics() {
+    let image = valid_snapshot();
+    let mut panics = Vec::new();
+    let (mut rejected, mut completed) = (0, 0);
+    for (first, mask) in [(0, 0xFFu8), (13, 0x01), (29, 0x80)] {
+        for at in (first..image.len()).step_by(1499 * FLIP_THINNING) {
+            let mut mutated = image.clone();
+            mutated[at] ^= mask;
+            match resume_and_finish(&mutated) {
+                Ok(true) => completed += 1,
+                Ok(false) => rejected += 1,
+                Err(msg) => panics.push(format!("byte {at} ^ {mask:#04x}: {msg}")),
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{panics:#?}");
+    assert!(
+        rejected > 0 && completed > 0,
+        "sweep saw both outcomes: {rejected} rejected, {completed} completed"
+    );
+    let mut known = image;
+    known[112_425] ^= 0xFF;
+    assert!(matches!(
+        SystemBuilder::resume_from(&known, None),
+        Err(SnapshotError::Codec(nim_types::codec::CodecError::Corrupt(
+            _
+        )))
     ));
 }

@@ -8,8 +8,10 @@
 //! when the buffer is full. IPC falls directly out of this model, which
 //! is how the paper's Figure 15 numbers arise.
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{AccessKind, Address, CpuId, L1Config, LineAddr, TraceOp};
+use nim_types::{
+    checkpoint_fields, codec_enum, codec_struct, AccessKind, Address, CpuId, L1Config, LineAddr,
+    TraceOp,
+};
 
 use crate::l1::{L1Cache, L1Stats};
 
@@ -57,6 +59,16 @@ enum State {
     Halted,
 }
 
+codec_enum!(State, "bad core state tag" {
+    0 => NeedOp,
+    1 => Gap { left, op },
+    2 => MemReady { op },
+    3 => L1Busy { left },
+    4 => WaitingData { kind },
+    5 => StoreBlocked { op },
+    6 => Halted,
+});
+
 /// Per-core performance counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -71,6 +83,14 @@ pub struct CoreStats {
     /// Stores issued to the L2 (write-through traffic).
     pub stores_issued: u64,
 }
+
+codec_struct!(CoreStats {
+    cycles,
+    instructions,
+    data_stall_cycles,
+    store_stall_cycles,
+    stores_issued
+});
 
 impl CoreStats {
     /// Instructions per cycle.
@@ -371,101 +391,13 @@ impl InOrderCore {
     }
 }
 
-fn save_kind(w: &mut ByteWriter, kind: AccessKind) {
-    w.u8(match kind {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-        AccessKind::IFetch => 2,
-    });
-}
-
-fn restore_kind(r: &mut ByteReader<'_>) -> Result<AccessKind, CodecError> {
-    match r.u8()? {
-        0 => Ok(AccessKind::Read),
-        1 => Ok(AccessKind::Write),
-        2 => Ok(AccessKind::IFetch),
-        _ => Err(CodecError::Corrupt("bad access kind")),
-    }
-}
-
-fn save_op(w: &mut ByteWriter, op: TraceOp) {
-    w.u32(op.gap);
-    save_kind(w, op.kind);
-    w.u64(op.addr.0);
-}
-
-fn restore_op(r: &mut ByteReader<'_>) -> Result<TraceOp, CodecError> {
-    Ok(TraceOp {
-        gap: r.u32()?,
-        kind: restore_kind(r)?,
-        addr: Address(r.u64()?),
-    })
-}
-
-impl Checkpoint for InOrderCore {
-    fn save(&self, w: &mut ByteWriter) {
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.instructions);
-        w.u64(self.stats.data_stall_cycles);
-        w.u64(self.stats.store_stall_cycles);
-        w.u64(self.stats.stores_issued);
-        w.u32(self.outstanding_stores);
-        match self.state {
-            State::NeedOp => w.u8(0),
-            State::Gap { left, op } => {
-                w.u8(1);
-                w.u32(left);
-                save_op(w, op);
-            }
-            State::MemReady { op } => {
-                w.u8(2);
-                save_op(w, op);
-            }
-            State::L1Busy { left } => {
-                w.u8(3);
-                w.u32(left);
-            }
-            State::WaitingData { kind } => {
-                w.u8(4);
-                save_kind(w, kind);
-            }
-            State::StoreBlocked { op } => {
-                w.u8(5);
-                save_op(w, op);
-            }
-            State::Halted => w.u8(6),
-        }
-        self.l1d.save(w);
-        self.l1i.save(w);
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.stats.cycles = r.u64()?;
-        self.stats.instructions = r.u64()?;
-        self.stats.data_stall_cycles = r.u64()?;
-        self.stats.store_stall_cycles = r.u64()?;
-        self.stats.stores_issued = r.u64()?;
-        self.outstanding_stores = r.u32()?;
-        self.state = match r.u8()? {
-            0 => State::NeedOp,
-            1 => State::Gap {
-                left: r.u32()?,
-                op: restore_op(r)?,
-            },
-            2 => State::MemReady { op: restore_op(r)? },
-            3 => State::L1Busy { left: r.u32()? },
-            4 => State::WaitingData {
-                kind: restore_kind(r)?,
-            },
-            5 => State::StoreBlocked { op: restore_op(r)? },
-            6 => State::Halted,
-            _ => return Err(CodecError::Corrupt("bad core state tag")),
-        };
-        self.l1d.restore(r)?;
-        self.l1i.restore(r)?;
-        Ok(())
-    }
-}
+checkpoint_fields!(InOrderCore {
+    stats,
+    outstanding_stores,
+    state,
+    l1d,
+    l1i
+});
 
 #[cfg(test)]
 mod tests {
@@ -711,5 +643,47 @@ mod tests {
         // Truncation is an error, not a panic.
         let mut c = core();
         assert!(c.restore(&mut ByteReader::new(&bytes[..10])).is_err());
+    }
+
+    mod codec_laws {
+        use super::super::{CoreStats, State};
+        use nim_types::codec::{assert_laws, ByteReader, Codec};
+        use nim_types::{AccessKind, Address, TraceOp};
+        use proptest::prelude::*;
+
+        fn kind() -> impl Strategy<Value = AccessKind> {
+            prop_oneof![
+                Just(AccessKind::Read),
+                Just(AccessKind::Write),
+                Just(AccessKind::IFetch)
+            ]
+        }
+
+        fn state() -> impl Strategy<Value = State> {
+            (0u8..7, any::<u32>(), any::<u32>(), kind(), any::<u64>()).prop_map(
+                |(variant, left, gap, kind, addr)| {
+                    let addr = Address(addr);
+                    let op = TraceOp { gap, kind, addr };
+                    match variant {
+                        0 => State::NeedOp,
+                        1 => State::Gap { left, op },
+                        2 => State::MemReady { op },
+                        3 => State::L1Busy { left },
+                        4 => State::WaitingData { kind },
+                        5 => State::StoreBlocked { op },
+                        _ => State::Halted,
+                    }
+                },
+            )
+        }
+
+        proptest! {
+            #[test]
+            fn pipeline_states_and_counters(s in state(), bytes in proptest::collection::vec(any::<u8>(), 40)) {
+                prop_assert_eq!(assert_laws(&s), s);
+                let stats = CoreStats::get(&mut ByteReader::new(&bytes)).expect("five u64s");
+                prop_assert_eq!(assert_laws(&stats), stats);
+            }
+        }
     }
 }

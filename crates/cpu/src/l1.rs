@@ -5,8 +5,8 @@
 //! no-write-allocate: every store is forwarded to the L2, and a store
 //! miss does not install the line.
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{Address, L1Config, LineAddr};
+use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
+use nim_types::{codec_struct, Address, L1Config, LineAddr};
 
 /// Hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -16,6 +16,8 @@ pub struct L1Stats {
     /// Lookups that missed.
     pub misses: u64,
 }
+
+codec_struct!(L1Stats { hits, misses });
 
 impl L1Stats {
     /// Miss rate over all lookups (0 when the cache is untouched).
@@ -34,6 +36,8 @@ struct Way {
     line: LineAddr,
     stamp: u64,
 }
+
+codec_struct!(Way { line, stamp });
 
 /// One side (I or D) of a private L1 cache.
 #[derive(Clone, Debug)]
@@ -139,39 +143,19 @@ impl L1Cache {
 
 impl Checkpoint for L1Cache {
     fn save(&self, w: &mut ByteWriter) {
-        w.u64(self.clock);
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u32(u32::try_from(self.sets.len()).expect("set count"));
-        for set in &self.sets {
-            w.u32(u32::try_from(set.len()).expect("way count"));
-            for way in set {
-                w.u64(way.line.0);
-                w.u64(way.stamp);
-            }
-        }
+        self.clock.put(w);
+        self.stats.put(w);
+        self.sets.put(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.clock = r.u64()?;
-        self.stats.hits = r.u64()?;
-        self.stats.misses = r.u64()?;
-        if r.u32()? as usize != self.sets.len() {
-            return Err(CodecError::Corrupt("L1 set count mismatch"));
+        self.clock = Codec::get(r)?;
+        self.stats = Codec::get(r)?;
+        let sets: Vec<Vec<Way>> = r.seq_of_len(self.sets.len(), "L1 set count mismatch")?;
+        if sets.iter().any(|set| set.len() > self.ways) {
+            return Err(CodecError::Corrupt("L1 set overflows its ways"));
         }
-        for set in &mut self.sets {
-            let n = r.u32()? as usize;
-            if n > self.ways {
-                return Err(CodecError::Corrupt("L1 set overflows its ways"));
-            }
-            set.clear();
-            for _ in 0..n {
-                set.push(Way {
-                    line: LineAddr(r.u64()?),
-                    stamp: r.u64()?,
-                });
-            }
-        }
+        self.sets = sets;
         Ok(())
     }
 }
@@ -245,5 +229,22 @@ mod tests {
         assert_eq!(c.fill(a), None);
         assert_eq!(c.fill(a), None);
         assert_eq!(c.occupancy(), 1);
+    }
+
+    mod codec_laws {
+        use super::super::{L1Stats, Way};
+        use nim_types::codec::assert_laws;
+        use nim_types::LineAddr;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn ways_and_counters((line, stamp, hits, misses) in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())) {
+                let way = assert_laws(&Way { line: LineAddr(line), stamp });
+                prop_assert_eq!((way.line, way.stamp), (LineAddr(line), stamp));
+                let stats = L1Stats { hits, misses };
+                prop_assert_eq!(assert_laws(&stats), stats);
+            }
+        }
     }
 }

@@ -36,6 +36,13 @@ pub struct BusStats {
     pub peak_queued: u64,
 }
 
+nim_types::codec_struct!(BusStats {
+    transfers,
+    busy_cycles,
+    contention_cycles,
+    peak_queued
+});
+
 /// One transceiver interface: the per-layer queue feeding the bus.
 #[derive(Clone, Debug)]
 pub(crate) struct Iface {

@@ -62,7 +62,6 @@ use crate::routing::{Routing, VerticalMode};
 use crate::stats::NetworkStats;
 
 use lane::DeferredHop;
-use window::SpawnTuner;
 pub use window::WindowStats;
 
 /// One pending packet at a node's network interface.
@@ -73,6 +72,13 @@ struct Pending {
     seq: u32,
     injected: Cycle,
 }
+
+nim_types::codec_struct!(Pending {
+    id,
+    req,
+    seq,
+    injected
+});
 
 /// Per-node injection state.
 #[derive(Clone, Debug, Default)]
@@ -165,12 +171,8 @@ pub struct Network {
     /// Worker threads the window executor may use (≤ shard count).
     window_workers: usize,
     /// Minimum window length (cycles) before threads are spawned;
-    /// shorter windows run inline, bit-identically. Calibrated at run
-    /// time by [`SpawnTuner`] unless forced via
-    /// [`Network::set_window_tuning`].
+    /// shorter windows run inline, bit-identically.
     window_spawn_min: u64,
-    /// Spawn-threshold calibration state.
-    tuner: SpawnTuner,
     /// Window-executor activity counters — diagnostics only, kept out
     /// of [`NetworkStats`] so results stay bit-identical across shard
     /// counts.
@@ -343,7 +345,6 @@ impl Network {
             plan,
             window_workers,
             window_spawn_min: window::DEFAULT_SPAWN_MIN,
-            tuner: SpawnTuner::default(),
             win_stats: WindowStats::default(),
             hop_bufs: vec![Vec::new(); num_shards],
             hop_scratch: Vec::new(),
@@ -364,15 +365,13 @@ impl Network {
     }
 
     /// Overrides the window executor's tuning: the minimum window length
-    /// before worker threads spawn, and the worker count. Disables the
-    /// runtime spawn-threshold calibration. Results are bit-identical
-    /// for any values; this only exists so tests can force the threaded
-    /// path onto short windows.
+    /// before worker threads spawn, and the worker count. Results are
+    /// bit-identical for any values; this only exists so tests can force
+    /// the threaded path onto short windows.
     #[doc(hidden)]
     pub fn set_window_tuning(&mut self, spawn_min: u64, workers: usize) {
         self.window_spawn_min = spawn_min.max(1);
         self.window_workers = workers.clamp(1, self.shards.len());
-        self.tuner.force();
     }
 
     /// Window-executor activity counters (windows advanced, cycles
@@ -386,8 +385,8 @@ impl Network {
     }
 
     /// The current minimum window length before worker threads spawn —
-    /// `DEFAULT_SPAWN_MIN` until the runtime calibration or a
-    /// [`Network::set_window_tuning`] override replaces it.
+    /// `DEFAULT_SPAWN_MIN` unless a [`Network::set_window_tuning`]
+    /// override replaced it.
     #[inline]
     pub fn window_spawn_min(&self) -> u64 {
         self.window_spawn_min

@@ -18,278 +18,117 @@
 //! it refills the VCs. The image keeps the field layout it had before
 //! those existed (round-robin pointers as `in_dir * vcs + vc` slots, a
 //! per-router flit count that restore now cross-checks), so images stay
-//! byte-compatible. Scratch state (window tuner, diagnostics)
+//! byte-compatible. Scratch state (window diagnostics)
 //! intentionally starts fresh.
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
-use nim_types::{Cycle, Dir, PacketId, PillarId};
+use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
+use nim_types::Dir;
 
-use crate::packet::{
-    restore_class, restore_coord, save_coord, Delivered, Flit, FlitKind, SendRequest,
-};
+use crate::packet::{Flit, FlitArena, FlitFifo};
 use crate::router::{vc_bit, Hold};
-use crate::stats::{LatencyHistogram, NetworkStats};
 
-use super::{Network, Pending};
+use super::Network;
 
-fn save_via(w: &mut ByteWriter, via: Option<PillarId>) {
-    match via {
-        Some(p) => {
-            w.u8(1);
-            w.u16(p.0);
-        }
-        None => w.u8(0),
+/// A FIFO's flits, oldest first, behind a `u16` count (FIFO depth is
+/// capped at 2^14).
+fn put_flits(w: &mut ByteWriter, fifo: &FlitFifo, arena: &FlitArena) {
+    w.u16(fifo.len() as u16);
+    for f in fifo.iter(arena) {
+        f.put(w);
     }
 }
 
-fn restore_via(r: &mut ByteReader<'_>) -> Result<Option<PillarId>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(PillarId(r.u16()?))),
-        _ => Err(CodecError::Corrupt("bad pillar option tag")),
+/// Reads what [`put_flits`] wrote for a FIFO of capacity `cap`.
+fn get_flits(
+    r: &mut ByteReader<'_>,
+    cap: usize,
+    too_deep: &'static str,
+) -> Result<Vec<Flit>, CodecError> {
+    let count = usize::from(r.u16()?);
+    if count > cap {
+        return Err(CodecError::Corrupt(too_deep));
     }
-}
-
-fn save_kind(w: &mut ByteWriter, kind: FlitKind) {
-    w.u8(match kind {
-        FlitKind::Head => 0,
-        FlitKind::Body => 1,
-        FlitKind::Tail => 2,
-        FlitKind::HeadTail => 3,
-    });
-}
-
-fn restore_kind(r: &mut ByteReader<'_>) -> Result<FlitKind, CodecError> {
-    Ok(match r.u8()? {
-        0 => FlitKind::Head,
-        1 => FlitKind::Body,
-        2 => FlitKind::Tail,
-        3 => FlitKind::HeadTail,
-        _ => return Err(CodecError::Corrupt("bad flit kind tag")),
-    })
-}
-
-fn save_flit(w: &mut ByteWriter, f: &Flit) {
-    w.u64(f.pkt.0);
-    save_kind(w, f.kind);
-    save_coord(w, f.src);
-    save_coord(w, f.dst);
-    save_via(w, f.via);
-    w.u8(f.class.index() as u8);
-    w.u64(f.token);
-    w.u64(f.injected.0);
-    w.u64(f.arrived.0);
-    w.u16(f.hops);
-    w.u32(f.bus_wait);
-}
-
-fn restore_flit(r: &mut ByteReader<'_>) -> Result<Flit, CodecError> {
-    Ok(Flit {
-        pkt: PacketId(r.u64()?),
-        kind: restore_kind(r)?,
-        src: restore_coord(r)?,
-        dst: restore_coord(r)?,
-        via: restore_via(r)?,
-        class: restore_class(r)?,
-        token: r.u64()?,
-        injected: Cycle(r.u64()?),
-        arrived: Cycle(r.u64()?),
-        hops: r.u16()?,
-        bus_wait: r.u32()?,
-    })
-}
-
-fn save_stats(w: &mut ByteWriter, s: &NetworkStats) {
-    w.u64(s.packets_sent);
-    w.u64(s.packets_delivered);
-    w.u64(s.total_latency);
-    w.u64(s.max_latency);
-    w.u64(s.total_hops);
-    w.u64(s.flit_hops);
-    for arr in [
-        &s.flit_hops_by_class,
-        &s.delivered_by_class,
-        &s.latency_by_class,
-    ] {
-        for &v in arr {
-            w.u64(v);
-        }
-    }
-    w.u64(s.bus_transfers);
-    w.u64(s.switch_contention);
-    for &b in s.latency_histogram.buckets() {
-        w.u64(b);
-    }
-}
-
-fn restore_stats(r: &mut ByteReader<'_>) -> Result<NetworkStats, CodecError> {
-    let mut s = NetworkStats {
-        packets_sent: r.u64()?,
-        packets_delivered: r.u64()?,
-        total_latency: r.u64()?,
-        max_latency: r.u64()?,
-        total_hops: r.u64()?,
-        flit_hops: r.u64()?,
-        ..NetworkStats::default()
-    };
-    for arr in [
-        &mut s.flit_hops_by_class,
-        &mut s.delivered_by_class,
-        &mut s.latency_by_class,
-    ] {
-        for v in arr.iter_mut() {
-            *v = r.u64()?;
-        }
-    }
-    s.bus_transfers = r.u64()?;
-    s.switch_contention = r.u64()?;
-    let mut buckets = [0u64; 16];
-    for b in &mut buckets {
-        *b = r.u64()?;
-    }
-    s.latency_histogram = LatencyHistogram::from_buckets(buckets);
-    Ok(s)
-}
-
-fn save_pending(w: &mut ByteWriter, p: &Pending) {
-    w.u64(p.id.0);
-    save_coord(w, p.req.src);
-    save_coord(w, p.req.dst);
-    save_via(w, p.req.via);
-    w.u8(p.req.class.index() as u8);
-    w.u32(p.req.flits);
-    w.u64(p.req.token);
-    w.u32(p.seq);
-    w.u64(p.injected.0);
-}
-
-fn restore_pending(r: &mut ByteReader<'_>) -> Result<Pending, CodecError> {
-    Ok(Pending {
-        id: PacketId(r.u64()?),
-        req: SendRequest {
-            src: restore_coord(r)?,
-            dst: restore_coord(r)?,
-            via: restore_via(r)?,
-            class: restore_class(r)?,
-            flits: r.u32()?,
-            token: r.u64()?,
-        },
-        seq: r.u32()?,
-        injected: Cycle(r.u64()?),
-    })
+    (0..count).map(|_| Flit::get(r)).collect()
 }
 
 impl Checkpoint for Network {
     fn save(&self, w: &mut ByteWriter) {
-        w.u64(self.now.0);
-        w.u64(self.next_pkt);
-        w.u64(self.flits_in_flight);
-        save_stats(w, &self.stats);
-        w.u64_slice(&self.traversals);
-        w.u64_slice(&self.bus_ready_at);
+        self.now.put(w);
+        self.next_pkt.put(w);
+        self.flits_in_flight.put(w);
+        self.stats.put(w);
+        self.traversals.put(w);
+        self.bus_ready_at.put(w);
 
         // Routers: ports and VC contents in (node, direction, VC) order.
-        w.u32(self.routers.len() as u32);
+        w.len_prefix(self.routers.len());
         for (n, router) in self.routers.iter().enumerate() {
-            let st = &self.shards[usize::from(self.geo.shard_of[n])];
+            let arena = &self.shards[usize::from(self.geo.shard_of[n])].arena;
             let vcs = router.vcs_per_port();
             for in_dir in 0..Dir::COUNT {
+                w.bool(router.has_port(in_dir));
                 if !router.has_port(in_dir) {
-                    w.u8(0);
                     continue;
                 }
-                w.u8(1);
                 w.u8(vcs as u8);
                 for v in 0..vcs {
                     let vc = router.vc(in_dir, v);
-                    w.opt_u64(vc.owner.map(|p| p.0));
-                    w.u16(vc.fifo.len() as u16);
-                    for f in vc.fifo.iter(&st.arena) {
-                        save_flit(w, f);
-                    }
+                    vc.owner.put(w);
+                    put_flits(w, &vc.fifo, arena);
                 }
             }
             for oi in 0..Dir::COUNT {
-                match router.hold(oi) {
-                    None => w.u8(0),
-                    Some(h) => {
-                        w.u8(1);
-                        w.u64(h.pkt.0);
-                        w.u8(h.in_dir);
-                        w.u8(h.vc);
-                    }
-                }
+                router.hold(oi).put(w);
             }
             for oi in 0..Dir::COUNT {
                 let bit = usize::from(router.rr[oi]);
                 w.u16(((bit >> 3) * vcs + (bit & 7)) as u16);
             }
-            w.u32(router.occupancy());
+            router.occupancy().put(w);
         }
 
         // Injection queues and delivery outboxes, in node order.
         for inj in &self.injectors {
-            w.opt_u64(inj.vc.map(|v| v as u64));
-            w.u32(inj.queue.len() as u32);
-            for p in &inj.queue {
-                save_pending(w, p);
-            }
+            inj.vc.put(w);
+            inj.queue.put(w);
         }
         for outbox in &self.outbox {
-            w.u32(outbox.len() as u32);
-            for d in outbox {
-                d.save(w);
-            }
+            outbox.put(w);
         }
 
         // Buses and their per-layer transceiver interfaces, in (bus,
         // layer) order — shard-agnostic by construction.
-        w.u32(self.buses.len() as u32);
+        w.len_prefix(self.buses.len());
         for (b, bus) in self.buses.iter().enumerate() {
-            w.usize(bus.rr);
-            w.u64(bus.stats.transfers);
-            w.u64(bus.stats.busy_cycles);
-            w.u64(bus.stats.contention_cycles);
-            w.u64(bus.stats.peak_queued);
+            bus.rr.put(w);
+            bus.stats.put(w);
             for layer in 0..self.geo.rt.layout.layers() {
                 let (s, i) = self.iface_pos(b, layer);
                 let iface = &self.shards[s].ifaces[i];
-                w.opt_u64(iface.bound_vc.map(|v| v as u64));
-                w.u16(iface.q.len() as u16);
-                for f in iface.q.iter(&self.shards[s].arena) {
-                    save_flit(w, f);
-                }
+                iface.bound_vc.put(w);
+                put_flits(w, &iface.q, &self.shards[s].arena);
             }
         }
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.now = Cycle(r.u64()?);
-        self.next_pkt = r.u64()?;
-        self.flits_in_flight = r.u64()?;
-        self.stats = restore_stats(r)?;
-        let traversals = r.u64_vec()?;
-        if traversals.len() != self.traversals.len() {
-            return Err(CodecError::Corrupt("traversal table size mismatch"));
-        }
-        self.traversals = traversals;
-        let bus_ready_at = r.u64_vec()?;
-        if bus_ready_at.len() != self.bus_ready_at.len() {
-            return Err(CodecError::Corrupt("bus table size mismatch"));
-        }
-        self.bus_ready_at = bus_ready_at;
+        self.now = Codec::get(r)?;
+        self.next_pkt = Codec::get(r)?;
+        self.flits_in_flight = Codec::get(r)?;
+        self.stats = Codec::get(r)?;
+        self.traversals = r.seq_of_len(self.traversals.len(), "traversal table size mismatch")?;
+        self.bus_ready_at = r.seq_of_len(self.bus_ready_at.len(), "bus table size mismatch")?;
 
         if r.u32()? as usize != self.routers.len() {
             return Err(CodecError::Corrupt("router count mismatch"));
         }
-        let mut flit_buf = Vec::new();
         let rt = &self.geo.rt;
         for n in 0..self.routers.len() {
             let arena = &mut self.shards[usize::from(self.geo.shard_of[n])].arena;
             let router = &mut self.routers[n];
             let vcs = router.vcs_per_port();
             for in_dir in 0..Dir::COUNT {
-                if (r.u8()? == 1) != router.has_port(in_dir) {
+                if r.bool()? != router.has_port(in_dir) {
                     return Err(CodecError::Corrupt("input port structure mismatch"));
                 }
                 if !router.has_port(in_dir) {
@@ -299,28 +138,14 @@ impl Checkpoint for Network {
                     return Err(CodecError::Corrupt("VC count mismatch"));
                 }
                 for v in 0..vcs {
-                    let owner = r.opt_u64()?.map(PacketId);
-                    let count = usize::from(r.u16()?);
-                    if count > router.vc(in_dir, v).fifo.capacity() {
-                        return Err(CodecError::Corrupt("VC deeper than its capacity"));
-                    }
-                    flit_buf.clear();
-                    for _ in 0..count {
-                        flit_buf.push(restore_flit(r)?);
-                    }
-                    router.restore_vc(arena, rt, (in_dir, v), &flit_buf, owner);
+                    let owner = Codec::get(r)?;
+                    let cap = router.vc(in_dir, v).fifo.capacity();
+                    let flits = get_flits(r, cap, "VC deeper than its capacity")?;
+                    router.restore_vc(arena, rt, (in_dir, v), &flits, owner);
                 }
             }
             for oi in 0..Dir::COUNT {
-                let hold = match r.u8()? {
-                    0 => None,
-                    1 => Some(Hold {
-                        pkt: PacketId(r.u64()?),
-                        in_dir: r.u8()?,
-                        vc: r.u8()?,
-                    }),
-                    _ => return Err(CodecError::Corrupt("bad hold tag")),
-                };
+                let hold = Option::<Hold>::get(r)?;
                 if hold.is_some_and(|h| {
                     !router.has_port(usize::from(h.in_dir)) || usize::from(h.vc) >= vcs
                 }) {
@@ -340,48 +165,34 @@ impl Checkpoint for Network {
             }
         }
 
-        let vcs = self.routers.first().map_or(0, |r| r.vcs_per_port()) as u64;
-        let bound_vc = |v: Option<u64>| match v {
+        let vcs = self.routers.first().map_or(0, |r| r.vcs_per_port());
+        let bound_vc = |r: &mut ByteReader<'_>| match Option::<usize>::get(r)? {
             Some(v) if v >= vcs => Err(CodecError::Corrupt("bound VC out of range")),
-            v => Ok(v.map(|v| v as usize)),
+            v => Ok(v),
         };
         for inj in &mut self.injectors {
-            inj.vc = bound_vc(r.opt_u64()?)?;
-            inj.queue.clear();
-            for _ in 0..r.u32()? {
-                inj.queue.push_back(restore_pending(r)?);
-            }
+            inj.vc = bound_vc(r)?;
+            inj.queue = Codec::get(r)?;
         }
         for outbox in &mut self.outbox {
-            outbox.clear();
-            for _ in 0..r.u32()? {
-                outbox.push_back(Delivered::restore(r)?);
-            }
+            *outbox = Codec::get(r)?;
         }
 
         if r.u32()? as usize != self.buses.len() {
             return Err(CodecError::Corrupt("bus count mismatch"));
         }
         for b in 0..self.buses.len() {
-            self.buses[b].rr = r.usize()?;
+            self.buses[b].rr = Codec::get(r)?;
             if self.buses[b].rr >= self.geo.rt.layout.layers() as usize {
                 return Err(CodecError::Corrupt("bus round-robin pointer out of range"));
             }
-            self.buses[b].stats.transfers = r.u64()?;
-            self.buses[b].stats.busy_cycles = r.u64()?;
-            self.buses[b].stats.contention_cycles = r.u64()?;
-            self.buses[b].stats.peak_queued = r.u64()?;
+            self.buses[b].stats = Codec::get(r)?;
             for layer in 0..self.geo.rt.layout.layers() {
                 let (s, i) = self.iface_pos(b, layer);
-                let bound = bound_vc(r.opt_u64()?)?;
-                let count = usize::from(r.u16()?);
                 let st = &mut self.shards[s];
-                if count > st.ifaces[i].q.capacity() {
-                    return Err(CodecError::Corrupt("interface deeper than its capacity"));
-                }
-                st.ifaces[i].bound_vc = bound;
-                for _ in 0..count {
-                    let f = restore_flit(r)?;
+                st.ifaces[i].bound_vc = bound_vc(r)?;
+                let cap = st.ifaces[i].q.capacity();
+                for f in get_flits(r, cap, "interface deeper than its capacity")? {
                     st.ifaces[i].q.push_back(&mut st.arena, f);
                 }
             }
@@ -412,8 +223,9 @@ impl Checkpoint for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::TrafficClass;
+    use crate::packet::{Delivered, SendRequest, TrafficClass};
     use crate::routing::VerticalMode;
+    use crate::stats::NetworkStats;
     use nim_topology::ChipLayout;
     use nim_types::SystemConfig;
 
@@ -499,5 +311,104 @@ mod tests {
         let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
         let mut r = ByteReader::new(&bytes);
         assert!(net.restore(&mut r).is_err());
+    }
+
+    mod codec_laws {
+        use nim_types::codec::{assert_laws, ByteReader, Codec};
+        use nim_types::{Coord, Cycle, PacketId, PillarId};
+        use proptest::prelude::*;
+
+        use super::super::super::Pending;
+        use crate::dtdma::BusStats;
+        use crate::packet::{Delivered, Flit, FlitKind, SendRequest, TrafficClass};
+        use crate::router::Hold;
+        use crate::stats::NetworkStats;
+
+        fn coord() -> impl Strategy<Value = Coord> {
+            (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(x, y, l)| Coord::new(x, y, l))
+        }
+
+        fn class() -> impl Strategy<Value = TrafficClass> {
+            (0usize..4).prop_map(|i| TrafficClass::ALL[i])
+        }
+
+        fn kind() -> impl Strategy<Value = FlitKind> {
+            (any::<u32>(), 1u32..6).prop_map(|(seq, len)| FlitKind::for_position(seq % len, len))
+        }
+
+        fn via() -> impl Strategy<Value = Option<PillarId>> {
+            (any::<bool>(), any::<u16>()).prop_map(|(some, p)| some.then_some(PillarId(p)))
+        }
+
+        fn request() -> impl Strategy<Value = SendRequest> {
+            (coord(), coord(), via(), class(), any::<u32>(), any::<u64>()).prop_map(
+                |(src, dst, via, class, flits, token)| SendRequest {
+                    src,
+                    dst,
+                    via,
+                    class,
+                    flits,
+                    token,
+                },
+            )
+        }
+
+        fn flit() -> impl Strategy<Value = Flit> {
+            (
+                (any::<u64>(), kind(), request()),
+                (any::<u64>(), any::<u64>(), any::<u16>(), any::<u32>()),
+            )
+                .prop_map(|((pkt, kind, req), (injected, arrived, hops, bus_wait))| {
+                    Flit {
+                        pkt: PacketId(pkt),
+                        kind,
+                        src: req.src,
+                        dst: req.dst,
+                        via: req.via,
+                        class: req.class,
+                        token: req.token,
+                        injected: Cycle(injected),
+                        arrived: Cycle(arrived),
+                        hops,
+                        bus_wait,
+                    }
+                })
+        }
+
+        proptest! {
+            #[test]
+            fn flits_requests_and_deliveries(f in flit(), req in request(), seq in any::<u32>()) {
+                prop_assert_eq!(assert_laws(&f), f);
+                prop_assert_eq!(assert_laws(&f.kind), f.kind);
+                prop_assert_eq!(assert_laws(&f.class), f.class);
+                prop_assert_eq!(assert_laws(&req), req);
+                let d = Delivered {
+                    packet: f.pkt,
+                    src: f.src,
+                    dst: f.dst,
+                    class: f.class,
+                    token: f.token,
+                    injected: f.injected,
+                    delivered: f.arrived,
+                    hops: f.hops,
+                    bus_wait: f.bus_wait,
+                };
+                prop_assert_eq!(assert_laws(&d), d);
+                let p = assert_laws(&Pending { id: f.pkt, req, seq, injected: f.injected });
+                prop_assert_eq!((p.id, p.req, p.seq, p.injected), (f.pkt, req, seq, f.injected));
+            }
+
+            /// All-integer records: any bytes of the right length are one.
+            #[test]
+            fn statistics(bytes in proptest::collection::vec(any::<u8>(), 288)) {
+                let r = &mut ByteReader::new(&bytes);
+                let (bus, hold) = (BusStats::get(r).unwrap(), Hold::get(r).unwrap());
+                prop_assert_eq!(assert_laws(&bus), bus);
+                let back = assert_laws(&hold);
+                prop_assert_eq!((back.pkt, back.in_dir, back.vc), (hold.pkt, hold.in_dir, hold.vc));
+                let stats = NetworkStats::get(&mut ByteReader::new(&bytes)).unwrap();
+                prop_assert_eq!(assert_laws(&stats), stats);
+            }
+        }
     }
 }

@@ -60,21 +60,17 @@
 //! order — exactly the order the sequential engine would have emitted
 //! them.
 //!
-//! # Spawn-threshold calibration
+//! # Spawn threshold
 //!
-//! Spawning scoped workers costs more than it saves on a short window.
-//! Instead of a hard-coded threshold, the first
-//! [`CALIBRATION_WINDOWS`] windows run inline and are timed; the tuner
-//! then probes the cost of standing up the worker pool once and sets
-//! the threshold to the break-even window length
-//! `spawn_cost / (ns_per_cycle × (1 − 1/workers))`. Calibration only
-//! ever chooses *whether* to thread, never what to compute, so it is
-//! invisible in results; [`Network::set_window_tuning`] disables it for
-//! tests that force threading.
+//! Spawning scoped workers costs more than it saves on a short window,
+//! so windows shorter than [`DEFAULT_SPAWN_MIN`] cycles run inline on
+//! the calling thread. The threshold only ever decides *whether* to
+//! thread, never what to compute, so it is invisible in results;
+//! [`Network::set_window_tuning`] overrides it for tests that force
+//! threading.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, PillarId};
@@ -82,17 +78,11 @@ use nim_types::{Coord, Cycle, PillarId};
 use super::lane::{Lane, LaneStats, WindowSink};
 use super::Network;
 
-/// Windows shorter than this run inline on the calling thread until the
-/// runtime calibration replaces it with a measured break-even length.
-/// Results are bit-identical either way.
+/// Windows shorter than this run inline on the calling thread. A
+/// constant, not a measurement: a run-time calibration read 115 and 15
+/// on two runs of one workload on one box, and no window of either run
+/// was long enough to thread under either value.
 pub(super) const DEFAULT_SPAWN_MIN: u64 = 16;
-
-/// Inline windows timed before the spawn threshold is calibrated.
-const CALIBRATION_WINDOWS: u32 = 8;
-
-/// Clamp range for the calibrated spawn threshold: never thread
-/// single-digit windows, never refuse to thread a very long one.
-const SPAWN_MIN_RANGE: (u64, u64) = (2, 65_536);
 
 /// Window-executor activity counters: how often windows advance, how
 /// long they are, and whether they ran threaded or inline. Exported via
@@ -110,23 +100,6 @@ pub struct WindowStats {
     pub spawned: u64,
     /// Windows run inline on the calling thread.
     pub inline: u64,
-}
-
-/// Runtime spawn-threshold calibration state (see the module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub(super) struct SpawnTuner {
-    /// Tuning was pinned via `set_window_tuning`; never calibrate.
-    forced: bool,
-    calibrated: bool,
-    sample_ns: u64,
-    sample_cycles: u64,
-    samples: u32,
-}
-
-impl SpawnTuner {
-    pub(super) fn force(&mut self) {
-        self.forced = true;
-    }
 }
 
 impl Network {
@@ -158,15 +131,8 @@ impl Network {
         );
         let len = end - start;
         let record = self.obs.wants(Category::Hop);
-        let calibrating = self.window_workers > 1 && !self.tuner.forced && !self.tuner.calibrated;
-        let threaded = self.window_workers > 1 && !calibrating && len >= self.window_spawn_min;
-        if calibrating {
-            let t0 = Instant::now();
-            self.run_lanes(start + 1, end, record, false);
-            self.note_inline_sample(t0.elapsed(), len);
-        } else {
-            self.run_lanes(start + 1, end, record, threaded);
-        }
+        let threaded = self.window_workers > 1 && len >= self.window_spawn_min;
+        self.run_lanes(start + 1, end, record, threaded);
         self.win_stats.windows += 1;
         self.win_stats.cycles += len;
         if threaded {
@@ -181,38 +147,6 @@ impl Network {
         #[cfg(debug_assertions)]
         self.check_invariants();
         len
-    }
-
-    /// Feeds one timed inline window into the tuner; once enough
-    /// samples accumulate, probes the worker-pool cost and fixes the
-    /// spawn threshold at the measured break-even window length.
-    fn note_inline_sample(&mut self, dt: Duration, cycles: u64) {
-        let t = &mut self.tuner;
-        t.sample_ns += u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-        t.sample_cycles += cycles;
-        t.samples += 1;
-        if t.samples < CALIBRATION_WINDOWS {
-            return;
-        }
-        let workers = self.window_workers as u64;
-        let mut spawn_ns = u64::MAX;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(|| {});
-                }
-            });
-            spawn_ns = spawn_ns.min(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        let ns_per_cycle = (t.sample_ns / t.sample_cycles.max(1)).max(1);
-        // Threading a window of W cycles saves about
-        // W × ns_per_cycle × (1 − 1/workers) and costs spawn_ns;
-        // break even where they meet.
-        let gain_per_cycle = (ns_per_cycle * (workers - 1) / workers).max(1);
-        self.window_spawn_min =
-            (spawn_ns / gain_per_cycle).clamp(SPAWN_MIN_RANGE.0, SPAWN_MIN_RANGE.1);
-        t.calibrated = true;
     }
 
     /// Lower-bounds the earliest future cycle at which a coupling event

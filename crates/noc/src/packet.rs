@@ -6,8 +6,7 @@
 //! flits (§3.2); control messages (requests, tag probes, acks) are single
 //! head-tail flits.
 
-use nim_types::codec::{ByteReader, ByteWriter, CodecError};
-use nim_types::{Coord, Cycle, PacketId, PillarId};
+use nim_types::{codec_enum, codec_struct, Coord, Cycle, PacketId, PillarId};
 
 /// Position of a flit within its packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,6 +20,8 @@ pub enum FlitKind {
     /// Single-flit packet: head and tail at once.
     HeadTail,
 }
+
+codec_enum!(FlitKind, "bad flit kind tag" { 0 => Head, 1 => Body, 2 => Tail, 3 => HeadTail });
 
 impl FlitKind {
     /// Whether this flit performs head duties (VC allocation).
@@ -61,6 +62,8 @@ pub enum TrafficClass {
     /// L1 coherence traffic (invalidations, directory updates).
     Coherence,
 }
+
+codec_enum!(TrafficClass, "bad traffic class tag" { 0 => Control, 1 => Data, 2 => Migration, 3 => Coherence });
 
 impl TrafficClass {
     /// All classes, for dense indexing.
@@ -129,6 +132,20 @@ pub struct Flit {
     /// only is meaningful) — the vertical-arbitration share of latency.
     pub bus_wait: u32,
 }
+
+codec_struct!(Flit {
+    pkt,
+    kind,
+    src,
+    dst,
+    via,
+    class,
+    token,
+    injected,
+    arrived,
+    hops,
+    bus_wait
+});
 
 impl Flit {
     /// Filler for arena slots no live flit occupies.
@@ -292,6 +309,15 @@ pub struct SendRequest {
     pub token: u64,
 }
 
+codec_struct!(SendRequest {
+    src,
+    dst,
+    via,
+    class,
+    flits,
+    token
+});
+
 /// A packet that reached its destination's local port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Delivered {
@@ -319,62 +345,23 @@ pub struct Delivered {
     pub bus_wait: u32,
 }
 
-pub(crate) fn save_coord(w: &mut ByteWriter, c: Coord) {
-    w.u8(c.x);
-    w.u8(c.y);
-    w.u8(c.layer);
-}
-
-pub(crate) fn restore_coord(r: &mut ByteReader<'_>) -> Result<Coord, CodecError> {
-    Ok(Coord::new(r.u8()?, r.u8()?, r.u8()?))
-}
-
-pub(crate) fn restore_class(r: &mut ByteReader<'_>) -> Result<TrafficClass, CodecError> {
-    TrafficClass::ALL
-        .get(usize::from(r.u8()?))
-        .copied()
-        .ok_or(CodecError::Corrupt("bad traffic class tag"))
-}
+codec_struct!(Delivered {
+    packet,
+    src,
+    dst,
+    class,
+    token,
+    injected,
+    delivered,
+    hops,
+    bus_wait
+});
 
 impl Delivered {
     /// End-to-end packet latency in cycles (injection to tail ejection).
     #[inline]
     pub fn latency(&self) -> u64 {
         self.delivered - self.injected
-    }
-
-    /// Serializes this record for a snapshot (mirror of
-    /// [`Delivered::restore`]).
-    pub fn save(&self, w: &mut ByteWriter) {
-        w.u64(self.packet.0);
-        save_coord(w, self.src);
-        save_coord(w, self.dst);
-        w.u8(self.class.index() as u8);
-        w.u64(self.token);
-        w.u64(self.injected.0);
-        w.u64(self.delivered.0);
-        w.u16(self.hops);
-        w.u32(self.bus_wait);
-    }
-
-    /// Reads a record written by [`Delivered::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncated bytes or an unknown
-    /// traffic-class tag.
-    pub fn restore(r: &mut ByteReader<'_>) -> Result<Delivered, CodecError> {
-        Ok(Delivered {
-            packet: PacketId(r.u64()?),
-            src: restore_coord(r)?,
-            dst: restore_coord(r)?,
-            class: restore_class(r)?,
-            token: r.u64()?,
-            injected: Cycle(r.u64()?),
-            delivered: Cycle(r.u64()?),
-            hops: r.u16()?,
-            bus_wait: r.u32()?,
-        })
     }
 }
 

@@ -40,6 +40,8 @@ pub(crate) struct Hold {
     pub vc: u8,
 }
 
+nim_types::codec_struct!(Hold { pkt, in_dir, vc });
+
 /// Mask position of VC `vc` of input port `in_dir`.
 #[inline]
 pub(crate) fn vc_bit(in_dir: usize, vc: usize) -> usize {

@@ -41,6 +41,21 @@ pub struct NetworkStats {
     pub latency_histogram: LatencyHistogram,
 }
 
+nim_types::codec_struct!(NetworkStats {
+    packets_sent,
+    packets_delivered,
+    total_latency,
+    max_latency,
+    total_hops,
+    flit_hops,
+    flit_hops_by_class,
+    delivered_by_class,
+    latency_by_class,
+    bus_transfers,
+    switch_contention,
+    latency_histogram
+});
+
 impl NetworkStats {
     /// Mean end-to-end packet latency in cycles.
     pub fn avg_latency(&self) -> f64 {

@@ -83,6 +83,17 @@ impl fmt::Display for Category {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CategoryMask(u16);
 
+impl nim_types::Codec for CategoryMask {
+    fn put(&self, w: &mut nim_types::ByteWriter) {
+        self.0.put(w);
+    }
+
+    /// Bits above the known categories are dropped, not rejected.
+    fn get(r: &mut nim_types::ByteReader<'_>) -> Result<Self, nim_types::CodecError> {
+        Ok(CategoryMask::from_bits(u16::get(r)?))
+    }
+}
+
 impl CategoryMask {
     /// Every category enabled.
     pub const ALL: CategoryMask = CategoryMask((1 << 10) - 1);

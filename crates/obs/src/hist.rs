@@ -27,6 +27,8 @@ pub struct LatencyHistogram {
     buckets: [u64; 16],
 }
 
+nim_types::codec_struct!(LatencyHistogram { buckets });
+
 impl LatencyHistogram {
     /// Records one latency sample.
     pub fn record(&mut self, latency: u64) {
@@ -37,11 +39,6 @@ impl LatencyHistogram {
     /// The raw bucket counts.
     pub fn buckets(&self) -> &[u64; 16] {
         &self.buckets
-    }
-
-    /// Rebuilds a histogram from raw bucket counts (snapshot restore).
-    pub fn from_buckets(buckets: [u64; 16]) -> Self {
-        Self { buckets }
     }
 
     /// Total samples recorded.

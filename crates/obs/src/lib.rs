@@ -78,6 +78,14 @@ pub struct ObsConfig {
     pub txn_sample: u64,
 }
 
+nim_types::codec_struct!(ObsConfig {
+    trace,
+    trace_capacity,
+    mask,
+    sample_every,
+    txn_sample
+});
+
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {

@@ -17,6 +17,8 @@ pub enum Metric {
     Histogram(LatencyHistogram),
 }
 
+nim_types::codec_enum!(Metric, "bad metric tag" { 0 => Counter(v), 1 => Gauge(v), 2 => Histogram(h) });
+
 impl Metric {
     /// The metric as a scalar for sampling (histograms report count).
     pub fn scalar(&self) -> f64 {

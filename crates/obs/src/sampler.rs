@@ -17,6 +17,12 @@ pub struct SampleRow {
     pub values: Vec<f64>,
 }
 
+nim_types::codec_struct!(SampleRow {
+    cycle,
+    wall_secs,
+    values
+});
+
 /// Snapshots named scalar series every N cycles.
 ///
 /// Columns are registered lazily on first use, so callers just report

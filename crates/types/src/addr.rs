@@ -18,6 +18,8 @@ use crate::id::{BankId, ClusterId};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(pub u64);
 
+crate::codec_struct!(Address { 0 });
+
 impl Address {
     /// The cache-line address containing this byte, for `line_bytes`-byte
     /// lines (`line_bytes` must be a power of two).
@@ -53,6 +55,8 @@ impl From<u64> for Address {
 /// from being mixed.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
+
+crate::codec_struct!(LineAddr { 0 });
 
 impl LineAddr {
     /// The first byte address of this line, for `line_bytes`-byte lines.

@@ -23,12 +23,30 @@
 //!   a mismatch means a field was added on one side only and surfaces
 //!   as [`CodecError::Corrupt`] rather than silent state skew.
 //!
-//! The [`Checkpoint`] trait is the seam each crate implements for its
-//! live state: `save` appends to a writer, `restore` rebuilds in place
-//! from a reader positioned at the matching bytes.
+//! Above the primitives sit two traits. [`Codec`] is a value with one
+//! image — `put` appends it, `get` reads it back — implemented here for
+//! the primitives and the standard containers, and for every plain-data
+//! type by one [`codec_struct!`](crate::codec_struct) or
+//! [`codec_enum!`](crate::codec_enum) field list beside its definition,
+//! so the two directions cannot disagree. [`Checkpoint`] is the seam for
+//! components restored *in place* into a freshly built scaffold (every
+//! `Codec` value is one); [`checkpoint_fields!`](crate::checkpoint_fields)
+//! generates it from a field list, and the containers whose restore
+//! checks shape against the rebuilt geometry write it by hand on top of
+//! `put` / `get`.
+//!
+//! Encodings: integers little-endian at their fixed width (`usize` as
+//! `u64`), `f64` as its bit pattern, `bool` and enum tags as one byte,
+//! `Option` as a presence byte plus the value, strings and sequences
+//! behind a checked `u32` length, arrays with no prefix, hash maps as a
+//! key-sorted sequence of pairs.
 
 use core::error::Error;
 use core::fmt;
+use core::hash::Hash;
+use std::collections::VecDeque;
+
+use crate::hash::FxHashMap;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NIMSNAP\0";
@@ -156,29 +174,20 @@ impl ByteWriter {
         self.u64(v as u64);
     }
 
-    /// Appends an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
+    /// Appends the `u32` length prefix of a string, sequence or map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` does not fit a `u32` — no simulator structure
+    /// comes near it.
+    pub fn len_prefix(&mut self, len: usize) {
+        self.u32(u32::try_from(len).expect("sequence too long for snapshot"));
     }
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.u32(u32::try_from(s.len()).expect("string too long for snapshot"));
+        self.len_prefix(s.len());
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self, vs: &[u64]) {
-        self.u32(u32::try_from(vs.len()).expect("slice too long for snapshot"));
-        for &v in vs {
-            self.u64(v);
-        }
     }
 
     /// Appends raw bytes with no length prefix.
@@ -347,17 +356,42 @@ impl<'a> ByteReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| CodecError::Corrupt("usize overflow"))
     }
 
-    /// Reads an `Option<u64>` written by [`ByteWriter::opt_u64`].
+    /// Reads the `u32` length prefix of a string, sequence or map and
+    /// bounds it by the bytes left: every element occupies at least one
+    /// byte, so a larger count is a truncated or corrupt image, caught
+    /// here before anything is allocated for it.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Corrupt`] on a bad presence byte.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(CodecError::Corrupt("bad option tag")),
+    /// [`CodecError::UnexpectedEof`] if the count exceeds
+    /// [`ByteReader::remaining`].
+    pub fn len_prefix(&mut self) -> Result<usize, CodecError> {
+        let len = self.u32()? as usize;
+        if len > self.remaining() {
+            return Err(CodecError::UnexpectedEof {
+                needed: len,
+                remaining: self.remaining(),
+            });
         }
+        Ok(len)
+    }
+
+    /// Reads a sequence that must hold exactly `len` elements — a table
+    /// whose size the rebuilt geometry fixes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Corrupt`]`(what)` on any other length.
+    pub fn seq_of_len<T: Codec>(
+        &mut self,
+        len: usize,
+        what: &'static str,
+    ) -> Result<Vec<T>, CodecError> {
+        let seq = Vec::<T>::get(self)?;
+        if seq.len() != len {
+            return Err(CodecError::Corrupt(what));
+        }
+        Ok(seq)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -366,26 +400,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::Corrupt`] on invalid UTF-8.
     pub fn str(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
+        let len = self.len_prefix()?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Corrupt("invalid UTF-8"))
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::UnexpectedEof`] if the input is shorter than the
-    /// declared length.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, CodecError> {
-        let len = self.u32()? as usize;
-        if self.remaining() < len.saturating_mul(8) {
-            return Err(CodecError::UnexpectedEof {
-                needed: len * 8,
-                remaining: self.remaining(),
-            });
-        }
-        (0..len).map(|_| self.u64()).collect()
     }
 
     /// Opens the next section, checking its tag and version ceiling.
@@ -446,9 +463,140 @@ impl SectionReader<'_> {
     }
 }
 
+/// A value with exactly one image: `put` appends it, `get` reads it
+/// back. Implement it with [`codec_struct!`](crate::codec_struct) or
+/// [`codec_enum!`](crate::codec_enum) beside the type's definition.
+pub trait Codec: Sized {
+    /// Appends this value's image to `w`.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads one value from `r`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] if the bytes are truncated or corrupt.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+}
+
+/// The primitives: `ByteWriter` / `ByteReader` name their methods after
+/// the type they carry.
+macro_rules! codec_primitive {
+    ($($t:ident),*) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut ByteWriter) {
+                w.$t(*self);
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+codec_primitive!(u8, u16, u32, u64, i64, f64, bool, usize);
+
+impl Codec for String {
+    fn put(&self, w: &mut ByteWriter) {
+        w.str(self);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        r.str()
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(CodecError::Corrupt("bad option tag")),
+        }
+    }
+}
+
+/// Length-prefixed sequences.
+macro_rules! codec_sequence {
+    ($($seq:ident),*) => {$(
+        impl<T: Codec> Codec for $seq<T> {
+            fn put(&self, w: &mut ByteWriter) {
+                w.len_prefix(self.len());
+                for v in self {
+                    v.put(w);
+                }
+            }
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                (0..r.len_prefix()?).map(|_| T::get(r)).collect()
+            }
+        }
+    )*};
+}
+codec_sequence!(Vec, VecDeque);
+
+/// Arrays carry no prefix: their length is part of the type.
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    fn put(&self, w: &mut ByteWriter) {
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let mut a = [T::default(); N];
+        for v in &mut a {
+            *v = T::get(r)?;
+        }
+        Ok(a)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// Hash maps iterate in arbitrary order, so the image is the key-sorted
+/// sequence of `(key, value)` pairs.
+impl<K: Codec + Ord + Hash, V: Codec> Codec for FxHashMap<K, V> {
+    fn put(&self, w: &mut ByteWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        w.len_prefix(entries.len());
+        for (k, v) in entries {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        (0..r.len_prefix()?)
+            .map(|_| Ok((K::get(r)?, V::get(r)?)))
+            .collect()
+    }
+}
+
 /// The checkpoint seam every stateful component implements: `save`
 /// appends the component's live state, `restore` rebuilds it in place
-/// from the matching bytes on a freshly constructed component.
+/// from the matching bytes on a freshly constructed component. Every
+/// [`Codec`] value is a component whose restore replaces it whole.
 pub trait Checkpoint {
     /// Serializes live state into `w`.
     fn save(&self, w: &mut ByteWriter);
@@ -460,6 +608,149 @@ pub trait Checkpoint {
     /// Returns a [`CodecError`] if the bytes are truncated, corrupt, or
     /// from an unsupported version.
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError>;
+}
+
+impl<T: Codec> Checkpoint for T {
+    fn save(&self, w: &mut ByteWriter) {
+        self.put(w);
+    }
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        *self = T::get(r)?;
+        Ok(())
+    }
+}
+
+/// Saves a fixed population of components (banks, clusters, cores)
+/// behind its count.
+pub fn save_each<T: Checkpoint>(items: &[T], w: &mut ByteWriter) {
+    w.len_prefix(items.len());
+    for item in items {
+        item.save(w);
+    }
+}
+
+/// Restores a population written by [`save_each`] into the components
+/// the scaffold already built.
+///
+/// # Errors
+///
+/// [`CodecError::Corrupt`]`(what)` if the image holds a different
+/// count, plus whatever a component's restore returns.
+pub fn restore_each<T: Checkpoint>(
+    items: &mut [T],
+    r: &mut ByteReader<'_>,
+    what: &'static str,
+) -> Result<(), CodecError> {
+    if r.u32()? as usize != items.len() {
+        return Err(CodecError::Corrupt(what));
+    }
+    items.iter_mut().try_for_each(|item| item.restore(r))
+}
+
+/// Checks the [`Codec`] laws on one value, for tests: its image decodes
+/// — consuming every byte — to a value with the same image, and every
+/// strict prefix of the image fails with [`CodecError::UnexpectedEof`].
+/// Returns the decoded value for types that can also compare it.
+///
+/// # Panics
+///
+/// Panics, naming the law, when one is broken.
+pub fn assert_laws<T: Codec>(x: &T) -> T {
+    let image = |v: &T| {
+        let mut w = ByteWriter::new();
+        v.put(&mut w);
+        w.into_bytes()
+    };
+    let bytes = image(x);
+    let mut r = ByteReader::new(&bytes);
+    let back = T::get(&mut r).expect("a value's own image decodes");
+    assert_eq!(r.remaining(), 0, "get consumes exactly what put wrote");
+    assert_eq!(image(&back), bytes, "get(put(x)) has the image of x");
+    for cut in 0..bytes.len() {
+        match T::get(&mut ByteReader::new(&bytes[..cut])) {
+            Err(CodecError::UnexpectedEof { .. }) => {}
+            Err(e) => panic!("prefix of {cut} bytes: {e}, not UnexpectedEof"),
+            Ok(_) => panic!("prefix of {cut} bytes decoded"),
+        }
+    }
+    back
+}
+
+/// Implements [`Codec`] for a struct from its field list, in image
+/// order: `codec_struct!(Flit { pkt, kind, src })`. Tuple structs name
+/// their fields by position: `codec_struct!(LineAddr { 0 })`.
+#[macro_export]
+macro_rules! codec_struct {
+    ($t:ty { $($f:tt),* $(,)? }) => {
+        impl $crate::codec::Codec for $t {
+            fn put(&self, w: &mut $crate::codec::ByteWriter) {
+                $($crate::codec::Codec::put(&self.$f, w);)*
+            }
+            fn get(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(Self { $($f: $crate::codec::Codec::get(r)?,)* })
+            }
+        }
+    };
+}
+
+/// Implements [`Codec`] for an enum as a one-byte tag plus the
+/// variant's fields in order; an unknown tag is
+/// [`CodecError::Corrupt`] with the given message. Variants may be
+/// units, tuples or structs:
+/// `codec_enum!(T, "bad T tag" { 0 => A, 1 => B(x), 2 => C { y, z } })`.
+#[macro_export]
+macro_rules! codec_enum {
+    ($t:ty, $what:literal {
+        $($tag:literal => $v:ident $(($($p:ident),*))? $({ $($f:ident),* })?),* $(,)?
+    }) => {
+        impl $crate::codec::Codec for $t {
+            fn put(&self, w: &mut $crate::codec::ByteWriter) {
+                match self {$(
+                    Self::$v $(($($p),*))? $({ $($f),* })? => {
+                        w.u8($tag);
+                        $($($crate::codec::Codec::put($p, w);)*)?
+                        $($($crate::codec::Codec::put($f, w);)*)?
+                    }
+                )*}
+            }
+            fn get(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                match r.u8()? {
+                    $($tag => Ok(Self::$v
+                        $(($({
+                            let $p = $crate::codec::Codec::get(r)?;
+                            $p
+                        }),*))?
+                        $({ $($f: $crate::codec::Codec::get(r)?),* })?),)*
+                    _ => Err($crate::codec::CodecError::Corrupt($what)),
+                }
+            }
+        }
+    };
+}
+
+/// Implements [`Checkpoint`] for a component from the list of its live
+/// fields, in image order; each field is itself a [`Checkpoint`] (any
+/// [`Codec`] value is) and is restored in place.
+#[macro_export]
+macro_rules! checkpoint_fields {
+    ($t:ty { $($f:tt),* $(,)? }) => {
+        impl $crate::codec::Checkpoint for $t {
+            fn save(&self, w: &mut $crate::codec::ByteWriter) {
+                $($crate::codec::Checkpoint::save(&self.$f, w);)*
+            }
+            fn restore(
+                &mut self,
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<(), $crate::codec::CodecError> {
+                $($crate::codec::Checkpoint::restore(&mut self.$f, r)?;)*
+                Ok(())
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -478,10 +769,10 @@ mod tests {
         w.bool(true);
         w.bool(false);
         w.usize(99);
-        w.opt_u64(Some(8));
-        w.opt_u64(None);
+        Some(8u64).put(&mut w);
+        None::<u64>.put(&mut w);
         w.str("hello");
-        w.u64_slice(&[1, 2, 3]);
+        vec![1u64, 2, 3].put(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -493,10 +784,10 @@ mod tests {
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.usize().unwrap(), 99);
-        assert_eq!(r.opt_u64().unwrap(), Some(8));
-        assert_eq!(r.opt_u64().unwrap(), None);
+        assert_eq!(Option::<u64>::get(&mut r).unwrap(), Some(8));
+        assert_eq!(Option::<u64>::get(&mut r).unwrap(), None);
         assert_eq!(r.str().unwrap(), "hello");
-        assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
+        assert_eq!(Vec::<u64>::get(&mut r).unwrap(), vec![1, 2, 3]);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -572,7 +863,7 @@ mod tests {
     fn truncation_is_detected() {
         let mut w = ByteWriter::new();
         let s = w.begin_section("cores", 1);
-        w.u64_slice(&[1, 2, 3, 4]);
+        vec![1u64, 2, 3, 4].put(&mut w);
         w.end_section(s);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
@@ -581,7 +872,7 @@ mod tests {
                 Err(_) => {}
                 Ok(mut sec) => {
                     // The section parsed but the body must fail.
-                    assert!(sec.reader.u64_vec().is_err() || cut == bytes.len());
+                    assert!(Vec::<u64>::get(&mut sec.reader).is_err() || cut == bytes.len());
                 }
             }
         }
@@ -594,6 +885,9 @@ mod tests {
         let mut r = ByteReader::new(&[5, 0, 0, 0, b'a']);
         assert!(r.str().is_err(), "declared length past the end");
         let mut r = ByteReader::new(&[0xff, 0xff, 0xff, 0xff]);
-        assert!(r.u64_vec().is_err(), "absurd length must not allocate");
+        assert!(
+            Vec::<u64>::get(&mut r).is_err(),
+            "absurd length must not allocate"
+        );
     }
 }

@@ -103,6 +103,14 @@ pub struct L1Config {
     pub write_through: bool,
 }
 
+crate::codec_struct!(L1Config {
+    bytes,
+    ways,
+    line_bytes,
+    latency,
+    write_through
+});
+
 impl L1Config {
     /// Number of sets.
     pub const fn sets(&self) -> u32 {
@@ -146,6 +154,16 @@ pub struct L2Config {
     /// Access latency of a cluster tag array in cycles.
     pub tag_latency: u32,
 }
+
+crate::codec_struct!(L2Config {
+    clusters,
+    banks_per_cluster,
+    bank_bytes,
+    ways,
+    line_bytes,
+    bank_latency,
+    tag_latency
+});
 
 impl L2Config {
     /// Total L2 capacity in bytes.
@@ -233,6 +251,8 @@ pub enum PillarPlacement {
     Diagonal,
 }
 
+crate::codec_enum!(PillarPlacement, "bad placement tag" { 0 => Spread, 1 => Corners, 2 => Diagonal });
+
 impl PillarPlacement {
     /// Every placement strategy, in sweep order.
     pub const ALL: [PillarPlacement; 3] = [
@@ -292,6 +312,19 @@ pub struct NetworkConfig {
     pub vc_depth_flits: u32,
 }
 
+crate::codec_struct!(NetworkConfig {
+    layers,
+    pillars,
+    pillar_placement,
+    flit_bits,
+    bus_width_bits,
+    data_packet_flits,
+    control_packet_flits,
+    router_latency,
+    vcs_per_port,
+    vc_depth_flits
+});
+
 impl NetworkConfig {
     /// Bits carried by one data packet.
     pub const fn data_packet_bits(&self) -> u32 {
@@ -347,6 +380,17 @@ pub struct SystemConfig {
     /// Network parameters.
     pub network: NetworkConfig,
 }
+
+crate::codec_struct!(SystemConfig {
+    num_cpus,
+    issue_width,
+    l1,
+    l2,
+    memory_latency,
+    memory_controllers,
+    memory_interval,
+    network
+});
 
 impl Default for SystemConfig {
     fn default() -> Self {

@@ -21,6 +21,8 @@ pub struct Coord {
     pub layer: u8,
 }
 
+crate::codec_struct!(Coord { x, y, layer });
+
 impl Coord {
     /// Creates a coordinate.
     ///

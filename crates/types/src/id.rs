@@ -15,6 +15,8 @@ macro_rules! define_id {
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $repr);
 
+        crate::codec_struct!($name { 0 });
+
         impl $name {
             /// Returns the raw index value.
             #[inline]

@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use addr::{Address, LineAddr};
 pub use bitset::{bits, IdSet};
-pub use codec::{ByteReader, ByteWriter, Checkpoint, CodecError};
+pub use codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, PillarPlacement, SystemConfig};
 pub use geom::{Coord, Dir};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

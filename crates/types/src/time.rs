@@ -20,6 +20,8 @@ use core::ops::{Add, AddAssign, Sub};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
+crate::codec_struct!(Cycle { 0 });
+
 impl Cycle {
     /// Time zero.
     pub const ZERO: Cycle = Cycle(0);

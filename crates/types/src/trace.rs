@@ -17,6 +17,8 @@ pub enum AccessKind {
     IFetch,
 }
 
+crate::codec_enum!(AccessKind, "bad access kind tag" { 0 => Read, 1 => Write, 2 => IFetch });
+
 /// One memory reference, preceded by a burst of non-memory instructions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceOp {
@@ -28,6 +30,8 @@ pub struct TraceOp {
     /// Byte address accessed.
     pub addr: Address,
 }
+
+crate::codec_struct!(TraceOp { gap, kind, addr });
 
 #[cfg(test)]
 mod tests {

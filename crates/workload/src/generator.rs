@@ -130,6 +130,12 @@ pub struct GeneratorCursor {
     pub thread_ops: Vec<u64>,
 }
 
+nim_types::codec_struct!(GeneratorCursor {
+    rotation,
+    ops_until_rotate,
+    thread_ops
+});
+
 /// Where a [`TraceSource`] stands, for snapshot/resume.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceCursor {
@@ -140,6 +146,8 @@ pub enum TraceCursor {
     /// Per-CPU counts of references a replay trace has already served.
     Replay(Vec<u64>),
 }
+
+nim_types::codec_enum!(TraceCursor, "bad cursor tag" { 0 => None, 1 => Generator(c), 2 => Replay(consumed) });
 
 /// Anything that can feed per-CPU reference streams to the simulator:
 /// the synthetic [`TraceGenerator`], a [`ReplayTrace`](crate::ReplayTrace)

@@ -119,3 +119,24 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    /// The `Codec` laws on the workload cursors a snapshot's `WKLD`
+    /// section carries.
+    #[test]
+    fn cursors_obey_the_codec_laws(
+        variant in 0u8..3,
+        (rotation, ops_until_rotate) in (any::<u64>(), any::<u64>()),
+        counts in proptest::collection::vec(any::<u64>(), 0..9),
+    ) {
+        use nim_workload::{GeneratorCursor, TraceCursor};
+        let generator = GeneratorCursor { rotation, ops_until_rotate, thread_ops: counts.clone() };
+        prop_assert_eq!(nim_types::codec::assert_laws(&generator), generator.clone());
+        let cursor = match variant {
+            0 => TraceCursor::None,
+            1 => TraceCursor::Generator(generator),
+            _ => TraceCursor::Replay(counts),
+        };
+        prop_assert_eq!(nim_types::codec::assert_laws(&cursor), cursor);
+    }
+}

@@ -91,7 +91,7 @@ SNAPSHOT / RESUME (run only):
     --resume <path>           reconstruct a checkpointed run and carry it
                               to completion; scheme/benchmark/topology
                               flags are ignored (the image records them),
-                              but --shards <n> re-cuts the resumed
+                              but --shards <n|auto> re-cuts the resumed
                               network (snapshots are shard-agnostic)
 
 OBSERVABILITY (run only; all off by default):
@@ -319,9 +319,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if opts.snapshot_every > 0 && opts.snapshot_out.is_none() {
         return Err("--snapshot-every needs --snapshot-out".into());
     }
-    if opts.resume.is_some() && opts.shards == Some(ShardArg::Auto) {
-        return Err("--resume takes an explicit --shards count, not 'auto'".into());
-    }
     if let Some(ShardArg::Count(n)) = opts.shards {
         if opts.resume.is_none() {
             validate_shards(n, &opts.effective_config())?;
@@ -367,10 +364,13 @@ fn run_checkpointed(
 /// completion; the image records the scheme, benchmark, topology, and
 /// observability, so only `--shards` applies.
 fn run_resumed(opts: &Options, path: &str) -> Result<(), Box<dyn Error>> {
-    let shards = match opts.shards {
-        Some(ShardArg::Count(n)) => Some(n),
-        _ => None,
-    };
+    // 'auto' asks for one shard per available core, as
+    // `SystemBuilder::shards_auto` does; the rebuilt network clamps the
+    // request to the largest count the image's topology supports.
+    let shards = opts.shards.map(|arg| match arg {
+        ShardArg::Count(n) => n,
+        ShardArg::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    });
     let mut resumed = SystemBuilder::resume(path, shards)?;
     let scheme = resumed.system().scheme();
     eprintln!(
@@ -931,12 +931,57 @@ mod tests {
         // A resumed network is re-cut from the image's topology, so the
         // flag-derived shard validation does not apply...
         assert!(parse_options(&args(&["--resume", "ckpt.nim", "--shards", "3"])).is_ok());
-        // ...but 'auto' needs a builder and is rejected up front.
-        assert!(
-            parse_options(&args(&["--resume", "ckpt.nim", "--shards", "auto"]))
-                .unwrap_err()
-                .contains("auto")
-        );
+        // ...and neither does 'auto', which the rebuilt network clamps.
+        let opts = parse_options(&args(&["--resume", "ckpt.nim", "--shards", "auto"])).unwrap();
+        assert_eq!(opts.shards, Some(ShardArg::Auto));
+    }
+
+    /// A paused default-scheme run's image, written to a scratch file.
+    /// `generator_driven: false` records no generator position, as a
+    /// replay-trace or custom-source run would.
+    fn write_image(name: &str, generator_driven: bool) -> String {
+        struct NoCursor;
+        impl network_in_memory::workload::TraceSource for NoCursor {
+            fn next_for(
+                &mut self,
+                _: network_in_memory::types::CpuId,
+            ) -> Option<network_in_memory::types::TraceOp> {
+                None
+            }
+        }
+        let mut system = SystemBuilder::new(Scheme::CmpDnuca3d)
+            .warmup_transactions(20)
+            .sampled_transactions(200)
+            .build()
+            .unwrap();
+        let mut gen = system.begin(&BenchmarkProfile::synthetic());
+        assert!(system.run_until(&mut gen, 50).unwrap().is_none());
+        let image = if generator_driven {
+            system.snapshot(&gen)
+        } else {
+            system.snapshot(&NoCursor)
+        };
+        let path = std::env::temp_dir().join(format!("nim-{}-{name}.img", std::process::id()));
+        std::fs::write(&path, image.unwrap()).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn resume_honours_shards_auto() {
+        let path = write_image("auto", true);
+        let opts = parse_options(&args(&["--resume", &path, "--shards", "auto"])).unwrap();
+        let result = run_resumed(&opts, &path);
+        std::fs::remove_file(&path).unwrap();
+        result.unwrap();
+    }
+
+    #[test]
+    fn resuming_an_image_without_a_generator_is_an_error_not_a_panic() {
+        let path = write_image("nogen", false);
+        let opts = parse_options(&args(&["--resume", &path])).unwrap();
+        let result = run_resumed(&opts, &path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(result.unwrap_err().to_string().contains("generator"));
     }
 
     #[test]
