@@ -1,7 +1,7 @@
 //! Configuration and assembly of a [`System`].
 //!
 //! The builder is where the scheme stops mattering: it resolves the
-//! [`Scheme`] into a concrete [`ProtocolPolicy`](crate::policy), builds
+//! [`Scheme`] into a [`Policy`](crate::policy) row, builds
 //! the [`Engine`](crate::protocol::Engine) around it, and wires the real
 //! [`SimFabric`](crate::fabric::SimFabric) underneath. After `build()`,
 //! nothing in the simulation dispatches on `Scheme` again.
@@ -11,17 +11,17 @@ use nim_coherence::{Directory, WritePolicy};
 use nim_cpu::InOrderCore;
 use nim_noc::{Network, VerticalMode};
 use nim_obs::Obs;
-use nim_topology::{ChipLayout, MeshTopology, TopoSpec};
+use nim_topology::{ChipLayout, TopoSpec};
 use nim_types::{FxHashMap, PillarPlacement, SystemConfig};
 
 use crate::error::BuildError;
 use crate::fabric::{FabricKind, LatencyModel, SimFabric};
-use crate::policy::{policy_for, PolicyKnobs};
+use crate::policy::{MemoryRoute, Policy};
 use crate::protocol::Engine;
 use crate::report::Counters;
 use crate::scheme::Scheme;
 use crate::system::{SampleBuf, System};
-use crate::timing::{Banks, MemoryChannels, TagArrays};
+use crate::timing::Ports;
 use crate::txn::TxnTable;
 
 /// Configures and creates a [`System`].
@@ -354,38 +354,27 @@ impl SystemBuilder {
             .iter()
             .map(|s| InOrderCore::new(s.cpu, &cfg.l1))
             .collect();
-        let policy = policy_for(
+        let policy = Policy::new(
             recipe.scheme,
-            PolicyKnobs {
-                vicinity_stop: recipe.vicinity_stop,
-                replication: recipe.replication,
-                edge_memory: recipe.edge_memory,
-                memory_latency: u64::from(cfg.memory_latency),
+            recipe.vicinity_stop,
+            recipe.replication,
+            if recipe.edge_memory {
+                MemoryRoute::EdgeControllers
+            } else {
+                MemoryRoute::Flat {
+                    latency: u64::from(cfg.memory_latency),
+                }
             },
         );
-        let model = match recipe.fabric {
-            FabricKind::Sim => None,
-            FabricKind::LatencyTable => Some(LatencyModel::latency_table(
-                MeshTopology::new(layout.clone(), cfg.network.router_latency),
-                &cfg.network,
-            )),
-            FabricKind::Ideal => Some(LatencyModel::ideal(
-                MeshTopology::new(layout.clone(), cfg.network.router_latency),
-                &cfg.network,
-            )),
-        };
+        let model = LatencyModel::new(recipe.fabric, &layout, &cfg.network);
         let fabric = SimFabric::new(
             net,
             model,
-            TagArrays::new(
+            Ports::of_chip(
+                &cfg,
                 layout.num_clusters() as usize,
-                u64::from(cfg.l2.tag_latency),
-            ),
-            Banks::new(layout.num_nodes(), u64::from(cfg.l2.bank_latency)),
-            MemoryChannels::new(
+                layout.num_nodes(),
                 cfg.memory_controllers as usize,
-                u64::from(cfg.memory_interval),
-                u64::from(cfg.memory_latency),
             ),
             self.obs.clone(),
         );

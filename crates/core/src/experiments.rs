@@ -29,7 +29,7 @@ use core::error::Error;
 use core::fmt;
 
 use nim_thermal::{ThermalConfig, ThermalModel};
-use nim_topology::{ChipLayout, Floorplan, PlacementPolicy, ShardPlan};
+use nim_topology::{ChipLayout, Floorplan, PlacementPolicy};
 use nim_types::{PillarPlacement, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
@@ -127,9 +127,10 @@ impl ExperimentScale {
 // ---------------------------------------------------------------------------
 
 /// One independent simulation cell of a sweep: a scheme, a benchmark, and
-/// optional configuration overrides. Cells are `Copy` descriptions — the
-/// system itself is built (and dropped) inside the worker that claims the
-/// cell, so nothing crosses threads but the spec and its [`RunReport`].
+/// optional configuration overrides (`None` keeps the builder's default).
+/// Cells are `Copy` descriptions — the system itself is built (and
+/// dropped) inside the worker that claims the cell, so nothing crosses
+/// threads but the spec and its [`RunReport`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepSpec {
     /// Scheme to simulate.
@@ -142,6 +143,16 @@ pub struct SweepSpec {
     pub pillars: Option<u16>,
     /// Power-of-two L2 capacity scale override (Fig. 16).
     pub l2_scale: Option<u32>,
+    /// CPU-count override.
+    pub cpus: Option<u32>,
+    /// Pillar-placement override.
+    pub placement: Option<PillarPlacement>,
+    /// Interconnect-substrate override.
+    pub fabric: Option<FabricKind>,
+    /// Network shard-count override. Changes how the cell executes,
+    /// never what it computes: cells differing only here must report
+    /// equal fingerprints.
+    pub shards: Option<usize>,
 }
 
 impl SweepSpec {
@@ -153,6 +164,10 @@ impl SweepSpec {
             layers: None,
             pillars: None,
             l2_scale: None,
+            cpus: None,
+            placement: None,
+            fabric: None,
+            shards: None,
         }
     }
 
@@ -188,6 +203,18 @@ impl SweepSpec {
         }
         if let Some(f) = self.l2_scale {
             b = b.l2_scale(f);
+        }
+        if let Some(n) = self.cpus {
+            b = b.cpus(n);
+        }
+        if let Some(p) = self.placement {
+            b = b.pillar_placement(p);
+        }
+        if let Some(k) = self.fabric {
+            b = b.fabric(k);
+        }
+        if let Some(n) = self.shards {
+            b = b.shards(n);
         }
         b
     }
@@ -256,7 +283,7 @@ pub fn run_cells_raw(
         leaders.iter().copied().zip(images.iter()).collect();
     par_map(specs, |i, spec| match image_of.get(&leader_of[i]) {
         Some(Ok(image)) => {
-            let mut resumed = SystemBuilder::resume_from(image, None)?;
+            let mut resumed = SystemBuilder::resume_from(image, spec.shards)?;
             Ok(resumed.finish()?)
         }
         Some(Err(e)) => Err(e.clone()),
@@ -606,170 +633,6 @@ pub fn sweep_design_space(
 }
 
 // ---------------------------------------------------------------------------
-// Scale sweep — simulator behavior and throughput across the
-// (layers × CPUs × L2 banks × pillar placement × fabric × shards) grid.
-// ---------------------------------------------------------------------------
-
-/// One cell description of a [`scale_sweep`]: a full topology + substrate
-/// selection. Cells are `Copy` specs; the system is built inside the
-/// worker that claims the cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScaleSpec {
-    /// Device layers.
-    pub layers: u8,
-    /// CPUs seated on the chip.
-    pub cpus: u32,
-    /// Power-of-two L2 capacity factor (scales banks per cluster).
-    pub l2_scale: u32,
-    /// Pillar placement strategy.
-    pub placement: PillarPlacement,
-    /// Interconnect substrate.
-    pub fabric: FabricKind,
-    /// Network shard count (must divide `layers`).
-    pub shards: usize,
-}
-
-impl ScaleSpec {
-    /// The paper's default cell: 2 layers, 8 CPUs, 16 MB L2, spread
-    /// pillars, the cycle-accurate fabric, sequential execution.
-    pub fn new() -> Self {
-        Self {
-            layers: 2,
-            cpus: 8,
-            l2_scale: 1,
-            placement: PillarPlacement::Spread,
-            fabric: FabricKind::Sim,
-            shards: 1,
-        }
-    }
-
-    /// Stable single-line label for sweep tables and CI logs.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!(
-            "layers={} cpus={} l2x{} {} {} shards={}",
-            self.layers,
-            self.cpus,
-            self.l2_scale,
-            self.placement.name(),
-            self.fabric.name(),
-            self.shards
-        )
-    }
-
-    /// The same cell with the shard count erased — cells that agree on
-    /// this key must produce bit-identical reports for any shard count.
-    #[must_use]
-    pub fn shard_invariant_key(&self) -> Self {
-        Self { shards: 1, ..*self }
-    }
-}
-
-impl Default for ScaleSpec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One completed cell of a [`scale_sweep`].
-#[derive(Clone, Debug)]
-pub struct ScaleCell {
-    /// The cell's spec.
-    pub spec: ScaleSpec,
-    /// Wall-clock seconds the run took inside its worker.
-    pub wall_secs: f64,
-    /// Simulated cycles per wall-clock second.
-    pub cycles_per_sec: f64,
-    /// [`RunReport::fingerprint`] — the determinism/equivalence gate.
-    pub fingerprint: u64,
-    /// The run's full report.
-    pub report: RunReport,
-}
-
-/// Runs one simulation per buildable spec across the configured worker
-/// threads, in spec order. Unbuildable cells (a topology the
-/// configuration rules reject, or a shard count that does not divide
-/// the cell's cluster-row count) come back as `None` so a sweep over a
-/// coarse grid degrades gracefully; run failures abort the sweep.
-///
-/// # Errors
-///
-/// Returns the first cell's [`ExperimentError::Run`] in cell order.
-pub fn scale_sweep(
-    scheme: Scheme,
-    bench: &BenchmarkProfile,
-    specs: &[ScaleSpec],
-    scale: ExperimentScale,
-) -> Result<Vec<Option<ScaleCell>>, ExperimentError> {
-    par_map(specs, |_, spec| {
-        if spec.shards > 1 {
-            let mut cfg = SystemConfig::default();
-            cfg.network.layers = spec.layers;
-            cfg.network.pillar_placement = spec.placement;
-            match ChipLayout::new(&cfg) {
-                Ok(layout) if ShardPlan::valid_counts(&layout).contains(&spec.shards) => {}
-                // A valid topology that cannot honour the count: skip
-                // the cell rather than silently clamping the request.
-                Ok(_) => return Ok(None),
-                // Unbuildable topology: let build() reject it below.
-                Err(_) => {}
-            }
-        }
-        let built = SystemBuilder::new(scheme)
-            .layers(spec.layers)
-            .cpus(spec.cpus)
-            .l2_scale(spec.l2_scale)
-            .pillar_placement(spec.placement)
-            .fabric(spec.fabric)
-            .shards(spec.shards)
-            .seed(scale.seed)
-            .warmup_transactions(scale.warmup)
-            .sampled_transactions(scale.sample)
-            .build();
-        let mut system = match built {
-            Ok(system) => system,
-            Err(_) => return Ok(None),
-        };
-        let start = std::time::Instant::now();
-        let report = system.run(bench).map_err(ExperimentError::from)?;
-        let wall_secs = start.elapsed().as_secs_f64();
-        Ok(Some(ScaleCell {
-            spec: *spec,
-            wall_secs,
-            cycles_per_sec: if wall_secs > 0.0 {
-                report.cycles as f64 / wall_secs
-            } else {
-                0.0
-            },
-            fingerprint: report.fingerprint(),
-            report,
-        }))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Checks the sharding invariant over a completed sweep: cells that
-/// differ only in shard count must have identical fingerprints. Returns
-/// the offending pair of labels on violation.
-///
-/// # Errors
-///
-/// Returns `(label_a, label_b)` of the first disagreeing pair.
-pub fn check_shard_invariance(cells: &[ScaleCell]) -> Result<(), (String, String)> {
-    for (i, a) in cells.iter().enumerate() {
-        for b in &cells[i + 1..] {
-            if a.spec.shard_invariant_key() == b.spec.shard_invariant_key()
-                && a.fingerprint != b.fingerprint
-            {
-                return Err((a.spec.label(), b.spec.label()));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Table 3 — thermal profile of the placement configurations.
 // ---------------------------------------------------------------------------
 
@@ -854,47 +717,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_sweep_skips_bad_cells_and_holds_the_shard_invariant() {
-        let bench = BenchmarkProfile::art();
+    fn raw_cells_report_bad_builds_and_hold_the_shard_invariant() {
+        let benchmarks = [BenchmarkProfile::art()];
         let scale = ExperimentScale {
             seed: 42,
             warmup: 50,
             sample: 400,
         };
-        let mk = |layers, fabric, shards| ScaleSpec {
-            layers,
-            fabric,
-            shards,
-            ..ScaleSpec::new()
+        let mk = |layers, fabric, shards| SweepSpec {
+            layers: Some(layers),
+            fabric: Some(fabric),
+            shards: Some(shards),
+            ..SweepSpec::new(Scheme::CmpDnuca3d, 0)
         };
         let specs = [
             mk(2, FabricKind::Sim, 1),
             mk(2, FabricKind::Sim, 2),
             mk(2, FabricKind::Sim, 4), // cluster-row cut, finer than layers
-            mk(2, FabricKind::Sim, 3), // 3 does not divide the 4 cluster rows
+            mk(16, FabricKind::Sim, 1), // rejected by config validation
             mk(4, FabricKind::LatencyTable, 1),
             mk(4, FabricKind::Ideal, 1),
-            mk(16, FabricKind::Sim, 1), // rejected by config validation
         ];
-        let cells = scale_sweep(Scheme::CmpDnuca3d, &bench, &specs, scale).expect("sweep runs");
+        let cells = run_cells_raw(&benchmarks, scale, &specs);
         assert_eq!(cells.len(), specs.len());
-        assert!(cells[0].is_some() && cells[1].is_some() && cells[2].is_some());
-        assert!(cells[3].is_none(), "non-divisor shard count is skipped");
-        assert!(cells[4].is_some() && cells[5].is_some());
-        assert!(cells[6].is_none(), "unbuildable topology is skipped");
-        let done: Vec<ScaleCell> = cells.into_iter().flatten().collect();
-        for c in &done {
-            assert!(
-                c.report.counters.l2_transactions == 400,
-                "{}",
-                c.spec.label()
-            );
-            assert!(c.cycles_per_sec > 0.0, "{}", c.spec.label());
-        }
+        assert!(
+            matches!(cells[3], Err(ExperimentError::Build(_))),
+            "unbuildable topology is a typed error: {:?}",
+            cells[3]
+        );
+        let fingerprint = |i: usize| {
+            let report = cells[i]
+                .as_ref()
+                .expect("neighbours of a bad cell complete");
+            assert_eq!(report.counters.l2_transactions, 400, "cell {i}");
+            report.fingerprint()
+        };
         // Cells 0-2 differ only in shard count: bit-identical.
-        assert_eq!(done[0].fingerprint, done[1].fingerprint);
-        assert_eq!(done[0].fingerprint, done[2].fingerprint);
-        check_shard_invariance(&done).expect("sharding is invisible");
+        assert_eq!(fingerprint(0), fingerprint(1));
+        assert_eq!(fingerprint(0), fingerprint(2));
+        assert_ne!(
+            fingerprint(4),
+            fingerprint(5),
+            "the fabric override applies"
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! through the [`Fabric`] trait. Two implementations exist:
 //!
 //! * [`SimFabric`] — the real thing: the cycle-accurate 3D NoC, the
-//!   timed-event heap, the contention-aware [`timing`](crate::timing)
-//!   models, and the observability handle.
+//!   timed-event [`DueQueue`], the contention-aware
+//!   [`timing`](crate::timing) ports, and the observability handle.
 //! * [`TestFabric`] — a recording double for unit tests: sends and
 //!   scheduled events land in inspectable queues, resource claims use
 //!   the same timing models, and no network is ever constructed.
@@ -18,16 +18,16 @@
 //! ([`FabricKind::LatencyTable`] / [`FabricKind::Ideal`]) without the
 //! protocol code changing.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use nim_noc::{zero_load_path, Network, SendRequest};
 use nim_obs::{Category, EventData, Obs};
-use nim_topology::{MeshTopology, Topology};
+use nim_topology::{ChipLayout, MeshTopology};
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::{ClusterId, Coord, Cycle, NetworkConfig, PacketId, PillarId};
 
-use crate::timing::{Banks, MemoryChannels, TagArrays};
+use crate::timing::Ports;
 use crate::token::{TimedEvent, Token};
 
 // Protocol code imports the passive message types through this seam so
@@ -142,7 +142,6 @@ impl std::fmt::Display for FabricKind {
 #[derive(Debug)]
 pub(crate) struct LatencyModel {
     topo: MeshTopology,
-    router_latency: u64,
     bus_k: u64,
     /// Earliest cycle each pillar's bus can issue its next grant. Empty
     /// in the ideal fabric, which models no contention at all.
@@ -150,64 +149,133 @@ pub(crate) struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// A latency-table model (pillar serialisation on) for `topo`.
-    pub(crate) fn latency_table(topo: MeshTopology, net: &NetworkConfig) -> Self {
-        let pillars = topo.num_pillars() as usize;
-        Self::build(topo, net, vec![0; pillars])
-    }
-
-    /// An ideal contention-free model for `topo`.
-    pub(crate) fn ideal(topo: MeshTopology, net: &NetworkConfig) -> Self {
-        Self::build(topo, net, Vec::new())
-    }
-
-    fn build(topo: MeshTopology, net: &NetworkConfig, ready_at: Vec<u64>) -> Self {
-        Self {
-            topo,
-            router_latency: u64::from(net.router_latency),
+    /// The model behind `kind`; `None` for the flit-level network.
+    pub(crate) fn new(kind: FabricKind, layout: &ChipLayout, net: &NetworkConfig) -> Option<Self> {
+        let serialised_pillars = match kind {
+            FabricKind::Sim => return None,
+            FabricKind::LatencyTable => layout.num_pillars() as usize,
+            FabricKind::Ideal => 0,
+        };
+        Some(Self {
+            topo: MeshTopology::new(layout.clone(), net.router_latency),
             bus_k: u64::from(net.bus_cycles_per_flit()),
-            ready_at,
-        }
+            ready_at: vec![0; serialised_pillars],
+        })
     }
 }
 
-/// A delivery synthesized by the [`LatencyModel`], ordered by
-/// `(due, seq)` so same-cycle deliveries pop in send order — the same
-/// tie-break the timed-event heap uses.
+/// One queued item with its key. Ordered by `(due, seq)` alone — the
+/// key is unique, so the item never decides an order — and reversed, so
+/// `BinaryHeap`'s max is the earliest entry.
 #[derive(Debug)]
-struct Modeled {
+struct Due<T> {
     due: u64,
     seq: u64,
-    delivery: Delivered,
+    item: T,
 }
 
-nim_types::codec_struct!(Modeled { due, seq, delivery });
-
-impl PartialEq for Modeled {
+impl<T> PartialEq for Due<T> {
     fn eq(&self, other: &Self) -> bool {
         (self.due, self.seq) == (other.due, other.seq)
     }
 }
-impl Eq for Modeled {}
-impl PartialOrd for Modeled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<T> Eq for Due<T> {}
+impl<T> PartialOrd for Due<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Modeled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
+impl<T> Ord for Due<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.due, other.seq).cmp(&(self.due, self.seq))
     }
 }
 
-/// The real fabric: the 3D NoC, the timed-event heap, and the shared
-/// resource timing models, owned together so the run loop in
+/// A timed queue: items pop in due-cycle order, same-cycle items in
+/// push order (a sequence number breaks the tie). Serves both the
+/// timed-event queue and the modeled fabrics' delivery queue.
+#[derive(Debug)]
+pub(crate) struct DueQueue<T> {
+    heap: BinaryHeap<Due<T>>,
+    /// Sequence number of the latest push (the first push gets 1).
+    seq: u64,
+}
+
+impl<T> Default for DueQueue<T> {
+    fn default() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<T> DueQueue<T> {
+    /// Queues `item(seq)` for cycle `due`, where `seq` is the sequence
+    /// number this push is handed.
+    pub(crate) fn push(&mut self, due: u64, item: impl FnOnce(u64) -> T) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Due {
+            due,
+            seq,
+            item: item(seq),
+        });
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// The due cycle of the earliest queued item.
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        self.heap.peek().map(|e| e.due)
+    }
+
+    /// Pops the earliest item if it is due at or before `now`.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<T> {
+        if self.next_due()? > now {
+            return None;
+        }
+        self.heap.pop().map(|e| e.item)
+    }
+}
+
+/// The image is the entries as `(due, seq, item)` in ascending key
+/// order — heaps iterate in arbitrary order — then the sequence counter.
+impl<T: Codec> Codec for DueQueue<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        let mut entries: Vec<&Due<T>> = self.heap.iter().collect();
+        entries.sort_unstable_by_key(|e| (e.due, e.seq));
+        w.len_prefix(entries.len());
+        for e in entries {
+            e.due.put(w);
+            e.seq.put(w);
+            e.item.put(w);
+        }
+        self.seq.put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let heap = Vec::<(u64, u64, T)>::get(r)?
+            .into_iter()
+            .map(|(due, seq, item)| Due { due, seq, item })
+            .collect();
+        Ok(Self {
+            heap,
+            seq: Codec::get(r)?,
+        })
+    }
+}
+
+/// The real fabric: the 3D NoC, the timed-event queue, and the shared
+/// resource ports, owned together so the run loop in
 /// [`System`](crate::System) can drive phases and fast-forward while
 /// protocol code stays behind the [`Fabric`] trait.
 ///
 /// With a [`LatencyModel`] attached, sends bypass the flit-level
 /// network entirely: each packet's delivery is computed analytically at
-/// injection and queued on the modeled-delivery heap, which the run
+/// injection and queued on the modeled-delivery queue, which the run
 /// loop drains alongside network deliveries. The network object remains
 /// the clock owner but never carries traffic, so its statistics stay
 /// zero under modeled fabrics.
@@ -215,18 +283,22 @@ impl Ord for Modeled {
 pub(crate) struct SimFabric {
     /// The cycle-accurate 3D mesh + dTDMA pillar network.
     pub(crate) net: Network,
-    /// Timed events, keyed by `(due_cycle, sequence)` so same-cycle
-    /// events fire in scheduling order.
-    pub(crate) events: BinaryHeap<Reverse<(u64, u64, TimedEvent)>>,
-    next_seq: u64,
+    /// Timed events; same-cycle events fire in scheduling order.
+    pub(crate) events: DueQueue<TimedEvent>,
     /// `Some` for modeled fabrics; `None` runs the flit-level network.
     model: Option<LatencyModel>,
-    /// Deliveries synthesized by the model, due at `Modeled::due`.
-    modeled: BinaryHeap<Reverse<Modeled>>,
-    modeled_seq: u64,
-    tags: TagArrays,
-    banks: Banks,
-    memory: MemoryChannels,
+    /// Deliveries synthesized by the model (always empty under
+    /// [`FabricKind::Sim`]); same-cycle deliveries pop in send order.
+    pub(crate) modeled: DueQueue<Delivered>,
+    /// Per-cluster tag arrays.
+    tags: Ports,
+    /// Data banks, node-indexed.
+    banks: Ports,
+    /// Accesses performed by each bank (node-indexed): the census that
+    /// drives activity-based power and thermal analysis.
+    bank_accesses: Vec<u64>,
+    /// Memory controllers' DRAM channels.
+    memory: Ports,
     obs: Obs,
 }
 
@@ -234,50 +306,26 @@ impl SimFabric {
     pub(crate) fn new(
         net: Network,
         model: Option<LatencyModel>,
-        tags: TagArrays,
-        banks: Banks,
-        memory: MemoryChannels,
+        [tags, banks, memory]: [Ports; 3],
         obs: Obs,
     ) -> Self {
         Self {
             net,
-            events: BinaryHeap::new(),
-            next_seq: 0,
+            events: DueQueue::default(),
             model,
-            modeled: BinaryHeap::new(),
-            modeled_seq: 0,
+            modeled: DueQueue::default(),
             tags,
+            bank_accesses: vec![0; banks.len()],
             banks,
             memory,
             obs,
         }
     }
 
-    /// Accesses each bank performed so far (node-indexed), for
-    /// activity-driven power and thermal analysis.
+    /// Accesses each bank performed so far, indexed like
+    /// [`ChipLayout::node_index`](nim_topology::ChipLayout::node_index).
     pub(crate) fn bank_access_counts(&self) -> &[u64] {
-        self.banks.access_counts()
-    }
-
-    /// Whether any modeled delivery is still queued (always `false`
-    /// under [`FabricKind::Sim`]).
-    pub(crate) fn has_modeled(&self) -> bool {
-        !self.modeled.is_empty()
-    }
-
-    /// The due cycle of the earliest queued modeled delivery.
-    pub(crate) fn next_modeled_at(&self) -> Option<u64> {
-        self.modeled.peek().map(|Reverse(m)| m.due)
-    }
-
-    /// Pops the earliest modeled delivery if it is due at or before
-    /// `now`.
-    pub(crate) fn pop_modeled(&mut self, now: u64) -> Option<Delivered> {
-        if self.modeled.peek().is_some_and(|Reverse(m)| m.due <= now) {
-            self.modeled.pop().map(|Reverse(m)| m.delivery)
-        } else {
-            None
-        }
+        &self.bank_accesses
     }
 
     /// Computes one packet's delivery analytically and queues it.
@@ -293,12 +341,12 @@ impl SimFabric {
         let model = self.model.as_mut().expect("modeled send requires a model");
         let now = self.net.now();
         let path = zero_load_path(
-            &model.topo,
+            model.topo.layout(),
             src,
             dst,
             via,
             flits,
-            model.router_latency,
+            u64::from(model.topo.hop_latency()),
             model.bus_k,
         );
         let mut latency = path.latency;
@@ -319,71 +367,50 @@ impl SimFabric {
                 *slot = grant + u64::from(flits) * model.bus_k;
             }
         }
-        self.modeled_seq += 1;
         let due = now.0 + latency;
-        self.modeled.push(Reverse(Modeled {
-            due,
-            seq: self.modeled_seq,
-            delivery: Delivered {
-                packet: PacketId(self.modeled_seq),
-                src,
-                dst,
-                class,
-                token: token.encode(),
-                injected: now,
-                delivered: Cycle(due),
-                hops: path.hops,
-                bus_wait,
-            },
-        }));
+        self.modeled.push(due, |seq| Delivered {
+            packet: PacketId(seq),
+            src,
+            dst,
+            class,
+            token: token.encode(),
+            injected: now,
+            delivered: Cycle(due),
+            hops: path.hops,
+            bus_wait,
+        });
     }
-}
-
-/// A min-heap's image is its elements in ascending order: heaps iterate
-/// in arbitrary order, and the `(due, seq)` keys are unique.
-fn put_heap<T: Codec + Ord>(heap: &BinaryHeap<Reverse<T>>, w: &mut ByteWriter) {
-    let mut items: Vec<&T> = heap.iter().map(|Reverse(t)| t).collect();
-    items.sort_unstable();
-    w.len_prefix(items.len());
-    for item in items {
-        item.put(w);
-    }
-}
-
-fn get_heap<T: Codec + Ord>(r: &mut ByteReader<'_>) -> Result<BinaryHeap<Reverse<T>>, CodecError> {
-    Ok(Vec::get(r)?.into_iter().map(Reverse).collect())
 }
 
 impl Checkpoint for SimFabric {
     fn save(&self, w: &mut ByteWriter) {
         self.net.save(w);
-        put_heap(&self.events, w);
-        self.next_seq.put(w);
+        self.events.put(w);
         // Of the model only the pillar ready-at table is live state.
         w.bool(self.model.is_some());
         if let Some(m) = &self.model {
             m.ready_at.put(w);
         }
-        put_heap(&self.modeled, w);
-        self.modeled_seq.put(w);
+        self.modeled.put(w);
         self.tags.save(w);
         self.banks.save(w);
+        self.bank_accesses.put(w);
         self.memory.save(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.net.restore(r)?;
-        self.events = get_heap(r)?;
-        self.next_seq = Codec::get(r)?;
+        self.events = Codec::get(r)?;
         match (Option::<Vec<u64>>::get(r)?, &mut self.model) {
             (None, None) => {}
             (Some(ready), Some(m)) if ready.len() == m.ready_at.len() => m.ready_at = ready,
             _ => return Err(CodecError::Corrupt("fabric model mismatch")),
         }
-        self.modeled = get_heap(r)?;
-        self.modeled_seq = Codec::get(r)?;
+        self.modeled = Codec::get(r)?;
         self.tags.restore(r)?;
         self.banks.restore(r)?;
+        self.bank_accesses =
+            r.seq_of_len(self.bank_accesses.len(), "bank census count mismatch")?;
         self.memory.restore(r)
     }
 }
@@ -413,13 +440,11 @@ impl Fabric for SimFabric {
     }
 
     fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
-        self.next_seq += 1;
-        self.events
-            .push(Reverse((now.0 + delay, self.next_seq, ev)));
+        self.events.push(now.0 + delay, |_| ev);
     }
 
     fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
-        self.tags.claim(cluster, now)
+        self.tags.claim(cluster.index(), now)
     }
 
     fn bank_delay(&mut self, node: usize, now: Cycle, write: bool) -> ClaimedDelay {
@@ -427,6 +452,7 @@ impl Fabric for SimFabric {
             node: node as u32,
             write,
         });
+        self.bank_accesses[node] += 1;
         self.banks.claim(node, now)
     }
 
@@ -449,12 +475,13 @@ impl Fabric for SimFabric {
 pub(crate) struct TestFabric {
     /// Every packet sent, in order.
     pub(crate) sent: Vec<SendRequest>,
-    /// Scheduled events, keyed like the real heap.
-    pub(crate) events: BinaryHeap<Reverse<(u64, u64, TimedEvent)>>,
-    next_seq: u64,
-    tags: TagArrays,
-    banks: Banks,
-    memory: MemoryChannels,
+    /// Scheduled events, queued like the real fabric's.
+    pub(crate) events: DueQueue<TimedEvent>,
+    tags: Ports,
+    banks: Ports,
+    /// Accesses performed by each bank, as the real fabric counts them.
+    pub(crate) bank_accesses: Vec<u64>,
+    memory: Ports,
     obs: Obs,
 }
 
@@ -464,24 +491,22 @@ impl TestFabric {
         // The paper's Table 4 latencies, so unit-test delays line up
         // with what the real system charges.
         let cfg = nim_types::SystemConfig::default();
+        let [tags, banks, memory] = Ports::of_chip(&cfg, clusters, nodes, controllers.max(1));
         Self {
             sent: Vec::new(),
-            events: BinaryHeap::new(),
-            next_seq: 0,
-            tags: TagArrays::new(clusters, u64::from(cfg.l2.tag_latency)),
-            banks: Banks::new(nodes, u64::from(cfg.l2.bank_latency)),
-            memory: MemoryChannels::new(
-                controllers.max(1),
-                u64::from(cfg.memory_interval),
-                u64::from(cfg.memory_latency),
-            ),
+            events: DueQueue::default(),
+            tags,
+            banks,
+            bank_accesses: vec![0; nodes],
+            memory,
             obs: Obs::disabled(),
         }
     }
 
     /// Pops the earliest scheduled event, if any.
     pub(crate) fn pop_event(&mut self) -> Option<(u64, TimedEvent)> {
-        self.events.pop().map(|Reverse((due, _, ev))| (due, ev))
+        let due = self.events.next_due()?;
+        self.events.pop_due(due).map(|ev| (due, ev))
     }
 
     /// Drains and returns everything sent so far.
@@ -512,16 +537,15 @@ impl Fabric for TestFabric {
     }
 
     fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
-        self.next_seq += 1;
-        self.events
-            .push(Reverse((now.0 + delay, self.next_seq, ev)));
+        self.events.push(now.0 + delay, |_| ev);
     }
 
     fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
-        self.tags.claim(cluster, now)
+        self.tags.claim(cluster.index(), now)
     }
 
     fn bank_delay(&mut self, node: usize, now: Cycle, _write: bool) -> ClaimedDelay {
+        self.bank_accesses[node] += 1;
         self.banks.claim(node, now)
     }
 
@@ -539,53 +563,82 @@ mod tests {
     use super::*;
     use nim_types::codec::assert_laws;
 
-    fn modeled(due: u64, seq: u64) -> Modeled {
-        Modeled {
-            due,
-            seq,
-            delivery: Delivered {
-                packet: PacketId(seq),
-                src: Coord::new(1, 2, 0),
-                dst: Coord::new(3, 0, 1),
-                class: TrafficClass::Data,
-                token: due ^ seq,
-                injected: Cycle(due / 2),
-                delivered: Cycle(due),
-                hops: 5,
-                bus_wait: 2,
-            },
+    fn delivery(due: u64, seq: u64) -> Delivered {
+        Delivered {
+            packet: PacketId(seq),
+            src: Coord::new(1, 2, 0),
+            dst: Coord::new(3, 0, 1),
+            class: TrafficClass::Data,
+            token: due ^ seq,
+            injected: Cycle(due / 2),
+            delivered: Cycle(due),
+            hops: 5,
+            bus_wait: 2,
         }
+    }
+
+    fn drain(mut q: DueQueue<Delivered>) -> Vec<Delivered> {
+        std::iter::from_fn(|| q.pop_due(u64::MAX)).collect()
+    }
+
+    #[test]
+    fn same_cycle_items_pop_in_push_order() {
+        let mut q = DueQueue::default();
+        for (due, name) in [(5, 'a'), (3, 'b'), (5, 'c'), (3, 'd'), (4, 'e')] {
+            q.push(due, |_| name);
+        }
+        assert_eq!(q.next_due(), Some(3));
+        assert_eq!(q.pop_due(2), None, "nothing is due yet");
+        assert_eq!(q.pop_due(3), Some('b'));
+        assert_eq!(q.pop_due(3), Some('d'));
+        assert_eq!(q.pop_due(3), None);
+        assert_eq!(q.next_due(), Some(4));
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop_due(9)).collect();
+        assert_eq!(rest, ['e', 'a', 'c']);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn modeled_deliveries_obey_the_codec_laws() {
-        for (due, seq) in [(0, 0), (9, 1), (u64::MAX, u64::MAX)] {
-            let back = assert_laws(&modeled(due, seq));
-            assert_eq!((back.due, back.seq), (due, seq));
-            assert_eq!(back.delivery, modeled(due, seq).delivery);
+        assert!(drain(assert_laws(&DueQueue::<Delivered>::default())).is_empty());
+        let mut q = DueQueue::default();
+        for due in [9, 0, u64::MAX] {
+            q.push(due, |seq| delivery(due, seq));
         }
+        let back = assert_laws(&q);
+        assert_eq!(back.seq, 3);
+        assert_eq!(
+            drain(back),
+            [delivery(0, 2), delivery(9, 1), delivery(u64::MAX, 3)]
+        );
     }
 
     #[test]
     fn heap_images_are_ascending_whatever_the_push_order() {
         let keys = [(7, 3), (2, 9), (7, 1), (0, 4), (2, 2)];
+        // A queue read from entries listed in `order` — which fixes the
+        // heap's internal arrangement — then written back.
         let image = |order: &[usize]| {
-            let heap: BinaryHeap<_> = order
+            let entries: Vec<(u64, u64, Delivered)> = order
                 .iter()
-                .map(|&i| Reverse(modeled(keys[i].0, keys[i].1)))
+                .map(|&i| (keys[i].0, keys[i].1, delivery(keys[i].0, keys[i].1)))
                 .collect();
             let mut w = ByteWriter::new();
-            put_heap(&heap, &mut w);
+            entries.put(&mut w);
+            9u64.put(&mut w);
+            let q = DueQueue::<Delivered>::get(&mut ByteReader::new(&w.into_bytes())).unwrap();
+            let mut w = ByteWriter::new();
+            q.put(&mut w);
             w.into_bytes()
         };
         let bytes = image(&[0, 1, 2, 3, 4]);
         assert_eq!(bytes, image(&[4, 2, 0, 3, 1]));
-        let mut heap: BinaryHeap<Reverse<Modeled>> =
-            get_heap(&mut ByteReader::new(&bytes)).unwrap();
-        let mut popped = Vec::new();
-        while let Some(Reverse(m)) = heap.pop() {
-            popped.push((m.due, m.seq));
-        }
+        assert_eq!(bytes, image(&[3, 4, 1, 2, 0]), "ascending is a fixed point");
+        let q = DueQueue::<Delivered>::get(&mut ByteReader::new(&bytes)).unwrap();
+        let popped: Vec<_> = drain(q)
+            .iter()
+            .map(|d| (d.delivered.0, d.packet.0))
+            .collect();
         assert_eq!(popped, [(0, 4), (2, 2), (2, 9), (7, 1), (7, 3)]);
     }
 }

@@ -1,18 +1,12 @@
-//! The per-scheme protocol policy seam.
+//! The per-scheme protocol policy: a table row, bound at build time.
 //!
-//! Scheme-specific choices are not `match scheme` branches inside the
-//! engine's handlers: they live behind [`ProtocolPolicy`], bound once at
-//! build time by [`policy_for`]. The engine asks the policy every
-//! question whose answer differs between the paper's four L2
-//! organisations (or between the builder's extension knobs): how lines
-//! are located, when and where they migrate, whether read-shared lines
-//! replicate, and how misses reach memory. Adding a new L2 organisation
-//! means writing a new policy (and, if needed, a placement), not
-//! editing the engine.
-
-use nim_cache::migration_target;
-use nim_topology::ChipLayout;
-use nim_types::{ClusterId, PillarId};
+//! The paper's four L2 organisations differ in exactly two protocol
+//! choices — perfect vs. two-step search, migration on or off (§4.2,
+//! §5.2); the builder's extension knobs add three more. [`Policy::new`]
+//! resolves a [`Scheme`] and those knobs into plain data once, and the
+//! engine's handlers read the fields: they contain no `Scheme` branches.
+//! Adding an L2 organisation means adding a row here (and, if needed, a
+//! placement), not editing the engine.
 
 use crate::scheme::Scheme;
 
@@ -30,184 +24,73 @@ pub(crate) enum MemoryRoute {
     EdgeControllers,
 }
 
-/// The scheme-specific half of the protocol, bound at build time.
-///
-/// The engine asks the policy every question whose answer differs
-/// between the paper's four L2 organisations (or between the builder's
-/// extension knobs): how lines are located, when and where they
-/// migrate, whether read-shared lines replicate, and how misses reach
-/// memory. Handlers contain no `Scheme` branches — swapping the policy
-/// is the whole difference between CMP-DNUCA and CMP-SNUCA-3D.
-pub(crate) trait ProtocolPolicy: std::fmt::Debug + Send + Sync {
+/// The scheme-specific half of the protocol.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Policy {
     /// The baseline's perfect-search oracle: the requester knows each
     /// line's location without probing, and the tag check is charged at
     /// the serving bank instead.
-    fn oracle_search(&self) -> bool;
-
-    /// Whether cache lines migrate toward their accessors at all (the
-    /// cheap gate in front of [`ProtocolPolicy::migration_step`]).
-    fn migrates(&self) -> bool;
-
-    /// One gradual migration step for a line at `cur` accessed from
-    /// `acc` (paper §4.2.3), or `None` to stay put. `occupied` reports
-    /// whether a candidate cluster hosts another CPU.
-    fn migration_step(
-        &self,
-        layout: &ChipLayout,
-        cur: ClusterId,
-        acc: ClusterId,
-        pillar: Option<PillarId>,
-        occupied: &dyn Fn(ClusterId) -> bool,
-    ) -> Option<ClusterId>;
-
+    pub(crate) oracle_search: bool,
+    /// Whether cache lines migrate toward their accessors at all
+    /// (gradual steps by [`nim_cache::migration_target`], paper §4.2.3).
+    pub(crate) migrates: bool,
     /// The paper's migration damping: lines already inside the
     /// accessor's step-1 vicinity stay put unless one processor keeps
-    /// re-accessing them (§5.2, Fig. 14).
-    fn vicinity_stop(&self) -> bool;
-
-    /// Replicate read-shared lines into the reader's local cluster (the
-    /// NuRapid / victim-replication alternative of §1–§2).
-    fn replication(&self) -> bool;
-
-    /// How L2 misses reach memory.
-    fn memory_route(&self) -> MemoryRoute;
-}
-
-/// The builder knobs a policy carries (orthogonal to the scheme).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PolicyKnobs {
-    /// See [`SystemBuilder::vicinity_stop`](crate::SystemBuilder::vicinity_stop).
+    /// re-accessing them (§5.2, Fig. 14). See
+    /// [`SystemBuilder::vicinity_stop`](crate::SystemBuilder::vicinity_stop).
     pub(crate) vicinity_stop: bool,
-    /// See [`SystemBuilder::replication`](crate::SystemBuilder::replication).
+    /// Replicate read-shared lines into the reader's local cluster (the
+    /// NuRapid / victim-replication alternative of §1–§2). See
+    /// [`SystemBuilder::replication`](crate::SystemBuilder::replication).
     pub(crate) replication: bool,
-    /// See
-    /// [`SystemBuilder::edge_memory_controllers`](crate::SystemBuilder::edge_memory_controllers).
-    pub(crate) edge_memory: bool,
-    /// Flat-model memory latency (Table 4).
-    pub(crate) memory_latency: u64,
+    /// How L2 misses reach memory.
+    pub(crate) memory: MemoryRoute,
 }
 
-impl PolicyKnobs {
-    fn memory_route(&self) -> MemoryRoute {
-        if self.edge_memory {
-            MemoryRoute::EdgeControllers
-        } else {
-            MemoryRoute::Flat {
-                latency: self.memory_latency,
-            }
+impl Policy {
+    /// Binds the scheme's row: CMP-DNUCA is the only perfect-search
+    /// scheme, CMP-SNUCA-3D the only static one (the 2D/3D difference
+    /// lives in the layout, not the protocol).
+    pub(crate) fn new(
+        scheme: Scheme,
+        vicinity_stop: bool,
+        replication: bool,
+        memory: MemoryRoute,
+    ) -> Self {
+        Self {
+            oracle_search: scheme == Scheme::CmpDnuca,
+            migrates: scheme != Scheme::CmpSnuca3d,
+            vicinity_stop,
+            replication,
+            memory,
         }
     }
 }
 
-/// Beckmann & Wood's CMP-DNUCA baseline: perfect search, migration.
-#[derive(Clone, Copy, Debug)]
-struct OracleDnucaPolicy {
-    knobs: PolicyKnobs,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// The paper's two-step-search schemes with migration (CMP-DNUCA-2D and
-/// CMP-DNUCA-3D — the topology difference lives in the layout, not the
-/// protocol).
-#[derive(Clone, Copy, Debug)]
-struct TwoStepDnucaPolicy {
-    knobs: PolicyKnobs,
-}
-
-/// The static-NUCA 3D scheme: two-step search, no migration.
-#[derive(Clone, Copy, Debug)]
-struct TwoStepSnucaPolicy {
-    knobs: PolicyKnobs,
-}
-
-impl ProtocolPolicy for OracleDnucaPolicy {
-    fn oracle_search(&self) -> bool {
-        true
-    }
-    fn migrates(&self) -> bool {
-        true
-    }
-    fn migration_step(
-        &self,
-        layout: &ChipLayout,
-        cur: ClusterId,
-        acc: ClusterId,
-        pillar: Option<PillarId>,
-        occupied: &dyn Fn(ClusterId) -> bool,
-    ) -> Option<ClusterId> {
-        migration_target(layout, cur, acc, pillar, occupied)
-    }
-    fn vicinity_stop(&self) -> bool {
-        self.knobs.vicinity_stop
-    }
-    fn replication(&self) -> bool {
-        self.knobs.replication
-    }
-    fn memory_route(&self) -> MemoryRoute {
-        self.knobs.memory_route()
-    }
-}
-
-impl ProtocolPolicy for TwoStepDnucaPolicy {
-    fn oracle_search(&self) -> bool {
-        false
-    }
-    fn migrates(&self) -> bool {
-        true
-    }
-    fn migration_step(
-        &self,
-        layout: &ChipLayout,
-        cur: ClusterId,
-        acc: ClusterId,
-        pillar: Option<PillarId>,
-        occupied: &dyn Fn(ClusterId) -> bool,
-    ) -> Option<ClusterId> {
-        migration_target(layout, cur, acc, pillar, occupied)
-    }
-    fn vicinity_stop(&self) -> bool {
-        self.knobs.vicinity_stop
-    }
-    fn replication(&self) -> bool {
-        self.knobs.replication
-    }
-    fn memory_route(&self) -> MemoryRoute {
-        self.knobs.memory_route()
-    }
-}
-
-impl ProtocolPolicy for TwoStepSnucaPolicy {
-    fn oracle_search(&self) -> bool {
-        false
-    }
-    fn migrates(&self) -> bool {
-        false
-    }
-    fn migration_step(
-        &self,
-        _layout: &ChipLayout,
-        _cur: ClusterId,
-        _acc: ClusterId,
-        _pillar: Option<PillarId>,
-        _occupied: &dyn Fn(ClusterId) -> bool,
-    ) -> Option<ClusterId> {
-        None
-    }
-    fn vicinity_stop(&self) -> bool {
-        self.knobs.vicinity_stop
-    }
-    fn replication(&self) -> bool {
-        self.knobs.replication
-    }
-    fn memory_route(&self) -> MemoryRoute {
-        self.knobs.memory_route()
-    }
-}
-
-/// Binds the scheme's protocol policy once, at build time.
-pub(crate) fn policy_for(scheme: Scheme, knobs: PolicyKnobs) -> Box<dyn ProtocolPolicy> {
-    match scheme {
-        Scheme::CmpDnuca => Box::new(OracleDnucaPolicy { knobs }),
-        Scheme::CmpDnuca2d | Scheme::CmpDnuca3d => Box::new(TwoStepDnucaPolicy { knobs }),
-        Scheme::CmpSnuca3d => Box::new(TwoStepSnucaPolicy { knobs }),
+    #[test]
+    fn the_four_schemes_differ_in_two_booleans() {
+        let memory = MemoryRoute::Flat { latency: 260 };
+        for (scheme, oracle_search, migrates) in [
+            (Scheme::CmpDnuca, true, true),
+            (Scheme::CmpDnuca2d, false, true),
+            (Scheme::CmpDnuca3d, false, true),
+            (Scheme::CmpSnuca3d, false, false),
+        ] {
+            assert_eq!(
+                Policy::new(scheme, true, false, memory),
+                Policy {
+                    oracle_search,
+                    migrates,
+                    vicinity_stop: true,
+                    replication: false,
+                    memory,
+                },
+                "{scheme:?}"
+            );
+        }
     }
 }

@@ -11,11 +11,10 @@
 //! against [`TestFabric`](crate::fabric::TestFabric) — see the sibling
 //! `tests` module.
 //!
-//! Scheme-specific choices live behind
-//! [`ProtocolPolicy`](crate::policy::ProtocolPolicy), bound once at
-//! build time.
+//! Scheme-specific choices are the fields of
+//! [`Policy`](crate::policy::Policy), bound once at build time.
 
-use nim_cache::{NucaL2, SearchPlan};
+use nim_cache::{migration_target, NucaL2, SearchPlan};
 use nim_coherence::{DirAccess, Directory};
 use nim_cpu::{InOrderCore, MemRequest};
 use nim_obs::{Category, EventData};
@@ -24,7 +23,7 @@ use nim_types::{AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr,
 use nim_workload::{cpu_regions, shared_region, BenchmarkProfile};
 
 use crate::fabric::{ClaimedDelay, Delivered, Fabric, TrafficClass};
-use crate::policy::{MemoryRoute, ProtocolPolicy};
+use crate::policy::{MemoryRoute, Policy};
 use crate::report::Counters;
 use crate::token::{TimedEvent, Token};
 use crate::txn::{after_search_exhausted, MissReply, Phase, SearchOutcome, Txn, TxnId, TxnTable};
@@ -65,7 +64,7 @@ pub(crate) struct Engine {
     /// Protocol counters (the report's raw material).
     pub(crate) counters: Counters,
     /// The scheme's protocol policy, bound at build time.
-    pub(crate) policy: Box<dyn ProtocolPolicy>,
+    pub(crate) policy: Policy,
     /// Cache-line size in bytes.
     pub(crate) line_bytes: u64,
     /// Data-packet length in flits.
@@ -108,7 +107,7 @@ impl Engine {
             .txns
             .allocate(Txn::new(req.cpu, req.kind, req.addr, line, now));
         self.emit_txn_begin(f, id, &req);
-        if self.policy.oracle_search() {
+        if self.policy.oracle_search {
             self.perfect_lookup(f, id, now);
         } else {
             self.issue_search_step(f, id, 1, now);
@@ -467,7 +466,7 @@ impl Engine {
         }
         f.obs()
             .emit(Category::Memory, || EventData::MemRequest { line: line.0 });
-        match self.policy.memory_route() {
+        match self.policy.memory {
             MemoryRoute::EdgeControllers => {
                 let seat = *self.seat(cpu);
                 let mc = self.nearest_mc(self.bank_coord(self.l2.home_cluster(line), line));
@@ -643,7 +642,7 @@ impl Engine {
                     self.counters.bank_accesses += 1;
                     // The baseline's oracle skips probe latency, so the
                     // tag check happens at the bank.
-                    let tag = if self.policy.oracle_search() {
+                    let tag = if self.policy.oracle_search {
                         f.tag_delay(cl, now)
                     } else {
                         ClaimedDelay::NONE
@@ -699,7 +698,7 @@ impl Engine {
             return;
         };
         self.counters.bank_accesses += 1;
-        let tag = if self.policy.oracle_search() {
+        let tag = if self.policy.oracle_search {
             let cl = self
                 .l2
                 .locate(t.line)
@@ -824,7 +823,7 @@ impl Engine {
     /// the accessor (paper §4.2.3) — if the policy migrates at all.
     ///
     /// Lines already inside the accessor's step-1 vicinity do not migrate
-    /// (under [`ProtocolPolicy::vicinity_stop`]) — their access latency
+    /// (under [`Policy::vicinity_stop`]) — their access latency
     /// is already low, which is exactly why the 3D topology "exercises
     /// [migration] much less frequently ... due to the increased
     /// locality (see Figure 8)" (§5.2): in 3D the vicinity spans whole
@@ -832,7 +831,7 @@ impl Engine {
     /// processor (`repeated`), which keeps migrating until it reaches
     /// that processor's local cluster.
     fn maybe_migrate(&mut self, f: &mut impl Fabric, cpu: CpuId, line: LineAddr, repeated: bool) {
-        if !self.policy.migrates() {
+        if !self.policy.migrates {
             return;
         }
         let Some(cur) = self.l2.locate(line) else {
@@ -846,16 +845,13 @@ impl Engine {
         if cur == acc_cluster {
             return;
         }
-        if self.policy.vicinity_stop() && !repeated && self.plans[cpu.index()].step1.contains(&cur)
-        {
+        if self.policy.vicinity_stop && !repeated && self.plans[cpu.index()].step1.contains(&cur) {
             return;
         }
         let cluster_cpus = &self.cluster_cpus;
         let own_bit = 1u64 << cpu.index();
         let occupied = move |cl: ClusterId| cluster_cpus[cl.index()] & !own_bit != 0;
-        let Some(to) =
-            self.policy
-                .migration_step(&self.layout, cur, acc_cluster, seat.pillar, &occupied)
+        let Some(to) = migration_target(&self.layout, cur, acc_cluster, seat.pillar, &occupied)
         else {
             return;
         };
@@ -880,7 +876,7 @@ impl Engine {
     /// a shared line in the reader's local cluster (the NuRapid /
     /// victim-replication alternative of §1–§2; off by default).
     fn maybe_replicate(&mut self, f: &mut impl Fabric, cpu: CpuId, line: LineAddr) {
-        if !self.policy.replication() {
+        if !self.policy.replication {
             return;
         }
         let Some(primary) = self.l2.locate(line) else {
@@ -1070,7 +1066,7 @@ impl Engine {
             let line = addr.line(line_bytes);
             if eng.l2.locate(line).is_none() {
                 let cluster = match owner {
-                    Some(cpu) if eng.policy.migrates() => {
+                    Some(cpu) if eng.policy.migrates => {
                         eng.steady_cluster(cpu, eng.l2.home_cluster(line))
                     }
                     _ => eng.l2.home_cluster(line),
@@ -1123,10 +1119,7 @@ impl Engine {
         let occupied = move |cl: ClusterId| cluster_cpus[cl.index()] & !own_bit != 0;
         let mut cur = from;
         for _ in 0..64 {
-            match self
-                .policy
-                .migration_step(&self.layout, cur, acc_cluster, seat.pillar, &occupied)
-            {
+            match migration_target(&self.layout, cur, acc_cluster, seat.pillar, &occupied) {
                 Some(next) => cur = next,
                 None => break,
             }

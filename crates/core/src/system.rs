@@ -2,10 +2,10 @@
 //!
 //! A [`System`] is a thin driver over three explicit layers: the
 //! protocol engine ([`protocol`](crate::protocol) — every L2 transition
-//! plus the scheme's [`ProtocolPolicy`](crate::policy::ProtocolPolicy)
-//! bound at build time), the typed transaction table
+//! plus the scheme's [`Policy`](crate::policy::Policy) row bound at
+//! build time), the typed transaction table
 //! ([`txn`](crate::txn)), and the simulation fabric
-//! ([`fabric`](crate::fabric) — the 3D NoC, the timed-event heap, and
+//! ([`fabric`](crate::fabric) — the 3D NoC, the timed-event queue, and
 //! the contention models of [`timing`](crate::timing)). The driver owns
 //! the clock: it advances everything in lock-step one cycle at a time,
 //! feeds due events and delivered packets to the engine, ticks the
@@ -13,8 +13,6 @@
 //! cycle accuracy. Assembly lives in [`SystemBuilder`].
 //!
 //! [`SystemBuilder`]: crate::SystemBuilder
-
-use std::cmp::Reverse;
 
 use nim_cpu::{CoreAction, InOrderCore};
 use nim_noc::Network;
@@ -299,7 +297,7 @@ impl System {
         source: &mut dyn TraceSource,
         stop_after: Option<u64>,
     ) -> Result<Option<RunReport>, RunError> {
-        let target = self.recipe.warmup + self.recipe.sample;
+        let target = self.recipe.warmup.saturating_add(self.recipe.sample);
         let LoopCarried {
             mut warmed,
             mut window_start,
@@ -338,7 +336,7 @@ impl System {
             // watchdog out.
             if self.fabric.net.is_idle()
                 && self.fabric.events.is_empty()
-                && !self.fabric.has_modeled()
+                && self.fabric.modeled.is_empty()
                 && self.engine.txns.is_empty()
                 && self.engine.cores.iter().all(InOrderCore::is_halted)
             {
@@ -365,11 +363,7 @@ impl System {
                 self.record_obs_sample(now.0);
             }
             // Timed events due this cycle.
-            while let Some(&Reverse((due, _, _))) = self.fabric.events.peek() {
-                if due > now.0 {
-                    break;
-                }
-                let Reverse((_, _, ev)) = self.fabric.events.pop().expect("peeked");
+            while let Some(ev) = self.fabric.events.pop_due(now.0) {
                 self.engine.handle_event(&mut self.fabric, ev, now);
             }
             // Network deliveries (flit-level fabric) and modeled
@@ -382,7 +376,7 @@ impl System {
                     self.engine.handle_delivered(&mut self.fabric, d, now);
                 }
             }
-            while let Some(d) = self.fabric.pop_modeled(now.0) {
+            while let Some(d) = self.fabric.modeled.pop_due(now.0) {
                 self.engine.handle_delivered(&mut self.fabric, d, now);
             }
             // Cores. Halted cores are skipped outright: `tick` on a
@@ -577,10 +571,10 @@ impl System {
         }
         let now = self.fabric.net.now().0;
         let mut next = now.saturating_add(wake);
-        if let Some(&Reverse((due, _, _))) = self.fabric.events.peek() {
+        if let Some(due) = self.fabric.events.next_due() {
             next = next.min(due);
         }
-        if let Some(due) = self.fabric.next_modeled_at() {
+        if let Some(due) = self.fabric.modeled.next_due() {
             next = next.min(due);
         }
         (next > now + 1).then_some(next)

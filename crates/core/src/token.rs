@@ -152,11 +152,7 @@ impl Token {
 }
 
 /// A fixed-latency step that completes at a scheduled cycle.
-///
-/// `Ord` exists only so events can live inside the scheduler's binary
-/// heap; the heap key is `(due_cycle, sequence_number)`, which is unique,
-/// so the derived event ordering is never what decides execution order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TimedEvent {
     /// A tag array finished probing for a transaction. `queue` is the
     /// serialization wait the claim charged before the lookup started —

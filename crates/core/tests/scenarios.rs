@@ -219,3 +219,34 @@ fn more_vcs_than_the_router_masks_hold_is_a_build_error() {
     }
     build_with_vcs(Scheme::CmpDnuca3d, 8, 4).expect("8 VCs per port fit the masks");
 }
+
+#[test]
+fn a_bad_l2_scale_is_a_build_error() {
+    for (factor, banks) in [(3, 48), (0, 0), (u32::MAX, 0)] {
+        let built = SystemBuilder::new(Scheme::CmpDnuca3d)
+            .l2_scale(factor)
+            .build();
+        assert!(
+            matches!(
+                built,
+                Err(BuildError::Config(ConfigError::NotPowerOfTwo {
+                    what: "l2.banks_per_cluster",
+                    value,
+                })) if value == banks
+            ),
+            "l2_scale({factor})"
+        );
+    }
+}
+
+#[test]
+fn a_sampling_target_past_u64_max_saturates() {
+    // warmup + sample overflows u64: the target saturates instead of
+    // wrapping to zero, so the one-op trace dries up before it is met.
+    let mut system = builder(u64::MAX, 1).warmup_transactions(1).build().unwrap();
+    let mut trace = trace_for(0, &[op(AccessKind::Read, 0x1234_0000)]);
+    assert!(matches!(
+        system.run_with_source("scenario", &mut trace),
+        Err(RunError::Stalled { completed: 1, .. })
+    ));
+}

@@ -36,7 +36,7 @@
 //!
 //! [`Network`]: crate::Network
 
-use nim_topology::Topology;
+use nim_topology::ChipLayout;
 use nim_types::{Coord, PillarId};
 
 use crate::routing::xy_toward;
@@ -67,7 +67,7 @@ pub struct ZeroLoadPath {
 ///
 /// Panics on a cross-layer route when the topology has no pillars.
 pub fn zero_load_path(
-    topo: &impl Topology,
+    topo: &ChipLayout,
     src: Coord,
     dst: Coord,
     via: Option<PillarId>,
@@ -124,11 +124,10 @@ pub fn zero_load_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nim_topology::MeshTopology;
     use nim_types::SystemConfig;
 
-    fn topo() -> MeshTopology {
-        MeshTopology::from_config(&SystemConfig::default()).unwrap()
+    fn topo() -> ChipLayout {
+        ChipLayout::new(&SystemConfig::default()).unwrap()
     }
 
     #[test]

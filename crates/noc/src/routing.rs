@@ -14,7 +14,7 @@
 //! the pillar detour preserves this because each packet crosses layers at
 //! most once, so the channel dependency graph stays acyclic.
 
-use nim_topology::{ChipLayout, RouteMap};
+use nim_topology::ChipLayout;
 use nim_types::{Coord, Dir, PillarId};
 
 /// How the layers of the stack are interconnected.
@@ -46,8 +46,7 @@ pub(crate) fn xy_toward(at: Coord, dst_x: u8, dst_y: u8) -> Dir {
 
 /// Output port for a flit standing at `at`, heading for `dst`, riding
 /// pillar `via` for any layer change. Unpinned cross-layer routes fall
-/// back to the precomputed nearest-pillar table (`routes`), which is
-/// decision-identical to the layout's linear scan.
+/// back to the layout's nearest-pillar table.
 ///
 /// # Panics
 ///
@@ -55,7 +54,6 @@ pub(crate) fn xy_toward(at: Coord, dst_x: u8, dst_y: u8) -> Dir {
 /// with no pillars.
 pub(crate) fn route(
     layout: &ChipLayout,
-    routes: &RouteMap,
     mode: VerticalMode,
     at: Coord,
     dst: Coord,
@@ -67,7 +65,7 @@ pub(crate) fn route(
                 xy_toward(at, dst.x, dst.y)
             } else {
                 let pillar = via
-                    .or_else(|| routes.nearest_pillar(at))
+                    .or_else(|| layout.nearest_pillar(at))
                     .expect("cross-layer route requires a pillar");
                 let (px, py) = layout.pillar_xy(pillar);
                 if (at.x, at.y) == (px, py) {
@@ -97,9 +95,6 @@ pub(crate) fn route(
 #[derive(Clone, Debug)]
 pub(crate) struct Routing {
     pub layout: ChipLayout,
-    /// Precomputed nearest-pillar table (decision-identical to the
-    /// layout's linear scan) — the O(1) fallback for unpinned routes.
-    pub routes: RouteMap,
     pub mode: VerticalMode,
 }
 
@@ -107,7 +102,6 @@ impl Routing {
     pub(crate) fn new(layout: &ChipLayout, mode: VerticalMode) -> Self {
         Self {
             layout: layout.clone(),
-            routes: RouteMap::new(layout),
             mode,
         }
     }
@@ -115,7 +109,7 @@ impl Routing {
     /// Output port at `at` for a flit heading to `dst` over `via`.
     #[inline]
     pub(crate) fn out(&self, at: Coord, dst: Coord, via: Option<PillarId>) -> Dir {
-        route(&self.layout, &self.routes, self.mode, at, dst, via)
+        route(&self.layout, self.mode, at, dst, via)
     }
 }
 
@@ -126,16 +120,6 @@ mod tests {
 
     fn layout() -> ChipLayout {
         ChipLayout::new(&SystemConfig::default()).unwrap()
-    }
-
-    fn route(
-        layout: &ChipLayout,
-        mode: VerticalMode,
-        at: Coord,
-        dst: Coord,
-        via: Option<PillarId>,
-    ) -> Dir {
-        super::route(layout, &RouteMap::new(layout), mode, at, dst, via)
     }
 
     #[test]

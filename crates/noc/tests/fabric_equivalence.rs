@@ -9,15 +9,14 @@
 //! so every run is a genuine contention-free measurement.
 
 use nim_noc::{zero_load_path, Network, SendRequest, TrafficClass, VerticalMode};
-use nim_topology::{ChipLayout, MeshTopology};
+use nim_topology::ChipLayout;
 use nim_types::{Coord, PillarId, PillarPlacement, SystemConfig};
 
 /// Sends one packet into a fresh network and checks it against the model.
 fn probe(cfg: &SystemConfig, src: Coord, dst: Coord, via: Option<PillarId>, flits: u32) {
     let layout = ChipLayout::new(cfg).expect("layout");
-    let topo = MeshTopology::new(layout.clone(), cfg.network.router_latency);
     let predicted = zero_load_path(
-        &topo,
+        &layout,
         src,
         dst,
         via,

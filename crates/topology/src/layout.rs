@@ -90,8 +90,8 @@ fn balanced_factors(n: u32) -> (u32, u32) {
 
 /// Geometry of the stacked chip.
 ///
-/// Immutable once constructed; cheap to clone (a few dozen words plus the
-/// pillar position list).
+/// Immutable once constructed; cheap to clone (a few dozen words, the
+/// pillar position list and one byte-pair per `(x, y)` of a layer).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChipLayout {
     layers: u8,
@@ -109,6 +109,9 @@ pub struct ChipLayout {
     banks_per_cluster: u32,
     /// Pillar positions, shared by every layer.
     pillars: Vec<(u8, u8)>,
+    /// `nearest[y * width + x]`: the pillar nearest to each position
+    /// (lowest id on ties); empty when the chip has no pillars.
+    nearest: Vec<PillarId>,
 }
 
 impl ChipLayout {
@@ -171,7 +174,7 @@ impl ChipLayout {
                 available: width * height,
             });
         }
-        Ok(Self {
+        let mut layout = Self {
             layers,
             width: width as u8,
             height: height as u8,
@@ -182,7 +185,15 @@ impl ChipLayout {
             clusters_per_layer: clusters_per_layer as u16,
             banks_per_cluster: cfg.l2.banks_per_cluster,
             pillars,
-        })
+            nearest: Vec::new(),
+        };
+        if layout.num_pillars() > 0 {
+            layout.nearest = (0..layout.nodes_per_layer())
+                .map(|i| layout.nearest_by_scan(layout.coord_of_index(i)))
+                .collect::<Option<_>>()
+                .expect("pillars are non-empty");
+        }
+        Ok(layout)
     }
 
     /// Number of device layers.
@@ -429,14 +440,50 @@ impl ChipLayout {
             .map(PillarId::from_index)
     }
 
-    /// The pillar whose position is nearest to `c` (2D Manhattan);
-    /// `None` on a single-layer chip.
+    /// The pillar whose position is nearest to `c` (2D Manhattan, lowest
+    /// id on ties); `None` on a single-layer chip. One indexed load from
+    /// the table [`new`](Self::new) builds — cheap enough for the
+    /// per-flit routing path.
+    #[inline]
     pub fn nearest_pillar(&self, c: Coord) -> Option<PillarId> {
+        if self.nearest.is_empty() {
+            return None;
+        }
+        Some(self.nearest[c.y as usize * self.width as usize + c.x as usize])
+    }
+
+    /// The linear scan the `nearest` table is built from (and tested
+    /// against): the first pillar id among the 2D-Manhattan minima.
+    pub(crate) fn nearest_by_scan(&self, c: Coord) -> Option<PillarId> {
         self.pillars
             .iter()
             .enumerate()
             .min_by_key(|(_, &(x, y))| c.manhattan_2d(Coord::new(x, y, c.layer)))
             .map(|(i, _)| PillarId::from_index(i))
+    }
+
+    /// Hop count of the cheapest route from `a` to `b`: XY Manhattan
+    /// within a layer, `min_p(d(a,p) + 1 + d(p,b))` across layers (the
+    /// `1` is the vertical bus hop). This is the shortest-path metric of
+    /// the chip graph, so it is symmetric and obeys the triangle
+    /// inequality for every placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a cross-layer query when the chip has no pillars.
+    pub fn route_cost(&self, a: Coord, b: Coord) -> u32 {
+        if a.same_layer(b) {
+            return a.manhattan_2d(b);
+        }
+        self.pillars
+            .iter()
+            .map(|&(x, y)| {
+                let on_src = Coord::new(x, y, a.layer);
+                let on_dst = Coord::new(x, y, b.layer);
+                a.manhattan_2d(on_src) + 1 + on_dst.manhattan_2d(b)
+            })
+            .min()
+            .expect("cross-layer route on a chip without pillars")
     }
 
     /// Positions of `n` memory controllers: evenly spaced around the

@@ -8,10 +8,11 @@
 //! with thermally-aware offsets (paper §3.3, Algorithm 1).
 //!
 //! * [`layout`] — [`ChipLayout`]: all geometry derived from a
-//!   [`SystemConfig`](nim_types::SystemConfig).
+//!   [`SystemConfig`](nim_types::SystemConfig), the O(1) nearest-pillar
+//!   table and the route-cost metric included.
 //! * [`placement`] — [`PlacementPolicy`] and the seating of CPUs.
 //! * [`floorplan`] — physical dimensions for the thermal model.
-//! * [`topology`] — the [`Topology`] trait, O(1) [`RouteMap`]s, and the
+//! * [`topology`] — [`MeshTopology`] (layout + router latency) and the
 //!   `--topology` spec grammar ([`TopoSpec`]).
 //! * [`shard`] — [`ShardPlan`]: cluster-row shard cuts and the boundary
 //!   tables the parallel network engine's window planner uses.
@@ -45,4 +46,4 @@ pub use floorplan::Floorplan;
 pub use layout::{ChipLayout, TopologyError};
 pub use placement::{CpuSeat, PlacementError, PlacementPolicy};
 pub use shard::ShardPlan;
-pub use topology::{MeshTopology, RouteMap, TopoSpec, TopoSpecError, Topology};
+pub use topology::{MeshTopology, TopoSpec, TopoSpecError};

@@ -1,186 +1,35 @@
-//! [`Topology`]: routes and per-hop latencies behind a trait.
+//! [`MeshTopology`] and the `--topology` grammar.
 //!
-//! [`ChipLayout`] answers geometry questions with small linear scans;
-//! that is fine for construction-time work but not for the per-flit
-//! routing fast path or for the latency-table fabric, which wants route
-//! costs as table lookups. This module puts both behind one trait:
-//!
-//! * [`Topology`] — node/route enumeration, per-hop latency, pillar
-//!   placement. Implemented directly by [`ChipLayout`] (linear scans)
-//!   and by [`MeshTopology`] (precomputed [`RouteMap`], O(1) lookups).
-//! * [`RouteMap`] — per-position nearest-pillar table replicating
-//!   [`ChipLayout::nearest_pillar`]'s tie-break exactly, so swapping the
-//!   table in changes no routing decision.
+//! * [`MeshTopology`] — a [`ChipLayout`] paired with the per-hop router
+//!   latency: what the analytic fabrics cost a route with.
 //! * [`TopoSpec`] — the CLI grammar behind `nim --topology`: presets
 //!   (`default`, `4-layer`, `8-layer`) or a comma list of
 //!   `layers=`/`pillars=`/`placement=` overrides applied to a
 //!   [`SystemConfig`].
-//!
-//! The route-cost metric is min-over-pillars: within a layer the XY
-//! Manhattan distance, across layers `min_p(d(a,p) + 1 + d(p,b))` where
-//! the `1` is the vertical bus hop. This is the shortest-path metric of
-//! the chip graph, so it is symmetric and obeys the triangle inequality
-//! for every placement — properties pinned by `tests/properties.rs`.
 
 use core::fmt;
 
-use nim_types::{Coord, PillarId, PillarPlacement, SystemConfig};
+use nim_types::{PillarPlacement, SystemConfig};
 
 use crate::layout::ChipLayout;
 
-/// Node/route enumeration and per-hop latencies of a stacked chip.
+/// A [`ChipLayout`] paired with the per-hop router latency.
 ///
-/// Everything the network and the latency-table fabric need to cost a
-/// route, independent of how the answers are computed.
-pub trait Topology {
-    /// Number of device layers.
-    fn layers(&self) -> u8;
-
-    /// Mesh width (nodes) of one layer.
-    fn width(&self) -> u8;
-
-    /// Mesh height (nodes) of one layer.
-    fn height(&self) -> u8;
-
-    /// Total mesh nodes across all layers.
-    fn num_nodes(&self) -> usize;
-
-    /// Number of vertical pillars (zero on a single-layer chip).
-    fn num_pillars(&self) -> u16;
-
-    /// The `(x, y)` position of a pillar (valid on every layer).
-    fn pillar_xy(&self, p: PillarId) -> (u8, u8);
-
-    /// The pillar whose position is nearest to `c` (2D Manhattan,
-    /// lowest id on ties); `None` on a single-layer chip.
-    fn nearest_pillar(&self, c: Coord) -> Option<PillarId>;
-
-    /// Cycles a flit dwells in one router.
-    fn hop_latency(&self) -> u32;
-
-    /// Hop count of the cheapest route from `a` to `b`: XY Manhattan
-    /// within a layer, `min_p(d(a,p) + 1 + d(p,b))` across layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a cross-layer query when the chip has no pillars.
-    fn route_cost(&self, a: Coord, b: Coord) -> u32 {
-        if a.same_layer(b) {
-            return a.manhattan_2d(b);
-        }
-        assert!(
-            self.num_pillars() > 0,
-            "cross-layer route on a chip without pillars"
-        );
-        (0..self.num_pillars())
-            .map(|p| {
-                let (x, y) = self.pillar_xy(PillarId(p));
-                let on_src = Coord::new(x, y, a.layer);
-                let on_dst = Coord::new(x, y, b.layer);
-                a.manhattan_2d(on_src) + 1 + on_dst.manhattan_2d(b)
-            })
-            .min()
-            .expect("at least one pillar")
-    }
-}
-
-impl Topology for ChipLayout {
-    fn layers(&self) -> u8 {
-        ChipLayout::layers(self)
-    }
-
-    fn width(&self) -> u8 {
-        ChipLayout::width(self)
-    }
-
-    fn height(&self) -> u8 {
-        ChipLayout::height(self)
-    }
-
-    fn num_nodes(&self) -> usize {
-        ChipLayout::num_nodes(self)
-    }
-
-    fn num_pillars(&self) -> u16 {
-        ChipLayout::num_pillars(self)
-    }
-
-    fn pillar_xy(&self, p: PillarId) -> (u8, u8) {
-        ChipLayout::pillar_xy(self, p)
-    }
-
-    fn nearest_pillar(&self, c: Coord) -> Option<PillarId> {
-        ChipLayout::nearest_pillar(self, c)
-    }
-
-    /// A bare layout carries no timing parameters; it reports the unit
-    /// per-hop latency (use [`MeshTopology`] for configured latencies).
-    fn hop_latency(&self) -> u32 {
-        1
-    }
-}
-
-/// Precomputed nearest-pillar table for one layer's `(x, y)` grid.
-///
-/// Replaces the linear pillar scan on the routing fast path with a
-/// single indexed load. The table is built with the exact tie-break of
-/// [`ChipLayout::nearest_pillar`] (first pillar id among the minima), so
-/// routing through the map is decision-identical to routing through the
-/// layout — the fingerprint-compatibility argument of DESIGN.md §6i.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RouteMap {
-    width: u8,
-    /// `nearest[y * width + x]`; empty when the chip has no pillars.
-    nearest: Vec<PillarId>,
-}
-
-impl RouteMap {
-    /// Builds the table for a layout.
-    pub fn new(layout: &ChipLayout) -> Self {
-        let (w, h) = (layout.width(), layout.height());
-        let mut nearest = Vec::new();
-        if layout.num_pillars() > 0 {
-            nearest.reserve(w as usize * h as usize);
-            for y in 0..h {
-                for x in 0..w {
-                    let c = Coord::new(x, y, 0);
-                    nearest.push(
-                        ChipLayout::nearest_pillar(layout, c).expect("pillars are non-empty"),
-                    );
-                }
-            }
-        }
-        Self { width: w, nearest }
-    }
-
-    /// The nearest pillar to `c` (lowest id on ties); `None` when the
-    /// chip has no pillars.
-    #[inline]
-    pub fn nearest_pillar(&self, c: Coord) -> Option<PillarId> {
-        if self.nearest.is_empty() {
-            return None;
-        }
-        Some(self.nearest[c.y as usize * self.width as usize + c.x as usize])
-    }
-}
-
-/// A [`ChipLayout`] paired with its [`RouteMap`] and per-hop latency:
-/// the O(1) [`Topology`] implementation the network and the modeled
-/// fabrics route through.
+/// All geometry — the nearest-pillar table included — lives in the
+/// layout; this pairing is kept only because `nim-core`'s `LatencyModel`
+/// stores it and nimbench's `topology.build_s.8-layer` probe times
+/// [`from_config`](Self::from_config).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MeshTopology {
     layout: ChipLayout,
-    routes: RouteMap,
     router_latency: u32,
 }
 
 impl MeshTopology {
     /// Builds the topology from an existing layout.
     pub fn new(layout: ChipLayout, router_latency: u32) -> Self {
-        let routes = RouteMap::new(&layout);
         Self {
             layout,
-            routes,
             router_latency,
         }
     }
@@ -202,43 +51,9 @@ impl MeshTopology {
         &self.layout
     }
 
-    /// The nearest-pillar table.
+    /// Cycles a flit dwells in one router.
     #[inline]
-    pub fn routes(&self) -> &RouteMap {
-        &self.routes
-    }
-}
-
-impl Topology for MeshTopology {
-    fn layers(&self) -> u8 {
-        self.layout.layers()
-    }
-
-    fn width(&self) -> u8 {
-        self.layout.width()
-    }
-
-    fn height(&self) -> u8 {
-        self.layout.height()
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.layout.num_nodes()
-    }
-
-    fn num_pillars(&self) -> u16 {
-        self.layout.num_pillars()
-    }
-
-    fn pillar_xy(&self, p: PillarId) -> (u8, u8) {
-        self.layout.pillar_xy(p)
-    }
-
-    fn nearest_pillar(&self, c: Coord) -> Option<PillarId> {
-        self.routes.nearest_pillar(c)
-    }
-
-    fn hop_latency(&self) -> u32 {
+    pub fn hop_latency(&self) -> u32 {
         self.router_latency
     }
 }
@@ -370,42 +185,34 @@ impl TopoSpec {
 mod tests {
     use super::*;
 
-    fn mesh(cfg: &SystemConfig) -> MeshTopology {
-        MeshTopology::from_config(cfg).expect("topology")
-    }
-
     #[test]
     fn route_map_matches_linear_scan_everywhere() {
-        for cfg in [
-            SystemConfig::default(),
-            SystemConfig::default().with_layers(4),
-            SystemConfig::default().with_pillars(3),
-            SystemConfig::default().with_pillar_placement(PillarPlacement::Corners),
-            SystemConfig::default().flattened(),
+        for placement in [
+            PillarPlacement::Spread,
+            PillarPlacement::Corners,
+            PillarPlacement::Diagonal,
         ] {
-            let t = mesh(&cfg);
-            for i in 0..t.num_nodes() {
-                let c = t.layout().coord_of_index(i);
-                assert_eq!(
-                    t.nearest_pillar(c),
-                    ChipLayout::nearest_pillar(t.layout(), c),
-                    "cfg layers={} at {c}",
-                    cfg.network.layers
-                );
+            for layers in [2u8, 4, 8] {
+                for pillars in [2u16, 4, 8] {
+                    let cfg = SystemConfig::default()
+                        .with_layers(layers)
+                        .with_pillars(pillars)
+                        .with_pillar_placement(placement);
+                    let l = ChipLayout::new(&cfg).expect("layout");
+                    for i in 0..l.num_nodes() {
+                        let c = l.coord_of_index(i);
+                        assert_eq!(
+                            l.nearest_pillar(c),
+                            l.nearest_by_scan(c),
+                            "{placement:?} layers={layers} pillars={pillars} at {c}"
+                        );
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn route_cost_agrees_between_impls() {
-        let t = mesh(&SystemConfig::default().with_layers(4));
-        let l = t.layout().clone();
-        for a in 0..t.num_nodes() {
-            let ca = l.coord_of_index(a);
-            for b in (0..t.num_nodes()).step_by(7) {
-                let cb = l.coord_of_index(b);
-                assert_eq!(t.route_cost(ca, cb), Topology::route_cost(&l, ca, cb));
-            }
+        let flat = ChipLayout::new(&SystemConfig::default().flattened()).expect("layout");
+        for i in 0..flat.num_nodes() {
+            assert_eq!(flat.nearest_pillar(flat.coord_of_index(i)), None);
         }
     }
 
@@ -413,8 +220,8 @@ mod tests {
     fn hop_latency_comes_from_config() {
         let mut cfg = SystemConfig::default();
         cfg.network.router_latency = 3;
-        assert_eq!(mesh(&cfg).hop_latency(), 3);
-        assert_eq!(Topology::hop_latency(&ChipLayout::new(&cfg).unwrap()), 1);
+        let t = MeshTopology::from_config(&cfg).expect("topology");
+        assert_eq!(t.hop_latency(), 3);
     }
 
     #[test]

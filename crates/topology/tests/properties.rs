@@ -1,7 +1,7 @@
 //! Property-based tests: geometry round-trips and placement invariants
 //! hold for every configuration the workspace can express.
 
-use nim_topology::{ChipLayout, MeshTopology, PlacementPolicy, Topology};
+use nim_topology::{ChipLayout, PlacementPolicy};
 use nim_types::{ClusterId, PillarPlacement, SystemConfig};
 use proptest::prelude::*;
 
@@ -109,18 +109,13 @@ proptest! {
         ib in 0usize..1 << 16,
     ) {
         prop_assume!(cfg.validate().is_ok());
-        let mesh = MeshTopology::from_config(&cfg).expect("valid config builds");
-        let a = mesh.layout().coord_of_index(ia % mesh.num_nodes());
-        let b = mesh.layout().coord_of_index(ib % mesh.num_nodes());
-        // Both Topology impls — the precomputed table and the linear
-        // scan — must agree, and the metric must be symmetric with a
-        // zero diagonal (the latency-table fabric assumes both).
+        let mesh = ChipLayout::new(&cfg).expect("valid config builds");
+        let a = mesh.coord_of_index(ia % mesh.num_nodes());
+        let b = mesh.coord_of_index(ib % mesh.num_nodes());
+        // The metric must be symmetric with a zero diagonal (the
+        // latency-table fabric assumes both).
         prop_assert_eq!(mesh.route_cost(a, b), mesh.route_cost(b, a));
         prop_assert_eq!(mesh.route_cost(a, a), 0);
-        prop_assert_eq!(
-            Topology::route_cost(mesh.layout(), a, b),
-            mesh.route_cost(a, b)
-        );
     }
 
     #[test]
@@ -131,10 +126,10 @@ proptest! {
         ic in 0usize..1 << 16,
     ) {
         prop_assume!(cfg.validate().is_ok());
-        let mesh = MeshTopology::from_config(&cfg).expect("valid config builds");
-        let a = mesh.layout().coord_of_index(ia % mesh.num_nodes());
-        let b = mesh.layout().coord_of_index(ib % mesh.num_nodes());
-        let c = mesh.layout().coord_of_index(ic % mesh.num_nodes());
+        let mesh = ChipLayout::new(&cfg).expect("valid config builds");
+        let a = mesh.coord_of_index(ia % mesh.num_nodes());
+        let b = mesh.coord_of_index(ib % mesh.num_nodes());
+        let c = mesh.coord_of_index(ic % mesh.num_nodes());
         // min-over-pillars is the shortest-path metric of the chip
         // graph, so no detour through b may ever be cheaper than the
         // direct route — for any placement.

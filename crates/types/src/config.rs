@@ -200,17 +200,13 @@ impl L2Config {
     /// each cluster (the paper's Fig. 16 scaling: cluster count and
     /// associativity stay fixed, banks per cluster grow).
     ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not a power of two.
+    /// A `factor` that is not a power of two (or that overflows, which
+    /// scales to 0 banks) yields a geometry [`SystemConfig::validate`]
+    /// rejects as `l2.banks_per_cluster`.
     #[must_use]
     pub fn scaled(&self, factor: u32) -> Self {
-        assert!(
-            factor.is_power_of_two(),
-            "scale factor must be a power of two"
-        );
         Self {
-            banks_per_cluster: self.banks_per_cluster * factor,
+            banks_per_cluster: self.banks_per_cluster.checked_mul(factor).unwrap_or(0),
             ..*self
         }
     }

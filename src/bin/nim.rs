@@ -16,8 +16,7 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 use network_in_memory::core::experiments::{
-    check_shard_invariance, latency_breakdown, scale_sweep, table3_thermal, ExperimentScale,
-    ScaleSpec,
+    latency_breakdown, run_cells_raw, table3_thermal, ExperimentError, ExperimentScale, SweepSpec,
 };
 use network_in_memory::core::{FabricKind, Phase, Scheme, SystemBuilder};
 use network_in_memory::obs::{CategoryMask, Obs, ObsConfig};
@@ -36,7 +35,7 @@ COMMANDS:
     compare    simulate all four schemes on one benchmark
     breakdown  per-phase latency decomposition, all four schemes
     scale      sweep topologies × fabrics × shard counts; print
-               cycles/sec and per-cell fingerprints
+               per-cell cycles, hits, misses and fingerprints
     thermal    print the Table 3 thermal profiles
     list       list benchmarks and schemes
     help       show this message
@@ -548,22 +547,46 @@ fn parse_scale_options(args: &[String]) -> Result<ScaleOptions, String> {
     Ok(opts)
 }
 
-/// The spec grid of a `scale` invocation, in deterministic row order.
-fn scale_grid(opts: &ScaleOptions) -> Vec<ScaleSpec> {
-    let mut specs = Vec::new();
+/// One row of a `scale` grid.
+struct ScaleRow {
+    /// The row's table label.
+    label: String,
+    /// The cell, every override set.
+    spec: SweepSpec,
+    /// Whether the topology can honour the shard count. A count it
+    /// cannot is skipped rather than silently clamped by the builder.
+    shards_fit: bool,
+}
+
+/// The grid of a `scale` invocation, in deterministic row order.
+fn scale_grid(opts: &ScaleOptions) -> Vec<ScaleRow> {
+    let mut rows = Vec::new();
     for &layers in &opts.layers {
         for &cpus in &opts.cpus {
             for &l2_scale in &opts.l2_scales {
                 for &placement in &opts.placements {
                     for &fabric in &opts.fabrics {
                         for &shards in &opts.shards {
-                            specs.push(ScaleSpec {
-                                layers,
-                                cpus,
-                                l2_scale,
-                                placement,
-                                fabric,
-                                shards,
+                            let mut cfg = SystemConfig::default();
+                            cfg.network.layers = layers;
+                            cfg.network.pillar_placement = placement;
+                            rows.push(ScaleRow {
+                                label: format!(
+                                    "layers={layers} cpus={cpus} l2x{l2_scale} {} {} \
+                                     shards={shards}",
+                                    placement.name(),
+                                    fabric.name(),
+                                ),
+                                spec: SweepSpec {
+                                    layers: Some(layers),
+                                    cpus: Some(cpus),
+                                    l2_scale: Some(l2_scale),
+                                    placement: Some(placement),
+                                    fabric: Some(fabric),
+                                    shards: Some(shards),
+                                    ..SweepSpec::new(Scheme::CmpDnuca3d, 0)
+                                },
+                                shards_fit: validate_shards(shards, &cfg).is_ok(),
                             });
                         }
                     }
@@ -571,7 +594,7 @@ fn scale_grid(opts: &ScaleOptions) -> Vec<ScaleSpec> {
             }
         }
     }
-    specs
+    rows
 }
 
 fn cmd_scale(opts: &ScaleOptions) -> Result<(), Box<dyn Error>> {
@@ -580,34 +603,48 @@ fn cmd_scale(opts: &ScaleOptions) -> Result<(), Box<dyn Error>> {
         warmup: opts.warmup,
         sample: opts.sample,
     };
-    let specs = scale_grid(opts);
+    let grid = scale_grid(opts);
     println!("benchmark: {}", opts.bench.name);
-    let results = scale_sweep(Scheme::CmpDnuca3d, &opts.bench, &specs, scale)?;
+    let runnable: Vec<SweepSpec> = grid
+        .iter()
+        .filter(|row| row.shards_fit)
+        .map(|row| row.spec)
+        .collect();
+    let mut results =
+        run_cells_raw(std::slice::from_ref(&opts.bench), scale, &runnable).into_iter();
     println!(
-        "{:<44} {:>12} {:>8} {:>12} {:>8} {:>8} {:>18}",
-        "cell", "cycles", "wall s", "cycles/sec", "hits", "misses", "fingerprint"
+        "{:<44} {:>12} {:>8} {:>8} {:>18}",
+        "cell", "cycles", "hits", "misses", "fingerprint"
     );
-    let mut cells = Vec::new();
-    for (spec, result) in specs.iter().zip(results) {
-        match result {
-            Some(cell) => {
-                println!(
-                    "{:<44} {:>12} {:>8.2} {:>12.0} {:>8} {:>8} 0x{:016x}",
-                    cell.spec.label(),
-                    cell.report.cycles,
-                    cell.wall_secs,
-                    cell.cycles_per_sec,
-                    cell.report.counters.l2_hits,
-                    cell.report.counters.l2_misses,
-                    cell.fingerprint
-                );
-                cells.push(cell);
+    // Completed cells keyed by their spec with the shard count erased:
+    // cells that agree on the key must agree on the fingerprint.
+    let mut done: Vec<(SweepSpec, u64, &str)> = Vec::new();
+    for row in &grid {
+        let label = row.label.as_str();
+        let report = match row
+            .shards_fit
+            .then(|| results.next().expect("one per cell"))
+        {
+            Some(Ok(report)) => report,
+            None | Some(Err(ExperimentError::Build(_))) => {
+                println!("{label:<44} skipped (unbuildable cell)");
+                continue;
             }
-            None => println!("{:<44} skipped (unbuildable cell)", spec.label()),
+            Some(Err(e)) => return Err(e.into()),
+        };
+        let fingerprint = report.fingerprint();
+        println!(
+            "{:<44} {:>12} {:>8} {:>8} 0x{:016x}",
+            label, report.cycles, report.counters.l2_hits, report.counters.l2_misses, fingerprint
+        );
+        let key = SweepSpec {
+            shards: None,
+            ..row.spec
+        };
+        if let Some((_, _, other)) = done.iter().find(|(k, f, _)| *k == key && *f != fingerprint) {
+            return Err(format!("shard-count fingerprint mismatch: [{other}] vs [{label}]").into());
         }
-    }
-    if let Err((a, b)) = check_shard_invariance(&cells) {
-        return Err(format!("shard-count fingerprint mismatch: [{a}] vs [{b}]").into());
+        done.push((key, fingerprint, label));
     }
     Ok(())
 }
@@ -982,6 +1019,30 @@ mod tests {
         let result = run_resumed(&opts, &path);
         std::fs::remove_file(&path).unwrap();
         assert!(result.unwrap_err().to_string().contains("generator"));
+    }
+
+    #[test]
+    fn a_bad_l2_scale_is_a_configuration_error_not_a_panic() {
+        for (factor, banks) in [("3", "48"), ("0", "0")] {
+            let opts = parse_options(&args(&["--l2-scale", factor])).unwrap();
+            let err = run_one(&opts, opts.scheme, Obs::disabled()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "invalid configuration: l2.banks_per_cluster must be a nonzero \
+                     power of two, got {banks}"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn scale_cells_the_topology_cannot_shard_are_skipped_not_clamped() {
+        let opts = parse_scale_options(&args(&["--layers", "2,3", "--shards", "1,3,4"])).unwrap();
+        let fit: Vec<bool> = scale_grid(&opts).iter().map(|row| row.shards_fit).collect();
+        // 2 layers have 4 cluster rows: 3 does not divide them. 3 layers
+        // do not build at all, which is left for build() to report.
+        assert_eq!(fit, [true, false, true, true, true, true]);
     }
 
     #[test]
