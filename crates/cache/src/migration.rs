@@ -91,16 +91,11 @@ fn step_toward(
     let dx: i16 = (i16::from(tx) - i16::from(fx)).signum();
     let dy: i16 = (i16::from(ty) - i16::from(fy)).signum();
     // Candidates in preference order: one step in x, skip-two in x, one
-    // step in y, skip-two in y (x first, matching XY routing).
-    let mut candidates: Vec<(i16, i16)> = Vec::with_capacity(4);
-    if dx != 0 {
-        candidates.push((dx, 0));
-        candidates.push((2 * dx, 0));
-    }
-    if dy != 0 {
-        candidates.push((0, dy));
-        candidates.push((0, 2 * dy));
-    }
+    // step in y, skip-two in y (x first, matching XY routing). An axis
+    // already aligned contributes zero steps, which the distance check
+    // below rejects — so the list is a fixed array, not an allocation
+    // per migration decision.
+    let candidates: [(i16, i16); 4] = [(dx, 0), (2 * dx, 0), (0, dy), (0, 2 * dy)];
     for (cx, cy) in candidates {
         let nx = i16::from(fx) + cx;
         let ny = i16::from(fy) + cy;

@@ -1,7 +1,7 @@
 //! The seam between protocol decisions and the simulation fabric.
 //!
 //! The L2 protocol engine ([`Engine`](crate::protocol::Engine)) never
-//! touches [`Network`] or the timed-event heap directly: every packet
+//! touches [`Network`] or the timed-event queue directly: every packet
 //! send, every scheduled latency, and every shared-resource claim goes
 //! through the [`Fabric`] trait. Two implementations exist:
 //!
@@ -18,15 +18,13 @@
 //! ([`FabricKind::LatencyTable`] / [`FabricKind::Ideal`]) without the
 //! protocol code changing.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use nim_noc::{zero_load_path, Network, SendRequest};
 use nim_obs::{Category, EventData, Obs};
 use nim_topology::{ChipLayout, MeshTopology};
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::{ClusterId, Coord, Cycle, NetworkConfig, PacketId, PillarId};
 
+use crate::due_queue::DueQueue;
 use crate::timing::Ports;
 use crate::token::{TimedEvent, Token};
 
@@ -164,110 +162,6 @@ impl LatencyModel {
     }
 }
 
-/// One queued item with its key. Ordered by `(due, seq)` alone — the
-/// key is unique, so the item never decides an order — and reversed, so
-/// `BinaryHeap`'s max is the earliest entry.
-#[derive(Debug)]
-struct Due<T> {
-    due: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Due<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl<T> Eq for Due<T> {}
-impl<T> PartialOrd for Due<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Due<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// A timed queue: items pop in due-cycle order, same-cycle items in
-/// push order (a sequence number breaks the tie). Serves both the
-/// timed-event queue and the modeled fabrics' delivery queue.
-#[derive(Debug)]
-pub(crate) struct DueQueue<T> {
-    heap: BinaryHeap<Due<T>>,
-    /// Sequence number of the latest push (the first push gets 1).
-    seq: u64,
-}
-
-impl<T> Default for DueQueue<T> {
-    fn default() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T> DueQueue<T> {
-    /// Queues `item(seq)` for cycle `due`, where `seq` is the sequence
-    /// number this push is handed.
-    pub(crate) fn push(&mut self, due: u64, item: impl FnOnce(u64) -> T) {
-        self.seq += 1;
-        let seq = self.seq;
-        self.heap.push(Due {
-            due,
-            seq,
-            item: item(seq),
-        });
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The due cycle of the earliest queued item.
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.due)
-    }
-
-    /// Pops the earliest item if it is due at or before `now`.
-    pub(crate) fn pop_due(&mut self, now: u64) -> Option<T> {
-        if self.next_due()? > now {
-            return None;
-        }
-        self.heap.pop().map(|e| e.item)
-    }
-}
-
-/// The image is the entries as `(due, seq, item)` in ascending key
-/// order — heaps iterate in arbitrary order — then the sequence counter.
-impl<T: Codec> Codec for DueQueue<T> {
-    fn put(&self, w: &mut ByteWriter) {
-        let mut entries: Vec<&Due<T>> = self.heap.iter().collect();
-        entries.sort_unstable_by_key(|e| (e.due, e.seq));
-        w.len_prefix(entries.len());
-        for e in entries {
-            e.due.put(w);
-            e.seq.put(w);
-            e.item.put(w);
-        }
-        self.seq.put(w);
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let heap = Vec::<(u64, u64, T)>::get(r)?
-            .into_iter()
-            .map(|(due, seq, item)| Due { due, seq, item })
-            .collect();
-        Ok(Self {
-            heap,
-            seq: Codec::get(r)?,
-        })
-    }
-}
-
 /// The real fabric: the 3D NoC, the timed-event queue, and the shared
 /// resource ports, owned together so the run loop in
 /// [`System`](crate::System) can drive phases and fast-forward while
@@ -358,16 +252,18 @@ impl SimFabric {
                 // grant-eligible one cycle later; an earlier packet's
                 // serialisation window pushes the grant (and the whole
                 // delivery) back by `delta`, which the tail flit
-                // experiences as extra bus wait.
+                // experiences as extra bus wait. Sums saturate: a restored
+                // slot may hold any `u64`, and a pillar busy until the end
+                // of time must park the delivery there, not wrap it.
                 let uncontended = now.0 + path.bus_enqueue + 1;
                 let grant = uncontended.max(*slot);
                 let delta = grant - uncontended;
-                latency += delta;
+                latency = latency.saturating_add(delta);
                 bus_wait = bus_wait.saturating_add(u32::try_from(delta).unwrap_or(u32::MAX));
-                *slot = grant + u64::from(flits) * model.bus_k;
+                *slot = grant.saturating_add(u64::from(flits) * model.bus_k);
             }
         }
-        let due = now.0 + latency;
+        let due = now.0.saturating_add(latency);
         self.modeled.push(due, |seq| Delivered {
             packet: PacketId(seq),
             src,
@@ -440,7 +336,7 @@ impl Fabric for SimFabric {
     }
 
     fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
-        self.events.push(now.0 + delay, |_| ev);
+        self.events.push(now.0.saturating_add(delay), |_| ev);
     }
 
     fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
@@ -537,7 +433,7 @@ impl Fabric for TestFabric {
     }
 
     fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
-        self.events.push(now.0 + delay, |_| ev);
+        self.events.push(now.0.saturating_add(delay), |_| ev);
     }
 
     fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
@@ -562,6 +458,7 @@ impl Fabric for TestFabric {
 mod tests {
     use super::*;
     use nim_types::codec::assert_laws;
+    use nim_types::LineAddr;
 
     fn delivery(due: u64, seq: u64) -> Delivered {
         Delivered {
@@ -611,6 +508,38 @@ mod tests {
             drain(back),
             [delivery(0, 2), delivery(9, 1), delivery(u64::MAX, 3)]
         );
+    }
+
+    #[test]
+    fn a_pillar_busy_until_the_end_of_time_parks_the_delivery_there() {
+        let mut system = crate::SystemBuilder::new(crate::Scheme::CmpDnuca3d)
+            .fabric(FabricKind::LatencyTable)
+            .build()
+            .unwrap();
+        let f = &mut system.fabric;
+        // What a restore accepts: the table is any `u64`s of the right count.
+        let table = &mut f.model.as_mut().unwrap().ready_at;
+        table.fill(u64::MAX - 1);
+        let (src, dst) = (Coord::new(0, 0, 0), Coord::new(0, 0, 1));
+        for _ in 0..2 {
+            let token = Token::DataToCpu { txn: 1 };
+            f.send(src, dst, TrafficClass::Data, 5, token, None);
+        }
+        let parked = f.modeled.pop_due(u64::MAX).unwrap();
+        assert_eq!(
+            (parked.delivered, parked.bus_wait),
+            (Cycle(u64::MAX), u32::MAX)
+        );
+        assert_eq!(f.modeled.next_due(), Some(u64::MAX));
+        let pillars = &f.model.as_ref().unwrap().ready_at;
+        assert!(pillars.contains(&u64::MAX), "the claimed slot saturated");
+        // The same for a timed event whose claimed delay saturated.
+        f.schedule(
+            Cycle(9),
+            u64::MAX,
+            TimedEvent::MemoryFetched { line: LineAddr(3) },
+        );
+        assert_eq!(f.events.next_due(), Some(u64::MAX));
     }
 
     #[test]

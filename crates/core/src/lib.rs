@@ -38,6 +38,7 @@ mod attribution;
 mod builder;
 #[cfg(test)]
 mod codec_tests;
+mod due_queue;
 mod error;
 pub mod experiments;
 mod fabric;

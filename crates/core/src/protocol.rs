@@ -7,7 +7,7 @@
 //! broadcasts, bank reads/writes, the memory path, migration,
 //! replication, coherence invalidations) as methods generic over the
 //! [`Fabric`] seam. The engine never touches the network or the event
-//! heap directly, which is what makes each transition unit-testable
+//! queue directly, which is what makes each transition unit-testable
 //! against [`TestFabric`](crate::fabric::TestFabric) — see the sibling
 //! `tests` module.
 //!
@@ -366,7 +366,7 @@ impl Engine {
             let delay = f.tag_delay(cl, now);
             f.schedule(
                 now,
-                delay.total() + fanout,
+                delay.total().saturating_add(fanout),
                 TimedEvent::VerticalClusterResolved {
                     txn: id,
                     cluster: cl,
@@ -647,14 +647,14 @@ impl Engine {
                     } else {
                         ClaimedDelay::NONE
                     };
-                    let bank = self.bank_delay(f, at, now, false);
+                    let delay = tag + self.bank_delay(f, at, now, false);
                     f.schedule(
                         now,
-                        tag.total() + bank.total(),
+                        delay.total(),
                         TimedEvent::BankReadDone {
                             txn: id,
                             at,
-                            queue: tag.queue + bank.queue,
+                            queue: delay.queue,
                         },
                     );
                 } else {
@@ -707,14 +707,14 @@ impl Engine {
         } else {
             ClaimedDelay::NONE
         };
-        let bank = self.bank_delay(f, at, now, true);
+        let delay = tag + self.bank_delay(f, at, now, true);
         f.schedule(
             now,
-            tag.total() + bank.total(),
+            delay.total(),
             TimedEvent::BankWritten {
                 txn: id,
                 at,
-                queue: tag.queue + bank.queue,
+                queue: delay.queue,
             },
         );
     }

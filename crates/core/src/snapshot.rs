@@ -13,7 +13,7 @@
 //! | `WKLD` | workload position: benchmark name + [`TraceCursor`]         |
 //! | `PROG` | the run loop's carried bookkeeping ([`LoopCarried`])        |
 //! | `ENGN` | protocol engine: counters, L2, directory, cores, txn table  |
-//! | `FABR` | simulation fabric: NoC, event heaps, timing models          |
+//! | `FABR` | simulation fabric: NoC, timed queues, timing models         |
 //!
 //! Snapshots are legal only at *epoch boundaries*: when sampling is on,
 //! the clock must sit exactly on a cycle where a sample row was

@@ -103,7 +103,7 @@ pub struct System {
     pub(crate) recipe: Recipe,
     /// The protocol engine: chip state + every L2 transition.
     pub(crate) engine: Engine,
-    /// The simulation substrate: NoC, event heap, contention models.
+    /// The simulation substrate: NoC, event queue, contention models.
     pub(crate) fabric: SimFabric,
     /// Reused epoch-sampling buffers (names formatted once per run).
     pub(crate) sample_buf: SampleBuf,

@@ -44,7 +44,19 @@ impl ClaimedDelay {
 
     /// Total cycles until the claimed operation completes.
     pub fn total(self) -> u64 {
-        self.queue + self.service
+        self.queue.saturating_add(self.service)
+    }
+}
+
+/// One claim after another (a tag check, then the bank access).
+impl std::ops::Add for ClaimedDelay {
+    type Output = ClaimedDelay;
+
+    fn add(self, next: ClaimedDelay) -> ClaimedDelay {
+        ClaimedDelay {
+            queue: self.queue.saturating_add(next.queue),
+            service: self.service.saturating_add(next.service),
+        }
     }
 }
 
@@ -99,9 +111,12 @@ impl Ports {
 
     /// Latency until a request claiming port `i` now completes, split
     /// into the wait for the port's next slot and the fixed service.
+    /// Sums saturate: a restored schedule may hold any `u64`, and a
+    /// port busy until the end of time must stall its claimants (the
+    /// watchdog reports it), not wrap their completion into the past.
     pub(crate) fn claim(&mut self, i: usize, now: Cycle) -> ClaimedDelay {
         let start = self.ready[i].max(now.0);
-        self.ready[i] = start + self.interval;
+        self.ready[i] = start.saturating_add(self.interval);
         ClaimedDelay {
             queue: start - now.0,
             service: self.latency,
@@ -181,6 +196,29 @@ mod tests {
         assert_eq!(
             wrong.restore(&mut ByteReader::new(&bytes)),
             Err(CodecError::Corrupt("port count mismatch"))
+        );
+    }
+
+    #[test]
+    fn a_restored_schedule_at_the_end_of_time_saturates() {
+        let mut w = ByteWriter::new();
+        vec![u64::MAX - 1, u64::MAX, 7].put(&mut w);
+        let mut banks = Ports::new(3, 5, 5);
+        banks
+            .restore(&mut ByteReader::new(&w.into_bytes()))
+            .unwrap();
+        let now = Cycle(2);
+        for i in [0, 0, 1] {
+            let claimed = banks.claim(i, now);
+            assert!(claimed.queue >= u64::MAX - 3 && claimed.service == 5);
+            assert_eq!(claimed.total(), u64::MAX);
+            assert_eq!((claimed + claimed).total(), u64::MAX);
+        }
+        assert_eq!(banks.ready, [u64::MAX, u64::MAX, 7]);
+        assert_eq!(
+            banks.claim(2, now),
+            delay(5, 5),
+            "other ports are unaffected"
         );
     }
 
