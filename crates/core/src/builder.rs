@@ -11,7 +11,7 @@ use nim_coherence::{Directory, WritePolicy};
 use nim_cpu::InOrderCore;
 use nim_noc::{Network, VerticalMode};
 use nim_obs::Obs;
-use nim_topology::{ChipLayout, TopoSpec};
+use nim_topology::ChipLayout;
 use nim_types::{FxHashMap, PillarPlacement, SystemConfig};
 
 use crate::error::BuildError;
@@ -131,7 +131,7 @@ impl SystemBuilder {
                 vicinity_stop: true,
                 replication: false,
                 edge_memory: false,
-                skip: std::env::var_os("NIM_NO_SKIP").is_none(),
+                skip: true,
                 prewarm: true,
                 seed: 42,
                 warmup: 1_000,
@@ -173,14 +173,6 @@ impl SystemBuilder {
     /// corners, or diagonal — see [`PillarPlacement`]).
     pub fn pillar_placement(mut self, placement: PillarPlacement) -> Self {
         self.recipe.cfg.network.pillar_placement = placement;
-        self
-    }
-
-    /// Applies a parsed topology override (layer count, pillar count,
-    /// pillar placement — see [`TopoSpec`]) on top of the current
-    /// configuration. Later explicit knobs still win.
-    pub fn topology(mut self, spec: &TopoSpec) -> Self {
-        spec.apply(&mut self.recipe.cfg);
         self
     }
 
@@ -257,11 +249,10 @@ impl SystemBuilder {
 
     /// Whether the main loop may batch-advance the clock through spans
     /// it can prove are dead (no network phase fires, no timed event is
-    /// due, no core needs a tick). On by default; the `NIM_NO_SKIP`
-    /// environment variable (any value) flips the default off, forcing
-    /// the naive one-tick-per-cycle loop. Results are bit-identical
-    /// either way — skipping only elides cycles in which nothing
-    /// observable happens (`noc_skip_equivalence` asserts this).
+    /// due, no core needs a tick). On by default; off forces the naive
+    /// one-tick-per-cycle loop. Results are bit-identical either way —
+    /// skipping only elides cycles in which nothing observable happens
+    /// (`skip_equivalence.rs` asserts this).
     pub fn horizon_skipping(mut self, on: bool) -> Self {
         self.recipe.skip = on;
         self

@@ -1,29 +1,16 @@
-//! One driver per table and figure of the paper's evaluation (§5.2).
+//! The sweep cell and its runner — what every exhibit of the paper's
+//! evaluation (§5.2) is made of.
 //!
-//! Each function reproduces the data behind one exhibit:
+//! A [`SweepSpec`] is the one description of a cell: a scheme, a
+//! benchmark and optional configuration overrides; [`run_cells`] runs a
+//! list of them across the worker threads. The exhibits — each a grid
+//! of cells — are data in [`crate::exhibits`]; [`table3_thermal`] is
+//! here because it is a thermal solve, not a grid of cells.
 //!
-//! | Exhibit | Function | Metric |
-//! |---|---|---|
-//! | Table 3 | [`table3_thermal`] | peak/avg/min temperature per placement |
-//! | Fig. 13 | [`fig13_l2_latency`] | avg L2 hit latency, 4 schemes |
-//! | Fig. 14 | [`fig14_migrations`] | block migrations normalised to CMP-DNUCA-2D |
-//! | Fig. 15 | [`fig15_ipc`] | IPC, 4 schemes |
-//! | Fig. 16 | [`fig16_cache_size`] | latency at 16/32/64 MB, 2D vs 3D |
-//! | Fig. 17 | [`fig17_pillars`] | latency vs pillar count (8/4/2) |
-//! | Fig. 18 | [`fig18_layers`] | latency vs layer count (2/4) |
-//! | — | [`latency_breakdown`] | per-phase latency decomposition, 4 schemes |
-//!
-//! The last exhibit has no counterpart in the paper: it decomposes the
-//! Fig. 13 means into the five attribution phases recorded by the
-//! engine's per-transaction timelines.
-//!
-//! Tables 1 and 2 are pure models, regenerated directly by
-//! [`nim_power::table1`] and [`nim_power::table2_row`].
-//!
-//! The paper samples 2 G cycles per run; these drivers scale the sample
-//! down (configurable via [`ExperimentScale`]) — ample for steady-state
-//! latency statistics of a memory system this size, and the Fig. 14
-//! metric is normalised so absolute volume cancels.
+//! The paper samples 2 G cycles per run; [`ExperimentScale`] scales the
+//! sample down — ample for steady-state latency statistics of a memory
+//! system this size, and the Fig. 14 metric is normalised so absolute
+//! volume cancels.
 
 use core::error::Error;
 use core::fmt;
@@ -111,19 +98,8 @@ impl Default for ExperimentScale {
     }
 }
 
-impl ExperimentScale {
-    /// A fast scale for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            seed: 42,
-            warmup: 200,
-            sample: 1_500,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The parallel sweep cell — every driver fans out through this.
+// The parallel sweep cell — every exhibit fans out through this.
 // ---------------------------------------------------------------------------
 
 /// One independent simulation cell of a sweep: a scheme, a benchmark, and
@@ -189,8 +165,9 @@ impl SweepSpec {
         self
     }
 
-    /// The builder for this cell's system.
-    fn builder(&self, scale: ExperimentScale) -> SystemBuilder {
+    /// The builder for this cell's system — the one place a cell's
+    /// overrides are applied.
+    pub fn builder(&self, scale: ExperimentScale) -> SystemBuilder {
         let mut b = SystemBuilder::new(self.scheme)
             .seed(scale.seed)
             .warmup_transactions(scale.warmup)
@@ -305,331 +282,6 @@ pub fn run_cells(
     run_cells_raw(benchmarks, scale, specs)
         .into_iter()
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Figure 13 / Figure 15 — four schemes over the benchmarks.
-// ---------------------------------------------------------------------------
-
-/// One benchmark's results across all four schemes.
-#[derive(Clone, Debug)]
-pub struct SchemeComparisonRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Reports in [`Scheme::ALL`] order.
-    pub reports: Vec<RunReport>,
-}
-
-impl SchemeComparisonRow {
-    /// The report for one scheme.
-    pub fn report(&self, scheme: Scheme) -> &RunReport {
-        self.reports
-            .iter()
-            .find(|r| r.scheme == scheme)
-            .expect("all schemes present")
-    }
-}
-
-/// Figure 13: average L2 hit latency under the four schemes.
-pub fn fig13_l2_latency(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<SchemeComparisonRow>, ExperimentError> {
-    let specs: Vec<SweepSpec> = (0..benchmarks.len())
-        .flat_map(|bi| Scheme::ALL.iter().map(move |&s| SweepSpec::new(s, bi)))
-        .collect();
-    let mut reports = run_cells(benchmarks, scale, &specs)?.into_iter();
-    Ok(benchmarks
-        .iter()
-        .map(|bench| SchemeComparisonRow {
-            benchmark: bench.name.to_string(),
-            reports: reports.by_ref().take(Scheme::ALL.len()).collect(),
-        })
-        .collect())
-}
-
-/// Figure 15 reuses the same runs as Figure 13 (IPC is read from the same
-/// reports), so it shares the row type and driver.
-pub fn fig15_ipc(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<SchemeComparisonRow>, ExperimentError> {
-    fig13_l2_latency(benchmarks, scale)
-}
-
-// ---------------------------------------------------------------------------
-// Latency breakdown — the attribution figure the paper lacks.
-// ---------------------------------------------------------------------------
-
-/// One scheme's per-transaction latency decomposition on one benchmark.
-#[derive(Clone, Debug)]
-pub struct BreakdownRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Scheme simulated.
-    pub scheme: Scheme,
-    /// Mean cycles per transaction in each attribution phase, in
-    /// [`Phase::ALL`](crate::txn::Phase::ALL) order.
-    pub phases: [f64; 5],
-}
-
-impl BreakdownRow {
-    /// Mean end-to-end transaction latency — exactly the sum of the
-    /// five phase means, by the attribution sum invariant.
-    pub fn total(&self) -> f64 {
-        self.phases.iter().sum()
-    }
-}
-
-/// The latency-breakdown exhibit: where each scheme's transaction
-/// cycles actually go — horizontal NoC hops, dTDMA pillar waits,
-/// tag/bank serialization, L2 service, or off-chip memory. The paper
-/// reports only end-to-end means (Fig. 13); this decomposes them, per
-/// scheme per benchmark, using the engine's per-transaction timelines.
-///
-/// Rows are grouped per benchmark, [`Scheme::ALL`] order within each.
-///
-/// # Errors
-///
-/// Returns the first cell's [`ExperimentError`] in cell order.
-pub fn latency_breakdown(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<BreakdownRow>, ExperimentError> {
-    let specs: Vec<SweepSpec> = (0..benchmarks.len())
-        .flat_map(|bi| Scheme::ALL.iter().map(move |&s| SweepSpec::new(s, bi)))
-        .collect();
-    let reports = run_cells(benchmarks, scale, &specs)?;
-    Ok(specs
-        .iter()
-        .zip(&reports)
-        .map(|(spec, report)| BreakdownRow {
-            benchmark: benchmarks[spec.benchmark].name.to_string(),
-            scheme: spec.scheme,
-            phases: report.latency_breakdown(),
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------------
-// Figure 14 — migrations normalised to CMP-DNUCA-2D.
-// ---------------------------------------------------------------------------
-
-/// One benchmark's migration volume, normalised to CMP-DNUCA-2D = 1.0.
-#[derive(Clone, Debug)]
-pub struct Fig14Row {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// CMP-DNUCA (baseline, edge CPUs) relative migrations.
-    pub cmp_dnuca: f64,
-    /// CMP-DNUCA-3D relative migrations.
-    pub cmp_dnuca_3d: f64,
-}
-
-/// Figure 14: block migrations of CMP-DNUCA and CMP-DNUCA-3D, normalised
-/// to CMP-DNUCA-2D.
-pub fn fig14_migrations(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<Fig14Row>, ExperimentError> {
-    const SCHEMES: [Scheme; 3] = [Scheme::CmpDnuca2d, Scheme::CmpDnuca, Scheme::CmpDnuca3d];
-    let specs: Vec<SweepSpec> = (0..benchmarks.len())
-        .flat_map(|bi| SCHEMES.iter().map(move |&s| SweepSpec::new(s, bi)))
-        .collect();
-    let reports = run_cells(benchmarks, scale, &specs)?;
-    Ok(benchmarks
-        .iter()
-        .zip(reports.chunks_exact(SCHEMES.len()))
-        .map(|(bench, chunk)| {
-            let [base, dnuca, d3] = chunk else {
-                unreachable!("chunks_exact yields {} reports", SCHEMES.len())
-            };
-            let denom = base.counters.migrations.max(1) as f64;
-            Fig14Row {
-                benchmark: bench.name.to_string(),
-                cmp_dnuca: dnuca.counters.migrations as f64 / denom,
-                cmp_dnuca_3d: d3.counters.migrations as f64 / denom,
-            }
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------------
-// Figure 16 — L2 capacity scaling.
-// ---------------------------------------------------------------------------
-
-/// Latency of one (benchmark, capacity) cell for 2D and 3D DNUCA.
-#[derive(Clone, Debug)]
-pub struct Fig16Row {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// L2 capacity in MB.
-    pub l2_mb: u32,
-    /// CMP-DNUCA-2D average hit latency.
-    pub latency_2d: f64,
-    /// CMP-DNUCA-3D average hit latency.
-    pub latency_3d: f64,
-}
-
-/// Figure 16: average L2 hit latency at 16, 32, and 64 MB.
-pub fn fig16_cache_size(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<Fig16Row>, ExperimentError> {
-    const FACTORS: [u32; 3] = [1, 2, 4];
-    let mut specs = Vec::new();
-    for bi in 0..benchmarks.len() {
-        for factor in FACTORS {
-            specs.push(SweepSpec::new(Scheme::CmpDnuca2d, bi).l2_scale(factor));
-            specs.push(SweepSpec::new(Scheme::CmpDnuca3d, bi).l2_scale(factor));
-        }
-    }
-    let reports = run_cells(benchmarks, scale, &specs)?;
-    let mut rows = Vec::with_capacity(benchmarks.len() * FACTORS.len());
-    for (i, pair) in reports.chunks_exact(2).enumerate() {
-        let bench = &benchmarks[i / FACTORS.len()];
-        let factor = FACTORS[i % FACTORS.len()];
-        rows.push(Fig16Row {
-            benchmark: bench.name.to_string(),
-            l2_mb: 16 * factor,
-            latency_2d: pair[0].avg_l2_hit_latency(),
-            latency_3d: pair[1].avg_l2_hit_latency(),
-        });
-    }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 17 — pillar count.
-// ---------------------------------------------------------------------------
-
-/// Latency of one (benchmark, pillar count) cell.
-#[derive(Clone, Debug)]
-pub struct Fig17Row {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Number of vertical pillars.
-    pub pillars: u16,
-    /// CMP-DNUCA-3D average hit latency.
-    pub latency: f64,
-}
-
-/// Figure 17: impact of the number of pillars (8/4/2) on the
-/// CMP-DNUCA-3D scheme. Fewer pillars mean shared vertical links and
-/// Algorithm 1 placement.
-pub fn fig17_pillars(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<Fig17Row>, ExperimentError> {
-    const PILLARS: [u16; 3] = [8, 4, 2];
-    let specs: Vec<SweepSpec> = (0..benchmarks.len())
-        .flat_map(|bi| {
-            PILLARS
-                .iter()
-                .map(move |&p| SweepSpec::new(Scheme::CmpDnuca3d, bi).pillars(p))
-        })
-        .collect();
-    let reports = run_cells(benchmarks, scale, &specs)?;
-    Ok(specs
-        .iter()
-        .zip(&reports)
-        .map(|(spec, report)| Fig17Row {
-            benchmark: benchmarks[spec.benchmark].name.to_string(),
-            pillars: spec.pillars.expect("every fig17 cell sets pillars"),
-            latency: report.avg_l2_hit_latency(),
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------------
-// Figure 18 — layer count.
-// ---------------------------------------------------------------------------
-
-/// Latency of one (benchmark, layer count) cell.
-#[derive(Clone, Debug)]
-pub struct Fig18Row {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Device layers.
-    pub layers: u8,
-    /// CMP-SNUCA-3D average hit latency.
-    pub latency: f64,
-}
-
-/// Figure 18: impact of the number of layers (2/4) on the CMP-SNUCA-3D
-/// scheme.
-pub fn fig18_layers(
-    benchmarks: &[BenchmarkProfile],
-    scale: ExperimentScale,
-) -> Result<Vec<Fig18Row>, ExperimentError> {
-    const LAYERS: [u8; 2] = [2, 4];
-    let specs: Vec<SweepSpec> = (0..benchmarks.len())
-        .flat_map(|bi| {
-            LAYERS
-                .iter()
-                .map(move |&l| SweepSpec::new(Scheme::CmpSnuca3d, bi).layers(l))
-        })
-        .collect();
-    let reports = run_cells(benchmarks, scale, &specs)?;
-    Ok(specs
-        .iter()
-        .zip(&reports)
-        .map(|(spec, report)| Fig18Row {
-            benchmark: benchmarks[spec.benchmark].name.to_string(),
-            layers: spec.layers.expect("every fig18 cell sets layers"),
-            latency: report.avg_l2_hit_latency(),
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------------
-// Configuration sweep — the full (layers × pillars) design space.
-// ---------------------------------------------------------------------------
-
-/// One cell of a design-space sweep.
-#[derive(Clone, Debug)]
-pub struct SweepCell {
-    /// Device layers.
-    pub layers: u8,
-    /// Vertical pillars.
-    pub pillars: u16,
-    /// The run's full report.
-    pub report: RunReport,
-}
-
-/// Sweeps the (layers × pillars) design space for one scheme and
-/// benchmark, skipping combinations the configuration rules reject
-/// (e.g. more CPUs than Algorithm 1 can seat). This generalises the
-/// paper's Figures 17 and 18 into the full grid a designer would explore.
-pub fn sweep_design_space(
-    scheme: Scheme,
-    bench: &BenchmarkProfile,
-    layers: &[u8],
-    pillars: &[u16],
-    scale: ExperimentScale,
-) -> Result<Vec<SweepCell>, ExperimentError> {
-    let benchmarks = std::slice::from_ref(bench);
-    let specs: Vec<SweepSpec> = layers
-        .iter()
-        .flat_map(|&l| {
-            pillars
-                .iter()
-                .map(move |&p| SweepSpec::new(scheme, 0).layers(l).pillars(p))
-        })
-        .collect();
-    let mut cells = Vec::new();
-    for (spec, result) in specs.iter().zip(run_cells_raw(benchmarks, scale, &specs)) {
-        match result {
-            Ok(report) => cells.push(SweepCell {
-                layers: spec.layers.expect("every sweep cell sets layers"),
-                pillars: spec.pillars.expect("every sweep cell sets pillars"),
-                report,
-            }),
-            Err(ExperimentError::Build(_)) => continue, // unbuildable cell
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(cells)
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@
 //! * [`Scheme`] — CMP-DNUCA / CMP-DNUCA-2D / CMP-SNUCA-3D / CMP-DNUCA-3D.
 //! * [`SystemBuilder`] / [`System`] — build and run one configuration.
 //! * [`RunReport`] — avg L2 hit latency, IPC, migrations, energy.
-//! * [`experiments`] — one driver per table/figure (Table 3, Figs 13–18).
+//! * [`experiments`] — the sweep cell and its runner; [`exhibits`] —
+//!   every table and figure (Tables 1–3, Figs 13–18) as a grid of cells.
 //! * [`parallel`] — the deterministic `NIM_JOBS`-wide sweep executor the
-//!   experiment drivers fan out on.
+//!   cells fan out on.
 //!
 //! # Examples
 //!
@@ -40,6 +41,7 @@ mod builder;
 mod codec_tests;
 mod due_queue;
 mod error;
+pub mod exhibits;
 pub mod experiments;
 mod fabric;
 pub mod parallel;

@@ -1,8 +1,8 @@
 //! Dead-cycle elision must be invisible in the results: a run with
 //! horizon skipping enabled and the same seeded run forced through the
-//! naive one-tick-per-cycle loop (what `NIM_NO_SKIP=1` selects at
-//! process level) must agree on every report field, the per-cluster L2
-//! hit/miss matrix, the epoch-sample table, and the final cycle.
+//! naive one-tick-per-cycle loop (`horizon_skipping(false)`) must agree
+//! on every report field, the per-cluster L2 hit/miss matrix, the
+//! epoch-sample table, and the final cycle.
 
 use std::fmt::Write as _;
 

@@ -4,8 +4,8 @@
 //!   latency: what the analytic fabrics cost a route with.
 //! * [`TopoSpec`] — the CLI grammar behind `nim --topology`: presets
 //!   (`default`, `4-layer`, `8-layer`) or a comma list of
-//!   `layers=`/`pillars=`/`placement=` overrides applied to a
-//!   [`SystemConfig`].
+//!   `layers=`/`pillars=`/`placement=` overrides, which the CLI reads
+//!   as its `--layers` / `--pillars` / `--placements` flags.
 
 use core::fmt;
 
@@ -75,14 +75,13 @@ impl fmt::Display for TopoSpecError {
 
 impl core::error::Error for TopoSpecError {}
 
-/// The `nim --topology` grammar: a set of overrides applied on top of a
-/// [`SystemConfig`].
+/// The `nim --topology` grammar: a set of overrides.
 ///
 /// Presets name the common stacks (`default` changes nothing, `4-layer`
 /// and `8-layer` restack the same silicon); the explicit comma grammar
 /// (`layers=4,pillars=4,placement=corners`) reaches everything else.
-/// Unset fields keep whatever the base configuration had, so a spec
-/// composes with the other CLI flags.
+/// Unset fields override nothing, so a spec composes with the other CLI
+/// flags.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TopoSpec {
     /// Device layers, if overridden.
@@ -147,38 +146,6 @@ impl TopoSpec {
         }
         Ok(spec)
     }
-
-    /// Applies the overrides to a configuration.
-    pub fn apply(&self, cfg: &mut SystemConfig) {
-        if let Some(layers) = self.layers {
-            cfg.network.layers = layers;
-        }
-        if let Some(pillars) = self.pillars {
-            cfg.network.pillars = pillars;
-        }
-        if let Some(placement) = self.placement {
-            cfg.network.pillar_placement = placement;
-        }
-    }
-
-    /// Stable label for sweep tables and CI fingerprint columns.
-    pub fn label(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(l) = self.layers {
-            parts.push(format!("layers={l}"));
-        }
-        if let Some(p) = self.pillars {
-            parts.push(format!("pillars={p}"));
-        }
-        if let Some(pl) = self.placement {
-            parts.push(format!("placement={}", pl.name()));
-        }
-        if parts.is_empty() {
-            "default".to_owned()
-        } else {
-            parts.join(",")
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,13 +204,8 @@ mod tests {
         assert_eq!(spec.layers, Some(4));
         assert_eq!(spec.pillars, Some(4));
         assert_eq!(spec.placement, Some(PillarPlacement::Corners));
-        let mut cfg = SystemConfig::default();
-        spec.apply(&mut cfg);
-        assert_eq!(cfg.network.layers, 4);
-        assert_eq!(cfg.network.pillars, 4);
-        assert_eq!(cfg.network.pillar_placement, PillarPlacement::Corners);
-        assert_eq!(spec.label(), "layers=4,pillars=4,placement=corners");
-        assert_eq!(TopoSpec::default().label(), "default");
+        // Only the named keys override: the rest stay unset.
+        assert_eq!(TopoSpec::parse("pillars=2").unwrap().layers, None);
     }
 
     #[test]
@@ -258,8 +220,11 @@ mod tests {
 
     #[test]
     fn default_spec_leaves_config_untouched() {
-        let mut cfg = SystemConfig::default();
-        TopoSpec::default().apply(&mut cfg);
-        assert_eq!(cfg, SystemConfig::default());
+        let TopoSpec {
+            layers,
+            pillars,
+            placement,
+        } = TopoSpec::parse("default").unwrap();
+        assert_eq!((layers, pillars, placement), (None, None, None));
     }
 }

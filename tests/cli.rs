@@ -1,0 +1,164 @@
+//! The `nim` binary at its surface: a flag either changes what runs or
+//! is refused — never silently dropped.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use network_in_memory::core::experiments::{ExperimentScale, SweepSpec};
+use network_in_memory::core::Scheme;
+use network_in_memory::workload::BenchmarkProfile;
+
+fn nim(line: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_nim"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("the nim binary runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("utf-8 output")
+}
+
+/// A failed invocation's stderr; panics if `line` succeeded.
+fn refused(line: &str) -> String {
+    let out = nim(line);
+    assert_eq!(out.status.code(), Some(1), "`nim {line}` must exit 1");
+    String::from_utf8(out.stderr).expect("utf-8 output")
+}
+
+/// A path under the test's scratch directory that does not exist yet.
+fn scratch(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("nim-cli-{}-{name}", std::process::id()));
+    assert!(!path.exists());
+    path
+}
+
+/// The `CMP-*` rows of a breakdown table: scheme label, then the printed
+/// numbers.
+fn breakdown_rows(line: &str) -> Vec<(String, Vec<String>)> {
+    let out = nim(line);
+    assert!(out.status.success(), "`nim {line}` failed");
+    let text = stdout(&out);
+    let rows = text.lines().filter(|l| l.starts_with("CMP-"));
+    let row = |l: &str| {
+        let mut words = l.split_whitespace().map(String::from);
+        (words.next().expect("a label"), words.collect())
+    };
+    rows.map(row).collect()
+}
+
+#[test]
+fn breakdown_honours_every_cell_axis() {
+    let base = "breakdown --bench art --warmup 50 --sample 300";
+    let two = breakdown_rows(base);
+    let four = breakdown_rows(&format!("{base} --layers 4"));
+    assert_eq!(two.len(), 4);
+    // The 2D schemes flatten to one layer whatever the flag says; the 3D
+    // rows are other simulations.
+    assert_eq!(two[..2], four[..2]);
+    assert_ne!(two[2], four[2]);
+    assert_ne!(two[3], four[3]);
+    // Each row is the cell `nim run --scheme <s> --layers 4` simulates.
+    let scale = ExperimentScale {
+        seed: 42,
+        warmup: 50,
+        sample: 300,
+    };
+    for (scheme, (label, printed)) in Scheme::ALL.iter().zip(&four) {
+        assert_eq!(label, scheme.label());
+        let cell = SweepSpec::new(*scheme, 0).layers(4);
+        let mut system = cell.builder(scale).build().expect("the cell builds");
+        let report = system.run(&BenchmarkProfile::art()).expect("the cell runs");
+        let phases = report.latency_breakdown();
+        let total: f64 = phases.iter().sum();
+        let expected = phases.iter().chain([&total]).map(|v| format!("{v:.2}"));
+        assert_eq!(printed, &expected.collect::<Vec<_>>(), "{label}");
+    }
+}
+
+#[test]
+fn flags_only_a_single_run_can_honour_are_refused_elsewhere() {
+    let err = refused("breakdown --bench art --layers 4 --fabric ideal --resume /nonexistent");
+    assert!(
+        err.contains("--resume") && err.contains("breakdown"),
+        "{err}"
+    );
+    let (trace, metrics) = (scratch("t.json"), scratch("m.json"));
+    let flags = format!(
+        "--trace-out {} --metrics-out {}",
+        trace.display(),
+        metrics.display()
+    );
+    let err = refused(&format!("compare --bench art {flags}"));
+    assert!(
+        err.contains("--trace-out") && err.contains("compare"),
+        "{err}"
+    );
+    assert!(!trace.exists() && !metrics.exists(), "nothing is written");
+    let err = refused("compare --scheme dnuca");
+    assert!(err.contains("--scheme") && err.contains("compare"), "{err}");
+}
+
+#[test]
+fn a_lone_snapshot_with_no_warmup_boundary_is_refused() {
+    let image = scratch("x.img");
+    let err = refused(&format!(
+        "run --snapshot-out {} --warmup 0",
+        image.display()
+    ));
+    assert!(
+        err.contains("--snapshot-out with --warmup 0 needs --snapshot-every"),
+        "{err}"
+    );
+    assert!(!image.exists());
+    // With a cadence there are boundaries to snapshot at.
+    let cadence = format!(
+        "run --snapshot-out {} --warmup 0 --sample 200 --snapshot-every 100",
+        image.display()
+    );
+    assert!(nim(&cadence).status.success());
+    assert!(image.exists());
+    std::fs::remove_file(&image).expect("the image is ours to remove");
+}
+
+#[test]
+fn a_skipped_scale_row_says_why() {
+    let out = nim("scale --cpus 8,64 --layers 2 --shards 1,3 --warmup 20 --sample 100");
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let row = |label: &str| {
+        let found = text.lines().find(|l| l.starts_with(label));
+        found.unwrap_or_else(|| panic!("no row {label} in\n{text}"))
+    };
+    assert!(row("layers=2 cpus=8 l2x1 spread sim shards=1").contains("0x"));
+    let unbuildable = row("layers=2 cpus=64 l2x1 spread sim shards=1");
+    assert!(
+        unbuildable.contains("skipped (CPU placement failed:"),
+        "{unbuildable}"
+    );
+    let unfit = row("layers=2 cpus=8 l2x1 spread sim shards=3");
+    assert!(
+        unfit.contains("skipped (--shards 3 does not divide"),
+        "{unfit}"
+    );
+}
+
+#[test]
+fn report_runs_the_named_exhibits_and_counts_its_cells() {
+    let out = nim("report table2 fig18 fig17 --warmup 20 --sample 100");
+    assert!(out.status.success());
+    let err = String::from_utf8(out.stderr.clone()).expect("utf-8 output");
+    // Figure 17's 12 cells and Figure 18's 8 share nothing at this size.
+    assert!(err.contains("cells: 20 requested, 20 simulated"), "{err}");
+    let text = stdout(&out);
+    let heads: Vec<&str> = text.lines().filter(|l| l.starts_with("## ")).collect();
+    assert_eq!(heads.len(), 3);
+    // Whatever the order of the ids, the record prints in its own.
+    assert!(heads[0].starts_with("## Table 2") && heads[2].starts_with("## Figure 18"));
+    assert!(
+        text.contains("  swim, 8 -> 2 pillars: "),
+        "claim lines print"
+    );
+    let err = refused("report fig99");
+    assert!(err.contains("fig99") && err.contains("fig18"), "{err}");
+}
