@@ -8,7 +8,8 @@
 //! must generate. Transport and timing belong to `nim-core`.
 
 use nim_obs::{Category, EventData, Obs};
-use nim_types::{checkpoint_fields, codec_enum, codec_struct, CpuId, FxHashMap, LineAddr};
+use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
+use nim_types::{codec_enum, codec_struct, CpuId, FxHashMap, LineAddr};
 
 /// Global coherence state of one line across all L1s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,12 +301,17 @@ impl Directory {
         self.entries.len()
     }
 
-    /// Protocol invariant check, used by tests: `Modified` implies exactly
-    /// one sharer; a tracked entry always has at least one sharer.
+    /// Protocol invariant check, used by tests and on restore:
+    /// `Modified` implies exactly one sharer; a tracked entry always has
+    /// at least one sharer, each a CPU this directory was built for.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let unknown = u64::MAX.checked_shl(self.num_cpus).unwrap_or(0);
         for (line, e) in &self.entries {
             if e.sharers == 0 {
                 return Err(format!("{line}: tracked with zero sharers"));
+            }
+            if e.sharers & unknown != 0 {
+                return Err(format!("{line}: shared by an unknown cpu"));
             }
             if matches!(e.state, LineState::Modified | LineState::Exclusive)
                 && e.sharers.count_ones() != 1
@@ -320,15 +326,25 @@ impl Directory {
     }
 }
 
-checkpoint_fields!(Directory {
-    invalidations_sent,
-    entries
-});
+impl Checkpoint for Directory {
+    fn save(&self, w: &mut ByteWriter) {
+        self.invalidations_sent.put(w);
+        self.entries.put(w);
+    }
+
+    /// Rejects an image whose entries break [`Directory::check_invariants`]:
+    /// the engine indexes per-CPU state by the sharers it is handed.
+    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        self.invalidations_sent = Codec::get(r)?;
+        self.entries = Codec::get(r)?;
+        self.check_invariants()
+            .map_err(|_| CodecError::Corrupt("directory entries break its invariants"))
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nim_types::Checkpoint as _;
 
     fn dir(policy: WritePolicy) -> Directory {
         Directory::new(8, policy)
@@ -523,12 +539,20 @@ mod tests {
         d.access(CpuId(0), LINE, DirAccess::Read);
         let mut w = nim_types::ByteWriter::new();
         d.save(&mut w);
-        let mut bytes = w.into_bytes();
-        // invalidations (8) + count (4) + line (8) → state tag at byte 20.
-        bytes[20] = 0xee;
-        let mut fresh = dir(WritePolicy::WriteThrough);
-        let mut r = nim_types::ByteReader::new(&bytes);
-        assert!(fresh.restore(&mut r).is_err());
+        let image = w.into_bytes();
+        // invalidations (8) + count (4) + line (8) → state tag at byte 20,
+        // then the sharer mask: an unknown state, a sharer (bit 42) this
+        // 8-CPU directory has no seat for, and a tracked line nobody holds.
+        for (at, flip) in [(20, 0xee), (21 + 5, 0x04), (21, 0x01)] {
+            let mut bytes = image.clone();
+            bytes[at] ^= flip;
+            let mut r = nim_types::ByteReader::new(&bytes);
+            let restored = dir(WritePolicy::WriteThrough).restore(&mut r);
+            assert!(
+                matches!(restored, Err(nim_types::CodecError::Corrupt(_))),
+                "byte {at}: {restored:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use nim_topology::ChipLayout;
 use nim_types::{FxHashMap, PillarPlacement, SystemConfig};
 
 use crate::error::BuildError;
-use crate::fabric::{FabricKind, LatencyModel, SimFabric};
+use crate::fabric::{FabricKind, FabricState, LatencyModel, SimFabric};
 use crate::policy::{MemoryRoute, Policy};
 use crate::protocol::Engine;
 use crate::report::Counters;
@@ -358,17 +358,14 @@ impl SystemBuilder {
             },
         );
         let model = LatencyModel::new(recipe.fabric, &layout, &cfg.network);
-        let fabric = SimFabric::new(
-            net,
-            model,
-            Ports::of_chip(
-                &cfg,
-                layout.num_clusters() as usize,
-                layout.num_nodes(),
-                cfg.memory_controllers as usize,
-            ),
-            self.obs.clone(),
+        let ports = Ports::of_chip(
+            &cfg,
+            layout.num_clusters() as usize,
+            layout.num_nodes(),
+            cfg.memory_controllers as usize,
         );
+        let shared = FabricState::new(ports, cfg.network.data_packet_flits, self.obs.clone());
+        let fabric = SimFabric::new(net, model, shared);
         let engine = Engine {
             seats,
             plans,
@@ -383,7 +380,6 @@ impl SystemBuilder {
             counters: Counters::default(),
             policy,
             line_bytes: u64::from(cfg.l2.line_bytes),
-            data_flits: cfg.network.data_packet_flits,
             layout,
         };
         let sharded = fabric.net.shards() > 1;

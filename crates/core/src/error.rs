@@ -74,6 +74,14 @@ pub enum RunError {
     /// custom-source run): reload the source and use
     /// [`ResumedRun::finish_with`](crate::ResumedRun::finish_with).
     NoGenerator,
+    /// A delivered packet's cookie decodes to no protocol message — the
+    /// run was resumed from a corrupted snapshot image.
+    CorruptToken {
+        /// Cycle at which the packet was delivered.
+        cycle: u64,
+        /// The raw cookie.
+        token: u64,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -84,6 +92,10 @@ impl fmt::Display for RunError {
                 "simulation stalled at cycle {cycle} after {completed} transactions"
             ),
             RunError::NoGenerator => write!(f, "{NO_GENERATOR}"),
+            RunError::CorruptToken { cycle, token } => write!(
+                f,
+                "packet delivered at cycle {cycle} carries undecodable token {token:#018x}"
+            ),
         }
     }
 }

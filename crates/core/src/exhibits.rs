@@ -18,7 +18,9 @@ use core::fmt;
 use nim_power::{pillar_area_vs_router, table2_row, TABLE2_PITCHES_UM};
 use nim_workload::BenchmarkProfile;
 
-use crate::experiments::{run_cells, table3_thermal, ExperimentError, ExperimentScale, SweepSpec};
+use crate::experiments::{
+    distinct, run_cells, table3_thermal, ExperimentError, ExperimentScale, SweepSpec,
+};
 use crate::report::RunReport;
 use crate::scheme::Scheme;
 use crate::txn::Phase;
@@ -94,23 +96,6 @@ pub struct Report {
     pub requested: usize,
     /// Distinct cells among those: the simulations actually run.
     pub simulated: usize,
-}
-
-/// One cell per simulation `requested` needs, in first-seen order. Two
-/// cells are one simulation when they build the same recipe for the
-/// same benchmark: `.pillars(8)`, `.layers(2)`, `.l2_scale(1)` and the
-/// default all do, and a shard count never enters the recipe.
-fn distinct(
-    requested: &[SweepSpec],
-    same: impl Fn(&SweepSpec, &SweepSpec) -> bool,
-) -> Vec<SweepSpec> {
-    let mut cells: Vec<SweepSpec> = Vec::new();
-    for spec in requested {
-        if !cells.iter().any(|cell| same(cell, spec)) {
-            cells.push(*spec);
-        }
-    }
-    cells
 }
 
 /// Runs `exhibits` as one batch: their cells are collected, duplicates

@@ -21,7 +21,7 @@ use nim_types::{PillarPlacement, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
 use crate::builder::SystemBuilder;
-use crate::error::{BuildError, RunError, SnapshotError};
+use crate::error::{BuildError, RunError};
 use crate::fabric::FabricKind;
 use crate::parallel::par_map;
 use crate::report::RunReport;
@@ -34,8 +34,6 @@ pub enum ExperimentError {
     Build(BuildError),
     /// A run failed.
     Run(RunError),
-    /// A warmup-fork image failed to capture or restore.
-    Snapshot(SnapshotError),
 }
 
 impl fmt::Display for ExperimentError {
@@ -43,7 +41,6 @@ impl fmt::Display for ExperimentError {
         match self {
             ExperimentError::Build(e) => write!(f, "build: {e}"),
             ExperimentError::Run(e) => write!(f, "run: {e}"),
-            ExperimentError::Snapshot(e) => write!(f, "warmup fork: {e}"),
         }
     }
 }
@@ -53,7 +50,6 @@ impl Error for ExperimentError {
         match self {
             ExperimentError::Build(e) => Some(e),
             ExperimentError::Run(e) => Some(e),
-            ExperimentError::Snapshot(e) => Some(e),
         }
     }
 }
@@ -67,12 +63,6 @@ impl From<BuildError> for ExperimentError {
 impl From<RunError> for ExperimentError {
     fn from(e: RunError) -> Self {
         ExperimentError::Run(e)
-    }
-}
-
-impl From<SnapshotError> for ExperimentError {
-    fn from(e: SnapshotError) -> Self {
-        ExperimentError::Snapshot(e)
     }
 }
 
@@ -204,21 +194,25 @@ impl SweepSpec {
         let mut system = self.builder(scale).build()?;
         Ok(system.run(&benchmarks[self.benchmark])?)
     }
+}
 
-    /// Simulates this cell's warmup once and snapshots at the boundary:
-    /// the shared image every duplicate cell forks from.
-    fn warmup_image(
-        &self,
-        benchmarks: &[BenchmarkProfile],
-        scale: ExperimentScale,
-    ) -> Result<Vec<u8>, ExperimentError> {
-        let mut system = self.builder(scale).build()?;
-        let mut gen = system.begin(&benchmarks[self.benchmark]);
-        match system.run_until(&mut gen, scale.warmup)? {
-            None => Ok(system.snapshot(&gen)?),
-            Some(_) => unreachable!("warmup stop is below the sampling target"),
+/// One cell per simulation `requested` needs, in first-seen order, for
+/// the caller's notion of `same`: equal specs here; in
+/// [`run_exhibits`](crate::exhibits::run_exhibits), specs that build the
+/// same recipe for the same benchmark (`.pillars(8)`, `.layers(2)`,
+/// `.l2_scale(1)` and the default all do, and a shard count never
+/// enters the recipe).
+pub(crate) fn distinct(
+    requested: &[SweepSpec],
+    same: impl Fn(&SweepSpec, &SweepSpec) -> bool,
+) -> Vec<SweepSpec> {
+    let mut cells: Vec<SweepSpec> = Vec::new();
+    for spec in requested {
+        if !cells.iter().any(|cell| same(cell, spec)) {
+            cells.push(*spec);
         }
     }
+    cells
 }
 
 /// Runs every cell across [`crate::parallel::configured_jobs`] worker
@@ -227,45 +221,20 @@ impl SweepSpec {
 /// simulation, every value) is bit-identical to running the cells
 /// sequentially, for any thread count.
 ///
-/// Cells with *identical* specs replay the exact same warmup
-/// trajectory, so they are warmup-forked: one leader per duplicate
-/// group simulates warmup once, snapshots at the boundary
-/// ([`crate::System::snapshot`]), and every member resumes from the
-/// shared image — bit-identical to a cold start by the
-/// snapshot-equivalence invariant, while paying for warmup once per
-/// group instead of once per cell.
+/// Cells with *equal* specs are one seeded simulation: each distinct
+/// spec runs once and its duplicates receive a clone of the outcome.
 pub fn run_cells_raw(
     benchmarks: &[BenchmarkProfile],
     scale: ExperimentScale,
     specs: &[SweepSpec],
 ) -> Vec<Result<RunReport, ExperimentError>> {
-    // Group duplicates under their first occurrence.
-    let leader_of: Vec<usize> = specs
-        .iter()
-        .map(|spec| specs.iter().position(|s| s == spec).expect("self"))
-        .collect();
-    let mut group_size = vec![0usize; specs.len()];
-    for &l in &leader_of {
-        group_size[l] += 1;
-    }
-    // Forking needs a warmup phase to share and a sampling phase to
-    // diverge into; otherwise every cell just runs cold.
-    let forkable = scale.warmup > 0 && scale.sample > 0;
-    let leaders: Vec<usize> = (0..specs.len())
-        .filter(|&i| forkable && leader_of[i] == i && group_size[i] > 1)
-        .collect();
-    let images: Vec<Result<Vec<u8>, ExperimentError>> =
-        par_map(&leaders, |_, &i| specs[i].warmup_image(benchmarks, scale));
-    let image_of: std::collections::HashMap<usize, &Result<Vec<u8>, ExperimentError>> =
-        leaders.iter().copied().zip(images.iter()).collect();
-    par_map(specs, |i, spec| match image_of.get(&leader_of[i]) {
-        Some(Ok(image)) => {
-            let mut resumed = SystemBuilder::resume_from(image, spec.shards)?;
-            Ok(resumed.finish()?)
-        }
-        Some(Err(e)) => Err(e.clone()),
-        None => spec.run(benchmarks, scale),
-    })
+    let cells = distinct(specs, |a, b| a == b);
+    let outcomes = par_map(&cells, |_, cell| cell.run(benchmarks, scale));
+    let outcome = |spec| {
+        let twin = cells.iter().position(|cell| cell == spec);
+        outcomes[twin.expect("every spec has a distinct twin")].clone()
+    };
+    specs.iter().map(outcome).collect()
 }
 
 /// Like [`run_cells_raw`], but fails with the first (in cell order)

@@ -3,14 +3,16 @@
 //! The L2 protocol engine ([`Engine`](crate::protocol::Engine)) never
 //! touches [`Network`] or the timed-event queue directly: every packet
 //! send, every scheduled latency, and every shared-resource claim goes
-//! through the [`Fabric`] trait. Two implementations exist:
+//! through the [`Fabric`] trait. What every fabric does the same way —
+//! shaping a [`Token`] into a packet, queueing timed events, claiming
+//! the contention-aware [`timing`](crate::timing) ports — is written
+//! once over [`FabricState`]; an implementation supplies only how a
+//! packet is carried:
 //!
-//! * [`SimFabric`] — the real thing: the cycle-accurate 3D NoC, the
-//!   timed-event [`DueQueue`], the contention-aware
-//!   [`timing`](crate::timing) ports, and the observability handle.
-//! * [`TestFabric`] — a recording double for unit tests: sends and
-//!   scheduled events land in inspectable queues, resource claims use
-//!   the same timing models, and no network is ever constructed.
+//! * [`SimFabric`] — the real thing: the cycle-accurate 3D NoC (or an
+//!   analytic latency model standing in for it).
+//! * [`TestFabric`] — a recording double for unit tests: packets land in
+//!   an inspectable list and no network is ever constructed.
 //!
 //! This seam is what makes the protocol transitions unit-testable and
 //! is the hook for alternative execution substrates: [`SimFabric`] can
@@ -32,7 +34,42 @@ use crate::token::{TimedEvent, Token};
 // `protocol.rs` never names the `nim_noc` crate directly. The
 // queue/service delay split rides along for latency attribution.
 pub(crate) use crate::timing::ClaimedDelay;
-pub(crate) use nim_noc::{Delivered, TrafficClass};
+pub(crate) use nim_noc::Delivered;
+
+/// The state every fabric keeps the same way: the timed-event queue,
+/// the three rows of serialised ports, the bank census, the length of a
+/// line-carrying packet, and the observability handle.
+#[derive(Debug)]
+pub(crate) struct FabricState {
+    /// Timed events; same-cycle events fire in scheduling order.
+    pub(crate) events: DueQueue<TimedEvent>,
+    /// Per-cluster tag arrays.
+    tags: Ports,
+    /// Data banks, node-indexed.
+    banks: Ports,
+    /// Accesses performed by each bank (node-indexed): the census that
+    /// drives activity-based power and thermal analysis.
+    pub(crate) bank_accesses: Vec<u64>,
+    /// Memory controllers' DRAM channels.
+    memory: Ports,
+    /// Flits in a packet that carries one cache line.
+    data_flits: u32,
+    obs: Obs,
+}
+
+impl FabricState {
+    pub(crate) fn new([tags, banks, memory]: [Ports; 3], data_flits: u32, obs: Obs) -> Self {
+        Self {
+            events: DueQueue::default(),
+            tags,
+            bank_accesses: vec![0; banks.len()],
+            banks,
+            memory,
+            data_flits,
+            obs,
+        }
+    }
+}
 
 /// Everything the protocol engine may ask of the simulation substrate.
 ///
@@ -41,42 +78,84 @@ pub(crate) use nim_noc::{Delivered, TrafficClass};
 /// channel) and learn when it completes, and reach the observability
 /// handle. Protocol handlers hold no other channel to the outside
 /// world, so swapping the substrate (test double today, sharded
-/// execution tomorrow) cannot change protocol behavior.
+/// execution tomorrow) cannot change protocol behavior. An
+/// implementation says where its [`FabricState`] lives and how a packet
+/// is carried; the rest is written once here.
 pub(crate) trait Fabric {
-    /// Injects one packet into the interconnect; `token` comes back via
-    /// the delivery path when the packet reaches `dst`.
-    fn send(
-        &mut self,
-        src: Coord,
-        dst: Coord,
-        class: TrafficClass,
-        flits: u32,
-        token: Token,
-        via: Option<PillarId>,
-    );
+    /// The shared state.
+    fn shared(&self) -> &FabricState;
+
+    /// The shared state, mutably.
+    fn shared_mut(&mut self) -> &mut FabricState;
+
+    /// Puts one shaped packet on the interconnect; its token comes back
+    /// via the delivery path when the packet reaches its destination.
+    fn carry(&mut self, req: SendRequest);
+
+    /// Injects the packet `token` travels as ([`Token::shape`]).
+    #[inline]
+    fn send(&mut self, src: Coord, dst: Coord, token: Token, via: Option<PillarId>) {
+        let (class, carries_line) = token.shape();
+        let flits = if carries_line {
+            self.shared().data_flits
+        } else {
+            1
+        };
+        self.carry(SendRequest {
+            src,
+            dst,
+            via,
+            class,
+            flits,
+            token: token.encode(),
+        });
+    }
 
     /// Schedules `ev` to fire `delay` cycles after `now`. Events due the
     /// same cycle fire in scheduling order.
-    fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent);
+    #[inline]
+    fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
+        self.shared_mut()
+            .events
+            .push(now.0.saturating_add(delay), |_| ev);
+    }
 
     /// Claims `cluster`'s tag array for one probe; returns the latency
     /// until the lookup completes, split into queueing and service.
-    fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay;
+    #[inline]
+    fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
+        self.shared_mut().tags.claim(cluster.index(), now)
+    }
 
     /// Claims the data bank at node index `node` for one access; returns
     /// the latency until it completes, split into queueing and service.
     /// `write` distinguishes stores/fills/migration absorbs from reads
     /// in the trace.
-    fn bank_delay(&mut self, node: usize, now: Cycle, write: bool) -> ClaimedDelay;
+    #[inline]
+    fn bank_delay(&mut self, node: usize, now: Cycle, write: bool) -> ClaimedDelay {
+        let shared = self.shared_mut();
+        shared.obs.emit(Category::Bank, || EventData::BankAccess {
+            node: node as u32,
+            write,
+        });
+        shared.bank_accesses[node] += 1;
+        shared.banks.claim(node, now)
+    }
 
     /// Claims memory controller `mc`'s DRAM channel; returns the
     /// latency until the DRAM access completes, split into bandwidth
     /// queueing and the DRAM access itself.
-    fn memory_delay(&mut self, mc: usize, now: Cycle) -> ClaimedDelay;
+    #[inline]
+    fn memory_delay(&mut self, mc: usize, now: Cycle) -> ClaimedDelay {
+        self.shared_mut().memory.claim(mc, now)
+    }
 
     /// The observability handle protocol code emits events and metrics
     /// through (disabled by default: one branch per site).
-    fn obs(&self) -> &Obs;
+    #[inline]
+    fn obs(&self) -> &Obs {
+        &self.shared().obs
+    }
 }
 
 /// Which interconnect substrate a run simulates. Selected at build time
@@ -162,10 +241,10 @@ impl LatencyModel {
     }
 }
 
-/// The real fabric: the 3D NoC, the timed-event queue, and the shared
-/// resource ports, owned together so the run loop in
-/// [`System`](crate::System) can drive phases and fast-forward while
-/// protocol code stays behind the [`Fabric`] trait.
+/// The real fabric: the 3D NoC beside the shared [`FabricState`], owned
+/// together so the run loop in [`System`](crate::System) can drive
+/// phases and fast-forward while protocol code stays behind the
+/// [`Fabric`] trait.
 ///
 /// With a [`LatencyModel`] attached, sends bypass the flit-level
 /// network entirely: each packet's delivery is computed analytically at
@@ -177,61 +256,35 @@ impl LatencyModel {
 pub(crate) struct SimFabric {
     /// The cycle-accurate 3D mesh + dTDMA pillar network.
     pub(crate) net: Network,
-    /// Timed events; same-cycle events fire in scheduling order.
-    pub(crate) events: DueQueue<TimedEvent>,
     /// `Some` for modeled fabrics; `None` runs the flit-level network.
     model: Option<LatencyModel>,
     /// Deliveries synthesized by the model (always empty under
     /// [`FabricKind::Sim`]); same-cycle deliveries pop in send order.
     pub(crate) modeled: DueQueue<Delivered>,
-    /// Per-cluster tag arrays.
-    tags: Ports,
-    /// Data banks, node-indexed.
-    banks: Ports,
-    /// Accesses performed by each bank (node-indexed): the census that
-    /// drives activity-based power and thermal analysis.
-    bank_accesses: Vec<u64>,
-    /// Memory controllers' DRAM channels.
-    memory: Ports,
-    obs: Obs,
+    /// Event queue, ports and census.
+    pub(crate) shared: FabricState,
 }
 
 impl SimFabric {
-    pub(crate) fn new(
-        net: Network,
-        model: Option<LatencyModel>,
-        [tags, banks, memory]: [Ports; 3],
-        obs: Obs,
-    ) -> Self {
+    pub(crate) fn new(net: Network, model: Option<LatencyModel>, shared: FabricState) -> Self {
         Self {
             net,
-            events: DueQueue::default(),
             model,
             modeled: DueQueue::default(),
-            tags,
-            bank_accesses: vec![0; banks.len()],
-            banks,
-            memory,
-            obs,
+            shared,
         }
     }
 
-    /// Accesses each bank performed so far, indexed like
-    /// [`ChipLayout::node_index`](nim_topology::ChipLayout::node_index).
-    pub(crate) fn bank_access_counts(&self) -> &[u64] {
-        &self.bank_accesses
-    }
-
     /// Computes one packet's delivery analytically and queues it.
-    fn send_modeled(
-        &mut self,
-        src: Coord,
-        dst: Coord,
-        class: TrafficClass,
-        flits: u32,
-        token: Token,
-        via: Option<PillarId>,
-    ) {
+    fn carry_modeled(&mut self, req: SendRequest) {
+        let SendRequest {
+            src,
+            dst,
+            via,
+            class,
+            flits,
+            token,
+        } = req;
         let model = self.model.as_mut().expect("modeled send requires a model");
         let now = self.net.now();
         let path = zero_load_path(
@@ -269,7 +322,7 @@ impl SimFabric {
             src,
             dst,
             class,
-            token: token.encode(),
+            token,
             injected: now,
             delivered: Cycle(due),
             hops: path.hops,
@@ -281,104 +334,68 @@ impl SimFabric {
 impl Checkpoint for SimFabric {
     fn save(&self, w: &mut ByteWriter) {
         self.net.save(w);
-        self.events.put(w);
+        self.shared.events.put(w);
         // Of the model only the pillar ready-at table is live state.
         w.bool(self.model.is_some());
         if let Some(m) = &self.model {
             m.ready_at.put(w);
         }
         self.modeled.put(w);
-        self.tags.save(w);
-        self.banks.save(w);
-        self.bank_accesses.put(w);
-        self.memory.save(w);
+        self.shared.tags.save(w);
+        self.shared.banks.save(w);
+        self.shared.bank_accesses.put(w);
+        self.shared.memory.save(w);
     }
 
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.net.restore(r)?;
-        self.events = Codec::get(r)?;
+        self.shared.events = Codec::get(r)?;
         match (Option::<Vec<u64>>::get(r)?, &mut self.model) {
             (None, None) => {}
             (Some(ready), Some(m)) if ready.len() == m.ready_at.len() => m.ready_at = ready,
             _ => return Err(CodecError::Corrupt("fabric model mismatch")),
         }
         self.modeled = Codec::get(r)?;
-        self.tags.restore(r)?;
-        self.banks.restore(r)?;
-        self.bank_accesses =
-            r.seq_of_len(self.bank_accesses.len(), "bank census count mismatch")?;
-        self.memory.restore(r)
+        let shared = &mut self.shared;
+        shared.tags.restore(r)?;
+        shared.banks.restore(r)?;
+        shared.bank_accesses =
+            r.seq_of_len(shared.bank_accesses.len(), "bank census count mismatch")?;
+        shared.memory.restore(r)
     }
 }
 
 impl Fabric for SimFabric {
-    fn send(
-        &mut self,
-        src: Coord,
-        dst: Coord,
-        class: TrafficClass,
-        flits: u32,
-        token: Token,
-        via: Option<PillarId>,
-    ) {
+    fn shared(&self) -> &FabricState {
+        &self.shared
+    }
+
+    fn shared_mut(&mut self) -> &mut FabricState {
+        &mut self.shared
+    }
+
+    #[inline]
+    fn carry(&mut self, req: SendRequest) {
         if self.model.is_some() {
-            self.send_modeled(src, dst, class, flits, token, via);
-            return;
+            self.carry_modeled(req);
+        } else {
+            self.net.send(req);
         }
-        self.net.send(SendRequest {
-            src,
-            dst,
-            via,
-            class,
-            flits,
-            token: token.encode(),
-        });
-    }
-
-    fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
-        self.events.push(now.0.saturating_add(delay), |_| ev);
-    }
-
-    fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
-        self.tags.claim(cluster.index(), now)
-    }
-
-    fn bank_delay(&mut self, node: usize, now: Cycle, write: bool) -> ClaimedDelay {
-        self.obs.emit(Category::Bank, || EventData::BankAccess {
-            node: node as u32,
-            write,
-        });
-        self.bank_accesses[node] += 1;
-        self.banks.claim(node, now)
-    }
-
-    fn memory_delay(&mut self, mc: usize, now: Cycle) -> ClaimedDelay {
-        self.memory.claim(mc, now)
-    }
-
-    fn obs(&self) -> &Obs {
-        &self.obs
     }
 }
 
-/// A recording test double: protocol transitions run against real
-/// timing models, but packets land in [`TestFabric::sent`] and timed
-/// events in [`TestFabric::events`] instead of a network. Tests pump
-/// both queues by hand (or via the helpers in the protocol unit tests)
-/// to walk a transaction through its whole lifecycle without a NoC.
+/// A recording test double: protocol transitions run against the real
+/// [`FabricState`], but packets land in [`TestFabric::sent`] instead of
+/// a network. Tests pump the sent list and the event queue by hand (or
+/// via the helpers in the protocol unit tests) to walk a transaction
+/// through its whole lifecycle without a NoC.
 #[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct TestFabric {
     /// Every packet sent, in order.
     pub(crate) sent: Vec<SendRequest>,
-    /// Scheduled events, queued like the real fabric's.
-    pub(crate) events: DueQueue<TimedEvent>,
-    tags: Ports,
-    banks: Ports,
-    /// Accesses performed by each bank, as the real fabric counts them.
-    pub(crate) bank_accesses: Vec<u64>,
-    memory: Ports,
-    obs: Obs,
+    /// Event queue, ports and census, as the real fabric keeps them.
+    pub(crate) shared: FabricState,
 }
 
 #[cfg(test)]
@@ -387,22 +404,17 @@ impl TestFabric {
         // The paper's Table 4 latencies, so unit-test delays line up
         // with what the real system charges.
         let cfg = nim_types::SystemConfig::default();
-        let [tags, banks, memory] = Ports::of_chip(&cfg, clusters, nodes, controllers.max(1));
+        let ports = Ports::of_chip(&cfg, clusters, nodes, controllers.max(1));
         Self {
             sent: Vec::new(),
-            events: DueQueue::default(),
-            tags,
-            banks,
-            bank_accesses: vec![0; nodes],
-            memory,
-            obs: Obs::disabled(),
+            shared: FabricState::new(ports, cfg.network.data_packet_flits, Obs::disabled()),
         }
     }
 
     /// Pops the earliest scheduled event, if any.
     pub(crate) fn pop_event(&mut self) -> Option<(u64, TimedEvent)> {
-        let due = self.events.next_due()?;
-        self.events.pop_due(due).map(|ev| (due, ev))
+        let due = self.shared.events.next_due()?;
+        self.shared.events.pop_due(due).map(|ev| (due, ev))
     }
 
     /// Drains and returns everything sent so far.
@@ -413,50 +425,23 @@ impl TestFabric {
 
 #[cfg(test)]
 impl Fabric for TestFabric {
-    fn send(
-        &mut self,
-        src: Coord,
-        dst: Coord,
-        class: TrafficClass,
-        flits: u32,
-        token: Token,
-        via: Option<PillarId>,
-    ) {
-        self.sent.push(SendRequest {
-            src,
-            dst,
-            via,
-            class,
-            flits,
-            token: token.encode(),
-        });
+    fn shared(&self) -> &FabricState {
+        &self.shared
     }
 
-    fn schedule(&mut self, now: Cycle, delay: u64, ev: TimedEvent) {
-        self.events.push(now.0.saturating_add(delay), |_| ev);
+    fn shared_mut(&mut self) -> &mut FabricState {
+        &mut self.shared
     }
 
-    fn tag_delay(&mut self, cluster: ClusterId, now: Cycle) -> ClaimedDelay {
-        self.tags.claim(cluster.index(), now)
-    }
-
-    fn bank_delay(&mut self, node: usize, now: Cycle, _write: bool) -> ClaimedDelay {
-        self.bank_accesses[node] += 1;
-        self.banks.claim(node, now)
-    }
-
-    fn memory_delay(&mut self, mc: usize, now: Cycle) -> ClaimedDelay {
-        self.memory.claim(mc, now)
-    }
-
-    fn obs(&self) -> &Obs {
-        &self.obs
+    fn carry(&mut self, req: SendRequest) {
+        self.sent.push(req);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nim_noc::TrafficClass;
     use nim_types::codec::assert_laws;
     use nim_types::LineAddr;
 
@@ -523,7 +508,7 @@ mod tests {
         let (src, dst) = (Coord::new(0, 0, 0), Coord::new(0, 0, 1));
         for _ in 0..2 {
             let token = Token::DataToCpu { txn: 1 };
-            f.send(src, dst, TrafficClass::Data, 5, token, None);
+            f.send(src, dst, token, None);
         }
         let parked = f.modeled.pop_due(u64::MAX).unwrap();
         assert_eq!(
@@ -539,7 +524,7 @@ mod tests {
             u64::MAX,
             TimedEvent::MemoryFetched { line: LineAddr(3) },
         );
-        assert_eq!(f.events.next_due(), Some(u64::MAX));
+        assert_eq!(f.shared.events.next_due(), Some(u64::MAX));
     }
 
     #[test]

@@ -22,7 +22,8 @@ use nim_topology::{ChipLayout, CpuSeat};
 use nim_types::{AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr, PillarId};
 use nim_workload::{cpu_regions, shared_region, BenchmarkProfile};
 
-use crate::fabric::{ClaimedDelay, Delivered, Fabric, TrafficClass};
+use crate::error::RunError;
+use crate::fabric::{ClaimedDelay, Delivered, Fabric};
 use crate::policy::{MemoryRoute, Policy};
 use crate::report::Counters;
 use crate::token::{TimedEvent, Token};
@@ -67,8 +68,6 @@ pub(crate) struct Engine {
     pub(crate) policy: Policy,
     /// Cache-line size in bytes.
     pub(crate) line_bytes: u64,
-    /// Data-packet length in flits.
-    pub(crate) data_flits: u32,
 }
 
 impl Engine {
@@ -92,9 +91,72 @@ impl Engine {
         self.layout.coord_of_bank(bank)
     }
 
+    /// Sends `token` from `cpu`'s seat to `dst` over the CPU's pillar.
+    fn send_from_cpu(&self, f: &mut impl Fabric, cpu: CpuId, dst: Coord, token: Token) {
+        let seat = self.seat(cpu);
+        f.send(seat.coord, dst, token, seat.pillar);
+    }
+
+    /// Sends `token` from `src` to `cpu`'s seat over the CPU's pillar.
+    fn send_to_cpu(&self, f: &mut impl Fabric, src: Coord, cpu: CpuId, token: Token) {
+        let seat = self.seat(cpu);
+        f.send(src, seat.coord, token, seat.pillar);
+    }
+
     /// Claims the bank at `at` through the fabric (node-indexing it).
     fn bank_delay(&self, f: &mut impl Fabric, at: Coord, now: Cycle, write: bool) -> ClaimedDelay {
         f.bank_delay(self.layout.node_index(at), now, write)
+    }
+
+    /// Claims `cluster`'s tag array for transaction `id`'s probe and
+    /// schedules the lookup's completion.
+    fn probe_tags(f: &mut impl Fabric, id: TxnId, cluster: ClusterId, now: Cycle) {
+        let delay = f.tag_delay(cluster, now);
+        let done = TimedEvent::ProbeResolved {
+            txn: id,
+            cluster,
+            queue: delay.queue,
+        };
+        f.schedule(now, delay.total(), done);
+    }
+
+    /// The baseline's oracle skips probe latency, so its tag check
+    /// happens when the request reaches the bank; searching schemes have
+    /// paid for theirs already.
+    fn tag_check_at_bank(&self, f: &mut impl Fabric, line: LineAddr, now: Cycle) -> ClaimedDelay {
+        if !self.policy.oracle_search {
+            return ClaimedDelay::NONE;
+        }
+        let cl = self.l2.locate(line);
+        f.tag_delay(cl.unwrap_or(self.l2.home_cluster(line)), now)
+    }
+
+    /// Claims the bank at `at` for transaction `id`'s read (after `tag`,
+    /// a tag check already claimed) and schedules its completion.
+    fn read_bank(
+        &mut self,
+        f: &mut impl Fabric,
+        id: TxnId,
+        at: Coord,
+        tag: ClaimedDelay,
+        now: Cycle,
+    ) {
+        self.counters.bank_accesses += 1;
+        let delay = tag + self.bank_delay(f, at, now, false);
+        let queue = delay.queue;
+        f.schedule(
+            now,
+            delay.total(),
+            TimedEvent::BankReadDone { txn: id, at, queue },
+        );
+    }
+
+    /// A line reached the bank at `at` (a memory fill, a replica copy, a
+    /// migrating line): the bank absorbs it when its port frees up, then
+    /// `done` fires.
+    fn absorb_at_bank(&self, f: &mut impl Fabric, at: Coord, done: TimedEvent, now: Cycle) {
+        let delay = self.bank_delay(f, at, now, true).total();
+        f.schedule(now, delay, done);
     }
 
     // ----- transaction lifecycle ------------------------------------------
@@ -121,32 +183,13 @@ impl Engine {
         self.counters.tag_accesses += 1;
         match self.l2.locate(t.line) {
             Some(cl) => {
-                let seat = *self.seat(t.cpu);
                 let bank = self.bank_coord(cl, t.line);
                 self.txns.get_mut(id).expect("live txn").serve_from(cl);
-                match t.kind {
-                    AccessKind::Read | AccessKind::IFetch => {
-                        f.send(
-                            seat.coord,
-                            bank,
-                            TrafficClass::Control,
-                            1,
-                            Token::BankFetch { txn: id },
-                            seat.pillar,
-                        );
-                    }
-                    AccessKind::Write => {
-                        let flits = self.data_flits;
-                        f.send(
-                            seat.coord,
-                            bank,
-                            TrafficClass::Data,
-                            flits,
-                            Token::WriteData { txn: id },
-                            seat.pillar,
-                        );
-                    }
-                }
+                let token = match t.kind {
+                    AccessKind::Read | AccessKind::IFetch => Token::BankFetch { txn: id },
+                    AccessKind::Write => Token::WriteData { txn: id },
+                };
+                self.send_from_cpu(f, t.cpu, bank, token);
             }
             None => self.go_to_memory(f, id, now),
         }
@@ -195,70 +238,69 @@ impl Engine {
         for &cl in clusters.iter().filter(|&&cl| is_direct(cl)) {
             if cl == local {
                 // The local tag array is directly connected (paper §4.1).
-                let delay = f.tag_delay(cl, now);
-                f.schedule(
-                    now,
-                    delay.total(),
-                    TimedEvent::ProbeResolved {
-                        txn: id,
-                        cluster: cl,
-                        queue: delay.queue,
-                    },
-                );
+                Self::probe_tags(f, id, cl, now);
             } else {
-                f.send(
-                    seat.coord,
-                    layout.cluster_center(cl),
-                    TrafficClass::Control,
-                    1,
-                    Token::Probe {
-                        txn: id,
-                        cluster: cl,
-                    },
-                    seat.pillar,
-                );
+                let token = Token::Probe {
+                    txn: id,
+                    cluster: cl,
+                };
+                f.send(seat.coord, layout.cluster_center(cl), token, seat.pillar);
             }
         }
         for layer in (0..8u8).filter(|l| remote_layers >> l & 1 != 0) {
             let pillar = seat.pillar.expect("remote layers imply a pillar");
-            f.send(
-                seat.coord,
-                layout.pillar_coord(pillar, layer),
-                TrafficClass::Control,
-                1,
-                Token::VerticalProbe {
-                    txn: id,
-                    layer,
-                    step,
-                },
-                seat.pillar,
-            );
+            let token = Token::VerticalProbe {
+                txn: id,
+                layer,
+                step,
+            };
+            let dst = layout.pillar_coord(pillar, layer);
+            f.send(seat.coord, dst, token, seat.pillar);
         }
     }
 
-    /// A tag array finished its lookup for one probe.
-    fn resolve_probe(&mut self, f: &mut impl Fabric, id: TxnId, cluster: ClusterId, now: Cycle) {
+    /// A tag array finished its lookup for one probe: serve a hit, or
+    /// answer with a miss reply. `direct` probes — the requester's own
+    /// tag array or an individual probe packet — are traced; one
+    /// cluster's share of a pillar broadcast is not, and each of its
+    /// miss replies individually rides the pillar back, which is what
+    /// loads the bus when few pillars serve many CPUs (Fig. 17).
+    fn resolve_probe(
+        &mut self,
+        f: &mut impl Fabric,
+        id: TxnId,
+        cluster: ClusterId,
+        direct: bool,
+        now: Cycle,
+    ) {
         let Some(t) = self.txns.get(id).copied() else {
             return;
         };
-        f.obs().emit(Category::Search, || EventData::Probe {
-            txn: u64::from(id),
-            cluster: u32::from(cluster.0),
-            step: t.step,
-        });
-        let visible = self.l2.locate(t.line);
-        let hit = self.l2.has_copy_at(t.line, cluster);
-        let seat = *self.seat(t.cpu);
-        let local = self.plans[t.cpu.index()].local;
-        let origin = if cluster == local {
-            seat.coord
+        if direct {
+            f.obs().emit(Category::Search, || EventData::Probe {
+                txn: u64::from(id),
+                cluster: u32::from(cluster.0),
+                step: t.step,
+            });
+        }
+        if !t.is_searching() {
+            // Probes resolving after the transaction was served are
+            // dropped: their outcome no longer matters.
+            return;
+        }
+        // Local tag arrays answer directly; a remote-layer cluster is
+        // never the local one.
+        let seat = self.seat(t.cpu).coord;
+        let origin = if cluster == self.plans[t.cpu.index()].local {
+            seat
         } else {
             self.center(cluster)
         };
-        if hit && t.is_searching() {
+        if self.l2.has_copy_at(t.line, cluster) {
             // Serve from the probed cluster when its bank really holds a
             // copy (primary or replica); a probe that matched only an
             // in-flight migration entry serves from the current location.
+            let visible = self.l2.locate(t.line);
             let serving =
                 if visible == Some(cluster) || self.l2.replicas_of(t.line).contains(&cluster) {
                     cluster
@@ -266,23 +308,11 @@ impl Engine {
                     visible.expect("a hit implies residency")
                 };
             self.serve_hit(f, id, origin, serving, now);
-        } else if t.is_searching() {
-            // Miss: tell the requester (local tag arrays answer directly).
-            if origin == seat.coord {
-                self.probe_missed(f, id, now);
-            } else {
-                f.send(
-                    origin,
-                    seat.coord,
-                    TrafficClass::Control,
-                    1,
-                    Token::ProbeMiss { txn: id },
-                    seat.pillar,
-                );
-            }
+        } else if origin == seat {
+            self.probe_missed(f, id, now);
+        } else {
+            self.send_to_cpu(f, origin, t.cpu, Token::ProbeMiss { txn: id });
         }
-        // Probes resolving after the transaction was served are dropped:
-        // their outcome no longer matters.
     }
 
     /// A tag array found the line: forward the request toward the data
@@ -301,38 +331,21 @@ impl Engine {
             cluster: u32::from(serving.0),
         });
         self.txns.get_mut(id).expect("live txn").serve_from(serving);
-        let seat = *self.seat(t.cpu);
         match t.kind {
             AccessKind::Read | AccessKind::IFetch => {
                 // The tag array forwards the request to the bank; the
                 // data is routed straight to the requester (§4.2.1).
                 let bank = self.bank_coord(serving, t.line);
-                f.send(
-                    origin,
-                    bank,
-                    TrafficClass::Control,
-                    1,
-                    Token::BankFetch { txn: id },
-                    seat.pillar,
-                );
+                f.send(origin, bank, Token::BankFetch { txn: id }, self.via(t.cpu));
             }
+            // The writer must learn the location to ship its data.
+            AccessKind::Write if origin == self.seat(t.cpu).coord => self.write_data_to(f, id, now),
             AccessKind::Write => {
-                // The writer must learn the location to ship its data.
-                if origin == seat.coord {
-                    self.write_data_to(f, id, now);
-                } else {
-                    f.send(
-                        origin,
-                        seat.coord,
-                        TrafficClass::Control,
-                        1,
-                        Token::FoundForWrite {
-                            txn: id,
-                            cluster: serving,
-                        },
-                        seat.pillar,
-                    );
-                }
+                let token = Token::FoundForWrite {
+                    txn: id,
+                    cluster: serving,
+                };
+                self.send_to_cpu(f, origin, t.cpu, token);
             }
         }
     }
@@ -376,46 +389,6 @@ impl Engine {
                 },
             );
         }
-    }
-
-    /// One remote tag array resolved its share of a pillar broadcast:
-    /// serve a hit, or answer with its own miss reply — every reply
-    /// individually rides the pillar back, which is what loads the bus
-    /// when few pillars serve many CPUs (Fig. 17).
-    fn vertical_cluster_resolved(
-        &mut self,
-        f: &mut impl Fabric,
-        id: TxnId,
-        cluster: ClusterId,
-        _layer: u8,
-        now: Cycle,
-    ) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
-        if !t.is_searching() {
-            return;
-        }
-        let visible = self.l2.locate(t.line);
-        if self.l2.has_copy_at(t.line, cluster) {
-            let serving =
-                if visible == Some(cluster) || self.l2.replicas_of(t.line).contains(&cluster) {
-                    cluster
-                } else {
-                    visible.expect("a hit implies residency")
-                };
-            self.serve_hit(f, id, self.center(cluster), serving, now);
-            return;
-        }
-        let seat = *self.seat(t.cpu);
-        f.send(
-            self.center(cluster),
-            seat.coord,
-            TrafficClass::Control,
-            1,
-            Token::ProbeMiss { txn: id },
-            seat.pillar,
-        );
     }
 
     /// A miss answer reached the requester.
@@ -468,16 +441,8 @@ impl Engine {
             .emit(Category::Memory, || EventData::MemRequest { line: line.0 });
         match self.policy.memory {
             MemoryRoute::EdgeControllers => {
-                let seat = *self.seat(cpu);
                 let mc = self.nearest_mc(self.bank_coord(self.l2.home_cluster(line), line));
-                f.send(
-                    seat.coord,
-                    self.mc_coords[mc],
-                    TrafficClass::Control,
-                    1,
-                    Token::MemRequest { line },
-                    seat.pillar,
-                );
+                self.send_from_cpu(f, cpu, self.mc_coords[mc], Token::MemRequest { line });
             }
             MemoryRoute::Flat { latency } => {
                 f.schedule(now, latency, TimedEvent::MemoryFetched { line });
@@ -513,23 +478,9 @@ impl Engine {
 
     /// DRAM answered: ship the line to its home bank.
     fn memory_ready(&mut self, f: &mut impl Fabric, line: LineAddr, mc: u16) {
-        let home = self.l2.home_cluster(line);
-        let dst = self.bank_coord(home, line);
-        let flits = self.data_flits;
-        f.send(
-            self.mc_coords[mc as usize],
-            dst,
-            TrafficClass::Data,
-            flits,
-            Token::MemFill { line },
-            None,
-        );
-    }
-
-    /// The fill reached the home bank: absorb it, then serve the waiters.
-    fn mem_fill_arrived(&mut self, f: &mut impl Fabric, line: LineAddr, at: Coord, now: Cycle) {
-        let delay = self.bank_delay(f, at, now, true).total();
-        f.schedule(now, delay, TimedEvent::MemoryFetched { line });
+        let src = self.mc_coords[mc as usize];
+        let dst = self.bank_coord(self.l2.home_cluster(line), line);
+        f.send(src, dst, Token::MemFill { line }, None);
     }
 
     /// Off-chip memory delivered the line: place it and serve the waiters.
@@ -556,33 +507,16 @@ impl Engine {
             t.timeline.credit(Phase::MemWait, now);
             let t = *t;
             match t.kind {
+                // The fill serves the read directly from the bank.
                 AccessKind::Read | AccessKind::IFetch => {
-                    // The fill serves the read directly from the bank.
-                    self.counters.bank_accesses += 1;
-                    let delay = self.bank_delay(f, bank, now, false);
-                    f.schedule(
-                        now,
-                        delay.total(),
-                        TimedEvent::BankReadDone {
-                            txn: id,
-                            at: bank,
-                            queue: delay.queue,
-                        },
-                    );
+                    self.read_bank(f, id, bank, ClaimedDelay::NONE, now);
                 }
                 AccessKind::Write => {
-                    let seat = *self.seat(t.cpu);
-                    f.send(
-                        self.center(serving),
-                        seat.coord,
-                        TrafficClass::Control,
-                        1,
-                        Token::FoundForWrite {
-                            txn: id,
-                            cluster: serving,
-                        },
-                        seat.pillar,
-                    );
+                    let token = Token::FoundForWrite {
+                        txn: id,
+                        cluster: serving,
+                    };
+                    self.send_to_cpu(f, self.center(serving), t.cpu, token);
                 }
             }
         }
@@ -595,17 +529,8 @@ impl Engine {
         };
         match self.l2.locate(t.line) {
             Some(cl) => {
-                let seat = *self.seat(t.cpu);
                 let bank = self.bank_coord(cl, t.line);
-                let flits = self.data_flits;
-                f.send(
-                    seat.coord,
-                    bank,
-                    TrafficClass::Data,
-                    flits,
-                    Token::WriteData { txn: id },
-                    seat.pillar,
-                );
+                self.send_from_cpu(f, t.cpu, bank, Token::WriteData { txn: id });
             }
             // Evicted between the probe hit and now: fetch it back.
             None => self.go_to_memory(f, id, now),
@@ -621,54 +546,19 @@ impl Engine {
         // A replica bank can serve the read directly.
         let here = self.layout.cluster_of(at);
         if self.l2.replicas_of(t.line).contains(&here) && self.bank_coord(here, t.line) == at {
-            self.counters.bank_accesses += 1;
-            let delay = self.bank_delay(f, at, now, false);
-            f.schedule(
-                now,
-                delay.total(),
-                TimedEvent::BankReadDone {
-                    txn: id,
-                    at,
-                    queue: delay.queue,
-                },
-            );
-            return;
+            return self.read_bank(f, id, at, ClaimedDelay::NONE, now);
         }
         match self.l2.locate(t.line) {
             None => self.go_to_memory(f, id, now),
             Some(cl) => {
                 let target = self.bank_coord(cl, t.line);
                 if target == at {
-                    self.counters.bank_accesses += 1;
-                    // The baseline's oracle skips probe latency, so the
-                    // tag check happens at the bank.
-                    let tag = if self.policy.oracle_search {
-                        f.tag_delay(cl, now)
-                    } else {
-                        ClaimedDelay::NONE
-                    };
-                    let delay = tag + self.bank_delay(f, at, now, false);
-                    f.schedule(
-                        now,
-                        delay.total(),
-                        TimedEvent::BankReadDone {
-                            txn: id,
-                            at,
-                            queue: delay.queue,
-                        },
-                    );
+                    let tag = self.tag_check_at_bank(f, t.line, now);
+                    self.read_bank(f, id, at, tag, now);
                 } else {
                     // The line migrated while the request was in flight;
                     // chase it.
-                    let via = self.via(t.cpu);
-                    f.send(
-                        at,
-                        target,
-                        TrafficClass::Control,
-                        1,
-                        Token::BankFetch { txn: id },
-                        via,
-                    );
+                    f.send(at, target, Token::BankFetch { txn: id }, self.via(t.cpu));
                 }
             }
         }
@@ -680,16 +570,7 @@ impl Engine {
             return;
         };
         self.l2.touch_at(t.line, self.layout.cluster_of(at));
-        let seat = *self.seat(t.cpu);
-        let flits = self.data_flits;
-        f.send(
-            at,
-            seat.coord,
-            TrafficClass::Data,
-            flits,
-            Token::DataToCpu { txn: id },
-            seat.pillar,
-        );
+        self.send_to_cpu(f, at, t.cpu, Token::DataToCpu { txn: id });
     }
 
     /// Store data reached the bank.
@@ -698,15 +579,7 @@ impl Engine {
             return;
         };
         self.counters.bank_accesses += 1;
-        let tag = if self.policy.oracle_search {
-            let cl = self
-                .l2
-                .locate(t.line)
-                .unwrap_or(self.l2.home_cluster(t.line));
-            f.tag_delay(cl, now)
-        } else {
-            ClaimedDelay::NONE
-        };
+        let tag = self.tag_check_at_bank(f, t.line, now);
         let delay = tag + self.bank_delay(f, at, now, true);
         f.schedule(
             now,
@@ -725,15 +598,7 @@ impl Engine {
             return;
         };
         self.l2.touch(t.line);
-        let seat = *self.seat(t.cpu);
-        f.send(
-            at,
-            seat.coord,
-            TrafficClass::Control,
-            1,
-            Token::WriteAck { txn: id },
-            seat.pillar,
-        );
+        self.send_to_cpu(f, at, t.cpu, Token::WriteAck { txn: id });
     }
 
     /// The read data arrived at the CPU: the transaction completes.
@@ -760,33 +625,16 @@ impl Engine {
         };
         self.finish_counters(f, id, &t, now);
         self.cores[t.cpu.index()].store_completed();
+        let token = Token::Invalidate { line: t.line };
         // A store makes every L2 replica stale (replication extension).
-        let src = self.seat(t.cpu).coord;
-        let via = self.via(t.cpu);
         for rc in self.l2.drop_replicas(t.line) {
             self.counters.invalidations += 1;
-            let dst = self.center(rc);
-            f.send(
-                src,
-                dst,
-                TrafficClass::Coherence,
-                1,
-                Token::Invalidate { line: t.line },
-                via,
-            );
+            self.send_from_cpu(f, t.cpu, self.center(rc), token);
         }
         let outcome = self.dir.access(t.cpu, t.line, DirAccess::Write);
         for sharer in outcome.invalidations.iter() {
             self.counters.invalidations += 1;
-            let dst = self.seat(sharer).coord;
-            f.send(
-                src,
-                dst,
-                TrafficClass::Coherence,
-                1,
-                Token::Invalidate { line: t.line },
-                via,
-            );
+            self.send_from_cpu(f, t.cpu, self.seat(sharer).coord, token);
         }
         let repeated = self.last_accessor.insert(t.line, t.cpu) == Some(t.cpu);
         self.maybe_migrate(f, t.cpu, t.line, repeated);
@@ -808,14 +656,7 @@ impl Engine {
         for sharer in self.dir.invalidate_all(victim).iter() {
             self.counters.invalidations += 1;
             let dst = self.seat(sharer).coord;
-            f.send(
-                from,
-                dst,
-                TrafficClass::Coherence,
-                1,
-                Token::Invalidate { line: victim },
-                None,
-            );
+            f.send(from, dst, Token::Invalidate { line: victim }, None);
         }
     }
 
@@ -860,15 +701,7 @@ impl Engine {
             let dst = self.bank_coord(to, line);
             // Reading the source bank and writing the destination bank.
             self.counters.bank_accesses += 2;
-            let flits = self.data_flits;
-            f.send(
-                src,
-                dst,
-                TrafficClass::Migration,
-                flits,
-                Token::MigrationMove { line },
-                None,
-            );
+            f.send(src, dst, Token::MigrationMove { line }, None);
         }
     }
 
@@ -895,31 +728,11 @@ impl Engine {
         self.counters.bank_accesses += 1; // source bank read for the copy
         let src = self.bank_coord(primary, line);
         let dst = self.bank_coord(local, line);
-        let flits = self.data_flits;
-        f.send(
-            src,
-            dst,
-            TrafficClass::Data,
-            flits,
-            Token::ReplicaFill {
-                line,
-                cluster: local,
-            },
-            self.via(cpu),
-        );
-    }
-
-    /// A replica copy reached its new bank.
-    fn replica_arrived(
-        &mut self,
-        f: &mut impl Fabric,
-        line: LineAddr,
-        cluster: ClusterId,
-        at: Coord,
-        now: Cycle,
-    ) {
-        let delay = self.bank_delay(f, at, now, true).total();
-        f.schedule(now, delay, TimedEvent::ReplicaInstalled { line, cluster });
+        let token = Token::ReplicaFill {
+            line,
+            cluster: local,
+        };
+        f.send(src, dst, token, self.via(cpu));
     }
 
     /// The new bank absorbed the replica: publish it in the tag array.
@@ -935,17 +748,6 @@ impl Engine {
                 self.handle_l2_eviction(f, victim, from);
             }
         }
-    }
-
-    /// The migrating line arrived at the destination bank.
-    fn migration_arrived(&mut self, f: &mut impl Fabric, line: LineAddr, now: Cycle) {
-        // The destination bank absorbs the line when its port frees up.
-        let at = match self.l2.migration_of(line) {
-            Some(to) => self.bank_coord(to, line),
-            None => return, // aborted in flight
-        };
-        let delay = self.bank_delay(f, at, now, true).total();
-        f.schedule(now, delay, TimedEvent::MigrationDone { line });
     }
 
     /// The destination bank finished absorbing the line: commit.
@@ -977,17 +779,17 @@ impl Engine {
                 queue,
             } => {
                 self.credit_event(txn, queue, 0, now);
-                self.resolve_probe(f, txn, cluster, now);
+                self.resolve_probe(f, txn, cluster, true, now);
             }
             TimedEvent::VerticalClusterResolved {
                 txn,
                 cluster,
-                layer,
+                layer: _,
                 queue,
                 fanout,
             } => {
                 self.credit_event(txn, queue, fanout, now);
-                self.vertical_cluster_resolved(f, txn, cluster, layer, now);
+                self.resolve_probe(f, txn, cluster, false, now);
             }
             TimedEvent::BankReadDone { txn, at, queue } => {
                 self.credit_event(txn, queue, 0, now);
@@ -1007,22 +809,24 @@ impl Engine {
     }
 
     /// A packet reached its destination's local port.
-    pub(crate) fn handle_delivered(&mut self, f: &mut impl Fabric, d: Delivered, now: Cycle) {
-        let token = Token::decode(d.token);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::CorruptToken`] for a cookie that decodes to no
+    /// token — only a corrupted snapshot image can carry one.
+    pub(crate) fn handle_delivered(
+        &mut self,
+        f: &mut impl Fabric,
+        d: Delivered,
+        now: Cycle,
+    ) -> Result<(), RunError> {
+        let token = Token::decode(d.token).ok_or(RunError::CorruptToken {
+            cycle: now.0,
+            token: d.token,
+        })?;
         self.credit_delivery(token, &d, now);
         match token {
-            Token::Probe { txn, cluster } => {
-                let delay = f.tag_delay(cluster, now);
-                f.schedule(
-                    now,
-                    delay.total(),
-                    TimedEvent::ProbeResolved {
-                        txn,
-                        cluster,
-                        queue: delay.queue,
-                    },
-                );
-            }
+            Token::Probe { txn, cluster } => Self::probe_tags(f, txn, cluster, now),
             Token::VerticalProbe {
                 txn,
                 layer: _,
@@ -1036,18 +840,29 @@ impl Engine {
             Token::FoundForWrite { txn, cluster: _ } => self.write_data_to(f, txn, now),
             Token::WriteData { txn } => self.write_data_arrived(f, txn, d.dst, now),
             Token::WriteAck { txn } => self.complete_write(f, txn, now),
-            Token::MigrationMove { line } => self.migration_arrived(f, line, now),
+            // An aborted migration's line has no bank left to absorb it.
+            Token::MigrationMove { line } => {
+                if let Some(to) = self.l2.migration_of(line) {
+                    let done = TimedEvent::MigrationDone { line };
+                    self.absorb_at_bank(f, self.bank_coord(to, line), done, now);
+                }
+            }
             Token::ReplicaFill { line, cluster } => {
-                self.replica_arrived(f, line, cluster, d.dst, now)
+                let done = TimedEvent::ReplicaInstalled { line, cluster };
+                self.absorb_at_bank(f, d.dst, done, now);
             }
             Token::MemRequest { line } => self.mem_request_arrived(f, line, d.dst, now),
-            Token::MemFill { line } => self.mem_fill_arrived(f, line, d.dst, now),
+            // The fill reached the home bank, which then serves the waiters.
+            Token::MemFill { line } => {
+                self.absorb_at_bank(f, d.dst, TimedEvent::MemoryFetched { line }, now);
+            }
             Token::Invalidate { line } => {
                 if let Some(&cpu) = self.cpu_at.get(&d.dst) {
                     self.cores[cpu.index()].invalidate(line);
                 }
             }
         }
+        Ok(())
     }
 
     // ----- warm-up --------------------------------------------------------

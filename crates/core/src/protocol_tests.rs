@@ -68,8 +68,9 @@ fn pump(eng: &mut Engine, f: &mut TestFabric) -> Vec<Token> {
         }
         clock += 1;
         for req in sent {
-            log.push(Token::decode(req.token));
-            eng.handle_delivered(f, deliver(&req, clock), Cycle(clock));
+            log.push(Token::decode(req.token).expect("sent tokens decode"));
+            eng.handle_delivered(f, deliver(&req, clock), Cycle(clock))
+                .expect("sent tokens decode");
         }
     }
     panic!("engine did not quiesce");
@@ -236,7 +237,7 @@ fn l2_eviction_invalidates_every_l1_sharer() {
     for req in &sent {
         assert!(matches!(
             Token::decode(req.token),
-            Token::Invalidate { line: l } if l == line
+            Some(Token::Invalidate { line: l }) if l == line
         ));
     }
 }
@@ -385,7 +386,8 @@ fn phase_buckets_survive_a_search_retry() {
         }
         clock += 1;
         for req in sent {
-            eng.handle_delivered(&mut f, deliver(&req, clock), Cycle(clock));
+            eng.handle_delivered(&mut f, deliver(&req, clock), Cycle(clock))
+                .expect("sent tokens decode");
         }
     }
     assert!(eng.txns.is_empty(), "transaction completed");

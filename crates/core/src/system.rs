@@ -143,7 +143,7 @@ impl System {
     /// per-bank power for thermal analysis (the paper's closing
     /// discussion points at exactly this coupling).
     pub fn bank_access_counts(&self) -> &[u64] {
-        self.fabric.bank_access_counts()
+        &self.fabric.shared.bank_accesses
     }
 
     /// The on-chip network, for utilisation and congestion analysis.
@@ -196,7 +196,9 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Stalled`] exactly like [`System::run`].
+    /// Returns [`RunError::Stalled`] exactly like [`System::run`], and
+    /// [`RunError::CorruptToken`] if a resumed image carried a packet
+    /// whose token decodes to no message.
     ///
     /// # Panics
     ///
@@ -304,20 +306,14 @@ impl System {
             mut last_progress,
             mut last_count,
         } = self.progress.as_ref().expect("run in progress").carried;
-        // Double-buffered delivery hand-off: the network drains into
-        // `incoming`, which is then swapped with `serving` before the
-        // engine consumes it. The network never appends to the list the
-        // engine is iterating, so the engine's drain could overlap the
-        // next network phase without reordering deliveries — they stay
-        // in deterministic (cycle, shard-order) sequence either way.
-        let mut incoming = Vec::new();
-        let mut serving: Vec<nim_noc::Delivered> = Vec::new();
+        // Network deliveries of the current cycle, reused across cycles.
+        let mut delivered: Vec<nim_noc::Delivered> = Vec::new();
         // Set once `stop_after` is reached: skipping is suppressed (per-
         // cycle ticking is bit-identical by the skip-equivalence
         // invariant) so the next epoch boundary is ticked and sampled
         // exactly, making it a legal snapshot point.
         let mut stopping = false;
-        let result = loop {
+        let result = 'run: loop {
             if self.engine.counters.l2_transactions >= target {
                 break Ok(true);
             }
@@ -335,7 +331,7 @@ impl System {
             // can never make progress; report it without spinning the
             // watchdog out.
             if self.fabric.net.is_idle()
-                && self.fabric.events.is_empty()
+                && self.fabric.shared.events.is_empty()
                 && self.fabric.modeled.is_empty()
                 && self.engine.txns.is_empty()
                 && self.engine.cores.iter().all(InOrderCore::is_halted)
@@ -363,21 +359,24 @@ impl System {
                 self.record_obs_sample(now.0);
             }
             // Timed events due this cycle.
-            while let Some(ev) = self.fabric.events.pop_due(now.0) {
+            while let Some(ev) = self.fabric.shared.events.pop_due(now.0) {
                 self.engine.handle_event(&mut self.fabric, ev, now);
             }
             // Network deliveries (flit-level fabric) and modeled
             // deliveries (latency-table / ideal fabrics) — at most one
             // stream is ever populated for a given run.
             if self.fabric.net.has_deliveries() {
-                self.fabric.net.drain_delivered_into(&mut incoming);
-                std::mem::swap(&mut incoming, &mut serving);
-                for d in serving.drain(..) {
-                    self.engine.handle_delivered(&mut self.fabric, d, now);
+                self.fabric.net.drain_delivered_into(&mut delivered);
+                for d in delivered.drain(..) {
+                    if let Err(e) = self.engine.handle_delivered(&mut self.fabric, d, now) {
+                        break 'run Err(e);
+                    }
                 }
             }
             while let Some(d) = self.fabric.modeled.pop_due(now.0) {
-                self.engine.handle_delivered(&mut self.fabric, d, now);
+                if let Err(e) = self.engine.handle_delivered(&mut self.fabric, d, now) {
+                    break 'run Err(e);
+                }
             }
             // Cores. Halted cores are skipped outright: `tick` on a
             // halted core is a no-op (it returns before touching stats),
@@ -571,7 +570,7 @@ impl System {
         }
         let now = self.fabric.net.now().0;
         let mut next = now.saturating_add(wake);
-        if let Some(due) = self.fabric.events.next_due() {
+        if let Some(due) = self.fabric.shared.events.next_due() {
             next = next.min(due);
         }
         if let Some(due) = self.fabric.modeled.next_due() {

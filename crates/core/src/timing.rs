@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(f.bank_delay(0, now, false), delay(0, latency));
         assert_eq!(f.bank_delay(0, now, true), delay(latency, latency));
         assert_eq!(f.bank_delay(1, now, false), delay(0, latency));
-        assert_eq!(f.bank_accesses, [2, 1]);
+        assert_eq!(f.shared.bank_accesses, [2, 1]);
         // After the backlog drains the bank answers at full speed again.
         assert_eq!(
             f.bank_delay(0, Cycle(2 * latency), false),

@@ -6,6 +6,7 @@
 //! address) into the cookie; [`TimedEvent`] is the non-network companion
 //! for fixed-latency steps (tag probes, bank accesses, memory fetches).
 
+use nim_noc::TrafficClass;
 use nim_types::{codec_enum, ClusterId, Coord, LineAddr};
 
 use crate::txn::TxnId;
@@ -107,17 +108,36 @@ impl Token {
         }
     }
 
-    /// Unpacks a packet cookie.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown kind tag (corrupted token).
-    pub(crate) fn decode(raw: u64) -> Token {
+    /// The packet each kind travels as — the protocol's whole packet
+    /// vocabulary (paper §4.2, Table 4): its traffic class, and whether it
+    /// carries a cache line (`data_packet_flits` long) or is one
+    /// tag/control flit.
+    pub(crate) fn shape(self) -> (TrafficClass, bool) {
+        match self {
+            Token::Probe { .. }
+            | Token::VerticalProbe { .. }
+            | Token::ProbeMiss { .. }
+            | Token::BankFetch { .. }
+            | Token::FoundForWrite { .. }
+            | Token::WriteAck { .. }
+            | Token::MemRequest { .. } => (TrafficClass::Control, false),
+            Token::DataToCpu { .. }
+            | Token::WriteData { .. }
+            | Token::ReplicaFill { .. }
+            | Token::MemFill { .. } => (TrafficClass::Data, true),
+            Token::MigrationMove { .. } => (TrafficClass::Migration, true),
+            Token::Invalidate { .. } => (TrafficClass::Coherence, false),
+        }
+    }
+
+    /// Unpacks a packet cookie; `None` for an unknown kind tag (a
+    /// corrupted token).
+    pub(crate) fn decode(raw: u64) -> Option<Token> {
         let kind = raw >> KIND_SHIFT;
         let payload = raw & PAYLOAD_MASK;
         let txn = payload as u32;
         let cluster = ClusterId(((payload >> 32) & 0xffff) as u16);
-        match kind {
+        Some(match kind {
             0 => Token::Probe { txn, cluster },
             1 => Token::ProbeMiss { txn },
             2 => Token::BankFetch { txn },
@@ -146,8 +166,8 @@ impl Token {
             12 => Token::MemFill {
                 line: LineAddr(payload),
             },
-            k => panic!("unknown token kind {k}"),
-        }
+            _ => return None,
+        })
     }
 }
 
@@ -208,53 +228,57 @@ codec_enum!(TimedEvent, "bad timed event tag" {
 mod tests {
     use super::*;
 
+    /// Every kind round-trips and travels as the packet the protocol's
+    /// call sites gave it before the table existed. Each row names the
+    /// kind's pinned shape and the next kind's sample, so the exhaustive
+    /// match leaves no way to add a kind without a row.
     #[test]
     fn tokens_round_trip() {
-        let samples = [
-            Token::Probe {
-                txn: 0xdead_beef,
-                cluster: ClusterId(15),
-            },
-            Token::ProbeMiss { txn: 7 },
-            Token::BankFetch { txn: u32::MAX },
-            Token::DataToCpu { txn: 0 },
-            Token::FoundForWrite {
-                txn: 42,
-                cluster: ClusterId(3),
-            },
-            Token::WriteData { txn: 1 },
-            Token::WriteAck { txn: 2 },
-            Token::MigrationMove {
-                line: LineAddr((1 << 40) / 64),
-            },
-            Token::Invalidate {
-                line: LineAddr(0x3fff_ffff),
-            },
-            Token::VerticalProbe {
-                txn: 0xffff_ffff,
-                layer: 7,
-                step: 2,
-            },
-            Token::ReplicaFill {
-                line: LineAddr((1 << 40) - 1),
-                cluster: ClusterId(12),
-            },
-            Token::MemRequest {
-                line: LineAddr(0x1234_5678),
-            },
-            Token::MemFill {
-                line: LineAddr(0x8765_4321),
-            },
-        ];
-        for t in samples {
-            assert_eq!(Token::decode(t.encode()), t, "{t:?}");
+        use TrafficClass::{Coherence, Control, Data, Migration};
+        let (txn, cluster) = (0xdead_beef, ClusterId(15));
+        let line = LineAddr((1 << 40) - 1);
+        let row = |t: Token| match t {
+            Token::Probe { .. } => (
+                (Control, false),
+                Some(Token::VerticalProbe {
+                    txn: u32::MAX,
+                    layer: 7,
+                    step: 2,
+                }),
+            ),
+            Token::VerticalProbe { .. } => ((Control, false), Some(Token::ProbeMiss { txn: 7 })),
+            Token::ProbeMiss { .. } => ((Control, false), Some(Token::BankFetch { txn })),
+            Token::BankFetch { .. } => ((Control, false), Some(Token::DataToCpu { txn: 0 })),
+            Token::DataToCpu { .. } => ((Data, true), Some(Token::FoundForWrite { txn, cluster })),
+            Token::FoundForWrite { .. } => ((Control, false), Some(Token::WriteData { txn: 1 })),
+            Token::WriteData { .. } => ((Data, true), Some(Token::WriteAck { txn: 2 })),
+            Token::WriteAck { .. } => ((Control, false), Some(Token::MigrationMove { line })),
+            Token::MigrationMove { .. } => ((Migration, true), Some(Token::Invalidate { line })),
+            Token::Invalidate { .. } => (
+                (Coherence, false),
+                Some(Token::ReplicaFill { line, cluster }),
+            ),
+            Token::ReplicaFill { .. } => ((Data, true), Some(Token::MemRequest { line })),
+            Token::MemRequest { .. } => ((Control, false), Some(Token::MemFill { line })),
+            Token::MemFill { .. } => ((Data, true), None),
+        };
+        let mut kinds = Vec::new();
+        let mut next = Some(Token::Probe { txn, cluster });
+        while let Some(t) = next {
+            let (shape, after) = row(t);
+            assert_eq!(Token::decode(t.encode()), Some(t), "{t:?}");
+            assert_eq!(t.shape(), shape, "{t:?}");
+            kinds.push(t.encode() >> KIND_SHIFT);
+            next = after;
         }
+        kinds.sort_unstable();
+        assert_eq!(kinds, (0..13).collect::<Vec<u64>>(), "every kind visited");
     }
 
     #[test]
-    #[should_panic(expected = "unknown token kind")]
-    fn corrupt_tokens_panic() {
-        let _ = Token::decode(63 << 56);
+    fn corrupt_tokens_are_rejected() {
+        assert_eq!(Token::decode(63 << 56), None);
+        assert_eq!(Token::decode(13 << 56), None, "the first unused kind");
     }
 
     #[test]

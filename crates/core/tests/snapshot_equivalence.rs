@@ -8,7 +8,7 @@
 //! to stay complete as the simulator grows.
 
 use nim_core::experiments::{run_cells, ExperimentScale, SweepSpec};
-use nim_core::{FabricKind, Scheme, SnapshotError, System, SystemBuilder};
+use nim_core::{FabricKind, RunError, Scheme, SnapshotError, System, SystemBuilder};
 use nim_obs::{Metric, Obs, ObsConfig};
 use nim_workload::{BenchmarkProfile, TraceGenerator};
 
@@ -205,15 +205,15 @@ fn resumed_runs_can_pause_and_snapshot_again() {
 }
 
 #[test]
-fn warmup_forked_cells_match_cold_started_cells() {
+fn duplicate_cells_match_cold_started_cells() {
     let benchmarks = [BenchmarkProfile::synthetic()];
     let scale = ExperimentScale {
         seed: 42,
         warmup: 150,
         sample: 450,
     };
-    // One lone cell runs cold; three identical cells warmup-fork from a
-    // shared image.
+    // One lone cell; then three identical cells, which are one
+    // simulation handed out three times.
     let lone = [SweepSpec::new(Scheme::CmpDnuca3d, 0)];
     let cold = run_cells(&benchmarks, scale, &lone).expect("cold cell runs");
     let trio = [
@@ -221,13 +221,13 @@ fn warmup_forked_cells_match_cold_started_cells() {
         SweepSpec::new(Scheme::CmpDnuca3d, 0),
         SweepSpec::new(Scheme::CmpDnuca3d, 0),
     ];
-    let forked = run_cells(&benchmarks, scale, &trio).expect("forked cells run");
-    assert_eq!(forked.len(), 3);
-    for report in &forked {
+    let shared = run_cells(&benchmarks, scale, &trio).expect("duplicate cells run");
+    assert_eq!(shared.len(), 3);
+    for report in &shared {
         assert_eq!(
             report.fingerprint(),
             cold[0].fingerprint(),
-            "forked cell diverges from cold start"
+            "duplicate cell diverges from cold start"
         );
     }
 }
@@ -330,7 +330,6 @@ fn unknown_benchmarks_fail_with_a_typed_error() {
 
 #[test]
 fn resumed_runs_without_a_generator_return_typed_errors() {
-    use nim_core::RunError;
     use nim_workload::{TraceCursor, TraceSource};
     /// A source positioned like a replay trace or a custom stub: its
     /// cursor is a tag byte any image handed to `--resume` may carry.
@@ -543,12 +542,29 @@ fn flipped_bytes_yield_typed_errors_or_completed_runs_never_panics() {
         rejected > 0 && completed > 0,
         "sweep saw both outcomes: {rejected} rejected, {completed} completed"
     );
+    // Known offsets that once resumed cleanly and panicked mid-run: a
+    // location map disagreeing with the bank tags, and a directory entry
+    // shared by CPU 42 of 8 (it indexed `Engine::seats`).
+    for (at, mask) in [(112_425, 0xFF), (1_098_905, 0x04)] {
+        let mut known = image.clone();
+        known[at] ^= mask;
+        assert!(
+            matches!(
+                SystemBuilder::resume_from(&known, None),
+                Err(SnapshotError::Codec(nim_types::codec::CodecError::Corrupt(
+                    _
+                )))
+            ),
+            "byte {at}"
+        );
+    }
+    // A `WriteAck` cookie turned into kind 70 is in flight, not in a
+    // checked structure: the image resumes and the run ends at delivery.
     let mut known = image;
-    known[112_425] ^= 0xFF;
+    known[1_194_026] ^= 0x40;
+    let mut resumed = SystemBuilder::resume_from(&known, None).expect("resumes");
     assert!(matches!(
-        SystemBuilder::resume_from(&known, None),
-        Err(SnapshotError::Codec(nim_types::codec::CodecError::Corrupt(
-            _
-        )))
+        resumed.finish(),
+        Err(RunError::CorruptToken { token, .. }) if token >> 56 == 70
     ));
 }

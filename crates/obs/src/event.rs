@@ -14,75 +14,139 @@ pub struct Event {
     pub data: EventData,
 }
 
-/// Event payloads, one variant per instrumented point in the simulator.
-///
-/// Fields are plain integers (node/cluster indices, line addresses) so
-/// the crate stays dependency-free; callers translate their own id
-/// types. Coordinates are `[x, y, z]` triples.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EventData {
+/// How one payload field type is written as a JSON value.
+trait JsonArg {
+    fn write_json(&self, out: &mut String);
+}
+
+/// Integers and `bool` are written bare.
+macro_rules! bare_json_arg {
+    ($($t:ty),*) => {$(
+        impl JsonArg for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+bare_json_arg!(u8, u16, u32, u64, bool);
+
+/// Static names (traffic classes, access kinds) need no escaping.
+impl JsonArg for &'static str {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
+    }
+}
+
+impl JsonArg for String {
+    fn write_json(&self, out: &mut String) {
+        push_json_string(out, self);
+    }
+}
+
+/// Coordinates are written as one `"x,y,z"` string.
+impl JsonArg for [u16; 3] {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{},{},{}\"", self[0], self[1], self[2]);
+    }
+}
+
+/// Generates [`EventData`] and its three views from one table: each row
+/// is a variant, its fields in trace `args` order, its [`Category`] and
+/// its trace `name`.
+macro_rules! event_table {
+    ($(
+        $(#[$doc:meta])*
+        $v:ident { $f0:ident: $t0:ty $(, $f:ident: $t:ty)* $(,)? } => $cat:ident, $name:literal;
+    )*) => {
+        /// Event payloads, one variant per instrumented point in the simulator.
+        ///
+        /// Fields are plain integers (node/cluster indices, line addresses) so
+        /// the crate stays dependency-free; callers translate their own id
+        /// types. Coordinates are `[x, y, z]` triples.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum EventData {$(
+            $(#[$doc])*
+            $v { $f0: $t0 $(, $f: $t)* },
+        )*}
+
+        impl EventData {
+            /// The category this payload belongs to.
+            pub fn category(&self) -> Category {
+                match self {$(
+                    EventData::$v { .. } => Category::$cat,
+                )*}
+            }
+
+            /// Short event name (the trace `name` field).
+            pub fn name(&self) -> &'static str {
+                match self {$(
+                    EventData::$v { .. } => $name,
+                )*}
+            }
+
+            /// Writes the fields as the members of the trace `args` object.
+            fn write_args(&self, out: &mut String) {
+                match self {$(
+                    EventData::$v { $f0 $(, $f)* } => {
+                        out.push_str(concat!("\"", stringify!($f0), "\":"));
+                        $f0.write_json(out);
+                        $(
+                            out.push_str(concat!(",\"", stringify!($f), "\":"));
+                            $f.write_json(out);
+                        )*
+                    }
+                )*}
+            }
+        }
+    };
+}
+
+event_table! {
     /// A packet entered the network.
-    PacketInject {
-        packet: u64,
-        src: [u16; 3],
-        dst: [u16; 3],
-        class: &'static str,
-        flits: u32,
-    },
+    PacketInject { packet: u64, src: [u16; 3], dst: [u16; 3], class: &'static str, flits: u32 }
+        => Packet, "inject";
     /// A packet's tail flit was ejected at its destination.
-    PacketDeliver {
-        packet: u64,
-        dst: [u16; 3],
-        latency: u64,
-        hops: u32,
-    },
+    PacketDeliver { packet: u64, dst: [u16; 3], latency: u64, hops: u32 } => Packet, "deliver";
     /// One flit crossed a router (high volume; off by default).
-    FlitHop { at: [u16; 3], class: &'static str },
+    FlitHop { at: [u16; 3], class: &'static str } => Hop, "hop";
     /// A dTDMA pillar bus granted its slot to a layer interface.
-    BusGrant {
-        pillar: u32,
-        from_layer: u16,
-        to_layer: u16,
-    },
+    BusGrant { pillar: u32, from_layer: u16, to_layer: u16 } => Pillar, "slot_grant";
     /// Multiple interfaces wanted the same dTDMA slot.
-    BusContention { pillar: u32, waiting: u32 },
+    BusContention { pillar: u32, waiting: u32 } => Pillar, "contention";
     /// A NUCA search step (1 = local cluster, 2 = pillar broadcast).
-    SearchStep { txn: u64, step: u8, targets: u32 },
+    SearchStep { txn: u64, step: u8, targets: u32 } => Search, "search_step";
     /// A probe arrived at a candidate cluster.
-    Probe { txn: u64, cluster: u32, step: u8 },
+    Probe { txn: u64, cluster: u32, step: u8 } => Search, "probe";
     /// A probe found the line.
-    ProbeHit { txn: u64, cluster: u32 },
+    ProbeHit { txn: u64, cluster: u32 } => Search, "probe_hit";
     /// Every probed cluster missed; the search widens or goes off-chip.
-    ProbeMiss { txn: u64, step: u8 },
+    ProbeMiss { txn: u64, step: u8 } => Search, "probe_miss";
     /// The search restarted (line was mid-migration or contended).
-    SearchRetry { txn: u64, attempt: u32 },
+    SearchRetry { txn: u64, attempt: u32 } => Search, "search_retry";
     /// A cache line began migrating between clusters.
-    MigrationStart { line: u64, from: u32, to: u32 },
+    MigrationStart { line: u64, from: u32, to: u32 } => Migration, "migration_start";
     /// A migration's data arrived and the move committed.
-    MigrationCommit { line: u64, from: u32, to: u32 },
+    MigrationCommit { line: u64, from: u32, to: u32 } => Migration, "migration_commit";
     /// A migration was abandoned (e.g. destination set filled).
-    MigrationAbort { line: u64, from: u32, to: u32 },
+    MigrationAbort { line: u64, from: u32, to: u32 } => Migration, "migration_abort";
     /// The directory invalidated one L1 copy.
-    Invalidate { line: u64, cpu: u32 },
+    Invalidate { line: u64, cpu: u32 } => Coherence, "invalidate";
     /// The directory invalidated every sharer of a line.
-    InvalidateAll { line: u64, sharers: u32 },
+    InvalidateAll { line: u64, sharers: u32 } => Coherence, "invalidate_all";
     /// A data-bank port serviced an access.
-    BankAccess { node: u32, write: bool },
+    BankAccess { node: u32, write: bool } => Bank, "bank_access";
     /// A resident line was evicted from a cluster's set.
-    Eviction { line: u64, cluster: u32 },
+    Eviction { line: u64, cluster: u32 } => Bank, "eviction";
     /// A request left the chip for main memory.
-    MemRequest { line: u64 },
+    MemRequest { line: u64 } => Memory, "mem_request";
     /// Main memory returned a line.
-    MemFill { line: u64 },
+    MemFill { line: u64 } => Memory, "mem_fill";
     /// Free-form annotation (also exercises JSON escaping).
-    Note { label: String },
+    Note { label: String } => Meta, "note";
     /// A sampled transaction was issued (opens a Perfetto async span;
     /// paired with [`EventData::TxnEnd`] via the transaction id).
-    TxnBegin {
-        txn: u64,
-        cpu: u32,
-        kind: &'static str,
-    },
+    TxnBegin { txn: u64, cpu: u32, kind: &'static str } => Txn, "txn";
     /// A sampled transaction completed, carrying its full latency
     /// decomposition: the five buckets sum to `total` exactly.
     TxnEnd {
@@ -93,59 +157,10 @@ pub enum EventData {
         l2_service: u64,
         mem_wait: u64,
         total: u64,
-    },
+    } => Txn, "txn";
 }
 
 impl EventData {
-    /// The category this payload belongs to.
-    pub fn category(&self) -> Category {
-        match self {
-            EventData::PacketInject { .. } | EventData::PacketDeliver { .. } => Category::Packet,
-            EventData::FlitHop { .. } => Category::Hop,
-            EventData::BusGrant { .. } | EventData::BusContention { .. } => Category::Pillar,
-            EventData::SearchStep { .. }
-            | EventData::Probe { .. }
-            | EventData::ProbeHit { .. }
-            | EventData::ProbeMiss { .. }
-            | EventData::SearchRetry { .. } => Category::Search,
-            EventData::MigrationStart { .. }
-            | EventData::MigrationCommit { .. }
-            | EventData::MigrationAbort { .. } => Category::Migration,
-            EventData::Invalidate { .. } | EventData::InvalidateAll { .. } => Category::Coherence,
-            EventData::BankAccess { .. } | EventData::Eviction { .. } => Category::Bank,
-            EventData::MemRequest { .. } | EventData::MemFill { .. } => Category::Memory,
-            EventData::Note { .. } => Category::Meta,
-            EventData::TxnBegin { .. } | EventData::TxnEnd { .. } => Category::Txn,
-        }
-    }
-
-    /// Short event name (the trace `name` field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventData::PacketInject { .. } => "inject",
-            EventData::PacketDeliver { .. } => "deliver",
-            EventData::FlitHop { .. } => "hop",
-            EventData::BusGrant { .. } => "slot_grant",
-            EventData::BusContention { .. } => "contention",
-            EventData::SearchStep { .. } => "search_step",
-            EventData::Probe { .. } => "probe",
-            EventData::ProbeHit { .. } => "probe_hit",
-            EventData::ProbeMiss { .. } => "probe_miss",
-            EventData::SearchRetry { .. } => "search_retry",
-            EventData::MigrationStart { .. } => "migration_start",
-            EventData::MigrationCommit { .. } => "migration_commit",
-            EventData::MigrationAbort { .. } => "migration_abort",
-            EventData::Invalidate { .. } => "invalidate",
-            EventData::InvalidateAll { .. } => "invalidate_all",
-            EventData::BankAccess { .. } => "bank_access",
-            EventData::Eviction { .. } => "eviction",
-            EventData::MemRequest { .. } => "mem_request",
-            EventData::MemFill { .. } => "mem_fill",
-            EventData::Note { .. } => "note",
-            EventData::TxnBegin { .. } | EventData::TxnEnd { .. } => "txn",
-        }
-    }
-
     /// Chrome `ph` phase and async-span id: instant events are
     /// `("i", None)`; transaction spans pair `"b"`/`"e"` events through
     /// the transaction id so Perfetto renders them as one async slice.
@@ -154,114 +169,6 @@ impl EventData {
             EventData::TxnBegin { txn, .. } => ("b", Some(*txn)),
             EventData::TxnEnd { txn, .. } => ("e", Some(*txn)),
             _ => ("i", None),
-        }
-    }
-
-    fn write_args(&self, out: &mut String) {
-        match self {
-            EventData::PacketInject {
-                packet,
-                src,
-                dst,
-                class,
-                flits,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"packet\":{packet},\"src\":\"{},{},{}\",\"dst\":\"{},{},{}\",\"class\":\"{class}\",\"flits\":{flits}",
-                    src[0], src[1], src[2], dst[0], dst[1], dst[2]
-                );
-            }
-            EventData::PacketDeliver {
-                packet,
-                dst,
-                latency,
-                hops,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"packet\":{packet},\"dst\":\"{},{},{}\",\"latency\":{latency},\"hops\":{hops}",
-                    dst[0], dst[1], dst[2]
-                );
-            }
-            EventData::FlitHop { at, class } => {
-                let _ = write!(
-                    out,
-                    "\"at\":\"{},{},{}\",\"class\":\"{class}\"",
-                    at[0], at[1], at[2]
-                );
-            }
-            EventData::BusGrant {
-                pillar,
-                from_layer,
-                to_layer,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"pillar\":{pillar},\"from_layer\":{from_layer},\"to_layer\":{to_layer}"
-                );
-            }
-            EventData::BusContention { pillar, waiting } => {
-                let _ = write!(out, "\"pillar\":{pillar},\"waiting\":{waiting}");
-            }
-            EventData::SearchStep { txn, step, targets } => {
-                let _ = write!(out, "\"txn\":{txn},\"step\":{step},\"targets\":{targets}");
-            }
-            EventData::Probe { txn, cluster, step } => {
-                let _ = write!(out, "\"txn\":{txn},\"cluster\":{cluster},\"step\":{step}");
-            }
-            EventData::ProbeHit { txn, cluster } => {
-                let _ = write!(out, "\"txn\":{txn},\"cluster\":{cluster}");
-            }
-            EventData::ProbeMiss { txn, step } => {
-                let _ = write!(out, "\"txn\":{txn},\"step\":{step}");
-            }
-            EventData::SearchRetry { txn, attempt } => {
-                let _ = write!(out, "\"txn\":{txn},\"attempt\":{attempt}");
-            }
-            EventData::MigrationStart { line, from, to }
-            | EventData::MigrationCommit { line, from, to }
-            | EventData::MigrationAbort { line, from, to } => {
-                let _ = write!(out, "\"line\":{line},\"from\":{from},\"to\":{to}");
-            }
-            EventData::Invalidate { line, cpu } => {
-                let _ = write!(out, "\"line\":{line},\"cpu\":{cpu}");
-            }
-            EventData::InvalidateAll { line, sharers } => {
-                let _ = write!(out, "\"line\":{line},\"sharers\":{sharers}");
-            }
-            EventData::BankAccess { node, write } => {
-                let _ = write!(out, "\"node\":{node},\"write\":{write}");
-            }
-            EventData::Eviction { line, cluster } => {
-                let _ = write!(out, "\"line\":{line},\"cluster\":{cluster}");
-            }
-            EventData::MemRequest { line } | EventData::MemFill { line } => {
-                let _ = write!(out, "\"line\":{line}");
-            }
-            EventData::Note { label } => {
-                out.push_str("\"label\":");
-                push_json_string(out, label);
-            }
-            EventData::TxnBegin { txn, cpu, kind } => {
-                let _ = write!(out, "\"txn\":{txn},\"cpu\":{cpu},\"kind\":\"{kind}\"");
-            }
-            EventData::TxnEnd {
-                txn,
-                noc_hop,
-                pillar_wait,
-                resource_queue,
-                l2_service,
-                mem_wait,
-                total,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"txn\":{txn},\"noc_hop\":{noc_hop},\"pillar_wait\":{pillar_wait},\
-                     \"resource_queue\":{resource_queue},\"l2_service\":{l2_service},\
-                     \"mem_wait\":{mem_wait},\"total\":{total}"
-                );
-            }
         }
     }
 }
@@ -362,6 +269,227 @@ mod tests {
              \"tid\":9,\"args\":{\"txn\":7,\"noc_hop\":19,\"pillar_wait\":0,\
              \"resource_queue\":6,\"l2_service\":5,\"mem_wait\":0,\"total\":30}}"
         );
+    }
+
+    /// One sample of every variant: its trace name, category and `args`
+    /// object exactly as the hand-written serializer produced them.
+    #[test]
+    fn every_variant_serializes_to_its_pinned_form() {
+        let p = [1u16, 2, 3];
+        let table = [
+            (
+                EventData::PacketInject {
+                    packet: 9,
+                    src: p,
+                    dst: [4, 5, 6],
+                    class: "data",
+                    flits: 4,
+                },
+                "inject",
+                "packet",
+                r#""packet":9,"src":"1,2,3","dst":"4,5,6","class":"data","flits":4"#,
+            ),
+            (
+                EventData::PacketDeliver {
+                    packet: 9,
+                    dst: [4, 5, 6],
+                    latency: 31,
+                    hops: 7,
+                },
+                "deliver",
+                "packet",
+                r#""packet":9,"dst":"4,5,6","latency":31,"hops":7"#,
+            ),
+            (
+                EventData::FlitHop {
+                    at: p,
+                    class: "control",
+                },
+                "hop",
+                "hop",
+                r#""at":"1,2,3","class":"control""#,
+            ),
+            (
+                EventData::BusGrant {
+                    pillar: 3,
+                    from_layer: 0,
+                    to_layer: 1,
+                },
+                "slot_grant",
+                "pillar",
+                r#""pillar":3,"from_layer":0,"to_layer":1"#,
+            ),
+            (
+                EventData::BusContention {
+                    pillar: 3,
+                    waiting: 2,
+                },
+                "contention",
+                "pillar",
+                r#""pillar":3,"waiting":2"#,
+            ),
+            (
+                EventData::SearchStep {
+                    txn: 7,
+                    step: 1,
+                    targets: 6,
+                },
+                "search_step",
+                "search",
+                r#""txn":7,"step":1,"targets":6"#,
+            ),
+            (
+                EventData::Probe {
+                    txn: 7,
+                    cluster: 12,
+                    step: 2,
+                },
+                "probe",
+                "search",
+                r#""txn":7,"cluster":12,"step":2"#,
+            ),
+            (
+                EventData::ProbeHit {
+                    txn: 7,
+                    cluster: 12,
+                },
+                "probe_hit",
+                "search",
+                r#""txn":7,"cluster":12"#,
+            ),
+            (
+                EventData::ProbeMiss { txn: 7, step: 2 },
+                "probe_miss",
+                "search",
+                r#""txn":7,"step":2"#,
+            ),
+            (
+                EventData::SearchRetry { txn: 7, attempt: 1 },
+                "search_retry",
+                "search",
+                r#""txn":7,"attempt":1"#,
+            ),
+            (
+                EventData::MigrationStart {
+                    line: 264,
+                    from: 5,
+                    to: 4,
+                },
+                "migration_start",
+                "migration",
+                r#""line":264,"from":5,"to":4"#,
+            ),
+            (
+                EventData::MigrationCommit {
+                    line: 264,
+                    from: 5,
+                    to: 4,
+                },
+                "migration_commit",
+                "migration",
+                r#""line":264,"from":5,"to":4"#,
+            ),
+            (
+                EventData::MigrationAbort {
+                    line: 264,
+                    from: 5,
+                    to: 4,
+                },
+                "migration_abort",
+                "migration",
+                r#""line":264,"from":5,"to":4"#,
+            ),
+            (
+                EventData::Invalidate { line: 264, cpu: 3 },
+                "invalidate",
+                "coherence",
+                r#""line":264,"cpu":3"#,
+            ),
+            (
+                EventData::InvalidateAll {
+                    line: 264,
+                    sharers: 2,
+                },
+                "invalidate_all",
+                "coherence",
+                r#""line":264,"sharers":2"#,
+            ),
+            (
+                EventData::BankAccess {
+                    node: 77,
+                    write: true,
+                },
+                "bank_access",
+                "bank",
+                r#""node":77,"write":true"#,
+            ),
+            (
+                EventData::Eviction {
+                    line: 264,
+                    cluster: 12,
+                },
+                "eviction",
+                "bank",
+                r#""line":264,"cluster":12"#,
+            ),
+            (
+                EventData::MemRequest { line: 264 },
+                "mem_request",
+                "memory",
+                r#""line":264"#,
+            ),
+            (
+                EventData::MemFill { line: 264 },
+                "mem_fill",
+                "memory",
+                r#""line":264"#,
+            ),
+            (
+                EventData::Note {
+                    label: "a \"b\"\n".to_string(),
+                },
+                "note",
+                "meta",
+                r#""label":"a \"b\"\n""#,
+            ),
+            (
+                EventData::TxnBegin {
+                    txn: 7,
+                    cpu: 2,
+                    kind: "read",
+                },
+                "txn",
+                "txn",
+                r#""txn":7,"cpu":2,"kind":"read""#,
+            ),
+            (
+                EventData::TxnEnd {
+                    txn: 7,
+                    noc_hop: 19,
+                    pillar_wait: 0,
+                    resource_queue: 6,
+                    l2_service: 5,
+                    mem_wait: 0,
+                    total: 30,
+                },
+                "txn",
+                "txn",
+                r#""txn":7,"noc_hop":19,"pillar_wait":0,"resource_queue":6,"l2_service":5,"mem_wait":0,"total":30"#,
+            ),
+        ];
+        let kinds: std::collections::HashSet<_> = table
+            .iter()
+            .map(|row| std::mem::discriminant(&row.0))
+            .collect();
+        assert_eq!(kinds.len(), 22, "one row per variant");
+        for (data, name, cat, args) in table {
+            assert_eq!((data.name(), data.category().name()), (name, cat));
+            let mut out = String::new();
+            Event { cycle: 42, data }.write_chrome_json(&mut out);
+            let head = format!("{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"");
+            assert!(out.starts_with(&head), "{out}");
+            assert!(out.ends_with(&format!(",\"args\":{{{args}}}}}")), "{out}");
+        }
     }
 
     #[test]

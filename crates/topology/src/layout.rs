@@ -502,7 +502,7 @@ impl ChipLayout {
                 // rather than on corners.
                 let pos =
                     (i * perimeter + perimeter / (2 * u32::from(n).max(1))) / u32::from(n).max(1);
-                let (x, y) = perimeter_point_pub(pos, w, h);
+                let (x, y) = perimeter_point(pos, w, h);
                 Coord::new(x as u8, y as u8, 0)
             })
             .collect()
@@ -565,7 +565,7 @@ fn corner_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
     let mut used = std::collections::HashSet::new();
     for i in 0..u32::from(n) {
         let pos = i * perimeter / u32::from(n);
-        let (x, y) = perimeter_point_pub(pos, iw, ih);
+        let (x, y) = perimeter_point(pos, iw, ih);
         let site = ((x + 1) as u8, (y + 1) as u8);
         if used.insert(site) {
             out.push(site);
@@ -626,7 +626,7 @@ fn refill_collisions(
 
 /// Walks the layer perimeter clockwise from the south-west corner
 /// (shared by edge CPU placement and memory-controller placement).
-pub(crate) fn perimeter_point_pub(pos: u32, w: u32, h: u32) -> (u32, u32) {
+pub(crate) fn perimeter_point(pos: u32, w: u32, h: u32) -> (u32, u32) {
     let pos = pos % (2 * (w + h) - 4).max(1);
     if pos < w {
         (pos, 0) // south edge, west to east
@@ -639,18 +639,13 @@ pub(crate) fn perimeter_point_pub(pos: u32, w: u32, h: u32) -> (u32, u32) {
     }
 }
 
-/// Crate-internal re-export of [`spread_positions`] for the placement
-/// module (interior CPU placement uses the same spreading rule as pillars).
-pub(crate) fn spread_positions_pub(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
-    spread_positions(n, w, h)
-}
-
 /// Spreads `n` positions uniformly over the interior of a `w × h` mesh.
 ///
 /// Positions form an `a × b` lattice (`a ≥ b` oriented along the longer
 /// mesh side), each at the centre of its lattice cell, clamped one node
-/// away from the mesh edge when the mesh is large enough.
-fn spread_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
+/// away from the mesh edge when the mesh is large enough. Interior CPU
+/// placement uses the same spreading rule as pillars.
+pub(crate) fn spread_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
     if n == 0 {
         return Vec::new();
     }
@@ -677,19 +672,8 @@ fn spread_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
     // duplicates to free positions (deterministic scan, interior first,
     // then the whole mesh). If the mesh genuinely has fewer positions
     // than requested, return what fits — the caller checks the count.
-    let mut used: std::collections::HashSet<(u8, u8)> = out.iter().copied().collect();
-    'refill: while out.len() < n as usize {
-        for y in 0..h {
-            for x in 0..w {
-                if used.insert((x, y)) {
-                    out.push((x, y));
-                    continue 'refill;
-                }
-            }
-        }
-        break; // the mesh is full
-    }
-    out.truncate(n as usize);
+    let mut used = out.iter().copied().collect();
+    refill_collisions(&mut out, &mut used, n, w, h);
     out
 }
 

@@ -21,7 +21,7 @@ use core::fmt;
 
 use nim_types::{Coord, CpuId, PillarId};
 
-use crate::layout::ChipLayout;
+use crate::layout::{perimeter_point, spread_positions, ChipLayout};
 
 /// Where one CPU ended up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -274,15 +274,9 @@ fn edges(layout: &ChipLayout, num_cpus: u32) -> Vec<CpuSeat> {
         .collect()
 }
 
-/// Walks the perimeter clockwise from the south-west corner.
-fn perimeter_point(pos: u32, w: u32, h: u32) -> (u32, u32) {
-    crate::layout::perimeter_point_pub(pos, w, h)
-}
-
 /// CPUs spread over the interior of layer 0, surrounded by cache banks.
 fn interior_2d(layout: &ChipLayout, num_cpus: u32) -> Vec<CpuSeat> {
-    let positions =
-        crate::layout::spread_positions_pub(num_cpus as u16, layout.width(), layout.height());
+    let positions = spread_positions(num_cpus as u16, layout.width(), layout.height());
     positions
         .into_iter()
         .enumerate()

@@ -454,8 +454,7 @@ fn run_checkpointed(
     warmup: u64,
 ) -> Result<RunReport, Box<dyn Error>> {
     let mut gen = system.begin(bench);
-    // With no cadence, checkpoint once at the warmup boundary — the
-    // warmed image sweeps fork from.
+    // With no cadence, checkpoint once at the warmup boundary.
     let mut next = if every > 0 { every } else { warmup };
     loop {
         match system.run_until(&mut gen, next)? {
