@@ -118,11 +118,6 @@ impl Bank {
     pub fn occupancy(&self) -> usize {
         self.sets.iter().map(Set::occupancy).sum()
     }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> u32 {
-        self.sets.len() as u32
-    }
 }
 
 impl Checkpoint for Set {
@@ -210,7 +205,8 @@ mod tests {
     #[test]
     fn default_geometry_matches_table_4() {
         // 64 KB bank, 64 B lines, 16 ways -> 64 sets.
-        let bank = Bank::new(64, 16);
-        assert_eq!(bank.num_sets(), 64);
+        let l2 = nim_types::L2Config::default();
+        let bank = Bank::new(l2.sets_per_bank(), l2.ways);
+        assert_eq!(bank.sets.len(), 64);
     }
 }

@@ -64,11 +64,6 @@ impl SearchPlan {
             None
         }
     }
-
-    /// Total clusters covered.
-    pub fn coverage(&self) -> usize {
-        self.step1.len() + self.step2.len()
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +76,8 @@ mod tests {
         let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
         for cl in 0..layout.num_clusters() {
             let plan = SearchPlan::new(&layout, ClusterId(cl));
-            assert_eq!(plan.coverage(), layout.num_clusters() as usize);
+            let covered = plan.step1.len() + plan.step2.len();
+            assert_eq!(covered, layout.num_clusters() as usize);
             for c in 0..layout.num_clusters() {
                 assert!(plan.step_of(ClusterId(c)).is_some());
             }

@@ -18,27 +18,13 @@ pub enum LineState {
     Invalid,
     /// One or more L1s hold a clean copy.
     Shared,
-    /// Exactly one L1 holds a clean copy and may upgrade to `Modified`
-    /// without any coherence traffic (MESI extension; write-back mode
-    /// with [`Protocol::Mesi`] only).
-    Exclusive,
     /// Exactly one L1 holds the line with write permission (write-back
     /// configurations only; the paper's write-through L1s never hold M).
     Modified,
 }
 
-codec_enum!(LineState, "bad line state tag" { 0 => Invalid, 1 => Shared, 2 => Exclusive, 3 => Modified });
-
-/// Which protocol family the directory runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Protocol {
-    /// The paper's protocol (§5.1).
-    Msi,
-    /// MESI: sole readers get an `Exclusive` copy, so private
-    /// read-then-write sequences generate no invalidation traffic
-    /// (an extension; meaningful with write-back L1s).
-    Mesi,
-}
+// The tags are image bytes; 2 is unassigned and decodes as corrupt.
+codec_enum!(LineState, "bad line state tag" { 0 => Invalid, 1 => Shared, 3 => Modified });
 
 /// What an L1 does with a line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +118,6 @@ pub struct Directory {
     /// trusted line-address keys — SipHash is wasted work here.
     entries: FxHashMap<LineAddr, Entry>,
     policy: WritePolicy,
-    protocol: Protocol,
     num_cpus: u32,
     /// Invalidation messages generated so far (for traffic accounting).
     pub invalidations_sent: u64,
@@ -148,20 +133,10 @@ impl Directory {
     ///
     /// Panics if `num_cpus` exceeds 64.
     pub fn new(num_cpus: u32, policy: WritePolicy) -> Self {
-        Self::with_protocol(num_cpus, policy, Protocol::Msi)
-    }
-
-    /// Creates a directory running the given protocol family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cpus` exceeds 64.
-    pub fn with_protocol(num_cpus: u32, policy: WritePolicy, protocol: Protocol) -> Self {
         assert!(num_cpus <= 64, "sharer bitset supports at most 64 CPUs");
         Self {
             entries: FxHashMap::default(),
             policy,
-            protocol,
             num_cpus,
             invalidations_sent: 0,
             obs: Obs::disabled(),
@@ -212,28 +187,15 @@ impl Directory {
                     // Owner must provide data and demote to Shared.
                     out.flush_from = SharerSet(entry.sharers).first();
                 }
-                entry.state = if entry.sharers == 0
-                    && self.protocol == Protocol::Mesi
-                    && self.policy == WritePolicy::WriteBack
-                {
-                    // Sole reader of an uncached line: Exclusive (MESI).
-                    LineState::Exclusive
-                } else if matches!(entry.state, LineState::Modified | LineState::Exclusive)
-                    && entry.sharers == bit
-                {
-                    entry.state // silent re-read by the sole holder
-                } else {
-                    LineState::Shared
-                };
+                if entry.state != LineState::Modified || entry.sharers != bit {
+                    entry.state = LineState::Shared; // else: silent re-read by the owner
+                }
                 entry.sharers |= bit;
             }
             DirAccess::Write => {
                 if entry.state == LineState::Modified && entry.sharers != bit {
                     out.flush_from = SharerSet(entry.sharers).first();
                 }
-                let silent_upgrade = entry.state == LineState::Exclusive
-                    && entry.sharers == bit
-                    && self.policy == WritePolicy::WriteBack;
                 // Everyone else invalidates.
                 let others = entry.sharers & !bit;
                 if others != 0 {
@@ -252,8 +214,6 @@ impl Directory {
                     WritePolicy::WriteThrough => LineState::Shared,
                     WritePolicy::WriteBack => LineState::Modified,
                 };
-                // The E→M transition is entirely local to the owner.
-                debug_assert!(!silent_upgrade || out.invalidations.is_empty());
             }
         }
         out
@@ -272,7 +232,6 @@ impl Directory {
         entry.sharers &= !bit;
         if entry.sharers == 0 {
             self.entries.remove(&line);
-            // Exclusive copies are clean: only Modified writes back.
             return was_owner;
         }
         if was_owner {
@@ -296,11 +255,6 @@ impl Directory {
         told
     }
 
-    /// Number of lines the directory currently tracks.
-    pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Protocol invariant check, used by tests and on restore:
     /// `Modified` implies exactly one sharer; a tracked entry always has
     /// at least one sharer, each a CPU this directory was built for.
@@ -313,10 +267,8 @@ impl Directory {
             if e.sharers & unknown != 0 {
                 return Err(format!("{line}: shared by an unknown cpu"));
             }
-            if matches!(e.state, LineState::Modified | LineState::Exclusive)
-                && e.sharers.count_ones() != 1
-            {
-                return Err(format!("{line}: {:?} with multiple sharers", e.state));
+            if e.state == LineState::Modified && e.sharers.count_ones() != 1 {
+                return Err(format!("{line}: Modified with multiple sharers"));
             }
             if e.state == LineState::Invalid {
                 return Err(format!("{line}: tracked but Invalid"));
@@ -419,7 +371,6 @@ mod tests {
         d.access(CpuId(3), LINE, DirAccess::Write);
         assert!(d.evict(CpuId(3), LINE), "dirty owner eviction writes back");
         assert_eq!(d.state(LINE), LineState::Invalid);
-        assert_eq!(d.tracked_lines(), 0);
 
         d.access(CpuId(0), LINE, DirAccess::Read);
         d.access(CpuId(1), LINE, DirAccess::Read);
@@ -456,53 +407,6 @@ mod tests {
         d.access(CpuId(9), LINE, DirAccess::Read);
     }
 
-    fn mesi() -> Directory {
-        Directory::with_protocol(8, WritePolicy::WriteBack, Protocol::Mesi)
-    }
-
-    #[test]
-    fn mesi_sole_reader_gets_exclusive() {
-        let mut d = mesi();
-        let out = d.access(CpuId(0), LINE, DirAccess::Read);
-        assert_eq!(out, CoherenceOutcome::default());
-        assert_eq!(d.state(LINE), LineState::Exclusive);
-        assert_eq!(d.sharers(LINE), vec![CpuId(0)]);
-        d.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn mesi_silent_upgrade_to_modified() {
-        let mut d = mesi();
-        d.access(CpuId(0), LINE, DirAccess::Read);
-        let out = d.access(CpuId(0), LINE, DirAccess::Write);
-        assert!(out.invalidations.is_empty(), "E→M needs no traffic");
-        assert_eq!(out.flush_from, None);
-        assert_eq!(d.state(LINE), LineState::Modified);
-        d.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn mesi_second_reader_demotes_to_shared_without_flush() {
-        let mut d = mesi();
-        d.access(CpuId(0), LINE, DirAccess::Read);
-        let out = d.access(CpuId(1), LINE, DirAccess::Read);
-        assert_eq!(out.flush_from, None, "Exclusive copies are clean");
-        assert_eq!(d.state(LINE), LineState::Shared);
-        assert_eq!(d.sharers(LINE).len(), 2);
-        d.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn mesi_exclusive_eviction_is_silent() {
-        let mut d = mesi();
-        d.access(CpuId(3), LINE, DirAccess::Read);
-        assert!(
-            !d.evict(CpuId(3), LINE),
-            "an Exclusive (clean) copy needs no write-back"
-        );
-        assert_eq!(d.state(LINE), LineState::Invalid);
-    }
-
     #[test]
     fn checkpoint_round_trips_directory_state() {
         let mut d = dir(WritePolicy::WriteThrough);
@@ -521,7 +425,6 @@ mod tests {
         fresh.restore(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
         assert_eq!(fresh.invalidations_sent, d.invalidations_sent);
-        assert_eq!(fresh.tracked_lines(), d.tracked_lines());
         assert_eq!(fresh.state(LINE), d.state(LINE));
         assert_eq!(fresh.sharers(LINE), d.sharers(LINE));
         assert_eq!(fresh.state(LineAddr(0x2000)), LineState::Shared);
@@ -541,9 +444,10 @@ mod tests {
         d.save(&mut w);
         let image = w.into_bytes();
         // invalidations (8) + count (4) + line (8) → state tag at byte 20,
-        // then the sharer mask: an unknown state, a sharer (bit 42) this
-        // 8-CPU directory has no seat for, and a tracked line nobody holds.
-        for (at, flip) in [(20, 0xee), (21 + 5, 0x04), (21, 0x01)] {
+        // then the sharer mask: an unknown state, tag 2 (a state MSI never
+        // produces), a sharer (bit 42) this 8-CPU directory has no seat
+        // for, and a tracked line nobody holds.
+        for (at, flip) in [(20, 0xee), (20, 0x03), (21 + 5, 0x04), (21, 0x01)] {
             let mut bytes = image.clone();
             bytes[at] ^= flip;
             let mut r = nim_types::ByteReader::new(&bytes);
@@ -555,13 +459,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn msi_never_produces_exclusive() {
-        let mut d = Directory::with_protocol(8, WritePolicy::WriteBack, Protocol::Msi);
-        d.access(CpuId(0), LINE, DirAccess::Read);
-        assert_eq!(d.state(LINE), LineState::Shared, "MSI has no E state");
-    }
-
     mod codec_laws {
         use super::super::{Entry, LineState};
         use nim_types::codec::assert_laws;
@@ -569,13 +466,8 @@ mod tests {
 
         proptest! {
             #[test]
-            fn line_states_and_entries(variant in 0usize..4, sharers in any::<u64>()) {
-                let state = [
-                    LineState::Invalid,
-                    LineState::Shared,
-                    LineState::Exclusive,
-                    LineState::Modified,
-                ][variant];
+            fn line_states_and_entries(variant in 0usize..3, sharers in any::<u64>()) {
+                let state = [LineState::Invalid, LineState::Shared, LineState::Modified][variant];
                 prop_assert_eq!(assert_laws(&state), state);
                 let entry = assert_laws(&Entry { state, sharers });
                 prop_assert_eq!((entry.state, entry.sharers), (state, sharers));

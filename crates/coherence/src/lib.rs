@@ -24,6 +24,4 @@
 
 mod directory;
 
-pub use directory::{
-    CoherenceOutcome, DirAccess, Directory, LineState, Protocol, SharerSet, WritePolicy,
-};
+pub use directory::{CoherenceOutcome, DirAccess, Directory, LineState, SharerSet, WritePolicy};

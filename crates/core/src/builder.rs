@@ -272,14 +272,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Picks the shard count automatically: the largest count the
-    /// topology supports that does not exceed the machine's available
-    /// parallelism. Equivalent to `NIM_SHARDS=auto` or `--shards auto`.
-    pub fn shards_auto(mut self) -> Self {
-        self.shards = ShardRequest::Auto;
-        self
-    }
-
     /// Overrides the window executor's spawn threshold and worker count
     /// (see `Network::set_window_tuning`). Results are bit-identical for
     /// any values; exists so tests can force the threaded path onto

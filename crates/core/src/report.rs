@@ -174,34 +174,6 @@ impl RunReport {
         }
     }
 
-    /// Migrations per completed L2 transaction — the paper's Figure 14
-    /// metric before normalisation.
-    pub fn migrations_per_transaction(&self) -> f64 {
-        if self.counters.l2_transactions == 0 {
-            0.0
-        } else {
-            self.counters.migrations as f64 / self.counters.l2_transactions as f64
-        }
-    }
-
-    /// Mean latency of hits found in search step 1.
-    pub fn avg_step1_latency(&self) -> f64 {
-        if self.counters.step1_hits == 0 {
-            0.0
-        } else {
-            self.counters.step1_latency_sum as f64 / self.counters.step1_hits as f64
-        }
-    }
-
-    /// Mean latency of hits found in the step-2 multicast.
-    pub fn avg_step2_latency(&self) -> f64 {
-        if self.counters.step2_hits == 0 {
-            0.0
-        } else {
-            self.counters.step2_latency_sum as f64 / self.counters.step2_hits as f64
-        }
-    }
-
     /// Mean cycles per completed transaction spent in each attribution
     /// phase, in [`Phase::ALL`](crate::txn::Phase::ALL) order. The five
     /// means sum to the mean end-to-end transaction latency.
@@ -326,7 +298,6 @@ mod tests {
         assert!((r.avg_l2_hit_latency() - 30.0).abs() < 1e-12);
         assert!((r.ipc() - 0.5).abs() < 1e-12);
         assert!((r.l2_miss_rate() - 0.2).abs() < 1e-12);
-        assert!((r.migrations_per_transaction() - 0.1).abs() < 1e-12);
         assert!(r.energy().total_j() > 0.0);
     }
 
@@ -419,6 +390,5 @@ mod tests {
         assert_eq!(r.avg_l2_hit_latency(), 0.0);
         assert_eq!(r.ipc(), 0.0);
         assert_eq!(r.l2_miss_rate(), 0.0);
-        assert_eq!(r.migrations_per_transaction(), 0.0);
     }
 }

@@ -40,11 +40,6 @@ impl Scheme {
         !matches!(self, Scheme::CmpSnuca3d)
     }
 
-    /// Whether the search is the baseline's perfect-location oracle.
-    pub fn perfect_search(self) -> bool {
-        matches!(self, Scheme::CmpDnuca)
-    }
-
     /// The CPU placement policy the scheme uses. `cpus_exceed_pillars`
     /// selects Algorithm 1 (shared pillars) over maximal offsetting.
     pub fn placement(self, cpus_exceed_pillars: bool) -> PlacementPolicy {
@@ -92,8 +87,6 @@ mod tests {
         assert!(Scheme::CmpDnuca2d.migrates());
         assert!(!Scheme::CmpSnuca3d.migrates(), "SNUCA = static NUCA");
         assert!(Scheme::CmpDnuca3d.migrates());
-        assert!(Scheme::CmpDnuca.perfect_search());
-        assert!(!Scheme::CmpDnuca3d.perfect_search());
     }
 
     #[test]

@@ -201,8 +201,8 @@ impl System {
 /// reconstructed generator and can be driven directly with
 /// [`ResumedRun::finish`] / [`ResumedRun::run_until`]. Runs driven by a
 /// replay trace carry only the per-CPU consumed counts
-/// ([`ResumedRun::replay_cursor`]) — reload the trace, fast-forward it,
-/// and drive with [`ResumedRun::finish_with`].
+/// ([`ResumedRun::replay_cursor`]) — reload the trace, skip that many
+/// references of each CPU, and drive with [`ResumedRun::finish_with`].
 #[derive(Debug)]
 pub struct ResumedRun {
     system: System,
@@ -223,8 +223,8 @@ impl ResumedRun {
     }
 
     /// Per-CPU consumed counts for a replay-trace run (`None` for
-    /// generator-driven runs) — feed to
-    /// [`ReplayTrace::fast_forward`](nim_workload::ReplayTrace::fast_forward).
+    /// generator-driven runs): how far into each CPU's stream a
+    /// reloaded trace must be advanced before [`ResumedRun::finish_with`].
     pub fn replay_cursor(&self) -> Option<&[u64]> {
         self.replay.as_deref()
     }
@@ -267,7 +267,7 @@ impl ResumedRun {
     }
 
     /// Drives the resumed run to completion with a caller-supplied
-    /// source (the replay-trace path: reload, fast-forward to
+    /// source (the replay-trace path: reload, advance to
     /// [`ResumedRun::replay_cursor`], then call this).
     ///
     /// # Errors

@@ -13,7 +13,7 @@ use nim_types::{
     TraceOp,
 };
 
-use crate::l1::{L1Cache, L1Stats};
+use crate::l1::L1Cache;
 
 /// Default store-buffer depth (entries of outstanding write-throughs).
 pub const STORE_BUFFER_DEPTH: u32 = 8;
@@ -143,28 +143,10 @@ impl InOrderCore {
         &self.stats
     }
 
-    /// L1 data-side counters.
-    #[inline]
-    pub fn l1d_stats(&self) -> &L1Stats {
-        self.l1d.stats()
-    }
-
-    /// L1 instruction-side counters.
-    #[inline]
-    pub fn l1i_stats(&self) -> &L1Stats {
-        self.l1i.stats()
-    }
-
     /// Whether the core has retired its whole trace.
     #[inline]
     pub fn is_halted(&self) -> bool {
         self.state == State::Halted
-    }
-
-    /// Whether the core is blocked on an outstanding load/fetch.
-    #[inline]
-    pub fn is_waiting(&self) -> bool {
-        matches!(self.state, State::WaitingData { .. })
     }
 
     /// Advances the core one cycle. `next_op` supplies the trace.
@@ -517,8 +499,8 @@ mod tests {
             })
         ));
         core.data_returned(Address(0x1000));
-        assert_eq!(core.l1i_stats().misses, 1);
-        assert_eq!(core.l1d_stats().misses, 0);
+        assert_eq!(core.l1i.stats().misses, 1);
+        assert_eq!(core.l1d.stats().misses, 0);
     }
 
     #[test]
@@ -626,7 +608,7 @@ mod tests {
             assert_eq!(a.tick(&mut || ia.next()), b.tick(&mut || ib.next()));
         }
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.l1d_stats(), b.l1d_stats());
+        assert_eq!(a.l1d.stats(), b.l1d.stats());
     }
 
     #[test]

@@ -19,18 +19,6 @@ pub struct L1Stats {
 
 codec_struct!(L1Stats { hits, misses });
 
-impl L1Stats {
-    /// Miss rate over all lookups (0 when the cache is untouched).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct Way {
     line: LineAddr,
@@ -186,7 +174,6 @@ mod tests {
         assert!(c.contains(a));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.stats().miss_rate(), 0.5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Network-wide statistics.
 
-use crate::packet::{Delivered, TrafficClass};
+use crate::packet::Delivered;
 
 // The histogram moved to `nim-obs` so every simulator crate can record
 // distributions; re-exported here to keep existing imports working.
@@ -8,7 +8,8 @@ pub use nim_obs::LatencyHistogram;
 
 /// Counters accumulated by the network across a run.
 ///
-/// Per-class breakdowns are indexed by [`TrafficClass::index`]; the energy
+/// Per-class breakdowns are indexed by
+/// [`TrafficClass::index`](crate::packet::TrafficClass::index); the energy
 /// model in `nim-power` consumes the flit-hop and bus-transfer counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
@@ -66,25 +67,6 @@ impl NetworkStats {
         }
     }
 
-    /// Mean latency for one traffic class.
-    pub fn avg_latency_for(&self, class: TrafficClass) -> f64 {
-        let n = self.delivered_by_class[class.index()];
-        if n == 0 {
-            0.0
-        } else {
-            self.latency_by_class[class.index()] as f64 / n as f64
-        }
-    }
-
-    /// Mean hop count of delivered packets.
-    pub fn avg_hops(&self) -> f64 {
-        if self.packets_delivered == 0 {
-            0.0
-        } else {
-            self.total_hops as f64 / self.packets_delivered as f64
-        }
-    }
-
     pub(crate) fn record_delivery(&mut self, d: &Delivered) {
         self.packets_delivered += 1;
         let lat = d.latency();
@@ -100,14 +82,13 @@ impl NetworkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::TrafficClass;
     use nim_types::{Coord, Cycle, PacketId};
 
     #[test]
     fn averages_handle_empty_stats() {
         let s = NetworkStats::default();
         assert_eq!(s.avg_latency(), 0.0);
-        assert_eq!(s.avg_hops(), 0.0);
-        assert_eq!(s.avg_latency_for(TrafficClass::Data), 0.0);
     }
 
     #[test]
@@ -134,10 +115,10 @@ mod tests {
         s.record_delivery(&d2);
         assert_eq!(s.packets_delivered, 2);
         assert_eq!(s.avg_latency(), 20.0);
-        assert_eq!(s.avg_hops(), 4.0);
+        assert_eq!(s.total_hops, 8);
         assert_eq!(s.max_latency, 30);
-        assert_eq!(s.avg_latency_for(TrafficClass::Data), 10.0);
-        assert_eq!(s.avg_latency_for(TrafficClass::Control), 30.0);
+        assert_eq!(s.latency_by_class[TrafficClass::Data.index()], 10);
+        assert_eq!(s.latency_by_class[TrafficClass::Control.index()], 30);
         assert_eq!(s.latency_histogram.count(), 2);
     }
 }

@@ -27,14 +27,6 @@ pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Returns `s` as a JSON string literal.
-#[cfg(test)]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_string(&mut out, s);
-    out
-}
-
 /// Formats an `f64` as a JSON number (JSON has no NaN/Infinity; those
 /// degrade to `0`).
 pub fn json_f64(v: f64) -> String {
@@ -55,11 +47,16 @@ mod tests {
 
     #[test]
     fn escapes_specials() {
-        assert_eq!(json_string("plain"), r#""plain""#);
-        assert_eq!(json_string("a\"b\\c"), r#""a\"b\\c""#);
-        assert_eq!(json_string("line\nbreak\ttab"), r#""line\nbreak\ttab""#);
-        assert_eq!(json_string("\u{01}"), "\"\\u0001\"");
-        assert_eq!(json_string("héllo"), "\"héllo\"");
+        let literal = |s: &str| {
+            let mut out = String::new();
+            push_json_string(&mut out, s);
+            out
+        };
+        assert_eq!(literal("plain"), r#""plain""#);
+        assert_eq!(literal("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(literal("line\nbreak\ttab"), r#""line\nbreak\ttab""#);
+        assert_eq!(literal("\u{01}"), "\"\\u0001\"");
+        assert_eq!(literal("héllo"), "\"héllo\"");
     }
 
     #[test]

@@ -19,17 +19,6 @@ pub enum Metric {
 
 nim_types::codec_enum!(Metric, "bad metric tag" { 0 => Counter(v), 1 => Gauge(v), 2 => Histogram(h) });
 
-impl Metric {
-    /// The metric as a scalar for sampling (histograms report count).
-    pub fn scalar(&self) -> f64 {
-        match self {
-            Metric::Counter(v) => *v as f64,
-            Metric::Gauge(v) => *v,
-            Metric::Histogram(h) => h.count() as f64,
-        }
-    }
-}
-
 /// A registry of named metrics.
 ///
 /// Names are hierarchical by convention, slash-separated — e.g.

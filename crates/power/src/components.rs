@@ -67,12 +67,6 @@ pub fn pillar_wires(bus_bits: u32, layers: u8) -> u32 {
     bus_bits + 3 * control_wires_per_layer(layers)
 }
 
-/// Area and power overhead of adding a vertical port to a router:
-/// transceivers (2 per client) plus the per-layer share of the arbiter.
-pub fn pillar_node_overhead_area_mm2() -> f64 {
-    2.0 * DTDMA_TRANSCEIVER.area_mm2 + DTDMA_ARBITER.area_mm2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,8 +85,10 @@ mod tests {
     #[test]
     fn dtdma_overhead_is_orders_of_magnitude_below_the_router() {
         // The paper's justification for using the bus as the vertical
-        // gateway: area and power overheads are negligible.
-        assert!(pillar_node_overhead_area_mm2() < GENERIC_ROUTER.area_mm2 / 100.0);
+        // gateway: area and power overheads are negligible (a vertical
+        // port is two transceivers plus the layer's share of the arbiter).
+        let dtdma_area = 2.0 * DTDMA_TRANSCEIVER.area_mm2 + DTDMA_ARBITER.area_mm2;
+        assert!(dtdma_area < GENERIC_ROUTER.area_mm2 / 100.0);
         let dtdma_power = 2.0 * DTDMA_TRANSCEIVER.power_w + DTDMA_ARBITER.power_w;
         assert!(dtdma_power < GENERIC_ROUTER.power_w / 100.0);
     }

@@ -86,14 +86,6 @@ impl EnergyModel {
             tag_j: counts.tag_accesses as f64 * self.tag_access_j,
         }
     }
-
-    /// Average power over `cycles` cycles at `freq_hz`.
-    pub fn avg_power_w(&self, counts: &ActivityCounts, cycles: u64, freq_hz: f64) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        self.estimate(counts).total_j() * freq_hz / cycles as f64
-    }
 }
 
 #[cfg(test)]
@@ -139,18 +131,5 @@ mod tests {
         let low = m.estimate(&per_migration(100)).total_j();
         let high = m.estimate(&per_migration(1000)).total_j();
         assert!(high > 9.0 * low);
-    }
-
-    #[test]
-    fn average_power_is_energy_rate() {
-        let m = EnergyModel::default();
-        let counts = ActivityCounts {
-            bank_accesses: 1000,
-            ..Default::default()
-        };
-        let p = m.avg_power_w(&counts, 1_000_000, 1e9);
-        // 1000 * 390 pJ over 1 ms = 0.39 mW.
-        assert!((p - 0.39e-3).abs() < 1e-9);
-        assert_eq!(m.avg_power_w(&counts, 0, 1e9), 0.0);
     }
 }

@@ -26,7 +26,6 @@
 
 pub mod components;
 pub mod energy;
-pub mod leakage;
 pub mod vias;
 
 pub use components::{
@@ -34,5 +33,4 @@ pub use components::{
     GENERIC_ROUTER,
 };
 pub use energy::{ActivityCounts, EnergyBreakdown, EnergyModel};
-pub use leakage::{leakage_at, settle_tile, thermal_runaway_margin, LEAKAGE_DOUBLING_C};
 pub use vias::{pillar_area_um2, pillar_area_vs_router, table2_row, TABLE2_PITCHES_UM};

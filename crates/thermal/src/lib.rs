@@ -30,7 +30,5 @@
 
 pub mod calib;
 mod model;
-pub mod search;
 
-pub use model::{ThermalConfig, ThermalModel, ThermalProfile, TransientConfig};
-pub use search::{best_placement, rank_placements, RankedPlacement};
+pub use model::{ThermalConfig, ThermalModel, ThermalProfile};

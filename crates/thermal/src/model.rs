@@ -97,42 +97,6 @@ impl ThermalProfile {
             + c.x as usize;
         self.temps[i]
     }
-
-    /// The hottest tile.
-    pub fn hotspot(&self) -> Coord {
-        let (i, _) = self
-            .temps
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("profile is nonempty");
-        let per_layer = self.width as usize * self.height as usize;
-        Coord::new(
-            (i % per_layer % self.width as usize) as u8,
-            (i % per_layer / self.width as usize) as u8,
-            (i / per_layer) as u8,
-        )
-    }
-}
-
-/// Parameters for transient (time-domain) simulation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TransientConfig {
-    /// Heat capacity of one tile in J/K. A 1.5 mm × 1.5 mm × 0.3 mm
-    /// silicon tile at ρc ≈ 1.6 MJ/(m³·K) holds ≈ 1.1 mJ/K.
-    pub tile_heat_capacity: f64,
-    /// Integration step in seconds (clamped to the explicit-Euler
-    /// stability bound internally).
-    pub dt: f64,
-}
-
-impl Default for TransientConfig {
-    fn default() -> Self {
-        Self {
-            tile_heat_capacity: 1.1e-3,
-            dt: 1e-3,
-        }
-    }
 }
 
 /// The thermal model of one floorplan.
@@ -172,87 +136,6 @@ impl ThermalModel {
     /// Total dissipated power in watts.
     pub fn total_power(&self) -> f64 {
         self.power.iter().sum()
-    }
-
-    /// Integrates the transient thermal response over `duration` seconds
-    /// (explicit Euler on the same RC network the steady-state solver
-    /// uses), starting from `initial` or from ambient.
-    ///
-    /// The heat-up of a chip after power-on, or the response to an
-    /// activity phase change, takes tens of milliseconds through the
-    /// heat-sink time constant — the reason thermally-aware data
-    /// management (the paper's closing outlook) can afford slow policies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` has a different geometry than this model.
-    pub fn solve_transient(
-        &self,
-        cfg: &ThermalConfig,
-        tcfg: &TransientConfig,
-        duration: f64,
-        initial: Option<&ThermalProfile>,
-    ) -> ThermalProfile {
-        let (w, h, l) = (
-            self.plan.width() as usize,
-            self.plan.height() as usize,
-            self.plan.layers() as usize,
-        );
-        let per_layer = w * h;
-        let n = per_layer * l;
-        let mut temps = match initial {
-            Some(p) => {
-                assert_eq!(p.temps.len(), n, "initial profile geometry mismatch");
-                p.temps.clone()
-            }
-            None => vec![cfg.ambient_c; n],
-        };
-        let g_lat = 1.0 / cfg.r_lateral;
-        let g_vert = 1.0 / cfg.r_vertical;
-        let g_sink = 1.0 / cfg.r_sink;
-        // Explicit-Euler stability: dt < C / max(Σg). Clamp with margin.
-        let g_max = 4.0 * g_lat + 2.0 * g_vert + g_sink;
-        let dt = tcfg.dt.min(0.5 * tcfg.tile_heat_capacity / g_max).max(1e-9);
-        let steps = (duration / dt).ceil() as u64;
-        let mut next = temps.clone();
-        for _ in 0..steps {
-            for i in 0..n {
-                let layer = i / per_layer;
-                let rem = i % per_layer;
-                let (x, y) = (rem % w, rem / w);
-                let t = temps[i];
-                let mut flow = self.power[i];
-                if x > 0 {
-                    flow += g_lat * (temps[i - 1] - t);
-                }
-                if x + 1 < w {
-                    flow += g_lat * (temps[i + 1] - t);
-                }
-                if y > 0 {
-                    flow += g_lat * (temps[i - w] - t);
-                }
-                if y + 1 < h {
-                    flow += g_lat * (temps[i + w] - t);
-                }
-                if layer > 0 {
-                    flow += g_vert * (temps[i - per_layer] - t);
-                }
-                if layer + 1 < l {
-                    flow += g_vert * (temps[i + per_layer] - t);
-                }
-                if layer == 0 {
-                    flow += g_sink * (cfg.ambient_c - t);
-                }
-                next[i] = t + dt * flow / tcfg.tile_heat_capacity;
-            }
-            std::mem::swap(&mut temps, &mut next);
-        }
-        ThermalProfile {
-            width: self.plan.width(),
-            height: self.plan.height(),
-            layers: self.plan.layers(),
-            temps,
-        }
     }
 
     /// Solves the steady state.
@@ -415,8 +298,11 @@ mod tests {
         let plan = Floorplan::new(&layout, &seats);
         let tcfg = ThermalConfig::default();
         let profile = ThermalModel::new(&plan, &tcfg).solve(&tcfg);
-        let hot = profile.hotspot();
-        assert_eq!(plan.kind_at(hot), TileKind::Cpu);
+        let (_, hottest) = plan
+            .iter()
+            .max_by(|a, b| profile.at(a.0).total_cmp(&profile.at(b.0)))
+            .unwrap();
+        assert_eq!(hottest, TileKind::Cpu);
     }
 
     #[test]
@@ -429,60 +315,7 @@ mod tests {
         model.set_power(Coord::new(4, 4, 1), 20.0);
         let hot = model.solve(&tcfg);
         assert!(hot.peak() > base + 5.0);
-        assert_eq!(hot.hotspot(), Coord::new(4, 4, 1));
-    }
-
-    #[test]
-    fn transient_converges_to_the_steady_state() {
-        let cfg = SystemConfig {
-            num_cpus: 8,
-            ..SystemConfig::default()
-        };
-        let layout = ChipLayout::new(&cfg).unwrap();
-        let seats = PlacementPolicy::MaximalOffset.place(&layout, 8).unwrap();
-        let plan = Floorplan::new(&layout, &seats);
-        let tcfg = ThermalConfig::default();
-        let model = ThermalModel::new(&plan, &tcfg);
-        let steady = model.solve(&tcfg);
-        let trans = model.solve_transient(&tcfg, &TransientConfig::default(), 1.0, None);
-        assert!(
-            (trans.peak() - steady.peak()).abs() < 1.0,
-            "after 1 s the transient ({:.2}) must reach steady state ({:.2})",
-            trans.peak(),
-            steady.peak()
-        );
-        assert!((trans.avg() - steady.avg()).abs() < 0.5);
-    }
-
-    #[test]
-    fn transient_from_steady_state_stays_put() {
-        let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
-        let plan = Floorplan::new(&layout, &[]);
-        let tcfg = ThermalConfig::default();
-        let model = ThermalModel::new(&plan, &tcfg);
-        let steady = model.solve(&tcfg);
-        let later = model.solve_transient(&tcfg, &TransientConfig::default(), 0.05, Some(&steady));
-        assert!((later.peak() - steady.peak()).abs() < 0.1);
-        assert!((later.min() - steady.min()).abs() < 0.1);
-    }
-
-    #[test]
-    fn transient_heats_monotonically_from_ambient() {
-        let cfg = SystemConfig {
-            num_cpus: 8,
-            ..SystemConfig::default()
-        };
-        let layout = ChipLayout::new(&cfg).unwrap();
-        let seats = PlacementPolicy::MaximalOffset.place(&layout, 8).unwrap();
-        let plan = Floorplan::new(&layout, &seats);
-        let tcfg = ThermalConfig::default();
-        let model = ThermalModel::new(&plan, &tcfg);
-        let t10 = model.solve_transient(&tcfg, &TransientConfig::default(), 0.01, None);
-        let t40 = model.solve_transient(&tcfg, &TransientConfig::default(), 0.04, None);
-        let steady = model.solve(&tcfg);
-        assert!(t10.peak() < t40.peak(), "still heating");
-        assert!(t40.peak() <= steady.peak() + 0.1, "never overshoots");
-        assert!(t10.peak() > tcfg.ambient_c, "power heats the die");
+        assert_eq!(hot.at(Coord::new(4, 4, 1)), hot.peak());
     }
 
     #[test]

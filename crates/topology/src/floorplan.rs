@@ -1,22 +1,12 @@
-//! Physical floorplan for the thermal model.
-//!
-//! The thermal estimator needs physical dimensions and the kind of
-//! component occupying each tile. The paper gives the one physical anchor
-//! we need: the distance between two adjacent NoC routers is about
-//! **1500 µm** for a 64 KB cache bank implemented in 70 nm technology
-//! (§3), so each mesh tile is a 1.5 mm × 1.5 mm square. Inter-wafer
-//! distance is 10 µm (§3.1).
+//! Floorplan for the thermal model: the kind of component occupying
+//! each mesh tile. A tile is the 1.5 mm × 1.5 mm square of one 64 KB
+//! bank at 70 nm (paper §3), the granularity `nim-thermal`'s per-tile
+//! resistances are calibrated for.
 
 use nim_types::Coord;
 
 use crate::layout::ChipLayout;
 use crate::placement::CpuSeat;
-
-/// Distance between adjacent routers for a 64 KB bank at 70 nm (µm).
-pub const TILE_PITCH_UM: f64 = 1500.0;
-
-/// Inter-wafer (layer-to-layer) distance in µm (paper §3.1).
-pub const INTER_WAFER_UM: f64 = 10.0;
 
 /// What occupies one mesh tile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,14 +18,13 @@ pub enum TileKind {
     Cpu,
 }
 
-/// Physical floorplan: tile grid dimensions plus the component kind at
-/// every tile of every layer.
+/// Tile grid dimensions plus the component kind at every tile of
+/// every layer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Floorplan {
     width: u8,
     height: u8,
     layers: u8,
-    tile_um: f64,
     kinds: Vec<TileKind>,
 }
 
@@ -50,7 +39,6 @@ impl Floorplan {
             width: layout.width(),
             height: layout.height(),
             layers: layout.layers(),
-            tile_um: TILE_PITCH_UM,
             kinds,
         }
     }
@@ -73,33 +61,6 @@ impl Floorplan {
         self.layers
     }
 
-    /// Edge length of one (square) tile in µm.
-    #[inline]
-    pub const fn tile_um(&self) -> f64 {
-        self.tile_um
-    }
-
-    /// Die width in µm.
-    #[inline]
-    pub fn die_width_um(&self) -> f64 {
-        f64::from(self.width) * self.tile_um
-    }
-
-    /// Die height in µm.
-    #[inline]
-    pub fn die_height_um(&self) -> f64 {
-        f64::from(self.height) * self.tile_um
-    }
-
-    /// The component kind at a tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinate is outside the floorplan.
-    pub fn kind_at(&self, c: Coord) -> TileKind {
-        self.kinds[self.index(c)]
-    }
-
     /// Dense tile index (same ordering as [`ChipLayout::node_index`]).
     ///
     /// # Panics
@@ -112,17 +73,6 @@ impl Floorplan {
         );
         (c.layer as usize * self.height as usize + c.y as usize) * self.width as usize
             + c.x as usize
-    }
-
-    /// Total tiles.
-    #[inline]
-    pub fn num_tiles(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Number of CPU tiles.
-    pub fn num_cpu_tiles(&self) -> usize {
-        self.kinds.iter().filter(|k| **k == TileKind::Cpu).count()
     }
 
     /// Iterates `(Coord, TileKind)` over every tile.
@@ -156,34 +106,23 @@ mod tests {
     #[test]
     fn cpu_tiles_match_seats() {
         let plan = default_plan();
-        assert_eq!(plan.num_cpu_tiles(), 8);
-        assert_eq!(plan.num_tiles(), 256);
-    }
-
-    #[test]
-    fn physical_dimensions_follow_the_tile_pitch() {
-        let plan = default_plan();
-        assert_eq!(plan.die_width_um(), 16.0 * 1500.0);
-        assert_eq!(plan.die_height_um(), 8.0 * 1500.0);
-        assert_eq!(plan.tile_um(), TILE_PITCH_UM);
+        let cpus = plan.iter().filter(|(_, kind)| *kind == TileKind::Cpu);
+        assert_eq!(cpus.count(), 8);
+        assert_eq!(plan.iter().count(), 256);
     }
 
     #[test]
     fn iter_visits_every_tile_once_in_index_order() {
         let plan = default_plan();
-        let mut count = 0usize;
-        for (i, (c, kind)) in plan.iter().enumerate() {
+        for (i, (c, _)) in plan.iter().enumerate() {
             assert_eq!(plan.index(c), i);
-            assert_eq!(plan.kind_at(c), kind);
-            count += 1;
         }
-        assert_eq!(count, plan.num_tiles());
     }
 
     #[test]
     #[should_panic(expected = "outside floorplan")]
     fn out_of_bounds_tile_panics() {
         let plan = default_plan();
-        let _ = plan.kind_at(Coord::new(200, 0, 0));
+        let _ = plan.index(Coord::new(200, 0, 0));
     }
 }

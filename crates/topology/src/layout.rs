@@ -360,18 +360,6 @@ impl ChipLayout {
         )
     }
 
-    /// The cluster owning a bank.
-    #[inline]
-    pub fn cluster_of_bank(&self, bank: BankId) -> ClusterId {
-        ClusterId((bank.0 / self.banks_per_cluster) as u16)
-    }
-
-    /// Iterator over all banks of a cluster.
-    pub fn banks_in_cluster(&self, cl: ClusterId) -> impl Iterator<Item = BankId> + '_ {
-        let base = u32::from(cl.0) * self.banks_per_cluster;
-        (0..self.banks_per_cluster).map(move |i| BankId(base + i))
-    }
-
     /// Clusters sharing a grid edge with `cl` on the same layer.
     pub fn lateral_neighbors(&self, cl: ClusterId) -> Vec<ClusterId> {
         let layer = self.cluster_layer(cl);
@@ -430,14 +418,6 @@ impl ChipLayout {
     /// Whether the node at `c` is a pillar node (hosts a vertical port).
     pub fn is_pillar_node(&self, c: Coord) -> bool {
         self.pillars.iter().any(|&(x, y)| x == c.x && y == c.y)
-    }
-
-    /// The pillar standing at `(x, y)`, if any.
-    pub fn pillar_at(&self, x: u8, y: u8) -> Option<PillarId> {
-        self.pillars
-            .iter()
-            .position(|&(px, py)| px == x && py == y)
-            .map(PillarId::from_index)
     }
 
     /// The pillar whose position is nearest to `c` (2D Manhattan, lowest
@@ -729,7 +709,7 @@ mod tests {
         for b in 0..256u32 {
             let c = l.coord_of_bank(BankId(b));
             assert_eq!(l.bank_at(c), BankId(b));
-            assert_eq!(l.cluster_of(c), l.cluster_of_bank(BankId(b)));
+            assert_eq!(u32::from(l.cluster_of(c).0), b / l.banks_per_cluster);
             seen[l.node_index(c)] = true;
         }
         assert!(seen.iter().all(|&s| s), "every node hosts a bank");
@@ -738,14 +718,11 @@ mod tests {
     #[test]
     fn clusters_partition_banks() {
         let l = default_layout();
-        let mut count = 0;
-        for cl in 0..l.num_clusters() {
-            for b in l.banks_in_cluster(ClusterId(cl)) {
-                assert_eq!(l.cluster_of_bank(b), ClusterId(cl));
-                count += 1;
-            }
+        let mut banks = vec![0u32; usize::from(l.num_clusters())];
+        for b in 0..256u32 {
+            banks[l.cluster_of(l.coord_of_bank(BankId(b))).index()] += 1;
         }
-        assert_eq!(count, 256);
+        assert!(banks.iter().all(|&n| n == l.banks_per_cluster), "{banks:?}");
     }
 
     #[test]
@@ -793,7 +770,6 @@ mod tests {
             assert!(seen.insert((x, y)), "pillar positions distinct");
             assert!(l.is_pillar_node(Coord::new(x, y, 0)));
             assert!(l.is_pillar_node(Coord::new(x, y, 1)), "pillar spans layers");
-            assert_eq!(l.pillar_at(x, y), Some(PillarId(p)));
         }
     }
 

@@ -11,7 +11,7 @@
 //!   [`SystemConfig`](nim_types::SystemConfig), the O(1) nearest-pillar
 //!   table and the route-cost metric included.
 //! * [`placement`] — [`PlacementPolicy`] and the seating of CPUs.
-//! * [`floorplan`] — physical dimensions for the thermal model.
+//! * [`floorplan`] — what occupies each tile, for the thermal model.
 //! * [`topology`] — [`MeshTopology`] (layout + router latency) and the
 //!   `--topology` spec grammar ([`TopoSpec`]).
 //! * [`shard`] — [`ShardPlan`]: cluster-row shard cuts and the boundary

@@ -166,11 +166,6 @@ crate::codec_struct!(L2Config {
 });
 
 impl L2Config {
-    /// Total L2 capacity in bytes.
-    pub const fn total_bytes(&self) -> u64 {
-        self.clusters as u64 * self.banks_per_cluster as u64 * self.bank_bytes as u64
-    }
-
     /// Total number of banks.
     pub const fn total_banks(&self) -> u32 {
         self.clusters * self.banks_per_cluster
@@ -538,9 +533,8 @@ mod tests {
         assert_eq!(cfg.l1.line_bytes, 64);
         assert_eq!(cfg.l1.latency, 3);
         assert!(cfg.l1.write_through);
-        assert_eq!(cfg.l2.total_bytes(), 16 * 1024 * 1024);
         assert_eq!(cfg.l2.total_banks(), 256);
-        assert_eq!(cfg.l2.bank_bytes, 64 * 1024);
+        assert_eq!(cfg.l2.bank_bytes, 64 * 1024); // 256 × 64 KB = 16 MB
         assert_eq!(cfg.l2.ways, 16);
         assert_eq!(cfg.l2.bank_latency, 5);
         assert_eq!(cfg.l2.tag_latency, 4);
@@ -594,7 +588,8 @@ mod tests {
         let l2 = L2Config::default().scaled(4);
         assert_eq!(l2.clusters, 16);
         assert_eq!(l2.banks_per_cluster, 64);
-        assert_eq!(l2.total_bytes(), 64 * 1024 * 1024);
+        let bytes = u64::from(l2.total_banks()) * u64::from(l2.bank_bytes);
+        assert_eq!(bytes, 64 * 1024 * 1024);
         assert_eq!(l2.ways, 16, "associativity maintained (paper Fig. 16)");
     }
 

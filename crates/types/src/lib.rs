@@ -24,7 +24,7 @@
 //!
 //! let cfg = SystemConfig::default();
 //! assert_eq!(cfg.num_cpus, 8);
-//! assert_eq!(cfg.l2.total_bytes(), 16 * 1024 * 1024);
+//! assert_eq!(cfg.l2.total_banks(), 256);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,7 +45,7 @@ pub use bitset::{bits, IdSet};
 pub use codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, PillarPlacement, SystemConfig};
 pub use geom::{Coord, Dir};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use id::{BankId, ClusterId, CpuId, PacketId, PillarId};
 pub use time::Cycle;
 pub use trace::{AccessKind, TraceOp};

@@ -26,12 +26,6 @@ impl Cycle {
     /// Time zero.
     pub const ZERO: Cycle = Cycle(0);
 
-    /// The raw cycle count.
-    #[inline]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
     /// Saturating subtraction: `self - other`, or zero if `other` is later.
     #[inline]
     #[must_use]

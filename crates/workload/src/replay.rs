@@ -62,30 +62,6 @@ impl ReplayTrace {
     pub fn is_empty(&self) -> bool {
         self.queues.iter().all(VecDeque::is_empty)
     }
-
-    /// References served so far, per CPU.
-    pub fn consumed(&self) -> &[u64] {
-        &self.consumed
-    }
-
-    /// Skips `counts[c]` references of each CPU `c`'s queue — resuming a
-    /// freshly loaded trace at a snapshot's [`TraceCursor::Replay`]
-    /// position. Returns `false` (leaving the trace partially advanced)
-    /// if a queue is shorter than its requested skip or `counts` names
-    /// more CPUs than the trace holds.
-    pub fn fast_forward(&mut self, counts: &[u64]) -> bool {
-        if counts.len() > self.queues.len() {
-            return false;
-        }
-        for (c, &count) in counts.iter().enumerate() {
-            for _ in 0..count {
-                if self.next_for(CpuId::from_index(c)).is_none() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 impl TraceSource for ReplayTrace {
@@ -138,41 +114,5 @@ mod tests {
         assert_eq!(replay.next_for(CpuId(5)), None);
         assert_eq!(replay.remaining(CpuId(5)), 0);
         assert!(replay.is_empty());
-    }
-
-    #[test]
-    fn fast_forward_resumes_where_the_cursor_points() {
-        let mut gen = TraceGenerator::new(&BenchmarkProfile::synthetic(), 2, 11);
-        let mut writer = TraceWriter::new(Vec::new()).unwrap();
-        for i in 0..100u16 {
-            let cpu = CpuId(i % 2);
-            writer.record(cpu, gen.next_op(cpu)).unwrap();
-        }
-        let bytes = writer.finish().unwrap();
-
-        let mut live = ReplayTrace::from_reader(bytes.as_slice()).unwrap();
-        for i in 0..30u16 {
-            let _ = live.next_for(CpuId(i % 2));
-        }
-        let TraceCursor::Replay(consumed) = TraceSource::cursor(&live) else {
-            panic!("replay must report a replay cursor");
-        };
-
-        let mut resumed = ReplayTrace::from_reader(bytes.as_slice()).unwrap();
-        assert!(resumed.fast_forward(&consumed));
-        for cpu in [CpuId(0), CpuId(1)] {
-            loop {
-                let (a, b) = (live.next_for(cpu), resumed.next_for(cpu));
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-
-        // Over-long skips fail instead of wrapping.
-        let mut short = ReplayTrace::from_reader(bytes.as_slice()).unwrap();
-        assert!(!short.fast_forward(&[1_000, 0]));
-        assert!(!short.fast_forward(&[0, 0, 0]), "unknown cpu");
     }
 }

@@ -64,7 +64,8 @@ THE CELL (run / compare / breakdown / scale):
     --pillars <n>             vertical pillars (default 8)
     --cpus <n>                CPUs (default 8)
     --placements <name>       spread | corners | diagonal (default spread)
-    --l2-scale <1|2|4>        L2 capacity factor (default 1)
+    --l2-scale <n>            L2 capacity factor, a power of two; the paper
+                              sweeps 1, 2, 4 (default 1)
     --fabric <name>           interconnect substrate: sim (the cycle-
                               accurate NoC, default), latency-table (the
                               analytic model) or ideal (contention-free)
@@ -121,9 +122,8 @@ enum ShardArg {
 }
 
 impl ShardArg {
-    /// The count to request. 'auto' asks for one shard per available
-    /// core, as `SystemBuilder::shards_auto` does; the network clamps
-    /// the request to the largest count its topology supports.
+    /// The count to request: 'auto' asks for one shard per available
+    /// core, which the network clamps to what its topology supports.
     fn count(self) -> usize {
         match self {
             ShardArg::Count(n) => n,
@@ -504,6 +504,10 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     if let Some(path) = &run.resume {
         return run_resumed(cli, path);
     }
+    // Created before the run: an unwritable path must not cost a simulation.
+    let create = |path: &String| File::create(path).map_err(|e| format!("{path}: {e}"));
+    let trace = run.trace_out.as_ref().map(create).transpose()?;
+    let metrics = run.metrics_out.as_ref().map(create).transpose()?;
     println!("benchmark: {}", cli.bench.name);
     let obs = cli.obs();
     let builder = cli.cell().builder(cli.scale).observability(obs.clone());
@@ -516,18 +520,13 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
         None => system.run(&cli.bench)?,
     };
     print_report(&report);
-    if let Some(path) = &run.trace_out {
-        let mut w = BufWriter::new(File::create(path).map_err(|e| format!("{path}: {e}"))?);
-        obs.export_trace(&mut w)?;
-        eprintln!(
-            "trace: {} events ({} dropped) -> {path}",
-            obs.event_count(),
-            obs.dropped_events()
-        );
+    if let (Some(path), Some(file)) = (&run.trace_out, trace) {
+        obs.export_trace(&mut BufWriter::new(file))?;
+        let (events, dropped) = (obs.event_count(), obs.dropped_events());
+        eprintln!("trace: {events} events ({dropped} dropped) -> {path}");
     }
-    if let Some(path) = &run.metrics_out {
-        let mut w = BufWriter::new(File::create(path).map_err(|e| format!("{path}: {e}"))?);
-        obs.export_metrics(&mut w)?;
+    if let (Some(path), Some(file)) = (&run.metrics_out, metrics) {
+        obs.export_metrics(&mut BufWriter::new(file))?;
         eprintln!("metrics -> {path}");
     }
     if obs.is_enabled() && obs.sample_every() > 0 {

@@ -1,7 +1,8 @@
 //! The `nim` binary at its surface: a flag either changes what runs or
 //! is refused — never silently dropped.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use network_in_memory::core::experiments::{ExperimentScale, SweepSpec};
@@ -97,6 +98,75 @@ fn flags_only_a_single_run_can_honour_are_refused_elsewhere() {
     assert!(!trace.exists() && !metrics.exists(), "nothing is written");
     let err = refused("compare --scheme dnuca");
     assert!(err.contains("--scheme") && err.contains("compare"), "{err}");
+}
+
+#[test]
+fn an_unwritable_output_path_fails_before_the_run() {
+    for flag in ["--trace-out", "--metrics-out"] {
+        let out = nim(&format!(
+            "run --warmup 20 --sample 100 {flag} /nonexistent/x"
+        ));
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8(out.stderr.clone()).expect("utf-8 output");
+        assert!(err.contains("/nonexistent/x"), "{err}");
+        assert!(
+            !stdout(&out).contains("fp 0x"),
+            "{flag}: nothing was simulated"
+        );
+    }
+}
+
+/// The `--flag` words of `text`.
+fn flags(text: &str) -> BTreeSet<&str> {
+    let word = |at: usize| {
+        let rest = &text[at..];
+        let end = rest.find(|c: char| !c.is_ascii_lowercase() && !c.is_ascii_digit() && c != '-');
+        &rest[..end.unwrap_or(rest.len())]
+    };
+    let words = text.match_indices("--").map(|(at, _)| word(at));
+    words.filter(|w| w.len() > 2 && !w.ends_with('-')).collect()
+}
+
+#[test]
+fn help_the_parser_and_the_documents_agree() {
+    let help = stdout(&nim("help"));
+    let known = flags(&help);
+    assert!(
+        known.len() > 20 && known.contains("--trace-txn-sample"),
+        "{known:?}"
+    );
+    // Every flag `nim help` prints is one the parser knows.
+    for flag in &known {
+        let err = refused(&format!("run {flag}"));
+        assert!(
+            err.contains(&format!("{flag} needs a value")),
+            "{flag}: {err}"
+        );
+    }
+    // Every flag a document names is `nim help`'s, or one of cargo's own.
+    const CARGO: [&str; 9] = [
+        "--release",
+        "--bin",
+        "--example",
+        "--workspace",
+        "--offline",
+        "--manifest-path",
+        "--quick",
+        "--open",
+        "--no-deps",
+    ];
+    for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc));
+        let text = text.expect("the document exists");
+        let unknown: Vec<&str> = flags(&text)
+            .into_iter()
+            .filter(|flag| !known.contains(flag) && !CARGO.contains(flag))
+            .collect();
+        assert!(
+            unknown.is_empty(),
+            "{doc} names {unknown:?}, which `nim help` does not"
+        );
+    }
 }
 
 #[test]
