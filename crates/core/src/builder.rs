@@ -12,7 +12,7 @@ use nim_cpu::InOrderCore;
 use nim_noc::{Network, VerticalMode};
 use nim_obs::Obs;
 use nim_topology::ChipLayout;
-use nim_types::{FxHashMap, PillarPlacement, SystemConfig};
+use nim_types::{FxHashMap, SystemConfig};
 
 use crate::error::BuildError;
 use crate::fabric::{FabricKind, FabricState, LatencyModel, SimFabric};
@@ -41,7 +41,9 @@ use crate::txn::TxnTable;
 #[derive(Clone, Debug)]
 pub struct SystemBuilder {
     pub(crate) recipe: Recipe,
-    shards: ShardRequest,
+    shards: usize,
+    /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
+    skip: bool,
     window_tuning: Option<(u64, usize)>,
     obs: Obs,
 }
@@ -50,18 +52,15 @@ pub struct SystemBuilder {
 /// assembles and how its runs are driven. A built [`System`] keeps it
 /// (with `cfg` as built — flattened for the 2D schemes), a snapshot's
 /// `CFG ` section is its image in this field order, and
-/// [`SystemBuilder::resume_from`] rebuilds from it. Shard count, window
-/// tuning and the observability handle are not part of it: they change
-/// how a run executes, never what it computes.
+/// [`SystemBuilder::resume_from`] rebuilds from it. Shard count, horizon
+/// skipping, window tuning and the observability handle are not part of
+/// it: they change how a run executes, never what it computes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Recipe {
     pub(crate) scheme: Scheme,
     pub(crate) fabric: FabricKind,
-    pub(crate) vicinity_stop: bool,
     pub(crate) replication: bool,
     pub(crate) edge_memory: bool,
-    /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
-    pub(crate) skip: bool,
     pub(crate) prewarm: bool,
     pub(crate) seed: u64,
     pub(crate) warmup: u64,
@@ -72,54 +71,14 @@ pub(crate) struct Recipe {
 nim_types::codec_struct!(Recipe {
     scheme,
     fabric,
-    vicinity_stop,
     replication,
     edge_memory,
-    skip,
     prewarm,
     seed,
     warmup,
     sample,
     cfg
 });
-
-/// A shard-count request: an explicit number, or `Auto` — pick the
-/// largest count the topology supports that does not exceed the
-/// machine's available parallelism.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShardRequest {
-    Fixed(usize),
-    Auto,
-}
-
-impl ShardRequest {
-    /// The concrete count to ask the network for; `new_sharded` then
-    /// clamps it to the largest valid cluster-row divisor.
-    fn resolve(self) -> usize {
-        match self {
-            Self::Fixed(n) => n,
-            Self::Auto => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }
-        }
-    }
-}
-
-/// Default shard request: the `NIM_SHARDS` environment variable
-/// (`auto` or a count), else 1 (plain sequential simulation).
-fn shards_from_env() -> ShardRequest {
-    let Some(v) = std::env::var("NIM_SHARDS").ok() else {
-        return ShardRequest::Fixed(1);
-    };
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("auto") {
-        return ShardRequest::Auto;
-    }
-    v.parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .map_or(ShardRequest::Fixed(1), ShardRequest::Fixed)
-}
 
 impl SystemBuilder {
     /// Starts from the paper's Table 4 configuration.
@@ -128,17 +87,16 @@ impl SystemBuilder {
             recipe: Recipe {
                 scheme,
                 fabric: FabricKind::default(),
-                vicinity_stop: true,
                 replication: false,
                 edge_memory: false,
-                skip: true,
                 prewarm: true,
                 seed: 42,
                 warmup: 1_000,
                 sample: 10_000,
                 cfg: SystemConfig::default(),
             },
-            shards: shards_from_env(),
+            shards: 1,
+            skip: true,
             window_tuning: None,
             obs: Obs::disabled(),
         }
@@ -169,16 +127,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Where the vertical pillars land on each layer's mesh (spread,
-    /// corners, or diagonal — see [`PillarPlacement`]).
-    pub fn pillar_placement(mut self, placement: PillarPlacement) -> Self {
-        self.recipe.cfg.network.pillar_placement = placement;
-        self
-    }
-
     /// Selects the interconnect substrate: the cycle-accurate flit-level
-    /// network (default), the analytic latency-table fabric, or the
-    /// ideal contention-free fabric — see [`FabricKind`].
+    /// network (default) or the ideal contention-free fabric — see
+    /// [`FabricKind`].
     pub fn fabric(mut self, kind: FabricKind) -> Self {
         self.recipe.fabric = kind;
         self
@@ -217,16 +168,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Ablation knob: when disabled, lines migrate on *every* access by a
-    /// non-local CPU, even when they already sit inside the accessor's
-    /// search vicinity. The paper's policy (default on) skips those
-    /// migrations — "the increased locality" is why 3D migrates less
-    /// (§5.2, Fig. 14).
-    pub fn vicinity_stop(mut self, on: bool) -> Self {
-        self.recipe.vicinity_stop = on;
-        self
-    }
-
     /// Extension: replicate read-shared lines into the reader's local
     /// cluster (the NuRapid / victim-replication alternative the paper's
     /// §1–§2 discusses). Replicas serve subsequent local reads; any write
@@ -254,7 +195,7 @@ impl SystemBuilder {
     /// skipping only elides cycles in which nothing observable happens
     /// (`skip_equivalence.rs` asserts this).
     pub fn horizon_skipping(mut self, on: bool) -> Self {
-        self.recipe.skip = on;
+        self.skip = on;
         self
     }
 
@@ -264,11 +205,11 @@ impl SystemBuilder {
     /// Results are bit-identical for any shard count; the request is
     /// clamped to the largest divisor of the cluster-row count
     /// (`layers × cluster-grid height`; always 1 for 2D schemes).
-    /// Defaults to the `NIM_SHARDS` environment variable (`auto` or a
-    /// count), else 1. Requires [`SystemBuilder::horizon_skipping`]
-    /// (the default) to have any effect on the run loop.
+    /// Defaults to 1 (plain sequential simulation). Requires
+    /// [`SystemBuilder::horizon_skipping`] (the default) to have any
+    /// effect on the run loop.
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = ShardRequest::Fixed(n.max(1));
+        self.shards = n.max(1);
         self
     }
 
@@ -319,12 +260,8 @@ impl SystemBuilder {
             cluster_cpus[layout.cluster_of(seat.coord).index()] |= 1 << seat.cpu.index();
             cpu_at.insert(seat.coord, seat.cpu);
         }
-        let mut net = Network::new_sharded(
-            &layout,
-            &cfg.network,
-            VerticalMode::Pillars,
-            self.shards.resolve(),
-        );
+        let mut net =
+            Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, self.shards);
         net.set_obs(self.obs.clone());
         if let Some((spawn_min, workers)) = self.window_tuning {
             net.set_window_tuning(spawn_min, workers);
@@ -339,7 +276,6 @@ impl SystemBuilder {
             .collect();
         let policy = Policy::new(
             recipe.scheme,
-            recipe.vicinity_stop,
             recipe.replication,
             if recipe.edge_memory {
                 MemoryRoute::EdgeControllers
@@ -380,6 +316,7 @@ impl SystemBuilder {
             engine,
             fabric,
             sample_buf: SampleBuf::default(),
+            skip: self.skip,
             sharded,
             obs: self.obs,
             progress: None,

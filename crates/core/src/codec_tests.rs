@@ -31,7 +31,6 @@ fn timed_event() -> impl Strategy<Value = TimedEvent> {
                 1 => TimedEvent::VerticalClusterResolved {
                     txn,
                     cluster,
-                    layer,
                     queue,
                     fanout,
                 },
@@ -123,8 +122,8 @@ proptest! {
 
     #[test]
     fn recipes(
-        (scheme, fabric, seed, warmup, sample) in (0usize..4, 0usize..3, any::<u64>(), any::<u64>(), any::<u64>()),
-        flags in proptest::collection::vec(any::<bool>(), 5),
+        (scheme, fabric, seed, warmup, sample) in (0usize..4, 0usize..2, any::<u64>(), any::<u64>(), any::<u64>()),
+        flags in proptest::collection::vec(any::<bool>(), 3),
     ) {
         let (scheme, fabric) = (Scheme::ALL[scheme], FabricKind::ALL[fabric]);
         prop_assert_eq!(assert_laws(&scheme), scheme);
@@ -132,11 +131,9 @@ proptest! {
         let recipe = Recipe {
             scheme,
             fabric,
-            vicinity_stop: flags[0],
-            replication: flags[1],
-            edge_memory: flags[2],
-            skip: flags[3],
-            prewarm: flags[4],
+            replication: flags[0],
+            edge_memory: flags[1],
+            prewarm: flags[2],
             seed,
             warmup,
             sample,

@@ -17,7 +17,7 @@ use core::fmt;
 
 use nim_thermal::{ThermalConfig, ThermalModel};
 use nim_topology::{ChipLayout, Floorplan, PlacementPolicy};
-use nim_types::{PillarPlacement, SystemConfig};
+use nim_types::SystemConfig;
 use nim_workload::BenchmarkProfile;
 
 use crate::builder::SystemBuilder;
@@ -111,14 +111,8 @@ pub struct SweepSpec {
     pub l2_scale: Option<u32>,
     /// CPU-count override.
     pub cpus: Option<u32>,
-    /// Pillar-placement override.
-    pub placement: Option<PillarPlacement>,
     /// Interconnect-substrate override.
     pub fabric: Option<FabricKind>,
-    /// Network shard-count override. Changes how the cell executes,
-    /// never what it computes: cells differing only here must report
-    /// equal fingerprints.
-    pub shards: Option<usize>,
 }
 
 impl SweepSpec {
@@ -131,9 +125,7 @@ impl SweepSpec {
             pillars: None,
             l2_scale: None,
             cpus: None,
-            placement: None,
             fabric: None,
-            shards: None,
         }
     }
 
@@ -174,14 +166,8 @@ impl SweepSpec {
         if let Some(n) = self.cpus {
             b = b.cpus(n);
         }
-        if let Some(p) = self.placement {
-            b = b.pillar_placement(p);
-        }
         if let Some(k) = self.fabric {
             b = b.fabric(k);
-        }
-        if let Some(n) = self.shards {
-            b = b.shards(n);
         }
         b
     }
@@ -200,8 +186,7 @@ impl SweepSpec {
 /// the caller's notion of `same`: equal specs here; in
 /// [`run_exhibits`](crate::exhibits::run_exhibits), specs that build the
 /// same recipe for the same benchmark (`.pillars(8)`, `.layers(2)`,
-/// `.l2_scale(1)` and the default all do, and a shard count never
-/// enters the recipe).
+/// `.l2_scale(1)` and the default all do).
 pub(crate) fn distinct(
     requested: &[SweepSpec],
     same: impl Fn(&SweepSpec, &SweepSpec) -> bool,
@@ -338,33 +323,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn raw_cells_report_bad_builds_and_hold_the_shard_invariant() {
+    fn raw_cells_report_bad_builds() {
         let benchmarks = [BenchmarkProfile::art()];
         let scale = ExperimentScale {
             seed: 42,
             warmup: 50,
             sample: 400,
         };
-        let mk = |layers, fabric, shards| SweepSpec {
+        let mk = |layers, fabric| SweepSpec {
             layers: Some(layers),
             fabric: Some(fabric),
-            shards: Some(shards),
             ..SweepSpec::new(Scheme::CmpDnuca3d, 0)
         };
         let specs = [
-            mk(2, FabricKind::Sim, 1),
-            mk(2, FabricKind::Sim, 2),
-            mk(2, FabricKind::Sim, 4), // cluster-row cut, finer than layers
-            mk(16, FabricKind::Sim, 1), // rejected by config validation
-            mk(4, FabricKind::LatencyTable, 1),
-            mk(4, FabricKind::Ideal, 1),
+            mk(2, FabricKind::Sim),
+            mk(16, FabricKind::Sim), // rejected by config validation
+            mk(4, FabricKind::Sim),
+            mk(4, FabricKind::Ideal),
         ];
         let cells = run_cells_raw(&benchmarks, scale, &specs);
         assert_eq!(cells.len(), specs.len());
         assert!(
-            matches!(cells[3], Err(ExperimentError::Build(_))),
+            matches!(cells[1], Err(ExperimentError::Build(_))),
             "unbuildable topology is a typed error: {:?}",
-            cells[3]
+            cells[1]
         );
         let fingerprint = |i: usize| {
             let report = cells[i]
@@ -373,12 +355,10 @@ mod tests {
             assert_eq!(report.counters.l2_transactions, 400, "cell {i}");
             report.fingerprint()
         };
-        // Cells 0-2 differ only in shard count: bit-identical.
-        assert_eq!(fingerprint(0), fingerprint(1));
-        assert_eq!(fingerprint(0), fingerprint(2));
+        assert_ne!(fingerprint(0), fingerprint(2), "the layer override applies");
         assert_ne!(
-            fingerprint(4),
-            fingerprint(5),
+            fingerprint(2),
+            fingerprint(3),
             "the fabric override applies"
         );
     }

@@ -9,7 +9,7 @@
 //! once over [`FabricState`]; an implementation supplies only how a
 //! packet is carried:
 //!
-//! * [`SimFabric`] — the real thing: the cycle-accurate 3D NoC (or an
+//! * [`SimFabric`] — the real thing: the cycle-accurate 3D NoC (or the
 //!   analytic latency model standing in for it).
 //! * [`TestFabric`] — a recording double for unit tests: packets land in
 //!   an inspectable list and no network is ever constructed.
@@ -17,8 +17,7 @@
 //! This seam is what makes the protocol transitions unit-testable and
 //! is the hook for alternative execution substrates: [`SimFabric`] can
 //! swap its flit-level network for an analytic latency model
-//! ([`FabricKind::LatencyTable`] / [`FabricKind::Ideal`]) without the
-//! protocol code changing.
+//! ([`FabricKind::Ideal`]) without the protocol code changing.
 
 use nim_noc::{zero_load_path, Network, SendRequest};
 use nim_obs::{Category, EventData, Obs};
@@ -167,30 +166,24 @@ pub enum FabricKind {
     /// channels, switch arbitration, dTDMA pillar buses (the default).
     #[default]
     Sim,
-    /// Analytic latency-table fabric: every packet's latency comes from
-    /// the validated zero-load model ([`nim_noc::zero_load_path`]) with
-    /// hop costs precomputed per topology, plus a per-pillar ready-at
-    /// table that serialises dTDMA grants — no per-flit simulation.
-    /// Mesh-link contention is not modeled.
-    LatencyTable,
-    /// Ideal contention-free fabric: pure zero-load latency for every
-    /// packet, with no shared-resource state at all. The upper bound a
-    /// real interconnect is measured against.
+    /// Ideal contention-free fabric: every packet's latency comes from
+    /// the validated zero-load model ([`nim_noc::zero_load_path`]), with
+    /// no shared-resource state at all and no per-flit simulation. The
+    /// upper bound a real interconnect is measured against.
     Ideal,
 }
 
-nim_types::codec_enum!(FabricKind, "bad fabric tag" { 0 => Sim, 1 => LatencyTable, 2 => Ideal });
+nim_types::codec_enum!(FabricKind, "bad fabric tag" { 0 => Sim, 1 => Ideal });
 
 impl FabricKind {
     /// Every kind, in CLI listing order.
-    pub const ALL: [FabricKind; 3] = [FabricKind::Sim, FabricKind::LatencyTable, FabricKind::Ideal];
+    pub const ALL: [FabricKind; 2] = [FabricKind::Sim, FabricKind::Ideal];
 
     /// The CLI-facing name.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             FabricKind::Sim => "sim",
-            FabricKind::LatencyTable => "latency-table",
             FabricKind::Ideal => "ideal",
         }
     }
@@ -205,39 +198,24 @@ impl FabricKind {
     }
 }
 
-impl std::fmt::Display for FabricKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The analytic timing engine behind [`FabricKind::LatencyTable`] and
-/// [`FabricKind::Ideal`]: zero-load path costs from the topology, plus
-/// (latency-table only) a per-pillar ready-at table that replays the
-/// dTDMA bus's serialisation — the dominant shared resource in the
-/// paper's design — without simulating flits.
+/// The analytic timing engine behind [`FabricKind::Ideal`]: zero-load
+/// path costs from the topology, no contention state at all.
 #[derive(Debug)]
 pub(crate) struct LatencyModel {
     topo: MeshTopology,
     bus_k: u64,
-    /// Earliest cycle each pillar's bus can issue its next grant. Empty
-    /// in the ideal fabric, which models no contention at all.
-    ready_at: Vec<u64>,
 }
 
 impl LatencyModel {
     /// The model behind `kind`; `None` for the flit-level network.
     pub(crate) fn new(kind: FabricKind, layout: &ChipLayout, net: &NetworkConfig) -> Option<Self> {
-        let serialised_pillars = match kind {
-            FabricKind::Sim => return None,
-            FabricKind::LatencyTable => layout.num_pillars() as usize,
-            FabricKind::Ideal => 0,
-        };
-        Some(Self {
-            topo: MeshTopology::new(layout.clone(), net.router_latency),
-            bus_k: u64::from(net.bus_cycles_per_flit()),
-            ready_at: vec![0; serialised_pillars],
-        })
+        match kind {
+            FabricKind::Sim => None,
+            FabricKind::Ideal => Some(Self {
+                topo: MeshTopology::new(layout.clone(), net.router_latency),
+                bus_k: u64::from(net.bus_cycles_per_flit()),
+            }),
+        }
     }
 }
 
@@ -251,12 +229,12 @@ impl LatencyModel {
 /// injection and queued on the modeled-delivery queue, which the run
 /// loop drains alongside network deliveries. The network object remains
 /// the clock owner but never carries traffic, so its statistics stay
-/// zero under modeled fabrics.
+/// zero under the modeled fabric.
 #[derive(Debug)]
 pub(crate) struct SimFabric {
     /// The cycle-accurate 3D mesh + dTDMA pillar network.
     pub(crate) net: Network,
-    /// `Some` for modeled fabrics; `None` runs the flit-level network.
+    /// `Some` for the modeled fabric; `None` runs the flit-level network.
     model: Option<LatencyModel>,
     /// Deliveries synthesized by the model (always empty under
     /// [`FabricKind::Sim`]); same-cycle deliveries pop in send order.
@@ -285,7 +263,7 @@ impl SimFabric {
             flits,
             token,
         } = req;
-        let model = self.model.as_mut().expect("modeled send requires a model");
+        let model = self.model.as_ref().expect("modeled send requires a model");
         let now = self.net.now();
         let path = zero_load_path(
             model.topo.layout(),
@@ -296,27 +274,7 @@ impl SimFabric {
             u64::from(model.topo.hop_latency()),
             model.bus_k,
         );
-        let mut latency = path.latency;
-        let mut bus_wait = path.bus_wait;
-        if let Some(p) = path.pillar {
-            if let Some(slot) = model.ready_at.get_mut(p.0 as usize) {
-                // The head flit reaches the pillar's transceiver
-                // `bus_enqueue` cycles after the send and becomes
-                // grant-eligible one cycle later; an earlier packet's
-                // serialisation window pushes the grant (and the whole
-                // delivery) back by `delta`, which the tail flit
-                // experiences as extra bus wait. Sums saturate: a restored
-                // slot may hold any `u64`, and a pillar busy until the end
-                // of time must park the delivery there, not wrap it.
-                let uncontended = now.0 + path.bus_enqueue + 1;
-                let grant = uncontended.max(*slot);
-                let delta = grant - uncontended;
-                latency = latency.saturating_add(delta);
-                bus_wait = bus_wait.saturating_add(u32::try_from(delta).unwrap_or(u32::MAX));
-                *slot = grant.saturating_add(u64::from(flits) * model.bus_k);
-            }
-        }
-        let due = now.0.saturating_add(latency);
+        let due = now.0.saturating_add(path.latency);
         self.modeled.push(due, |seq| Delivered {
             packet: PacketId(seq),
             src,
@@ -326,7 +284,7 @@ impl SimFabric {
             injected: now,
             delivered: Cycle(due),
             hops: path.hops,
-            bus_wait,
+            bus_wait: path.bus_wait,
         });
     }
 }
@@ -335,11 +293,6 @@ impl Checkpoint for SimFabric {
     fn save(&self, w: &mut ByteWriter) {
         self.net.save(w);
         self.shared.events.put(w);
-        // Of the model only the pillar ready-at table is live state.
-        w.bool(self.model.is_some());
-        if let Some(m) = &self.model {
-            m.ready_at.put(w);
-        }
         self.modeled.put(w);
         self.shared.tags.save(w);
         self.shared.banks.save(w);
@@ -350,11 +303,6 @@ impl Checkpoint for SimFabric {
     fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
         self.net.restore(r)?;
         self.shared.events = Codec::get(r)?;
-        match (Option::<Vec<u64>>::get(r)?, &mut self.model) {
-            (None, None) => {}
-            (Some(ready), Some(m)) if ready.len() == m.ready_at.len() => m.ready_at = ready,
-            _ => return Err(CodecError::Corrupt("fabric model mismatch")),
-        }
         self.modeled = Codec::get(r)?;
         let shared = &mut self.shared;
         shared.tags.restore(r)?;
@@ -496,29 +444,9 @@ mod tests {
     }
 
     #[test]
-    fn a_pillar_busy_until_the_end_of_time_parks_the_delivery_there() {
-        let mut system = crate::SystemBuilder::new(crate::Scheme::CmpDnuca3d)
-            .fabric(FabricKind::LatencyTable)
-            .build()
-            .unwrap();
-        let f = &mut system.fabric;
-        // What a restore accepts: the table is any `u64`s of the right count.
-        let table = &mut f.model.as_mut().unwrap().ready_at;
-        table.fill(u64::MAX - 1);
-        let (src, dst) = (Coord::new(0, 0, 0), Coord::new(0, 0, 1));
-        for _ in 0..2 {
-            let token = Token::DataToCpu { txn: 1 };
-            f.send(src, dst, token, None);
-        }
-        let parked = f.modeled.pop_due(u64::MAX).unwrap();
-        assert_eq!(
-            (parked.delivered, parked.bus_wait),
-            (Cycle(u64::MAX), u32::MAX)
-        );
-        assert_eq!(f.modeled.next_due(), Some(u64::MAX));
-        let pillars = &f.model.as_ref().unwrap().ready_at;
-        assert!(pillars.contains(&u64::MAX), "the claimed slot saturated");
-        // The same for a timed event whose claimed delay saturated.
+    fn a_saturated_delay_parks_the_event_at_the_end_of_time() {
+        // What a restored port may claim: a delay of any `u64`.
+        let mut f = TestFabric::new(16, 256, 1);
         f.schedule(
             Cycle(9),
             u64::MAX,

@@ -2,7 +2,7 @@
 //!
 //! The paper's four L2 organisations differ in exactly two protocol
 //! choices — perfect vs. two-step search, migration on or off (§4.2,
-//! §5.2); the builder's extension knobs add three more. [`Policy::new`]
+//! §5.2); the builder's extension knobs add two more. [`Policy::new`]
 //! resolves a [`Scheme`] and those knobs into plain data once, and the
 //! engine's handlers read the fields: they contain no `Scheme` branches.
 //! Adding an L2 organisation means adding a row here (and, if needed, a
@@ -34,11 +34,6 @@ pub(crate) struct Policy {
     /// Whether cache lines migrate toward their accessors at all
     /// (gradual steps by [`nim_cache::migration_target`], paper §4.2.3).
     pub(crate) migrates: bool,
-    /// The paper's migration damping: lines already inside the
-    /// accessor's step-1 vicinity stay put unless one processor keeps
-    /// re-accessing them (§5.2, Fig. 14). See
-    /// [`SystemBuilder::vicinity_stop`](crate::SystemBuilder::vicinity_stop).
-    pub(crate) vicinity_stop: bool,
     /// Replicate read-shared lines into the reader's local cluster (the
     /// NuRapid / victim-replication alternative of §1–§2). See
     /// [`SystemBuilder::replication`](crate::SystemBuilder::replication).
@@ -51,16 +46,10 @@ impl Policy {
     /// Binds the scheme's row: CMP-DNUCA is the only perfect-search
     /// scheme, CMP-SNUCA-3D the only static one (the 2D/3D difference
     /// lives in the layout, not the protocol).
-    pub(crate) fn new(
-        scheme: Scheme,
-        vicinity_stop: bool,
-        replication: bool,
-        memory: MemoryRoute,
-    ) -> Self {
+    pub(crate) fn new(scheme: Scheme, replication: bool, memory: MemoryRoute) -> Self {
         Self {
             oracle_search: scheme == Scheme::CmpDnuca,
             migrates: scheme != Scheme::CmpSnuca3d,
-            vicinity_stop,
             replication,
             memory,
         }
@@ -81,11 +70,10 @@ mod tests {
             (Scheme::CmpSnuca3d, false, false),
         ] {
             assert_eq!(
-                Policy::new(scheme, true, false, memory),
+                Policy::new(scheme, false, memory),
                 Policy {
                     oracle_search,
                     migrates,
-                    vicinity_stop: true,
                     replication: false,
                     memory,
                 },

@@ -383,7 +383,6 @@ impl Engine {
                 TimedEvent::VerticalClusterResolved {
                     txn: id,
                     cluster: cl,
-                    layer,
                     queue: delay.queue,
                     fanout,
                 },
@@ -664,13 +663,12 @@ impl Engine {
     /// the accessor (paper §4.2.3) — if the policy migrates at all.
     ///
     /// Lines already inside the accessor's step-1 vicinity do not migrate
-    /// (under [`Policy::vicinity_stop`]) — their access latency
-    /// is already low, which is exactly why the 3D topology "exercises
-    /// [migration] much less frequently ... due to the increased
-    /// locality (see Figure 8)" (§5.2): in 3D the vicinity spans whole
-    /// layers. The exception is data accessed repeatedly by a single
-    /// processor (`repeated`), which keeps migrating until it reaches
-    /// that processor's local cluster.
+    /// — their access latency is already low, which is exactly why the
+    /// 3D topology "exercises [migration] much less frequently ... due
+    /// to the increased locality (see Figure 8)" (§5.2): in 3D the
+    /// vicinity spans whole layers. The exception is data accessed
+    /// repeatedly by a single processor (`repeated`), which keeps
+    /// migrating until it reaches that processor's local cluster.
     fn maybe_migrate(&mut self, f: &mut impl Fabric, cpu: CpuId, line: LineAddr, repeated: bool) {
         if !self.policy.migrates {
             return;
@@ -686,7 +684,7 @@ impl Engine {
         if cur == acc_cluster {
             return;
         }
-        if self.policy.vicinity_stop && !repeated && self.plans[cpu.index()].step1.contains(&cur) {
+        if !repeated && self.plans[cpu.index()].step1.contains(&cur) {
             return;
         }
         let cluster_cpus = &self.cluster_cpus;
@@ -784,7 +782,6 @@ impl Engine {
             TimedEvent::VerticalClusterResolved {
                 txn,
                 cluster,
-                layer: _,
                 queue,
                 fanout,
             } => {

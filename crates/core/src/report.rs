@@ -205,8 +205,8 @@ impl RunReport {
     /// so the value is identical across platforms and toolchains, and
     /// not `Debug`-formatted, so cosmetic formatting changes cannot
     /// shift it). Two runs of the same cell must produce the same
-    /// fingerprint; the `scale` experiment, the snapshot-equivalence
-    /// suite, and the CI topology/shards matrix gate on it.
+    /// fingerprint; the snapshot-, skip- and sharded-equivalence suites
+    /// and nimbench's cross-mode checks gate on it.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = nim_types::FxHasher::default();

@@ -28,7 +28,7 @@
 //! rebuilds the topology and geometry from it, and the remaining
 //! sections restore only live state into that scaffold. This is what
 //! makes snapshots shard-agnostic — the network serializes per-node
-//! logical state, so a snapshot taken under one `NIM_SHARDS` resumes
+//! logical state, so a snapshot taken under one shard count resumes
 //! bit-identically under any other.
 
 use std::path::Path;
@@ -281,26 +281,20 @@ impl ResumedRun {
 impl SystemBuilder {
     /// Reconstructs a run mid-flight from a snapshot file.
     ///
-    /// `shards` overrides the shard count of the rebuilt network
-    /// (`None` keeps the `NIM_SHARDS` default) — snapshots serialize
-    /// per-node logical state, so any shard count resumes
-    /// bit-identically.
-    ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] if the file cannot be read, plus
     /// everything [`SystemBuilder::resume_from`] returns.
-    pub fn resume(
-        path: impl AsRef<Path>,
-        shards: Option<usize>,
-    ) -> Result<ResumedRun, SnapshotError> {
+    pub fn resume(path: impl AsRef<Path>) -> Result<ResumedRun, SnapshotError> {
         let bytes = std::fs::read(path)?;
-        Self::resume_from(&bytes, shards)
+        Self::resume_from(&bytes, None)
     }
 
     /// Reconstructs a run mid-flight from snapshot bytes: rebuilds the
     /// system from the recorded recipe, restores every layer's live
-    /// state, and re-positions the workload source.
+    /// state, and re-positions the workload source. `shards` cuts the
+    /// rebuilt network (`None`: one shard) — snapshots serialize per-node
+    /// logical state, so any shard count resumes bit-identically.
     ///
     /// # Errors
     ///

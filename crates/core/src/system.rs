@@ -107,6 +107,9 @@ pub struct System {
     pub(crate) fabric: SimFabric,
     /// Reused epoch-sampling buffers (names formatted once per run).
     pub(crate) sample_buf: SampleBuf,
+    /// The run loop may batch-advance through dead cycles (see
+    /// [`SystemBuilder::horizon_skipping`](crate::SystemBuilder::horizon_skipping)).
+    pub(crate) skip: bool,
     /// The network was cut into more than one shard (see
     /// [`SystemBuilder::shards`](crate::SystemBuilder::shards)); enables
     /// the multi-threaded window path in the run loop.
@@ -363,8 +366,8 @@ impl System {
                 self.engine.handle_event(&mut self.fabric, ev, now);
             }
             // Network deliveries (flit-level fabric) and modeled
-            // deliveries (latency-table / ideal fabrics) — at most one
-            // stream is ever populated for a given run.
+            // deliveries (the ideal fabric) — at most one stream is
+            // ever populated for a given run.
             if self.fabric.net.has_deliveries() {
                 self.fabric.net.drain_delivered_into(&mut delivered);
                 for d in delivered.drain(..) {
@@ -555,7 +558,7 @@ impl System {
     /// they are the cheapest bound and, under steady load, the one that
     /// almost always says "next cycle".
     fn next_act_at(&self) -> Option<u64> {
-        if !self.recipe.skip || self.fabric.net.has_deliveries() {
+        if !self.skip || self.fabric.net.has_deliveries() {
             return None;
         }
         let wake = self

@@ -193,7 +193,6 @@ pub(crate) enum TimedEvent {
     VerticalClusterResolved {
         txn: TxnId,
         cluster: ClusterId,
-        layer: u8,
         queue: u64,
         fanout: u64,
     },
@@ -215,7 +214,7 @@ pub(crate) enum TimedEvent {
 
 codec_enum!(TimedEvent, "bad timed event tag" {
     0 => ProbeResolved { txn, cluster, queue },
-    1 => VerticalClusterResolved { txn, cluster, layer, queue, fanout },
+    1 => VerticalClusterResolved { txn, cluster, queue, fanout },
     2 => BankReadDone { txn, at, queue },
     3 => BankWritten { txn, at, queue },
     4 => MemoryReady { line, mc },
@@ -292,7 +291,6 @@ mod tests {
             TimedEvent::VerticalClusterResolved {
                 txn: 1,
                 cluster: ClusterId(15),
-                layer: 2,
                 queue: 0,
                 fanout: 3,
             },

@@ -1,9 +1,9 @@
 //! Sharded multi-threaded simulation must be invisible in the results:
 //! a run whose network is cut into 2 or 4 independently-advancing
-//! cluster-row shards (what `NIM_SHARDS` / `--shards` select at process
-//! level) must agree with the plain sequential run on every report
-//! field, the per-cluster L2 hit/miss matrix, the epoch-sample table,
-//! the trace event stream, and the final cycle — bit for bit. Cells
+//! cluster-row shards (`SystemBuilder::shards`) must agree with the
+//! plain sequential run on every report field, the per-cluster L2
+//! hit/miss matrix, the epoch-sample table, the trace event stream, and
+//! the final cycle — bit for bit. Cells
 //! cover every scheme, cold-cache and replication and
 //! edge-memory-controller variants, the narrow-bus serialisation mode,
 //! four-layer chips, trace-enabled cells that pin the deferred-

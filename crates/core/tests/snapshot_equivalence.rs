@@ -174,8 +174,7 @@ fn snapshot_resume_is_bit_identical_across_schemes_topologies_shards_and_fabrics
         Cell::new(Scheme::CmpDnuca3d, 4, 64, FabricKind::Sim), // clamped to max
         Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::Sim).resume_under(4),
         Cell::new(Scheme::CmpSnuca3d, 8, 2, FabricKind::Sim).resume_under(1),
-        // Modeled fabrics.
-        Cell::new(Scheme::CmpDnuca3d, 2, 1, FabricKind::LatencyTable),
+        // The modeled fabric.
         Cell::new(Scheme::CmpSnuca3d, 4, 1, FabricKind::Ideal),
     ];
     for cell in cells {
@@ -374,8 +373,8 @@ fn resumed_runs_without_a_generator_return_typed_errors() {
 
 #[test]
 fn an_oversized_shard_request_resumes_clamped_and_bit_identical() {
-    // What `--resume img --shards auto` asks for on a host with more
-    // cores than the topology has cluster rows.
+    // One shard per core, asked of a topology with fewer cluster rows
+    // than the host has cores.
     let image = valid_snapshot();
     let report = |shards| {
         SystemBuilder::resume_from(&image, shards)
@@ -453,33 +452,28 @@ fn snapshot_images_are_byte_stable() {
         ..ObsConfig::default()
     });
     let cells = [
-        ("sim 2-layer", dnuca3d(), (1199660, 0xe2657d57fb2b798e)),
+        ("sim 2-layer", dnuca3d(), (1199648, 0x681a91a867a19011)),
         (
             "sim 4-layer x 4 shards",
             dnuca3d().layers(4).shards(4),
-            (1203716, 0xd84f51bb7efea923),
-        ),
-        (
-            "latency table",
-            dnuca3d().fabric(FabricKind::LatencyTable),
-            (1201780, 0x40fa29d337901ef0),
+            (1203653, 0x24c62ee6a9193d0d),
         ),
         (
             "ideal",
             SystemBuilder::new(Scheme::CmpSnuca3d)
                 .layers(4)
                 .fabric(FabricKind::Ideal),
-            (1201478, 0x1c0e25a5fb5a72c2),
+            (1201446, 0xdc5f3e2dae6eaf7a),
         ),
         (
             "replication + edge memory controllers",
             dnuca3d().replication(true).edge_memory_controllers(true),
-            (1199660, 0x85f45520a0bf1e28),
+            (1199648, 0xdc94b866fc44e943),
         ),
         (
             "sampling and tracing on",
             dnuca3d().observability(observed),
-            (1204118, 0x2723e005ce661f6c),
+            (1204094, 0x577f6ff4e2137501),
         ),
     ];
     let (got, want): (Vec<_>, Vec<_>) = cells
@@ -515,10 +509,9 @@ fn resume_and_finish(image: &[u8]) -> Result<bool, String> {
 /// One in `FLIP_THINNING` of the offsets of the full sweep (XOR `0xFF`
 /// from byte 0, `0x01` from byte 13, `0x80` from byte 29, each every
 /// 1 499th byte), which keeps the test under ten seconds unoptimized.
-/// The thinned `0xFF` series still passes through byte 112 425 — the
-/// first offset that, before `NucaL2::restore` checked its maps against
-/// the bank tag arrays, resumed cleanly and then panicked in
-/// `Bank::touch`.
+/// The first offset that, before `NucaL2::restore` checked its maps
+/// against the bank tag arrays, resumed cleanly and then panicked in
+/// `Bank::touch` is a known case below.
 const FLIP_THINNING: usize = 25;
 
 #[test]
@@ -545,7 +538,7 @@ fn flipped_bytes_yield_typed_errors_or_completed_runs_never_panics() {
     // Known offsets that once resumed cleanly and panicked mid-run: a
     // location map disagreeing with the bank tags, and a directory entry
     // shared by CPU 42 of 8 (it indexed `Engine::seats`).
-    for (at, mask) in [(112_425, 0xFF), (1_098_905, 0x04)] {
+    for (at, mask) in [(112_422, 0xFF), (1_098_902, 0x04)] {
         let mut known = image.clone();
         known[at] ^= mask;
         assert!(
@@ -560,11 +553,22 @@ fn flipped_bytes_yield_typed_errors_or_completed_runs_never_panics() {
     }
     // A `WriteAck` cookie turned into kind 70 is in flight, not in a
     // checked structure: the image resumes and the run ends at delivery.
-    let mut known = image;
-    known[1_194_026] ^= 0x40;
+    let mut known = image.clone();
+    known[1_194_023] ^= 0x40;
     let mut resumed = SystemBuilder::resume_from(&known, None).expect("resumes");
     assert!(matches!(
         resumed.finish(),
         Err(RunError::CorruptToken { token, .. }) if token >> 56 == 70
     ));
+    // A v1 header on an otherwise valid image is refused, not misparsed.
+    let mut v1 = image;
+    v1[8] = 1;
+    let unsupported = nim_types::codec::CodecError::UnsupportedVersion {
+        found: 1,
+        supported: 2,
+    };
+    match SystemBuilder::resume_from(&v1, None) {
+        Err(SnapshotError::Codec(e)) => assert_eq!(e, unsupported),
+        other => panic!("a v1 image must be refused, got {other:?}"),
+    }
 }

@@ -2,10 +2,9 @@
 //!
 //! [`zero_load_path`] predicts, without simulating a single flit, the
 //! exact end-to-end timing the cycle-accurate engine produces for a
-//! packet that never contends with other traffic: the latency-table and
-//! ideal fabrics in `nim-core` are built on it, and
-//! `tests/fabric_equivalence.rs` pins it against the real [`Network`]
-//! flit by flit.
+//! packet that never contends with other traffic: the ideal fabric in
+//! `nim-core` is built on it, and `tests/fabric_equivalence.rs` pins it
+//! against the real [`Network`] flit by flit.
 //!
 //! The closed forms fall out of the engine's phase ordering (bus, then
 //! routers, then injection; a flit stamped `arrived == now` cannot move
@@ -52,10 +51,6 @@ pub struct ZeroLoadPath {
     pub bus_wait: u32,
     /// The pillar the packet crosses layers on, if any.
     pub pillar: Option<PillarId>,
-    /// Cycles after send at which the head flit reaches the pillar's
-    /// transceiver interface (meaningful only when `pillar` is set) —
-    /// the instant a contention model starts queueing for the bus.
-    pub bus_enqueue: u64,
 }
 
 /// Predicts the zero-load timing of a packet of `flits` flits sent from
@@ -85,7 +80,6 @@ pub fn zero_load_path(
             hops: h as u16,
             bus_wait: 0,
             pillar: None,
-            bus_enqueue: 0,
         };
     }
     // Replay the greedy per-hop pillar walk of `routing::route`: every
@@ -111,13 +105,14 @@ pub fn zero_load_path(
     };
     let (px, py) = topo.pillar_xy(pillar);
     let m2 = u64::from(Coord::new(px, py, dst.layer).manhattan_2d(dst));
+    // Cycles after send at which the head flit reaches the pillar's
+    // transceiver interface.
     let bus_enqueue = 1 + (m1 + 1) * l;
     ZeroLoadPath {
         latency: bus_enqueue + 1 + (n - 1) * k + (m2 + 1) * l,
         hops: (m1 + 1 + m2) as u16,
         bus_wait: (1 + (n - 1) * (k - 1)) as u32,
         pillar: Some(pillar),
-        bus_enqueue,
     }
 }
 
@@ -153,7 +148,6 @@ mod tests {
         assert_eq!(p.hops, 1);
         assert_eq!(p.bus_wait, 1);
         assert_eq!(p.pillar, Some(PillarId(0)));
-        assert_eq!(p.bus_enqueue, 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! transceiver interface, and per-node injection queue — never as raw
 //! [`FlitArena`](crate::packet::FlitArena) slabs. Arena slot layout
 //! depends on how the chip was cut into shards, so a logical encoding
-//! lets a snapshot taken under one `NIM_SHARDS` restore under any other
+//! lets a snapshot taken under one shard count restore under any other
 //! (sharding is bit-identical by construction, so the resumed run still
 //! reproduces the uninterrupted one exactly).
 //!

@@ -1,5 +1,5 @@
 //! Pins the analytic zero-load model (`nim_noc::zero_load_path`) — the
-//! timing engine of the latency-table and ideal fabrics — against the
+//! timing engine of the ideal fabric — against the
 //! cycle-accurate network, flit for flit.
 //!
 //! Each probe sends exactly one packet into an otherwise idle network
@@ -10,7 +10,7 @@
 
 use nim_noc::{zero_load_path, Network, SendRequest, TrafficClass, VerticalMode};
 use nim_topology::ChipLayout;
-use nim_types::{Coord, PillarId, PillarPlacement, SystemConfig};
+use nim_types::{Coord, PillarId, SystemConfig};
 
 /// Sends one packet into a fresh network and checks it against the model.
 fn probe(cfg: &SystemConfig, src: Coord, dst: Coord, via: Option<PillarId>, flits: u32) {
@@ -110,9 +110,12 @@ fn eight_layer_stack_matches_model() {
 }
 
 #[test]
-fn alternate_placements_match_model() {
-    for placement in [PillarPlacement::Corners, PillarPlacement::Diagonal] {
-        sweep(&SystemConfig::default().with_pillar_placement(placement));
+fn every_pillar_set_matches_model() {
+    for layers in [2u8, 4, 8] {
+        for pillars in [1u16, 2, 4, 8, 16] {
+            let cfg = SystemConfig::default().with_layers(layers);
+            sweep(&cfg.with_pillars(pillars));
+        }
     }
 }
 

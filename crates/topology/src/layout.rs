@@ -9,7 +9,7 @@
 use core::error::Error;
 use core::fmt;
 
-use nim_types::{BankId, ClusterId, Coord, PillarId, PillarPlacement, SystemConfig};
+use nim_types::{BankId, ClusterId, Coord, PillarId, SystemConfig};
 
 /// Error building a [`ChipLayout`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,12 +162,7 @@ impl ChipLayout {
                 available: interior,
             });
         }
-        let pillars = pillar_sites(
-            pillar_count,
-            width as u8,
-            height as u8,
-            cfg.network.pillar_placement,
-        );
+        let pillars = pillar_sites(pillar_count, width as u8, height as u8);
         if pillars.len() < pillar_count as usize {
             return Err(TopologyError::TooManyPillars {
                 pillars: pillar_count,
@@ -446,7 +441,7 @@ impl ChipLayout {
     /// within a layer, `min_p(d(a,p) + 1 + d(p,b))` across layers (the
     /// `1` is the vertical bus hop). This is the shortest-path metric of
     /// the chip graph, so it is symmetric and obeys the triangle
-    /// inequality for every placement.
+    /// inequality for every pillar set.
     ///
     /// # Panics
     ///
@@ -502,106 +497,19 @@ impl ChipLayout {
     }
 }
 
-/// Chooses pillar positions for a placement strategy.
-///
-/// [`PillarPlacement::Spread`] is the paper's rule (§3.3): pillars are
+/// Chooses pillar positions by the paper's rule (§3.3): pillars are
 /// placed *as far apart from each other as possible* within the layer to
 /// avoid congested areas, but never on the edges. A uniform interior
 /// lattice realises this for most counts; for two pillars the lattice
 /// would collapse onto the centre row, so a quarter-inset diagonal keeps
-/// them genuinely far apart. The other strategies sweep the placement
-/// dimension of the design space (corners ring, interior diagonal); on
-/// meshes too small to have an interior they fall back to the spread
-/// lattice.
-fn pillar_sites(n: u16, w: u8, h: u8, placement: PillarPlacement) -> Vec<(u8, u8)> {
-    match placement {
-        PillarPlacement::Spread => {
-            if n == 2 && w >= 4 && h >= 4 {
-                let (x0, y0) = (w / 4, h / 4);
-                let (x1, y1) = (w - 1 - w / 4, h - 1 - h / 4);
-                return vec![(x0, y0), (x1, y1)];
-            }
-            spread_positions(n, w, h)
-        }
-        PillarPlacement::Corners => corner_positions(n, w, h),
-        PillarPlacement::Diagonal => diagonal_positions(n, w, h),
+/// them genuinely far apart.
+fn pillar_sites(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
+    if n == 2 && w >= 4 && h >= 4 {
+        let (x0, y0) = (w / 4, h / 4);
+        let (x1, y1) = (w - 1 - w / 4, h - 1 - h / 4);
+        return vec![(x0, y0), (x1, y1)];
     }
-}
-
-/// Pillars evenly spaced along the perimeter of the interior rectangle
-/// one node in from every edge (so the placement honours the no-edge
-/// rule of §3.3 while hugging the corners).
-fn corner_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    // The interior ring needs at least a 2×2 interior rectangle.
-    if w < 4 || h < 4 {
-        return spread_positions(n, w, h);
-    }
-    let (iw, ih) = (u32::from(w) - 2, u32::from(h) - 2);
-    let perimeter = 2 * (iw + ih) - 4;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut used = std::collections::HashSet::new();
-    for i in 0..u32::from(n) {
-        let pos = i * perimeter / u32::from(n);
-        let (x, y) = perimeter_point(pos, iw, ih);
-        let site = ((x + 1) as u8, (y + 1) as u8);
-        if used.insert(site) {
-            out.push(site);
-        }
-    }
-    refill_collisions(&mut out, &mut used, n, w, h);
-    out
-}
-
-/// Pillars along the main diagonal of the interior rectangle.
-fn diagonal_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    if w < 3 || h < 3 {
-        return spread_positions(n, w, h);
-    }
-    let (iw, ih) = (u32::from(w) - 2, u32::from(h) - 2);
-    let mut out = Vec::with_capacity(n as usize);
-    let mut used = std::collections::HashSet::new();
-    for i in 0..u32::from(n) {
-        // Cell-centre parameterisation of the diagonal, like the spread
-        // lattice: t = (2i + 1) / 2n.
-        let x = 1 + ((2 * i + 1) * (iw - 1) + u32::from(n)) / (2 * u32::from(n));
-        let y = 1 + ((2 * i + 1) * (ih - 1) + u32::from(n)) / (2 * u32::from(n));
-        let site = (x as u8, y as u8);
-        if used.insert(site) {
-            out.push(site);
-        }
-    }
-    refill_collisions(&mut out, &mut used, n, w, h);
-    out
-}
-
-/// Deterministically nudges colliding positions to free nodes (interior
-/// scan order) until `out` holds `n` distinct sites, or the mesh is
-/// full. `used` must already contain every member of `out`.
-fn refill_collisions(
-    out: &mut Vec<(u8, u8)>,
-    used: &mut std::collections::HashSet<(u8, u8)>,
-    n: u16,
-    w: u8,
-    h: u8,
-) {
-    'refill: while out.len() < n as usize {
-        for y in 0..h {
-            for x in 0..w {
-                if used.insert((x, y)) {
-                    out.push((x, y));
-                    continue 'refill;
-                }
-            }
-        }
-        break; // the mesh is full
-    }
-    out.truncate(n as usize);
+    spread_positions(n, w, h)
 }
 
 /// Walks the layer perimeter clockwise from the south-west corner
@@ -652,8 +560,19 @@ pub(crate) fn spread_positions(n: u16, w: u8, h: u8) -> Vec<(u8, u8)> {
     // duplicates to free positions (deterministic scan, interior first,
     // then the whole mesh). If the mesh genuinely has fewer positions
     // than requested, return what fits — the caller checks the count.
-    let mut used = out.iter().copied().collect();
-    refill_collisions(&mut out, &mut used, n, w, h);
+    let mut used: std::collections::HashSet<(u8, u8)> = out.iter().copied().collect();
+    'refill: while out.len() < n as usize {
+        for y in 0..h {
+            for x in 0..w {
+                if used.insert((x, y)) {
+                    out.push((x, y));
+                    continue 'refill;
+                }
+            }
+        }
+        break; // the mesh is full
+    }
+    out.truncate(n as usize);
     out
 }
 
@@ -851,50 +770,34 @@ mod tests {
     }
 
     #[test]
-    fn alternate_placements_are_interior_and_distinct() {
-        for placement in [PillarPlacement::Corners, PillarPlacement::Diagonal] {
-            for n in [2u16, 4, 7, 8] {
-                let sites = pillar_sites(n, 16, 8, placement);
-                assert_eq!(sites.len(), n as usize, "{placement:?} n={n}");
+    fn pillar_sites_are_distinct_and_interior_on_every_stack() {
+        // The 2-, 4- and 8-layer restackings of the paper's 256 banks.
+        for (w, h) in [(16u8, 8u8), (8, 8), (8, 4)] {
+            for n in [1u16, 2, 4, 8, 16] {
+                let sites = pillar_sites(n, w, h);
+                assert_eq!(sites.len(), n as usize, "{w}x{h} n={n}");
                 let set: std::collections::HashSet<_> = sites.iter().collect();
-                assert_eq!(set.len(), n as usize, "distinct for {placement:?} n={n}");
-                for &(x, y) in &sites {
-                    assert!((1..=14).contains(&x), "{placement:?} x={x} interior");
-                    assert!((1..=6).contains(&y), "{placement:?} y={y} interior");
+                assert_eq!(set.len(), n as usize, "distinct on {w}x{h} n={n}");
+                // Never on an edge (§3.3) while the interior has room.
+                if u32::from(n) <= u32::from(w - 2) * u32::from(h - 2) {
+                    for &(x, y) in &sites {
+                        assert!((1..=w - 2).contains(&x), "{w}x{h} n={n} x={x}");
+                        assert!((1..=h - 2).contains(&y), "{w}x{h} n={n} y={y}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn placement_changes_geometry_but_not_defaults() {
-        let spread = default_layout();
-        let corners = ChipLayout::new(
-            &SystemConfig::default().with_pillar_placement(PillarPlacement::Corners),
-        )
-        .unwrap();
-        assert_eq!(spread.num_pillars(), corners.num_pillars());
-        let xy = |l: &ChipLayout| -> Vec<(u8, u8)> {
-            (0..l.num_pillars())
-                .map(|p| l.pillar_xy(PillarId(p)))
-                .collect()
-        };
-        assert_ne!(xy(&spread), xy(&corners), "strategies genuinely differ");
-        // The default config must keep producing the exact sites the
-        // fingerprint tests were recorded against.
-        assert_eq!(xy(&spread), pillar_sites(8, 16, 8, PillarPlacement::Spread));
-    }
-
-    #[test]
-    fn tiny_meshes_fall_back_to_spread() {
-        assert_eq!(
-            pillar_sites(2, 3, 3, PillarPlacement::Corners),
-            pillar_sites(2, 3, 3, PillarPlacement::Spread)
-        );
-        assert_eq!(
-            pillar_sites(1, 2, 2, PillarPlacement::Diagonal),
-            pillar_sites(1, 2, 2, PillarPlacement::Spread)
-        );
+    fn default_pillar_sites_are_the_recorded_ones() {
+        // The sites every pinned fingerprint was recorded against.
+        let l = default_layout();
+        let xy: Vec<(u8, u8)> = (0..l.num_pillars())
+            .map(|p| l.pillar_xy(PillarId(p)))
+            .collect();
+        let recorded = [2u8, 6, 10, 14].map(|x| [(x, 2u8), (x, 6)]).concat();
+        assert_eq!(xy, recorded);
     }
 
     #[test]

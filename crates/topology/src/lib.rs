@@ -12,8 +12,7 @@
 //!   table and the route-cost metric included.
 //! * [`placement`] — [`PlacementPolicy`] and the seating of CPUs.
 //! * [`floorplan`] — what occupies each tile, for the thermal model.
-//! * [`topology`] — [`MeshTopology`] (layout + router latency) and the
-//!   `--topology` spec grammar ([`TopoSpec`]).
+//! * [`topology`] — [`MeshTopology`] (layout + router latency).
 //! * [`shard`] — [`ShardPlan`]: cluster-row shard cuts and the boundary
 //!   tables the parallel network engine's window planner uses.
 //!
@@ -46,4 +45,4 @@ pub use floorplan::Floorplan;
 pub use layout::{ChipLayout, TopologyError};
 pub use placement::{CpuSeat, PlacementError, PlacementPolicy};
 pub use shard::ShardPlan;
-pub use topology::{MeshTopology, TopoSpec, TopoSpecError};
+pub use topology::MeshTopology;

@@ -48,13 +48,6 @@ impl ShardPlan {
         usize::from(layout.layers()) * usize::from(layout.cluster_grid().1)
     }
 
-    /// Every shard count the layout supports, ascending — the divisors
-    /// of [`ShardPlan::cluster_rows`].
-    pub fn valid_counts(layout: &ChipLayout) -> Vec<usize> {
-        let rows = Self::cluster_rows(layout);
-        (1..=rows).filter(|&d| rows.is_multiple_of(d)).collect()
-    }
-
     /// Builds the plan, clamping `requested` to the largest valid shard
     /// count not exceeding it (so any request is safe).
     pub fn new(layout: &ChipLayout, requested: usize) -> Self {
@@ -156,15 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn valid_counts_are_cluster_row_divisors() {
+    fn cluster_rows_are_layers_times_grid_height() {
         // Default 2-layer chip: 16x8 mesh, 4x2 cluster grid -> 4 rows.
-        let l2 = layout(2);
-        assert_eq!(ShardPlan::cluster_rows(&l2), 4);
-        assert_eq!(ShardPlan::valid_counts(&l2), vec![1, 2, 4]);
+        assert_eq!(ShardPlan::cluster_rows(&layout(2)), 4);
         // 4-layer chip: 8x8 mesh, 2x2 cluster grid -> 8 rows.
-        let l4 = layout(4);
-        assert_eq!(ShardPlan::cluster_rows(&l4), 8);
-        assert_eq!(ShardPlan::valid_counts(&l4), vec![1, 2, 4, 8]);
+        assert_eq!(ShardPlan::cluster_rows(&layout(4)), 8);
     }
 
     #[test]
@@ -177,9 +166,10 @@ mod tests {
 
     #[test]
     fn bands_partition_every_layer_and_match_ownership() {
-        for layers in [2u8, 4] {
+        // Every divisor of the cluster-row count is a valid cut.
+        for (layers, counts) in [(2u8, &[1, 2, 4][..]), (4, &[1, 2, 4, 8])] {
             let lay = layout(layers);
-            for &shards in &ShardPlan::valid_counts(&lay) {
+            for &shards in counts {
                 let plan = ShardPlan::new(&lay, shards);
                 assert_eq!(plan.shards(), shards);
                 assert_eq!(plan.nodes_per_shard() * shards, lay.num_nodes());

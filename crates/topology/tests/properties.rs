@@ -1,8 +1,8 @@
 //! Property-based tests: geometry round-trips and placement invariants
 //! hold for every configuration the workspace can express.
 
-use nim_topology::{ChipLayout, PlacementPolicy};
-use nim_types::{ClusterId, PillarPlacement, SystemConfig};
+use nim_topology::{ChipLayout, PlacementPolicy, TopologyError};
+use nim_types::{ClusterId, SystemConfig};
 use proptest::prelude::*;
 
 /// Configurations with power-of-two geometry where clusters divide layers.
@@ -16,15 +16,18 @@ fn arb_config() -> impl Strategy<Value = SystemConfig> {
     })
 }
 
-/// [`arb_config`] crossed with every pillar placement strategy.
-fn arb_placed_config() -> impl Strategy<Value = SystemConfig> {
-    (arb_config(), 0usize..3).prop_map(|(mut cfg, i)| {
-        cfg.network.pillar_placement = [
-            PillarPlacement::Spread,
-            PillarPlacement::Corners,
-            PillarPlacement::Diagonal,
-        ][i];
+/// [`arb_config`] with 1, 2, 4, 8 or 16 pillars: the pillar sets the
+/// route metric is checked on.
+fn arb_pillared_config() -> impl Strategy<Value = SystemConfig> {
+    let pillared = (arb_config(), 0usize..5).prop_map(|(mut cfg, i)| {
+        cfg.network.pillars = [1, 2, 4, 8, 16][i];
         cfg
+    });
+    pillared.prop_filter("the mesh holds the pillars", |cfg| {
+        !matches!(
+            ChipLayout::new(cfg),
+            Err(TopologyError::TooManyPillars { .. })
+        )
     })
 }
 
@@ -104,7 +107,7 @@ proptest! {
 
     #[test]
     fn route_costs_are_a_symmetric_metric(
-        cfg in arb_placed_config(),
+        cfg in arb_pillared_config(),
         ia in 0usize..1 << 16,
         ib in 0usize..1 << 16,
     ) {
@@ -112,15 +115,14 @@ proptest! {
         let mesh = ChipLayout::new(&cfg).expect("valid config builds");
         let a = mesh.coord_of_index(ia % mesh.num_nodes());
         let b = mesh.coord_of_index(ib % mesh.num_nodes());
-        // The metric must be symmetric with a zero diagonal (the
-        // latency-table fabric assumes both).
+        // The metric must be symmetric with a zero diagonal.
         prop_assert_eq!(mesh.route_cost(a, b), mesh.route_cost(b, a));
         prop_assert_eq!(mesh.route_cost(a, a), 0);
     }
 
     #[test]
     fn route_costs_obey_the_triangle_inequality(
-        cfg in arb_placed_config(),
+        cfg in arb_pillared_config(),
         ia in 0usize..1 << 16,
         ib in 0usize..1 << 16,
         ic in 0usize..1 << 16,
@@ -132,7 +134,7 @@ proptest! {
         let c = mesh.coord_of_index(ic % mesh.num_nodes());
         // min-over-pillars is the shortest-path metric of the chip
         // graph, so no detour through b may ever be cheaper than the
-        // direct route — for any placement.
+        // direct route — for any pillar set.
         prop_assert!(
             mesh.route_cost(a, c) <= mesh.route_cost(a, b) + mesh.route_cost(b, c),
             "d({a},{c}) > d({a},{b}) + d({b},{c})"

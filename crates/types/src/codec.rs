@@ -11,9 +11,9 @@
 //! Versioning rules:
 //!
 //! * The top-level [`SNAPSHOT_MAGIC`] / [`SNAPSHOT_VERSION`] pair gates
-//!   whole-file compatibility. Readers reject files whose version is
-//!   newer than what they understand with
-//!   [`CodecError::UnsupportedVersion`] instead of misparsing them.
+//!   whole-file compatibility. Readers reject files of any other
+//!   version, older or newer, with [`CodecError::UnsupportedVersion`]
+//!   instead of misparsing them.
 //! * Each section carries its own `u16` version. A reader that finds a
 //!   section version above what it supports rejects the file the same
 //!   way; older versions may be accepted by sections that know how to
@@ -51,8 +51,8 @@ use crate::hash::FxHashMap;
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NIMSNAP\0";
 
-/// Current top-level snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The top-level snapshot format version: the only one read or written.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Error produced while decoding snapshot bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,11 +66,12 @@ pub enum CodecError {
     },
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file (or a section) was written by a newer format version.
+    /// The file was written in another format version, or a section by
+    /// a newer one.
     UnsupportedVersion {
         /// Version found in the input.
         found: u16,
-        /// Highest version this reader supports.
+        /// The version this reader supports (for a section, the highest).
         supported: u16,
     },
     /// The bytes are structurally inconsistent (bad tag, bad enum
@@ -91,7 +92,7 @@ impl fmt::Display for CodecError {
             CodecError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot version {found} is newer than supported version {supported}"
+                    "snapshot version {found} is not the supported version {supported}"
                 )
             }
             CodecError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
@@ -250,21 +251,21 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CodecError::BadMagic`] if the magic does not match,
-    /// [`CodecError::UnsupportedVersion`] if the file is newer than
+    /// [`CodecError::UnsupportedVersion`] if the file's version is not
     /// [`SNAPSHOT_VERSION`].
-    pub fn header(&mut self) -> Result<u16, CodecError> {
+    pub fn header(&mut self) -> Result<(), CodecError> {
         let magic = self.take(SNAPSHOT_MAGIC.len())?;
         if magic != SNAPSHOT_MAGIC {
             return Err(CodecError::BadMagic);
         }
         let version = self.u16()?;
-        if version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        Ok(version)
+        Ok(())
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
@@ -796,18 +797,22 @@ mod tests {
         let mut w = ByteWriter::new();
         w.header();
         let bytes = w.into_bytes();
-        assert_eq!(ByteReader::new(&bytes).header().unwrap(), SNAPSHOT_VERSION);
+        assert_eq!(ByteReader::new(&bytes).header(), Ok(()));
 
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
         assert_eq!(ByteReader::new(&bad).header(), Err(CodecError::BadMagic));
 
-        let mut newer = bytes;
-        newer[8] = 0xff; // version low byte
-        assert!(matches!(
-            ByteReader::new(&newer).header(),
-            Err(CodecError::UnsupportedVersion { .. })
-        ));
+        // Any other version is refused, an older one included.
+        for found in [1, SNAPSHOT_VERSION + 1, 0xff] {
+            let mut skewed = bytes.clone();
+            skewed[8] = found as u8; // version low byte
+            let supported = SNAPSHOT_VERSION;
+            assert_eq!(
+                ByteReader::new(&skewed).header(),
+                Err(CodecError::UnsupportedVersion { found, supported })
+            );
+        }
     }
 
     #[test]

@@ -223,59 +223,6 @@ impl Default for L2Config {
     }
 }
 
-/// Where the vertical pillars stand within a layer.
-///
-/// The paper studies only the spread placement (§3.3: pillars as far
-/// apart as possible, never on edges); the other strategies exist to
-/// sweep the placement dimension of the design space.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PillarPlacement {
-    /// A uniform interior lattice, each pillar at the centre of its
-    /// lattice cell (the paper's rule and the default).
-    #[default]
-    Spread,
-    /// Pillars evenly spaced along the perimeter of the interior
-    /// rectangle one node in from the mesh edge — near the corners and
-    /// edges of the layer, leaving the centre free.
-    Corners,
-    /// Pillars along the main diagonal of the interior rectangle.
-    Diagonal,
-}
-
-crate::codec_enum!(PillarPlacement, "bad placement tag" { 0 => Spread, 1 => Corners, 2 => Diagonal });
-
-impl PillarPlacement {
-    /// Every placement strategy, in sweep order.
-    pub const ALL: [PillarPlacement; 3] = [
-        PillarPlacement::Spread,
-        PillarPlacement::Corners,
-        PillarPlacement::Diagonal,
-    ];
-
-    /// Stable lower-case name (CLI value and sweep label).
-    pub const fn name(self) -> &'static str {
-        match self {
-            PillarPlacement::Spread => "spread",
-            PillarPlacement::Corners => "corners",
-            PillarPlacement::Diagonal => "diagonal",
-        }
-    }
-
-    /// Parses a [`PillarPlacement::name`] back to the strategy.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unknown name.
-    pub fn parse(s: &str) -> Result<Self, &str> {
-        match s {
-            "spread" => Ok(PillarPlacement::Spread),
-            "corners" => Ok(PillarPlacement::Corners),
-            "diagonal" => Ok(PillarPlacement::Diagonal),
-            other => Err(other),
-        }
-    }
-}
-
 /// On-chip network parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetworkConfig {
@@ -283,8 +230,6 @@ pub struct NetworkConfig {
     pub layers: u8,
     /// Number of vertical dTDMA pillars (ignored when `layers == 1`).
     pub pillars: u16,
-    /// Where the pillars stand within a layer.
-    pub pillar_placement: PillarPlacement,
     /// Flit width in bits.
     pub flit_bits: u32,
     /// Width of the vertical dTDMA bus in bits. Narrower buses (fewer
@@ -306,7 +251,6 @@ pub struct NetworkConfig {
 crate::codec_struct!(NetworkConfig {
     layers,
     pillars,
-    pillar_placement,
     flit_bits,
     bus_width_bits,
     data_packet_flits,
@@ -336,7 +280,6 @@ impl Default for NetworkConfig {
         Self {
             layers: 2,
             pillars: 8,
-            pillar_placement: PillarPlacement::Spread,
             flit_bits: 128,
             bus_width_bits: 128,
             data_packet_flits: 4,
@@ -508,15 +451,6 @@ impl SystemConfig {
         cfg.network.pillars = pillars;
         cfg
     }
-
-    /// Convenience: the same configuration with another pillar placement
-    /// strategy.
-    #[must_use]
-    pub fn with_pillar_placement(&self, placement: PillarPlacement) -> Self {
-        let mut cfg = *self;
-        cfg.network.pillar_placement = placement;
-        cfg
-    }
 }
 
 #[cfg(test)]
@@ -670,21 +604,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn pillar_placement_names_round_trip() {
-        assert_eq!(
-            NetworkConfig::default().pillar_placement,
-            PillarPlacement::Spread
-        );
-        for p in PillarPlacement::ALL {
-            assert_eq!(PillarPlacement::parse(p.name()), Ok(p));
-        }
-        assert_eq!(PillarPlacement::parse("ring"), Err("ring"));
-        let cfg = SystemConfig::default().with_pillar_placement(PillarPlacement::Corners);
-        assert_eq!(cfg.network.pillar_placement, PillarPlacement::Corners);
-        cfg.validate().expect("placement does not affect validity");
     }
 
     #[test]

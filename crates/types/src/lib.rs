@@ -43,7 +43,7 @@ pub mod trace;
 pub use addr::{Address, LineAddr};
 pub use bitset::{bits, IdSet};
 pub use codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
-pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, PillarPlacement, SystemConfig};
+pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, SystemConfig};
 pub use geom::{Coord, Dir};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use id::{BankId, ClusterId, CpuId, PacketId, PillarId};

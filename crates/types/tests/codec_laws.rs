@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 use nim_types::codec::{assert_laws, ByteReader, Codec, CodecError};
 use nim_types::{
     AccessKind, Address, BankId, ClusterId, Coord, CpuId, Cycle, FxHashMap, L1Config, L2Config,
-    LineAddr, NetworkConfig, PacketId, PillarId, PillarPlacement, SystemConfig, TraceOp,
+    LineAddr, NetworkConfig, PacketId, PillarId, SystemConfig, TraceOp,
 };
 use proptest::prelude::*;
 
@@ -60,13 +60,7 @@ fn l2() -> impl Strategy<Value = L2Config> {
 
 fn network() -> impl Strategy<Value = NetworkConfig> {
     (
-        (
-            any::<u8>(),
-            any::<u16>(),
-            0usize..3,
-            any::<u32>(),
-            any::<u32>(),
-        ),
+        (any::<u8>(), any::<u16>(), any::<u32>(), any::<u32>()),
         (
             any::<u32>(),
             any::<u32>(),
@@ -75,24 +69,21 @@ fn network() -> impl Strategy<Value = NetworkConfig> {
             any::<u32>(),
         ),
     )
-        .prop_map(
-            |((layers, pillars, placement, flit_bits, bus_width_bits), rest)| {
-                let (data_packet_flits, control_packet_flits, router_latency, vcs_per_port, depth) =
-                    rest;
-                NetworkConfig {
-                    layers,
-                    pillars,
-                    pillar_placement: PillarPlacement::ALL[placement],
-                    flit_bits,
-                    bus_width_bits,
-                    data_packet_flits,
-                    control_packet_flits,
-                    router_latency,
-                    vcs_per_port,
-                    vc_depth_flits: depth,
-                }
-            },
-        )
+        .prop_map(|((layers, pillars, flit_bits, bus_width_bits), rest)| {
+            let (data_packet_flits, control_packet_flits, router_latency, vcs_per_port, depth) =
+                rest;
+            NetworkConfig {
+                layers,
+                pillars,
+                flit_bits,
+                bus_width_bits,
+                data_packet_flits,
+                control_packet_flits,
+                router_latency,
+                vcs_per_port,
+                vc_depth_flits: depth,
+            }
+        })
 }
 
 fn system() -> impl Strategy<Value = SystemConfig> {
@@ -140,7 +131,6 @@ proptest! {
     fn configurations(cfg in system()) {
         prop_assert_eq!(assert_laws(&cfg.l1), cfg.l1);
         prop_assert_eq!(assert_laws(&cfg.l2), cfg.l2);
-        prop_assert_eq!(assert_laws(&cfg.network.pillar_placement), cfg.network.pillar_placement);
         prop_assert_eq!(assert_laws(&cfg.network), cfg.network);
         prop_assert_eq!(assert_laws(&cfg), cfg);
     }
@@ -193,10 +183,6 @@ fn bad_tags_and_absurd_lengths_are_errors() {
     assert_eq!(
         AccessKind::get(&mut ByteReader::new(&[3])),
         Err(CodecError::Corrupt("bad access kind tag"))
-    );
-    assert_eq!(
-        PillarPlacement::get(&mut ByteReader::new(&[9])),
-        Err(CodecError::Corrupt("bad placement tag"))
     );
     assert_eq!(
         Option::<u64>::get(&mut ByteReader::new(&[2])),

@@ -9,10 +9,9 @@
 //!
 //! Every simulating subcommand describes its work as [`SweepSpec`]
 //! cells: `run` takes one, `compare` and `breakdown` sweep it over the
-//! four schemes, `scale` takes a grid, `report` the grids of the
-//! paper's exhibits. Argument parsing is deliberately dependency-free
-//! (the workspace only uses the pre-approved crates); see `nim help`
-//! for the full grammar.
+//! four schemes, `report` takes the grids of the paper's exhibits.
+//! Argument parsing is deliberately dependency-free (the workspace only
+//! uses the pre-approved crates); see `nim help` for the full grammar.
 
 use std::error::Error;
 use std::fs::File;
@@ -21,13 +20,9 @@ use std::process::ExitCode;
 use std::slice::from_ref;
 
 use network_in_memory::core::exhibits::{breakdown, run_exhibits, shipped, table3};
-use network_in_memory::core::experiments::{
-    run_cells, run_cells_raw, ExperimentError, ExperimentScale, SweepSpec,
-};
+use network_in_memory::core::experiments::{run_cells, ExperimentScale, SweepSpec};
 use network_in_memory::core::{FabricKind, RunReport, Scheme, System, SystemBuilder};
 use network_in_memory::obs::{CategoryMask, Obs, ObsConfig};
-use network_in_memory::topology::{ChipLayout, ShardPlan, TopoSpec};
-use network_in_memory::types::{PillarPlacement, SystemConfig};
 use network_in_memory::workload::BenchmarkProfile;
 
 const HELP: &str = "\
@@ -41,8 +36,6 @@ COMMANDS:
     compare    that cell under all four schemes
     breakdown  that cell's per-phase latency decomposition under all
                four schemes
-    scale      sweep a grid of cells; print per-cell cycles, hits,
-               misses and fingerprints
     report     regenerate the paper's tables and figures as one
                deduplicated batch: `nim report [id..]` keeps the
                named ones of table1 table2 table3 fig13 fig14 fig15
@@ -51,34 +44,19 @@ COMMANDS:
     list       list benchmarks and schemes
     help       show this message
 
-THE CELL (run / compare / breakdown / scale):
+THE CELL (run / compare / breakdown):
     --scheme <name>           dnuca | dnuca2d | snuca3d | dnuca3d (default
                               dnuca3d; not for compare / breakdown, which
                               sweep all four)
     --bench <name>            benchmark profile (default swim)
-    --topology <spec>         'default', '4-layer', '8-layer', or a comma
-                              list of layers=N, pillars=N, placement=
-                              {spread|corners|diagonal}; the explicit
-                              flags below override it
     --layers <n>              device layers (default 2)
     --pillars <n>             vertical pillars (default 8)
     --cpus <n>                CPUs (default 8)
-    --placements <name>       spread | corners | diagonal (default spread)
     --l2-scale <n>            L2 capacity factor, a power of two; the paper
                               sweeps 1, 2, 4 (default 1)
     --fabric <name>           interconnect substrate: sim (the cycle-
-                              accurate NoC, default), latency-table (the
-                              analytic model) or ideal (contention-free)
-    --shards <n|auto>         advance the network as n cluster-row shards
-                              on worker threads (bit-identical); n must
-                              divide the selected topology's cluster-row
-                              count, layers × cluster-grid height; 'auto'
-                              picks the largest count up to the machine's
-                              cores (default: NIM_SHARDS, else 1)
-    For scale, each of --layers .. --shards takes a comma list and the
-    grid is their product (defaults: --layers 2,4,8 --shards 1); a cell
-    whose shard count does not divide its cluster rows, or that does
-    not build, is skipped with the reason.
+                              accurate NoC, default) or ideal (the
+                              contention-free zero-load model)
 
 THE SCALE OF A RUN (the above and report):
     --warmup <n>              warm-up transactions (default 2000)
@@ -93,10 +71,9 @@ SNAPSHOT / RESUME (run only):
     --snapshot-every <txns>   checkpoint cadence in completed
                               transactions (requires --snapshot-out)
     --resume <path>           reconstruct a checkpointed run and carry it
-                              to completion; scheme/benchmark/topology
-                              flags are ignored (the image records them),
-                              but --shards <n|auto> re-cuts the resumed
-                              network (snapshots are shard-agnostic)
+                              to completion; the image records the cell,
+                              the scale and the observability settings,
+                              so any other flag beside it is an error
 
 OBSERVABILITY (run only; all off by default):
     --trace-out <path>        write a Chrome trace_event JSON file
@@ -112,39 +89,6 @@ OBSERVABILITY (run only; all off by default):
                               latency breakdown for every n-th
                               transaction (0 = off; implies tracing)
 ";
-
-/// An explicit `--shards` argument: a fixed count, or `auto` (the
-/// largest count the topology supports up to the machine's cores).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShardArg {
-    Count(usize),
-    Auto,
-}
-
-impl ShardArg {
-    /// The count to request: 'auto' asks for one shard per available
-    /// core, which the network clamps to what its topology supports.
-    fn count(self) -> usize {
-        match self {
-            ShardArg::Count(n) => n,
-            ShardArg::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-}
-
-/// The cell-axis flags: the fields of [`SweepSpec`], each a list. An
-/// empty list keeps the builder's default, one value is an override,
-/// several (for `scale`) are a grid axis.
-#[derive(Debug, Default)]
-struct Axes {
-    layers: Vec<u8>,
-    pillars: Vec<u16>,
-    cpus: Vec<u32>,
-    l2_scales: Vec<u32>,
-    placements: Vec<PillarPlacement>,
-    fabrics: Vec<FabricKind>,
-    shards: Vec<ShardArg>,
-}
 
 /// What only a single run can honour. Four schemes would interleave in
 /// one trace and fight over one snapshot image.
@@ -165,97 +109,17 @@ struct RunOnly {
 /// Everything the command line says.
 #[derive(Debug)]
 struct Cli {
-    scheme: Scheme,
+    /// The one cell of `run`, `compare` and `breakdown` (which sweep its
+    /// scheme); it indexes a one-benchmark slice.
+    cell: SweepSpec,
     bench: BenchmarkProfile,
-    axes: Axes,
     scale: ExperimentScale,
     /// `report`'s exhibit ids.
     ids: Vec<String>,
     run: RunOnly,
 }
 
-/// One cell of the grid the flags describe and, when its `--shards`
-/// count cannot cut its topology, why: such a cell is refused (`run`)
-/// or skipped (`scale`) rather than silently clamped by the builder.
-struct Cell {
-    spec: SweepSpec,
-    unfit: Option<String>,
-}
-
-/// Rejects a `--shards` count the selected topology cannot honour — the
-/// shard executor cuts the chip into equal bands of whole cluster rows,
-/// so the count must divide `layers × cluster-grid height` or it would
-/// be silently clamped. An unbuildable topology is let through here so
-/// `build()` reports the real error.
-fn validate_shards(shards: usize, cfg: &SystemConfig) -> Result<(), String> {
-    let Ok(layout) = ChipLayout::new(cfg) else {
-        return Ok(());
-    };
-    let valid = ShardPlan::valid_counts(&layout);
-    if valid.contains(&shards) {
-        return Ok(());
-    }
-    let rows = ShardPlan::cluster_rows(&layout);
-    let counts: Vec<String> = valid.iter().map(|d| d.to_string()).collect();
-    Err(format!(
-        "--shards {shards} does not divide the selected topology's {rows} cluster rows \
-         ({} layers x {}-row cluster grid; valid shard counts: {}, or 'auto')",
-        cfg.network.layers,
-        layout.cluster_grid().1,
-        counts.join(", ")
-    ))
-}
-
-/// Multiplies the grid by one axis; an empty axis leaves it alone.
-fn cross<C: Copy, T: Copy>(grid: &mut Vec<C>, axis: &[T], set: impl Fn(&mut C, T)) {
-    if !axis.is_empty() {
-        let with = |cell: &C, value: T| {
-            let mut cell = *cell;
-            set(&mut cell, value);
-            cell
-        };
-        *grid = (grid.iter())
-            .flat_map(|cell| axis.iter().map(move |&value| with(cell, value)))
-            .collect();
-    }
-}
-
 impl Cli {
-    /// The grid of cells the flags describe, in deterministic order
-    /// (`--layers` outermost, `--shards` innermost); one cell when no
-    /// flag lists several values. Cells index a one-benchmark slice.
-    fn cells(&self) -> Vec<Cell> {
-        let axes = &self.axes;
-        let mut grid = vec![(SweepSpec::new(self.scheme, 0), None)];
-        cross(&mut grid, &axes.layers, |c, v| c.0.layers = Some(v));
-        cross(&mut grid, &axes.pillars, |c, v| c.0.pillars = Some(v));
-        cross(&mut grid, &axes.cpus, |c, v| c.0.cpus = Some(v));
-        cross(&mut grid, &axes.l2_scales, |c, v| c.0.l2_scale = Some(v));
-        cross(&mut grid, &axes.placements, |c, v| c.0.placement = Some(v));
-        cross(&mut grid, &axes.fabrics, |c, v| c.0.fabric = Some(v));
-        cross(&mut grid, &axes.shards, |c, v| c.1 = Some(v));
-        let cell = |(spec, shards): (SweepSpec, Option<ShardArg>)| {
-            let cfg = SystemConfig::default();
-            let cfg = spec.layers.map_or(cfg, |l| cfg.with_layers(l));
-            Cell {
-                spec: SweepSpec {
-                    shards: shards.map(ShardArg::count),
-                    ..spec
-                },
-                unfit: match shards {
-                    Some(ShardArg::Count(n)) => validate_shards(n, &cfg).err(),
-                    _ => None,
-                },
-            }
-        };
-        grid.into_iter().map(cell).collect()
-    }
-
-    /// The one cell of `run`, `compare` and `breakdown`.
-    fn cell(&self) -> SweepSpec {
-        self.cells()[0].spec
-    }
-
     /// Builds the observability handle the flags ask for — a disabled
     /// handle (one branch per instrumentation point) when no flag is set.
     fn obs(&self) -> Obs {
@@ -280,14 +144,14 @@ impl Cli {
     }
 }
 
-/// The subcommands that honour a flag, by kind of flag. `compare` and
-/// `breakdown` sweep the schemes themselves, so `--scheme` is not theirs.
-const SCHEME: &[&str] = &["run", "scale"];
-/// The other cell axes.
-const CELL: &[&str] = &["run", "compare", "breakdown", "scale"];
+/// Every subcommand but `help`.
+const COMMANDS: &[&str] = &["run", "compare", "breakdown", "report", "thermal", "list"];
+/// The subcommands that honour a flag, by kind of flag. The cell's
+/// fields other than its scheme, which `compare` and `breakdown` sweep.
+const CELL: &[&str] = &["run", "compare", "breakdown"];
 /// `--warmup` / `--sample` / `--seed`: everything that simulates.
-const SCALE: &[&str] = &["run", "compare", "breakdown", "scale", "report"];
-/// [`RunOnly`].
+const SCALE: &[&str] = &["run", "compare", "breakdown", "report"];
+/// `--scheme` and [`RunOnly`].
 const RUN: &[&str] = &["run"];
 
 fn scheme(s: &str) -> Result<Scheme, String> {
@@ -304,51 +168,23 @@ fn bench(name: &str) -> Result<BenchmarkProfile, String> {
     BenchmarkProfile::by_name(name).ok_or_else(|| format!("unknown benchmark '{name}'"))
 }
 
-fn placement(s: &str) -> Result<PillarPlacement, String> {
-    PillarPlacement::parse(s).map_err(|v| format!("unknown placement '{v}'"))
-}
-
 fn fabric(s: &str) -> Result<FabricKind, String> {
     FabricKind::parse(s).map_err(|v| format!("unknown fabric '{v}'"))
 }
 
-fn shards(s: &str) -> Result<ShardArg, std::num::ParseIntError> {
-    if s.eq_ignore_ascii_case("auto") {
-        return Ok(ShardArg::Auto);
-    }
-    s.parse().map(ShardArg::Count)
-}
+/// A flag's value on its way into a field: (flag, value).
+type Arg<'a> = (&'a str, &'a str);
 
-/// A flag's value on its way into a field: (subcommand, flag, value).
-type Arg<'a> = (&'a str, &'a str, &'a str);
-
-fn path((.., value): Arg) -> Option<String> {
+fn path((_, value): Arg) -> Option<String> {
     Some(value.to_owned())
 }
 
 /// The value through `item`, the flag named in the error.
 fn one<T, E: ToString>(
-    (_, flag, value): Arg,
+    (flag, value): Arg,
     item: impl Fn(&str) -> Result<T, E>,
 ) -> Result<T, String> {
     item(value).map_err(|e| format!("{flag}: {}", e.to_string()))
-}
-
-/// The values of a comma list, each through `item`. Several values are
-/// a grid axis, which only `scale` takes.
-fn list<T, E: ToString>(
-    (command, flag, value): Arg,
-    item: impl Fn(&str) -> Result<T, E>,
-) -> Result<Vec<T>, String> {
-    if command != "scale" && value.contains(',') {
-        return Err(format!(
-            "{flag} {value}: `nim {command}` takes one cell (a comma list is a grid: `nim scale`)"
-        ));
-    }
-    let values = value.split(',');
-    values
-        .map(|v| one((command, flag, v.trim()), &item))
-        .collect()
 }
 
 /// Fills `field`; hands back the subcommands the flag is good for.
@@ -359,18 +195,20 @@ fn set<T>(field: &mut T, value: T, scope: &'static [&'static str]) -> &'static [
 
 /// The one flag table: every flag, the field it fills, how its value
 /// parses and which subcommands honour it. A flag `command` cannot
-/// honour is an error, as is a comma list anywhere but `scale`.
+/// honour is an error, as is any flag beside `--resume`.
 fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
+    if !COMMANDS.contains(&command) {
+        return Err(format!("unknown command '{command}' (try `nim help`)"));
+    }
     let mut cli = Cli {
-        scheme: Scheme::CmpDnuca3d,
+        cell: SweepSpec::new(Scheme::CmpDnuca3d, 0),
         bench: BenchmarkProfile::swim(),
-        axes: Axes::default(),
         scale: ExperimentScale::default(),
         ids: Vec::new(),
         run: RunOnly::default(),
     };
-    let mut topology = TopoSpec::default();
-    let (axes, run, scale) = (&mut cli.axes, &mut cli.run, &mut cli.scale);
+    let (cell, run, scale) = (&mut cli.cell, &mut cli.run, &mut cli.scale);
+    let mut beside_resume = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         if command == "report" && !flag.starts_with('-') {
@@ -378,20 +216,17 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             continue;
         }
         let mut arg = || match it.next() {
-            Some(value) => Ok((command, flag.as_str(), value.as_str())),
+            Some(value) => Ok((flag.as_str(), value.as_str())),
             None => Err(format!("{flag} needs a value")),
         };
         let scope = match flag.as_str() {
-            "--scheme" => set(&mut cli.scheme, one(arg()?, scheme)?, SCHEME),
+            "--scheme" => set(&mut cell.scheme, one(arg()?, scheme)?, RUN),
             "--bench" => set(&mut cli.bench, one(arg()?, bench)?, CELL),
-            "--topology" => set(&mut topology, one(arg()?, TopoSpec::parse)?, CELL),
-            "--layers" => set(&mut axes.layers, list(arg()?, str::parse)?, CELL),
-            "--pillars" => set(&mut axes.pillars, list(arg()?, str::parse)?, CELL),
-            "--cpus" => set(&mut axes.cpus, list(arg()?, str::parse)?, CELL),
-            "--l2-scale" => set(&mut axes.l2_scales, list(arg()?, str::parse)?, CELL),
-            "--placements" => set(&mut axes.placements, list(arg()?, placement)?, CELL),
-            "--fabric" => set(&mut axes.fabrics, list(arg()?, fabric)?, CELL),
-            "--shards" => set(&mut axes.shards, list(arg()?, shards)?, CELL),
+            "--layers" => set(&mut cell.layers, Some(one(arg()?, str::parse)?), CELL),
+            "--pillars" => set(&mut cell.pillars, Some(one(arg()?, str::parse)?), CELL),
+            "--cpus" => set(&mut cell.cpus, Some(one(arg()?, str::parse)?), CELL),
+            "--l2-scale" => set(&mut cell.l2_scale, Some(one(arg()?, str::parse)?), CELL),
+            "--fabric" => set(&mut cell.fabric, Some(one(arg()?, fabric)?), CELL),
             "--warmup" => set(&mut scale.warmup, one(arg()?, str::parse)?, SCALE),
             "--sample" => set(&mut scale.sample, one(arg()?, str::parse)?, SCALE),
             "--seed" => set(&mut scale.seed, one(arg()?, str::parse)?, SCALE),
@@ -412,16 +247,16 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
         if !scope.contains(&command) {
             return Err(format!("{flag} does not apply to `nim {command}`"));
         }
+        if flag != "--resume" {
+            beside_resume.get_or_insert(flag);
+        }
     }
-    // An explicit flag wins over --topology, whichever came first.
-    if axes.layers.is_empty() {
-        axes.layers.extend(topology.layers);
-    }
-    if axes.pillars.is_empty() {
-        axes.pillars.extend(topology.pillars);
-    }
-    if axes.placements.is_empty() {
-        axes.placements.extend(topology.placement);
+    if let (Some(_), Some(flag)) = (&run.resume, beside_resume) {
+        // The image records the cell, the scale and the observability
+        // settings; nothing the command line says could be honoured.
+        return Err(format!(
+            "{flag} does not combine with --resume: the image records it"
+        ));
     }
     if run.snapshot_every > 0 && run.snapshot_out.is_none() {
         return Err("--snapshot-every needs --snapshot-out".into());
@@ -430,13 +265,6 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
         // The lone snapshot is taken at the warmup boundary: with no
         // warmup there is none, and the run would write nothing.
         return Err("--snapshot-out with --warmup 0 needs --snapshot-every".into());
-    }
-    // A resumed network is re-cut from the image's topology, so the
-    // flag-derived shard validation does not apply to it.
-    if command != "scale" && cli.run.resume.is_none() {
-        if let Some(reason) = cli.cells().swap_remove(0).unfit {
-            return Err(reason);
-        }
     }
     Ok(cli)
 }
@@ -483,10 +311,9 @@ fn print_report(report: &RunReport) {
 
 /// Reconstructs a checkpointed run from `--resume` and carries it to
 /// completion; the image records the scheme, benchmark, topology, and
-/// observability, so only `--shards` applies.
-fn run_resumed(cli: &Cli, path: &str) -> Result<(), Box<dyn Error>> {
-    let shards = cli.axes.shards.first().map(|arg| arg.count());
-    let mut resumed = SystemBuilder::resume(path, shards)?;
+/// observability.
+fn run_resumed(path: &str) -> Result<(), Box<dyn Error>> {
+    let mut resumed = SystemBuilder::resume(path)?;
     eprintln!(
         "resumed {} ({}) at cycle {}",
         resumed.benchmark(),
@@ -502,7 +329,7 @@ fn run_resumed(cli: &Cli, path: &str) -> Result<(), Box<dyn Error>> {
 fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let run = &cli.run;
     if let Some(path) = &run.resume {
-        return run_resumed(cli, path);
+        return run_resumed(path);
     }
     // Created before the run: an unwritable path must not cost a simulation.
     let create = |path: &String| File::create(path).map_err(|e| format!("{path}: {e}"));
@@ -510,7 +337,7 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let metrics = run.metrics_out.as_ref().map(create).transpose()?;
     println!("benchmark: {}", cli.bench.name);
     let obs = cli.obs();
-    let builder = cli.cell().builder(cli.scale).observability(obs.clone());
+    let builder = cli.cell.builder(cli.scale).observability(obs.clone());
     let mut system = builder.build()?;
     let report = match &run.snapshot_out {
         Some(path) => {
@@ -531,78 +358,6 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     }
     if obs.is_enabled() && obs.sample_every() > 0 {
         eprintln!("simulated {:.0} cycles/sec", obs.cycles_per_sec());
-    }
-    Ok(())
-}
-
-/// A `scale` row's label: the axes `scale` has always printed (at the
-/// paper's defaults where the cell leaves them alone), and the pillar
-/// count where the cell sets one.
-fn scale_label(spec: &SweepSpec) -> String {
-    let default = SystemConfig::default();
-    let placement = spec.placement.unwrap_or(default.network.pillar_placement);
-    format!(
-        "layers={}{} cpus={} l2x{} {} {} shards={}",
-        spec.layers.unwrap_or(default.network.layers),
-        spec.pillars
-            .map_or(String::new(), |p| format!(" pillars={p}")),
-        spec.cpus.unwrap_or(default.num_cpus),
-        spec.l2_scale.unwrap_or(1),
-        placement.name(),
-        spec.fabric.unwrap_or_default().name(),
-        spec.shards.unwrap_or(1),
-    )
-}
-
-fn cmd_scale(mut cli: Cli) -> Result<(), Box<dyn Error>> {
-    if cli.axes.layers.is_empty() {
-        cli.axes.layers = vec![2, 4, 8];
-    }
-    if cli.axes.shards.is_empty() {
-        cli.axes.shards = vec![ShardArg::Count(1)];
-    }
-    let grid = cli.cells();
-    println!("benchmark: {}", cli.bench.name);
-    let fit = grid.iter().filter(|cell| cell.unfit.is_none());
-    let runnable: Vec<SweepSpec> = fit.map(|cell| cell.spec).collect();
-    let mut results = run_cells_raw(from_ref(&cli.bench), cli.scale, &runnable).into_iter();
-    println!(
-        "{:<44} {:>12} {:>8} {:>8} {:>18}",
-        "cell", "cycles", "hits", "misses", "fingerprint"
-    );
-    // Completed cells keyed by their spec with the shard count erased:
-    // cells that agree on the key must agree on the fingerprint.
-    let mut done: Vec<(SweepSpec, u64, String)> = Vec::new();
-    for cell in grid {
-        let label = scale_label(&cell.spec);
-        let result = match cell.unfit {
-            Some(reason) => Err(reason),
-            None => match results.next().expect("one per runnable cell") {
-                Ok(report) => Ok(report),
-                Err(ExperimentError::Build(e)) => Err(e.to_string()),
-                Err(e) => return Err(e.into()),
-            },
-        };
-        let report = match result {
-            Ok(report) => report,
-            Err(reason) => {
-                println!("{label:<44} skipped ({reason})");
-                continue;
-            }
-        };
-        let fingerprint = report.fingerprint();
-        println!(
-            "{:<44} {:>12} {:>8} {:>8} 0x{:016x}",
-            label, report.cycles, report.counters.l2_hits, report.counters.l2_misses, fingerprint
-        );
-        let key = SweepSpec {
-            shards: None,
-            ..cell.spec
-        };
-        if let Some((_, _, other)) = done.iter().find(|(k, f, _)| *k == key && *f != fingerprint) {
-            return Err(format!("shard-count fingerprint mismatch: [{other}] vs [{label}]").into());
-        }
-        done.push((key, fingerprint, label));
     }
     Ok(())
 }
@@ -646,22 +401,20 @@ fn dispatch(command: &str, cli: Cli) -> Result<(), Box<dyn Error>> {
         "thermal" => print!("{}", table3().table),
         "report" => cmd_report(&cli)?,
         "run" => cmd_run(&cli)?,
-        "scale" => cmd_scale(cli)?,
         "compare" => {
             println!("benchmark: {}", cli.bench.name);
-            let cell = cli.cell();
-            let cells = Scheme::ALL.map(|scheme| SweepSpec { scheme, ..cell });
+            let cells = Scheme::ALL.map(|scheme| SweepSpec { scheme, ..cli.cell });
             for report in run_cells(from_ref(&cli.bench), cli.scale, &cells)? {
                 print_report(&report);
             }
         }
         "breakdown" => {
             println!("benchmark: {}", cli.bench.name);
-            let exhibits = vec![breakdown(cli.cell())];
+            let exhibits = vec![breakdown(cli.cell)];
             let report = run_exhibits(exhibits, from_ref(&cli.bench), cli.scale)?;
             print!("{}", report.tables[0]);
         }
-        other => return Err(format!("unknown command '{other}' (try `nim help`)").into()),
+        other => unreachable!("parse let the unknown command '{other}' through"),
     }
     Ok(())
 }
@@ -711,95 +464,22 @@ mod tests {
         assert_eq!(cli.scale, ExperimentScale::default());
         assert_eq!(cli.scale.sample, 20_000);
         // No flag, no override: the cell is the paper's default.
-        assert_eq!(cli.cell(), SweepSpec::new(Scheme::CmpDnuca3d, 0));
-    }
-
-    #[test]
-    fn topology_presets_parse_and_flags_override() {
-        assert_eq!(run("--topology 8-layer").unwrap().axes.layers, [8]);
-        for order in [
-            "--topology 8-layer --layers 4",
-            "--layers 4 --topology 8-layer",
-        ] {
-            let layers = run(order).unwrap().axes.layers;
-            assert_eq!(layers, [4], "explicit --layers wins");
-        }
-        // The comma grammar is the explicit flags under another spelling.
-        let spec = run("--topology layers=4,pillars=4,placement=corners").unwrap();
-        let flags = run("--layers 4 --pillars 4 --placements corners").unwrap();
-        assert_eq!(spec.cell(), flags.cell());
-        assert_eq!(spec.cell().layers, Some(4));
-        assert_eq!(spec.cell().placement, Some(PillarPlacement::Corners));
-        let err = run("--topology moebius").unwrap_err();
-        assert!(
-            err.contains("--topology") && err.contains("8-layer"),
-            "{err}"
-        );
+        assert_eq!(cli.cell, SweepSpec::new(Scheme::CmpDnuca3d, 0));
     }
 
     #[test]
     fn fabric_flag_parses() {
-        let cell = run("--fabric latency-table").unwrap().cell();
-        assert_eq!(cell.fabric, Some(FabricKind::LatencyTable));
+        let cell = run("--fabric ideal").unwrap().cell;
+        assert_eq!(cell.fabric, Some(FabricKind::Ideal));
         assert!(run("--fabric warp-drive")
             .unwrap_err()
             .contains("warp-drive"));
     }
 
     #[test]
-    fn shards_must_divide_the_selected_layer_count() {
-        // 3 shards cannot split the default 2-layer stack's 4 cluster rows.
-        let err = run("--shards 3").unwrap_err();
-        assert!(err.contains("does not divide"), "{err}");
-        assert!(err.contains("1, 2"), "lists the valid divisors: {err}");
-        assert!(err.contains("auto"), "points at --shards auto: {err}");
-        // Cluster-row cuts go finer than layers: 4 shards split the
-        // 2-layer stack (each layer's cluster grid is 2 rows tall).
-        assert!(run("--shards 4").is_ok());
-        // An unbuildable topology defers its error to build().
-        assert!(run("--shards 3 --layers 3").is_ok());
-        assert!(
-            run("--shards 4 --topology 8-layer").is_ok(),
-            "validation sees the --topology layer count"
-        );
-        assert!(
-            run("--shards 8 --topology 8-layer --layers 2").is_err(),
-            "explicit --layers overrides the preset for validation too"
-        );
-        // compare and breakdown take the same cell, so the same check.
-        assert!(cli("compare", "--shards 3").is_err());
-        assert!(cli("breakdown", "--shards 4").is_ok());
-    }
-
-    #[test]
-    fn scale_options_parse_comma_grids() {
-        let grid = "--layers 2,4 --cpus 4,8 --placements spread,corners --fabric sim,ideal \
-                    --shards 1,2 --sample 500";
-        let cli = cli("scale", grid).unwrap();
-        assert_eq!(cli.axes.layers, [2, 4]);
-        assert_eq!(cli.axes.cpus, [4, 8]);
-        assert_eq!(cli.axes.fabrics, [FabricKind::Sim, FabricKind::Ideal]);
-        assert_eq!(cli.axes.shards, [ShardArg::Count(1), ShardArg::Count(2)]);
-        assert_eq!(cli.scale.sample, 500);
-        let cells = cli.cells();
-        assert_eq!(cells.len(), 2 * 2 * 2 * 2 * 2);
-        // --layers is the outermost axis, --shards the innermost.
-        let label = scale_label(&cells[1].spec);
-        assert_eq!(label, "layers=2 cpus=4 l2x1 spread sim shards=2");
-        assert_eq!(cells[31].spec.layers, Some(4));
-        let err = cli_err("scale", "--placements everywhere");
-        assert!(err.contains("everywhere"), "{err}");
-        // A grid is scale's: the commands that take one cell refuse it.
-        for command in ["run", "compare", "breakdown"] {
-            let err = cli_err(command, "--layers 2,4");
-            assert!(err.contains("--layers") && err.contains(command), "{err}");
-        }
-    }
-
-    #[test]
     fn flags_override_defaults() {
         let flags = "--scheme snuca3d --bench mgrid --layers 4 --pillars 4 --l2-scale 2 \
-                     --warmup 10 --sample 100 --seed 7 --shards 2";
+                     --warmup 10 --sample 100 --seed 7";
         let cli = run(flags).unwrap();
         assert_eq!(cli.bench.name, "mgrid");
         let scale = ExperimentScale {
@@ -808,12 +488,8 @@ mod tests {
             sample: 100,
         };
         assert_eq!(cli.scale, scale);
-        let cell = SweepSpec {
-            l2_scale: Some(2),
-            shards: Some(2),
-            ..SweepSpec::new(Scheme::CmpSnuca3d, 0).layers(4).pillars(4)
-        };
-        assert_eq!(cli.cell(), cell);
+        let cell = SweepSpec::new(Scheme::CmpSnuca3d, 0);
+        assert_eq!(cli.cell, cell.layers(4).pillars(4).l2_scale(2));
     }
 
     #[test]
@@ -821,7 +497,7 @@ mod tests {
         let run_only = "--trace-out t --trace-filter all --metrics-out m --sample-every 1 \
                         --trace-txn-sample 1 --snapshot-out s --snapshot-every 1 --resume r";
         let run_only: Vec<&str> = run_only.split_whitespace().collect();
-        for command in ["compare", "breakdown", "scale", "report", "thermal", "list"] {
+        for command in ["compare", "breakdown", "report", "thermal", "list"] {
             for pair in run_only.chunks(2) {
                 let err = cli_err(command, &pair.join(" "));
                 assert!(err.contains(pair[0]) && err.contains(command), "{err}");
@@ -832,9 +508,8 @@ mod tests {
             let err = cli_err(command, "--scheme dnuca");
             assert!(err.contains("--scheme") && err.contains(command), "{err}");
         }
-        // A cell axis one subcommand had is valid on all that take the cell.
-        assert!(cli("scale", "--scheme dnuca --pillars 4,8").is_ok());
-        assert!(cli("compare", "--cpus 4 --placements corners").is_ok());
+        // A cell field one subcommand had is valid on all that take the cell.
+        assert!(cli("compare", "--cpus 4 --pillars 4").is_ok());
         // report takes exhibit ids and the scale, not a cell.
         let cli = cli("report", "fig18 --sample 300 table1").unwrap();
         assert_eq!(
@@ -844,21 +519,6 @@ mod tests {
         assert!(cli_err("report", "--layers 4").contains("--layers"));
         assert!(cli_err("run", "fig18").contains("fig18"));
         assert!(cli_err("frobnicate", "--seed 1").contains("frobnicate"));
-    }
-
-    #[test]
-    fn shards_defaults_to_builder_choice() {
-        assert_eq!(run("").unwrap().cell().shards, None);
-        assert!(run("--shards zero?").unwrap_err().contains("--shards"));
-    }
-
-    #[test]
-    fn shards_auto_parses_on_any_topology() {
-        let cli = run("--shards AUTO").unwrap();
-        assert_eq!(cli.axes.shards, [ShardArg::Auto]);
-        assert_eq!(cli.cell().shards, Some(ShardArg::Auto.count()));
-        // 'auto' never fails validation — the builder clamps it.
-        assert!(run("--shards auto --layers 8").is_ok());
     }
 
     #[test]
@@ -903,20 +563,14 @@ mod tests {
         let err = run("--snapshot-out ckpt.nim --warmup 0").unwrap_err();
         assert!(err.contains("--snapshot-every"), "{err}");
         assert!(run("--snapshot-out ckpt.nim --warmup 0 --snapshot-every 9").is_ok());
-        let cli = run("--resume ckpt.nim --shards 2").unwrap();
+        let cli = run("--resume ckpt.nim").unwrap();
         assert_eq!(cli.run.resume.as_deref(), Some("ckpt.nim"));
-        // A resumed network is re-cut from the image's topology, so the
-        // flag-derived shard validation does not apply...
-        assert!(run("--resume ckpt.nim --shards 3").is_ok());
-        // ...and neither does 'auto', which the rebuilt network clamps.
-        let cli = run("--resume ckpt.nim --shards auto").unwrap();
-        assert_eq!(cli.axes.shards, [ShardArg::Auto]);
     }
 
-    /// A paused default-scheme run's image, written to a scratch file.
-    /// `generator_driven: false` records no generator position, as a
-    /// replay-trace or custom-source run would.
-    fn write_image(name: &str, generator_driven: bool) -> String {
+    #[test]
+    fn resuming_an_image_without_a_generator_is_an_error_not_a_panic() {
+        /// Records no generator position, as a replay-trace or
+        /// custom-source run would.
         struct NoCursor;
         impl network_in_memory::workload::TraceSource for NoCursor {
             fn next_for(
@@ -933,28 +587,9 @@ mod tests {
             .unwrap();
         let mut gen = system.begin(&BenchmarkProfile::synthetic());
         assert!(system.run_until(&mut gen, 50).unwrap().is_none());
-        let image = if generator_driven {
-            system.snapshot(&gen)
-        } else {
-            system.snapshot(&NoCursor)
-        };
-        let path = std::env::temp_dir().join(format!("nim-{}-{name}.img", std::process::id()));
-        std::fs::write(&path, image.unwrap()).unwrap();
-        path.to_str().unwrap().to_string()
-    }
-
-    #[test]
-    fn resume_honours_shards_auto() {
-        let path = write_image("auto", true);
-        let result = cmd_run(&run(&format!("--resume {path} --shards auto")).unwrap());
-        std::fs::remove_file(&path).unwrap();
-        result.unwrap();
-    }
-
-    #[test]
-    fn resuming_an_image_without_a_generator_is_an_error_not_a_panic() {
-        let path = write_image("nogen", false);
-        let result = cmd_run(&run(&format!("--resume {path}")).unwrap());
+        let path = std::env::temp_dir().join(format!("nim-{}-nogen.img", std::process::id()));
+        system.snapshot_to(&path, &NoCursor).unwrap();
+        let result = cmd_run(&run(&format!("--resume {}", path.display())).unwrap());
         std::fs::remove_file(&path).unwrap();
         assert!(result.unwrap_err().to_string().contains("generator"));
     }
@@ -971,15 +606,6 @@ mod tests {
                 )
             );
         }
-    }
-
-    #[test]
-    fn scale_cells_the_topology_cannot_shard_are_skipped_not_clamped() {
-        let cli = cli("scale", "--layers 2,3 --shards 1,3,4").unwrap();
-        let fit: Vec<bool> = cli.cells().iter().map(|c| c.unfit.is_none()).collect();
-        // 2 layers have 4 cluster rows: 3 does not divide them. 3 layers
-        // do not build at all, which is left for build() to report.
-        assert_eq!(fit, [true, false, true, true, true, true]);
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn help_the_parser_and_the_documents_agree() {
     let help = stdout(&nim("help"));
     let known = flags(&help);
     assert!(
-        known.len() > 20 && known.contains("--trace-txn-sample"),
+        known.len() == 18 && known.contains("--trace-txn-sample"),
         "{known:?}"
     );
     // Every flag `nim help` prints is one the parser knows.
@@ -192,25 +192,40 @@ fn a_lone_snapshot_with_no_warmup_boundary_is_refused() {
 }
 
 #[test]
-fn a_skipped_scale_row_says_why() {
-    let out = nim("scale --cpus 8,64 --layers 2 --shards 1,3 --warmup 20 --sample 100");
-    assert!(out.status.success());
-    let text = stdout(&out);
-    let row = |label: &str| {
-        let found = text.lines().find(|l| l.starts_with(label));
-        found.unwrap_or_else(|| panic!("no row {label} in\n{text}"))
-    };
-    assert!(row("layers=2 cpus=8 l2x1 spread sim shards=1").contains("0x"));
-    let unbuildable = row("layers=2 cpus=64 l2x1 spread sim shards=1");
-    assert!(
-        unbuildable.contains("skipped (CPU placement failed:"),
-        "{unbuildable}"
-    );
-    let unfit = row("layers=2 cpus=8 l2x1 spread sim shards=3");
-    assert!(
-        unfit.contains("skipped (--shards 3 does not divide"),
-        "{unfit}"
-    );
+fn retired_flags_and_commands_are_refused() {
+    let retired = "--shards 2|--topology 8-layer|--placements corners|--fabric latency-table";
+    for retired in retired.split('|') {
+        let err = refused(&format!("run {retired}"));
+        let unknown = err.contains("unknown option") || err.contains("unknown fabric");
+        assert!(unknown, "{retired}: {err}");
+    }
+    let err = refused("scale --layers 2");
+    assert!(err.contains("unknown command 'scale'"), "{err}");
+}
+
+#[test]
+fn resume_takes_no_other_flag() {
+    // The image records the cell, the scale and the observability
+    // settings: a flag beside --resume could only be dropped.
+    let (trace, image) = (scratch("r.json"), scratch("r.img"));
+    let trace_out = format!("--trace-out {}", trace.display());
+    let snapshot_out = format!("--snapshot-out {}", image.display());
+    for flags in [&trace_out, &snapshot_out, "--sample 9", "--layers 4"] {
+        let flag = flags.split(' ').next().expect("a flag");
+        for line in [
+            format!("run --resume /nonexistent {flags}"),
+            format!("run {flags} --resume /nonexistent"),
+        ] {
+            let err = refused(&line);
+            assert!(
+                err.contains(&format!("{flag} does not combine with --resume")),
+                "{err}"
+            );
+        }
+    }
+    assert!(!trace.exists() && !image.exists(), "nothing is written");
+    // Alone, the flag gets as far as reading the image.
+    assert!(refused("run --resume /nonexistent").contains("No such file"));
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Maximum lines for any Rust source file in the workspace.
-const LIMIT: usize = 1010;
+const LIMIT: usize = 950;
 
 /// Files over [`LIMIT`] when the guard landed, pinned at that size.
 /// Entries may only shrink or disappear; never raise a pin.
