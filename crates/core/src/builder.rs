@@ -41,10 +41,8 @@ use crate::txn::TxnTable;
 #[derive(Clone, Debug)]
 pub struct SystemBuilder {
     pub(crate) recipe: Recipe,
-    shards: usize,
     /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
     skip: bool,
-    window_tuning: Option<(u64, usize)>,
     obs: Obs,
 }
 
@@ -52,9 +50,9 @@ pub struct SystemBuilder {
 /// assembles and how its runs are driven. A built [`System`] keeps it
 /// (with `cfg` as built — flattened for the 2D schemes), a snapshot's
 /// `CFG ` section is its image in this field order, and
-/// [`SystemBuilder::resume_from`] rebuilds from it. Shard count, horizon
-/// skipping, window tuning and the observability handle are not part of
-/// it: they change how a run executes, never what it computes.
+/// [`SystemBuilder::resume_from`] rebuilds from it. Horizon skipping and
+/// the observability handle are not part of it: they change how a run
+/// executes, never what it computes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Recipe {
     pub(crate) scheme: Scheme,
@@ -95,9 +93,7 @@ impl SystemBuilder {
                 sample: 10_000,
                 cfg: SystemConfig::default(),
             },
-            shards: 1,
             skip: true,
-            window_tuning: None,
             obs: Obs::disabled(),
         }
     }
@@ -199,27 +195,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Cuts the network into `n` independently-clocked shards (bands of
-    /// whole cluster rows) that advance concurrently between dTDMA
-    /// pillar grants — see `Network::advance_window` in `nim-noc`.
-    /// Results are bit-identical for any shard count; the request is
-    /// clamped to the largest divisor of the cluster-row count
-    /// (`layers × cluster-grid height`; always 1 for 2D schemes).
-    /// Defaults to 1 (plain sequential simulation). Requires
-    /// [`SystemBuilder::horizon_skipping`] (the default) to have any
-    /// effect on the run loop.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// Overrides the window executor's spawn threshold and worker count
-    /// (see `Network::set_window_tuning`). Results are bit-identical for
-    /// any values; exists so tests can force the threaded path onto
-    /// arbitrarily short windows.
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
     #[doc(hidden)]
-    pub fn window_tuning(mut self, spawn_min: u64, workers: usize) -> Self {
-        self.window_tuning = Some((spawn_min, workers));
+    pub fn shards(self, _n: usize) -> Self {
         self
     }
 
@@ -260,12 +238,8 @@ impl SystemBuilder {
             cluster_cpus[layout.cluster_of(seat.coord).index()] |= 1 << seat.cpu.index();
             cpu_at.insert(seat.coord, seat.cpu);
         }
-        let mut net =
-            Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, self.shards);
+        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
         net.set_obs(self.obs.clone());
-        if let Some((spawn_min, workers)) = self.window_tuning {
-            net.set_window_tuning(spawn_min, workers);
-        }
         let mut l2 = NucaL2::new(&cfg.l2);
         l2.set_obs(self.obs.clone());
         let mut dir = Directory::new(cfg.num_cpus, WritePolicy::WriteThrough);
@@ -310,14 +284,12 @@ impl SystemBuilder {
             line_bytes: u64::from(cfg.l2.line_bytes),
             layout,
         };
-        let sharded = fabric.net.shards() > 1;
         Ok(System {
             recipe,
             engine,
             fabric,
             sample_buf: SampleBuf::default(),
             skip: self.skip,
-            sharded,
             obs: self.obs,
             progress: None,
         })

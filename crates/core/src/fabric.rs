@@ -76,8 +76,8 @@ impl FabricState {
 /// timed event, claim one shared resource (tag array, data bank, DRAM
 /// channel) and learn when it completes, and reach the observability
 /// handle. Protocol handlers hold no other channel to the outside
-/// world, so swapping the substrate (test double today, sharded
-/// execution tomorrow) cannot change protocol behavior. An
+/// world, so swapping the substrate (the test double) cannot change
+/// protocol behavior. An
 /// implementation says where its [`FabricState`] lives and how a packet
 /// is carried; the rest is written once here.
 pub(crate) trait Fabric {

@@ -184,7 +184,9 @@ impl RunReport {
             .map(|c| if n == 0 { 0.0 } else { c as f64 / n as f64 })
     }
 
-    /// Activity counts for the energy model.
+    /// Activity counts for the energy model: bank and tag accesses over
+    /// the window, flit hops and bus transfers over the whole run
+    /// (warm-up included — see [`RunReport::network`]).
     pub fn activity(&self) -> ActivityCounts {
         ActivityCounts {
             flit_hops: self.network.flit_hops,
@@ -194,7 +196,10 @@ impl RunReport {
         }
     }
 
-    /// L2 memory-system energy over the window.
+    /// L2 memory-system energy of [`RunReport::activity`]: the bank and
+    /// tag terms cover the window, the flit-hop and bus-transfer terms
+    /// the whole run, so a short sample reads the warm-up's network
+    /// energy.
     pub fn energy(&self) -> EnergyBreakdown {
         EnergyModel::default().estimate(&self.activity())
     }
@@ -205,8 +210,8 @@ impl RunReport {
     /// so the value is identical across platforms and toolchains, and
     /// not `Debug`-formatted, so cosmetic formatting changes cannot
     /// shift it). Two runs of the same cell must produce the same
-    /// fingerprint; the snapshot-, skip- and sharded-equivalence suites
-    /// and nimbench's cross-mode checks gate on it.
+    /// fingerprint; the snapshot- and skip-equivalence suites and
+    /// nimbench's cross-mode checks gate on it.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = nim_types::FxHasher::default();

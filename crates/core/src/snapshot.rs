@@ -26,10 +26,7 @@
 //! Restores always run against a *freshly built* system: the `CFG `
 //! section records the exact build recipe, [`SystemBuilder::resume`]
 //! rebuilds the topology and geometry from it, and the remaining
-//! sections restore only live state into that scaffold. This is what
-//! makes snapshots shard-agnostic — the network serializes per-node
-//! logical state, so a snapshot taken under one shard count resumes
-//! bit-identically under any other.
+//! sections restore only live state into that scaffold.
 
 use std::path::Path;
 
@@ -292,9 +289,8 @@ impl SystemBuilder {
 
     /// Reconstructs a run mid-flight from snapshot bytes: rebuilds the
     /// system from the recorded recipe, restores every layer's live
-    /// state, and re-positions the workload source. `shards` cuts the
-    /// rebuilt network (`None`: one shard) — snapshots serialize per-node
-    /// logical state, so any shard count resumes bit-identically.
+    /// state, and re-positions the workload source. The second
+    /// parameter is ignored; pass `None`.
     ///
     /// # Errors
     ///
@@ -302,7 +298,8 @@ impl SystemBuilder {
     /// bytes, [`SnapshotError::Build`] if the recorded configuration no
     /// longer builds, [`SnapshotError::UnknownBenchmark`] if this
     /// binary does not know the recorded benchmark.
-    pub fn resume_from(bytes: &[u8], shards: Option<usize>) -> Result<ResumedRun, SnapshotError> {
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+    pub fn resume_from(bytes: &[u8], _shards: Option<usize>) -> Result<ResumedRun, SnapshotError> {
         let mut r = ByteReader::new(bytes);
         r.header()?;
         let recipe: Recipe = get_section(&mut r, SEC_CFG, V_CFG, Codec::get)?;
@@ -319,9 +316,6 @@ impl SystemBuilder {
         // Geometry is re-derived from the recipe, never trusted.
         let mut builder = SystemBuilder::new(recipe.scheme).observability(obs.clone());
         builder.recipe = recipe;
-        if let Some(n) = shards {
-            builder = builder.shards(n);
-        }
         let mut system = builder.build()?;
 
         get_section(&mut r, SEC_ENGN, V_ENGN, |r| system.engine.restore(r))?;

@@ -110,10 +110,6 @@ pub struct System {
     /// The run loop may batch-advance through dead cycles (see
     /// [`SystemBuilder::horizon_skipping`](crate::SystemBuilder::horizon_skipping)).
     pub(crate) skip: bool,
-    /// The network was cut into more than one shard (see
-    /// [`SystemBuilder::shards`](crate::SystemBuilder::shards)); enables
-    /// the multi-threaded window path in the run loop.
-    pub(crate) sharded: bool,
     pub(crate) obs: Obs,
     /// The paused/running state of an in-flight run (`None` between
     /// runs). [`System::snapshot`](crate::System::snapshot) requires it.
@@ -193,7 +189,7 @@ impl System {
     /// `None` when it paused — the system is then snapshot-legal.
     ///
     /// While a pause is pending the loop suppresses horizon skipping
-    /// and shard windows and ticks cycle by cycle (bit-identical by the
+    /// and ticks cycle by cycle (bit-identical by the
     /// skip-equivalence invariant), so the boundary cycle is reached
     /// and sampled exactly as the uninterrupted loop would.
     ///
@@ -352,9 +348,6 @@ impl System {
             }
             if !stopping {
                 self.try_fast_forward();
-                if self.sharded {
-                    self.try_shard_window();
-                }
             }
             self.fabric.net.tick();
             let now = self.fabric.net.now();
@@ -508,17 +501,6 @@ impl System {
         self.obs.counter_set("net/bus_transfers", net.bus_transfers);
         self.obs
             .histogram_set("net/latency_cycles", net.latency_histogram.clone());
-        // Window-executor diagnostics. These vary with shard count and
-        // thread availability, so they live only here — never in the
-        // [`RunReport`], whose contents are compared bit-for-bit across
-        // shard counts.
-        let ws = self.fabric.net.window_stats();
-        self.obs.counter_set("net/window/windows", ws.windows);
-        self.obs.counter_set("net/window/cycles", ws.cycles);
-        self.obs.counter_set("net/window/spawned", ws.spawned);
-        self.obs.counter_set("net/window/inline", ws.inline);
-        self.obs
-            .counter_set("net/window/spawn_min", self.fabric.net.window_spawn_min());
         let l2 = self.engine.l2.stats();
         self.obs.counter_set("l2/insertions", l2.insertions);
         self.obs.counter_set("l2/evictions", l2.evictions);
@@ -611,40 +593,11 @@ impl System {
         self.replay_skipped_samples(end);
     }
 
-    /// Advances the sharded network concurrently through a window where
-    /// nothing outside it can act ([`System::next_act_at`]) and no
-    /// sample boundary is crossed (sampled columns like `net/flit_hops`
-    /// *do* move inside a window, unlike in a dead span, so the window
-    /// is capped strictly before the next boundary). Within those caps
-    /// the network decides how far it can safely run from its own
-    /// pillar-grant horizon ([`Network::advance_window`]) and advances
-    /// bit-identically to ticking; the cores then batch-skip the same
-    /// span. Runs right after [`System::try_fast_forward`], picking up
-    /// traffic-heavy stretches that dead-span elision cannot touch.
-    fn try_shard_window(&mut self) {
-        let Some(mut next) = self.next_act_at() else {
-            return;
-        };
-        if let Some(boundary) = self.obs.next_sample_at() {
-            next = next.min(boundary);
-        }
-        if next <= self.fabric.net.now().0 + 1 {
-            return;
-        }
-        let advanced = self.fabric.net.advance_window(next - 1);
-        if advanced > 0 {
-            for core in &mut self.engine.cores {
-                core.skip(advanced);
-            }
-        }
-    }
-
     /// The naive loop records a sample row at every armed boundary it
     /// ticks across; replay those rows after a dead-span skip so the
     /// sampler output is bit-identical. No sampled column changes inside
     /// a dead span, so each catch-up row carries the same values the
-    /// per-cycle loop would have snapshotted. (Shard windows never need
-    /// this: they are capped strictly before the next boundary.)
+    /// per-cycle loop would have snapshotted.
     fn replay_skipped_samples(&mut self, to: u64) {
         while let Some(boundary) = self.obs.next_sample_at() {
             if boundary > to {

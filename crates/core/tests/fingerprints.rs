@@ -12,25 +12,32 @@ use std::fmt::Write as _;
 use std::hash::Hasher as _;
 
 use nim_core::{Scheme, SystemBuilder};
-use nim_obs::{Obs, ObsConfig};
+use nim_obs::{CategoryMask, Obs, ObsConfig};
 use nim_types::FxHasher;
 use nim_workload::BenchmarkProfile;
 
-/// One recorded cell: scheme, benchmark, extension knobs, digest.
+/// One recorded cell: scheme, benchmark, extension knobs, chip depth,
+/// tracing, digest.
 struct Cell {
     scheme: Scheme,
     benchmark: &'static str,
     replication: bool,
     edge_memory: bool,
+    layers: u8,
+    /// Trace every category, the per-flit `hop` firehose included, so
+    /// the digest holds the `FlitHop` / `PacketDeliver` emission order.
+    trace_hops: bool,
     digest: u64,
 }
 
-const CELLS: [Cell; 6] = [
+const CELLS: [Cell; 8] = [
     Cell {
         scheme: Scheme::CmpDnuca,
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        layers: 2,
+        trace_hops: false,
         digest: 0x0ee7_c86c_4fe6_2387,
     },
     Cell {
@@ -38,6 +45,8 @@ const CELLS: [Cell; 6] = [
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        layers: 2,
+        trace_hops: false,
         digest: 0x2c6a_1a7a_85f4_e914,
     },
     Cell {
@@ -45,6 +54,8 @@ const CELLS: [Cell; 6] = [
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        layers: 2,
+        trace_hops: false,
         digest: 0x8df6_94aa_7ffe_8b04,
     },
     Cell {
@@ -52,6 +63,8 @@ const CELLS: [Cell; 6] = [
         benchmark: "art",
         replication: false,
         edge_memory: false,
+        layers: 2,
+        trace_hops: false,
         digest: 0x18b1_8f4e_0855_283e,
     },
     // Extension paths: replication and edge memory controllers ride the
@@ -61,6 +74,8 @@ const CELLS: [Cell; 6] = [
         benchmark: "swim",
         replication: true,
         edge_memory: false,
+        layers: 2,
+        trace_hops: false,
         digest: 0xf829_379c_7dd2_84a9,
     },
     Cell {
@@ -68,7 +83,29 @@ const CELLS: [Cell; 6] = [
         benchmark: "swim",
         replication: false,
         edge_memory: true,
+        layers: 2,
+        trace_hops: false,
         digest: 0x2449_2d76_1062_62e2,
+    },
+    // Full-trace cells: every `FlitHop`, `PacketDeliver` and bus event,
+    // stamps and order included, on the default chip and on 4 layers.
+    Cell {
+        scheme: Scheme::CmpDnuca3d,
+        benchmark: "art",
+        replication: false,
+        edge_memory: false,
+        layers: 2,
+        trace_hops: true,
+        digest: 0x4120_8aed_19e8_1934,
+    },
+    Cell {
+        scheme: Scheme::CmpDnuca3d,
+        benchmark: "art",
+        replication: false,
+        edge_memory: false,
+        layers: 4,
+        trace_hops: true,
+        digest: 0x02c7_41f8_6fbd_c4bc,
     },
 ];
 
@@ -82,10 +119,17 @@ fn profile(name: &str) -> BenchmarkProfile {
 
 fn digest_of(cell: &Cell) -> u64 {
     let obs = Obs::new(ObsConfig {
+        trace: cell.trace_hops,
+        mask: if cell.trace_hops {
+            CategoryMask::ALL
+        } else {
+            CategoryMask::default_trace()
+        },
         sample_every: 2_000,
         ..ObsConfig::default()
     });
     let mut sys = SystemBuilder::new(cell.scheme)
+        .layers(cell.layers)
         .seed(42)
         .warmup_transactions(50)
         .sampled_transactions(400)
@@ -129,16 +173,28 @@ fn run_fingerprints_match_the_recorded_pre_refactor_values() {
         // to re-record after an *intentional* behavior change.
         if std::env::var_os("NIM_RECORD_FP").is_some() {
             eprintln!(
-                "RECORD {:?}/{}/repl={}/edge_mc={} 0x{got:016x}",
-                cell.scheme, cell.benchmark, cell.replication, cell.edge_memory
+                "RECORD {:?}/{}/repl={}/edge_mc={}/layers={}/hops={} 0x{got:016x}",
+                cell.scheme,
+                cell.benchmark,
+                cell.replication,
+                cell.edge_memory,
+                cell.layers,
+                cell.trace_hops
             );
             continue;
         }
         assert_eq!(
-            got, cell.digest,
-            "{:?}/{}/repl={}/edge_mc={}: fingerprint 0x{got:016x} diverged from \
-             the recorded pre-refactor digest 0x{:016x}",
-            cell.scheme, cell.benchmark, cell.replication, cell.edge_memory, cell.digest
+            got,
+            cell.digest,
+            "{:?}/{}/repl={}/edge_mc={}/layers={}/hops={}: fingerprint 0x{got:016x} \
+             diverged from the recorded pre-refactor digest 0x{:016x}",
+            cell.scheme,
+            cell.benchmark,
+            cell.replication,
+            cell.edge_memory,
+            cell.layers,
+            cell.trace_hops,
+            cell.digest
         );
     }
 }

@@ -74,8 +74,8 @@ fn modeled_runs_are_deterministic() {
 
 #[test]
 fn horizon_skipping_is_invisible_under_modeled_fabrics() {
-    // The fast-forward and shard-window bounds must treat a pending
-    // modeled delivery exactly like a network event: skipping may elide
+    // The fast-forward bound must treat a pending modeled delivery
+    // exactly like a network event: skipping may elide
     // only cycles in which nothing observable happens.
     let skipped = run(FabricKind::Ideal, true);
     let naive = run(FabricKind::Ideal, false);

@@ -2,14 +2,6 @@
 //!
 //! Runs first each tick, so a flit granted the bus (stamped
 //! `arrived == now`) cannot also traverse a router in the same cycle.
-//!
-//! Unlike the router and injection phases, a bus grant moves a flit
-//! *between* layers — out of the sending layer's transceiver interface
-//! (owned by the shard of that layer's pillar node) into the
-//! destination layer's pillar router (in general owned by another
-//! shard). The bus phase therefore always runs sequentially, at ticks
-//! and at window barriers; bus-grant latency is part of the
-//! conservative lookahead the window planner exploits.
 
 use nim_obs::{Category, EventData};
 use nim_types::{Coord, Cycle, Dir};
@@ -39,19 +31,12 @@ impl Network {
         if self.bus_ready_at[b] > now.0 {
             return;
         }
-        let layers = self.geo.rt.layout.layers() as usize;
-        let mut eligible = 0u64;
-        for layer in 0..self.geo.rt.layout.layers() {
-            let (s, i) = self.iface_pos(b, layer);
-            let st = &self.shards[s];
-            if st.ifaces[i]
-                .q
-                .front(&st.arena)
-                .is_some_and(|f| f.arrived < now)
-            {
-                eligible += 1;
-            }
-        }
+        let layers = self.rt.layout.layers() as usize;
+        let eligible = self
+            .bus_ifaces(b)
+            .iter()
+            .filter(|i| i.q.front(&self.arena).is_some_and(|f| f.arrived < now))
+            .count();
         if eligible == 0 {
             return;
         }
@@ -62,17 +47,13 @@ impl Network {
             } else {
                 rr + off
             };
-            let (src_shard, src_iface) = self.iface_pos(b, i as u8);
-            let front = {
-                let st = &self.shards[src_shard];
-                st.ifaces[src_iface].q.front(&st.arena).copied()
-            };
+            let src = b * layers + i;
+            let front = self.ifaces[src].q.front(&self.arena).copied();
             let Some(front) = front.filter(|f| f.arrived < now) else {
                 continue;
             };
             let (px, py) = self.buses[b].xy;
             let dest_idx = self
-                .geo
                 .rt
                 .layout
                 .node_index(Coord::new(px, py, front.dst.layer));
@@ -81,7 +62,7 @@ impl Network {
             let vc_sel = if front.kind.is_head() {
                 dest.free_vc(vi)
             } else {
-                self.shards[src_shard].ifaces[src_iface]
+                self.ifaces[src]
                     .bound_vc
                     .filter(|&v| dest.vc(vi, v).accepts_continuation(front.pkt))
             };
@@ -99,31 +80,18 @@ impl Network {
                         waiting: eligible as u32,
                     });
             }
-            // The flit leaves the sending layer's shard arena and enters
-            // the destination layer's; popping needs only a shared arena
-            // borrow, so the cross-shard move is two plain statements.
-            let mut f = {
-                let st = &mut self.shards[src_shard];
-                st.ifaces[src_iface]
-                    .q
-                    .pop_front(&st.arena)
-                    .expect("front checked")
-            };
+            let mut f = self.ifaces[src]
+                .q
+                .pop_front(&self.arena)
+                .expect("front checked");
             // `arrived` still holds the bus-enqueue stamp: the span up
             // to this grant is time spent waiting for a dTDMA slot.
             f.bus_wait += (now.0 - f.arrived.0) as u32;
             f.arrived = now;
             f.hops += 1;
-            let dest_shard = usize::from(self.geo.shard_of[dest_idx]);
-            self.routers[dest_idx].push(
-                &mut self.shards[dest_shard].arena,
-                &self.geo.rt,
-                vi,
-                vc,
-                f,
-            );
-            self.mark_dirty(dest_idx);
-            let iface = &mut self.shards[src_shard].ifaces[src_iface];
+            self.routers[dest_idx].push(&mut self.arena, &self.rt, vi, vc, f);
+            self.dirty.insert(dest_idx);
+            let iface = &mut self.ifaces[src];
             iface.bound_vc = if f.kind.is_tail() {
                 None
             } else if f.kind.is_head() {

@@ -27,42 +27,23 @@
 //! [`Network::advance_to`] batch-advances the clock across the provably
 //! dead span before it — the hook `System::run` uses to skip serialisation
 //! stalls and event waits even with traffic in flight.
-//!
-//! All mutable per-node state — routers, VC flit storage, injection
-//! queues, dirty lists, and the transceiver interfaces of the pillar
-//! nodes it owns — is grouped into one [`ShardState`] per *shard*: a
-//! contiguous run of cluster rows ([`nim_topology::ShardPlan`]), which
-//! may be whole device layers or horizontal bands within one. The
-//! sequential tick runs all shards through a single whole-chip
-//! [`lane::Lane`] (cross-shard mesh hops move a flit between two shard
-//! arenas, which the lane handles natively); the window executor gives
-//! each shard its own single-shard lane, where a cross-shard hop is
-//! impossible by construction — the conservative mesh-boundary
-//! lookahead in [`window`] ends every window before one could occur.
-//! The default single shard makes the whole chip one region and behaves
-//! exactly like the pre-sharding engine.
 
 mod bus_phase;
 mod injection;
-mod lane;
 mod router_phase;
 mod snapshot;
-mod window;
 
 use std::collections::VecDeque;
 
 use nim_obs::{Category, EventData, Obs};
-use nim_topology::{ChipLayout, ShardPlan};
+use nim_topology::ChipLayout;
 use nim_types::{Coord, Cycle, Dir, IdSet, NetworkConfig, PacketId};
 
 use crate::dtdma::{BusStats, DtdmaBus, Iface};
-use crate::packet::{Delivered, FlitArena, SendRequest};
+use crate::packet::{Delivered, Flit, FlitArena, SendRequest};
 use crate::router::Router;
 use crate::routing::{Routing, VerticalMode};
 use crate::stats::NetworkStats;
-
-use lane::DeferredHop;
-pub use window::WindowStats;
 
 /// One pending packet at a node's network interface.
 #[derive(Clone, Copy, Debug)]
@@ -88,24 +69,46 @@ struct Injector {
     vc: Option<usize>,
 }
 
-/// The mutable state owned by one shard: a contiguous run of cluster
-/// rows whose router and injection phases can advance between windows
-/// without touching any other shard.
-///
-/// The flit arena and work sets are per-shard so a shard's phases never
-/// share a cache line (or a `&mut`) with another shard's; the node sets
-/// hold offsets from the shard's first node. The dTDMA transceiver
-/// interfaces of the pillar nodes the shard owns live here too — a
-/// vertical move fills the sender's own interface; only the
-/// (sequential) bus phase drains interfaces across shards.
-#[derive(Clone, Debug, Default)]
-pub(super) struct ShardState {
-    /// Pooled backing store for every VC and transceiver FIFO of the
-    /// shard's nodes.
-    arena: FlitArena,
-    /// Transceiver interfaces of the shard's pillar nodes; slot indices
-    /// live in the network-global [`Network`]`::iface_slots` table.
+/// What [`Network::window_stats`] returns — all zeros. Only the frozen
+/// benchmark reads it; it goes with `window_stats`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WindowStats {
+    /// Always 0.
+    pub windows: u64,
+    /// Always 0.
+    pub cycles: u64,
+    /// Always 0.
+    pub spawned: u64,
+    /// Always 0.
+    pub inline: u64,
+}
+
+/// The on-chip network: stacked wormhole meshes joined by dTDMA pillars
+/// (or by a full 3D mesh in the ablation mode).
+#[derive(Clone, Debug)]
+pub struct Network {
+    rt: Routing,
+    /// Cycles a flit dwells in a router before it may leave (Table 4:
+    /// 1-cycle single-stage router; the 7-port ablation uses 2).
+    router_latency: u64,
+    /// Bus index at each node position, if the node is a pillar node.
+    bus_of_node: Vec<Option<u16>>,
+    /// Bus cycles per flit on the pillars (1 for a flit-wide bus; more
+    /// when the via budget only affords a narrower vertical bus).
+    bus_cycles_per_flit: u64,
+    /// Per-bus earliest next grant time (serialisation of narrow buses).
+    bus_ready_at: Vec<u64>,
+    routers: Vec<Router>,
+    buses: Vec<DtdmaBus>,
+    /// Each pillar bus's per-layer transceiver interface, indexed
+    /// `bus * layers + layer`.
     ifaces: Vec<Iface>,
+    /// Pooled backing store for every VC and transceiver FIFO.
+    arena: FlitArena,
+    injectors: Vec<Injector>,
+    outbox: Vec<VecDeque<Delivered>>,
+    /// Nodes whose outbox holds undrained deliveries.
+    delivered_nodes: IdSet,
     /// Routers with buffered flits: between phases, exactly those with
     /// `occupancy > 0`.
     dirty: IdSet,
@@ -115,72 +118,13 @@ pub(super) struct ShardState {
     visiting: IdSet,
     /// Nodes with packets pending injection.
     inj_active: IdSet,
-    /// Buses that received a flit since the last settle
-    /// ([`Network::settle_touched`] folds them into the active set and
-    /// peak-occupancy statistics at the next barrier).
-    touched_buses: IdSet,
-}
-
-/// What is fixed once the network is built — the read-only half of a
-/// [`lane::Lane`]'s working set.
-#[derive(Clone, Debug)]
-pub(super) struct Geometry {
-    rt: Routing,
-    /// Cycles a flit dwells in a router before it may leave (Table 4:
-    /// 1-cycle single-stage router; the 7-port ablation uses 2).
-    router_latency: u64,
-    /// Bus index at each node position, if the node is a pillar node.
-    bus_of_node: Vec<Option<u16>>,
-    /// Nodes per shard: cluster-row cuts keep a shard's nodes
-    /// contiguous under layer-major indexing, so shard `s` owns nodes
-    /// `s * nodes_per_shard ..`.
-    nodes_per_shard: usize,
-    /// The shard owning each node — `node / nodes_per_shard`, tabulated
-    /// so the per-flit paths never divide.
-    shard_of: Vec<u16>,
-    /// Where each pillar bus's per-layer transceiver interface lives,
-    /// indexed `bus * layers + layer`.
-    iface_slots: Vec<IfaceSlot>,
-}
-
-/// The on-chip network: stacked wormhole meshes joined by dTDMA pillars
-/// (or by a full 3D mesh in the ablation mode).
-#[derive(Clone, Debug)]
-pub struct Network {
-    geo: Geometry,
-    /// Bus cycles per flit on the pillars (1 for a flit-wide bus; more
-    /// when the via budget only affords a narrower vertical bus).
-    bus_cycles_per_flit: u64,
-    /// Per-bus earliest next grant time (serialisation of narrow buses).
-    bus_ready_at: Vec<u64>,
-    routers: Vec<Router>,
-    buses: Vec<DtdmaBus>,
-    injectors: Vec<Injector>,
-    outbox: Vec<VecDeque<Delivered>>,
-    /// Nodes whose outbox holds undrained deliveries.
-    delivered_nodes: IdSet,
     /// Buses with at least one queued flit (the pillar analogue of the
     /// router dirty set).
     bus_active: IdSet,
-    /// Per-shard mutable state; one entry when unsharded.
-    shards: Vec<ShardState>,
-    /// How the chip is cut: cluster-row shard geometry plus the
-    /// y-band/boundary tables the window planner's mesh-boundary
-    /// lookahead reads.
-    plan: ShardPlan,
-    /// Worker threads the window executor may use (≤ shard count).
-    window_workers: usize,
-    /// Minimum window length (cycles) before threads are spawned;
-    /// shorter windows run inline, bit-identically.
-    window_spawn_min: u64,
-    /// Window-executor activity counters — diagnostics only, kept out
-    /// of [`NetworkStats`] so results stay bit-identical across shard
-    /// counts.
-    win_stats: WindowStats,
-    /// Per-shard deferred-hop buffers and the merge scratch, reused
-    /// across windows.
-    hop_bufs: Vec<Vec<DeferredHop>>,
-    hop_scratch: Vec<DeferredHop>,
+    /// Buses that received a flit this tick ([`Network::settle_touched`]
+    /// folds them into the active set and peak-occupancy statistics
+    /// when the tick ends).
+    touched_buses: IdSet,
     now: Cycle,
     next_pkt: u64,
     flits_in_flight: u64,
@@ -198,65 +142,24 @@ fn c3(c: Coord) -> [u16; 3] {
     [u16::from(c.x), u16::from(c.y), u16::from(c.layer)]
 }
 
-/// Where a pillar bus's transceiver interface for one layer lives:
-/// the shard owning that layer's pillar node, and the interface's slot
-/// in the shard's `ifaces` list.
-#[derive(Clone, Copy, Debug, Default)]
-pub(super) struct IfaceSlot {
-    pub shard: u32,
-    pub slot: u32,
-}
-
 impl Network {
-    /// Builds the network for a chip layout as a single shard — the
-    /// plain sequential engine.
+    /// Builds the network for a chip layout.
     ///
     /// `mode` selects the vertical interconnect: [`VerticalMode::Pillars`]
     /// is the paper's hybrid NoC/bus design; [`VerticalMode::Mesh3d`] is
     /// the rejected 7-port router kept for the design-search ablation.
     pub fn new(layout: &ChipLayout, cfg: &NetworkConfig, mode: VerticalMode) -> Self {
-        Self::new_sharded(layout, cfg, mode, 1)
-    }
-
-    /// Builds the network cut into `shards` independently-advancing
-    /// cluster-row bands, run concurrently between coupling events by
-    /// [`Network::advance_window`].
-    ///
-    /// The request is clamped to the largest divisor of the chip's
-    /// cluster-row count (`layers × cluster-grid height`; 1 for
-    /// single-layer chips or the 3D-mesh ablation), so any value is
-    /// safe; results are bit-identical for every shard count.
-    pub fn new_sharded(
-        layout: &ChipLayout,
-        cfg: &NetworkConfig,
-        mode: VerticalMode,
-        shards: usize,
-    ) -> Self {
         let vcs = cfg.vcs_per_port as usize;
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
-        // Only pillar mode has buses, and only it keeps all router-phase
-        // traffic within a layer band; the 3D-mesh ablation's `Up`/`Down`
-        // hops cross layers freely, so it cannot be cut.
+        // Only pillar mode on a stacked chip has buses.
         let pillars = mode == VerticalMode::Pillars && layout.layers() > 1;
-        let plan = ShardPlan::new(layout, if pillars { shards } else { 1 });
-        let num_shards = plan.shards();
-        let nodes_per_shard = plan.nodes_per_shard();
         let buses_len = if pillars {
             layout.num_pillars() as usize
         } else {
             0
         };
-        let mut shard_states: Vec<ShardState> = (0..num_shards)
-            .map(|_| ShardState {
-                dirty: IdSet::new(nodes_per_shard),
-                visiting: IdSet::new(nodes_per_shard),
-                inj_active: IdSet::new(nodes_per_shard),
-                touched_buses: IdSet::new(buses_len),
-                ..ShardState::default()
-            })
-            .collect();
-        let shard_of: Vec<u16> = (0..n).map(|i| plan.shard_of_node(i) as u16).collect();
+        let mut arena = FlitArena::default();
         let mut routers = Vec::with_capacity(n);
         let mut bus_of_node = vec![None; n];
         let mut ports = Vec::with_capacity(Dir::COUNT);
@@ -284,8 +187,7 @@ impl Network {
                     }
                 }
             }
-            let arena = &mut shard_states[usize::from(shard_of[i])].arena;
-            let mut router = Router::new(arena, c, &ports, vcs, depth);
+            let mut router = Router::new(&mut arena, c, &ports, vcs, depth);
             // Tabulate where each output leads, so a hop is one load
             // (`Local` and `Vertical` step nowhere: they link to `i`).
             for &d in &ports {
@@ -301,53 +203,35 @@ impl Network {
             }
             routers.push(router);
         }
-        // Each (bus, layer) interface belongs to the shard owning that
-        // layer's pillar node; the slot table records where.
         let mut buses = Vec::with_capacity(buses_len);
-        let mut iface_slots = Vec::with_capacity(buses_len * layout.layers() as usize);
+        let mut ifaces = Vec::with_capacity(buses_len * layout.layers() as usize);
         for p in 0..buses_len as u16 {
             let pillar = nim_types::PillarId(p);
             let xy = layout.pillar_xy(pillar);
             for layer in 0..layout.layers() {
-                let idx = layout.node_index(Coord::new(xy.0, xy.1, layer));
-                bus_of_node[idx] = Some(p);
-                let st = &mut shard_states[usize::from(shard_of[idx])];
-                iface_slots.push(IfaceSlot {
-                    shard: u32::from(shard_of[idx]),
-                    slot: st.ifaces.len() as u32,
-                });
-                let iface = Iface::new(&mut st.arena, depth);
-                st.ifaces.push(iface);
+                bus_of_node[layout.node_index(Coord::new(xy.0, xy.1, layer))] = Some(p);
+                ifaces.push(Iface::new(&mut arena, depth));
             }
             buses.push(DtdmaBus::new(pillar, xy));
         }
-        let window_workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(num_shards);
         Self {
-            geo: Geometry {
-                rt: Routing::new(layout, mode),
-                router_latency: u64::from(cfg.router_latency).max(1),
-                bus_of_node,
-                nodes_per_shard,
-                shard_of,
-                iface_slots,
-            },
+            rt: Routing::new(layout, mode),
+            router_latency: u64::from(cfg.router_latency).max(1),
+            bus_of_node,
             bus_cycles_per_flit: u64::from(cfg.bus_cycles_per_flit()).max(1),
             bus_ready_at: vec![0; buses_len],
-            bus_active: IdSet::new(buses_len),
             routers,
             buses,
+            ifaces,
+            arena,
             injectors: vec![Injector::default(); n],
             outbox: vec![VecDeque::new(); n],
             delivered_nodes: IdSet::new(n),
-            shards: shard_states,
-            plan,
-            window_workers,
-            window_spawn_min: window::DEFAULT_SPAWN_MIN,
-            win_stats: WindowStats::default(),
-            hop_bufs: vec![Vec::new(); num_shards],
-            hop_scratch: Vec::new(),
+            dirty: IdSet::new(n),
+            visiting: IdSet::new(n),
+            inj_active: IdSet::new(n),
+            bus_active: IdSet::new(buses_len),
+            touched_buses: IdSet::new(buses_len),
             now: Cycle::ZERO,
             next_pkt: 0,
             flits_in_flight: 0,
@@ -357,39 +241,33 @@ impl Network {
         }
     }
 
-    /// How many independently-advancing shards the chip was cut into
-    /// (1 = the plain sequential engine).
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Overrides the window executor's tuning: the minimum window length
-    /// before worker threads spawn, and the worker count. Results are
-    /// bit-identical for any values; this only exists so tests can force
-    /// the threaded path onto short windows.
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
     #[doc(hidden)]
-    pub fn set_window_tuning(&mut self, spawn_min: u64, workers: usize) {
-        self.window_spawn_min = spawn_min.max(1);
-        self.window_workers = workers.clamp(1, self.shards.len());
+    pub fn new_sharded(
+        layout: &ChipLayout,
+        cfg: &NetworkConfig,
+        mode: VerticalMode,
+        _shards: usize,
+    ) -> Self {
+        Self::new(layout, cfg, mode)
     }
 
-    /// Window-executor activity counters (windows advanced, cycles
-    /// covered, spawned vs inline). Diagnostics only: these vary with
-    /// shard count and thread availability and are deliberately not part
-    /// of [`NetworkStats`], whose contents must stay bit-identical
-    /// across shard counts.
-    #[inline]
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+    #[doc(hidden)]
+    pub fn advance_window(&mut self, _max_end: u64) -> u64 {
+        0
+    }
+
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+    #[doc(hidden)]
     pub fn window_stats(&self) -> WindowStats {
-        self.win_stats
+        WindowStats::default()
     }
 
-    /// The current minimum window length before worker threads spawn —
-    /// `DEFAULT_SPAWN_MIN` unless a [`Network::set_window_tuning`]
-    /// override replaced it.
-    #[inline]
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+    #[doc(hidden)]
     pub fn window_spawn_min(&self) -> u64 {
-        self.window_spawn_min
+        0
     }
 
     /// Attaches an observability handle; events and per-tick cycle
@@ -462,25 +340,25 @@ impl Network {
     pub fn send(&mut self, req: SendRequest) -> PacketId {
         assert!(req.flits >= 1, "packet must have at least one flit");
         assert!(
-            self.geo.rt.layout.contains(req.src),
+            self.rt.layout.contains(req.src),
             "src {} outside mesh",
             req.src
         );
         assert!(
-            self.geo.rt.layout.contains(req.dst),
+            self.rt.layout.contains(req.dst),
             "dst {} outside mesh",
             req.dst
         );
         let id = PacketId(self.next_pkt);
         self.next_pkt += 1;
-        let node = self.geo.rt.layout.node_index(req.src);
+        let node = self.rt.layout.node_index(req.src);
         self.injectors[node].queue.push_back(Pending {
             id,
             req,
             seq: 0,
             injected: self.now,
         });
-        self.mark_inj(node);
+        self.inj_active.insert(node);
         self.flits_in_flight += u64::from(req.flits);
         self.stats.packets_sent += 1;
         self.obs.emit(Category::Packet, || EventData::PacketInject {
@@ -495,7 +373,7 @@ impl Network {
 
     /// Pops the oldest packet delivered at node `c`, if any.
     pub fn pop_delivered(&mut self, c: Coord) -> Option<Delivered> {
-        let idx = self.geo.rt.layout.node_index(c);
+        let idx = self.rt.layout.node_index(c);
         self.outbox[idx].pop_front()
     }
 
@@ -553,9 +431,21 @@ impl Network {
             return None;
         }
         let next = self.now.0 + 1;
-        let mut earliest = lane::next_shard_event(&self.shards, &self.routers, &self.geo, next);
-        if earliest == next {
+        // Injection streams one flit per cycle while packets pend, and a
+        // front flit moves once it has dwelt `router_latency` cycles; the
+        // scan stops at the first thing already due.
+        if !self.inj_active.is_empty() {
             return Some(Cycle(next));
+        }
+        let mut earliest = u64::MAX;
+        for n in self.dirty.iter() {
+            for (_, _, f) in self.routers[n].fronts(&self.arena) {
+                let movable = f.arrived.0 + self.router_latency;
+                if movable <= next {
+                    return Some(Cycle(next));
+                }
+                earliest = earliest.min(movable);
+            }
         }
         // A bus grants once it is free of any serialisation window and a
         // queued flit has dwelt one cycle at its transceiver interface.
@@ -572,9 +462,8 @@ impl Network {
     /// serialisation window. `u64::MAX` when nothing is queued.
     fn bus_next_grant(&self, b: usize) -> u64 {
         let mut front = u64::MAX;
-        for layer in 0..self.geo.rt.layout.layers() {
-            let (s, i) = self.iface_pos(b, layer);
-            if let Some(f) = self.shards[s].ifaces[i].q.front(&self.shards[s].arena) {
+        for iface in self.bus_ifaces(b) {
+            if let Some(f) = iface.q.front(&self.arena) {
                 front = front.min(f.arrived.0 + 1);
             }
         }
@@ -611,57 +500,61 @@ impl Network {
         Some(self.now - start)
     }
 
-    /// The (shard, interface-slot) holding the transceiver interface of
-    /// bus `b` on `layer`.
+    /// Bus `b`'s transceiver interfaces, one per layer.
     #[inline]
-    fn iface_pos(&self, b: usize, layer: u8) -> (usize, usize) {
-        let s = self.geo.iface_slots[b * self.geo.rt.layout.layers() as usize + layer as usize];
-        (s.shard as usize, s.slot as usize)
+    fn bus_ifaces(&self, b: usize) -> &[Iface] {
+        let layers = self.rt.layout.layers() as usize;
+        &self.ifaces[b * layers..(b + 1) * layers]
     }
 
     /// Total flits queued across all of bus `b`'s interfaces.
     fn bus_queued(&self, b: usize) -> usize {
-        (0..self.geo.rt.layout.layers())
-            .map(|layer| {
-                let (s, i) = self.iface_pos(b, layer);
-                self.shards[s].ifaces[i].q.len()
-            })
-            .sum()
+        self.bus_ifaces(b).iter().map(|i| i.q.len()).sum()
     }
 
-    /// Folds per-shard bus-touch records into the global bus state:
-    /// marks each touched bus active and settles its peak-occupancy
-    /// statistic. Interface totals only grow between bus-phase drains
-    /// (router phases enqueue, never dequeue), so settling at the end of
-    /// a tick — or of a whole multi-cycle shard window — observes the
-    /// running maximum the per-enqueue update used to record.
+    /// Marks each bus that received a flit this tick active and settles
+    /// its peak-occupancy statistic. Interface totals only grow between
+    /// bus-phase drains (the router phase enqueues, never dequeues), so
+    /// settling once at the end of the tick observes the maximum a
+    /// per-enqueue update would record.
     fn settle_touched(&mut self) {
-        for s in 0..self.shards.len() {
-            let mut at = 0;
-            while let Some(b) = self.shards[s].touched_buses.take_next(at) {
-                at = b + 1;
-                let queued = self.bus_queued(b) as u64;
-                let stats = &mut self.buses[b].stats;
-                stats.peak_queued = stats.peak_queued.max(queued);
-                self.bus_active.insert(b);
-            }
+        let mut at = 0;
+        while let Some(b) = self.touched_buses.take_next(at) {
+            at = b + 1;
+            let queued = self.bus_queued(b) as u64;
+            let stats = &mut self.buses[b].stats;
+            stats.peak_queued = stats.peak_queued.max(queued);
+            self.bus_active.insert(b);
         }
     }
 
-    #[inline]
-    fn mark_dirty(&mut self, node: usize) {
-        let s = usize::from(self.geo.shard_of[node]);
-        self.shards[s]
-            .dirty
-            .insert(node - s * self.geo.nodes_per_shard);
-    }
-
-    #[inline]
-    fn mark_inj(&mut self, node: usize) {
-        let s = usize::from(self.geo.shard_of[node]);
-        self.shards[s]
-            .inj_active
-            .insert(node - s * self.geo.nodes_per_shard);
+    /// A flit left the network at node `node`'s local port; a tail
+    /// completes its packet, which lands in the node's outbox.
+    fn deliver(&mut self, node: usize, f: Flit, now: Cycle) {
+        self.flits_in_flight -= 1;
+        if f.kind.is_tail() {
+            let d = Delivered {
+                packet: f.pkt,
+                src: f.src,
+                dst: f.dst,
+                class: f.class,
+                token: f.token,
+                injected: f.injected,
+                delivered: now,
+                hops: f.hops,
+                bus_wait: f.bus_wait,
+            };
+            self.stats.record_delivery(&d);
+            self.obs
+                .emit(Category::Packet, || EventData::PacketDeliver {
+                    packet: d.packet.0,
+                    dst: c3(d.dst),
+                    latency: d.latency(),
+                    hops: u32::from(d.hops),
+                });
+            self.outbox[node].push_back(d);
+            self.delivered_nodes.insert(node);
+        }
     }
 
     /// Asserts the structural invariants the derived hot state must keep:
@@ -680,19 +573,17 @@ impl Network {
     /// Panics, naming the node or bus, on the first violation.
     pub fn check_invariants(&self) {
         let mut flits = 0u64;
+        assert!(self.visiting.is_empty(), "mid-phase visiting set");
         for (n, router) in self.routers.iter().enumerate() {
-            let s = usize::from(self.geo.shard_of[n]);
-            let (st, off) = (&self.shards[s], n - s * self.geo.nodes_per_shard);
-            flits += router.check_invariants(&st.arena, &self.geo.rt);
-            assert!(st.visiting.is_empty(), "shard {s}: mid-phase visiting set");
+            flits += router.check_invariants(&self.arena, &self.rt);
             assert_eq!(
-                st.dirty.contains(off),
+                self.dirty.contains(n),
                 router.occupancy() > 0,
                 "node {n}: dirty set disagrees with occupancy"
             );
             let inj = &self.injectors[n];
             assert_eq!(
-                st.inj_active.contains(off),
+                self.inj_active.contains(n),
                 !inj.queue.is_empty(),
                 "node {n}: injection set disagrees with its queue"
             );

@@ -3,11 +3,8 @@
 //! The network's live state is saved *logically*, not physically: flits
 //! are written per (node, input direction, VC), per (bus, layer)
 //! transceiver interface, and per-node injection queue — never as raw
-//! [`FlitArena`](crate::packet::FlitArena) slabs. Arena slot layout
-//! depends on how the chip was cut into shards, so a logical encoding
-//! lets a snapshot taken under one shard count restore under any other
-//! (sharding is bit-identical by construction, so the resumed run still
-//! reproduces the uninterrupted one exactly).
+//! [`FlitArena`](crate::packet::FlitArena) slabs, so the image does
+//! not depend on how the arena is laid out.
 //!
 //! Restore targets a freshly built [`Network`] with the same layout and
 //! configuration. Everything derived is recomputed from the restored
@@ -18,8 +15,7 @@
 //! it refills the VCs. The image keeps the field layout it had before
 //! those existed (round-robin pointers as `in_dir * vcs + vc` slots, a
 //! per-router flit count that restore now cross-checks), so images stay
-//! byte-compatible. Scratch state (window diagnostics)
-//! intentionally starts fresh.
+//! byte-compatible.
 
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::Dir;
@@ -62,8 +58,7 @@ impl Checkpoint for Network {
 
         // Routers: ports and VC contents in (node, direction, VC) order.
         w.len_prefix(self.routers.len());
-        for (n, router) in self.routers.iter().enumerate() {
-            let arena = &self.shards[usize::from(self.geo.shard_of[n])].arena;
+        for router in &self.routers {
             let vcs = router.vcs_per_port();
             for in_dir in 0..Dir::COUNT {
                 w.bool(router.has_port(in_dir));
@@ -74,7 +69,7 @@ impl Checkpoint for Network {
                 for v in 0..vcs {
                     let vc = router.vc(in_dir, v);
                     vc.owner.put(w);
-                    put_flits(w, &vc.fifo, arena);
+                    put_flits(w, &vc.fifo, &self.arena);
                 }
             }
             for oi in 0..Dir::COUNT {
@@ -97,16 +92,14 @@ impl Checkpoint for Network {
         }
 
         // Buses and their per-layer transceiver interfaces, in (bus,
-        // layer) order — shard-agnostic by construction.
+        // layer) order.
         w.len_prefix(self.buses.len());
         for (b, bus) in self.buses.iter().enumerate() {
             bus.rr.put(w);
             bus.stats.put(w);
-            for layer in 0..self.geo.rt.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
-                let iface = &self.shards[s].ifaces[i];
+            for iface in self.bus_ifaces(b) {
                 iface.bound_vc.put(w);
-                put_flits(w, &iface.q, &self.shards[s].arena);
+                put_flits(w, &iface.q, &self.arena);
             }
         }
     }
@@ -122,10 +115,8 @@ impl Checkpoint for Network {
         if r.u32()? as usize != self.routers.len() {
             return Err(CodecError::Corrupt("router count mismatch"));
         }
-        let rt = &self.geo.rt;
-        for n in 0..self.routers.len() {
-            let arena = &mut self.shards[usize::from(self.geo.shard_of[n])].arena;
-            let router = &mut self.routers[n];
+        let (rt, arena) = (&self.rt, &mut self.arena);
+        for router in &mut self.routers {
             let vcs = router.vcs_per_port();
             for in_dir in 0..Dir::COUNT {
                 if r.bool()? != router.has_port(in_dir) {
@@ -181,19 +172,18 @@ impl Checkpoint for Network {
         if r.u32()? as usize != self.buses.len() {
             return Err(CodecError::Corrupt("bus count mismatch"));
         }
+        let layers = self.rt.layout.layers() as usize;
         for b in 0..self.buses.len() {
             self.buses[b].rr = Codec::get(r)?;
-            if self.buses[b].rr >= self.geo.rt.layout.layers() as usize {
+            if self.buses[b].rr >= layers {
                 return Err(CodecError::Corrupt("bus round-robin pointer out of range"));
             }
             self.buses[b].stats = Codec::get(r)?;
-            for layer in 0..self.geo.rt.layout.layers() {
-                let (s, i) = self.iface_pos(b, layer);
-                let st = &mut self.shards[s];
-                st.ifaces[i].bound_vc = bound_vc(r)?;
-                let cap = st.ifaces[i].q.capacity();
+            for iface in &mut self.ifaces[b * layers..(b + 1) * layers] {
+                iface.bound_vc = bound_vc(r)?;
+                let cap = iface.q.capacity();
                 for f in get_flits(r, cap, "interface deeper than its capacity")? {
-                    st.ifaces[i].q.push_back(&mut st.arena, f);
+                    iface.q.push_back(&mut self.arena, f);
                 }
             }
         }
@@ -201,10 +191,10 @@ impl Checkpoint for Network {
         // Rebuild the derived work sets from the restored queues.
         for n in 0..self.routers.len() {
             if self.routers[n].occupancy() > 0 {
-                self.mark_dirty(n);
+                self.dirty.insert(n);
             }
             if !self.injectors[n].queue.is_empty() {
-                self.mark_inj(n);
+                self.inj_active.insert(n);
             }
             if !self.outbox[n].is_empty() {
                 self.delivered_nodes.insert(n);
@@ -229,10 +219,10 @@ mod tests {
     use nim_topology::ChipLayout;
     use nim_types::SystemConfig;
 
-    fn busy_net(shards: usize) -> (ChipLayout, Network) {
+    fn busy_net() -> (ChipLayout, Network) {
         let cfg = SystemConfig::default();
         let layout = ChipLayout::new(&cfg).unwrap();
-        let mut net = Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, shards);
+        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
         // Mixed traffic: multi-flit cross-layer packets (pillar bus in
         // use), same-layer packets, and a backlog that is still mid-
         // injection when we snapshot.
@@ -263,30 +253,27 @@ mod tests {
 
     #[test]
     fn snapshot_mid_flight_restores_bit_identically() {
-        for (save_shards, restore_shards) in [(1, 1), (1, 2), (2, 1)] {
-            let (layout, mut original) = busy_net(save_shards);
-            let mut w = ByteWriter::new();
-            original.save(&mut w);
-            let bytes = w.into_bytes();
+        let (layout, mut original) = busy_net();
+        let mut w = ByteWriter::new();
+        original.save(&mut w);
+        let bytes = w.into_bytes();
 
-            let cfg = SystemConfig::default();
-            let mut restored =
-                Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, restore_shards);
-            let mut r = ByteReader::new(&bytes);
-            restored.restore(&mut r).unwrap();
-            restored.check_invariants();
-            assert_eq!(r.remaining(), 0);
-            assert_eq!(restored.now(), original.now());
+        let cfg = SystemConfig::default();
+        let mut restored = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+        let mut r = ByteReader::new(&bytes);
+        restored.restore(&mut r).unwrap();
+        restored.check_invariants();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(restored.now(), original.now());
 
-            let a = drain_and_digest(&mut original);
-            let b = drain_and_digest(&mut restored);
-            assert_eq!(a, b, "shards {save_shards} -> {restore_shards}");
-        }
+        let a = drain_and_digest(&mut original);
+        let b = drain_and_digest(&mut restored);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn truncated_bytes_error_instead_of_panicking() {
-        let (_, original) = busy_net(1);
+        let (_, original) = busy_net();
         let mut w = ByteWriter::new();
         original.save(&mut w);
         let bytes = w.into_bytes();
@@ -301,7 +288,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_different_topology() {
-        let (_, original) = busy_net(1);
+        let (_, original) = busy_net();
         let mut w = ByteWriter::new();
         original.save(&mut w);
         let bytes = w.into_bytes();

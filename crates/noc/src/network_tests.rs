@@ -346,209 +346,3 @@ fn mesh3d_four_layer_traffic() {
         "each layer crossing is a mesh hop in 3D-mesh mode"
     );
 }
-
-/// Drives a sharded network to idle through the window path (forcing
-/// the threaded executor onto every window) and returns everything
-/// observable: deliveries in arrival order, network stats, per-bus
-/// stats, and the traversal map.
-fn drain_via_windows(net: &mut Network) -> (Vec<Delivered>, NetworkStats, Vec<BusStats>, Vec<u64>) {
-    let mut delivered = Vec::new();
-    let mut guard = 0;
-    while !net.is_idle() {
-        net.advance_window(net.now().0 + 10_000);
-        net.tick();
-        net.drain_delivered_into(&mut delivered);
-        guard += 1;
-        assert!(guard < 100_000, "sharded run livelocked");
-    }
-    (
-        delivered,
-        net.stats().clone(),
-        net.bus_stats(),
-        net.traversals().to_vec(),
-    )
-}
-
-/// A deterministic many-packet workload mixing same-layer, cross-layer,
-/// pinned-pillar, and multi-flit traffic across all layers.
-fn mixed_traffic(net: &mut Network, layout: &ChipLayout) {
-    let (w, h, l) = (layout.width(), layout.height(), layout.layers());
-    for i in 0..60u32 {
-        let src = Coord::new(
-            (i % 7) as u8 % w,
-            (i / 7) as u8 % h,
-            (i % u32::from(l)) as u8,
-        );
-        let dst = Coord::new(
-            ((i * 3) % 7) as u8 % w,
-            ((i * 5) % 11) as u8 % h,
-            ((i + 1) % u32::from(l)) as u8,
-        );
-        let via = (i % 3 == 0).then(|| PillarId((i % u32::from(layout.num_pillars())) as u16));
-        send_one(net, src, dst, via, 1 + i % 4);
-    }
-}
-
-#[test]
-fn shard_request_clamps_to_cluster_row_divisors() {
-    // The default 2-layer chip has 4 cluster rows (2 layers × a 2-row
-    // cluster grid), so 1, 2, and 4 shards are all valid.
-    let cfg = SystemConfig::default();
-    let layout = ChipLayout::new(&cfg).unwrap();
-    assert_eq!(
-        Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, 3).shards(),
-        2,
-        "3 does not divide 4 cluster rows; largest divisor wins"
-    );
-    assert_eq!(
-        Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, 4).shards(),
-        4,
-        "cluster-row cuts go finer than whole layers"
-    );
-    assert_eq!(
-        Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, 8).shards(),
-        4,
-        "over-asking clamps to the cluster-row count"
-    );
-    assert_eq!(
-        Network::new_sharded(&layout, &cfg.network, VerticalMode::Mesh3d, 2).shards(),
-        1,
-        "the 3D mesh couples layers every cycle and cannot be cut"
-    );
-    let cfg4 = SystemConfig::default().with_layers(4);
-    let layout4 = ChipLayout::new(&cfg4).unwrap();
-    assert_eq!(
-        Network::new_sharded(&layout4, &cfg4.network, VerticalMode::Pillars, 4).shards(),
-        4
-    );
-}
-
-#[test]
-fn sharded_windows_match_sequential_bit_for_bit() {
-    for layers in [2u8, 4] {
-        let cfg = SystemConfig::default().with_layers(layers);
-        let layout = ChipLayout::new(&cfg).unwrap();
-
-        let mut reference = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
-        mixed_traffic(&mut reference, &layout);
-        reference.run_until_idle(100_000).expect("drains");
-        let mut want = reference.drain_delivered();
-        want.sort_by_key(|d| d.packet.0);
-
-        // Cover layer-aligned cuts (2 on 2 layers, 4 on 4 layers) and
-        // cluster-granular cuts that split layers mid-mesh (4 on 2
-        // layers, 8 on 4 layers — the cluster-row maximum).
-        let shard_counts: &[usize] = match layers {
-            2 => &[2, 4],
-            _ => &[2, 4, 8],
-        };
-        for &shards in shard_counts {
-            let mut net =
-                Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, shards);
-            assert_eq!(net.shards(), shards);
-            // Force the threaded executor onto even one-cycle windows so
-            // this test exercises real cross-thread scheduling.
-            net.set_window_tuning(1, shards);
-            mixed_traffic(&mut net, &layout);
-            let (mut got, stats, bus, traversals) = drain_via_windows(&mut net);
-            got.sort_by_key(|d| d.packet.0);
-            assert_eq!(got, want, "{shards} shards, {layers} layers: deliveries");
-            assert_eq!(
-                &stats,
-                reference.stats(),
-                "{shards} shards, {layers} layers: stats"
-            );
-            assert_eq!(
-                bus,
-                reference.bus_stats(),
-                "{shards} shards, {layers} layers: bus stats"
-            );
-            assert_eq!(
-                traversals,
-                reference.traversals(),
-                "{shards} shards, {layers} layers: traversal map"
-            );
-            assert_eq!(net.now(), reference.now(), "final clock");
-        }
-    }
-}
-
-#[test]
-fn cluster_cut_same_layer_traffic_matches_sequential() {
-    // 4 shards on the default 2-layer chip cut each layer's mesh at
-    // y = 4. Same-layer packets crossing that cut exercise the
-    // mesh-boundary lookahead specifically (mixed_traffic sends every
-    // packet cross-layer when there are only 2 layers, which the bus
-    // horizon already bounds).
-    let cfg = SystemConfig::default();
-    let layout = ChipLayout::new(&cfg).unwrap();
-    let traffic = |net: &mut Network| {
-        for i in 0..40u32 {
-            let x = (i % u32::from(layout.width())) as u8;
-            let layer = (i % 2) as u8;
-            let (sy, dy) = if i % 2 == 0 { (1, 6) } else { (7, 2) };
-            send_one(
-                net,
-                Coord::new(x, sy, layer),
-                Coord::new((x + 3) % layout.width(), dy, layer),
-                None,
-                1 + i % 4,
-            );
-        }
-    };
-
-    let mut reference = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
-    traffic(&mut reference);
-    reference.run_until_idle(100_000).expect("drains");
-    let mut want = reference.drain_delivered();
-    want.sort_by_key(|d| d.packet.0);
-
-    let mut net = Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, 4);
-    assert_eq!(net.shards(), 4);
-    net.set_window_tuning(1, 4);
-    traffic(&mut net);
-    let (mut got, stats, bus, traversals) = drain_via_windows(&mut net);
-    got.sort_by_key(|d| d.packet.0);
-    assert_eq!(got, want, "cluster-cut deliveries");
-    assert_eq!(&stats, reference.stats(), "cluster-cut stats");
-    assert_eq!(bus, reference.bus_stats(), "cluster-cut bus stats");
-    assert_eq!(traversals, reference.traversals(), "cluster-cut traversals");
-}
-
-#[test]
-fn window_exchange_is_deterministic_across_interleavings() {
-    // Thread scheduling varies run to run; shard claiming must not.
-    // Five repetitions of the same threaded run must be byte-identical.
-    let cfg = SystemConfig::default().with_layers(4);
-    let layout = ChipLayout::new(&cfg).unwrap();
-    let mut baseline = None;
-    for _ in 0..5 {
-        let mut net = Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, 4);
-        net.set_window_tuning(1, 4);
-        mixed_traffic(&mut net, &layout);
-        let outcome = drain_via_windows(&mut net);
-        let rendered = format!("{outcome:?}");
-        match &baseline {
-            None => baseline = Some(rendered),
-            Some(b) => assert_eq!(b, &rendered, "nondeterministic sharded run"),
-        }
-    }
-}
-
-#[test]
-fn window_advance_respects_caller_cap() {
-    let cfg = SystemConfig::default();
-    let layout = ChipLayout::new(&cfg).unwrap();
-    let mut net = Network::new_sharded(&layout, &cfg.network, VerticalMode::Pillars, 2);
-    // Long route: plenty of lookahead before anything couples.
-    send_one(
-        &mut net,
-        Coord::new(0, 0, 0),
-        Coord::new(layout.width() - 1, layout.height() - 1, 1),
-        None,
-        1,
-    );
-    let advanced = net.advance_window(net.now().0 + 3);
-    assert!(advanced <= 3, "window overran the caller's cap");
-    assert_eq!(net.now().0, advanced, "clock advanced by the return value");
-}

@@ -180,16 +180,6 @@ impl Obs {
         self.inner.as_ref().map_or(0, |i| i.now.get())
     }
 
-    /// Whether events of `cat` would currently be recorded. Use to skip
-    /// expensive payload prep beyond what [`Obs::emit`]'s laziness covers.
-    #[inline]
-    pub fn wants(&self, cat: Category) -> bool {
-        match &self.inner {
-            Some(inner) => inner.tracing && inner.mask.contains(cat),
-            None => false,
-        }
-    }
-
     /// Whether transaction `txn_id` is selected for begin/end span
     /// emission: tracing must be on, [`Category::Txn`] unfiltered, and
     /// the id a multiple of the configured sampling stride. One branch

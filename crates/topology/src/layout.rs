@@ -233,12 +233,6 @@ impl ChipLayout {
         self.clusters_per_layer * self.layers as u16
     }
 
-    /// Cluster extent `(w, h)` in banks.
-    #[inline]
-    pub const fn cluster_dims(&self) -> (u8, u8) {
-        (self.cluster_w, self.cluster_h)
-    }
-
     /// Cluster-grid extent `(w, h)` in clusters per layer.
     #[inline]
     pub const fn cluster_grid(&self) -> (u8, u8) {
@@ -591,7 +585,7 @@ mod tests {
         assert_eq!(l.layers(), 2);
         assert_eq!((l.width(), l.height()), (16, 8));
         assert_eq!(l.num_nodes(), 256);
-        assert_eq!(l.cluster_dims(), (4, 4));
+        assert_eq!((l.cluster_w, l.cluster_h), (4, 4));
         assert_eq!(l.cluster_grid(), (4, 2));
         assert_eq!(l.clusters_per_layer(), 8);
         assert_eq!(l.num_clusters(), 16);

@@ -13,8 +13,6 @@
 //! * [`placement`] — [`PlacementPolicy`] and the seating of CPUs.
 //! * [`floorplan`] — what occupies each tile, for the thermal model.
 //! * [`topology`] — [`MeshTopology`] (layout + router latency).
-//! * [`shard`] — [`ShardPlan`]: cluster-row shard cuts and the boundary
-//!   tables the parallel network engine's window planner uses.
 //!
 //! # Examples
 //!
@@ -38,11 +36,9 @@
 pub mod floorplan;
 pub mod layout;
 pub mod placement;
-pub mod shard;
 pub mod topology;
 
 pub use floorplan::Floorplan;
 pub use layout::{ChipLayout, TopologyError};
 pub use placement::{CpuSeat, PlacementError, PlacementPolicy};
-pub use shard::ShardPlan;
-pub use topology::MeshTopology;
+pub use topology::{MeshTopology, ShardPlan};

@@ -50,6 +50,22 @@ impl MeshTopology {
     }
 }
 
+// nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+#[doc(hidden)]
+pub struct ShardPlan;
+
+// nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+#[doc(hidden)]
+impl ShardPlan {
+    pub fn new(_layout: &ChipLayout, _requested: usize) -> Self {
+        Self
+    }
+
+    pub fn shards(&self) -> usize {
+        1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

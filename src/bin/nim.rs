@@ -60,7 +60,7 @@ THE CELL (run / compare / breakdown):
 
 THE SCALE OF A RUN (the above and report):
     --warmup <n>              warm-up transactions (default 2000)
-    --sample <n>              sampled transactions (default 20000)
+    --sample <n>              sampled transactions, nonzero (default 20000)
     --seed <n>                workload seed (default 42)
 
 SNAPSHOT / RESUME (run only):
@@ -69,7 +69,8 @@ SNAPSHOT / RESUME (run only):
                               with --snapshot-every, overwrites the image
                               every N transactions (rolling checkpoint)
     --snapshot-every <txns>   checkpoint cadence in completed
-                              transactions (requires --snapshot-out)
+                              transactions, nonzero (requires
+                              --snapshot-out)
     --resume <path>           reconstruct a checkpointed run and carry it
                               to completion; the image records the cell,
                               the scale and the observability settings,
@@ -187,6 +188,14 @@ fn one<T, E: ToString>(
     item(value).map_err(|e| format!("{flag}: {}", e.to_string()))
 }
 
+/// A count that scales the run: zero of it is refused, not run.
+fn nonzero(arg: Arg) -> Result<u64, String> {
+    match one(arg, str::parse)? {
+        0 => Err(format!("{} must be nonzero", arg.0)),
+        n => Ok(n),
+    }
+}
+
 /// Fills `field`; hands back the subcommands the flag is good for.
 fn set<T>(field: &mut T, value: T, scope: &'static [&'static str]) -> &'static [&'static str] {
     *field = value;
@@ -228,7 +237,7 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             "--l2-scale" => set(&mut cell.l2_scale, Some(one(arg()?, str::parse)?), CELL),
             "--fabric" => set(&mut cell.fabric, Some(one(arg()?, fabric)?), CELL),
             "--warmup" => set(&mut scale.warmup, one(arg()?, str::parse)?, SCALE),
-            "--sample" => set(&mut scale.sample, one(arg()?, str::parse)?, SCALE),
+            "--sample" => set(&mut scale.sample, nonzero(arg()?)?, SCALE),
             "--seed" => set(&mut scale.seed, one(arg()?, str::parse)?, SCALE),
             "--trace-out" => set(&mut run.trace_out, path(arg()?), RUN),
             "--trace-filter" => set(
@@ -240,7 +249,7 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             "--sample-every" => set(&mut run.sample_every, one(arg()?, str::parse)?, RUN),
             "--trace-txn-sample" => set(&mut run.txn_sample, one(arg()?, str::parse)?, RUN),
             "--snapshot-out" => set(&mut run.snapshot_out, path(arg()?), RUN),
-            "--snapshot-every" => set(&mut run.snapshot_every, one(arg()?, str::parse)?, RUN),
+            "--snapshot-every" => set(&mut run.snapshot_every, nonzero(arg()?)?, RUN),
             "--resume" => set(&mut run.resume, path(arg()?), RUN),
             other => return Err(format!("unknown option '{other}'")),
         };

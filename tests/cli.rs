@@ -192,6 +192,28 @@ fn a_lone_snapshot_with_no_warmup_boundary_is_refused() {
 }
 
 #[test]
+fn zero_is_not_a_scale() {
+    // Zero sampled transactions used to print an all-zero row (and
+    // `report fig13` a 9.00 "speedup") with exit 0.
+    for line in ["run --sample 0", "report fig13 --sample 0"] {
+        let err = refused(line);
+        assert!(err.contains("--sample must be nonzero"), "{line}: {err}");
+    }
+    // A zero cadence used to read as "flag absent".
+    let image = scratch("z.img");
+    for rest in ["--warmup 0 --snapshot-every 0", "--snapshot-every 0"] {
+        let err = refused(&format!("run --snapshot-out {} {rest}", image.display()));
+        assert!(
+            err.contains("--snapshot-every must be nonzero"),
+            "{rest}: {err}"
+        );
+    }
+    assert!(!image.exists());
+    let help = stdout(&nim("help"));
+    assert_eq!(help.matches(", nonzero").count(), 2, "{help}");
+}
+
+#[test]
 fn retired_flags_and_commands_are_refused() {
     let retired = "--shards 2|--topology 8-layer|--placements corners|--fabric latency-table";
     for retired in retired.split('|') {

@@ -140,6 +140,28 @@ fn calling_text(path: &Path, mut defs: Option<&mut Vec<(usize, String)>>) -> Str
     out
 }
 
+/// The workspace's non-test sources: `crates/*/src` without the
+/// `*_tests.rs` files, then `src/`, `tests/` and `crates/*/tests`
+/// without this file (it names the items it lets stay; that is not a
+/// call).
+fn workspace_sources(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
+    let (mut library, mut rest) = (Vec::new(), Vec::new());
+    let crates = fs::read_dir(root.join("crates")).expect("crates/ exists");
+    for krate in crates.flatten() {
+        rust_sources(&krate.path().join("src"), &mut library);
+        rust_sources(&krate.path().join("tests"), &mut rest);
+    }
+    library.retain(|p| {
+        !p.file_stem()
+            .is_some_and(|s| s.to_string_lossy().ends_with("_tests"))
+    });
+    for dir in ["src", "tests"] {
+        rust_sources(&root.join(dir), &mut rest);
+    }
+    rest.retain(|p| !p.ends_with(file!()));
+    (library, rest)
+}
+
 /// ROADMAP item 5, mechanically: a `pub` item stays only if something
 /// that matters calls it.
 ///
@@ -160,21 +182,8 @@ fn calling_text(path: &Path, mut defs: Option<&mut Vec<(usize, String)>>) -> Str
 #[test]
 fn every_pub_item_has_a_caller_that_matters() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (mut defining, mut calling) = (Vec::new(), Vec::new());
-    let crates = fs::read_dir(root.join("crates")).expect("crates/ exists");
-    for krate in crates.flatten() {
-        rust_sources(&krate.path().join("src"), &mut defining);
-        rust_sources(&krate.path().join("tests"), &mut calling);
-    }
-    defining.retain(|p| {
-        !p.file_stem()
-            .is_some_and(|s| s.to_string_lossy().ends_with("_tests"))
-    });
-    for dir in ["src", "tests", "examples/nimbench/src"] {
-        rust_sources(&root.join(dir), &mut calling);
-    }
-    // This file names the items it lets stay; that is not a call.
-    calling.retain(|p| !p.ends_with(file!()));
+    let (defining, mut calling) = workspace_sources(root);
+    rust_sources(&root.join("examples/nimbench/src"), &mut calling);
     assert!(
         !defining.is_empty() && !calling.is_empty(),
         "guard found no source files"
@@ -218,4 +227,128 @@ fn every_pub_item_has_a_caller_that_matters() {
             "`{name}` in {rel} is gone or has a caller now — drop its UNCALLED_ALLOWLIST entry"
         );
     }
+}
+
+/// The marker every frozen definition sits under.
+const FROZEN_MARK: &str = "// nimbench-frozen:";
+
+/// Names with no implementation behind them, kept only because the
+/// frozen `examples/nimbench` compiles against them: the file that
+/// defines each, and the name. Shrink-only — ROADMAP item 1 Step A
+/// deletes the shims with the benchmark code that names them.
+/// `resume_from` itself is live; what is frozen is its second
+/// parameter, so leaning on it means passing anything but `None`.
+const FROZEN_FOR_NIMBENCH: &[(&str, &str)] = &[
+    ("crates/noc/src/network/mod.rs", "new_sharded"),
+    ("crates/noc/src/network/mod.rs", "advance_window"),
+    ("crates/noc/src/network/mod.rs", "window_stats"),
+    ("crates/noc/src/network/mod.rs", "window_spawn_min"),
+    ("crates/topology/src/topology.rs", "ShardPlan"),
+    ("crates/core/src/builder.rs", "shards"),
+    ("crates/core/src/snapshot.rs", "resume_from"),
+];
+
+/// Whether `text` spells `name` as a whole word.
+fn names(text: &str, name: &str) -> bool {
+    text.split(|c: char| !c.is_alphanumeric() && c != '_')
+        .any(|word| word == name)
+}
+
+/// The residue stays residue: every entry of [`FROZEN_FOR_NIMBENCH`] is
+/// still named by nimbench (else it is stale — delete the shim), sits
+/// under a [`FROZEN_MARK`] comment in its file, and is named by no
+/// non-test workspace code outside that file; and every marker comment
+/// has an entry.
+#[test]
+fn frozen_names_are_only_what_nimbench_compiles_against() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut nimbench = Vec::new();
+    rust_sources(&root.join("examples/nimbench/src"), &mut nimbench);
+    let nimbench: String = nimbench.iter().map(|p| calling_text(p, None)).collect();
+    let (mut workspace, rest) = workspace_sources(root);
+    workspace.extend(rest);
+
+    let mut marked = Vec::new();
+    for path in &workspace {
+        let rel = relative(root, path);
+        let text = fs::read_to_string(path).expect("source file is readable");
+        let mut lines = text.lines().map(str::trim_start);
+        while let Some(line) = lines.next() {
+            if !line.starts_with(FROZEN_MARK) {
+                continue;
+            }
+            // The marked item: the first line below that is not an attribute.
+            let item = lines.find(|l| !l.starts_with("#[")).unwrap_or("");
+            let entry = FROZEN_FOR_NIMBENCH
+                .iter()
+                .find(|(p, name)| *p == rel && names(item, name));
+            let (_, name) = entry.unwrap_or_else(|| {
+                panic!("{rel}: `{item}` is marked frozen but has no FROZEN_FOR_NIMBENCH entry")
+            });
+            marked.push(*name);
+        }
+        // Leaning: a mention outside the defining file that is not
+        // itself a definition (`ShardPlan::shards`), string literals
+        // (the CLI's retired-flag row) aside.
+        for line in calling_text(path, None).lines() {
+            let code: String = line.split('"').step_by(2).collect();
+            for (defined_in, name) in FROZEN_FOR_NIMBENCH {
+                let leans = match *name {
+                    "resume_from" => code.contains("resume_from(") && !code.contains(", None)"),
+                    name => names(&code, name),
+                };
+                let defines = code.contains(&format!("fn {name}("));
+                assert!(
+                    *defined_in == rel || defines || !leans,
+                    "{rel} leans on `{name}`, which only the frozen benchmark may name:\n{line}"
+                );
+            }
+        }
+    }
+    for (rel, name) in FROZEN_FOR_NIMBENCH {
+        assert!(
+            names(&nimbench, name),
+            "examples/nimbench no longer names `{name}` — delete it from {rel} and from this list"
+        );
+        assert!(
+            marked.contains(name),
+            "{rel}: `{name}` is listed but sits under no `{FROZEN_MARK}` comment"
+        );
+    }
+}
+
+/// Every back-ticked token ending in `.rs` in the three documents is
+/// the path, or the tail of the path, of a file in the repository — so
+/// a deletion cannot leave the documents pointing at what is gone.
+#[test]
+fn docs_name_only_files_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "vendor"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    let files: Vec<String> = files
+        .iter()
+        .map(|p| relative(root, p))
+        .filter(|p| !p.contains("/target/"))
+        .collect();
+    let mut missing = Vec::new();
+    for doc in ["DESIGN.md", "README.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root.join(doc)).expect("the document exists");
+        // Odd-numbered pieces of a split on '`' are the back-ticked spans.
+        for token in text.split('`').skip(1).step_by(2) {
+            let resolves = |f: &String| {
+                f.strip_suffix(token)
+                    .is_some_and(|head| head.is_empty() || head.ends_with('/'))
+            };
+            if token.ends_with(".rs") && !token.contains(' ') && !files.iter().any(resolves) {
+                missing.push(format!("{doc}: `{token}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "these name no file in the repository:\n{}",
+        missing.join("\n")
+    );
 }
