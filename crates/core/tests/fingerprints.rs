@@ -11,13 +11,13 @@
 use std::fmt::Write as _;
 use std::hash::Hasher as _;
 
-use nim_core::{Scheme, SystemBuilder};
+use nim_core::{FabricKind, Scheme, SystemBuilder};
 use nim_obs::{CategoryMask, Obs, ObsConfig};
-use nim_types::FxHasher;
+use nim_types::{FxHasher, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
 /// One recorded cell: scheme, benchmark, extension knobs, chip depth,
-/// tracing, digest.
+/// tracing, pillar bus width, fabric, digest.
 struct Cell {
     scheme: Scheme,
     benchmark: &'static str,
@@ -27,10 +27,15 @@ struct Cell {
     /// Trace every category, the per-flit `hop` firehose included, so
     /// the digest holds the `FlitHop` / `PacketDeliver` emission order.
     trace_hops: bool,
+    /// A bus narrower than the 128-bit flit serialises each flit over
+    /// several cycles, leaving cycles where traffic is in flight but
+    /// nothing moves.
+    bus_width_bits: u32,
+    fabric: FabricKind,
     digest: u64,
 }
 
-const CELLS: [Cell; 8] = [
+const CELLS: [Cell; 11] = [
     Cell {
         scheme: Scheme::CmpDnuca,
         benchmark: "art",
@@ -38,6 +43,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 2,
         trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x0ee7_c86c_4fe6_2387,
     },
     Cell {
@@ -47,6 +54,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 2,
         trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x2c6a_1a7a_85f4_e914,
     },
     Cell {
@@ -56,6 +65,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 2,
         trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x8df6_94aa_7ffe_8b04,
     },
     Cell {
@@ -65,6 +76,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 2,
         trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x18b1_8f4e_0855_283e,
     },
     // Extension paths: replication and edge memory controllers ride the
@@ -76,6 +89,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 2,
         trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0xf829_379c_7dd2_84a9,
     },
     Cell {
@@ -85,6 +100,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: true,
         layers: 2,
         trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x2449_2d76_1062_62e2,
     },
     // Full-trace cells: every `FlitHop`, `PacketDeliver` and bus event,
@@ -96,6 +113,8 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 2,
         trace_hops: true,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x4120_8aed_19e8_1934,
     },
     Cell {
@@ -105,7 +124,46 @@ const CELLS: [Cell; 8] = [
         edge_memory: false,
         layers: 4,
         trace_hops: true,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
         digest: 0x02c7_41f8_6fbd_c4bc,
+    },
+    // Recorded while the run loop could still skip dead cycles: a
+    // 32-bit bus (traffic in flight across serialisation gaps) and the
+    // ideal fabric (modeled deliveries only), which the per-cycle loop
+    // must reproduce.
+    Cell {
+        scheme: Scheme::CmpSnuca3d,
+        benchmark: "art",
+        replication: false,
+        edge_memory: false,
+        layers: 2,
+        trace_hops: false,
+        bus_width_bits: 32,
+        fabric: FabricKind::Sim,
+        digest: 0x0203_65e9_c70c_f2fe,
+    },
+    Cell {
+        scheme: Scheme::CmpDnuca3d,
+        benchmark: "swim",
+        replication: false,
+        edge_memory: false,
+        layers: 2,
+        trace_hops: false,
+        bus_width_bits: 32,
+        fabric: FabricKind::Sim,
+        digest: 0x3874_456c_3338_91d1,
+    },
+    Cell {
+        scheme: Scheme::CmpDnuca3d,
+        benchmark: "art",
+        replication: false,
+        edge_memory: false,
+        layers: 2,
+        trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Ideal,
+        digest: 0x9d23_f72a_4b13_2da6,
     },
 ];
 
@@ -128,8 +186,12 @@ fn digest_of(cell: &Cell) -> u64 {
         sample_every: 2_000,
         ..ObsConfig::default()
     });
+    let mut cfg = SystemConfig::default();
+    cfg.network.bus_width_bits = cell.bus_width_bits;
     let mut sys = SystemBuilder::new(cell.scheme)
+        .config(cfg)
         .layers(cell.layers)
+        .fabric(cell.fabric)
         .seed(42)
         .warmup_transactions(50)
         .sampled_transactions(400)
@@ -168,32 +230,28 @@ fn digest_of(cell: &Cell) -> u64 {
 fn run_fingerprints_match_the_recorded_pre_refactor_values() {
     for cell in &CELLS {
         let got = digest_of(cell);
-        // `NIM_RECORD_FP=1 cargo test -p nim-core --test fingerprints --
-        // --nocapture` prints fresh digests instead of asserting — use it
-        // to re-record after an *intentional* behavior change.
-        if std::env::var_os("NIM_RECORD_FP").is_some() {
-            eprintln!(
-                "RECORD {:?}/{}/repl={}/edge_mc={}/layers={}/hops={} 0x{got:016x}",
-                cell.scheme,
-                cell.benchmark,
-                cell.replication,
-                cell.edge_memory,
-                cell.layers,
-                cell.trace_hops
-            );
-            continue;
-        }
-        assert_eq!(
-            got,
-            cell.digest,
-            "{:?}/{}/repl={}/edge_mc={}/layers={}/hops={}: fingerprint 0x{got:016x} \
-             diverged from the recorded pre-refactor digest 0x{:016x}",
+        let label = format!(
+            "{:?}/{}/repl={}/edge_mc={}/layers={}/hops={}/bus={}/fabric={}",
             cell.scheme,
             cell.benchmark,
             cell.replication,
             cell.edge_memory,
             cell.layers,
             cell.trace_hops,
+            cell.bus_width_bits,
+            cell.fabric.name()
+        );
+        // `NIM_RECORD_FP=1 cargo test -p nim-core --test fingerprints --
+        // --nocapture` prints fresh digests instead of asserting — use it
+        // to re-record after an *intentional* behavior change.
+        if std::env::var_os("NIM_RECORD_FP").is_some() {
+            eprintln!("RECORD {label} 0x{got:016x}");
+            continue;
+        }
+        assert_eq!(
+            got, cell.digest,
+            "{label}: fingerprint 0x{got:016x} diverged from the recorded \
+             pre-refactor digest 0x{:016x}",
             cell.digest
         );
     }
