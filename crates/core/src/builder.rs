@@ -41,8 +41,6 @@ use crate::txn::TxnTable;
 #[derive(Clone, Debug)]
 pub struct SystemBuilder {
     pub(crate) recipe: Recipe,
-    /// Dead-cycle elision enabled (see [`SystemBuilder::horizon_skipping`]).
-    skip: bool,
     obs: Obs,
 }
 
@@ -50,9 +48,9 @@ pub struct SystemBuilder {
 /// assembles and how its runs are driven. A built [`System`] keeps it
 /// (with `cfg` as built — flattened for the 2D schemes), a snapshot's
 /// `CFG ` section is its image in this field order, and
-/// [`SystemBuilder::resume_from`] rebuilds from it. Horizon skipping and
-/// the observability handle are not part of it: they change how a run
-/// executes, never what it computes.
+/// [`SystemBuilder::resume_from`] rebuilds from it. The observability
+/// handle is not part of it: it changes what a run records, never what
+/// it computes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Recipe {
     pub(crate) scheme: Scheme,
@@ -93,7 +91,6 @@ impl SystemBuilder {
                 sample: 10_000,
                 cfg: SystemConfig::default(),
             },
-            skip: true,
             obs: Obs::disabled(),
         }
     }
@@ -184,14 +181,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Whether the main loop may batch-advance the clock through spans
-    /// it can prove are dead (no network phase fires, no timed event is
-    /// due, no core needs a tick). On by default; off forces the naive
-    /// one-tick-per-cycle loop. Results are bit-identical either way —
-    /// skipping only elides cycles in which nothing observable happens
-    /// (`skip_equivalence.rs` asserts this).
-    pub fn horizon_skipping(mut self, on: bool) -> Self {
-        self.skip = on;
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+    #[doc(hidden)]
+    pub fn horizon_skipping(self, _on: bool) -> Self {
         self
     }
 
@@ -289,7 +281,6 @@ impl SystemBuilder {
             engine,
             fabric,
             sample_buf: SampleBuf::default(),
-            skip: self.skip,
             obs: self.obs,
             progress: None,
         })

@@ -106,6 +106,7 @@ impl<T> DueQueue<T> {
     }
 
     /// The due cycle of the earliest queued item.
+    #[cfg(test)]
     pub(crate) fn next_due(&self) -> Option<u64> {
         (self.len != 0).then_some(self.earliest)
     }
@@ -444,8 +445,8 @@ mod tests {
                         p.drain(SPAN + amount, &[]);
                         p.push(DELAYS[pick]);
                     }
-                    // The clock jumps to just before the next due key,
-                    // as `try_fast_forward` moves it.
+                    // Drain up to one cycle short of the next due key,
+                    // so the following op lands exactly on it.
                     9 => {
                         let to = p.wheel.next_due().map_or(p.now, |due| due.saturating_sub(1));
                         p.drain(to.saturating_sub(p.now), during);

@@ -21,7 +21,7 @@
 
 use nim_noc::{zero_load_path, Network, SendRequest};
 use nim_obs::{Category, EventData, Obs};
-use nim_topology::{ChipLayout, MeshTopology};
+use nim_topology::ChipLayout;
 use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::{ClusterId, Coord, Cycle, NetworkConfig, PacketId, PillarId};
 
@@ -199,10 +199,12 @@ impl FabricKind {
 }
 
 /// The analytic timing engine behind [`FabricKind::Ideal`]: zero-load
-/// path costs from the topology, no contention state at all.
+/// path costs from the layout, no contention state at all.
 #[derive(Debug)]
 pub(crate) struct LatencyModel {
-    topo: MeshTopology,
+    layout: ChipLayout,
+    /// Cycles a flit dwells in one router.
+    hop_latency: u64,
     bus_k: u64,
 }
 
@@ -212,7 +214,8 @@ impl LatencyModel {
         match kind {
             FabricKind::Sim => None,
             FabricKind::Ideal => Some(Self {
-                topo: MeshTopology::new(layout.clone(), net.router_latency),
+                layout: layout.clone(),
+                hop_latency: u64::from(net.router_latency),
                 bus_k: u64::from(net.bus_cycles_per_flit()),
             }),
         }
@@ -220,9 +223,8 @@ impl LatencyModel {
 }
 
 /// The real fabric: the 3D NoC beside the shared [`FabricState`], owned
-/// together so the run loop in [`System`](crate::System) can drive
-/// phases and fast-forward while protocol code stays behind the
-/// [`Fabric`] trait.
+/// together so the run loop in [`System`](crate::System) can tick the
+/// network while protocol code stays behind the [`Fabric`] trait.
 ///
 /// With a [`LatencyModel`] attached, sends bypass the flit-level
 /// network entirely: each packet's delivery is computed analytically at
@@ -266,12 +268,12 @@ impl SimFabric {
         let model = self.model.as_ref().expect("modeled send requires a model");
         let now = self.net.now();
         let path = zero_load_path(
-            model.topo.layout(),
+            &model.layout,
             src,
             dst,
             via,
             flits,
-            u64::from(model.topo.hop_latency()),
+            model.hop_latency,
             model.bus_k,
         );
         let due = now.0.saturating_add(path.latency);

@@ -210,8 +210,8 @@ impl RunReport {
     /// so the value is identical across platforms and toolchains, and
     /// not `Debug`-formatted, so cosmetic formatting changes cannot
     /// shift it). Two runs of the same cell must produce the same
-    /// fingerprint; the snapshot- and skip-equivalence suites and
-    /// nimbench's cross-mode checks gate on it.
+    /// fingerprint; the snapshot-equivalence suite and nimbench's
+    /// cross-mode checks gate on it.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = nim_types::FxHasher::default();

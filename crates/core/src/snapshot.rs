@@ -17,11 +17,9 @@
 //!
 //! Snapshots are legal only at *epoch boundaries*: when sampling is on,
 //! the clock must sit exactly on a cycle where a sample row was
-//! recorded (pause with [`System::run_until`], which suppresses horizon
-//! skipping once the stop count is reached and ticks per-cycle to the
-//! next boundary). At such a cycle every in-flight structure is in the
-//! same state the per-cycle loop would have produced, so resuming the
-//! snapshot replays the remainder of the run bit-identically.
+//! recorded (pause with [`System::run_until`], which ticks on past the
+//! stop count to the next boundary). Resuming the snapshot replays the
+//! remainder of the run bit-identically.
 //!
 //! Restores always run against a *freshly built* system: the `CFG `
 //! section records the exact build recipe, [`SystemBuilder::resume`]

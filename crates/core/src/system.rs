@@ -8,9 +8,8 @@
 //! ([`fabric`](crate::fabric) — the 3D NoC, the timed-event queue, and
 //! the contention models of [`timing`](crate::timing)). The driver owns
 //! the clock: it advances everything in lock-step one cycle at a time,
-//! feeds due events and delivered packets to the engine, ticks the
-//! cores, and fast-forwards through quiet stretches without losing
-//! cycle accuracy. Assembly lives in [`SystemBuilder`].
+//! feeds due events and delivered packets to the engine, and ticks the
+//! cores. Assembly lives in [`SystemBuilder`].
 //!
 //! [`SystemBuilder`]: crate::SystemBuilder
 
@@ -18,7 +17,7 @@ use nim_cpu::{CoreAction, InOrderCore};
 use nim_noc::Network;
 use nim_obs::Obs;
 use nim_topology::{ChipLayout, CpuSeat};
-use nim_types::{ClusterId, CpuId, Cycle, SystemConfig};
+use nim_types::{ClusterId, CpuId, SystemConfig};
 use nim_workload::{BenchmarkProfile, TraceGenerator, TraceSource};
 
 use crate::builder::Recipe;
@@ -107,9 +106,6 @@ pub struct System {
     pub(crate) fabric: SimFabric,
     /// Reused epoch-sampling buffers (names formatted once per run).
     pub(crate) sample_buf: SampleBuf,
-    /// The run loop may batch-advance through dead cycles (see
-    /// [`SystemBuilder::horizon_skipping`](crate::SystemBuilder::horizon_skipping)).
-    pub(crate) skip: bool,
     pub(crate) obs: Obs,
     /// The paused/running state of an in-flight run (`None` between
     /// runs). [`System::snapshot`](crate::System::snapshot) requires it.
@@ -187,11 +183,6 @@ impl System {
     /// epoch boundary when sampling is on), or to completion, whichever
     /// comes first. Returns `Some(report)` when the run finished, and
     /// `None` when it paused — the system is then snapshot-legal.
-    ///
-    /// While a pause is pending the loop suppresses horizon skipping
-    /// and ticks cycle by cycle (bit-identical by the
-    /// skip-equivalence invariant), so the boundary cycle is reached
-    /// and sampled exactly as the uninterrupted loop would.
     ///
     /// # Errors
     ///
@@ -307,24 +298,15 @@ impl System {
         } = self.progress.as_ref().expect("run in progress").carried;
         // Network deliveries of the current cycle, reused across cycles.
         let mut delivered: Vec<nim_noc::Delivered> = Vec::new();
-        // Set once `stop_after` is reached: skipping is suppressed (per-
-        // cycle ticking is bit-identical by the skip-equivalence
-        // invariant) so the next epoch boundary is ticked and sampled
-        // exactly, making it a legal snapshot point.
-        let mut stopping = false;
         let result = 'run: loop {
             if self.engine.counters.l2_transactions >= target {
                 break Ok(true);
             }
-            if let Some(stop) = stop_after {
-                if self.engine.counters.l2_transactions >= stop {
-                    stopping = true;
-                    if self.obs.sample_every() == 0
-                        || self.obs.last_sample_cycle() == Some(self.fabric.net.now().0)
-                    {
-                        break Ok(false);
-                    }
-                }
+            if stop_after.is_some_and(|stop| self.engine.counters.l2_transactions >= stop)
+                && (self.obs.sample_every() == 0
+                    || self.obs.last_sample_cycle() == Some(self.fabric.net.now().0))
+            {
+                break Ok(false);
             }
             // A dried-up trace (every core halted) with nothing in flight
             // can never make progress; report it without spinning the
@@ -345,9 +327,6 @@ impl System {
                     cycle: self.fabric.net.now().0,
                     completed: self.engine.counters.l2_transactions,
                 });
-            }
-            if !stopping {
-                self.try_fast_forward();
             }
             self.fabric.net.tick();
             let now = self.fabric.net.now();
@@ -451,9 +430,8 @@ impl System {
         values.push(self.engine.counters.migrations as f64);
         values.push(net.packets_delivered as f64);
         values.push(net.flit_hops as f64);
-        // Cumulative phase buckets. These move only when a transaction
-        // completes — a delivery or timed event, never a dead cycle —
-        // so the columns stay bit-identical under horizon skipping.
+        // Cumulative phase buckets: they move only when a transaction
+        // completes.
         values.extend(self.engine.counters.phase_cycles().map(|c| c as f64));
         self.obs
             .record_sample_cols(now, &self.sample_buf.names, &self.sample_buf.values);
@@ -528,82 +506,5 @@ impl System {
         }
         self.obs
             .gauge_set("sim/cycles_per_sec", self.obs.cycles_per_sec());
-    }
-
-    /// The first cycle at which something outside the network acts: a
-    /// core's next tick that is not mid-burst or blocked
-    /// ([`InOrderCore::next_wakeup`]), the earliest timed event, the
-    /// earliest modeled delivery. Every cycle strictly before it can be
-    /// batch-advanced; `u64::MAX` means nothing is pending at all.
-    /// `None` when skipping is off, deliveries are waiting, or that
-    /// cycle is the very next one — cores are checked first because
-    /// they are the cheapest bound and, under steady load, the one that
-    /// almost always says "next cycle".
-    fn next_act_at(&self) -> Option<u64> {
-        if !self.skip || self.fabric.net.has_deliveries() {
-            return None;
-        }
-        let wake = self
-            .engine
-            .cores
-            .iter()
-            .map(InOrderCore::next_wakeup)
-            .min()
-            .unwrap_or(1);
-        if wake == 1 {
-            return None;
-        }
-        let now = self.fabric.net.now().0;
-        let mut next = now.saturating_add(wake);
-        if let Some(due) = self.fabric.shared.events.next_due() {
-            next = next.min(due);
-        }
-        if let Some(due) = self.fabric.modeled.next_due() {
-            next = next.min(due);
-        }
-        (next > now + 1).then_some(next)
-    }
-
-    /// Batch-advances the clock through a span it can prove is dead:
-    /// nothing outside the network acts ([`System::next_act_at`]) and
-    /// the network's own horizon ([`Network::next_event_at`]) says no
-    /// phase would fire — even with traffic still buffered in flight.
-    /// The skip lands one cycle *before* the earliest horizon, so the
-    /// very next `tick` replays exactly the cycle the naive loop would
-    /// have reached.
-    fn try_fast_forward(&mut self) {
-        let Some(mut next) = self.next_act_at() else {
-            return;
-        };
-        if let Some(t) = self.fabric.net.next_event_at() {
-            next = next.min(t.0);
-        }
-        let now = self.fabric.net.now().0;
-        if next <= now + 1 || next == u64::MAX {
-            // Either something needs attention next cycle, or everything
-            // is blocked with no pending horizon (the watchdog will catch
-            // a genuine deadlock).
-            return;
-        }
-        let end = next - 1;
-        for core in &mut self.engine.cores {
-            core.skip(end - now);
-        }
-        self.fabric.net.advance_to(Cycle(end));
-        self.replay_skipped_samples(end);
-    }
-
-    /// The naive loop records a sample row at every armed boundary it
-    /// ticks across; replay those rows after a dead-span skip so the
-    /// sampler output is bit-identical. No sampled column changes inside
-    /// a dead span, so each catch-up row carries the same values the
-    /// per-cycle loop would have snapshotted.
-    fn replay_skipped_samples(&mut self, to: u64) {
-        while let Some(boundary) = self.obs.next_sample_at() {
-            if boundary > to {
-                break;
-            }
-            self.record_obs_sample(boundary);
-        }
     }
 }

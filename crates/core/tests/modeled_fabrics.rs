@@ -6,32 +6,30 @@
 //!
 //! The flit-exact validation of the underlying zero-load model lives in
 //! `nim-noc`'s `fabric_equivalence` test; this file covers the system
-//! integration: delivery scheduling, stall detection, and horizon
-//! skipping over modeled deliveries.
+//! integration: delivery scheduling and stall detection.
 
 use nim_core::{FabricKind, RunReport, Scheme, SystemBuilder};
 use nim_workload::BenchmarkProfile;
 
-fn run_layers(kind: FabricKind, skip: bool, layers: u8) -> RunReport {
+fn run_layers(kind: FabricKind, layers: u8) -> RunReport {
     let mut sys = SystemBuilder::new(Scheme::CmpDnuca3d)
         .seed(42)
         .warmup_transactions(50)
         .sampled_transactions(400)
         .layers(layers)
         .fabric(kind)
-        .horizon_skipping(skip)
         .build()
         .expect("system builds");
     sys.run(&BenchmarkProfile::art()).expect("run completes")
 }
 
-fn run(kind: FabricKind, skip: bool) -> RunReport {
-    run_layers(kind, skip, 2)
+fn run(kind: FabricKind) -> RunReport {
+    run_layers(kind, 2)
 }
 
 #[test]
 fn modeled_fabrics_complete_whole_runs() {
-    let report = run(FabricKind::Ideal, true);
+    let report = run(FabricKind::Ideal);
     assert_eq!(report.counters.l2_transactions, 400);
     assert!(report.cycles > 0);
     // Traffic bypasses the flit-level network entirely, so its
@@ -47,8 +45,8 @@ fn ideal_fabric_is_no_slower_than_the_simulated_network() {
     // of the zero-load costs the two fabrics share: under load `sim`
     // must never beat `ideal`, on any of the paper's stacks.
     for layers in [2, 4, 8] {
-        let sim = run_layers(FabricKind::Sim, true, layers);
-        let ideal = run_layers(FabricKind::Ideal, true, layers);
+        let sim = run_layers(FabricKind::Sim, layers);
+        let ideal = run_layers(FabricKind::Ideal, layers);
         assert!(
             ideal.cycles <= sim.cycles,
             "{layers} layers: ideal {} cycles vs sim {}",
@@ -60,27 +58,16 @@ fn ideal_fabric_is_no_slower_than_the_simulated_network() {
 
 #[test]
 fn sim_fabric_still_simulates_flits() {
-    let report = run(FabricKind::Sim, true);
+    let report = run(FabricKind::Sim);
     assert!(report.network.packets_delivered > 0);
     assert!(report.network.flit_hops > 0);
 }
 
 #[test]
 fn modeled_runs_are_deterministic() {
-    let a = run(FabricKind::Ideal, true).fingerprint();
-    let b = run(FabricKind::Ideal, true).fingerprint();
+    let a = run(FabricKind::Ideal).fingerprint();
+    let b = run(FabricKind::Ideal).fingerprint();
     assert_eq!(a, b);
-}
-
-#[test]
-fn horizon_skipping_is_invisible_under_modeled_fabrics() {
-    // The fast-forward bound must treat a pending modeled delivery
-    // exactly like a network event: skipping may elide
-    // only cycles in which nothing observable happens.
-    let skipped = run(FabricKind::Ideal, true);
-    let naive = run(FabricKind::Ideal, false);
-    assert_eq!(skipped.fingerprint(), naive.fingerprint());
-    assert_eq!(skipped.cycles, naive.cycles);
 }
 
 #[test]

@@ -21,12 +21,6 @@
 //! Routers with no buffered flits are skipped entirely via a dirty set,
 //! buses with nothing queued via an active-pillar set (both bitmaps,
 //! walked in id order), which keeps big idle meshes cheap to tick.
-//!
-//! Beyond per-cycle ticking, [`Network::next_event_at`] reports the
-//! earliest future cycle at which any phase could change state, and
-//! [`Network::advance_to`] batch-advances the clock across the provably
-//! dead span before it — the hook `System::run` uses to skip serialisation
-//! stalls and event waits even with traffic in flight.
 
 mod bus_phase;
 mod injection;
@@ -401,77 +395,10 @@ impl Network {
         }
     }
 
-    /// Batch-advances the clock to `to` without running per-cycle phases,
-    /// even with traffic in flight.
-    ///
-    /// Callers must only jump across provably-dead spans: `to` must lie
-    /// strictly before [`Network::next_event_at`], so that every skipped
-    /// cycle would have been a no-op tick.
-    pub fn advance_to(&mut self, to: Cycle) {
-        debug_assert!(to.0 >= self.now.0, "advance_to moving backwards");
-        debug_assert!(
-            self.next_event_at().is_none_or(|t| to.0 < t.0),
-            "advance_to({}) skips a cycle where a phase fires",
-            to.0
-        );
-        self.now = to;
-        self.obs.set_now(self.now.0);
-    }
-
-    /// The earliest future cycle at which any phase could change state —
-    /// the next-event horizon — or `None` when the network is idle.
-    ///
-    /// The bound is exact-or-early, never late: the returned cycle may
-    /// turn out to be a no-op (a speculative bus grant or switch
-    /// allocation can still fail on VC backpressure, which mutates
-    /// nothing), but every cycle strictly before it is provably dead, so
-    /// [`Network::advance_to`] may jump to `horizon - 1` unconditionally.
+    // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+    #[doc(hidden)]
     pub fn next_event_at(&self) -> Option<Cycle> {
-        if self.is_idle() {
-            return None;
-        }
-        let next = self.now.0 + 1;
-        // Injection streams one flit per cycle while packets pend, and a
-        // front flit moves once it has dwelt `router_latency` cycles; the
-        // scan stops at the first thing already due.
-        if !self.inj_active.is_empty() {
-            return Some(Cycle(next));
-        }
-        let mut earliest = u64::MAX;
-        for n in self.dirty.iter() {
-            for (_, _, f) in self.routers[n].fronts(&self.arena) {
-                let movable = f.arrived.0 + self.router_latency;
-                if movable <= next {
-                    return Some(Cycle(next));
-                }
-                earliest = earliest.min(movable);
-            }
-        }
-        // A bus grants once it is free of any serialisation window and a
-        // queued flit has dwelt one cycle at its transceiver interface.
-        for b in self.bus_active.iter() {
-            earliest = earliest.min(self.bus_next_grant(b).max(next));
-        }
-        // Flits in flight always sit in some queue the scans above cover;
-        // fall back to the very next cycle rather than ever over-skipping.
-        Some(Cycle(if earliest == u64::MAX { next } else { earliest }))
-    }
-
-    /// The earliest cycle bus `b` could grant: a queued flit has dwelt
-    /// one cycle at its transceiver interface and the bus is free of its
-    /// serialisation window. `u64::MAX` when nothing is queued.
-    fn bus_next_grant(&self, b: usize) -> u64 {
-        let mut front = u64::MAX;
-        for iface in self.bus_ifaces(b) {
-            if let Some(f) = iface.q.front(&self.arena) {
-                front = front.min(f.arrived.0 + 1);
-            }
-        }
-        if front == u64::MAX {
-            front
-        } else {
-            front.max(self.bus_ready_at[b])
-        }
+        None
     }
 
     /// Advances the network by one clock cycle.

@@ -216,8 +216,8 @@ impl Router {
     }
 
     /// The front flit of every non-empty VC, in ascending (port, VC)
-    /// order, as `(vc_bit, cached output port, flit)` — the one scan
-    /// behind switch allocation and every next-event horizon.
+    /// order, as `(vc_bit, cached output port, flit)` — the scan behind
+    /// switch allocation.
     #[inline]
     pub(crate) fn fronts<'a>(
         &'a self,

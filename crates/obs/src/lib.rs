@@ -269,9 +269,9 @@ impl Obs {
     }
 
     /// Whether an epoch boundary has been reached or passed at `now`.
-    /// The driver loop checks this each iteration and calls
-    /// [`Obs::record_sample`] when true; skipped epochs (fast-forward)
-    /// collapse into one snapshot at the next aligned boundary.
+    /// The driver loop checks this every cycle and records a sample when
+    /// true; a caller that samples late takes one snapshot and the next
+    /// boundary realigns to the epoch grid.
     #[inline]
     pub fn sample_due(&self, now: u64) -> bool {
         match &self.inner {
@@ -280,10 +280,9 @@ impl Obs {
         }
     }
 
-    /// The next armed epoch boundary, or `None` when sampling is off.
-    /// Drivers that batch-advance the clock use this to emit catch-up
-    /// snapshots at every boundary inside the skipped span, keeping the
-    /// sample timeline identical to per-cycle execution.
+    /// The next armed epoch boundary, or `None` when sampling is off —
+    /// the sample cursor a snapshot records and
+    /// [`Obs::restore_sampler_state`] re-arms.
     #[inline]
     pub fn next_sample_at(&self) -> Option<u64> {
         match &self.inner {
@@ -582,7 +581,7 @@ mod tests {
         assert!(obs.sample_due(100));
         obs.record_sample(100, &[("m", 1.0)]);
         assert!(!obs.sample_due(150));
-        // A fast-forward past several epochs samples once, then re-aligns.
+        // A sample taken several epochs late is one row, then re-aligns.
         assert!(obs.sample_due(437));
         obs.record_sample(437, &[("m", 2.0)]);
         assert!(!obs.sample_due(499));

@@ -68,8 +68,8 @@ fn epoch_sampler_aligns_after_gaps() {
     assert!(!obs.sample_due(1999));
     assert!(obs.sample_due(2000));
 
-    // A long idle fast-forward skips epochs 2..=7; one snapshot is taken
-    // late and the next boundary realigns to the grid.
+    // A caller that misses epochs 2..=7 takes one snapshot late and the
+    // next boundary realigns to the grid.
     obs.record_sample(7321, &[("a", 2.0)]);
     assert!(!obs.sample_due(7999));
     assert!(obs.sample_due(8000));

@@ -12,7 +12,7 @@
 //!   table and the route-cost metric included.
 //! * [`placement`] — [`PlacementPolicy`] and the seating of CPUs.
 //! * [`floorplan`] — what occupies each tile, for the thermal model.
-//! * [`topology`] — [`MeshTopology`] (layout + router latency).
+//! * [`topology`] — names the frozen benchmark compiles against.
 //!
 //! # Examples
 //!

