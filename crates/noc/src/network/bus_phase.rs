@@ -80,10 +80,9 @@ impl Network {
                         waiting: eligible as u32,
                     });
             }
-            let mut f = self.ifaces[src]
-                .q
-                .pop_front(&self.arena)
-                .expect("front checked");
+            // The flit read above moves; its slot is not read again.
+            self.ifaces[src].q.advance();
+            let mut f = front;
             // `arrived` still holds the bus-enqueue stamp: the span up
             // to this grant is time spent waiting for a dTDMA slot.
             f.bus_wait += (now.0 - f.arrived.0) as u32;

@@ -12,12 +12,14 @@
 //! bitmask per output; only outputs that are requested or held are
 //! served, in ascending [`Dir::index`] order — the order `Dir::ALL`
 //! gives, so outputs contend for inputs exactly as if every port were
-//! probed (DESIGN.md §6e has the full argument).
+//! probed (DESIGN.md §6e has the full argument). A move reads its flit
+//! once: the winner's front is copied out, decided on, and dropped from
+//! its VC by `Router::drop_front` without another arena read.
 
 use nim_obs::{Category, EventData};
 use nim_types::{bits, Cycle, Dir};
 
-use crate::packet::TrafficClass;
+use crate::packet::{Flit, TrafficClass};
 use crate::router::{vc_bit, Hold};
 
 use super::{c3, Network};
@@ -74,16 +76,15 @@ impl Network {
             if *used >> vc_bit(in_dir, 0) & 0xff != 0 {
                 return;
             }
-            let Some(front) = self.routers[n].vc(in_dir, vc).fifo.front(&self.arena) else {
+            let Some(&front) = self.routers[n].vc(in_dir, vc).fifo.front(&self.arena) else {
                 return;
             };
             if front.pkt != hold.pkt || front.arrived.0 + self.router_latency > now.0 {
                 return;
             }
-            let is_tail = front.kind.is_tail();
-            if self.try_move(n, in_dir, vc, out, now) {
+            if self.try_move(n, in_dir, vc, out, front, now) {
                 *used |= 0xff << vc_bit(in_dir, 0);
-                if is_tail {
+                if front.kind.is_tail() {
                     self.routers[n].set_hold(oi, None);
                 }
             } else {
@@ -96,7 +97,10 @@ impl Network {
         if eligible == 0 {
             return;
         }
-        self.stats.switch_contention += u64::from(eligible.count_ones() - 1);
+        // Most outputs see one request; only several cost a popcount.
+        if eligible & (eligible - 1) != 0 {
+            self.stats.switch_contention += u64::from(eligible.count_ones() - 1);
+        }
         let at_or_after = eligible & (!0 << self.routers[n].rr[oi]);
         let bit = if at_or_after != 0 {
             at_or_after.trailing_zeros()
@@ -104,20 +108,19 @@ impl Network {
             eligible.trailing_zeros()
         } as usize;
         let (in_dir, vc) = (bit >> 3, bit & 7);
-        let front = self.routers[n]
+        let front = *self.routers[n]
             .vc(in_dir, vc)
             .fifo
             .front(&self.arena)
             .expect("requesting VC has a front flit");
-        let (pkt, is_tail) = (front.pkt, front.kind.is_tail());
-        if self.try_move(n, in_dir, vc, out, now) {
+        if self.try_move(n, in_dir, vc, out, front, now) {
             *used |= 0xff << vc_bit(in_dir, 0);
             let router = &mut self.routers[n];
-            if !is_tail {
+            if !front.kind.is_tail() {
                 router.set_hold(
                     oi,
                     Some(Hold {
-                        pkt,
+                        pkt: front.pkt,
                         in_dir: in_dir as u8,
                         vc: vc as u8,
                     }),
@@ -129,13 +132,22 @@ impl Network {
         }
     }
 
-    /// Attempts to move the front flit of `(in_dir, vc)` through `out`.
-    /// Returns `false` when downstream has no space or no free VC
-    /// (speculation failure — retry next cycle).
-    fn try_move(&mut self, n: usize, in_dir: usize, vc: usize, out: Dir, now: Cycle) -> bool {
+    /// Attempts to move `f`, the front flit of `(in_dir, vc)` as the
+    /// caller read it, through `out`; the VC then drops its front without
+    /// reading it again. Returns `false` when downstream has no space or
+    /// no free VC (speculation failure — retry next cycle).
+    fn try_move(
+        &mut self,
+        n: usize,
+        in_dir: usize,
+        vc: usize,
+        out: Dir,
+        mut f: Flit,
+        now: Cycle,
+    ) -> bool {
         match out {
             Dir::Local => {
-                let f = self.routers[n].pop(&self.arena, in_dir, vc);
+                self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
                 self.deliver(n, f, now);
                 return true;
             }
@@ -149,7 +161,7 @@ impl Network {
                 if self.ifaces[slot].q.is_full() {
                     return false;
                 }
-                let mut f = self.routers[n].pop(&self.arena, in_dir, vc);
+                self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
                 f.arrived = now;
                 self.ifaces[slot].q.push_back(&mut self.arena, f);
                 self.touched_buses.insert(bus_idx);
@@ -159,21 +171,16 @@ impl Network {
                 let dest_idx = self.routers[n].next[out.index()] as usize;
                 debug_assert_ne!(dest_idx, n);
                 let ii = out.opposite().index();
-                let front = self.routers[n]
-                    .vc(in_dir, vc)
-                    .fifo
-                    .front(&self.arena)
-                    .expect("front checked");
                 let dest = &self.routers[dest_idx];
-                let dvc = if front.kind.is_head() {
+                let dvc = if f.kind.is_head() {
                     dest.free_vc(ii)
                 } else {
-                    dest.continuation_vc(ii, front.pkt)
+                    dest.continuation_vc(ii, f.pkt)
                 };
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                let mut f = self.routers[n].pop(&self.arena, in_dir, vc);
+                self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
                 f.arrived = now;
                 f.hops += 1;
                 self.routers[dest_idx].push(&mut self.arena, &self.rt, ii, dvc, f);

@@ -276,19 +276,20 @@ impl FlitFifo {
         }
     }
 
-    /// Removes and returns the oldest queued flit.
+    /// Drops the oldest queued flit — the one the caller already read
+    /// through [`front`](Self::front) — without reading the arena again.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) when empty.
     #[inline]
-    pub(crate) fn pop_front(&mut self, arena: &FlitArena) -> Option<Flit> {
-        if self.len == 0 {
-            return None;
-        }
-        let f = arena.slots[self.slot(0)];
+    pub(crate) fn advance(&mut self) {
+        debug_assert!(!self.is_empty(), "advance on an empty flit FIFO");
         self.head += 1;
         if self.head == self.cap {
             self.head = 0;
         }
         self.len -= 1;
-        Some(f)
     }
 }
 
@@ -410,9 +411,10 @@ mod tests {
             assert!(q.is_full());
             assert_eq!(q.len(), 2);
             assert_eq!(q.front(&arena).unwrap().token, round);
-            assert_eq!(q.pop_front(&arena).unwrap().token, round);
-            assert_eq!(q.pop_front(&arena).unwrap().token, round + 100);
-            assert_eq!(q.pop_front(&arena), None);
+            q.advance();
+            assert_eq!(q.front(&arena).unwrap().token, round + 100);
+            q.advance();
+            assert_eq!(q.front(&arena), None);
         }
     }
 

@@ -18,15 +18,16 @@
 //! over VC slots: `occ` (non-empty VCs), `owned` (VCs a packet holds) and
 //! `held_mask` (outputs streaming a packet). A VC's bit is
 //! `in_dir * 8 + vc` — eight bits per port whatever the VC count, which
-//! `SystemConfig::validate` caps at 8. [`Router::push`] and
-//! [`Router::pop`] are the only code that moves a flit in or out of a
-//! VC, which keeps masks and `occupancy` exact by construction; none of
-//! it is serialized (DESIGN.md §6e).
+//! `SystemConfig::validate` caps at 8 — and the VC record itself sits at
+//! that bit's slot of a fixed 64-slot array. [`Router::push`] and
+//! [`Router::drop_front`] are the only code that moves a flit in or out
+//! of a VC, which keeps masks and `occupancy` exact by construction;
+//! none of it is serialized (DESIGN.md §6e).
 
 use nim_types::{bits, Coord, Dir, PacketId};
 
 use crate::packet::{Flit, FlitArena, FlitFifo};
-use crate::routing::Routing;
+use crate::routing::{route_reference, Routing};
 use crate::vc::Vc;
 
 /// An output port held by an in-flight packet (wormhole: once a head flit
@@ -46,6 +47,18 @@ nim_types::codec_struct!(Hold { pkt, in_dir, vc });
 #[inline]
 pub(crate) fn vc_bit(in_dir: usize, vc: usize) -> usize {
     in_dir << 3 | vc
+}
+
+/// VC slots per router: eight per port, one per mask bit.
+const SLOTS: usize = Dir::COUNT * 8;
+
+/// The slot of VC `vc` of port `in_dir`: its mask bit, masked so the
+/// index needs no bounds check (`in_dir < 8` and `vc < 8` make the mask a
+/// no-op).
+#[inline]
+fn vc_slot(in_dir: usize, vc: usize) -> usize {
+    debug_assert!(in_dir < Dir::COUNT && vc < 8, "VC ({in_dir}, {vc})");
+    vc_bit(in_dir, vc) & (SLOTS - 1)
 }
 
 /// One router: a flat array of input VCs plus switch-allocation state.
@@ -71,9 +84,9 @@ pub(crate) struct Router {
     /// Per-output round-robin arbitration pointer: the [`vc_bit`]
     /// position that wins arbitration first.
     pub rr: [u8; Dir::COUNT],
-    /// Every input VC, indexed `in_dir * vcs_per_port + vc`; the slots of
-    /// ports that do not exist are [`Vc::ABSENT`].
-    vcs: Box<[Vc]>,
+    /// Every input VC at its [`vc_bit`]; the slots of ports that do not
+    /// exist, and of VCs past `vcs_per_port`, are [`Vc::ABSENT`].
+    vcs: [Vc; SLOTS],
 }
 
 impl Router {
@@ -86,11 +99,11 @@ impl Router {
         depth: usize,
     ) -> Self {
         assert!((1..=8).contains(&vcs), "1 to 8 VCs per port");
-        let mut slots = vec![Vc::ABSENT; Dir::COUNT * vcs].into_boxed_slice();
+        let mut slots = [Vc::ABSENT; SLOTS];
         let mut mask = 0u8;
         for d in ports {
             mask |= 1 << d.index();
-            for vc in &mut slots[d.index() * vcs..][..vcs] {
+            for vc in &mut slots[vc_bit(d.index(), 0)..][..vcs] {
                 vc.fifo = FlitFifo::new(arena, depth);
             }
         }
@@ -138,7 +151,7 @@ impl Router {
 
     #[inline]
     pub(crate) fn vc(&self, in_dir: usize, vc: usize) -> &Vc {
-        &self.vcs[in_dir * self.vcs_per_port() + vc]
+        &self.vcs[vc_slot(in_dir, vc)]
     }
 
     /// Index of a VC of port `in_dir` a new packet's head flit may
@@ -176,7 +189,7 @@ impl Router {
         flit: Flit,
     ) {
         let bit = 1u64 << vc_bit(in_dir, vc);
-        let slot = &mut self.vcs[in_dir * self.vcs_per_port as usize + vc];
+        let slot = &mut self.vcs[vc_slot(in_dir, vc)];
         if flit.kind.is_head() {
             debug_assert!(slot.is_free(), "head flit into occupied VC");
             slot.owner = Some(flit.pkt);
@@ -193,26 +206,27 @@ impl Router {
         self.occupancy += 1;
     }
 
-    /// Pops the front flit of VC `vc` of port `in_dir`.
+    /// Drops the front flit of VC `vc` of port `in_dir`: the flit the
+    /// caller has already read and moved, `tail` telling whether it was
+    /// a tail (which releases the VC).
     ///
     /// # Panics
     ///
-    /// Panics if the VC is empty.
+    /// Panics (debug) if the VC is empty.
     #[inline]
-    pub(crate) fn pop(&mut self, arena: &FlitArena, in_dir: usize, vc: usize) -> Flit {
+    pub(crate) fn drop_front(&mut self, in_dir: usize, vc: usize, tail: bool) {
         let bit = 1u64 << vc_bit(in_dir, vc);
-        let slot = &mut self.vcs[in_dir * self.vcs_per_port as usize + vc];
-        let flit = slot.fifo.pop_front(arena).expect("pop from an empty VC");
+        let slot = &mut self.vcs[vc_slot(in_dir, vc)];
+        slot.fifo.advance();
         if slot.fifo.is_empty() {
             self.occ &= !bit;
         }
-        if flit.kind.is_tail() {
+        if tail {
             debug_assert!(slot.fifo.is_empty(), "flits behind a tail");
             slot.owner = None;
             self.owned &= !bit;
         }
         self.occupancy -= 1;
-        flit
     }
 
     /// The front flit of every non-empty VC, in ascending (port, VC)
@@ -281,7 +295,7 @@ impl Router {
         owner: Option<PacketId>,
     ) {
         let bit = 1u64 << vc_bit(in_dir, vc);
-        let slot = &mut self.vcs[in_dir * self.vcs_per_port as usize + vc];
+        let slot = &mut self.vcs[vc_slot(in_dir, vc)];
         debug_assert!(slot.is_free());
         for &f in flits {
             slot.fifo.push_back(arena, f);
@@ -298,7 +312,9 @@ impl Router {
     }
 
     /// Asserts that the masks, counters and cached routes agree with the
-    /// VC contents they summarise. Returns the buffered flit count.
+    /// VC contents they summarise; a cached route is checked against
+    /// [`route_reference`], not the `route` that filled it. Returns the
+    /// buffered flit count.
     ///
     /// # Panics
     ///
@@ -306,22 +322,28 @@ impl Router {
     pub(crate) fn check_invariants(&self, arena: &FlitArena, rt: &Routing) -> u64 {
         let at = self.coord;
         let mut flits = 0;
-        for in_dir in 0..Dir::COUNT {
-            for v in 0..self.vcs_per_port() {
-                let (vc, bit) = (self.vc(in_dir, v), 1u64 << vc_bit(in_dir, v));
-                let what = format_args!("{at} port {in_dir} VC {v}");
-                assert!(self.has_port(in_dir) || vc.fifo.capacity() == 0, "{what}");
-                assert_eq!(self.occ & bit != 0, !vc.fifo.is_empty(), "{what}: occ bit");
-                assert_eq!(
-                    self.owned & bit != 0,
-                    vc.owner.is_some(),
-                    "{what}: owner bit"
-                );
-                if let Some(f) = vc.fifo.front(arena) {
-                    assert_eq!(vc.out, rt.out(at, f.dst, f.via), "{what}: cached route");
-                }
-                flits += vc.fifo.len() as u64;
+        for (bit, vc) in self.vcs.iter().enumerate() {
+            let (in_dir, v) = (bit >> 3, bit & 7);
+            let what = format_args!("{at} port {in_dir} VC {v}");
+            assert!(
+                self.has_port(in_dir) && v < self.vcs_per_port() || vc.fifo.capacity() == 0,
+                "{what}"
+            );
+            assert_eq!(
+                self.occ >> bit & 1 != 0,
+                !vc.fifo.is_empty(),
+                "{what}: occ bit"
+            );
+            assert_eq!(
+                self.owned >> bit & 1 != 0,
+                vc.owner.is_some(),
+                "{what}: owner bit"
+            );
+            if let Some(f) = vc.fifo.front(arena) {
+                let want = route_reference(&rt.layout, rt.mode, at, f.dst, f.via);
+                assert_eq!(vc.out, want, "{what}: cached route");
             }
+            flits += vc.fifo.len() as u64;
         }
         assert_eq!(u64::from(self.occupancy), flits, "{at}: occupancy");
         assert_eq!(
@@ -382,6 +404,111 @@ mod tests {
             6,
             "5-port mesh router + 1 vertical (paper §3.1)"
         );
+    }
+
+    /// What the removed `Router::pop` did: read the front flit, advance
+    /// the FIFO, clear the occupancy bit when it empties, and release
+    /// the VC by the kind of the flit it read.
+    fn pop_reference(r: &mut Router, arena: &FlitArena, in_dir: usize, vc: usize) -> Flit {
+        let bit = 1u64 << vc_bit(in_dir, vc);
+        let v = &mut r.vcs[vc_slot(in_dir, vc)];
+        let flit = *v.fifo.front(arena).expect("pop from an empty VC");
+        v.fifo.advance();
+        if v.fifo.is_empty() {
+            r.occ &= !bit;
+        }
+        if flit.kind.is_tail() {
+            v.owner = None;
+            r.owned &= !bit;
+        }
+        r.occupancy -= 1;
+        flit
+    }
+
+    #[test]
+    fn drop_front_after_front_leaves_the_state_pop_left() {
+        use crate::packet::{FlitKind, TrafficClass};
+        use crate::routing::VerticalMode;
+        use nim_topology::ChipLayout;
+        use nim_types::{Cycle, SystemConfig};
+
+        let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
+        let rt = Routing::new(&layout, VerticalMode::Pillars);
+        let mut arena = FlitArena::default();
+        let e = Dir::East.index();
+        let mut a = Router::new(&mut arena, Coord::new(1, 1, 0), &[Dir::East], 2, 4);
+        let mut b = Router::new(&mut arena, Coord::new(1, 1, 0), &[Dir::East], 2, 4);
+        let flit = |pkt: u64, seq: u32, len: u32| Flit {
+            pkt: PacketId(pkt),
+            kind: FlitKind::for_position(seq, len),
+            src: Coord::new(0, 1, 0),
+            dst: Coord::new(3, 2, 0),
+            via: None,
+            class: TrafficClass::Data,
+            token: pkt,
+            injected: Cycle::ZERO,
+            arrived: Cycle(u64::from(seq)),
+            hops: 0,
+            bus_wait: 0,
+        };
+        // Each step pushes (packet, flit number, packet length) into a
+        // VC, or pops a VC: HeadTail packets and 4-flit packets, a VC
+        // drained mid-packet, and two VCs live at once.
+        enum Step {
+            Push(usize, u64, u32, u32),
+            Pop(usize),
+        }
+        use Step::{Pop, Push};
+        let script = [
+            Push(0, 1, 0, 1),
+            Push(1, 2, 0, 4),
+            Pop(0),
+            Push(1, 2, 1, 4),
+            Pop(1),
+            Pop(1),
+            Push(0, 3, 0, 1),
+            Push(1, 2, 2, 4),
+            Push(1, 2, 3, 4),
+            Pop(0),
+            Pop(1),
+            Push(0, 4, 0, 4),
+            Pop(1),
+            Push(1, 5, 0, 1),
+            Push(0, 4, 1, 4),
+            Push(0, 4, 2, 4),
+            Pop(0),
+            Pop(1),
+            Push(0, 4, 3, 4),
+            Pop(0),
+            Pop(0),
+            Pop(0),
+        ];
+        for (i, step) in script.into_iter().enumerate() {
+            match step {
+                Push(vc, pkt, seq, len) => {
+                    for r in [&mut a, &mut b] {
+                        r.push(&mut arena, &rt, e, vc, flit(pkt, seq, len));
+                    }
+                }
+                Pop(vc) => {
+                    let popped = pop_reference(&mut a, &arena, e, vc);
+                    let front = *b.vc(e, vc).fifo.front(&arena).unwrap();
+                    b.drop_front(e, vc, front.kind.is_tail());
+                    assert_eq!(front, popped, "step {i}");
+                }
+            }
+            assert_eq!(
+                (a.occ, a.owned, a.occupancy),
+                (b.occ, b.owned, b.occupancy),
+                "step {i}"
+            );
+            for vc in 0..2 {
+                assert_eq!(a.vc(e, vc).owner, b.vc(e, vc).owner, "step {i} VC {vc}");
+                assert_eq!(a.vc(e, vc).fifo.len(), b.vc(e, vc).fifo.len(), "step {i}");
+            }
+            b.check_invariants(&arena, &rt);
+        }
+        assert_eq!((b.occ, b.owned, b.occupancy), (0, 0, 0), "script drains");
     }
 
     #[test]

@@ -21,12 +21,12 @@ use crate::packet::FlitFifo;
 /// One virtual channel: a bounded FIFO owned by at most one packet.
 ///
 /// Plain data: [`Router::push`](crate::router::Router::push) and
-/// [`Router::pop`](crate::router::Router::pop) run the owner protocol,
-/// together with the router masks that summarise it.
+/// [`Router::drop_front`](crate::router::Router::drop_front) run the
+/// owner protocol, together with the router masks that summarise it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Vc {
     pub fifo: FlitFifo,
-    /// The packet whose head flit allocated the VC, until its tail pops.
+    /// The packet whose head flit allocated the VC, until its tail leaves.
     pub owner: Option<PacketId>,
     /// Look-ahead route of the packet the VC holds: the output port its
     /// flits request at this router. A head flit only ever enters an
@@ -94,6 +94,13 @@ mod tests {
         (arena, Routing::new(&layout, VerticalMode::Pillars), r)
     }
 
+    /// Reads the front flit of `(in_dir, vc)` and drops it, as a move does.
+    fn take(r: &mut Router, arena: &FlitArena, in_dir: usize, vc: usize) -> Flit {
+        let f = *r.vc(in_dir, vc).fifo.front(arena).expect("non-empty VC");
+        r.drop_front(in_dir, vc, f.kind.is_tail());
+        f
+    }
+
     #[test]
     fn ownership_lifecycle() {
         let (mut arena, rt, mut r) = one_port(1);
@@ -106,13 +113,13 @@ mod tests {
         r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Body));
         r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Tail));
         assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(1)), "full");
-        assert_eq!(r.pop(&arena, EAST, 0).kind, FlitKind::Head);
-        assert_eq!(r.pop(&arena, EAST, 0).kind, FlitKind::Body);
-        assert!(!r.vc(EAST, 0).is_free(), "owner retained until tail pops");
+        assert_eq!(take(&mut r, &arena, EAST, 0).kind, FlitKind::Head);
+        assert_eq!(take(&mut r, &arena, EAST, 0).kind, FlitKind::Body);
+        assert!(!r.vc(EAST, 0).is_free(), "owner retained until tail leaves");
         assert_eq!(r.free_vc(EAST), None, "drained for now, but still owned");
-        r.pop(&arena, EAST, 0);
-        r.pop(&arena, EAST, 0);
-        assert!(r.vc(EAST, 0).is_free(), "tail pop releases ownership");
+        take(&mut r, &arena, EAST, 0);
+        take(&mut r, &arena, EAST, 0);
+        assert!(r.vc(EAST, 0).is_free(), "tail leaving releases ownership");
         r.check_invariants(&arena, &rt);
     }
 
@@ -121,7 +128,7 @@ mod tests {
         let (mut arena, rt, mut r) = one_port(1);
         r.push(&mut arena, &rt, EAST, 0, flit(9, FlitKind::HeadTail));
         assert!(!r.vc(EAST, 0).is_free());
-        r.pop(&arena, EAST, 0);
+        take(&mut r, &arena, EAST, 0);
         assert!(r.vc(EAST, 0).is_free());
     }
 
