@@ -105,6 +105,8 @@ pub struct NucaL2 {
     /// [`NucaL2::locate`] sits on the per-transaction hot path and the
     /// keys are trusted line addresses.
     resident: FxHashMap<LineAddr, ClusterId>,
+    /// Line slots across every bank (the most `resident` can hold).
+    slots: usize,
     /// Lines mid-migration: line → destination cluster.
     migrating: FxHashMap<LineAddr, ClusterId>,
     /// Read-only replicas: line → clusters holding extra copies.
@@ -124,6 +126,7 @@ impl NucaL2 {
                 .map(|i| Cluster::new(ClusterId(i as u16), &map, l2.ways))
                 .collect(),
             resident: FxHashMap::default(),
+            slots: l2.clusters as usize * l2.lines_per_cluster() as usize,
             migrating: FxHashMap::default(),
             replicas: FxHashMap::default(),
             stats: L2Stats::default(),
@@ -317,6 +320,19 @@ impl NucaL2 {
                     to: u32::from(to.0),
                 });
         }
+    }
+
+    /// Sizes the residency map for `lines` more resident lines, clamped
+    /// to the L2's line count, so a fill of a known working set (the
+    /// prewarm) grows it once instead of rehashing at every doubling.
+    pub fn reserve(&mut self, lines: usize) {
+        let room = self.slots - self.resident.len();
+        self.resident.reserve(lines.min(room));
+    }
+
+    /// Resident lines the residency map holds before it must grow.
+    pub fn residency_capacity(&self) -> usize {
+        self.resident.capacity()
     }
 
     /// Total resident lines.

@@ -201,3 +201,22 @@ proptest! {
         prop_assert_eq!(assert_laws(&stats), stats);
     }
 }
+
+#[test]
+fn a_reserve_clamped_to_the_l2_is_never_outgrown() {
+    // 16 clusters × 1 bank × 4 KB = 1 024 line slots.
+    let mut l2 = NucaL2::new(&L2Config {
+        banks_per_cluster: 1,
+        bank_bytes: 4096,
+        ..L2Config::default()
+    });
+    l2.reserve(usize::MAX);
+    let capacity = l2.residency_capacity();
+    assert!((1024..2048).contains(&capacity), "clamped: {capacity}");
+    // Lines 0..1024 fill every way of every set exactly.
+    for i in 0..1024u64 {
+        assert_eq!(l2.insert(LineAddr(i)).evicted, None);
+    }
+    assert_eq!(l2.occupancy(), 1024);
+    assert_eq!(l2.residency_capacity(), capacity, "the map never grew");
+}

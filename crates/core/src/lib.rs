@@ -46,6 +46,7 @@ pub mod experiments;
 mod fabric;
 pub mod parallel;
 mod policy;
+mod prewarm;
 mod protocol;
 mod report;
 mod scheme;

@@ -20,7 +20,6 @@ use nim_cpu::{InOrderCore, MemRequest};
 use nim_obs::{Category, EventData};
 use nim_topology::{ChipLayout, CpuSeat};
 use nim_types::{AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr, PillarId};
-use nim_workload::{cpu_regions, shared_region, BenchmarkProfile};
 
 use crate::error::RunError;
 use crate::fabric::{ClaimedDelay, Delivered, Fabric};
@@ -860,82 +859,5 @@ impl Engine {
             }
         }
         Ok(())
-    }
-
-    // ----- warm-up --------------------------------------------------------
-
-    /// Installs the workload's working set before simulation, standing in
-    /// for the paper's 500 M-cycle warm-up run: the shared region goes to
-    /// the L2 at its home clusters; each CPU's private regions go where
-    /// the migration policy would have pulled them by the end of the
-    /// warm-up (for migrating schemes) or to their home clusters (for the
-    /// static scheme); hot and code sets additionally fill the owning
-    /// CPU's L1s, with the directory kept consistent. Pure state setup —
-    /// no cycles pass, no packets fly.
-    pub(crate) fn prewarm(&mut self, profile: &BenchmarkProfile) {
-        let line_bytes = self.line_bytes;
-        let install = |eng: &mut Engine, addr: nim_types::Address, owner: Option<CpuId>| {
-            let line = addr.line(line_bytes);
-            if eng.l2.locate(line).is_none() {
-                let cluster = match owner {
-                    Some(cpu) if eng.policy.migrates => {
-                        eng.steady_cluster(cpu, eng.l2.home_cluster(line))
-                    }
-                    _ => eng.l2.home_cluster(line),
-                };
-                let placed = eng.l2.insert_at(line, cluster);
-                if let Some(victim) = placed.evicted {
-                    for sharer in eng.dir.invalidate_all(victim).iter() {
-                        eng.cores[sharer.index()].invalidate(victim);
-                    }
-                }
-            }
-            line
-        };
-        // Bulk data first so later hot/code installs win any conflicts.
-        for addr in shared_region(profile).line_addrs().collect::<Vec<_>>() {
-            install(self, addr, None);
-        }
-        for i in 0..self.cores.len() {
-            let cpu = CpuId::from_index(i);
-            let regions = cpu_regions(profile, cpu);
-            for addr in regions.stream.line_addrs().collect::<Vec<_>>() {
-                install(self, addr, Some(cpu));
-            }
-        }
-        for i in 0..self.cores.len() {
-            let cpu = CpuId::from_index(i);
-            let regions = cpu_regions(profile, cpu);
-            for addr in regions.hot.line_addrs().collect::<Vec<_>>() {
-                let line = install(self, addr, Some(cpu));
-                if let Some(evicted) = self.cores[i].prefill(addr, AccessKind::Read) {
-                    self.dir.evict(cpu, evicted);
-                }
-                self.dir.access(cpu, line, DirAccess::Read);
-            }
-            for addr in regions.code.line_addrs().collect::<Vec<_>>() {
-                install(self, addr, Some(cpu));
-                self.cores[i].prefill(addr, AccessKind::IFetch);
-            }
-        }
-    }
-
-    /// Where the migration policy eventually parks a line that starts in
-    /// `from` and is accessed only by `cpu` (the fixed point of repeated
-    /// single-step migrations).
-    fn steady_cluster(&self, cpu: CpuId, from: ClusterId) -> ClusterId {
-        let seat = self.seats[cpu.index()];
-        let acc_cluster = self.layout.cluster_of(seat.coord);
-        let own_bit = 1u64 << cpu.index();
-        let cluster_cpus = &self.cluster_cpus;
-        let occupied = move |cl: ClusterId| cluster_cpus[cl.index()] & !own_bit != 0;
-        let mut cur = from;
-        for _ in 0..64 {
-            match migration_target(&self.layout, cur, acc_cluster, seat.pillar, &occupied) {
-                Some(next) => cur = next,
-                None => break,
-            }
-        }
-        cur
     }
 }

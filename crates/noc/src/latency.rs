@@ -28,8 +28,10 @@
 //! serialisation cycles for each predecessor —
 //! `bus_wait = 1 + (n - 1)·(k - 1)`.
 //!
-//! When no pillar is pinned (`via == None`) the engine re-picks the
-//! nearest pillar at every router; the model replays that greedy walk
+//! With a pinned pillar (`via == Some(p)`) every XY step shortens the
+//! Manhattan distance to `p` by one, so `m1` is that distance. When no
+//! pillar is pinned (`via == None`) the engine re-picks the nearest
+//! pillar at every router; the model replays that greedy walk
 //! decision-for-decision, so the two agree even when the walk commits
 //! to a different pillar than the source's nearest.
 //!
@@ -82,19 +84,31 @@ pub fn zero_load_path(
             pillar: None,
         };
     }
-    // Replay the greedy per-hop pillar walk of `routing::route`: every
-    // router steps XY towards `via`, or towards its *own* nearest
-    // pillar, until it stands on one. Each step strictly shrinks the
-    // distance to the currently-nearest pillar, so the walk terminates.
+    let (pillar, m1) = match via {
+        Some(p) => (
+            p,
+            u64::from(src.manhattan_2d(topo.pillar_coord(p, src.layer))),
+        ),
+        None => greedy_walk(topo, src, None),
+    };
+    cross_layer(topo, dst, pillar, m1, l, k, n)
+}
+
+/// Replays the greedy per-hop pillar walk of `routing::route` from `src`:
+/// every router steps XY towards `via`, or towards its *own* nearest
+/// pillar, until it stands on one. Each step strictly shrinks the
+/// distance to the currently-nearest pillar, so the walk terminates.
+/// Returns the pillar reached and the hops taken.
+fn greedy_walk(topo: &ChipLayout, src: Coord, via: Option<PillarId>) -> (PillarId, u64) {
     let mut at = src;
     let mut m1 = 0u64;
-    let pillar = loop {
+    loop {
         let p = via
             .or_else(|| topo.nearest_pillar(at))
             .expect("cross-layer route on a chip without pillars");
         let (px, py) = topo.pillar_xy(p);
         if (at.x, at.y) == (px, py) {
-            break p;
+            return (p, m1);
         }
         let d = xy_toward(at, px, py);
         let (x, y) = d
@@ -102,9 +116,21 @@ pub fn zero_load_path(
             .expect("routing stays on the mesh");
         at = Coord::new(x, y, at.layer);
         m1 += 1;
-    };
-    let (px, py) = topo.pillar_xy(pillar);
-    let m2 = u64::from(Coord::new(px, py, dst.layer).manhattan_2d(dst));
+    }
+}
+
+/// The timing of a cross-layer packet of `n` flits that reaches
+/// `pillar` after `m1` mesh hops and descends to `dst`.
+fn cross_layer(
+    topo: &ChipLayout,
+    dst: Coord,
+    pillar: PillarId,
+    m1: u64,
+    l: u64,
+    k: u64,
+    n: u64,
+) -> ZeroLoadPath {
+    let m2 = u64::from(topo.pillar_coord(pillar, dst.layer).manhattan_2d(dst));
     // Cycles after send at which the head flit reaches the pillar's
     // transceiver interface.
     let bus_enqueue = 1 + (m1 + 1) * l;
@@ -172,6 +198,32 @@ mod tests {
                 let free = zero_load_path(&t, src, dst, None, 2, 1, 1);
                 let pinned = zero_load_path(&t, src, dst, free.pillar, 2, 1, 1);
                 assert_eq!(free, pinned, "walk commits to its own choice");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pinned_pillar_needs_no_walk() {
+        for layers in [2u8, 4, 8] {
+            for pillars in [1u16, 2, 4, 8, 16] {
+                let mut cfg = SystemConfig::default();
+                cfg.network.layers = layers;
+                cfg.network.pillars = pillars;
+                let t = ChipLayout::new(&cfg).expect("layout builds");
+                let nodes: Vec<Coord> = (0..t.num_nodes()).map(|i| t.coord_of_index(i)).collect();
+                for p in (0..pillars).map(PillarId) {
+                    for &src in &nodes {
+                        let (reached, m1) = greedy_walk(&t, src, Some(p));
+                        assert_eq!(reached, p);
+                        for &dst in nodes.iter().filter(|d| !d.same_layer(src)) {
+                            assert_eq!(
+                                zero_load_path(&t, src, dst, Some(p), 4, 2, 3),
+                                cross_layer(&t, dst, p, m1, 2, 3, 4),
+                                "{layers}L {pillars}P {src:?} -> {dst:?} via {p:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

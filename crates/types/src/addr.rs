@@ -22,11 +22,11 @@ crate::codec_struct!(Address { 0 });
 
 impl Address {
     /// The cache-line address containing this byte, for `line_bytes`-byte
-    /// lines (`line_bytes` must be a power of two).
+    /// lines (`line_bytes` must be a power of two, so this is a shift).
     #[inline]
     pub fn line(self, line_bytes: u64) -> LineAddr {
         debug_assert!(line_bytes.is_power_of_two());
-        LineAddr(self.0 / line_bytes)
+        LineAddr(self.0 >> line_bytes.trailing_zeros())
     }
 }
 

@@ -403,6 +403,7 @@ impl SystemConfig {
         pow2("l1.bytes", self.l1.bytes.into())?;
         pow2("l1.ways", self.l1.ways.into())?;
         pow2("l1.line_bytes", self.l1.line_bytes.into())?;
+        pow2("l1.sets", self.l1.sets().into())?;
         pow2("l2.clusters", self.l2.clusters.into())?;
         pow2("l2.banks_per_cluster", self.l2.banks_per_cluster.into())?;
         pow2("l2.bank_bytes", self.l2.bank_bytes.into())?;
@@ -602,6 +603,16 @@ mod tests {
             Err(ConfigError::NotPowerOfTwo {
                 what: "l2.clusters",
                 ..
+            })
+        ));
+        // Smaller than one set: the L1 indexes sets by mask, so it needs one.
+        let mut cfg = SystemConfig::default();
+        cfg.l1.bytes = 64;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::NotPowerOfTwo {
+                what: "l1.sets",
+                value: 0
             })
         ));
     }

@@ -6,12 +6,20 @@
  *       lets <cmd> run <warmup_ms> ms, then single-steps <count>
  *       instructions and records every one: exact instruction counts and,
  *       as hits on a function's first address, exact call counts.
+ *   hostprof window <offset> <skip> <count> <out> -- <cmd> [args..]
+ *       plants a breakpoint at <offset> (hex, a function's address as `nm`
+ *       prints it), lets <skip> calls pass, then single-steps from the
+ *       entry of call <skip> to the entry of call <skip> + <count> and
+ *       records every instruction: exact counts over a fixed span of the
+ *       program's own work (with a once-per-cycle function, a fixed span
+ *       of simulated cycles), comparable across two builds.
  *
  * <out> gets "# <mode>", then one "<hex offset> <count>" line per distinct
  * address, offsets relative to the executable's load base (what addr2line
  * wants for a PIE); addresses outside the executable (libc, vdso) fold into
- * offset 0. Only the main thread is followed. Feed <out> to resolve.py.
- * x86-64 Linux.
+ * offset 0. Only the main thread is followed, and `window` assumes <cmd>
+ * runs its breakpointed function on the main thread alone. Feed <out> to
+ * resolve.py. x86-64 Linux.
  */
 #define _GNU_SOURCE
 #include <signal.h>
@@ -46,15 +54,95 @@ static int ascending(const void *a, const void *b) {
     return (x > y) - (x < y);
 }
 
+/* The recorded instruction pointers, as offsets from the load base. */
+static unsigned long long lo, hi, *at;
+static size_t n, cap;
+
+static void record(unsigned long long rip) {
+    if (n == cap) at = realloc(at, (cap = cap ? 2 * cap : 1 << 16) * sizeof *at);
+    at[n++] = rip >= lo && rip < hi ? rip - lo : 0;
+}
+
+/* `sample` and `step`: interrupt every wait_us, or single-step budget
+ * instructions after the first interrupt. */
+static void sample_or_step(pid_t pid, int step, useconds_t wait_us, size_t budget) {
+    int st;
+    for (int stepping = 0; n < budget;) {
+        if (waitpid(pid, &st, 0) < 0 || WIFEXITED(st) || WIFSIGNALED(st)) break;
+        int sig = WSTOPSIG(st), event = st >> 16;
+        if (event == PTRACE_EVENT_EXEC) exe_range(pid, &lo, &hi);
+        if (event == PTRACE_EVENT_STOP || (stepping && sig == SIGTRAP && !event)) {
+            /* Our interrupt, or one single step. */
+            struct user_regs_struct regs;
+            if (hi && !ptrace(PTRACE_GETREGS, pid, 0, &regs)) {
+                record(regs.rip);
+                stepping = step;
+            }
+            sig = 0;
+        } else if (event || sig == SIGSTOP || sig == SIGCONT) {
+            sig = 0; /* the seize handshake and the exec stop deliver nothing */
+        }
+        ptrace(stepping ? PTRACE_SINGLESTEP : PTRACE_CONT, pid, 0, sig);
+        if (!stepping && hi) {
+            usleep(wait_us);
+            ptrace(PTRACE_INTERRUPT, pid, 0, 0);
+        }
+    }
+}
+
+/* `window`: an int3 at lo + off; `skip` hits step over it, the next one
+ * removes it and starts single-stepping until `count` more entries. */
+static void window(pid_t pid, unsigned long long off, size_t skip, size_t count) {
+    unsigned long long bp = 0;
+    long orig = 0;
+    size_t calls = 0;
+    int st;
+    for (;;) {
+        if (waitpid(pid, &st, 0) < 0 || WIFEXITED(st) || WIFSIGNALED(st)) return;
+        int sig = WSTOPSIG(st), event = st >> 16;
+        struct user_regs_struct regs;
+        if (event == PTRACE_EVENT_EXEC) {
+            exe_range(pid, &lo, &hi);
+            bp = lo + off;
+            orig = ptrace(PTRACE_PEEKTEXT, pid, bp, 0);
+            ptrace(PTRACE_POKETEXT, pid, bp, (orig & ~0xffL) | 0xcc);
+            sig = 0;
+        } else if (bp && sig == SIGTRAP && !event && !ptrace(PTRACE_GETREGS, pid, 0, &regs) &&
+                   regs.rip == bp + 1) {
+            /* Our int3: put the instruction back and rewind onto it. */
+            ptrace(PTRACE_POKETEXT, pid, bp, orig);
+            regs.rip = bp;
+            ptrace(PTRACE_SETREGS, pid, 0, &regs);
+            if (calls++ == skip) break;
+            ptrace(PTRACE_SINGLESTEP, pid, 0, 0);
+            if (waitpid(pid, &st, 0) < 0 || WIFEXITED(st) || WIFSIGNALED(st)) return;
+            ptrace(PTRACE_POKETEXT, pid, bp, (orig & ~0xffL) | 0xcc);
+            sig = 0;
+        } else if (event || sig == SIGSTOP || sig == SIGCONT) {
+            sig = 0; /* the seize handshake delivers nothing */
+        }
+        ptrace(PTRACE_CONT, pid, 0, sig);
+    }
+    for (calls = 0;;) {
+        struct user_regs_struct regs;
+        if (ptrace(PTRACE_GETREGS, pid, 0, &regs)) return;
+        if (regs.rip == bp && calls++ == count) return;
+        record(regs.rip);
+        ptrace(PTRACE_SINGLESTEP, pid, 0, 0);
+        if (waitpid(pid, &st, 0) < 0 || WIFEXITED(st) || WIFSIGNALED(st)) return;
+    }
+}
+
 int main(int argc, char **argv) {
-    int step = argc > 1 && !strcmp(argv[1], "step"), cmd = step ? 6 : 5;
-    if (argc <= cmd || strcmp(argv[cmd - 1], "--") || (!step && strcmp(argv[1], "sample"))) {
+    const char *mode = argc > 1 ? argv[1] : "";
+    int step = !strcmp(mode, "step"), win = !strcmp(mode, "window");
+    int cmd = win ? 7 : step ? 6 : 5;
+    if (argc <= cmd || strcmp(argv[cmd - 1], "--") || !(step || win || !strcmp(mode, "sample"))) {
         fprintf(stderr, "usage: hostprof sample <interval_us> <out> -- cmd [args..]\n"
-                        "       hostprof step <warmup_ms> <count> <out> -- cmd [args..]\n");
+                        "       hostprof step <warmup_ms> <count> <out> -- cmd [args..]\n"
+                        "       hostprof window <offset> <skip> <count> <out> -- cmd [args..]\n");
         return 2;
     }
-    useconds_t wait_us = atol(argv[2]) * (step ? 1000 : 1);
-    size_t budget = step ? strtoull(argv[3], 0, 10) : (size_t)-1;
     pid_t pid = fork();
     if (!pid) {
         raise(SIGSTOP); /* wait to be seized */
@@ -69,43 +157,26 @@ int main(int argc, char **argv) {
         return 1;
     }
     kill(pid, SIGCONT);
-    unsigned long long lo = 0, hi = 0, *at = 0;
-    size_t n = 0, cap = 0;
-    for (int stepping = 0; n < budget;) {
-        if (waitpid(pid, &st, 0) < 0 || WIFEXITED(st) || WIFSIGNALED(st)) break;
-        int sig = WSTOPSIG(st), event = st >> 16;
-        if (event == PTRACE_EVENT_EXEC) exe_range(pid, &lo, &hi);
-        if (event == PTRACE_EVENT_STOP || (stepping && sig == SIGTRAP && !event)) {
-            /* Our interrupt, or one single step. */
-            struct user_regs_struct regs;
-            if (hi && !ptrace(PTRACE_GETREGS, pid, 0, &regs)) {
-                if (n == cap) at = realloc(at, (cap = cap ? 2 * cap : 1 << 16) * sizeof *at);
-                at[n++] = regs.rip >= lo && regs.rip < hi ? regs.rip - lo : 0;
-                stepping = step;
-            }
-            sig = 0;
-        } else if (event || sig == SIGSTOP || sig == SIGCONT) {
-            sig = 0; /* the seize handshake and the exec stop deliver nothing */
-        }
-        ptrace(stepping ? PTRACE_SINGLESTEP : PTRACE_CONT, pid, 0, sig);
-        if (!stepping && hi) {
-            usleep(wait_us);
-            ptrace(PTRACE_INTERRUPT, pid, 0, 0);
-        }
-    }
+    if (win)
+        window(pid, strtoull(argv[2], 0, 16), strtoull(argv[3], 0, 10), strtoull(argv[4], 0, 10));
+    else
+        sample_or_step(pid, step, atol(argv[2]) * (step ? 1000 : 1),
+                       step ? strtoull(argv[3], 0, 10) : (size_t)-1);
     kill(pid, SIGKILL);
     FILE *out = fopen(argv[cmd - 2], "w");
     if (!out) {
         perror(argv[cmd - 2]);
         return 1;
     }
-    fprintf(out, "# %s\n", argv[1]);
+    /* resolve.py reads a window histogram exactly as a step one. */
+    fprintf(out, "# %s\n", win ? "step" : mode);
     qsort(at, n, sizeof *at, ascending);
     for (size_t i = 0, run; i < n; i += run) {
         for (run = 1; i + run < n && at[i + run] == at[i]; run++) {}
         fprintf(out, "%llx %zu\n", at[i], run);
     }
     fclose(out);
-    fprintf(stderr, "hostprof: %zu %s, load base %llx\n", n, step ? "instructions" : "samples", lo);
+    fprintf(stderr, "hostprof: %zu %s, load base %llx\n", n, step || win ? "instructions" : "samples",
+            lo);
     return 0;
 }
