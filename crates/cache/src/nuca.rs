@@ -402,11 +402,12 @@ impl NucaL2 {
 
     /// Whether `cluster` holds *any* copy of `line` — the primary, an
     /// in-flight migration destination, or a replica. This is what a tag
-    /// probe of that cluster would answer.
+    /// probe of that cluster would answer. The migration and replica maps
+    /// are probed only while they hold anything.
     pub fn has_copy_at(&self, line: LineAddr, cluster: ClusterId) -> bool {
         self.locate(line) == Some(cluster)
-            || self.migration_of(line) == Some(cluster)
-            || self.replicas_of(line).contains(&cluster)
+            || (!self.migrating.is_empty() && self.migration_of(line) == Some(cluster))
+            || (!self.replicas.is_empty() && self.replicas_of(line).contains(&cluster))
     }
 
     /// Installs a read-only replica of `line` in `cluster`.

@@ -57,31 +57,44 @@ impl Engine {
     /// fire: the claim's serialization wait goes to
     /// [`Phase::ResourceQueue`], pillar fan-out hops to
     /// [`Phase::NocHop`], and the rest of the segment is L2 service.
-    pub(crate) fn credit_event(&mut self, id: TxnId, queue: u64, fanout: u64, now: Cycle) {
-        if let Some(t) = self.txns.get_mut(id) {
-            t.timeline.credit_with(
-                Phase::L2Service,
-                &[(Phase::ResourceQueue, queue), (Phase::NocHop, fanout)],
-                now,
-            );
-        }
+    /// Returns the credited transaction, `None` if it completed already,
+    /// so the event's handler need not look it up again.
+    pub(crate) fn credit_event(
+        &mut self,
+        id: TxnId,
+        queue: u64,
+        fanout: u64,
+        now: Cycle,
+    ) -> Option<Txn> {
+        let t = self.txns.get_mut(id)?;
+        t.timeline.credit_with(
+            Phase::L2Service,
+            &[(Phase::ResourceQueue, queue), (Phase::NocHop, fanout)],
+            now,
+        );
+        Some(*t)
     }
 
     /// Closes a transaction's open segment at packet delivery: network
     /// time, carved into the cycles the flit spent waiting for a dTDMA
     /// pillar slot and horizontal NoC hops. First credit wins when
     /// parallel probes serve one transaction — `credit_with` clamps to
-    /// the remaining segment, so later arrivals add nothing.
-    pub(crate) fn credit_delivery(&mut self, token: Token, d: &Delivered, now: Cycle) {
-        if let Some(id) = token.txn_id() {
-            if let Some(t) = self.txns.get_mut(id) {
-                t.timeline.credit_with(
-                    Phase::NocHop,
-                    &[(Phase::PillarWait, u64::from(d.bus_wait))],
-                    now,
-                );
-            }
-        }
+    /// the remaining segment, so later arrivals add nothing. Returns the
+    /// credited transaction, `None` for a line-scoped token or one whose
+    /// transaction completed already.
+    pub(crate) fn credit_delivery(
+        &mut self,
+        token: Token,
+        d: &Delivered,
+        now: Cycle,
+    ) -> Option<Txn> {
+        let t = self.txns.get_mut(token.txn_id()?)?;
+        t.timeline.credit_with(
+            Phase::NocHop,
+            &[(Phase::PillarWait, u64::from(d.bus_wait))],
+            now,
+        );
+        Some(*t)
     }
 
     /// Completion accounting for one transaction: headline counters,

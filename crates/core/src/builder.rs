@@ -14,8 +14,10 @@ use nim_obs::Obs;
 use nim_topology::ChipLayout;
 use nim_types::{FxHashMap, SystemConfig};
 
+use crate::cores::Cores;
 use crate::error::BuildError;
 use crate::fabric::{FabricKind, FabricState, LatencyModel, SimFabric};
+use crate::fanout::StepFanout;
 use crate::policy::{MemoryRoute, Policy};
 use crate::protocol::Engine;
 use crate::report::Counters;
@@ -220,9 +222,14 @@ impl SystemBuilder {
             cfg.network.layers > 1 && u32::from(layout.num_pillars()) < cfg.num_cpus;
         let placement = recipe.scheme.placement(share_pillars);
         let seats = placement.place(&layout, cfg.num_cpus)?;
-        let plans = seats
+        let plans: Vec<SearchPlan> = seats
             .iter()
             .map(|s| SearchPlan::new(&layout, layout.cluster_of(s.coord)))
+            .collect();
+        let fanout = seats
+            .iter()
+            .zip(&plans)
+            .map(|(seat, plan)| StepFanout::of_plan(&layout, seat, plan))
             .collect();
         let mut cluster_cpus = vec![0u64; layout.num_clusters() as usize];
         let mut cpu_at = FxHashMap::default();
@@ -236,10 +243,12 @@ impl SystemBuilder {
         l2.set_obs(self.obs.clone());
         let mut dir = Directory::new(cfg.num_cpus, WritePolicy::WriteThrough);
         dir.set_obs(self.obs.clone());
-        let cores = seats
-            .iter()
-            .map(|s| InOrderCore::new(s.cpu, &cfg.l1))
-            .collect();
+        let cores = Cores::new(
+            seats
+                .iter()
+                .map(|s| InOrderCore::new(s.cpu, &cfg.l1))
+                .collect(),
+        );
         let policy = Policy::new(
             recipe.scheme,
             recipe.replication,
@@ -263,6 +272,7 @@ impl SystemBuilder {
         let engine = Engine {
             seats,
             plans,
+            fanout,
             cluster_cpus,
             cpu_at,
             l2,

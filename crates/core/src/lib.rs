@@ -39,11 +39,13 @@ mod attribution;
 mod builder;
 #[cfg(test)]
 mod codec_tests;
+mod cores;
 mod due_queue;
 mod error;
 pub mod exhibits;
 pub mod experiments;
 mod fabric;
+mod fanout;
 pub mod parallel;
 mod policy;
 mod prewarm;

@@ -74,14 +74,14 @@ impl Engine {
             let cpu = CpuId::from_index(i);
             for addr in r.hot.line_addrs() {
                 let line = self.install(&mut memo, addr, Some(cpu));
-                if let Some(evicted) = self.cores[i].prefill(addr, AccessKind::Read) {
+                if let Some(evicted) = self.cores.prefill(cpu, addr, AccessKind::Read) {
                     self.dir.evict(cpu, evicted);
                 }
                 self.dir.access(cpu, line, DirAccess::Read);
             }
             for addr in r.code.line_addrs() {
                 self.install(&mut memo, addr, Some(cpu));
-                self.cores[i].prefill(addr, AccessKind::IFetch);
+                self.cores.prefill(cpu, addr, AccessKind::IFetch);
             }
         }
     }
@@ -100,7 +100,7 @@ impl Engine {
             let placed = self.l2.insert_at(line, cluster);
             if let Some(victim) = placed.evicted {
                 for sharer in self.dir.invalidate_all(victim).iter() {
-                    self.cores[sharer.index()].invalidate(victim);
+                    self.cores.invalidate(sharer, victim);
                 }
             }
         }

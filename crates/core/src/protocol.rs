@@ -16,13 +16,15 @@
 
 use nim_cache::{migration_target, NucaL2, SearchPlan};
 use nim_coherence::{DirAccess, Directory};
-use nim_cpu::{InOrderCore, MemRequest};
+use nim_cpu::MemRequest;
 use nim_obs::{Category, EventData};
 use nim_topology::{ChipLayout, CpuSeat};
 use nim_types::{AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr, PillarId};
 
+use crate::cores::Cores;
 use crate::error::RunError;
 use crate::fabric::{ClaimedDelay, Delivered, Fabric};
+use crate::fanout::StepFanout;
 use crate::policy::{MemoryRoute, Policy};
 use crate::report::Counters;
 use crate::token::{TimedEvent, Token};
@@ -45,6 +47,8 @@ pub(crate) struct Engine {
     pub(crate) seats: Vec<CpuSeat>,
     /// Per-CPU two-step search plans.
     pub(crate) plans: Vec<SearchPlan>,
+    /// Per CPU, steps 1 and 2 of its plan resolved into probe lists.
+    pub(crate) fanout: Vec<[StepFanout; 2]>,
     /// Bitmask of CPUs seated in each cluster.
     pub(crate) cluster_cpus: Vec<u64>,
     /// CPU seated at each coordinate (L1 invalidation routing).
@@ -53,8 +57,8 @@ pub(crate) struct Engine {
     pub(crate) l2: NucaL2,
     /// The write-through MSI directory.
     pub(crate) dir: Directory,
-    /// The cores and their L1s.
-    pub(crate) cores: Vec<InOrderCore>,
+    /// The cores and their L1s, each ticked only when it acts.
+    pub(crate) cores: Cores,
     /// Live transactions + the MSHR miss ledger.
     pub(crate) txns: TxnTable,
     /// CPU that last accessed each line (drives the migration trigger).
@@ -202,39 +206,28 @@ impl Engine {
     /// returns at most one (aggregated) miss reply, exactly the
     /// bandwidth advantage the paper attributes to the pillar broadcast.
     fn issue_search_step(&mut self, f: &mut impl Fabric, id: TxnId, step: u8, now: Cycle) {
-        let t = *self.txns.get(id).expect("live txn");
-        let plan = &self.plans[t.cpu.index()];
-        let clusters = if step == 1 { &plan.step1 } else { &plan.step2 };
-        let local = plan.local;
-        let seat = self.seats[t.cpu.index()];
-        let my_layer = seat.coord.layer;
+        let cpu = self.txns.get(id).expect("live txn").cpu.index();
         // Step 1 reaches remote layers with one broadcast per layer (the
         // tag rides the pillar once and fans out to the cylinder's tag
         // arrays); step 2 is a plain multicast — every remaining cluster,
         // remote ones included, gets its own request packet (paper
         // §4.2.1), so step-2 searches load the pillars individually.
-        let broadcast_remote = step == 1;
-        let layout = &self.layout;
-        let is_direct = |cl: ClusterId| !broadcast_remote || layout.cluster_layer(cl) == my_layer;
-        let direct = clusters.iter().filter(|&&cl| is_direct(cl)).count();
-        // Remote layers to broadcast to, as a bitmask (at most 8 layers).
-        let remote_layers = clusters
-            .iter()
-            .filter(|&&cl| !is_direct(cl))
-            .fold(0u8, |mask, &cl| mask | 1 << layout.cluster_layer(cl));
+        let fan = &self.fanout[cpu][usize::from(step != 1)];
+        let local = self.plans[cpu].local;
+        let seat = self.seats[cpu];
         f.obs().emit(Category::Search, || EventData::SearchStep {
             txn: u64::from(id),
             step,
-            targets: clusters.len() as u32,
+            targets: fan.targets,
         });
         // Every probed tag array answers individually, broadcast targets
         // included.
         self.txns
             .get_mut(id)
             .expect("live txn")
-            .begin_step(step, clusters.len() as u32);
-        self.counters.tag_accesses += direct as u64;
-        for &cl in clusters.iter().filter(|&&cl| is_direct(cl)) {
+            .begin_step(step, fan.targets);
+        self.counters.tag_accesses += fan.direct.len() as u64;
+        for &(cl, center) in &fan.direct {
             if cl == local {
                 // The local tag array is directly connected (paper §4.1).
                 Self::probe_tags(f, id, cl, now);
@@ -243,17 +236,17 @@ impl Engine {
                     txn: id,
                     cluster: cl,
                 };
-                f.send(seat.coord, layout.cluster_center(cl), token, seat.pillar);
+                f.send(seat.coord, center, token, seat.pillar);
             }
         }
-        for layer in (0..8u8).filter(|l| remote_layers >> l & 1 != 0) {
+        for layer in (0..8u8).filter(|l| fan.remote_layers >> l & 1 != 0) {
             let pillar = seat.pillar.expect("remote layers imply a pillar");
             let token = Token::VerticalProbe {
                 txn: id,
                 layer,
                 step,
             };
-            let dst = layout.pillar_coord(pillar, layer);
+            let dst = self.layout.pillar_coord(pillar, layer);
             f.send(seat.coord, dst, token, seat.pillar);
         }
     }
@@ -268,13 +261,11 @@ impl Engine {
         &mut self,
         f: &mut impl Fabric,
         id: TxnId,
+        t: Txn,
         cluster: ClusterId,
         direct: bool,
         now: Cycle,
     ) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
         if direct {
             f.obs().emit(Category::Search, || EventData::Probe {
                 txn: u64::from(id),
@@ -338,7 +329,9 @@ impl Engine {
                 f.send(origin, bank, Token::BankFetch { txn: id }, self.via(t.cpu));
             }
             // The writer must learn the location to ship its data.
-            AccessKind::Write if origin == self.seat(t.cpu).coord => self.write_data_to(f, id, now),
+            AccessKind::Write if origin == self.seat(t.cpu).coord => {
+                self.write_data_to(f, id, t, now);
+            }
             AccessKind::Write => {
                 let token = Token::FoundForWrite {
                     txn: id,
@@ -356,25 +349,16 @@ impl Engine {
         &mut self,
         f: &mut impl Fabric,
         id: TxnId,
+        t: Txn,
         at: Coord,
         step: u8,
         now: Cycle,
     ) {
-        let Some(t) = self.txns.get(id).copied() else {
-            // The transaction completed already; nothing waits for this
-            // broadcast (no pending entry was created yet).
-            return;
-        };
-        let plan = &self.plans[t.cpu.index()];
-        let set = if step == 1 { &plan.step1 } else { &plan.step2 };
-        let layer = at.layer;
-        let layout = &self.layout;
-        let on_layer = |cl: &&ClusterId| layout.cluster_layer(**cl) == layer;
-        let targets = set.iter().filter(on_layer).count();
-        debug_assert!(targets > 0, "broadcast to a layer with no targets");
-        self.counters.tag_accesses += targets as u64;
-        for &cl in set.iter().filter(on_layer) {
-            let fanout = u64::from(at.manhattan_2d(layout.cluster_center(cl)));
+        let fan = &self.fanout[t.cpu.index()][usize::from(step != 1)];
+        let targets = fan.on_layer(at.layer);
+        debug_assert!(!targets.is_empty(), "broadcast to a layer with no targets");
+        self.counters.tag_accesses += targets.len() as u64;
+        for &(cl, fanout) in targets {
             let delay = f.tag_delay(cl, now);
             f.schedule(
                 now,
@@ -521,10 +505,7 @@ impl Engine {
     }
 
     /// The writing CPU ships its store data to the line's current bank.
-    fn write_data_to(&mut self, f: &mut impl Fabric, id: TxnId, now: Cycle) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
+    fn write_data_to(&mut self, f: &mut impl Fabric, id: TxnId, t: Txn, now: Cycle) {
         match self.l2.locate(t.line) {
             Some(cl) => {
                 let bank = self.bank_coord(cl, t.line);
@@ -537,10 +518,14 @@ impl Engine {
 
     /// A forwarded read request reached a bank (or where the bank used to
     /// hold the line).
-    fn bank_fetch_arrived(&mut self, f: &mut impl Fabric, id: TxnId, at: Coord, now: Cycle) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
+    fn bank_fetch_arrived(
+        &mut self,
+        f: &mut impl Fabric,
+        id: TxnId,
+        t: Txn,
+        at: Coord,
+        now: Cycle,
+    ) {
         // A replica bank can serve the read directly.
         let here = self.layout.cluster_of(at);
         if self.l2.replicas_of(t.line).contains(&here) && self.bank_coord(here, t.line) == at {
@@ -563,19 +548,20 @@ impl Engine {
     }
 
     /// The bank finished reading: route the line to the requester.
-    fn bank_read_done(&mut self, f: &mut impl Fabric, id: TxnId, at: Coord) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
+    fn bank_read_done(&mut self, f: &mut impl Fabric, id: TxnId, t: Txn, at: Coord) {
         self.l2.touch_at(t.line, self.layout.cluster_of(at));
         self.send_to_cpu(f, at, t.cpu, Token::DataToCpu { txn: id });
     }
 
     /// Store data reached the bank.
-    fn write_data_arrived(&mut self, f: &mut impl Fabric, id: TxnId, at: Coord, now: Cycle) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
+    fn write_data_arrived(
+        &mut self,
+        f: &mut impl Fabric,
+        id: TxnId,
+        t: Txn,
+        at: Coord,
+        now: Cycle,
+    ) {
         self.counters.bank_accesses += 1;
         let tag = self.tag_check_at_bank(f, t.line, now);
         let delay = tag + self.bank_delay(f, at, now, true);
@@ -591,10 +577,7 @@ impl Engine {
     }
 
     /// The bank committed the store: acknowledge the CPU.
-    fn bank_written(&mut self, f: &mut impl Fabric, id: TxnId, at: Coord) {
-        let Some(t) = self.txns.get(id).copied() else {
-            return;
-        };
+    fn bank_written(&mut self, f: &mut impl Fabric, id: TxnId, t: Txn, at: Coord) {
         self.l2.touch(t.line);
         self.send_to_cpu(f, at, t.cpu, Token::WriteAck { txn: id });
     }
@@ -605,7 +588,7 @@ impl Engine {
             return;
         };
         self.finish_counters(f, id, &t, now);
-        let evicted = self.cores[t.cpu.index()].data_returned(t.addr);
+        let evicted = self.cores.data_returned(t.cpu, t.addr, now.0);
         if let Some(ev) = evicted {
             self.dir.evict(t.cpu, ev);
         }
@@ -622,7 +605,7 @@ impl Engine {
             return;
         };
         self.finish_counters(f, id, &t, now);
-        self.cores[t.cpu.index()].store_completed();
+        self.cores.store_completed(t.cpu);
         let token = Token::Invalidate { line: t.line };
         // A store makes every L2 replica stale (replication extension).
         for rc in self.l2.drop_replicas(t.line) {
@@ -775,8 +758,9 @@ impl Engine {
                 cluster,
                 queue,
             } => {
-                self.credit_event(txn, queue, 0, now);
-                self.resolve_probe(f, txn, cluster, true, now);
+                if let Some(t) = self.credit_event(txn, queue, 0, now) {
+                    self.resolve_probe(f, txn, t, cluster, true, now);
+                }
             }
             TimedEvent::VerticalClusterResolved {
                 txn,
@@ -784,16 +768,19 @@ impl Engine {
                 queue,
                 fanout,
             } => {
-                self.credit_event(txn, queue, fanout, now);
-                self.resolve_probe(f, txn, cluster, false, now);
+                if let Some(t) = self.credit_event(txn, queue, fanout, now) {
+                    self.resolve_probe(f, txn, t, cluster, false, now);
+                }
             }
             TimedEvent::BankReadDone { txn, at, queue } => {
-                self.credit_event(txn, queue, 0, now);
-                self.bank_read_done(f, txn, at);
+                if let Some(t) = self.credit_event(txn, queue, 0, now) {
+                    self.bank_read_done(f, txn, t, at);
+                }
             }
             TimedEvent::BankWritten { txn, at, queue } => {
-                self.credit_event(txn, queue, 0, now);
-                self.bank_written(f, txn, at);
+                if let Some(t) = self.credit_event(txn, queue, 0, now) {
+                    self.bank_written(f, txn, t, at);
+                }
             }
             TimedEvent::MemoryReady { line, mc } => self.memory_ready(f, line, mc),
             TimedEvent::MemoryFetched { line } => self.memory_fetched(f, line, now),
@@ -820,41 +807,47 @@ impl Engine {
             cycle: now.0,
             token: d.token,
         })?;
-        self.credit_delivery(token, &d, now);
-        match token {
-            Token::Probe { txn, cluster } => Self::probe_tags(f, txn, cluster, now),
-            Token::VerticalProbe {
-                txn,
-                layer: _,
-                step,
-            } => {
-                self.vertical_probe_arrived(f, txn, d.dst, step, now);
+        // `None` for a line-scoped token, and for a transaction that
+        // completed already: nothing waits for its late packets (a late
+        // broadcast has created no pending entry yet).
+        let credited = self.credit_delivery(token, &d, now);
+        match (token, credited) {
+            (Token::Probe { txn, cluster }, _) => Self::probe_tags(f, txn, cluster, now),
+            (Token::VerticalProbe { txn, step, .. }, Some(t)) => {
+                self.vertical_probe_arrived(f, txn, t, d.dst, step, now);
             }
-            Token::ProbeMiss { txn } => self.probe_missed(f, txn, now),
-            Token::BankFetch { txn } => self.bank_fetch_arrived(f, txn, d.dst, now),
-            Token::DataToCpu { txn } => self.complete_read(f, txn, now),
-            Token::FoundForWrite { txn, cluster: _ } => self.write_data_to(f, txn, now),
-            Token::WriteData { txn } => self.write_data_arrived(f, txn, d.dst, now),
-            Token::WriteAck { txn } => self.complete_write(f, txn, now),
+            (Token::ProbeMiss { txn }, _) => self.probe_missed(f, txn, now),
+            (Token::BankFetch { txn }, Some(t)) => self.bank_fetch_arrived(f, txn, t, d.dst, now),
+            (Token::DataToCpu { txn }, _) => self.complete_read(f, txn, now),
+            (Token::FoundForWrite { txn, .. }, Some(t)) => self.write_data_to(f, txn, t, now),
+            (Token::WriteData { txn }, Some(t)) => self.write_data_arrived(f, txn, t, d.dst, now),
+            (Token::WriteAck { txn }, _) => self.complete_write(f, txn, now),
+            (
+                Token::VerticalProbe { .. }
+                | Token::BankFetch { .. }
+                | Token::FoundForWrite { .. }
+                | Token::WriteData { .. },
+                None,
+            ) => {}
             // An aborted migration's line has no bank left to absorb it.
-            Token::MigrationMove { line } => {
+            (Token::MigrationMove { line }, _) => {
                 if let Some(to) = self.l2.migration_of(line) {
                     let done = TimedEvent::MigrationDone { line };
                     self.absorb_at_bank(f, self.bank_coord(to, line), done, now);
                 }
             }
-            Token::ReplicaFill { line, cluster } => {
+            (Token::ReplicaFill { line, cluster }, _) => {
                 let done = TimedEvent::ReplicaInstalled { line, cluster };
                 self.absorb_at_bank(f, d.dst, done, now);
             }
-            Token::MemRequest { line } => self.mem_request_arrived(f, line, d.dst, now),
+            (Token::MemRequest { line }, _) => self.mem_request_arrived(f, line, d.dst, now),
             // The fill reached the home bank, which then serves the waiters.
-            Token::MemFill { line } => {
+            (Token::MemFill { line }, _) => {
                 self.absorb_at_bank(f, d.dst, TimedEvent::MemoryFetched { line }, now);
             }
-            Token::Invalidate { line } => {
+            (Token::Invalidate { line }, _) => {
                 if let Some(&cpu) = self.cpu_at.get(&d.dst) {
-                    self.cores[cpu.index()].invalidate(line);
+                    self.cores.invalidate(cpu, line);
                 }
             }
         }

@@ -87,11 +87,11 @@ fn issue(
     addr: Address,
 ) -> Vec<Token> {
     let mut op = Some(TraceOp { gap: 0, kind, addr });
-    let req = match eng.cores[cpu.index()].tick(&mut || op.take()) {
+    let req = match eng.cores.tick(cpu.index(), 1, &mut || op.take()) {
         CoreAction::Request(req) => req,
         other => panic!("core issued no L2 request: {other:?}"),
     };
-    eng.handle_request(f, req, Cycle(0));
+    eng.handle_request(f, req, Cycle(1));
     pump(eng, f)
 }
 
@@ -359,11 +359,11 @@ fn phase_buckets_survive_a_search_retry() {
         kind: AccessKind::Read,
         addr: ADDR,
     });
-    let req = match eng.cores[0].tick(&mut || op.take()) {
+    let req = match eng.cores.tick(0, 1, &mut || op.take()) {
         CoreAction::Request(req) => req,
         other => panic!("core issued no L2 request: {other:?}"),
     };
-    eng.handle_request(&mut f, req, Cycle(0));
+    eng.handle_request(&mut f, req, Cycle(1));
     let mut clock = 0;
     let mut moved = false;
     for _ in 0..100_000 {

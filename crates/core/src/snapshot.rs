@@ -29,9 +29,7 @@
 use std::path::Path;
 
 use nim_obs::{Metric, Obs, ObsConfig, SampleRow};
-use nim_types::codec::{
-    restore_each, save_each, ByteReader, ByteWriter, Checkpoint, Codec, CodecError,
-};
+use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_workload::{BenchmarkProfile, TraceCursor, TraceGenerator, TraceSource};
 
 use crate::builder::Recipe;
@@ -109,7 +107,7 @@ impl Checkpoint for Engine {
         self.counters.put(w);
         self.l2.save(w);
         self.dir.save(w);
-        save_each(&self.cores, w);
+        self.cores.save(w);
         self.txns.save(w);
         self.last_accessor.put(w);
     }
@@ -118,7 +116,7 @@ impl Checkpoint for Engine {
         self.counters = Codec::get(r)?;
         self.l2.restore(r)?;
         self.dir.restore(r)?;
-        restore_each(&mut self.cores, r, "core count mismatch")?;
+        self.cores.restore(r)?;
         self.txns.restore(r)?;
         self.last_accessor = Codec::get(r)?;
         Ok(())

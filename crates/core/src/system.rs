@@ -296,6 +296,8 @@ impl System {
             mut last_progress,
             mut last_count,
         } = self.progress.as_ref().expect("run in progress").carried;
+        // Every core's counters are up to date here (see below).
+        self.engine.cores.resume_at(self.fabric.net.now().0);
         // Network deliveries of the current cycle, reused across cycles.
         let mut delivered: Vec<nim_noc::Delivered> = Vec::new();
         let result = 'run: loop {
@@ -353,17 +355,15 @@ impl System {
                     break 'run Err(e);
                 }
             }
-            // Cores. Halted cores are skipped outright: `tick` on a
-            // halted core is a no-op (it returns before touching stats),
-            // so eliding the call is bit-identical and keeps drained
-            // cores from costing a call per cycle for the rest of a run.
+            // Cores: only those due this cycle are ticked; the others
+            // are waiting, counting down, or halted (see `cores.rs`).
             for i in 0..self.engine.cores.len() {
-                if self.engine.cores[i].is_halted() {
+                if !self.engine.cores.is_due(i, now.0) {
                     continue;
                 }
                 let cpu = CpuId::from_index(i);
-                let action = self.engine.cores[i].tick(&mut || source.next_for(cpu));
-                if let CoreAction::Request(req) = action {
+                let next_op = &mut || source.next_for(cpu);
+                if let CoreAction::Request(req) = self.engine.cores.tick(i, now.0, next_op) {
                     self.engine.handle_request(&mut self.fabric, req, now);
                 }
             }
@@ -373,9 +373,18 @@ impl System {
             }
             if !warmed && self.engine.counters.l2_transactions >= self.recipe.warmup {
                 warmed = true;
+                self.engine.cores.settle(now.0);
                 window_start = Some((self.engine.counters, now.0, self.total_instructions()));
             }
         };
+        // Reports, images and `stats()` read the counters as if every
+        // core had ticked every cycle. A corrupt token ends the run inside
+        // the delivery phase, before the cycle's core loop ran.
+        let done = match result {
+            Err(RunError::CorruptToken { cycle, .. }) => cycle - 1,
+            _ => self.fabric.net.now().0,
+        };
+        self.engine.cores.settle(done);
         self.progress.as_mut().expect("run in progress").carried = LoopCarried {
             warmed,
             window_start,

@@ -21,6 +21,7 @@
 //! [`TxnTable`] also owns the MSHR-style miss-merge bookkeeping: all
 //! concurrent misses on one line share a single memory fetch.
 
+use nim_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use nim_types::{
     checkpoint_fields, codec_enum, codec_struct, AccessKind, Address, ClusterId, CpuId, Cycle,
     FxHashMap, LineAddr,
@@ -331,14 +332,112 @@ pub(crate) fn after_search_exhausted(
     }
 }
 
+/// Ring slots of [`LiveTxns`], a power of two. Ids are handed out in
+/// sequence and a transaction lives a few hundred cycles, so the live
+/// ones span a short window of recent ids: at most 66 in the benchmark's
+/// cells, warm or cold.
+const TXN_RING: usize = 256;
+
+/// Live transactions by id: each sits in ring slot `id % TXN_RING`, or —
+/// when an older transaction still holds that slot — in a spill map. A
+/// lookup is one indexed load and an id compare; every protocol event
+/// makes one or two.
+#[derive(Debug)]
+struct LiveTxns {
+    ring: Vec<Option<(TxnId, Txn)>>,
+    spill: FxHashMap<TxnId, Txn>,
+    len: usize,
+}
+
+impl Default for LiveTxns {
+    fn default() -> Self {
+        Self {
+            ring: vec![None; TXN_RING],
+            spill: FxHashMap::default(),
+            len: 0,
+        }
+    }
+}
+
+impl LiveTxns {
+    fn slot(id: TxnId) -> usize {
+        id as usize % TXN_RING
+    }
+
+    /// Files `txn` under `id`, replacing a live one with that id.
+    fn insert(&mut self, id: TxnId, txn: Txn) {
+        if let Some(live) = self.get_mut(id) {
+            *live = txn;
+            return;
+        }
+        self.len += 1;
+        match &mut self.ring[Self::slot(id)] {
+            free @ None => *free = Some((id, txn)),
+            Some(_) => {
+                self.spill.insert(id, txn);
+            }
+        }
+    }
+
+    fn get(&self, id: TxnId) -> Option<&Txn> {
+        match &self.ring[Self::slot(id)] {
+            Some((held, t)) if *held == id => Some(t),
+            _ if self.spill.is_empty() => None,
+            _ => self.spill.get(&id),
+        }
+    }
+
+    fn get_mut(&mut self, id: TxnId) -> Option<&mut Txn> {
+        match &mut self.ring[Self::slot(id)] {
+            Some((held, t)) if *held == id => Some(t),
+            _ if self.spill.is_empty() => None,
+            _ => self.spill.get_mut(&id),
+        }
+    }
+
+    fn remove(&mut self, id: TxnId) -> Option<Txn> {
+        let slot = &mut self.ring[Self::slot(id)];
+        let t = if slot.as_ref().is_some_and(|(held, _)| *held == id) {
+            slot.take().map(|(_, t)| t)
+        } else if self.spill.is_empty() {
+            None
+        } else {
+            self.spill.remove(&id)
+        };
+        self.len -= usize::from(t.is_some());
+        t
+    }
+}
+
+/// The image of the `FxHashMap<TxnId, Txn>` the ring replaced: the
+/// entries in id order.
+impl Codec for LiveTxns {
+    fn put(&self, w: &mut ByteWriter) {
+        let ring = self.ring.iter().flatten().map(|(id, t)| (*id, t));
+        let mut entries: Vec<(TxnId, &Txn)> = ring
+            .chain(self.spill.iter().map(|(id, t)| (*id, t)))
+            .collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        w.len_prefix(entries.len());
+        for (id, t) in entries {
+            id.put(w);
+            t.put(w);
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let mut live = Self::default();
+        for (id, t) in <FxHashMap<TxnId, Txn> as Codec>::get(r)? {
+            live.insert(id, t);
+        }
+        Ok(live)
+    }
+}
+
 /// The live-transaction table plus the MSHR-style miss ledger.
-///
-/// Keyed by the simulation's own dense ids, so the map (like every
-/// other per-transaction map here) runs on [`FxHashMap`] — SipHash
-/// dominated the lookup cost on this path.
 #[derive(Debug, Default)]
 pub(crate) struct TxnTable {
-    txns: FxHashMap<TxnId, Txn>,
+    txns: LiveTxns,
     next: TxnId,
     /// Misses waiting on each line's single in-flight memory fetch.
     pending_fills: FxHashMap<LineAddr, Vec<TxnId>>,
@@ -354,22 +453,24 @@ impl TxnTable {
     }
 
     /// The live transaction `id`, if it has not completed.
+    #[inline]
     pub(crate) fn get(&self, id: TxnId) -> Option<&Txn> {
-        self.txns.get(&id)
+        self.txns.get(id)
     }
 
+    #[inline]
     pub(crate) fn get_mut(&mut self, id: TxnId) -> Option<&mut Txn> {
-        self.txns.get_mut(&id)
+        self.txns.get_mut(id)
     }
 
     /// Completes (removes) transaction `id`.
     pub(crate) fn remove(&mut self, id: TxnId) -> Option<Txn> {
-        self.txns.remove(&id)
+        self.txns.remove(id)
     }
 
     /// No transactions in flight (the quiescence check).
     pub(crate) fn is_empty(&self) -> bool {
-        self.txns.is_empty()
+        self.txns.len == 0
     }
 
     /// Joins `id` to `line`'s miss ledger; returns `true` if this is the
@@ -548,6 +649,69 @@ mod tests {
 
         let mut r = ByteReader::new(&bytes[..bytes.len() - 2]);
         assert!(TxnTable::default().restore(&mut r).is_err());
+    }
+
+    mod live_txns {
+        use super::super::{LiveTxns, Txn, TxnId, TXN_RING};
+        use nim_types::codec::{ByteReader, ByteWriter, Codec};
+        use nim_types::{Cycle, FxHashMap};
+        use proptest::prelude::*;
+
+        fn image(value: &impl Codec) -> Vec<u8> {
+            let mut w = ByteWriter::new();
+            value.put(&mut w);
+            w.into_bytes()
+        }
+
+        /// What a lookup shows of a transaction: enough to tell them apart.
+        fn seen(t: Option<&Txn>) -> Option<(u64, u8)> {
+            t.map(|t| (t.issued.0, t.retries))
+        }
+
+        proptest! {
+            /// The ring answers every insert, lookup, update and removal
+            /// as the hash map it replaced, and writes the same image,
+            /// while ids four ring-lengths apart fight over slots and
+            /// spill.
+            #[test]
+            fn the_ring_behaves_as_the_map_it_replaced(
+                ops in proptest::collection::vec((0u8..4, 0..4 * TXN_RING as u32), 1..300),
+            ) {
+                let mut ring = LiveTxns::default();
+                let mut map = FxHashMap::<TxnId, Txn>::default();
+                for (step, (op, id)) in ops.into_iter().enumerate() {
+                    let mut t = super::txn();
+                    t.issued = Cycle(step as u64);
+                    match op {
+                        0 | 1 => {
+                            ring.insert(id, t);
+                            map.insert(id, t);
+                        }
+                        2 => prop_assert_eq!(
+                            seen(ring.remove(id).as_ref()),
+                            seen(map.remove(&id).as_ref())
+                        ),
+                        _ => {
+                            if let Some(t) = ring.get_mut(id) {
+                                t.retries += 1;
+                            }
+                            if let Some(t) = map.get_mut(&id) {
+                                t.retries += 1;
+                            }
+                        }
+                    }
+                    prop_assert_eq!(seen(ring.get(id)), seen(map.get(&id)));
+                    prop_assert_eq!(ring.len, map.len());
+                }
+                let bytes = image(&map);
+                prop_assert_eq!(image(&ring), bytes.clone());
+                let back = <LiveTxns as Codec>::get(&mut ByteReader::new(&bytes)).expect("own image");
+                prop_assert_eq!(image(&back), bytes);
+                for id in map.keys() {
+                    prop_assert_eq!(seen(back.get(*id)), seen(map.get(id)));
+                }
+            }
+        }
     }
 
     #[test]

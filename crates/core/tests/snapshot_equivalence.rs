@@ -472,6 +472,29 @@ fn resume_and_finish(image: &[u8]) -> Result<bool, String> {
     })
 }
 
+/// Resumes `image` with each `(offset, mask)` XORed in, one at a time,
+/// and asserts that none panicked and that both outcomes occurred.
+/// Returns the `(rejected, completed)` counts.
+fn assert_flips_never_panic(image: &[u8], flips: impl Iterator<Item = (usize, u8)>) -> (u32, u32) {
+    let mut panics = Vec::new();
+    let (mut rejected, mut completed) = (0, 0);
+    for (at, mask) in flips {
+        let mut mutated = image.to_vec();
+        mutated[at] ^= mask;
+        match resume_and_finish(&mutated) {
+            Ok(true) => completed += 1,
+            Ok(false) => rejected += 1,
+            Err(msg) => panics.push(format!("byte {at} ^ {mask:#04x}: {msg}")),
+        }
+    }
+    assert!(panics.is_empty(), "{panics:#?}");
+    assert!(
+        rejected > 0 && completed > 0,
+        "sweep saw both outcomes: {rejected} rejected, {completed} completed"
+    );
+    (rejected, completed)
+}
+
 /// One in `FLIP_THINNING` of the offsets of the full sweep (XOR `0xFF`
 /// from byte 0, `0x01` from byte 13, `0x80` from byte 29, each every
 /// 1 499th byte), which keeps the test under ten seconds unoptimized.
@@ -483,24 +506,14 @@ const FLIP_THINNING: usize = 25;
 #[test]
 fn flipped_bytes_yield_typed_errors_or_completed_runs_never_panics() {
     let image = valid_snapshot();
-    let mut panics = Vec::new();
-    let (mut rejected, mut completed) = (0, 0);
-    for (first, mask) in [(0, 0xFFu8), (13, 0x01), (29, 0x80)] {
-        for at in (first..image.len()).step_by(1499 * FLIP_THINNING) {
-            let mut mutated = image.clone();
-            mutated[at] ^= mask;
-            match resume_and_finish(&mutated) {
-                Ok(true) => completed += 1,
-                Ok(false) => rejected += 1,
-                Err(msg) => panics.push(format!("byte {at} ^ {mask:#04x}: {msg}")),
-            }
-        }
-    }
-    assert!(panics.is_empty(), "{panics:#?}");
-    assert!(
-        rejected > 0 && completed > 0,
-        "sweep saw both outcomes: {rejected} rejected, {completed} completed"
-    );
+    let flips = [(0, 0xFFu8), (13, 0x01), (29, 0x80)]
+        .into_iter()
+        .flat_map(|(first, mask)| {
+            (first..image.len())
+                .step_by(1499 * FLIP_THINNING)
+                .map(move |at| (at, mask))
+        });
+    assert_flips_never_panic(&image, flips);
     // Known offsets that once resumed cleanly and panicked mid-run: a
     // location map disagreeing with the bank tags, and a directory entry
     // shared by CPU 42 of 8 (it indexed `Engine::seats`).
@@ -537,4 +550,21 @@ fn flipped_bytes_yield_typed_errors_or_completed_runs_never_panics() {
         Err(SnapshotError::Codec(e)) => assert_eq!(e, unsupported),
         other => panic!("a v1 image must be refused, got {other:?}"),
     }
+}
+
+/// The dense sweep the one above thins: `^0x04` and `^0x40` into every
+/// 997th byte of the image, 2 416 images. Restoring re-derives state the
+/// image does not carry (every core's wake cycle among it), and only a
+/// sweep this fine reaches most of the fields that feed it. Seconds in
+/// release, minutes unoptimized: CI's snapshot job runs it with
+/// `cargo test --release -p nim-core --test snapshot_equivalence -- --ignored`.
+#[test]
+#[ignore = "dense: run in release with --ignored"]
+fn dense_flip_sweep_yields_typed_errors_or_completed_runs_never_panics() {
+    let image = valid_snapshot();
+    let flips = (0..image.len())
+        .step_by(997)
+        .flat_map(|at| [(at, 0x04u8), (at, 0x40)]);
+    let (rejected, completed) = assert_flips_never_panic(&image, flips);
+    eprintln!("dense flip sweep: {rejected} rejected, {completed} completed, 0 panicked");
 }

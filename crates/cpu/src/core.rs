@@ -312,6 +312,57 @@ impl InOrderCore {
             AccessKind::Read | AccessKind::Write => self.l1d.fill(addr),
         }
     }
+
+    /// How many of the coming cycles this core spends without any
+    /// external interaction: the rest of an instruction gap or an L1
+    /// hit, keeping the tick that ends it; `u64::MAX` while it waits for
+    /// data or has halted (only the memory system, or nothing, changes
+    /// it then); 0 when the next tick reads the trace, issues, or
+    /// retries a full store buffer.
+    #[inline]
+    pub fn skippable_cycles(&self) -> u64 {
+        match self.state {
+            State::Gap { left, .. } | State::L1Busy { left } => u64::from(left.saturating_sub(1)),
+            State::WaitingData { .. } | State::Halted => u64::MAX,
+            State::NeedOp | State::MemReady { .. } | State::StoreBlocked { .. } => 0,
+        }
+    }
+
+    /// Accounts `n` cycles exactly as `n` calls of
+    /// [`tick`](Self::tick) would: a gap retires one instruction a
+    /// cycle, an L1 hit and a data wait only pass time, a halted core
+    /// counts nothing. Callers must respect
+    /// [`skippable_cycles`](Self::skippable_cycles).
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the skip would cross an interaction point.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(n <= self.skippable_cycles());
+        match &mut self.state {
+            State::Gap { left, .. } => {
+                *left -= n as u32;
+                self.stats.instructions += n;
+                self.stats.cycles += n;
+            }
+            State::L1Busy { left } => {
+                *left -= n as u32;
+                self.stats.cycles += n;
+            }
+            State::WaitingData { .. } => {
+                self.stats.data_stall_cycles += n;
+                self.stats.cycles += n;
+            }
+            State::Halted => {}
+            State::NeedOp | State::MemReady { .. } | State::StoreBlocked { .. } => {
+                unreachable!("a core that must act next cycle cannot skip")
+            }
+        }
+    }
 }
 
 checkpoint_fields!(InOrderCore {
@@ -461,6 +512,36 @@ mod tests {
             matches!(act, CoreAction::Request(_)),
             "invalidate made it miss again"
         );
+    }
+
+    #[test]
+    fn skip_preserves_instruction_accounting() {
+        let mut core = core();
+        let mut ops = vec![op(50, AccessKind::Write, 0)].into_iter();
+        core.tick(&mut || ops.next()); // enters the gap, retires 1
+        let skippable = core.skippable_cycles();
+        assert_eq!(skippable, 48, "49 left, keep 1 for the transition tick");
+        core.skip(skippable);
+        assert_eq!(core.stats().instructions, 49);
+        assert_eq!(core.stats().cycles, 49);
+        // Finish normally.
+        let mut done = false;
+        for _ in 0..5 {
+            if matches!(core.tick(&mut || ops.next()), CoreAction::Request(_)) {
+                done = true;
+                break;
+            }
+        }
+        assert!(done, "store issues after the gap completes");
+        assert_eq!(core.stats().instructions, 51);
+        let mut none = || None;
+        while !core.is_halted() {
+            core.tick(&mut none);
+        }
+        assert_eq!(core.skippable_cycles(), u64::MAX, "halted cores never wake");
+        let halted = *core.stats();
+        core.skip(1_000);
+        assert_eq!(*core.stats(), halted, "a halted core counts nothing");
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub struct ZeroLoadPath {
 /// # Panics
 ///
 /// Panics on a cross-layer route when the topology has no pillars.
+#[inline]
 pub fn zero_load_path(
     topo: &ChipLayout,
     src: Coord,

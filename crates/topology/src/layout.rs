@@ -91,7 +91,8 @@ fn balanced_factors(n: u32) -> (u32, u32) {
 /// Geometry of the stacked chip.
 ///
 /// Immutable once constructed; cheap to clone (a few dozen words, the
-/// pillar position list and one byte-pair per `(x, y)` of a layer).
+/// pillar position list, one byte-pair per `(x, y)` of a layer and one
+/// coordinate per cluster and per bank).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChipLayout {
     layers: u8,
@@ -112,6 +113,11 @@ pub struct ChipLayout {
     /// `nearest[y * width + x]`: the pillar nearest to each position
     /// (lowest id on ties); empty when the chip has no pillars.
     nearest: Vec<PillarId>,
+    /// `centers[cl]`: each cluster's centre node; its `layer` is the
+    /// cluster's layer.
+    centers: Vec<Coord>,
+    /// `bank_nodes[b]`: the mesh node of each bank.
+    bank_nodes: Vec<Coord>,
 }
 
 impl ChipLayout {
@@ -181,6 +187,8 @@ impl ChipLayout {
             banks_per_cluster: cfg.l2.banks_per_cluster,
             pillars,
             nearest: Vec::new(),
+            centers: Vec::new(),
+            bank_nodes: Vec::new(),
         };
         if layout.num_pillars() > 0 {
             layout.nearest = (0..layout.nodes_per_layer())
@@ -188,6 +196,12 @@ impl ChipLayout {
                 .collect::<Option<_>>()
                 .expect("pillars are non-empty");
         }
+        layout.centers = (0..layout.num_clusters())
+            .map(|cl| layout.center_by_arithmetic(ClusterId(cl)))
+            .collect();
+        layout.bank_nodes = (0..layout.num_nodes() as u32)
+            .map(|b| layout.bank_node_by_arithmetic(BankId(b)))
+            .collect();
         Ok(layout)
     }
 
@@ -284,10 +298,10 @@ impl ChipLayout {
         )
     }
 
-    /// Layer a cluster lives on.
+    /// Layer a cluster lives on (one indexed load).
     #[inline]
     pub fn cluster_layer(&self, cl: ClusterId) -> u8 {
-        (cl.0 / self.clusters_per_layer) as u8
+        self.centers[cl.index()].layer
     }
 
     /// Grid position `(gx, gy)` of a cluster within its layer.
@@ -312,18 +326,43 @@ impl ChipLayout {
     }
 
     /// The node at the (rounded-down) centre of a cluster — where its tag
-    /// array sits and where distance-to-cluster is measured from.
+    /// array sits and where distance-to-cluster is measured from. One
+    /// indexed load from the table [`new`](Self::new) builds: every
+    /// probe and every search step asks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster id is out of range.
+    #[inline]
     pub fn cluster_center(&self, cl: ClusterId) -> Coord {
+        self.centers[cl.index()]
+    }
+
+    /// The mesh node of a bank: banks fill each cluster row-major. One
+    /// indexed load, like [`cluster_center`](Self::cluster_center).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank id is out of range.
+    #[inline]
+    pub fn coord_of_bank(&self, bank: BankId) -> Coord {
+        self.bank_nodes[bank.0 as usize]
+    }
+
+    /// The arithmetic the `centers` table is built from (and tested
+    /// against).
+    fn center_by_arithmetic(&self, cl: ClusterId) -> Coord {
         let (gx, gy) = self.cluster_grid_pos(cl);
         Coord::new(
             gx * self.cluster_w + self.cluster_w / 2,
             gy * self.cluster_h + self.cluster_h / 2,
-            self.cluster_layer(cl),
+            (cl.0 / self.clusters_per_layer) as u8,
         )
     }
 
-    /// The mesh node of a bank: banks fill each cluster row-major.
-    pub fn coord_of_bank(&self, bank: BankId) -> Coord {
+    /// The arithmetic the `bank_nodes` table is built from (and tested
+    /// against).
+    fn bank_node_by_arithmetic(&self, bank: BankId) -> Coord {
         let cluster = ClusterId((bank.0 / self.banks_per_cluster) as u16);
         let within = bank.0 % self.banks_per_cluster;
         let (gx, gy) = self.cluster_grid_pos(cluster);
@@ -332,7 +371,7 @@ impl ChipLayout {
         Coord::new(
             gx * self.cluster_w + lx,
             gy * self.cluster_h + ly,
-            self.cluster_layer(cluster),
+            (cluster.0 / self.clusters_per_layer) as u8,
         )
     }
 
@@ -636,6 +675,29 @@ mod tests {
             banks[l.cluster_of(l.coord_of_bank(BankId(b))).index()] += 1;
         }
         assert!(banks.iter().all(|&n| n == l.banks_per_cluster), "{banks:?}");
+    }
+
+    #[test]
+    fn geometry_tables_equal_the_arithmetic() {
+        for layers in [1u8, 2, 4, 8] {
+            for scale in [1u32, 2, 4] {
+                let mut cfg = SystemConfig::default().with_layers(layers);
+                cfg.l2 = cfg.l2.scaled(scale);
+                let l = ChipLayout::new(&cfg).expect("layout builds");
+                let label = format!("{layers} layers, l2 scale {scale}");
+                for cl in (0..l.num_clusters()).map(ClusterId) {
+                    let c = l.center_by_arithmetic(cl);
+                    assert_eq!(l.cluster_center(cl), c, "{label}: {cl}");
+                    assert_eq!(l.cluster_layer(cl), c.layer, "{label}: {cl}");
+                    assert_eq!(u16::from(c.layer), cl.0 / l.clusters_per_layer);
+                }
+                assert_eq!(l.bank_nodes.len(), l.num_nodes(), "{label}");
+                for b in (0..l.num_nodes() as u32).map(BankId) {
+                    let want = l.bank_node_by_arithmetic(b);
+                    assert_eq!(l.coord_of_bank(b), want, "{label}: bank {}", b.0);
+                }
+            }
+        }
     }
 
     #[test]

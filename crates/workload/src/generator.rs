@@ -29,6 +29,20 @@ fn private_base(cpu: CpuId) -> u64 {
 /// Base of the shared region (above every private region).
 const SHARED_BASE: u64 = 1 << 40;
 
+/// `pos % len` for a ring position one step past a position below
+/// `len`, where the step is no longer than `len` (every region is at
+/// least one 64-byte line; steps are 4 or 8 bytes): one compare instead
+/// of a division.
+#[inline]
+fn wrap(pos: u64, len: u64) -> u64 {
+    debug_assert!(pos < 2 * len);
+    if pos >= len {
+        pos - len
+    } else {
+        pos
+    }
+}
+
 /// One contiguous region of memory, line-aligned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Region {
@@ -181,6 +195,10 @@ impl TraceSource for TraceGenerator {
 #[derive(Debug)]
 pub struct TraceGenerator {
     profile: BenchmarkProfile,
+    /// Probability that an instruction slot holds a memory reference.
+    rate: f64,
+    /// `ln(1 − rate)`, the denominator of every geometric gap draw.
+    ln_keep: f64,
     threads: Vec<CpuStream>,
     /// Current rotation of the thread → CPU binding.
     rotation: usize,
@@ -197,8 +215,11 @@ impl TraceGenerator {
         profile
             .validate()
             .unwrap_or_else(|e| panic!("invalid profile {}: {e}", profile.name));
+        let rate = (profile.mem_per_instr + profile.ifetch_frac).min(1.0);
         Self {
             profile: *profile,
+            rate,
+            ln_keep: (1.0 - rate).ln(),
             rotation: 0,
             ops_until_rotate: ROTATION_PERIOD_OPS,
             threads: (0..num_cpus)
@@ -293,12 +314,12 @@ impl TraceGenerator {
         state.ops += 1;
         // Instruction gap: geometric with memory-op probability
         // mem_per_instr + ifetch_frac per instruction slot.
-        let rate = (p.mem_per_instr + p.ifetch_frac).min(1.0);
+        let rate = self.rate;
         let u: f64 = state.rng.random();
         let gap = if rate >= 1.0 {
             0
         } else {
-            ((1.0 - u).ln() / (1.0 - rate).ln()).min(10_000.0) as u32
+            ((1.0 - u).ln() / self.ln_keep).min(10_000.0) as u32
         };
         // Kind: instruction fetch vs data; stores among data refs.
         let is_ifetch = state.rng.random::<f64>() < p.ifetch_frac / rate;
@@ -306,7 +327,7 @@ impl TraceGenerator {
             // Walk the code loop: 4-byte instructions, sequential, wrapping.
             let code_bytes = u64::from(p.code_lines) * LINE;
             let addr = private_base(thread_id) + (1 << 26) + state.code_pos;
-            state.code_pos = (state.code_pos + 4) % code_bytes;
+            state.code_pos = wrap(state.code_pos + 4, code_bytes);
             return TraceOp {
                 gap,
                 kind: AccessKind::IFetch,
@@ -336,13 +357,13 @@ impl TraceGenerator {
                     state.shared_pos = state.rng.random_range(0..u64::from(p.shared_lines)) * LINE;
                 }
                 let addr = SHARED_BASE + state.shared_pos;
-                state.shared_pos = (state.shared_pos + 8) % shared_bytes;
+                state.shared_pos = wrap(state.shared_pos + 8, shared_bytes);
                 addr
             }
         } else if r < p.shared_frac + p.streaming_frac {
             let stream_bytes = u64::from(p.footprint_lines) * LINE;
             let addr = private_base(thread_id) + (1 << 24) + state.stream_pos;
-            state.stream_pos = (state.stream_pos + 8) % stream_bytes;
+            state.stream_pos = wrap(state.stream_pos + 8, stream_bytes);
             addr
         } else {
             let line = state.rng.random_range(0..u64::from(p.hot_lines));

@@ -69,8 +69,8 @@ SNAPSHOT / RESUME (run only):
                               with --snapshot-every, overwrites the image
                               every N transactions (rolling checkpoint)
     --snapshot-every <txns>   checkpoint cadence in completed
-                              transactions, nonzero (requires
-                              --snapshot-out)
+                              transactions, nonzero and below
+                              warmup + sample (requires --snapshot-out)
     --resume <path>           reconstruct a checkpointed run and carry it
                               to completion; the image records the cell,
                               the scale and the observability settings,
@@ -274,6 +274,15 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
         // The lone snapshot is taken at the warmup boundary: with no
         // warmup there is none, and the run would write nothing.
         return Err("--snapshot-out with --warmup 0 needs --snapshot-every".into());
+    }
+    let length = scale.warmup.saturating_add(scale.sample);
+    if run.snapshot_every >= length {
+        // The run ends at its last transaction, before the first stop.
+        let every = run.snapshot_every;
+        return Err(format!(
+            "--snapshot-every {every} is not below the run's {length} transactions \
+             (--warmup + --sample): the run would write nothing"
+        ));
     }
     Ok(cli)
 }
@@ -572,6 +581,15 @@ mod tests {
         let err = run("--snapshot-out ckpt.nim --warmup 0").unwrap_err();
         assert!(err.contains("--snapshot-every"), "{err}");
         assert!(run("--snapshot-out ckpt.nim --warmup 0 --snapshot-every 9").is_ok());
+        // A cadence the run never reaches would write nothing either.
+        let err = run("--sample 300 --snapshot-out s.snap --snapshot-every 100000").unwrap_err();
+        assert!(err.contains("100000") && err.contains("2300"), "{err}");
+        let long = "--warmup 100 --sample 200 --snapshot-out s.snap --snapshot-every";
+        assert!(
+            run(&format!("{long} 300")).is_err(),
+            "the stop is the last transaction"
+        );
+        assert!(run(&format!("{long} 299")).is_ok());
         let cli = run("--resume ckpt.nim").unwrap();
         assert_eq!(cli.run.resume.as_deref(), Some("ckpt.nim"));
     }

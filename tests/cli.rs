@@ -181,6 +181,13 @@ fn a_lone_snapshot_with_no_warmup_boundary_is_refused() {
         "{err}"
     );
     assert!(!image.exists());
+    // A cadence the run ends before used to exit 0 with no image.
+    let err = refused(&format!(
+        "run --sample 300 --snapshot-out {} --snapshot-every 100000",
+        image.display()
+    ));
+    assert!(err.contains("would write nothing"), "{err}");
+    assert!(!image.exists());
     // With a cadence there are boundaries to snapshot at.
     let cadence = format!(
         "run --snapshot-out {} --warmup 0 --sample 200 --snapshot-every 100",

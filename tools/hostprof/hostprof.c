@@ -13,6 +13,14 @@
  *       records every instruction: exact counts over a fixed span of the
  *       program's own work (with a once-per-cycle function, a fixed span
  *       of simulated cycles), comparable across two builds.
+ *   hostprof count -- <cmd> [args..]
+ *       runs <cmd> under user-mode hardware counters (perf_event_open,
+ *       inherited by its threads and children, enabled at exec) and prints
+ *       cycles, instructions, branches, branch misses, L1d read misses and
+ *       front-end stall cycles. Counts settle where sampling cannot: the
+ *       instructions of one binary repeat within about 1 %. Needs a PMU the
+ *       kernel exposes and perf_event_paranoid <= 2; an event the machine
+ *       lacks is reported as missing, not as zero.
  *
  * <out> gets "# <mode>", then one "<hex offset> <count>" line per distinct
  * address, offsets relative to the executable's load base (what addr2line
@@ -22,11 +30,15 @@
  * resolve.py. x86-64 Linux.
  */
 #define _GNU_SOURCE
+#include <errno.h>
+#include <linux/perf_event.h>
 #include <signal.h>
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/ptrace.h>
+#include <sys/syscall.h>
 #include <sys/user.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -133,14 +145,94 @@ static void window(pid_t pid, unsigned long long off, size_t skip, size_t count)
     }
 }
 
+/* `count`: the events, in print order. */
+static const struct {
+    const char *name;
+    uint32_t type;
+    uint64_t config;
+} events[] = {
+    {"cycles", PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES},
+    {"instructions", PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS},
+    {"branches", PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_INSTRUCTIONS},
+    {"branch-misses", PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES},
+    {"L1d-read-misses", PERF_TYPE_HW_CACHE,
+     PERF_COUNT_HW_CACHE_L1D | PERF_COUNT_HW_CACHE_OP_READ << 8 |
+         PERF_COUNT_HW_CACHE_RESULT_MISS << 16},
+    {"frontend-stall-cycles", PERF_TYPE_HARDWARE, PERF_COUNT_HW_STALLED_CYCLES_FRONTEND},
+};
+#define EVENTS (sizeof events / sizeof *events)
+
+/* Opens every event on the stopped child; returns how many opened. */
+static int open_counters(pid_t pid, int *fd) {
+    int opened = 0, denied = 0;
+    for (size_t i = 0; i < EVENTS; i++) {
+        struct perf_event_attr attr;
+        memset(&attr, 0, sizeof attr);
+        attr.size = sizeof attr;
+        attr.type = events[i].type;
+        attr.config = events[i].config;
+        attr.disabled = 1;
+        attr.enable_on_exec = 1;
+        attr.inherit = 1;
+        attr.exclude_kernel = 1;
+        attr.exclude_hv = 1;
+        attr.read_format = PERF_FORMAT_TOTAL_TIME_ENABLED | PERF_FORMAT_TOTAL_TIME_RUNNING;
+        fd[i] = (int)syscall(SYS_perf_event_open, &attr, pid, -1, -1, 0);
+        if (fd[i] >= 0) {
+            opened++;
+        } else if (errno == EACCES || errno == EPERM) {
+            denied = 1;
+        } else {
+            fprintf(stderr, "hostprof: %s: missing on this machine (%s)\n", events[i].name,
+                    strerror(errno));
+        }
+    }
+    if (denied) {
+        FILE *f = fopen("/proc/sys/kernel/perf_event_paranoid", "r");
+        int level = -99;
+        if (f) {
+            if (fscanf(f, "%d", &level) != 1) level = -99;
+            fclose(f);
+        }
+        fprintf(stderr,
+                "hostprof: perf_event_paranoid is %d: counting forbidden (user-mode counts of "
+                "one's own processes need <= 2)\n",
+                level);
+    }
+    return opened;
+}
+
+/* Prints each opened counter, scaled up if the kernel multiplexed it. */
+static void print_counters(const int *fd) {
+    double count[EVENTS];
+    int have[EVENTS] = {0};
+    for (size_t i = 0; i < EVENTS; i++) {
+        uint64_t v[3];
+        if (fd[i] < 0 || read(fd[i], v, sizeof v) != (ssize_t)sizeof v || !v[2]) continue;
+        count[i] = (double)v[0] * ((double)v[1] / (double)v[2]);
+        have[i] = 1;
+        fprintf(stderr, "hostprof: %22.0f  %s%s\n", count[i], events[i].name,
+                v[1] == v[2] ? "" : "  (multiplexed, scaled)");
+    }
+    if (have[0] && have[1]) fprintf(stderr, "hostprof: IPC %.3f\n", count[1] / count[0]);
+    if (have[2] && have[3])
+        fprintf(stderr, "hostprof: branch misses %.2f %% of branches\n",
+                100 * count[3] / count[2]);
+    if (have[0] && have[5])
+        fprintf(stderr, "hostprof: front-end stalls %.1f %% of cycles\n",
+                100 * count[5] / count[0]);
+}
+
 int main(int argc, char **argv) {
     const char *mode = argc > 1 ? argv[1] : "";
-    int step = !strcmp(mode, "step"), win = !strcmp(mode, "window");
-    int cmd = win ? 7 : step ? 6 : 5;
-    if (argc <= cmd || strcmp(argv[cmd - 1], "--") || !(step || win || !strcmp(mode, "sample"))) {
+    int step = !strcmp(mode, "step"), win = !strcmp(mode, "window"), cnt = !strcmp(mode, "count");
+    int cmd = win ? 7 : step ? 6 : cnt ? 3 : 5;
+    if (argc <= cmd || strcmp(argv[cmd - 1], "--") ||
+        !(step || win || cnt || !strcmp(mode, "sample"))) {
         fprintf(stderr, "usage: hostprof sample <interval_us> <out> -- cmd [args..]\n"
                         "       hostprof step <warmup_ms> <count> <out> -- cmd [args..]\n"
-                        "       hostprof window <offset> <skip> <count> <out> -- cmd [args..]\n");
+                        "       hostprof window <offset> <skip> <count> <out> -- cmd [args..]\n"
+                        "       hostprof count -- cmd [args..]\n");
         return 2;
     }
     pid_t pid = fork();
@@ -152,6 +244,18 @@ int main(int argc, char **argv) {
     }
     int st;
     waitpid(pid, &st, WUNTRACED);
+    if (cnt) {
+        int fd[EVENTS];
+        int opened = open_counters(pid, fd);
+        kill(pid, SIGCONT);
+        if (waitpid(pid, &st, 0) < 0) return 1;
+        if (!opened) {
+            fprintf(stderr, "hostprof: no counter could be opened; nothing counted\n");
+            return 1;
+        }
+        print_counters(fd);
+        return WIFEXITED(st) ? WEXITSTATUS(st) : 1;
+    }
     if (ptrace(PTRACE_SEIZE, pid, 0, PTRACE_O_TRACEEXEC | PTRACE_O_EXITKILL)) {
         perror("PTRACE_SEIZE");
         return 1;
