@@ -11,7 +11,6 @@
 //! however many sets it has, and an insert finds its free way with one
 //! bit scan instead of a slot walk.
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::LineAddr;
 
 use crate::plru::TreePlru;
@@ -118,44 +117,9 @@ impl Bank {
     }
 }
 
-/// The image is per set, in set order: the tree bits, then the way slots
-/// behind their count. Way-slot positions are load-bearing (lookup and
-/// insert walk them by position), so empty slots are written explicitly;
-/// the empty masks are derived from them and rebuilt on restore.
-impl Checkpoint for Bank {
-    fn save(&self, w: &mut ByteWriter) {
-        w.len_prefix(self.plru.len());
-        for (plru, slots) in self.plru.iter().zip(self.lines.chunks_exact(self.ways)) {
-            plru.save(w);
-            w.len_prefix(slots.len());
-            for slot in slots {
-                slot.put(w);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        if r.u32()? as usize != self.plru.len() {
-            return Err(CodecError::Corrupt("bank set count mismatch"));
-        }
-        let ways = self.ways;
-        for (s, plru) in self.plru.iter_mut().enumerate() {
-            plru.restore(r)?;
-            let slots: Vec<Option<LineAddr>> = r.seq_of_len(ways, "bank way count mismatch")?;
-            self.empty[s] = 0;
-            for (w, slot) in slots.into_iter().enumerate() {
-                self.empty[s] |= u32::from(slot.is_none()) << w;
-                self.lines[s * ways + w] = slot;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nim_types::codec::save_each;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -209,25 +173,6 @@ mod tests {
         fn occupancy(&self) -> usize {
             self.lines.iter().filter(|s| s.is_some()).count()
         }
-    }
-
-    impl Checkpoint for Set {
-        fn save(&self, w: &mut ByteWriter) {
-            self.plru.save(w);
-            self.lines.put(w);
-        }
-
-        fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-            self.plru.restore(r)?;
-            self.lines = r.seq_of_len(self.lines.len(), "bank way count mismatch")?;
-            Ok(())
-        }
-    }
-
-    fn image(c: &impl Checkpoint) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        c.save(&mut w);
-        w.into_bytes()
     }
 
     #[test]
@@ -294,8 +239,8 @@ mod tests {
 
     /// Seeded insert / remove / touch / lookup scripts drive the slab and
     /// the per-set oracle side by side; every return value, the
-    /// occupancy and the checkpoint image must agree after every step,
-    /// and the slab must restore from the oracle's image.
+    /// occupancy, and every set's slots, tree and empty mask must agree
+    /// after every step.
     #[test]
     fn slab_matches_the_per_set_oracle() {
         for ways in [1u32, 2, 4, 16, 32] {
@@ -325,33 +270,15 @@ mod tests {
                     }
                     let held: usize = oracle.iter().map(Set::occupancy).sum();
                     assert_eq!(bank.occupancy(), held, "{at}");
-                    let mut w = ByteWriter::new();
-                    save_each(&oracle, &mut w);
-                    let want = w.into_bytes();
-                    assert_eq!(image(&bank), want, "{at}");
-                    if step % 97 == 0 {
-                        let mut back = Bank::new(sets, ways);
-                        back.restore(&mut ByteReader::new(&want)).expect("restores");
-                        assert_eq!(image(&back), want, "{at}");
-                        assert_eq!(back.empty, bank.empty, "{at}: masks rebuilt");
+                    for (s, o) in oracle.iter().enumerate() {
+                        assert_eq!(bank.slots(s), o.lines, "{at} set {s}");
+                        assert_eq!(bank.plru[s], o.plru, "{at} set {s}");
+                        let empty = o.lines.iter().enumerate().filter(|(_, l)| l.is_none());
+                        let mask = empty.fold(0, |m, (w, _)| m | 1 << w);
+                        assert_eq!(bank.empty[s], mask, "{at} set {s}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn restore_rejects_a_wrong_shape() {
-        let bank = Bank::new(2, 4);
-        let bytes = image(&bank);
-        assert!(Bank::new(4, 4)
-            .restore(&mut ByteReader::new(&bytes))
-            .is_err());
-        assert!(Bank::new(2, 8)
-            .restore(&mut ByteReader::new(&bytes))
-            .is_err());
-        assert!(Bank::new(2, 4)
-            .restore(&mut ByteReader::new(&bytes[..bytes.len() - 1]))
-            .is_err());
     }
 }

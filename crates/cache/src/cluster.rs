@@ -6,7 +6,6 @@
 //! the tag array lookup is exactly one set probe in one bank.
 
 use nim_types::addr::L2Map;
-use nim_types::codec::{restore_each, save_each, ByteReader, ByteWriter, Checkpoint, CodecError};
 use nim_types::{ClusterId, LineAddr};
 
 use crate::bank::{Bank, Inserted};
@@ -66,16 +65,6 @@ impl Cluster {
     /// Lines resident in this cluster.
     pub fn occupancy(&self) -> usize {
         self.banks.iter().map(Bank::occupancy).sum()
-    }
-}
-
-impl Checkpoint for Cluster {
-    fn save(&self, w: &mut ByteWriter) {
-        save_each(&self.banks, w);
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        restore_each(&mut self.banks, r, "cluster bank count mismatch")
     }
 }
 

@@ -19,9 +19,6 @@
 
 use nim_obs::{Category, EventData, Obs};
 use nim_types::addr::L2Map;
-use nim_types::codec::{
-    restore_each, save_each, ByteReader, ByteWriter, Checkpoint, Codec, CodecError,
-};
 use nim_types::{ClusterId, FxHashMap, L2Config, LineAddr};
 
 use crate::cluster::Cluster;
@@ -86,15 +83,6 @@ pub struct L2Stats {
     /// Replicas dropped (write invalidations, evictions, removals).
     pub replicas_dropped: u64,
 }
-
-nim_types::codec_struct!(L2Stats {
-    insertions,
-    evictions,
-    migrations,
-    migrations_aborted,
-    replicas_created,
-    replicas_dropped
-});
 
 /// The shared NUCA L2 cache.
 #[derive(Clone, Debug)]
@@ -454,51 +442,6 @@ impl NucaL2 {
         clusters
     }
 
-    /// Total replicas currently installed.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.values().map(Vec::len).sum()
-    }
-
-    /// Checks the location maps a snapshot carried against the bank tag
-    /// arrays it carried: every mapped copy (primary or replica) sits
-    /// in its cluster's bank, and — the counts being equal and the
-    /// mapped copies distinct — every bank line is mapped. The run-time
-    /// paths rely on this (`Bank::touch` panics on a mapped line its
-    /// bank does not hold).
-    fn check_location_maps(&self) -> Result<(), CodecError> {
-        let in_range = |cl: &ClusterId| cl.index() < self.clusters.len();
-        let held =
-            |line: LineAddr, cl: ClusterId| self.clusters[cl.index()].contains(&self.map, line);
-        if !self
-            .resident
-            .values()
-            .chain(self.migrating.values())
-            .all(in_range)
-        {
-            return Err(CodecError::Corrupt("cluster id out of range"));
-        }
-        if !self.resident.iter().all(|(&line, &cl)| held(line, cl)) {
-            return Err(CodecError::Corrupt("resident line missing from its bank"));
-        }
-        for (&line, holders) in &self.replicas {
-            let primary = self.locate(line);
-            for (i, &cl) in holders.iter().enumerate() {
-                if !in_range(&cl) {
-                    return Err(CodecError::Corrupt("replica cluster out of range"));
-                }
-                let distinct = primary != Some(cl) && !holders[..i].contains(&cl);
-                if primary.is_none() || !distinct || !held(line, cl) {
-                    return Err(CodecError::Corrupt("replica missing from its bank"));
-                }
-            }
-        }
-        let in_banks: usize = self.clusters.iter().map(Cluster::occupancy).sum();
-        if in_banks != self.resident.len() + self.replica_count() {
-            return Err(CodecError::Corrupt("bank holds a line no map names"));
-        }
-        Ok(())
-    }
-
     /// Marks a hit on the copy of `line` held by `cluster` — primary or
     /// replica, whichever that cluster's bank actually contains. Falls
     /// back to touching the primary if the cluster holds no copy (e.g. a
@@ -515,27 +458,6 @@ impl NucaL2 {
     }
 }
 
-impl Checkpoint for NucaL2 {
-    fn save(&self, w: &mut ByteWriter) {
-        self.stats.put(w);
-        save_each(&self.clusters, w);
-        self.resident.put(w);
-        self.migrating.put(w);
-        // Replica vectors keep their insertion order (swap_remove depends
-        // on it): entries are key-sorted, each Vec is verbatim.
-        self.replicas.put(w);
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.stats = Codec::get(r)?;
-        restore_each(&mut self.clusters, r, "L2 cluster count mismatch")?;
-        self.resident = Codec::get(r)?;
-        self.migrating = Codec::get(r)?;
-        self.replicas = Codec::get(r)?;
-        self.check_location_maps()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,6 +465,11 @@ mod tests {
 
     fn l2() -> NucaL2 {
         NucaL2::new(&L2Config::default())
+    }
+
+    /// Total replicas currently installed.
+    fn replica_count(l2: &NucaL2) -> usize {
+        l2.replicas.values().map(Vec::len).sum()
     }
 
     /// A line whose home cluster is `cl` (cluster field is bits [10,14)).
@@ -687,7 +614,7 @@ mod tests {
         assert!(l2.has_copy_at(line, ClusterId(5)), "replica");
         assert!(!l2.has_copy_at(line, ClusterId(3)));
         assert_eq!(l2.locate(line), Some(ClusterId(0)), "primary unchanged");
-        assert_eq!(l2.replica_count(), 1);
+        assert_eq!(replica_count(&l2), 1);
         assert_eq!(l2.stats().replicas_created, 1);
         // A write drops every replica.
         let dropped = l2.drop_replicas(line);
@@ -727,9 +654,9 @@ mod tests {
         l2.insert(line);
         l2.add_replica(line, ClusterId(7)).unwrap();
         l2.add_replica(line, ClusterId(9)).unwrap();
-        assert_eq!(l2.replica_count(), 2);
+        assert_eq!(replica_count(&l2), 2);
         l2.remove(line);
-        assert_eq!(l2.replica_count(), 0);
+        assert_eq!(replica_count(&l2), 0);
         assert_eq!(l2.cluster_occupancy(ClusterId(7)), 0);
         assert_eq!(l2.cluster_occupancy(ClusterId(9)), 0);
     }
@@ -764,45 +691,16 @@ mod tests {
                                                        // One more insert into the same set evicts pseudo-LRU — keep
                                                        // inserting until the replica is the victim.
         let mut i = 15u64;
-        while l2.replica_count() == 1 && i < 40 {
+        while replica_count(&l2) == 1 && i < 40 {
             l2.insert(mk1(i));
             i += 1;
         }
-        assert_eq!(l2.replica_count(), 0, "replica eventually evicted");
+        assert_eq!(replica_count(&l2), 0, "replica eventually evicted");
         assert_eq!(
             l2.locate(shared),
             Some(ClusterId(0)),
             "primary copy survives replica eviction"
         );
-    }
-
-    #[test]
-    fn checkpoint_round_trips_residency_migration_and_replicas() {
-        use nim_types::codec::{ByteReader, ByteWriter};
-        let mut a = l2();
-        for cl in 0..8u16 {
-            a.insert(line_in_cluster(cl, 1));
-        }
-        let mover = line_in_cluster(1, 1);
-        a.begin_migration(mover, ClusterId(9)).unwrap();
-        a.add_replica(line_in_cluster(2, 1), ClusterId(11)).unwrap();
-        let mut w = ByteWriter::new();
-        a.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut b = l2();
-        b.restore(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(b.stats(), a.stats());
-        assert_eq!(b.occupancy(), a.occupancy());
-        assert_eq!(b.migration_of(mover), Some(ClusterId(9)));
-        assert_eq!(b.replicas_of(line_in_cluster(2, 1)), &[ClusterId(11)]);
-        // Both replicas must behave identically from here on.
-        let out_a = a.commit_migration(mover).unwrap();
-        let out_b = b.commit_migration(mover).unwrap();
-        assert_eq!(out_a, out_b);
-        // Corrupt/truncated bytes are typed errors, not panics.
-        let mut c = l2();
-        assert!(c.restore(&mut ByteReader::new(&bytes[..20])).is_err());
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub struct TreePlru {
     ways: u8,
 }
 
-// The tree bits are the live state; `ways` is geometry the scaffold
-// rebuilds.
-nim_types::checkpoint_fields!(TreePlru { bits });
-
 impl TreePlru {
     /// Creates the replacement state for a set of `ways` ways.
     ///

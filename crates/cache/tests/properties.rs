@@ -1,7 +1,6 @@
 //! Property-based tests for replacement, placement, and migration state.
 
-use nim_cache::{L2Stats, NucaL2, TreePlru};
-use nim_types::codec::{assert_laws, ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
+use nim_cache::{NucaL2, TreePlru};
 use nim_types::{ClusterId, L2Config, LineAddr};
 use proptest::prelude::*;
 
@@ -150,55 +149,6 @@ proptest! {
                 prop_assert_eq!(l2.locate(l), Some(to));
             }
         }
-    }
-}
-
-#[test]
-fn restore_rejects_location_maps_that_disagree_with_the_bank_tag_arrays() {
-    // Home cluster 2 (the cluster field is bits [10, 14) of a line address).
-    let line = LineAddr((1 << 14) | (2 << 10));
-    // The image of an L2 holding `line` (or nothing) in `cluster`.
-    // A line's bank and set come from its address, so every image
-    // carries the same number of bytes ahead of the three maps.
-    let image = |cluster: Option<u16>| {
-        let mut l2 = NucaL2::new(&L2Config::default());
-        if let Some(cl) = cluster {
-            l2.insert_at(line, ClusterId(cl));
-        }
-        let mut w = ByteWriter::new();
-        l2.save(&mut w);
-        w.into_bytes()
-    };
-    let restore =
-        |bytes: &[u8]| NucaL2::new(&L2Config::default()).restore(&mut ByteReader::new(bytes));
-    let one_entry = 4 + (8 + 2) + 4 + 4; // resident {line}, no migrations, no replicas
-    let no_entries = 4 + 4 + 4;
-    let (at_2, at_3, empty) = (image(Some(2)), image(Some(3)), image(None));
-    let banks = &at_2[..at_2.len() - one_entry];
-    assert_eq!(restore(&at_2), Ok(()));
-
-    // Cluster 2's bank holds the line, the map says cluster 3: the
-    // state in which `Bank::touch` used to panic after a clean resume.
-    let moved = [banks, &at_3[at_3.len() - one_entry..]].concat();
-    assert_eq!(
-        restore(&moved),
-        Err(CodecError::Corrupt("resident line missing from its bank"))
-    );
-    // The other direction: a bank line that no map names.
-    let orphaned = [banks, &empty[empty.len() - no_entries..]].concat();
-    assert_eq!(
-        restore(&orphaned),
-        Err(CodecError::Corrupt("bank holds a line no map names"))
-    );
-}
-
-proptest! {
-    /// The `Codec` laws on the L2 counters: any 48 bytes are six
-    /// counters.
-    #[test]
-    fn l2_stats_obey_the_codec_laws(bytes in proptest::collection::vec(any::<u8>(), 48)) {
-        let stats = L2Stats::get(&mut ByteReader::new(&bytes)).expect("six u64s");
-        prop_assert_eq!(assert_laws(&stats), stats);
     }
 }
 

@@ -8,8 +8,7 @@
 //! must generate. Transport and timing belong to `nim-core`.
 
 use nim_obs::{Category, EventData, Obs};
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
-use nim_types::{codec_enum, codec_struct, CpuId, FxHashMap, LineAddr};
+use nim_types::{CpuId, FxHashMap, LineAddr};
 
 /// Global coherence state of one line across all L1s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,9 +21,6 @@ pub enum LineState {
     /// configurations only; the paper's write-through L1s never hold M).
     Modified,
 }
-
-// The tags are image bytes; 2 is unassigned and decodes as corrupt.
-codec_enum!(LineState, "bad line state tag" { 0 => Invalid, 1 => Shared, 3 => Modified });
 
 /// What an L1 does with a line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,8 +101,6 @@ struct Entry {
     state: LineState,
     sharers: u64,
 }
-
-codec_struct!(Entry { state, sharers });
 
 /// The directory: line → (state, sharer set).
 ///
@@ -255,7 +249,7 @@ impl Directory {
         told
     }
 
-    /// Protocol invariant check, used by tests and on restore:
+    /// Protocol invariant check, used by tests:
     /// `Modified` implies exactly one sharer; a tracked entry always has
     /// at least one sharer, each a CPU this directory was built for.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -275,22 +269,6 @@ impl Directory {
             }
         }
         Ok(())
-    }
-}
-
-impl Checkpoint for Directory {
-    fn save(&self, w: &mut ByteWriter) {
-        self.invalidations_sent.put(w);
-        self.entries.put(w);
-    }
-
-    /// Rejects an image whose entries break [`Directory::check_invariants`]:
-    /// the engine indexes per-CPU state by the sharers it is handed.
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.invalidations_sent = Codec::get(r)?;
-        self.entries = Codec::get(r)?;
-        self.check_invariants()
-            .map_err(|_| CodecError::Corrupt("directory entries break its invariants"))
     }
 }
 
@@ -405,73 +383,5 @@ mod tests {
     fn out_of_range_cpu_panics() {
         let mut d = dir(WritePolicy::WriteThrough);
         d.access(CpuId(9), LINE, DirAccess::Read);
-    }
-
-    #[test]
-    fn checkpoint_round_trips_directory_state() {
-        let mut d = dir(WritePolicy::WriteThrough);
-        for c in 0..4 {
-            d.access(CpuId(c), LINE, DirAccess::Read);
-        }
-        d.access(CpuId(0), LINE, DirAccess::Write);
-        d.access(CpuId(1), LineAddr(0x2000), DirAccess::Read);
-
-        let mut w = nim_types::ByteWriter::new();
-        d.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut fresh = dir(WritePolicy::WriteThrough);
-        let mut r = nim_types::ByteReader::new(&bytes);
-        fresh.restore(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(fresh.invalidations_sent, d.invalidations_sent);
-        assert_eq!(fresh.state(LINE), d.state(LINE));
-        assert_eq!(fresh.sharers(LINE), d.sharers(LINE));
-        assert_eq!(fresh.state(LineAddr(0x2000)), LineState::Shared);
-        fresh.check_invariants().unwrap();
-
-        // Saving the restored copy reproduces the same bytes.
-        let mut w2 = nim_types::ByteWriter::new();
-        fresh.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn checkpoint_rejects_bad_state_tag() {
-        let mut d = dir(WritePolicy::WriteThrough);
-        d.access(CpuId(0), LINE, DirAccess::Read);
-        let mut w = nim_types::ByteWriter::new();
-        d.save(&mut w);
-        let image = w.into_bytes();
-        // invalidations (8) + count (4) + line (8) → state tag at byte 20,
-        // then the sharer mask: an unknown state, tag 2 (a state MSI never
-        // produces), a sharer (bit 42) this 8-CPU directory has no seat
-        // for, and a tracked line nobody holds.
-        for (at, flip) in [(20, 0xee), (20, 0x03), (21 + 5, 0x04), (21, 0x01)] {
-            let mut bytes = image.clone();
-            bytes[at] ^= flip;
-            let mut r = nim_types::ByteReader::new(&bytes);
-            let restored = dir(WritePolicy::WriteThrough).restore(&mut r);
-            assert!(
-                matches!(restored, Err(nim_types::CodecError::Corrupt(_))),
-                "byte {at}: {restored:?}"
-            );
-        }
-    }
-
-    mod codec_laws {
-        use super::super::{Entry, LineState};
-        use nim_types::codec::assert_laws;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn line_states_and_entries(variant in 0usize..3, sharers in any::<u64>()) {
-                let state = [LineState::Invalid, LineState::Shared, LineState::Modified][variant];
-                prop_assert_eq!(assert_laws(&state), state);
-                let entry = assert_laws(&Entry { state, sharers });
-                prop_assert_eq!((entry.state, entry.sharers), (state, sharers));
-            }
-        }
     }
 }

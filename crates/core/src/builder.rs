@@ -48,8 +48,8 @@ pub struct SystemBuilder {
 
 /// The build recipe: every value that decides which system `build()`
 /// assembles and how its runs are driven. A built [`System`] keeps it
-/// (with `cfg` as built — flattened for the 2D schemes), a snapshot's
-/// `CFG ` section is its image in this field order, and
+/// (with `cfg` as built — flattened for the 2D schemes), a snapshot
+/// image carries it in this field order, and
 /// [`SystemBuilder::resume_from`] rebuilds from it. The observability
 /// handle is not part of it: it changes what a run records, never what
 /// it computes.
@@ -293,6 +293,42 @@ impl SystemBuilder {
             sample_buf: SampleBuf::default(),
             obs: self.obs,
             progress: None,
+            used: false,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use nim_types::codec::assert_laws;
+    use nim_types::SystemConfig;
+    use proptest::prelude::*;
+
+    use super::Recipe;
+    use crate::fabric::FabricKind;
+    use crate::scheme::Scheme;
+
+    proptest! {
+        #[test]
+        fn recipes_obey_the_codec_laws(
+            (scheme, fabric, seed, warmup, sample) in (0usize..4, 0usize..2, any::<u64>(), any::<u64>(), any::<u64>()),
+            flags in proptest::collection::vec(any::<bool>(), 3),
+        ) {
+            let (scheme, fabric) = (Scheme::ALL[scheme], FabricKind::ALL[fabric]);
+            prop_assert_eq!(assert_laws(&scheme), scheme);
+            prop_assert_eq!(assert_laws(&fabric), fabric);
+            let recipe = Recipe {
+                scheme,
+                fabric,
+                replication: flags[0],
+                edge_memory: flags[1],
+                prewarm: flags[2],
+                seed,
+                warmup,
+                sample,
+                cfg: SystemConfig::default(),
+            };
+            prop_assert_eq!(assert_laws(&recipe), recipe);
+        }
     }
 }

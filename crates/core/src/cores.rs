@@ -11,12 +11,9 @@
 //! advances one cycle at a time: only the call into an idle core goes.
 //!
 //! Accounting lags while a core sleeps, so whoever reads a core's
-//! counters first brings it up to date ([`Cores::settle`]). The wake
-//! state is derived, never serialized: [`Cores::resume_at`] re-derives it
-//! whenever every core is up to date.
+//! counters first brings it up to date ([`Cores::settle`]).
 
 use nim_cpu::{CoreAction, InOrderCore};
-use nim_types::codec::{restore_each, save_each, ByteReader, ByteWriter, Checkpoint, CodecError};
 use nim_types::{AccessKind, Address, CpuId, LineAddr, TraceOp};
 
 /// The chip's cores with their sleep bookkeeping. Only this type calls
@@ -50,12 +47,6 @@ impl Cores {
     /// The cores, for reading their state and (once settled) counters.
     pub(crate) fn iter(&self) -> std::slice::Iter<'_, InOrderCore> {
         self.cores.iter()
-    }
-
-    /// Every core is up to date at `now`: each is due on the next cycle.
-    pub(crate) fn resume_at(&mut self, now: u64) {
-        self.settled.fill(now);
-        self.wake.fill(now.saturating_add(1));
     }
 
     /// Whether core `i` must be ticked at cycle `now`; a core that is not
@@ -137,29 +128,11 @@ impl Cores {
     }
 }
 
-/// The image is the cores' own; the wake state is re-derived by
-/// [`Cores::resume_at`] when the restored run continues.
-impl Checkpoint for Cores {
-    fn save(&self, w: &mut ByteWriter) {
-        save_each(&self.cores, w);
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        restore_each(&mut self.cores, r, "core count mismatch")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nim_types::L1Config;
     use proptest::prelude::*;
-
-    fn image(core: &InOrderCore) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        core.save(&mut w);
-        w.into_bytes()
-    }
 
     /// One trace op: a kind (read, fetch, store), a gap of 0–40, and an
     /// address from a small pool so L1 hits happen.
@@ -183,7 +156,7 @@ mod tests {
         /// schedule, and produce the same action on every cycle the
         /// sleeper acts; on the cycles it sleeps, the ticked core only
         /// progresses or stays halted. At random cycles the sleeper is
-        /// settled and both must agree on counters, state and image.
+        /// settled and both must agree on counters and state.
         #[test]
         fn a_sleeping_core_matches_a_core_ticked_every_cycle(
             ops in proptest::collection::vec(trace_op(), 1..120),
@@ -240,13 +213,13 @@ mod tests {
                     let slept = cores.iter().next().expect("one core");
                     prop_assert_eq!(slept.stats(), ticked.stats(), "cycle {}", now);
                     prop_assert_eq!(slept.skippable_cycles(), ticked.skippable_cycles());
-                    prop_assert_eq!(image(slept), image(&ticked), "cycle {}", now);
+                    prop_assert_eq!(slept, &ticked, "cycle {}", now);
                 }
             }
             cores.settle(now);
             let slept = cores.iter().next().expect("one core");
             prop_assert_eq!(slept.stats(), ticked.stats());
-            prop_assert_eq!(image(slept), image(&ticked));
+            prop_assert_eq!(slept, &ticked);
         }
     }
 

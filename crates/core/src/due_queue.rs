@@ -19,8 +19,6 @@
 
 use std::collections::VecDeque;
 
-use nim_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
 /// Cycles the ring covers (a power of two): the 260-cycle DRAM latency
 /// with room for channel queueing on top.
 const SPAN: u64 = 512;
@@ -67,7 +65,7 @@ pub(crate) struct DueQueue<T> {
     earliest: u64,
     len: usize,
     /// Sequence number of the latest push (the first push gets 1).
-    pub(crate) seq: u64,
+    seq: u64,
 }
 
 impl<T> Default for DueQueue<T> {
@@ -212,8 +210,8 @@ impl<T> DueQueue<T> {
 
     /// Lowers the window to start at `due`, for a push below the base.
     /// The simulator pushes `now + delay` and the base trails `now`, so
-    /// it gets here only right after a restore (whose base is the
-    /// earliest entry); tests that pump a queue by hand may at any time.
+    /// it never gets here; tests that pump a queue by hand may at any
+    /// time.
     #[cold]
     fn rebase(&mut self, due: u64) {
         let mut entries = Vec::with_capacity(self.len);
@@ -227,48 +225,6 @@ impl<T> DueQueue<T> {
     }
 }
 
-/// The image is the entries as `(due, seq, item)` in ascending key
-/// order, then the sequence counter — what the binary heap this
-/// replaces wrote, byte for byte.
-impl<T: Codec> Codec for DueQueue<T> {
-    fn put(&self, w: &mut ByteWriter) {
-        w.len_prefix(self.len);
-        for off in 0..SPAN {
-            // Past `u64::MAX` the sum wraps onto buckets that are empty.
-            let due = self.base.wrapping_add(off);
-            let mut ix = self.buckets[(due % SPAN) as usize].head;
-            while ix != NIL {
-                let slot = &self.slab[ix as usize];
-                due.put(w);
-                slot.seq.put(w);
-                slot.item
-                    .as_ref()
-                    .expect("a linked slot holds an item")
-                    .put(w);
-                ix = slot.next;
-            }
-        }
-        for entry in &self.overflow {
-            entry.put(w);
-        }
-        self.seq.put(w);
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut entries = Vec::<(u64, u64, T)>::get(r)?;
-        entries.sort_by_key(|e| (e.0, e.1));
-        let mut q = Self {
-            base: entries.first().map_or(0, |e| e.0),
-            seq: Codec::get(r)?,
-            ..Self::default()
-        };
-        for (due, seq, item) in entries {
-            q.insert(due, seq, item);
-        }
-        Ok(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,8 +233,7 @@ mod tests {
     use std::collections::BinaryHeap;
 
     /// The binary heap the wheel replaced, kept as the oracle: the same
-    /// four operations and the same image, `(due, seq)` order by
-    /// construction.
+    /// four operations, `(due, seq)` order by construction.
     #[derive(Default)]
     struct HeapQueue {
         heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
@@ -303,20 +258,35 @@ mod tests {
             self.heap.pop().map(|e| e.0 .2)
         }
 
-        fn image(&self) -> Vec<u8> {
+        /// Every entry as `(due, seq, item)`, ascending.
+        fn entries(&self) -> Vec<(u64, u64, u64)> {
             let mut entries: Vec<_> = self.heap.iter().map(|e| e.0).collect();
             entries.sort_unstable();
-            let mut w = ByteWriter::new();
-            entries.put(&mut w);
-            self.seq.put(&mut w);
-            w.into_bytes()
+            entries
         }
     }
 
-    fn image(q: &DueQueue<u64>) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        q.put(&mut w);
-        w.into_bytes()
+    /// Every entry of the wheel as `(due, seq, item)`, in the order the
+    /// buckets and the overflow hold them — ascending when the wheel
+    /// keeps its order invariant.
+    fn entries(q: &DueQueue<u64>) -> Vec<(u64, u64, u64)> {
+        let mut out = Vec::new();
+        for off in 0..SPAN {
+            // Past `u64::MAX` the sum wraps onto buckets that are empty.
+            let due = q.base.wrapping_add(off);
+            let mut ix = q.buckets[(due % SPAN) as usize].head;
+            while ix != NIL {
+                let slot = &q.slab[ix as usize];
+                out.push((
+                    due,
+                    slot.seq,
+                    slot.item.expect("a linked slot holds an item"),
+                ));
+                ix = slot.next;
+            }
+        }
+        out.extend(q.overflow.iter().copied());
+        out
     }
 
     /// Every delay class the engine can produce, as distances from `now`:
@@ -400,20 +370,13 @@ mod tests {
             }
         }
 
-        fn images_agree(&self) {
-            assert_eq!(image(&self.wheel), self.heap.image());
-        }
-
-        /// Replaces the wheel with what its image decodes to.
-        fn restore(&mut self) {
-            let bytes = image(&self.wheel);
-            self.wheel = DueQueue::get(&mut ByteReader::new(&bytes)).expect("own image decodes");
-            assert_eq!(image(&self.wheel), bytes, "restore keeps the image");
-            self.agree();
+        fn entries_agree(&self) {
+            assert_eq!(entries(&self.wheel), self.heap.entries());
+            assert_eq!(self.wheel.seq, self.heap.seq);
         }
 
         fn finish(mut self) {
-            self.images_agree();
+            self.entries_agree();
             self.now = u64::MAX;
             self.drain(0, &[]);
             assert!(self.wheel.is_empty());
@@ -451,44 +414,10 @@ mod tests {
                         let to = p.wheel.next_due().map_or(p.now, |due| due.saturating_sub(1));
                         p.drain(to.saturating_sub(p.now), during);
                     }
-                    10 => p.images_agree(),
-                    _ => p.restore(),
+                    _ => p.entries_agree(),
                 }
             }
             p.finish();
-        }
-
-        #[test]
-        fn any_entry_list_decodes_and_pops_in_key_order(
-            entries in proptest::collection::vec((0usize..10, 0u64..6, any::<u8>()), 0..40),
-            counter in any::<u64>(),
-        ) {
-            // Shuffled, duplicated and `u64::MAX`-keyed entries, with
-            // sequence numbers unrelated to the counter.
-            let entries: Vec<(u64, u64, u64)> = entries
-                .into_iter()
-                .map(|(pick, seq, item)| (DELAYS[pick], seq, u64::from(item)))
-                .collect();
-            let mut w = ByteWriter::new();
-            entries.put(&mut w);
-            counter.put(&mut w);
-            let bytes = w.into_bytes();
-            let mut q = DueQueue::<u64>::get(&mut ByteReader::new(&bytes)).expect("well-formed image");
-            prop_assert_eq!(q.seq, counter);
-            prop_assert_eq!(q.len, entries.len());
-            prop_assert!(q.slab.len() + q.overflow.len() == entries.len(), "one slot per entry");
-            let mut sorted = entries;
-            sorted.sort_by_key(|e| (e.0, e.1));
-            let mut w = ByteWriter::new();
-            sorted.put(&mut w);
-            counter.put(&mut w);
-            prop_assert_eq!(image(&q), w.into_bytes());
-            let dues: Vec<u64> = std::iter::from_fn(|| {
-                let due = q.next_due()?;
-                q.pop_due(due).map(|_| due)
-            })
-            .collect();
-            prop_assert_eq!(dues, sorted.iter().map(|e| e.0).collect::<Vec<_>>());
         }
     }
 
@@ -500,7 +429,7 @@ mod tests {
         p.drain(100, &[]); // the window slides to 100 and now covers it
         assert!(p.wheel.overflow.is_empty(), "migrated on the slide");
         p.push(SPAN - 12); // 100 + 500: the same key, pushed directly
-        p.images_agree();
+        p.entries_agree();
         p.drain(SPAN - 12, &[]);
         assert!(p.wheel.is_empty());
     }
@@ -522,7 +451,7 @@ mod tests {
             2,
             "both are beyond the lowered window"
         );
-        p.images_agree();
+        p.entries_agree();
         p.finish();
     }
 
@@ -547,7 +476,6 @@ mod tests {
         p.push(260);
         p.drain(10 * SPAN, &[u64::MAX]);
         assert_eq!(p.wheel.next_due(), Some(u64::MAX));
-        p.restore();
         p.finish();
     }
 }

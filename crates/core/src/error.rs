@@ -55,9 +55,6 @@ impl From<PlacementError> for BuildError {
     }
 }
 
-const NO_GENERATOR: &str =
-    "the snapshot records no generator position: drive the resumed run from its own source";
-
 /// Error during a simulation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
@@ -69,19 +66,6 @@ pub enum RunError {
         /// Transactions completed before the stall.
         completed: u64,
     },
-    /// A [`ResumedRun`](crate::ResumedRun) was asked to drive itself but
-    /// its snapshot recorded no generator position (a replay-trace or
-    /// custom-source run): reload the source and use
-    /// [`ResumedRun::finish_with`](crate::ResumedRun::finish_with).
-    NoGenerator,
-    /// A delivered packet's cookie decodes to no protocol message — the
-    /// run was resumed from a corrupted snapshot image.
-    CorruptToken {
-        /// Cycle at which the packet was delivered.
-        cycle: u64,
-        /// The raw cookie.
-        token: u64,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -91,33 +75,24 @@ impl fmt::Display for RunError {
                 f,
                 "simulation stalled at cycle {cycle} after {completed} transactions"
             ),
-            RunError::NoGenerator => write!(f, "{NO_GENERATOR}"),
-            RunError::CorruptToken { cycle, token } => write!(
-                f,
-                "packet delivered at cycle {cycle} carries undecodable token {token:#018x}"
-            ),
         }
     }
 }
 
 impl Error for RunError {}
 
-/// Error taking or restoring a simulator snapshot.
+/// Error taking or resuming a simulator snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// [`System::snapshot`](crate::System::snapshot) was called with no
-    /// run in progress — there is no mid-flight state to capture.
+    /// run in progress — there is no point in a run to name.
     NoRunInProgress,
-    /// The clock does not sit on an epoch boundary (sampling is on and
-    /// no sample row was recorded at the current cycle). Pause the run
-    /// with [`System::run_until`](crate::System::run_until), which
-    /// stops only at legal boundaries.
-    NotEpochBoundary {
-        /// The illegal cycle at which the snapshot was attempted.
-        cycle: u64,
-    },
-    /// The snapshot bytes are malformed: truncated, version-skewed, or
-    /// inconsistent with the recorded configuration.
+    /// The run in progress cannot be replayed from its recipe: it was
+    /// not begun by [`System::begin`](crate::System::begin) on a freshly
+    /// built system (the reason says which).
+    NotReplayable(&'static str),
+    /// The snapshot bytes are malformed: truncated, bit-flipped or
+    /// version-skewed.
     Codec(nim_types::codec::CodecError),
     /// Reading or writing the snapshot file failed.
     Io(String),
@@ -126,10 +101,13 @@ pub enum SnapshotError {
     Build(BuildError),
     /// The snapshot names a benchmark this binary does not know.
     UnknownBenchmark(String),
-    /// [`ResumedRun::snapshot`](crate::ResumedRun::snapshot) on a run
-    /// whose snapshot recorded no generator position — snapshot it with
-    /// [`System::snapshot`](crate::System::snapshot) and its own source.
-    NoGenerator,
+    /// Replaying the recorded recipe did not reach the state the
+    /// snapshot names: this binary simulates differently from the one
+    /// that wrote it.
+    Diverged {
+        /// The recorded pause cycle.
+        cycle: u64,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -138,21 +116,23 @@ impl fmt::Display for SnapshotError {
             SnapshotError::NoRunInProgress => {
                 write!(f, "no run in progress: nothing to snapshot")
             }
-            SnapshotError::NotEpochBoundary { cycle } => write!(
-                f,
-                "cycle {cycle} is not an epoch boundary; pause with run_until first"
-            ),
+            SnapshotError::NotReplayable(why) => {
+                write!(f, "the run cannot be replayed from its recipe: {why}")
+            }
             SnapshotError::Codec(e) => write!(f, "malformed snapshot: {e}"),
             SnapshotError::Io(e) => write!(f, "snapshot I/O failed: {e}"),
             SnapshotError::Build(e) => write!(f, "snapshot configuration does not build: {e}"),
             SnapshotError::UnknownBenchmark(name) => {
                 write!(f, "snapshot names unknown benchmark '{name}'")
             }
-            SnapshotError::NoGenerator => write!(f, "{NO_GENERATOR}"),
+            SnapshotError::Diverged { cycle } => write!(
+                f,
+                "replaying the snapshot's recipe did not reproduce its state at cycle \
+                 {cycle}: this binary simulates differently from the one that wrote it"
+            ),
         }
     }
 }
-
 impl Error for SnapshotError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
@@ -194,7 +174,7 @@ mod tests {
             completed: 3,
         };
         assert!(e.to_string().contains("cycle 10"));
-        let e = SnapshotError::NotEpochBoundary { cycle: 77 };
+        let e = SnapshotError::Diverged { cycle: 77 };
         assert!(e.to_string().contains("cycle 77"));
         let e = SnapshotError::from(nim_types::codec::CodecError::BadMagic);
         assert!(e.source().is_some());

@@ -37,8 +37,6 @@
 
 mod attribution;
 mod builder;
-#[cfg(test)]
-mod codec_tests;
 mod cores;
 mod due_queue;
 mod error;

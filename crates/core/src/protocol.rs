@@ -22,7 +22,6 @@ use nim_topology::{ChipLayout, CpuSeat};
 use nim_types::{AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr, PillarId};
 
 use crate::cores::Cores;
-use crate::error::RunError;
 use crate::fabric::{ClaimedDelay, Delivered, Fabric};
 use crate::fanout::StepFanout;
 use crate::policy::{MemoryRoute, Policy};
@@ -792,21 +791,9 @@ impl Engine {
     }
 
     /// A packet reached its destination's local port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::CorruptToken`] for a cookie that decodes to no
-    /// token — only a corrupted snapshot image can carry one.
-    pub(crate) fn handle_delivered(
-        &mut self,
-        f: &mut impl Fabric,
-        d: Delivered,
-        now: Cycle,
-    ) -> Result<(), RunError> {
-        let token = Token::decode(d.token).ok_or(RunError::CorruptToken {
-            cycle: now.0,
-            token: d.token,
-        })?;
+    pub(crate) fn handle_delivered(&mut self, f: &mut impl Fabric, d: Delivered, now: Cycle) {
+        // Invariant: every cookie on the fabric came from `Token::encode`.
+        let token = Token::decode(d.token).expect("a delivered cookie encodes a token");
         // `None` for a line-scoped token, and for a transaction that
         // completed already: nothing waits for its late packets (a late
         // broadcast has created no pending entry yet).
@@ -851,6 +838,5 @@ impl Engine {
                 }
             }
         }
-        Ok(())
     }
 }

@@ -60,13 +60,10 @@ pub struct Counters {
 }
 
 /// Everything that enumerates the counters is generated from the one
-/// field list below: the snapshot image, [`Counters::minus`] and
-/// [`Counters::as_array`] (a field missing from the list fails to
-/// compile in `minus`).
+/// field list below: [`Counters::minus`] and [`Counters::as_array`] (a
+/// field missing from the list fails to compile in `minus`).
 macro_rules! counter_fields {
     ($($f:ident),* $(,)?) => {
-        nim_types::codec_struct!(Counters { $($f),* });
-
         impl Counters {
             pub(crate) fn minus(&self, earlier: &Counters) -> Counters {
                 Counters { $($f: self.$f - earlier.$f),* }
@@ -259,7 +256,6 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nim_types::codec::{ByteReader, ByteWriter, Checkpoint};
 
     fn report() -> RunReport {
         RunReport {
@@ -327,22 +323,6 @@ mod tests {
         assert_eq!(d.l2_transactions, 5);
         assert_eq!(d.hit_latency_sum, 100);
         assert_eq!(d.migrations, 0);
-    }
-
-    #[test]
-    fn counters_checkpoint_round_trips() {
-        let a = report().counters;
-        let mut w = ByteWriter::new();
-        a.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut b = Counters::default();
-        let mut r = ByteReader::new(&bytes);
-        b.restore(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(a, b);
-        // Truncated bytes error instead of panicking.
-        let mut r = ByteReader::new(&bytes[..bytes.len() - 1]);
-        assert!(Counters::default().restore(&mut r).is_err());
     }
 
     /// Pins the fingerprint of a fully populated report to a golden

@@ -26,6 +26,7 @@ use crate::fabric::SimFabric;
 use crate::protocol::Engine;
 use crate::report::{Counters, RunReport};
 use crate::scheme::Scheme;
+use crate::snapshot::profile_by_name;
 
 /// Cycles without a completed transaction before declaring a stall.
 const WATCHDOG_CYCLES: u64 = 2_000_000;
@@ -60,37 +61,43 @@ const SAMPLE_COUNTERS: [&str; 10] = [
 ];
 
 /// A run in flight: hoisted out of the driver loop's locals so a run can
-/// pause at an epoch boundary, be serialized, and continue in another
-/// process exactly where it left off.
+/// pause and continue exactly where it left off.
 #[derive(Clone, Debug)]
 pub(crate) struct RunProgress {
     /// Benchmark name the eventual [`RunReport`] carries (a snapshot
-    /// records it beside the workload cursor).
+    /// records it with the recipe).
     pub(crate) benchmark: String,
+    /// Why replaying the recipe would not reach this run's state, so no
+    /// snapshot may name a point of it; `None` when it would.
+    pub(crate) unreplayable: Option<&'static str>,
     /// What the driver loop carries from one cycle to the next.
-    pub(crate) carried: LoopCarried,
+    carried: LoopCarried,
 }
 
-/// The driver loop's carried bookkeeping — a snapshot's `PROG` section.
+/// The driver loop's carried bookkeeping.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct LoopCarried {
+struct LoopCarried {
     /// Whether the warm-up target has been passed.
-    pub(crate) warmed: bool,
+    warmed: bool,
     /// Counter/cycle/instruction baselines at the start of the
     /// measurement window (`None` until warmed).
-    pub(crate) window_start: Option<(Counters, u64, u64)>,
+    window_start: Option<(Counters, u64, u64)>,
     /// Cycle of the last completed transaction (watchdog anchor).
-    pub(crate) last_progress: u64,
+    last_progress: u64,
     /// Transaction count at `last_progress`.
-    pub(crate) last_count: u64,
+    last_count: u64,
 }
 
-nim_types::codec_struct!(LoopCarried {
-    warmed,
-    window_start,
-    last_progress,
-    last_count
-});
+/// Where a driven run pauses.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Pause {
+    /// Nowhere: the run goes on to its sampling target.
+    Never,
+    /// At the first cycle with at least this many completed transactions.
+    After(u64),
+    /// At this cycle (a snapshot's replay).
+    At(u64),
+}
 
 /// The assembled chip multiprocessor.
 #[derive(Debug)]
@@ -98,7 +105,7 @@ pub struct System {
     /// What this system was built from, with the configuration as built
     /// (2D schemes flattened); a snapshot records it so
     /// [`SystemBuilder::resume`](crate::SystemBuilder::resume) can
-    /// rebuild an identical system before restoring live state into it.
+    /// rebuild an identical system and replay the run on it.
     pub(crate) recipe: Recipe,
     /// The protocol engine: chip state + every L2 transition.
     pub(crate) engine: Engine,
@@ -110,6 +117,10 @@ pub struct System {
     /// The paused/running state of an in-flight run (`None` between
     /// runs). [`System::snapshot`](crate::System::snapshot) requires it.
     pub(crate) progress: Option<RunProgress>,
+    /// Whether a run has begun on this system. A later run starts from
+    /// what the first left behind, which replaying the recipe on a
+    /// fresh system does not reproduce.
+    pub(crate) used: bool,
 }
 
 impl System {
@@ -168,27 +179,31 @@ impl System {
     /// (if configured), arms the run bookkeeping, and returns the
     /// deterministic reference generator. Drive the run with
     /// [`System::run_until`] — the split exists so a caller can pause
-    /// at an epoch boundary and [`System::snapshot`](crate::System)
-    /// the whole simulator mid-flight.
+    /// anywhere and [`System::snapshot`](crate::System) the point
+    /// reached.
     pub fn begin(&mut self, profile: &BenchmarkProfile) -> TraceGenerator {
+        let unreplayable = if self.used {
+            Some("a run had already begun on this system")
+        } else if profile_by_name(profile.name).ok() != Some(*profile) {
+            Some("its benchmark profile is not the named profile it is called after")
+        } else {
+            None
+        };
         if self.recipe.prewarm && self.engine.l2.occupancy() == 0 {
             self.engine.prewarm(profile);
         }
-        self.begin_run(profile.name);
+        self.begin_run(profile.name, unreplayable);
         TraceGenerator::new(profile, self.recipe.cfg.num_cpus, self.recipe.seed)
     }
 
-    /// Drives a begun run until at least `stop_after` transactions have
-    /// completed *and* the clock sits on a legal snapshot point (an
-    /// epoch boundary when sampling is on), or to completion, whichever
-    /// comes first. Returns `Some(report)` when the run finished, and
-    /// `None` when it paused — the system is then snapshot-legal.
+    /// Drives a begun run to the first cycle at which at least
+    /// `stop_after` transactions have completed, or to completion,
+    /// whichever comes first. Returns `Some(report)` when the run
+    /// finished, and `None` when it paused.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Stalled`] exactly like [`System::run`], and
-    /// [`RunError::CorruptToken`] if a resumed image carried a packet
-    /// whose token decodes to no message.
+    /// Returns [`RunError::Stalled`] exactly like [`System::run`].
     ///
     /// # Panics
     ///
@@ -199,7 +214,7 @@ impl System {
         source: &mut dyn TraceSource,
         stop_after: u64,
     ) -> Result<Option<RunReport>, RunError> {
-        self.advance(source, Some(stop_after))
+        self.advance(source, Pause::After(stop_after))
     }
 
     /// Drives the run in progress to its sampling target and reports it.
@@ -207,12 +222,14 @@ impl System {
         &mut self,
         source: &mut dyn TraceSource,
     ) -> Result<RunReport, RunError> {
-        let report = self.advance(source, None)?;
-        Ok(report.expect("with no stop requested the loop ends only at the sampling target"))
+        let report = self.advance(source, Pause::Never)?;
+        Ok(report.expect("with no pause requested the loop ends only at the sampling target"))
     }
 
-    /// Arms the run bookkeeping for a fresh run.
-    pub(crate) fn begin_run(&mut self, benchmark: &str) {
+    /// Arms the run bookkeeping for a fresh run; `unreplayable` says why
+    /// no snapshot may name a point of it, if one may not.
+    fn begin_run(&mut self, benchmark: &str, unreplayable: Option<&'static str>) {
+        self.used = true;
         let warmed = self.recipe.warmup == 0;
         let window_start = if warmed {
             Some((
@@ -225,6 +242,7 @@ impl System {
         };
         self.progress = Some(RunProgress {
             benchmark: benchmark.to_string(),
+            unreplayable,
             carried: LoopCarried {
                 warmed,
                 window_start,
@@ -272,22 +290,20 @@ impl System {
         benchmark: &str,
         source: &mut dyn TraceSource,
     ) -> Result<RunReport, RunError> {
-        self.begin_run(benchmark);
+        self.begin_run(benchmark, Some("it was begun by run_with_source"));
         self.finish_run(source)
     }
 
     /// The driver loop. Advances the simulation until the sampling
-    /// target is reached (returns the report and ends the run), or —
-    /// with `stop_after` set — until at least that many transactions
-    /// have completed *and* the clock sits on a snapshot-legal cycle
-    /// (returns `Ok(None)`, the run still in progress). A stalled run
-    /// is over: it leaves no run in progress. The loop-carried
-    /// bookkeeping lives in [`RunProgress`], so a paused run serializes
-    /// and continues bit-identically.
-    fn advance(
+    /// target is reached (returns the report and ends the run), or until
+    /// `pause` (returns `Ok(None)`, the run still in progress). A stalled
+    /// run is over: it leaves no run in progress. The loop-carried
+    /// bookkeeping lives in [`RunProgress`], so a paused run continues
+    /// bit-identically.
+    pub(crate) fn advance(
         &mut self,
         source: &mut dyn TraceSource,
-        stop_after: Option<u64>,
+        pause: Pause,
     ) -> Result<Option<RunReport>, RunError> {
         let target = self.recipe.warmup.saturating_add(self.recipe.sample);
         let LoopCarried {
@@ -296,18 +312,18 @@ impl System {
             mut last_progress,
             mut last_count,
         } = self.progress.as_ref().expect("run in progress").carried;
-        // Every core's counters are up to date here (see below).
-        self.engine.cores.resume_at(self.fabric.net.now().0);
         // Network deliveries of the current cycle, reused across cycles.
         let mut delivered: Vec<nim_noc::Delivered> = Vec::new();
-        let result = 'run: loop {
+        let result = loop {
             if self.engine.counters.l2_transactions >= target {
                 break Ok(true);
             }
-            if stop_after.is_some_and(|stop| self.engine.counters.l2_transactions >= stop)
-                && (self.obs.sample_every() == 0
-                    || self.obs.last_sample_cycle() == Some(self.fabric.net.now().0))
-            {
+            let paused = match pause {
+                Pause::Never => false,
+                Pause::After(stop) => self.engine.counters.l2_transactions >= stop,
+                Pause::At(cycle) => self.fabric.net.now().0 >= cycle,
+            };
+            if paused {
                 break Ok(false);
             }
             // A dried-up trace (every core halted) with nothing in flight
@@ -345,15 +361,11 @@ impl System {
             if self.fabric.net.has_deliveries() {
                 self.fabric.net.drain_delivered_into(&mut delivered);
                 for d in delivered.drain(..) {
-                    if let Err(e) = self.engine.handle_delivered(&mut self.fabric, d, now) {
-                        break 'run Err(e);
-                    }
+                    self.engine.handle_delivered(&mut self.fabric, d, now);
                 }
             }
             while let Some(d) = self.fabric.modeled.pop_due(now.0) {
-                if let Err(e) = self.engine.handle_delivered(&mut self.fabric, d, now) {
-                    break 'run Err(e);
-                }
+                self.engine.handle_delivered(&mut self.fabric, d, now);
             }
             // Cores: only those due this cycle are ticked; the others
             // are waiting, counting down, or halted (see `cores.rs`).
@@ -377,14 +389,9 @@ impl System {
                 window_start = Some((self.engine.counters, now.0, self.total_instructions()));
             }
         };
-        // Reports, images and `stats()` read the counters as if every
-        // core had ticked every cycle. A corrupt token ends the run inside
-        // the delivery phase, before the cycle's core loop ran.
-        let done = match result {
-            Err(RunError::CorruptToken { cycle, .. }) => cycle - 1,
-            _ => self.fabric.net.now().0,
-        };
-        self.engine.cores.settle(done);
+        // Reports, digests and `stats()` read the counters as if every
+        // core had ticked every cycle.
+        self.engine.cores.settle(self.fabric.net.now().0);
         self.progress.as_mut().expect("run in progress").carried = LoopCarried {
             warmed,
             window_start,
@@ -401,7 +408,7 @@ impl System {
         }
     }
 
-    fn total_instructions(&self) -> u64 {
+    pub(crate) fn total_instructions(&self) -> u64 {
         self.engine
             .cores
             .iter()

@@ -15,7 +15,6 @@
 //! [`SimFabric`]: crate::fabric::SimFabric
 //! [`Fabric`]: crate::fabric::Fabric
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
 use nim_types::{Cycle, SystemConfig};
 
 /// Cycles between successive probe initiations at one (pipelined) tag
@@ -111,9 +110,9 @@ impl Ports {
 
     /// Latency until a request claiming port `i` now completes, split
     /// into the wait for the port's next slot and the fixed service.
-    /// Sums saturate: a restored schedule may hold any `u64`, and a
-    /// port busy until the end of time must stall its claimants (the
-    /// watchdog reports it), not wrap their completion into the past.
+    /// Sums saturate: a port busy until the end of time stalls its
+    /// claimants (the watchdog reports it) rather than wrapping their
+    /// completion into the past.
     pub(crate) fn claim(&mut self, i: usize, now: Cycle) -> ClaimedDelay {
         let start = self.ready[i].max(now.0);
         self.ready[i] = start.saturating_add(self.interval);
@@ -121,17 +120,6 @@ impl Ports {
             queue: start - now.0,
             service: self.latency,
         }
-    }
-}
-
-impl Checkpoint for Ports {
-    fn save(&self, w: &mut ByteWriter) {
-        self.ready.put(w);
-    }
-
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.ready = r.seq_of_len(self.ready.len(), "port count mismatch")?;
-        Ok(())
     }
 }
 
@@ -175,50 +163,6 @@ mod tests {
         assert_eq!(
             f.bank_delay(0, Cycle(2 * latency), false),
             delay(0, latency)
-        );
-    }
-
-    #[test]
-    fn checkpoints_restore_schedules_and_reject_shape_mismatches() {
-        let mut banks = Ports::new(2, 5, 5);
-        banks.claim(0, Cycle(0));
-        banks.claim(0, Cycle(0));
-        banks.claim(1, Cycle(3));
-        let mut w = ByteWriter::new();
-        banks.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = Ports::new(2, 5, 5);
-        restored.restore(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(restored.ready, banks.ready);
-        // A same-cycle claim on the restored banks queues identically.
-        assert_eq!(restored.claim(0, Cycle(0)), banks.claim(0, Cycle(0)));
-        let mut wrong = Ports::new(3, 5, 5);
-        assert_eq!(
-            wrong.restore(&mut ByteReader::new(&bytes)),
-            Err(CodecError::Corrupt("port count mismatch"))
-        );
-    }
-
-    #[test]
-    fn a_restored_schedule_at_the_end_of_time_saturates() {
-        let mut w = ByteWriter::new();
-        vec![u64::MAX - 1, u64::MAX, 7].put(&mut w);
-        let mut banks = Ports::new(3, 5, 5);
-        banks
-            .restore(&mut ByteReader::new(&w.into_bytes()))
-            .unwrap();
-        let now = Cycle(2);
-        for i in [0, 0, 1] {
-            let claimed = banks.claim(i, now);
-            assert!(claimed.queue >= u64::MAX - 3 && claimed.service == 5);
-            assert_eq!(claimed.total(), u64::MAX);
-            assert_eq!((claimed + claimed).total(), u64::MAX);
-        }
-        assert_eq!(banks.ready, [u64::MAX, u64::MAX, 7]);
-        assert_eq!(
-            banks.claim(2, now),
-            delay(5, 5),
-            "other ports are unaffected"
         );
     }
 

@@ -7,7 +7,7 @@
 //! for fixed-latency steps (tag probes, bank accesses, memory fetches).
 
 use nim_noc::TrafficClass;
-use nim_types::{codec_enum, ClusterId, Coord, LineAddr};
+use nim_types::{ClusterId, Coord, LineAddr};
 
 use crate::txn::TxnId;
 
@@ -130,8 +130,7 @@ impl Token {
         }
     }
 
-    /// Unpacks a packet cookie; `None` for an unknown kind tag (a
-    /// corrupted token).
+    /// Unpacks a packet cookie; `None` for an unknown kind tag.
     pub(crate) fn decode(raw: u64) -> Option<Token> {
         let kind = raw >> KIND_SHIFT;
         let payload = raw & PAYLOAD_MASK;
@@ -212,17 +211,6 @@ pub(crate) enum TimedEvent {
     ReplicaInstalled { line: LineAddr, cluster: ClusterId },
 }
 
-codec_enum!(TimedEvent, "bad timed event tag" {
-    0 => ProbeResolved { txn, cluster, queue },
-    1 => VerticalClusterResolved { txn, cluster, queue, fanout },
-    2 => BankReadDone { txn, at, queue },
-    3 => BankWritten { txn, at, queue },
-    4 => MemoryReady { line, mc },
-    5 => MemoryFetched { line },
-    6 => MigrationDone { line },
-    7 => ReplicaInstalled { line, cluster },
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,55 +266,5 @@ mod tests {
     fn corrupt_tokens_are_rejected() {
         assert_eq!(Token::decode(63 << 56), None);
         assert_eq!(Token::decode(13 << 56), None, "the first unused kind");
-    }
-
-    #[test]
-    fn timed_events_round_trip_through_the_codec() {
-        let samples = [
-            TimedEvent::ProbeResolved {
-                txn: 9,
-                cluster: ClusterId(3),
-                queue: 4,
-            },
-            TimedEvent::VerticalClusterResolved {
-                txn: 1,
-                cluster: ClusterId(15),
-                queue: 0,
-                fanout: 3,
-            },
-            TimedEvent::BankReadDone {
-                txn: 7,
-                at: Coord::new(3, 1, 2),
-                queue: 11,
-            },
-            TimedEvent::BankWritten {
-                txn: 8,
-                at: Coord::new(0, 0, 0),
-                queue: 0,
-            },
-            TimedEvent::MemoryReady {
-                line: LineAddr(77),
-                mc: 1,
-            },
-            TimedEvent::MemoryFetched { line: LineAddr(78) },
-            TimedEvent::MigrationDone { line: LineAddr(79) },
-            TimedEvent::ReplicaInstalled {
-                line: LineAddr(80),
-                cluster: ClusterId(9),
-            },
-        ];
-        use nim_types::Codec as _;
-        let mut w = nim_types::codec::ByteWriter::new();
-        for e in &samples {
-            e.put(&mut w);
-        }
-        let bytes = w.into_bytes();
-        let mut r = nim_types::codec::ByteReader::new(&bytes);
-        for e in &samples {
-            assert_eq!(TimedEvent::get(&mut r).unwrap(), *e);
-        }
-        assert_eq!(r.remaining(), 0);
-        let mut r = nim_types::codec::ByteReader::new(&[200u8]);
-        assert!(TimedEvent::get(&mut r).is_err());
     }
 }

@@ -21,11 +21,7 @@
 //! [`TxnTable`] also owns the MSHR-style miss-merge bookkeeping: all
 //! concurrent misses on one line share a single memory fetch.
 
-use nim_types::codec::{ByteReader, ByteWriter, Codec, CodecError};
-use nim_types::{
-    checkpoint_fields, codec_enum, codec_struct, AccessKind, Address, ClusterId, CpuId, Cycle,
-    FxHashMap, LineAddr,
-};
+use nim_types::{AccessKind, Address, ClusterId, CpuId, Cycle, FxHashMap, LineAddr};
 
 /// Transaction identifier (index into the system's live-transaction
 /// table; dense, so per-transaction maps hash cheaply).
@@ -90,8 +86,6 @@ pub(crate) struct TxnTimeline {
     /// Attributed cycles, indexed by `Phase as usize`.
     buckets: [u64; Phase::ALL.len()],
 }
-
-codec_struct!(TxnTimeline { last, buckets });
 
 impl TxnTimeline {
     /// A fresh timeline: nothing attributed yet, anchored at issue.
@@ -176,12 +170,6 @@ pub(crate) enum TxnState {
     MemoryWait,
 }
 
-codec_enum!(TxnState, "bad txn state tag" {
-    0 => Searching { outstanding },
-    1 => Serving { cluster },
-    2 => MemoryWait,
-});
-
 /// One in-flight L2 transaction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Txn {
@@ -207,18 +195,6 @@ pub(crate) struct Txn {
     /// spans are *emitted*, never whether cycles are attributed).
     pub(crate) timeline: TxnTimeline,
 }
-
-codec_struct!(Txn {
-    cpu,
-    kind,
-    addr,
-    line,
-    issued,
-    step,
-    retries,
-    state,
-    timeline
-});
 
 /// What a probe-miss reply means to its transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -409,31 +385,6 @@ impl LiveTxns {
     }
 }
 
-/// The image of the `FxHashMap<TxnId, Txn>` the ring replaced: the
-/// entries in id order.
-impl Codec for LiveTxns {
-    fn put(&self, w: &mut ByteWriter) {
-        let ring = self.ring.iter().flatten().map(|(id, t)| (*id, t));
-        let mut entries: Vec<(TxnId, &Txn)> = ring
-            .chain(self.spill.iter().map(|(id, t)| (*id, t)))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        w.len_prefix(entries.len());
-        for (id, t) in entries {
-            id.put(w);
-            t.put(w);
-        }
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut live = Self::default();
-        for (id, t) in <FxHashMap<TxnId, Txn> as Codec>::get(r)? {
-            live.insert(id, t);
-        }
-        Ok(live)
-    }
-}
-
 /// The live-transaction table plus the MSHR-style miss ledger.
 #[derive(Debug, Default)]
 pub(crate) struct TxnTable {
@@ -495,18 +446,9 @@ impl TxnTable {
     }
 }
 
-// Waiter vectors keep their arrival order verbatim — fill completion
-// walks them in order.
-checkpoint_fields!(TxnTable {
-    txns,
-    next,
-    pending_fills
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nim_types::codec::{ByteReader, ByteWriter, Checkpoint};
 
     fn txn() -> Txn {
         Txn::new(
@@ -610,58 +552,10 @@ mod tests {
         assert_eq!(tl.total(), 4);
     }
 
-    #[test]
-    fn txn_table_checkpoint_round_trips() {
-        let mut table = TxnTable::default();
-        let mut searching = txn();
-        searching.begin_step(2, 3);
-        searching.timeline.credit(Phase::NocHop, Cycle(12));
-        let a = table.allocate(searching);
-        let mut serving = txn();
-        serving.serve_from(ClusterId(5));
-        let b = table.allocate(serving);
-        let mut missing = txn();
-        missing.begin_memory_wait();
-        let c = table.allocate(missing);
-        table.enqueue_fill(LineAddr(9), c);
-        table.enqueue_fill(LineAddr(9), a);
-
-        let mut w = ByteWriter::new();
-        table.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = TxnTable::default();
-        let mut r = ByteReader::new(&bytes);
-        restored.restore(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(restored.next, table.next);
-        for id in [a, b, c] {
-            let (x, y) = (table.get(id).unwrap(), restored.get(id).unwrap());
-            assert_eq!(x.cpu, y.cpu);
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.addr, y.addr);
-            assert_eq!(x.issued, y.issued);
-            assert_eq!((x.step, x.retries), (y.step, y.retries));
-            assert_eq!(x.state, y.state);
-            assert_eq!(x.timeline, y.timeline);
-        }
-        // Waiter order survives (fill completion walks it in order).
-        assert_eq!(restored.take_fill_waiters(LineAddr(9)), vec![c, a]);
-
-        let mut r = ByteReader::new(&bytes[..bytes.len() - 2]);
-        assert!(TxnTable::default().restore(&mut r).is_err());
-    }
-
     mod live_txns {
         use super::super::{LiveTxns, Txn, TxnId, TXN_RING};
-        use nim_types::codec::{ByteReader, ByteWriter, Codec};
         use nim_types::{Cycle, FxHashMap};
         use proptest::prelude::*;
-
-        fn image(value: &impl Codec) -> Vec<u8> {
-            let mut w = ByteWriter::new();
-            value.put(&mut w);
-            w.into_bytes()
-        }
 
         /// What a lookup shows of a transaction: enough to tell them apart.
         fn seen(t: Option<&Txn>) -> Option<(u64, u8)> {
@@ -670,9 +564,8 @@ mod tests {
 
         proptest! {
             /// The ring answers every insert, lookup, update and removal
-            /// as the hash map it replaced, and writes the same image,
-            /// while ids four ring-lengths apart fight over slots and
-            /// spill.
+            /// as the hash map it replaced, while ids four ring-lengths
+            /// apart fight over slots and spill.
             #[test]
             fn the_ring_behaves_as_the_map_it_replaced(
                 ops in proptest::collection::vec((0u8..4, 0..4 * TXN_RING as u32), 1..300),
@@ -703,12 +596,8 @@ mod tests {
                     prop_assert_eq!(seen(ring.get(id)), seen(map.get(&id)));
                     prop_assert_eq!(ring.len, map.len());
                 }
-                let bytes = image(&map);
-                prop_assert_eq!(image(&ring), bytes.clone());
-                let back = <LiveTxns as Codec>::get(&mut ByteReader::new(&bytes)).expect("own image");
-                prop_assert_eq!(image(&back), bytes);
                 for id in map.keys() {
-                    prop_assert_eq!(seen(back.get(*id)), seen(map.get(id)));
+                    prop_assert_eq!(seen(ring.get(*id)), seen(map.get(id)));
                 }
             }
         }

@@ -8,10 +8,7 @@
 //! when the buffer is full. IPC falls directly out of this model, which
 //! is how the paper's Figure 15 numbers arise.
 
-use nim_types::{
-    checkpoint_fields, codec_enum, codec_struct, AccessKind, Address, CpuId, L1Config, LineAddr,
-    TraceOp,
-};
+use nim_types::{AccessKind, Address, CpuId, L1Config, LineAddr, TraceOp};
 
 use crate::l1::L1Cache;
 
@@ -59,16 +56,6 @@ enum State {
     Halted,
 }
 
-codec_enum!(State, "bad core state tag" {
-    0 => NeedOp,
-    1 => Gap { left, op },
-    2 => MemReady { op },
-    3 => L1Busy { left },
-    4 => WaitingData { kind },
-    5 => StoreBlocked { op },
-    6 => Halted,
-});
-
 /// Per-core performance counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -84,14 +71,6 @@ pub struct CoreStats {
     pub stores_issued: u64,
 }
 
-codec_struct!(CoreStats {
-    cycles,
-    instructions,
-    data_stall_cycles,
-    store_stall_cycles,
-    stores_issued
-});
-
 impl CoreStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -104,7 +83,7 @@ impl CoreStats {
 }
 
 /// One in-order, single-issue core with split L1 I/D caches.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InOrderCore {
     id: CpuId,
     l1d: L1Cache,
@@ -365,14 +344,6 @@ impl InOrderCore {
     }
 }
 
-checkpoint_fields!(InOrderCore {
-    stats,
-    outstanding_stores,
-    state,
-    l1d,
-    l1i
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,97 +532,5 @@ mod tests {
     fn unsolicited_data_panics() {
         let mut core = core();
         core.data_returned(Address(0));
-    }
-
-    #[test]
-    fn checkpoint_round_trips_mid_burst() {
-        use nim_types::codec::{ByteReader, ByteWriter, Checkpoint};
-        let mut a = core();
-        let mut ops = vec![
-            op(2, AccessKind::Read, 0x40),
-            op(30, AccessKind::Write, 0x80),
-        ]
-        .into_iter();
-        // Miss, fill, then park mid-gap so the state enum is nontrivial.
-        assert!(matches!(a.tick(&mut || ops.next()), CoreAction::Progress));
-        assert!(matches!(a.tick(&mut || ops.next()), CoreAction::Progress));
-        assert!(matches!(a.tick(&mut || ops.next()), CoreAction::Request(_)));
-        a.data_returned(Address(0x40));
-        a.tick(&mut || ops.next()); // enters the 30-gap
-        let mut w = ByteWriter::new();
-        a.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut b = core();
-        let mut r = ByteReader::new(&bytes);
-        b.restore(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0, "all bytes consumed");
-        assert_eq!(b.stats(), a.stats());
-        // Both replicas proceed identically with the same remaining ops.
-        let rest: Vec<TraceOp> = ops.collect();
-        let (mut ia, mut ib) = (rest.clone().into_iter(), rest.into_iter());
-        for _ in 0..100 {
-            assert_eq!(a.tick(&mut || ia.next()), b.tick(&mut || ib.next()));
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.l1d.stats(), b.l1d.stats());
-    }
-
-    #[test]
-    fn checkpoint_rejects_corrupt_bytes() {
-        use nim_types::codec::{ByteReader, ByteWriter, Checkpoint};
-        let a = core();
-        let mut w = ByteWriter::new();
-        a.save(&mut w);
-        let mut bytes = w.into_bytes();
-        // Poison the state tag (offset: 5×u64 stats + u32 stores).
-        bytes[44] = 0xee;
-        let mut b = core();
-        assert!(b.restore(&mut ByteReader::new(&bytes)).is_err());
-        // Truncation is an error, not a panic.
-        let mut c = core();
-        assert!(c.restore(&mut ByteReader::new(&bytes[..10])).is_err());
-    }
-
-    mod codec_laws {
-        use super::super::{CoreStats, State};
-        use nim_types::codec::{assert_laws, ByteReader, Codec};
-        use nim_types::{AccessKind, Address, TraceOp};
-        use proptest::prelude::*;
-
-        fn kind() -> impl Strategy<Value = AccessKind> {
-            prop_oneof![
-                Just(AccessKind::Read),
-                Just(AccessKind::Write),
-                Just(AccessKind::IFetch)
-            ]
-        }
-
-        fn state() -> impl Strategy<Value = State> {
-            (0u8..7, any::<u32>(), any::<u32>(), kind(), any::<u64>()).prop_map(
-                |(variant, left, gap, kind, addr)| {
-                    let addr = Address(addr);
-                    let op = TraceOp { gap, kind, addr };
-                    match variant {
-                        0 => State::NeedOp,
-                        1 => State::Gap { left, op },
-                        2 => State::MemReady { op },
-                        3 => State::L1Busy { left },
-                        4 => State::WaitingData { kind },
-                        5 => State::StoreBlocked { op },
-                        _ => State::Halted,
-                    }
-                },
-            )
-        }
-
-        proptest! {
-            #[test]
-            fn pipeline_states_and_counters(s in state(), bytes in proptest::collection::vec(any::<u8>(), 40)) {
-                prop_assert_eq!(assert_laws(&s), s);
-                let stats = CoreStats::get(&mut ByteReader::new(&bytes)).expect("five u64s");
-                prop_assert_eq!(assert_laws(&stats), stats);
-            }
-        }
     }
 }

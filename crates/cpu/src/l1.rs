@@ -5,8 +5,7 @@
 //! no-write-allocate: every store is forwarded to the L2, and a store
 //! miss does not install the line.
 
-use nim_types::codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
-use nim_types::{codec_struct, Address, L1Config, LineAddr};
+use nim_types::{Address, L1Config, LineAddr};
 
 /// Hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -17,15 +16,11 @@ pub struct L1Stats {
     pub misses: u64,
 }
 
-codec_struct!(L1Stats { hits, misses });
-
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Way {
     line: LineAddr,
     stamp: u64,
 }
-
-codec_struct!(Way { line, stamp });
 
 /// One side (I or D) of a private L1 cache.
 ///
@@ -33,7 +28,7 @@ codec_struct!(Way { line, stamp });
 /// `[s·ways, (s+1)·ways)`, of which the first `filled[s]` hold lines in
 /// fill order. Geometry is powers of two (`SystemConfig::validate`), so
 /// the line is a shift of the address and the set a mask of the line.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct L1Cache {
     ways: Vec<Way>,
     filled: Vec<u32>,
@@ -152,54 +147,6 @@ impl L1Cache {
     /// Resident lines.
     pub fn occupancy(&self) -> usize {
         self.filled.iter().map(|&n| n as usize).sum()
-    }
-}
-
-/// The image is the clock, the counters, then each set's filled ways in
-/// fill order behind their counts — the layout of a `Vec<Vec<Way>>`.
-impl Checkpoint for L1Cache {
-    fn save(&self, w: &mut ByteWriter) {
-        self.clock.put(w);
-        self.stats.put(w);
-        w.len_prefix(self.filled.len());
-        for set in 0..self.filled.len() {
-            let ways = self.set(set);
-            w.len_prefix(ways.len());
-            for way in ways {
-                way.put(w);
-            }
-        }
-    }
-
-    /// Rebuilds the fill counts from the image and rejects a set that
-    /// overflows its ways, holds a line of another set, or holds a line
-    /// twice: each would resume silently and misbehave later (a line in
-    /// the wrong set never hits; a duplicate outlives its invalidation).
-    fn restore(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        self.clock = Codec::get(r)?;
-        self.stats = Codec::get(r)?;
-        let sets: Vec<Vec<Way>> = r.seq_of_len(self.filled.len(), "L1 set count mismatch")?;
-        for (s, ways) in sets.iter().enumerate() {
-            if ways.len() > self.assoc {
-                return Err(CodecError::Corrupt("L1 set overflows its ways"));
-            }
-            if ways.iter().any(|w| self.set_of(w.line) != s) {
-                return Err(CodecError::Corrupt("L1 line in the wrong set"));
-            }
-            if ways
-                .iter()
-                .enumerate()
-                .any(|(i, w)| ways[..i].iter().any(|v| v.line == w.line))
-            {
-                return Err(CodecError::Corrupt("L1 line held twice in a set"));
-            }
-        }
-        for (s, ways) in sets.into_iter().enumerate() {
-            let base = s * self.assoc;
-            self.ways[base..base + ways.len()].copy_from_slice(&ways);
-            self.filled[s] = ways.len() as u32;
-        }
-        Ok(())
     }
 }
 
@@ -348,20 +295,6 @@ mod tests {
                 None => false,
             }
         }
-
-        fn image(&self) -> Vec<u8> {
-            let mut w = ByteWriter::new();
-            self.clock.put(&mut w);
-            self.stats.put(&mut w);
-            self.sets.put(&mut w);
-            w.into_bytes()
-        }
-    }
-
-    fn image(c: &L1Cache) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        c.save(&mut w);
-        w.into_bytes()
     }
 
     fn config(sets: u32, ways: u32) -> L1Config {
@@ -374,8 +307,8 @@ mod tests {
 
     /// Seeded access / fill / invalidate / contains scripts drive the
     /// slab and the per-set oracle side by side; every return value, the
-    /// occupancy and the checkpoint image must agree after every step,
-    /// and the slab must restore from the oracle's image.
+    /// occupancy, the clock, the counters and every set's ways in fill
+    /// order must agree after every step.
     #[test]
     fn slab_matches_the_per_set_oracle() {
         use rand::rngs::StdRng;
@@ -401,92 +334,11 @@ mod tests {
                     }
                     let held: usize = o.sets.iter().map(Vec::len).sum();
                     assert_eq!(c.occupancy(), held, "{at}");
-                    let want = o.image();
-                    assert_eq!(image(&c), want, "{at}");
-                    if step % 97 == 0 {
-                        let mut back = L1Cache::new(&cfg);
-                        back.restore(&mut ByteReader::new(&want)).expect("restores");
-                        assert_eq!(image(&back), want, "{at}");
-                        assert_eq!(back.filled, c.filled, "{at}: fill counts rebuilt");
+                    assert_eq!((c.clock, c.stats), (o.clock, o.stats), "{at}");
+                    for (s, ways) in o.sets.iter().enumerate() {
+                        assert_eq!(c.set(s), ways.as_slice(), "{at} set {s}");
                     }
                 }
-            }
-        }
-    }
-
-    /// An image of a 2-set, 2-way L1 whose sets hold `sets`.
-    fn hand_built(sets: &[&[u64]]) -> Vec<u8> {
-        let sets: Vec<Vec<Way>> = sets
-            .iter()
-            .map(|lines| {
-                lines
-                    .iter()
-                    .map(|&l| Way {
-                        line: LineAddr(l),
-                        stamp: l,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut w = ByteWriter::new();
-        9u64.put(&mut w);
-        L1Stats::default().put(&mut w);
-        sets.put(&mut w);
-        w.into_bytes()
-    }
-
-    fn restore_of(bytes: &[u8]) -> Result<(), CodecError> {
-        L1Cache::new(&config(2, 2)).restore(&mut ByteReader::new(bytes))
-    }
-
-    #[test]
-    fn restore_accepts_a_consistent_image() {
-        assert_eq!(restore_of(&hand_built(&[&[4, 2], &[3]])), Ok(()));
-    }
-
-    #[test]
-    fn restore_rejects_a_line_of_another_set() {
-        // Line 5 maps to set 1, not set 0: it could never hit.
-        assert_eq!(
-            restore_of(&hand_built(&[&[4, 5], &[]])),
-            Err(CodecError::Corrupt("L1 line in the wrong set"))
-        );
-    }
-
-    #[test]
-    fn restore_rejects_a_line_held_twice() {
-        // Invalidating line 3 would leave its twin to hit afterwards.
-        assert_eq!(
-            restore_of(&hand_built(&[&[], &[3, 3]])),
-            Err(CodecError::Corrupt("L1 line held twice in a set"))
-        );
-    }
-
-    #[test]
-    fn restore_rejects_an_overfull_set() {
-        assert_eq!(
-            restore_of(&hand_built(&[&[0, 2, 4], &[]])),
-            Err(CodecError::Corrupt("L1 set overflows its ways"))
-        );
-        assert_eq!(
-            restore_of(&hand_built(&[&[0]])),
-            Err(CodecError::Corrupt("L1 set count mismatch"))
-        );
-    }
-
-    mod codec_laws {
-        use super::super::{L1Stats, Way};
-        use nim_types::codec::assert_laws;
-        use nim_types::LineAddr;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn ways_and_counters((line, stamp, hits, misses) in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>())) {
-                let way = assert_laws(&Way { line: LineAddr(line), stamp });
-                prop_assert_eq!((way.line, way.stamp), (LineAddr(line), stamp));
-                let stats = L1Stats { hits, misses };
-                prop_assert_eq!(assert_laws(&stats), stats);
             }
         }
     }

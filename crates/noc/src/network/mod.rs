@@ -25,7 +25,6 @@
 mod bus_phase;
 mod injection;
 mod router_phase;
-mod snapshot;
 
 use std::collections::VecDeque;
 
@@ -47,13 +46,6 @@ struct Pending {
     seq: u32,
     injected: Cycle,
 }
-
-nim_types::codec_struct!(Pending {
-    id,
-    req,
-    seq,
-    injected
-});
 
 /// Per-node injection state.
 #[derive(Clone, Debug, Default)]

@@ -6,7 +6,7 @@
 //! flits (§3.2); control messages (requests, tag probes, acks) are single
 //! head-tail flits.
 
-use nim_types::{codec_enum, codec_struct, Coord, Cycle, PacketId, PillarId};
+use nim_types::{Coord, Cycle, PacketId, PillarId};
 
 /// Position of a flit within its packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,8 +20,6 @@ pub enum FlitKind {
     /// Single-flit packet: head and tail at once.
     HeadTail,
 }
-
-codec_enum!(FlitKind, "bad flit kind tag" { 0 => Head, 1 => Body, 2 => Tail, 3 => HeadTail });
 
 impl FlitKind {
     /// Whether this flit performs head duties (VC allocation).
@@ -62,8 +60,6 @@ pub enum TrafficClass {
     /// L1 coherence traffic (invalidations, directory updates).
     Coherence,
 }
-
-codec_enum!(TrafficClass, "bad traffic class tag" { 0 => Control, 1 => Data, 2 => Migration, 3 => Coherence });
 
 impl TrafficClass {
     /// All classes, for dense indexing.
@@ -132,20 +128,6 @@ pub struct Flit {
     /// only is meaningful) — the vertical-arbitration share of latency.
     pub bus_wait: u32,
 }
-
-codec_struct!(Flit {
-    pkt,
-    kind,
-    src,
-    dst,
-    via,
-    class,
-    token,
-    injected,
-    arrived,
-    hops,
-    bus_wait
-});
 
 impl Flit {
     /// Filler for arena slots no live flit occupies.
@@ -227,11 +209,6 @@ impl FlitFifo {
         usize::from(self.cap)
     }
 
-    /// Iterates the queued flits oldest-first (snapshot save).
-    pub(crate) fn iter<'a>(&'a self, arena: &'a FlitArena) -> impl Iterator<Item = &'a Flit> + 'a {
-        (0..self.len).map(move |i| &arena.slots[self.slot(i)])
-    }
-
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
@@ -310,15 +287,6 @@ pub struct SendRequest {
     pub token: u64,
 }
 
-codec_struct!(SendRequest {
-    src,
-    dst,
-    via,
-    class,
-    flits,
-    token
-});
-
 /// A packet that reached its destination's local port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Delivered {
@@ -345,18 +313,6 @@ pub struct Delivered {
     /// and vertical arbitration wait.
     pub bus_wait: u32,
 }
-
-codec_struct!(Delivered {
-    packet,
-    src,
-    dst,
-    class,
-    token,
-    injected,
-    delivered,
-    hops,
-    bus_wait
-});
 
 impl Delivered {
     /// End-to-end packet latency in cycles (injection to tail ejection).

@@ -21,8 +21,8 @@
 //! `SystemConfig::validate` caps at 8 — and the VC record itself sits at
 //! that bit's slot of a fixed 64-slot array. [`Router::push`] and
 //! [`Router::drop_front`] are the only code that moves a flit in or out
-//! of a VC, which keeps masks and `occupancy` exact by construction;
-//! none of it is serialized (DESIGN.md §6e).
+//! of a VC, which keeps masks and `occupancy` exact by construction
+//! (DESIGN.md §6e).
 
 use nim_types::{bits, Coord, Dir, PacketId};
 
@@ -40,8 +40,6 @@ pub(crate) struct Hold {
     /// VC index within that input port.
     pub vc: u8,
 }
-
-nim_types::codec_struct!(Hold { pkt, in_dir, vc });
 
 /// Mask position of VC `vc` of input port `in_dir`.
 #[inline]
@@ -281,34 +279,6 @@ impl Router {
             }
         }
         self.rr[oi] = vc_bit(in_dir, vc) as u8;
-    }
-
-    /// Refills an empty VC from a snapshot image: `flits` oldest-first,
-    /// `owner` as recorded (a mid-stream packet may have no head flit
-    /// here), masks and the cached route rebuilt from what was pushed.
-    pub(crate) fn restore_vc(
-        &mut self,
-        arena: &mut FlitArena,
-        rt: &Routing,
-        (in_dir, vc): (usize, usize),
-        flits: &[Flit],
-        owner: Option<PacketId>,
-    ) {
-        let bit = 1u64 << vc_bit(in_dir, vc);
-        let slot = &mut self.vcs[vc_slot(in_dir, vc)];
-        debug_assert!(slot.is_free());
-        for &f in flits {
-            slot.fifo.push_back(arena, f);
-        }
-        slot.owner = owner;
-        if let Some(front) = flits.first() {
-            slot.out = rt.out(self.coord, front.dst, front.via);
-            self.occ |= bit;
-        }
-        if owner.is_some() {
-            self.owned |= bit;
-        }
-        self.occupancy += flits.len() as u32;
     }
 
     /// Asserts that the masks, counters and cached routes agree with the

@@ -32,8 +32,7 @@ pub(crate) struct Vc {
     /// flits request at this router. A head flit only ever enters an
     /// empty VC, so the route is computed once, as the head becomes the
     /// front, and a blocked flit costs no routing on later cycles.
-    /// Derived state: meaningful only while the VC is non-empty, and
-    /// recomputed on restore.
+    /// Derived state: meaningful only while the VC is non-empty.
     pub out: Dir,
 }
 

@@ -125,15 +125,8 @@ impl CategoryMask {
         CategoryMask(self.0 & !(1 << cat.index()))
     }
 
-    /// The raw bitset, for serialization (bit `i` is
-    /// `Category::ALL[i]`).
-    #[inline]
-    pub const fn bits(self) -> u16 {
-        self.0
-    }
-
-    /// Rebuilds a mask from [`CategoryMask::bits`]. Bits above the
-    /// known categories are dropped.
+    /// Rebuilds a mask from its raw bitset (bit `i` is
+    /// `Category::ALL[i]`). Bits above the known categories are dropped.
     #[inline]
     pub const fn from_bits(bits: u16) -> CategoryMask {
         CategoryMask(bits & CategoryMask::ALL.0)
@@ -141,11 +134,13 @@ impl CategoryMask {
 
     /// Parses a comma-separated category list (e.g.
     /// `"packet,pillar,search"`). `"all"` enables everything, `"none"`
-    /// nothing; a leading `-` subtracts from `all` (e.g. `"-hop"`).
+    /// nothing; a list whose every token is prefixed `-` subtracts from
+    /// `all` (e.g. `"-hop,-bank"`).
     ///
     /// # Errors
     ///
-    /// Returns the first unknown token.
+    /// Names the first token that is unknown or empty, or that mixes
+    /// `-` into an additive list (or leaves it out of a subtractive one).
     pub fn parse(s: &str) -> Result<CategoryMask, String> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("all") {
@@ -154,15 +149,26 @@ impl CategoryMask {
         if s.eq_ignore_ascii_case("none") {
             return Ok(CategoryMask::NONE);
         }
-        let (mut mask, subtract) = if s.starts_with('-') {
-            (CategoryMask::ALL, true)
+        let subtract = s.starts_with('-');
+        let mut mask = if subtract {
+            CategoryMask::ALL
         } else {
-            (CategoryMask::NONE, false)
+            CategoryMask::NONE
         };
         for raw in s.split(',') {
-            let tok = raw.trim().trim_start_matches('-');
+            let raw = raw.trim();
+            let (minus, tok) = match raw.strip_prefix('-') {
+                Some(tok) => (true, tok),
+                None => (false, raw),
+            };
             if tok.is_empty() {
-                continue;
+                return Err(format!("empty trace category in '{s}'"));
+            }
+            if minus != subtract {
+                return Err(format!(
+                    "'{raw}' mixes adding and subtracting trace categories: \
+                     prefix every category with '-' or none"
+                ));
             }
             let cat = Category::from_name(&tok.to_ascii_lowercase())
                 .ok_or_else(|| format!("unknown trace category '{tok}'"))?;
@@ -206,6 +212,20 @@ mod tests {
         assert!(minus.contains(Category::Packet));
 
         assert!(CategoryMask::parse("bogus").is_err());
+    }
+
+    #[test]
+    fn mixed_signs_and_empty_tokens_are_refused() {
+        // `packet,-hop` once *added* hops; `-hop,bank` removed bank.
+        for (list, names) in [("packet,-hop", "-hop"), ("-hop,bank", "bank")] {
+            let err = CategoryMask::parse(list).unwrap_err();
+            assert!(err.contains(&format!("'{names}'")), "{list}: {err}");
+        }
+        // A lone `-` once meant all, and an empty list none.
+        for list in ["-", "", "packet,", "packet,,pillar", "-hop, -"] {
+            let err = CategoryMask::parse(list).unwrap_err();
+            assert!(err.contains("empty trace category"), "{list:?}: {err}");
+        }
     }
 
     #[test]

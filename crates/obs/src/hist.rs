@@ -27,8 +27,6 @@ pub struct LatencyHistogram {
     buckets: [u64; 16],
 }
 
-nim_types::codec_struct!(LatencyHistogram { buckets });
-
 impl LatencyHistogram {
     /// Records one latency sample.
     pub fn record(&mut self, latency: u64) {

@@ -280,17 +280,6 @@ impl Obs {
         }
     }
 
-    /// The next armed epoch boundary, or `None` when sampling is off —
-    /// the sample cursor a snapshot records and
-    /// [`Obs::restore_sampler_state`] re-arms.
-    #[inline]
-    pub fn next_sample_at(&self) -> Option<u64> {
-        match &self.inner {
-            Some(inner) if inner.sample_every > 0 => Some(inner.next_sample.get()),
-            _ => None,
-        }
-    }
-
     /// Records one snapshot at `now` and arms the next aligned epoch
     /// (`(now / every + 1) * every`).
     pub fn record_sample(&self, now: u64, pairs: &[(&str, f64)]) {
@@ -319,53 +308,9 @@ impl Obs {
         }
     }
 
-    /// The sampler's column layout and recorded rows, cloned for
-    /// snapshotting (`None` when disabled).
-    pub fn sampler_state(&self) -> Option<(Vec<String>, Vec<SampleRow>)> {
-        self.inner.as_ref().map(|i| {
-            let s = i.sampler.borrow();
-            (s.columns().to_vec(), s.rows().to_vec())
-        })
-    }
-
-    /// Restores the sampler's columns/rows and re-arms the next epoch
-    /// boundary (snapshot resume). A no-op when disabled.
-    pub fn restore_sampler_state(
-        &self,
-        columns: Vec<String>,
-        rows: Vec<SampleRow>,
-        next_sample: u64,
-    ) {
-        if let Some(inner) = &self.inner {
-            inner.sampler.borrow_mut().restore_rows(columns, rows);
-            inner.next_sample.set(next_sample);
-        }
-    }
-
-    /// Every registered metric, name-ordered and cloned for
-    /// snapshotting (`None` when disabled).
-    pub fn metrics_state(&self) -> Option<Vec<(String, Metric)>> {
-        self.with_metrics(|m| {
-            m.iter()
-                .map(|(name, metric)| (name.to_string(), metric.clone()))
-                .collect()
-        })
-    }
-
-    /// Reinserts metrics captured by [`Obs::metrics_state`] (snapshot
-    /// resume). A no-op when disabled.
-    pub fn restore_metrics_state(&self, entries: Vec<(String, Metric)>) {
-        if let Some(inner) = &self.inner {
-            let mut metrics = inner.metrics.borrow_mut();
-            for (name, metric) in entries {
-                metrics.set(name, metric);
-            }
-        }
-    }
-
     /// The configuration this handle was created with (`None` when
-    /// disabled) — enough for a snapshot to rebuild an equivalent
-    /// handle on resume.
+    /// disabled) — what a snapshot records to rebuild an equivalent
+    /// handle for the replay.
     pub fn config(&self) -> Option<ObsConfig> {
         self.inner.as_ref().map(|i| ObsConfig {
             trace: i.tracing,
@@ -374,14 +319,6 @@ impl Obs {
             sample_every: i.sample_every,
             txn_sample: i.txn_sample,
         })
-    }
-
-    /// The cycle of the most recently recorded sample row (`None` when
-    /// disabled or before the first row).
-    pub fn last_sample_cycle(&self) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.sampler.borrow().rows().last().map(|r| r.cycle))
     }
 
     /// Hashes the Chrome-JSON rendering of every buffered event stamped
@@ -586,20 +523,6 @@ mod tests {
         obs.record_sample(437, &[("m", 2.0)]);
         assert!(!obs.sample_due(499));
         assert!(obs.sample_due(500));
-    }
-
-    #[test]
-    fn next_sample_at_tracks_armed_epoch() {
-        assert_eq!(Obs::disabled().next_sample_at(), None);
-        let obs = Obs::new(ObsConfig {
-            sample_every: 100,
-            ..ObsConfig::default()
-        });
-        assert_eq!(obs.next_sample_at(), Some(100));
-        obs.record_sample(100, &[("m", 1.0)]);
-        assert_eq!(obs.next_sample_at(), Some(200));
-        obs.record_sample(437, &[("m", 2.0)]);
-        assert_eq!(obs.next_sample_at(), Some(500));
     }
 
     #[test]

@@ -17,8 +17,6 @@ pub enum Metric {
     Histogram(LatencyHistogram),
 }
 
-nim_types::codec_enum!(Metric, "bad metric tag" { 0 => Counter(v), 1 => Gauge(v), 2 => Histogram(h) });
-
 /// A registry of named metrics.
 ///
 /// Names are hierarchical by convention, slash-separated — e.g.
@@ -68,11 +66,6 @@ impl MetricsRegistry {
     /// Stores a pre-built histogram (e.g. one accumulated elsewhere).
     pub fn histogram_set(&mut self, name: &str, h: LatencyHistogram) {
         self.metrics.insert(name.to_string(), Metric::Histogram(h));
-    }
-
-    /// Stores a metric of any kind under `name` (snapshot restore).
-    pub fn set(&mut self, name: String, metric: Metric) {
-        self.metrics.insert(name, metric);
     }
 
     /// Looks up one metric.

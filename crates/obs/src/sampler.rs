@@ -17,12 +17,6 @@ pub struct SampleRow {
     pub values: Vec<f64>,
 }
 
-nim_types::codec_struct!(SampleRow {
-    cycle,
-    wall_secs,
-    values
-});
-
 /// Snapshots named scalar series every N cycles.
 ///
 /// Columns are registered lazily on first use, so callers just report
@@ -61,16 +55,6 @@ impl EpochSampler {
     /// Recorded rows, oldest first.
     pub fn rows(&self) -> &[SampleRow] {
         &self.rows
-    }
-
-    /// Replaces the column layout and recorded rows wholesale (snapshot
-    /// restore). The wall-clock origin restarts at the restore point, so
-    /// `wall_secs` of rows recorded afterwards measure the resumed
-    /// process — wall-clock fields are never part of bit-identity.
-    pub fn restore_rows(&mut self, columns: Vec<String>, rows: Vec<SampleRow>) {
-        self.columns = columns;
-        self.rows = rows;
-        self.started = Instant::now();
     }
 
     /// Records one snapshot at `cycle` from `(name, value)` pairs.

@@ -18,8 +18,6 @@ use crate::id::{BankId, ClusterId};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(pub u64);
 
-crate::codec_struct!(Address { 0 });
-
 impl Address {
     /// The cache-line address containing this byte, for `line_bytes`-byte
     /// lines (`line_bytes` must be a power of two, so this is a shift).
@@ -55,8 +53,6 @@ impl From<u64> for Address {
 /// from being mixed.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
-
-crate::codec_struct!(LineAddr { 0 });
 
 impl LineAddr {
     /// The first byte address of this line, for `line_bytes`-byte lines.

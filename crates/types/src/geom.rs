@@ -21,8 +21,6 @@ pub struct Coord {
     pub layer: u8,
 }
 
-crate::codec_struct!(Coord { x, y, layer });
-
 impl Coord {
     /// Creates a coordinate.
     ///

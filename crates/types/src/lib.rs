@@ -14,8 +14,7 @@
 //! * [`config`] — [`SystemConfig`], the paper's Table 4 parameters.
 //! * [`hash`] — [`FxHashMap`], the de-SipHashed map for hot-path keys.
 //! * [`bitset`] — [`IdSet`], ordered small-integer sets as bitmaps.
-//! * [`codec`] — the versioned binary snapshot codec and [`Checkpoint`]
-//!   seam.
+//! * [`codec`] — the versioned binary snapshot codec.
 //!
 //! # Examples
 //!
@@ -42,7 +41,7 @@ pub mod trace;
 
 pub use addr::{Address, LineAddr};
 pub use bitset::{bits, IdSet};
-pub use codec::{ByteReader, ByteWriter, Checkpoint, Codec, CodecError};
+pub use codec::{ByteReader, ByteWriter, Codec, CodecError};
 pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, SystemConfig};
 pub use geom::{Coord, Dir};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};

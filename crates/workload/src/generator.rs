@@ -108,10 +108,6 @@ struct CpuStream {
     shared_pos: u64,
     /// Byte offset within the code loop.
     code_pos: u64,
-    /// References this thread has generated so far. Every mutation in
-    /// [`TraceGenerator::draw`] is thread-local, so this single count
-    /// pins the whole stream state — the basis of cursor reconstruction.
-    ops: u64,
 }
 
 /// Total ops (across all CPUs) between thread-to-CPU rotations.
@@ -125,44 +121,6 @@ struct CpuStream {
 /// windows under ~10 ms Solaris scheduling quanta.
 pub const ROTATION_PERIOD_OPS: u64 = 40_000;
 
-/// The exact position of a [`TraceGenerator`] within its streams: the
-/// `(seed, stream position)` pair ISSUE 10 asks for, with the stream
-/// position spelled out per thread.
-///
-/// Together with the constructor arguments (`profile`, `num_cpus`,
-/// `seed`), this reconstructs a generator mid-flight via
-/// [`TraceGenerator::at_cursor`]: every mutation in the draw path is
-/// thread-local, so replaying each thread's draw count reproduces its
-/// RNG and walk state exactly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GeneratorCursor {
-    /// Thread → CPU binding rotation count.
-    pub rotation: u64,
-    /// References left before the next rotation.
-    pub ops_until_rotate: u64,
-    /// References generated so far, per thread.
-    pub thread_ops: Vec<u64>,
-}
-
-nim_types::codec_struct!(GeneratorCursor {
-    rotation,
-    ops_until_rotate,
-    thread_ops
-});
-
-/// Where a [`TraceSource`] stands, for snapshot/resume.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceCursor {
-    /// The source carries no resumable state (custom test stubs).
-    None,
-    /// A synthetic generator's position.
-    Generator(GeneratorCursor),
-    /// Per-CPU counts of references a replay trace has already served.
-    Replay(Vec<u64>),
-}
-
-nim_types::codec_enum!(TraceCursor, "bad cursor tag" { 0 => None, 1 => Generator(c), 2 => Replay(consumed) });
-
 /// Anything that can feed per-CPU reference streams to the simulator:
 /// the synthetic [`TraceGenerator`], a [`ReplayTrace`](crate::ReplayTrace)
 /// read back from disk, or custom test stubs.
@@ -171,11 +129,9 @@ pub trait TraceSource {
     /// core retires its last instruction and halts).
     fn next_for(&mut self, cpu: CpuId) -> Option<TraceOp>;
 
-    /// The source's current position, for snapshot/resume. Sources that
-    /// cannot be resumed report [`TraceCursor::None`] (the default).
-    fn cursor(&self) -> TraceCursor {
-        TraceCursor::None
-    }
+    /// References served so far, across every CPU: the position a
+    /// snapshot folds into the digest of the state it names.
+    fn served(&self) -> u64;
 }
 
 impl TraceSource for TraceGenerator {
@@ -183,8 +139,10 @@ impl TraceSource for TraceGenerator {
         Some(self.next_op(cpu))
     }
 
-    fn cursor(&self) -> TraceCursor {
-        TraceCursor::Generator(self.cursor())
+    fn served(&self) -> u64 {
+        // `ops_until_rotate` counts down once per reference and restarts
+        // at every rotation.
+        self.rotation as u64 * ROTATION_PERIOD_OPS + (ROTATION_PERIOD_OPS - self.ops_until_rotate)
     }
 }
 
@@ -234,7 +192,6 @@ impl TraceGenerator {
                         // OMP's static loop scheduling would place them.
                         shared_pos: shared_bytes * u64::from(c) / u64::from(num_cpus.max(1)),
                         code_pos: 0,
-                        ops: 0,
                     }
                 })
                 .collect(),
@@ -262,56 +219,12 @@ impl TraceGenerator {
         self.draw(thread)
     }
 
-    /// The generator's current position. Feed back to
-    /// [`TraceGenerator::at_cursor`] (with the same constructor
-    /// arguments) to reconstruct the generator mid-stream.
-    pub fn cursor(&self) -> GeneratorCursor {
-        GeneratorCursor {
-            rotation: self.rotation as u64,
-            ops_until_rotate: self.ops_until_rotate,
-            thread_ops: self.threads.iter().map(|t| t.ops).collect(),
-        }
-    }
-
-    /// Reconstructs a generator at `cursor`, so its future output is
-    /// identical to a generator that produced `cursor` live: each
-    /// thread's draws are thread-local, so replaying its recorded draw
-    /// count restores that thread's RNG and walk positions exactly.
-    ///
-    /// Returns `None` if the cursor's thread count does not match
-    /// `num_cpus` (a snapshot from a different configuration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile fails [`BenchmarkProfile::validate`].
-    pub fn at_cursor(
-        profile: &BenchmarkProfile,
-        num_cpus: u32,
-        seed: u64,
-        cursor: &GeneratorCursor,
-    ) -> Option<Self> {
-        if cursor.thread_ops.len() != num_cpus as usize {
-            return None;
-        }
-        let mut gen = Self::new(profile, num_cpus, seed);
-        for (t, &ops) in cursor.thread_ops.iter().enumerate() {
-            for _ in 0..ops {
-                let _ = gen.draw(t);
-            }
-        }
-        gen.rotation = usize::try_from(cursor.rotation).ok()?;
-        gen.ops_until_rotate = cursor.ops_until_rotate;
-        Some(gen)
-    }
-
     /// Draws the next reference of `thread`. Mutates only that thread's
-    /// stream state (the invariant [`TraceGenerator::at_cursor`] rests
-    /// on).
+    /// stream state.
     fn draw(&mut self, thread: usize) -> TraceOp {
         let p = self.profile;
         let thread_id = CpuId::from_index(thread);
         let state = &mut self.threads[thread];
-        state.ops += 1;
         // Instruction gap: geometric with memory-op probability
         // mem_per_instr + ifetch_frac per instruction slot.
         let rate = self.rate;
@@ -502,46 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn cursor_reconstruction_replays_identical_traffic() {
-        let profile = BenchmarkProfile::synthetic();
-        let mut live = TraceGenerator::new(&profile, 4, 77);
-        // Uneven interleaving across CPUs, crossing a rotation boundary
-        // so the thread → CPU binding is nontrivial at the cursor.
-        for i in 0..(ROTATION_PERIOD_OPS + 1_500) {
-            let cpu = CpuId((i % 4) as u16);
-            let _ = live.next_op(cpu);
-            if i % 7 == 0 {
-                let _ = live.next_op(CpuId(2));
-            }
-        }
-        let cursor = live.cursor();
-        assert!(cursor.rotation >= 1, "rotation boundary crossed");
-
-        let mut resumed =
-            TraceGenerator::at_cursor(&profile, 4, 77, &cursor).expect("cursor matches config");
-        assert_eq!(resumed.cursor(), cursor);
-        for i in 0..5_000u64 {
-            let cpu = CpuId((i % 4) as u16);
-            assert_eq!(live.next_op(cpu), resumed.next_op(cpu), "op {i}");
-        }
-    }
-
-    #[test]
-    fn cursor_rejects_mismatched_thread_count() {
-        let profile = BenchmarkProfile::synthetic();
-        let g = TraceGenerator::new(&profile, 4, 1);
-        let cursor = g.cursor();
-        assert!(TraceGenerator::at_cursor(&profile, 8, 1, &cursor).is_none());
-    }
-
-    #[test]
-    fn trace_source_cursor_reports_generator_position() {
+    fn trace_source_counts_served_references() {
         let mut g = generator();
-        let _ = g.next_op(CpuId(0));
-        match TraceSource::cursor(&g) {
-            TraceCursor::Generator(c) => assert_eq!(c.thread_ops.iter().sum::<u64>(), 1),
-            other => panic!("unexpected cursor {other:?}"),
+        assert_eq!(TraceSource::served(&g), 0);
+        // Across a rotation boundary, whichever CPU asks.
+        for i in 0..ROTATION_PERIOD_OPS + 7 {
+            let _ = g.next_op(CpuId((i % 8) as u16));
         }
+        assert_eq!(TraceSource::served(&g), ROTATION_PERIOD_OPS + 7);
     }
 
     #[test]

@@ -27,8 +27,8 @@ mod replay;
 mod trace_io;
 
 pub use generator::{
-    cpu_regions, shared_region, CpuRegions, GeneratorCursor, Region, TraceCursor, TraceGenerator,
-    TraceSource, ROTATION_PERIOD_OPS,
+    cpu_regions, shared_region, CpuRegions, Region, TraceGenerator, TraceSource,
+    ROTATION_PERIOD_OPS,
 };
 pub use profile::BenchmarkProfile;
 pub use replay::ReplayTrace;

@@ -12,15 +12,15 @@ use std::io::BufRead;
 
 use nim_types::{CpuId, TraceOp};
 
-use crate::generator::{TraceCursor, TraceSource};
+use crate::generator::TraceSource;
 use crate::trace_io::{TraceReadError, TraceReader};
 
 /// A fully-loaded trace, ready to replay.
 #[derive(Clone, Debug, Default)]
 pub struct ReplayTrace {
     queues: Vec<VecDeque<TraceOp>>,
-    /// References already served per CPU — the replay's resume cursor.
-    consumed: Vec<u64>,
+    /// References already served, across every CPU.
+    served: u64,
 }
 
 impl ReplayTrace {
@@ -67,15 +67,12 @@ impl ReplayTrace {
 impl TraceSource for ReplayTrace {
     fn next_for(&mut self, cpu: CpuId) -> Option<TraceOp> {
         let op = self.queues.get_mut(cpu.index())?.pop_front()?;
-        if self.consumed.len() <= cpu.index() {
-            self.consumed.resize(cpu.index() + 1, 0);
-        }
-        self.consumed[cpu.index()] += 1;
+        self.served += 1;
         Some(op)
     }
 
-    fn cursor(&self) -> TraceCursor {
-        TraceCursor::Replay(self.consumed.clone())
+    fn served(&self) -> u64 {
+        self.served
     }
 }
 
@@ -106,6 +103,7 @@ mod tests {
             assert_eq!(replay.next_for(cpu), None, "stream ends");
         }
         assert!(replay.is_empty());
+        assert_eq!(replay.served(), 200);
     }
 
     #[test]

@@ -64,17 +64,15 @@ THE SCALE OF A RUN (the above and report):
     --seed <n>                workload seed (default 42)
 
 SNAPSHOT / RESUME (run only):
-    --snapshot-out <path>     write a resumable checkpoint image; alone,
-                              snapshots once at the warmup boundary;
-                              with --snapshot-every, overwrites the image
-                              every N transactions (rolling checkpoint)
-    --snapshot-every <txns>   checkpoint cadence in completed
-                              transactions, nonzero and below
-                              warmup + sample (requires --snapshot-out)
-    --resume <path>           reconstruct a checkpointed run and carry it
-                              to completion; the image records the cell,
-                              the scale and the observability settings,
-                              so any other flag beside it is an error
+    --snapshot-out <path>     write a snapshot image at the warmup
+                              boundary (so --warmup must not be 0): it
+                              names that point of the run by its recipe
+                              and cycle
+    --resume <path>           replay the run an image names to its point
+                              and carry it to completion; the image
+                              records the cell, the scale and the
+                              observability settings, so any other flag
+                              beside it is an error
 
 OBSERVABILITY (run only; all off by default):
     --trace-out <path>        write a Chrome trace_event JSON file
@@ -82,8 +80,9 @@ OBSERVABILITY (run only; all off by default):
     --trace-filter <cats>     categories to trace: 'all', 'none', or a
                               comma list of packet,hop,pillar,search,
                               migration,coherence,bank,memory,meta;
-                              prefix '-' subtracts from all (default:
-                              all except the per-flit 'hop' firehose)
+                              a list with '-' before every category
+                              subtracts from all (default: all except
+                              the per-flit 'hop' firehose)
     --metrics-out <path>      write final metrics + epoch samples JSON
     --sample-every <cycles>   snapshot metrics every N cycles (0 = off)
     --trace-txn-sample <n>    emit begin/end spans with the per-phase
@@ -101,9 +100,6 @@ struct RunOnly {
     sample_every: u64,
     txn_sample: u64,
     snapshot_out: Option<String>,
-    /// Checkpoint cadence in completed transactions (0 = once, at the
-    /// warmup boundary).
-    snapshot_every: u64,
     resume: Option<String>,
 }
 
@@ -249,7 +245,6 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             "--sample-every" => set(&mut run.sample_every, one(arg()?, str::parse)?, RUN),
             "--trace-txn-sample" => set(&mut run.txn_sample, one(arg()?, str::parse)?, RUN),
             "--snapshot-out" => set(&mut run.snapshot_out, path(arg()?), RUN),
-            "--snapshot-every" => set(&mut run.snapshot_every, nonzero(arg()?)?, RUN),
             "--resume" => set(&mut run.resume, path(arg()?), RUN),
             other => return Err(format!("unknown option '{other}'")),
         };
@@ -267,48 +262,32 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             "{flag} does not combine with --resume: the image records it"
         ));
     }
-    if run.snapshot_every > 0 && run.snapshot_out.is_none() {
-        return Err("--snapshot-every needs --snapshot-out".into());
-    }
-    if run.snapshot_out.is_some() && scale.warmup == 0 && run.snapshot_every == 0 {
-        // The lone snapshot is taken at the warmup boundary: with no
-        // warmup there is none, and the run would write nothing.
-        return Err("--snapshot-out with --warmup 0 needs --snapshot-every".into());
-    }
-    let length = scale.warmup.saturating_add(scale.sample);
-    if run.snapshot_every >= length {
-        // The run ends at its last transaction, before the first stop.
-        let every = run.snapshot_every;
-        return Err(format!(
-            "--snapshot-every {every} is not below the run's {length} transactions \
-             (--warmup + --sample): the run would write nothing"
-        ));
+    if run.snapshot_out.is_some() && scale.warmup == 0 {
+        // The snapshot is taken at the warmup boundary: with no warmup
+        // there is none, and the run would write nothing.
+        return Err("--snapshot-out needs a nonzero --warmup: the image names its boundary".into());
     }
     Ok(cli)
 }
 
-/// Runs a freshly built system to completion, pausing at the requested
-/// checkpoint stops (`--snapshot-out`/`--snapshot-every`) to overwrite
-/// the image at `path` — each pause lands on an epoch boundary, so every
-/// image is resumable and the run itself is bit-identical to one that
-/// never paused.
-fn run_checkpointed(
+/// Runs a freshly built system to completion, pausing once at the
+/// warmup boundary to write the snapshot image to `path`; the run
+/// itself is bit-identical to one that never paused.
+fn run_snapshotted(
     system: &mut System,
     bench: &BenchmarkProfile,
     path: &str,
-    every: u64,
     warmup: u64,
 ) -> Result<RunReport, Box<dyn Error>> {
     let mut gen = system.begin(bench);
-    // With no cadence, checkpoint once at the warmup boundary.
-    let mut next = if every > 0 { every } else { warmup };
+    let mut stop = warmup;
     loop {
-        match system.run_until(&mut gen, next)? {
+        match system.run_until(&mut gen, stop)? {
             Some(report) => return Ok(report),
             None => {
                 system.snapshot_to(path, &gen)?;
-                eprintln!("snapshot after {next} transactions -> {path}");
-                next = if every > 0 { next + every } else { u64::MAX };
+                eprintln!("snapshot after {stop} transactions -> {path}");
+                stop = u64::MAX;
             }
         }
     }
@@ -327,8 +306,8 @@ fn print_report(report: &RunReport) {
     );
 }
 
-/// Reconstructs a checkpointed run from `--resume` and carries it to
-/// completion; the image records the scheme, benchmark, topology, and
+/// Replays the run a `--resume` image names to its point and carries it
+/// to completion; the image records the scheme, benchmark, topology, and
 /// observability.
 fn run_resumed(path: &str) -> Result<(), Box<dyn Error>> {
     let mut resumed = SystemBuilder::resume(path)?;
@@ -358,10 +337,7 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let builder = cli.cell.builder(cli.scale).observability(obs.clone());
     let mut system = builder.build()?;
     let report = match &run.snapshot_out {
-        Some(path) => {
-            let (every, warmup) = (run.snapshot_every, cli.scale.warmup);
-            run_checkpointed(&mut system, &cli.bench, path, every, warmup)?
-        }
+        Some(path) => run_snapshotted(&mut system, &cli.bench, path, cli.scale.warmup)?,
         None => system.run(&cli.bench)?,
     };
     print_report(&report);
@@ -513,7 +489,7 @@ mod tests {
     #[test]
     fn a_flag_the_subcommand_cannot_honour_is_an_error() {
         let run_only = "--trace-out t --trace-filter all --metrics-out m --sample-every 1 \
-                        --trace-txn-sample 1 --snapshot-out s --snapshot-every 1 --resume r";
+                        --trace-txn-sample 1 --snapshot-out s --resume r";
         let run_only: Vec<&str> = run_only.split_whitespace().collect();
         for command in ["compare", "breakdown", "report", "thermal", "list"] {
             for pair in run_only.chunks(2) {
@@ -548,8 +524,10 @@ mod tests {
         assert_eq!(cli.run.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(cli.run.sample_every, 1_000);
         assert!(cli.obs().is_enabled());
-        let err = run("--trace-filter bogus").unwrap_err();
-        assert!(err.contains("--trace-filter"), "{err}");
+        for bad in ["bogus", "packet,-hop", "-"] {
+            let err = run(&format!("--trace-filter {bad}")).unwrap_err();
+            assert!(err.starts_with("--trace-filter: "), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -571,54 +549,35 @@ mod tests {
 
     #[test]
     fn snapshot_flags_parse() {
-        let cli = run("--snapshot-out ckpt.nim --snapshot-every 5000").unwrap();
+        let cli = run("--snapshot-out ckpt.nim").unwrap();
         assert_eq!(cli.run.snapshot_out.as_deref(), Some("ckpt.nim"));
-        assert_eq!(cli.run.snapshot_every, 5_000);
-        let err = run("--snapshot-every 100").unwrap_err();
-        assert!(err.contains("--snapshot-out"), "{err}");
-        // The lone snapshot is taken at the warmup boundary: without a
-        // warmup the run would write no image at all.
+        // The image is written at the warmup boundary: without a warmup
+        // the run would write none.
         let err = run("--snapshot-out ckpt.nim --warmup 0").unwrap_err();
-        assert!(err.contains("--snapshot-every"), "{err}");
-        assert!(run("--snapshot-out ckpt.nim --warmup 0 --snapshot-every 9").is_ok());
-        // A cadence the run never reaches would write nothing either.
-        let err = run("--sample 300 --snapshot-out s.snap --snapshot-every 100000").unwrap_err();
-        assert!(err.contains("100000") && err.contains("2300"), "{err}");
-        let long = "--warmup 100 --sample 200 --snapshot-out s.snap --snapshot-every";
         assert!(
-            run(&format!("{long} 300")).is_err(),
-            "the stop is the last transaction"
+            err.contains("--snapshot-out") && err.contains("--warmup"),
+            "{err}"
         );
-        assert!(run(&format!("{long} 299")).is_ok());
+        assert!(run("--snapshot-out ckpt.nim --warmup 1").is_ok());
         let cli = run("--resume ckpt.nim").unwrap();
         assert_eq!(cli.run.resume.as_deref(), Some("ckpt.nim"));
-    }
-
-    #[test]
-    fn resuming_an_image_without_a_generator_is_an_error_not_a_panic() {
-        /// Records no generator position, as a replay-trace or
-        /// custom-source run would.
-        struct NoCursor;
-        impl network_in_memory::workload::TraceSource for NoCursor {
-            fn next_for(
-                &mut self,
-                _: network_in_memory::types::CpuId,
-            ) -> Option<network_in_memory::types::TraceOp> {
-                None
+        // The image records the cell, the scale and the observability
+        // settings: a flag beside --resume could only be dropped.
+        for flags in [
+            "--trace-out t.json",
+            "--snapshot-out s.img",
+            "--sample 9",
+            "--layers 4",
+        ] {
+            let flag = flags.split(' ').next().expect("a flag");
+            for line in [format!("--resume r {flags}"), format!("{flags} --resume r")] {
+                let err = run(&line).unwrap_err();
+                assert!(
+                    err.contains(&format!("{flag} does not combine with --resume")),
+                    "{err}"
+                );
             }
         }
-        let mut system = SystemBuilder::new(Scheme::CmpDnuca3d)
-            .warmup_transactions(20)
-            .sampled_transactions(200)
-            .build()
-            .unwrap();
-        let mut gen = system.begin(&BenchmarkProfile::synthetic());
-        assert!(system.run_until(&mut gen, 50).unwrap().is_none());
-        let path = std::env::temp_dir().join(format!("nim-{}-nogen.img", std::process::id()));
-        system.snapshot_to(&path, &NoCursor).unwrap();
-        let result = cmd_run(&run(&format!("--resume {}", path.display())).unwrap());
-        std::fs::remove_file(&path).unwrap();
-        assert!(result.unwrap_err().to_string().contains("generator"));
     }
 
     #[test]
