@@ -10,12 +10,6 @@
 //! Migration is *lazy* (§4.2.3): a migrating line stays visible at its old
 //! location until the move commits, so searches issued mid-migration never
 //! produce false misses.
-//!
-//! Beyond the paper's design, the L2 optionally supports *replication*
-//! (the alternative §1 discusses via NuRapid and victim replication):
-//! read-only copies of a line may be installed in additional clusters with
-//! [`NucaL2::add_replica`]; the primary copy remains authoritative
-//! ([`NucaL2::locate`]) and writers must [`NucaL2::drop_replicas`].
 
 use nim_obs::{Category, EventData, Obs};
 use nim_types::addr::L2Map;
@@ -78,10 +72,6 @@ pub struct L2Stats {
     pub migrations: u64,
     /// Migrations aborted (line evicted mid-flight, or cancelled).
     pub migrations_aborted: u64,
-    /// Read-only replicas installed.
-    pub replicas_created: u64,
-    /// Replicas dropped (write invalidations, evictions, removals).
-    pub replicas_dropped: u64,
 }
 
 /// The shared NUCA L2 cache.
@@ -97,8 +87,6 @@ pub struct NucaL2 {
     slots: usize,
     /// Lines mid-migration: line → destination cluster.
     migrating: FxHashMap<LineAddr, ClusterId>,
-    /// Read-only replicas: line → clusters holding extra copies.
-    replicas: FxHashMap<LineAddr, Vec<ClusterId>>,
     stats: L2Stats,
     /// Observability sink; disabled by default.
     obs: Obs,
@@ -116,7 +104,6 @@ impl NucaL2 {
             resident: FxHashMap::default(),
             slots: l2.clusters as usize * l2.lines_per_cluster() as usize,
             migrating: FxHashMap::default(),
-            replicas: FxHashMap::default(),
             stats: L2Stats::default(),
             obs: Obs::disabled(),
         }
@@ -195,8 +182,7 @@ impl NucaL2 {
         }
     }
 
-    /// Invalidates `line` (primary and every replica); returns its
-    /// primary cluster if it was resident.
+    /// Invalidates `line`; returns its cluster if it was resident.
     pub fn remove(&mut self, line: LineAddr) -> Option<ClusterId> {
         let cl = self.resident.remove(&line)?;
         let removed = self.clusters[cl.index()].remove(&self.map, line);
@@ -210,7 +196,6 @@ impl NucaL2 {
                     to: u32::from(to.0),
                 });
         }
-        self.drop_replicas(line);
         Some(cl)
     }
 
@@ -261,27 +246,7 @@ impl NucaL2 {
         let from = self.locate(line).ok_or(MigrationError::NotResident(line))?;
         let removed = self.clusters[from.index()].remove(&self.map, line);
         debug_assert!(removed);
-        // If the destination already holds a replica, the arriving
-        // primary simply takes its place (promote in place).
-        let promoted = self
-            .replicas
-            .get_mut(&line)
-            .map(|rs| {
-                let had = rs.iter().position(|c| *c == to);
-                if let Some(i) = had {
-                    rs.swap_remove(i);
-                }
-                had.is_some()
-            })
-            .unwrap_or(false);
-        let evicted = if promoted {
-            self.stats.replicas_dropped += 1;
-            self.clusters[to.index()].touch(&self.map, line);
-            None
-        } else {
-            let ins = self.clusters[to.index()].insert(&self.map, line);
-            ins.evicted
-        };
+        let evicted = self.clusters[to.index()].insert(&self.map, line).evicted;
         self.resident.insert(line, to);
         self.stats.migrations += 1;
         self.obs
@@ -333,35 +298,9 @@ impl NucaL2 {
         self.clusters[cl.index()].occupancy()
     }
 
-    /// Bookkeeping shared by every eviction path. The evicted slot may
-    /// have held either the victim's primary copy or one of its replicas;
-    /// callers pass the cluster the eviction happened in via the bank
-    /// structures, so this resolves which record to drop by comparing
-    /// against the resident map.
+    /// Bookkeeping shared by every eviction path: the victim leaves the
+    /// resident map, and a migration it had in flight is aborted.
     fn note_eviction(&mut self, victim: LineAddr) {
-        // If the victim's primary is still present in some cluster's bank,
-        // the slot we just reclaimed must have been a replica.
-        let primary_still_resident = self
-            .resident
-            .get(&victim)
-            .is_some_and(|cl| self.clusters[cl.index()].contains(&self.map, victim));
-        if primary_still_resident {
-            // A replica was evicted; find and drop the stale record.
-            if let Some(rs) = self.replicas.get_mut(&victim) {
-                let map = &self.map;
-                if let Some(i) = rs
-                    .iter()
-                    .position(|c| !self.clusters[c.index()].contains(map, victim))
-                {
-                    rs.swap_remove(i);
-                    self.stats.replicas_dropped += 1;
-                }
-                if rs.is_empty() {
-                    self.replicas.remove(&victim);
-                }
-            }
-            return;
-        }
         self.stats.evictions += 1;
         let cl = self.resident.remove(&victim);
         self.obs.emit(Category::Bank, || EventData::Eviction {
@@ -378,83 +317,15 @@ impl NucaL2 {
                     to: u32::from(to.0),
                 });
         }
-        self.drop_replicas(victim);
     }
 
-    // ----- replication (extension; see module docs) -----------------------
-
-    /// Clusters holding read-only replicas of `line`.
-    pub fn replicas_of(&self, line: LineAddr) -> &[ClusterId] {
-        self.replicas.get(&line).map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether `cluster` holds *any* copy of `line` — the primary, an
-    /// in-flight migration destination, or a replica. This is what a tag
-    /// probe of that cluster would answer. The migration and replica maps
-    /// are probed only while they hold anything.
+    /// Whether `cluster` holds a copy of `line` — its committed location
+    /// or an in-flight migration destination. This is what a tag probe
+    /// of that cluster would answer. The migration map is probed only
+    /// while it holds anything.
     pub fn has_copy_at(&self, line: LineAddr, cluster: ClusterId) -> bool {
         self.locate(line) == Some(cluster)
             || (!self.migrating.is_empty() && self.migration_of(line) == Some(cluster))
-            || (!self.replicas.is_empty() && self.replicas_of(line).contains(&cluster))
-    }
-
-    /// Installs a read-only replica of `line` in `cluster`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MigrationError::NotResident`] if the line has no primary
-    /// copy, or [`MigrationError::SamePlace`] if `cluster` already holds
-    /// a copy.
-    pub fn add_replica(
-        &mut self,
-        line: LineAddr,
-        cluster: ClusterId,
-    ) -> Result<Placement, MigrationError> {
-        if self.locate(line).is_none() {
-            return Err(MigrationError::NotResident(line));
-        }
-        if self.has_copy_at(line, cluster) {
-            return Err(MigrationError::SamePlace(line));
-        }
-        let ins = self.clusters[cluster.index()].insert(&self.map, line);
-        self.replicas.entry(line).or_default().push(cluster);
-        self.stats.replicas_created += 1;
-        if let Some(victim) = ins.evicted {
-            self.note_eviction(victim);
-        }
-        Ok(Placement {
-            cluster,
-            evicted: ins.evicted,
-        })
-    }
-
-    /// Drops every replica of `line` (a write is about to make them
-    /// stale). Returns the clusters that held one.
-    pub fn drop_replicas(&mut self, line: LineAddr) -> Vec<ClusterId> {
-        let Some(clusters) = self.replicas.remove(&line) else {
-            return Vec::new();
-        };
-        for cl in &clusters {
-            let removed = self.clusters[cl.index()].remove(&self.map, line);
-            debug_assert!(removed, "replica map out of sync");
-            self.stats.replicas_dropped += 1;
-        }
-        clusters
-    }
-
-    /// Marks a hit on the copy of `line` held by `cluster` — primary or
-    /// replica, whichever that cluster's bank actually contains. Falls
-    /// back to touching the primary if the cluster holds no copy (e.g. a
-    /// replica dropped while the request was in flight). Returns whether
-    /// any copy was touched.
-    pub fn touch_at(&mut self, line: LineAddr, cluster: ClusterId) -> bool {
-        let holds = self.locate(line) == Some(cluster) || self.replicas_of(line).contains(&cluster);
-        if holds && self.clusters[cluster.index()].contains(&self.map, line) {
-            self.clusters[cluster.index()].touch(&self.map, line);
-            true
-        } else {
-            self.touch(line).is_some()
-        }
     }
 }
 
@@ -465,11 +336,6 @@ mod tests {
 
     fn l2() -> NucaL2 {
         NucaL2::new(&L2Config::default())
-    }
-
-    /// Total replicas currently installed.
-    fn replica_count(l2: &NucaL2) -> usize {
-        l2.replicas.values().map(Vec::len).sum()
     }
 
     /// A line whose home cluster is `cl` (cluster field is bits [10,14)).
@@ -600,107 +466,6 @@ mod tests {
         l2.abort_migration(line);
         assert_eq!(l2.stats().migrations_aborted, 1);
         assert_eq!(l2.locate(line), Some(ClusterId(0)), "line untouched");
-    }
-
-    #[test]
-    fn replica_lifecycle_install_hit_drop() {
-        let mut l2 = l2();
-        let line = line_in_cluster(0, 9);
-        l2.insert(line);
-        assert!(l2.replicas_of(line).is_empty());
-        let p = l2.add_replica(line, ClusterId(5)).unwrap();
-        assert_eq!(p.cluster, ClusterId(5));
-        assert!(l2.has_copy_at(line, ClusterId(0)), "primary");
-        assert!(l2.has_copy_at(line, ClusterId(5)), "replica");
-        assert!(!l2.has_copy_at(line, ClusterId(3)));
-        assert_eq!(l2.locate(line), Some(ClusterId(0)), "primary unchanged");
-        assert_eq!(replica_count(&l2), 1);
-        assert_eq!(l2.stats().replicas_created, 1);
-        // A write drops every replica.
-        let dropped = l2.drop_replicas(line);
-        assert_eq!(dropped, vec![ClusterId(5)]);
-        assert!(!l2.has_copy_at(line, ClusterId(5)));
-        assert_eq!(l2.stats().replicas_dropped, 1);
-        assert_eq!(l2.cluster_occupancy(ClusterId(5)), 0);
-    }
-
-    #[test]
-    fn replicas_reject_duplicates_and_ghosts() {
-        let mut l2 = l2();
-        let line = line_in_cluster(1, 4);
-        assert!(matches!(
-            l2.add_replica(line, ClusterId(2)),
-            Err(MigrationError::NotResident(_))
-        ));
-        l2.insert(line);
-        l2.add_replica(line, ClusterId(2)).unwrap();
-        assert!(matches!(
-            l2.add_replica(line, ClusterId(2)),
-            Err(MigrationError::SamePlace(_))
-        ));
-        assert!(
-            matches!(
-                l2.add_replica(line, ClusterId(1)),
-                Err(MigrationError::SamePlace(_)),
-            ),
-            "the primary cluster already holds a copy"
-        );
-    }
-
-    #[test]
-    fn remove_clears_replicas_too() {
-        let mut l2 = l2();
-        let line = line_in_cluster(3, 6);
-        l2.insert(line);
-        l2.add_replica(line, ClusterId(7)).unwrap();
-        l2.add_replica(line, ClusterId(9)).unwrap();
-        assert_eq!(replica_count(&l2), 2);
-        l2.remove(line);
-        assert_eq!(replica_count(&l2), 0);
-        assert_eq!(l2.cluster_occupancy(ClusterId(7)), 0);
-        assert_eq!(l2.cluster_occupancy(ClusterId(9)), 0);
-    }
-
-    #[test]
-    fn migration_into_a_replica_promotes_it() {
-        let mut l2 = l2();
-        let line = line_in_cluster(0, 2);
-        l2.insert(line);
-        l2.add_replica(line, ClusterId(4)).unwrap();
-        l2.begin_migration(line, ClusterId(4)).unwrap();
-        let out = l2.commit_migration(line).unwrap();
-        assert_eq!(out.to, ClusterId(4));
-        assert_eq!(out.evicted, None, "replica slot is reused");
-        assert_eq!(l2.locate(line), Some(ClusterId(4)));
-        assert!(!l2.replicas_of(line).contains(&ClusterId(4)));
-        assert_eq!(l2.cluster_occupancy(ClusterId(0)), 0);
-        assert_eq!(l2.cluster_occupancy(ClusterId(4)), 1);
-    }
-
-    #[test]
-    fn evicting_a_replica_keeps_the_primary() {
-        let mut l2 = l2();
-        // Fill (cluster 1, bank 0, set 0) with 15 lines + 1 replica.
-        let mk1 = |i: u64| LineAddr((i << 14) | (1 << 10));
-        for i in 0..15 {
-            l2.insert(mk1(i));
-        }
-        let shared = LineAddr(77 << 14); // home cluster 0
-        l2.insert(shared);
-        l2.add_replica(shared, ClusterId(1)).unwrap(); // fills way 16
-                                                       // One more insert into the same set evicts pseudo-LRU — keep
-                                                       // inserting until the replica is the victim.
-        let mut i = 15u64;
-        while replica_count(&l2) == 1 && i < 40 {
-            l2.insert(mk1(i));
-            i += 1;
-        }
-        assert_eq!(replica_count(&l2), 0, "replica eventually evicted");
-        assert_eq!(
-            l2.locate(shared),
-            Some(ClusterId(0)),
-            "primary copy survives replica eviction"
-        );
     }
 
     #[test]

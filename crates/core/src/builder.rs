@@ -57,7 +57,6 @@ pub struct SystemBuilder {
 pub(crate) struct Recipe {
     pub(crate) scheme: Scheme,
     pub(crate) fabric: FabricKind,
-    pub(crate) replication: bool,
     pub(crate) edge_memory: bool,
     pub(crate) prewarm: bool,
     pub(crate) seed: u64,
@@ -69,7 +68,6 @@ pub(crate) struct Recipe {
 nim_types::codec_struct!(Recipe {
     scheme,
     fabric,
-    replication,
     edge_memory,
     prewarm,
     seed,
@@ -85,7 +83,6 @@ impl SystemBuilder {
             recipe: Recipe {
                 scheme,
                 fabric: FabricKind::default(),
-                replication: false,
                 edge_memory: false,
                 prewarm: true,
                 seed: 42,
@@ -160,16 +157,6 @@ impl SystemBuilder {
     /// paper's 500 M-cycle cache warm-up phase; default on).
     pub fn prewarm(mut self, on: bool) -> Self {
         self.recipe.prewarm = on;
-        self
-    }
-
-    /// Extension: replicate read-shared lines into the reader's local
-    /// cluster (the NuRapid / victim-replication alternative the paper's
-    /// §1–§2 discusses). Replicas serve subsequent local reads; any write
-    /// invalidates them. Off by default — the paper's design relies on
-    /// migration alone.
-    pub fn replication(mut self, on: bool) -> Self {
-        self.recipe.replication = on;
         self
     }
 
@@ -251,7 +238,6 @@ impl SystemBuilder {
         );
         let policy = Policy::new(
             recipe.scheme,
-            recipe.replication,
             if recipe.edge_memory {
                 MemoryRoute::EdgeControllers
             } else {
@@ -312,7 +298,7 @@ mod tests {
         #[test]
         fn recipes_obey_the_codec_laws(
             (scheme, fabric, seed, warmup, sample) in (0usize..4, 0usize..2, any::<u64>(), any::<u64>(), any::<u64>()),
-            flags in proptest::collection::vec(any::<bool>(), 3),
+            flags in proptest::collection::vec(any::<bool>(), 2),
         ) {
             let (scheme, fabric) = (Scheme::ALL[scheme], FabricKind::ALL[fabric]);
             prop_assert_eq!(assert_laws(&scheme), scheme);
@@ -320,9 +306,8 @@ mod tests {
             let recipe = Recipe {
                 scheme,
                 fabric,
-                replication: flags[0],
-                edge_memory: flags[1],
-                prewarm: flags[2],
+                edge_memory: flags[0],
+                prewarm: flags[1],
                 seed,
                 warmup,
                 sample,

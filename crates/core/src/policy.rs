@@ -2,8 +2,8 @@
 //!
 //! The paper's four L2 organisations differ in exactly two protocol
 //! choices — perfect vs. two-step search, migration on or off (§4.2,
-//! §5.2); the builder's extension knobs add two more. [`Policy::new`]
-//! resolves a [`Scheme`] and those knobs into plain data once, and the
+//! §5.2); the builder's memory-route knob adds a third. [`Policy::new`]
+//! resolves a [`Scheme`] and that knob into plain data once, and the
 //! engine's handlers read the fields: they contain no `Scheme` branches.
 //! Adding an L2 organisation means adding a row here (and, if needed, a
 //! placement), not editing the engine.
@@ -34,10 +34,6 @@ pub(crate) struct Policy {
     /// Whether cache lines migrate toward their accessors at all
     /// (gradual steps by [`nim_cache::migration_target`], paper §4.2.3).
     pub(crate) migrates: bool,
-    /// Replicate read-shared lines into the reader's local cluster (the
-    /// NuRapid / victim-replication alternative of §1–§2). See
-    /// [`SystemBuilder::replication`](crate::SystemBuilder::replication).
-    pub(crate) replication: bool,
     /// How L2 misses reach memory.
     pub(crate) memory: MemoryRoute,
 }
@@ -46,11 +42,10 @@ impl Policy {
     /// Binds the scheme's row: CMP-DNUCA is the only perfect-search
     /// scheme, CMP-SNUCA-3D the only static one (the 2D/3D difference
     /// lives in the layout, not the protocol).
-    pub(crate) fn new(scheme: Scheme, replication: bool, memory: MemoryRoute) -> Self {
+    pub(crate) fn new(scheme: Scheme, memory: MemoryRoute) -> Self {
         Self {
             oracle_search: scheme == Scheme::CmpDnuca,
             migrates: scheme != Scheme::CmpSnuca3d,
-            replication,
             memory,
         }
     }
@@ -70,11 +65,10 @@ mod tests {
             (Scheme::CmpSnuca3d, false, false),
         ] {
             assert_eq!(
-                Policy::new(scheme, false, memory),
+                Policy::new(scheme, memory),
                 Policy {
                     oracle_search,
                     migrates,
-                    replication: false,
                     memory,
                 },
                 "{scheme:?}"

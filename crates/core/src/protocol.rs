@@ -5,7 +5,7 @@
 //! the live [`TxnTable`](crate::txn::TxnTable) — and implements every
 //! protocol transition (two-step CMP-DNUCA search, vertical pillar
 //! broadcasts, bank reads/writes, the memory path, migration,
-//! replication, coherence invalidations) as methods generic over the
+//! coherence invalidations) as methods generic over the
 //! [`Fabric`] seam. The engine never touches the network or the event
 //! queue directly, which is what makes each transition unit-testable
 //! against [`TestFabric`](crate::fabric::TestFabric) — see the sibling
@@ -52,7 +52,7 @@ pub(crate) struct Engine {
     pub(crate) cluster_cpus: Vec<u64>,
     /// CPU seated at each coordinate (L1 invalidation routing).
     pub(crate) cpu_at: FxHashMap<Coord, CpuId>,
-    /// The NUCA L2 (tags, banks, migration and replica state).
+    /// The NUCA L2 (tags, banks and migration state).
     pub(crate) l2: NucaL2,
     /// The write-through MSI directory.
     pub(crate) dir: Directory,
@@ -153,8 +153,8 @@ impl Engine {
         );
     }
 
-    /// A line reached the bank at `at` (a memory fill, a replica copy, a
-    /// migrating line): the bank absorbs it when its port frees up, then
+    /// A line reached the bank at `at` (a memory fill or a migrating
+    /// line): the bank absorbs it when its port frees up, then
     /// `done` fires.
     fn absorb_at_bank(&self, f: &mut impl Fabric, at: Coord, done: TimedEvent, now: Cycle) {
         let delay = self.bank_delay(f, at, now, true).total();
@@ -286,16 +286,9 @@ impl Engine {
             self.center(cluster)
         };
         if self.l2.has_copy_at(t.line, cluster) {
-            // Serve from the probed cluster when its bank really holds a
-            // copy (primary or replica); a probe that matched only an
-            // in-flight migration entry serves from the current location.
-            let visible = self.l2.locate(t.line);
-            let serving =
-                if visible == Some(cluster) || self.l2.replicas_of(t.line).contains(&cluster) {
-                    cluster
-                } else {
-                    visible.expect("a hit implies residency")
-                };
+            // A probe that matched only an in-flight migration entry
+            // serves from the line's current location.
+            let serving = self.l2.locate(t.line).expect("a hit implies residency");
             self.serve_hit(f, id, origin, serving, now);
         } else if origin == seat {
             self.probe_missed(f, id, now);
@@ -525,11 +518,6 @@ impl Engine {
         at: Coord,
         now: Cycle,
     ) {
-        // A replica bank can serve the read directly.
-        let here = self.layout.cluster_of(at);
-        if self.l2.replicas_of(t.line).contains(&here) && self.bank_coord(here, t.line) == at {
-            return self.read_bank(f, id, at, ClaimedDelay::NONE, now);
-        }
         match self.l2.locate(t.line) {
             None => self.go_to_memory(f, id, now),
             Some(cl) => {
@@ -548,7 +536,7 @@ impl Engine {
 
     /// The bank finished reading: route the line to the requester.
     fn bank_read_done(&mut self, f: &mut impl Fabric, id: TxnId, t: Txn, at: Coord) {
-        self.l2.touch_at(t.line, self.layout.cluster_of(at));
+        self.l2.touch(t.line);
         self.send_to_cpu(f, at, t.cpu, Token::DataToCpu { txn: id });
     }
 
@@ -594,7 +582,6 @@ impl Engine {
         self.dir.access(t.cpu, t.line, DirAccess::Read);
         let repeated = self.last_accessor.insert(t.line, t.cpu) == Some(t.cpu);
         self.maybe_migrate(f, t.cpu, t.line, repeated);
-        self.maybe_replicate(f, t.cpu, t.line);
     }
 
     /// The store acknowledgement arrived: the transaction completes and
@@ -606,11 +593,6 @@ impl Engine {
         self.finish_counters(f, id, &t, now);
         self.cores.store_completed(t.cpu);
         let token = Token::Invalidate { line: t.line };
-        // A store makes every L2 replica stale (replication extension).
-        for rc in self.l2.drop_replicas(t.line) {
-            self.counters.invalidations += 1;
-            self.send_from_cpu(f, t.cpu, self.center(rc), token);
-        }
         let outcome = self.dir.access(t.cpu, t.line, DirAccess::Write);
         for sharer in outcome.invalidations.iter() {
             self.counters.invalidations += 1;
@@ -620,18 +602,13 @@ impl Engine {
         self.maybe_migrate(f, t.cpu, t.line, repeated);
     }
 
-    /// The L2 dropped a line: invalidate every L1 copy — unless the slot
-    /// held only a replica (the primary copy, and hence the L1s'
-    /// backing, is still resident).
+    /// The L2 dropped a line: invalidate every L1 copy.
     pub(crate) fn handle_l2_eviction(
         &mut self,
         f: &mut impl Fabric,
         victim: LineAddr,
         from: Coord,
     ) {
-        if self.l2.locate(victim).is_some() {
-            return; // a replica was evicted; the line itself lives on
-        }
         self.counters.l2_evictions += 1;
         for sharer in self.dir.invalidate_all(victim).iter() {
             self.counters.invalidations += 1;
@@ -681,51 +658,6 @@ impl Engine {
             // Reading the source bank and writing the destination bank.
             self.counters.bank_accesses += 2;
             f.send(src, dst, Token::MigrationMove { line }, None);
-        }
-    }
-
-    /// After a completed read, optionally install a read-only replica of
-    /// a shared line in the reader's local cluster (the NuRapid /
-    /// victim-replication alternative of §1–§2; off by default).
-    fn maybe_replicate(&mut self, f: &mut impl Fabric, cpu: CpuId, line: LineAddr) {
-        if !self.policy.replication {
-            return;
-        }
-        let Some(primary) = self.l2.locate(line) else {
-            return;
-        };
-        let local = self.plans[cpu.index()].local;
-        if primary == local
-            || self.l2.has_copy_at(line, local)
-            || self.l2.migration_of(line).is_some()
-            || self.l2.replicas_of(line).len() >= 2
-            || self.dir.sharers(line).len() < 2
-        {
-            return;
-        }
-        self.counters.replicas_created += 1;
-        self.counters.bank_accesses += 1; // source bank read for the copy
-        let src = self.bank_coord(primary, line);
-        let dst = self.bank_coord(local, line);
-        let token = Token::ReplicaFill {
-            line,
-            cluster: local,
-        };
-        f.send(src, dst, token, self.via(cpu));
-    }
-
-    /// The new bank absorbed the replica: publish it in the tag array.
-    fn replica_installed(&mut self, f: &mut impl Fabric, line: LineAddr, cluster: ClusterId) {
-        // The line may have been written, evicted, or already replicated
-        // while the copy was in flight; install only if still sensible.
-        if self.l2.migration_of(line).is_some() {
-            return;
-        }
-        if let Ok(placed) = self.l2.add_replica(line, cluster) {
-            if let Some(victim) = placed.evicted {
-                let from = self.center(cluster);
-                self.handle_l2_eviction(f, victim, from);
-            }
         }
     }
 
@@ -784,9 +716,6 @@ impl Engine {
             TimedEvent::MemoryReady { line, mc } => self.memory_ready(f, line, mc),
             TimedEvent::MemoryFetched { line } => self.memory_fetched(f, line, now),
             TimedEvent::MigrationDone { line } => self.migration_done(f, line),
-            TimedEvent::ReplicaInstalled { line, cluster } => {
-                self.replica_installed(f, line, cluster)
-            }
         }
     }
 
@@ -822,10 +751,6 @@ impl Engine {
                     let done = TimedEvent::MigrationDone { line };
                     self.absorb_at_bank(f, self.bank_coord(to, line), done, now);
                 }
-            }
-            (Token::ReplicaFill { line, cluster }, _) => {
-                let done = TimedEvent::ReplicaInstalled { line, cluster };
-                self.absorb_at_bank(f, d.dst, done, now);
             }
             (Token::MemRequest { line }, _) => self.mem_request_arrived(f, line, d.dst, now),
             // The fill reached the home bank, which then serves the waiters.

@@ -6,7 +6,7 @@
 //! clock): read hits found in step 1, step 2, and over a vertical
 //! pillar broadcast; read misses served flat and through edge memory
 //! controllers; the write-through store path; L2 evictions; and the
-//! migration and replication triggers.
+//! migration trigger.
 
 use super::*;
 
@@ -320,16 +320,6 @@ fn phase_buckets_sum_to_end_to_end_latency() {
     assert_eq!(eng.counters.migrations, 1);
     check(&eng, "migration");
 
-    // Replication path: the replica fill rides the fabric after the
-    // hit; the requester's own buckets still telescope.
-    let (mut eng, mut f) = harness(Scheme::CmpSnuca3d, |b| b.replication(true));
-    let line = ADDR.line(eng.line_bytes);
-    eng.l2.insert_at(line, eng.plans[0].step2[0]);
-    eng.dir.access(CpuId::from_index(1), line, DirAccess::Read);
-    read(&mut eng, &mut f, CpuId::from_index(0), ADDR);
-    assert_eq!(eng.counters.replicas_created, 1);
-    check(&eng, "replication");
-
     // Write-through store: data + ack round trip.
     let (mut eng, mut f) = harness(Scheme::CmpSnuca3d, |b| b);
     let line = ADDR.line(eng.line_bytes);
@@ -393,24 +383,4 @@ fn phase_buckets_survive_a_search_retry() {
     assert_eq!(eng.counters.l2_hits, 1, "the retry found the line");
     let total: u64 = eng.counters.phase_cycles().iter().sum();
     assert_eq!(total, eng.counters.hit_latency_sum);
-}
-
-#[test]
-fn shared_read_triggers_replication_into_the_local_cluster() {
-    let (mut eng, mut f) = harness(Scheme::CmpSnuca3d, |b| b.replication(true));
-    let reader = CpuId::from_index(0);
-    let line = ADDR.line(eng.line_bytes);
-    let remote = eng.plans[0].step2[0];
-    eng.l2.insert_at(line, remote);
-    // A second sharer makes the line read-shared (the trigger condition).
-    eng.dir.access(CpuId::from_index(1), line, DirAccess::Read);
-    let local = eng.plans[0].local;
-    let log = read(&mut eng, &mut f, reader, ADDR);
-    assert_eq!(eng.counters.replicas_created, 1);
-    assert!(log.iter().any(|t| matches!(t, Token::ReplicaFill { .. })));
-    assert!(
-        eng.l2.has_copy_at(line, local),
-        "the replica landed in the reader's cluster"
-    );
-    assert_eq!(eng.l2.locate(line), Some(remote), "the primary stays put");
 }

@@ -6,7 +6,7 @@
 //!
 //! | field      | contents                                                  |
 //! |------------|-----------------------------------------------------------|
-//! | header     | [`SNAPSHOT_MAGIC`](nim_types::codec::SNAPSHOT_MAGIC), format version 3 |
+//! | header     | [`SNAPSHOT_MAGIC`](nim_types::codec::SNAPSHOT_MAGIC), format version 4 |
 //! | recipe     | the build [`Recipe`]: scheme, fabric, knobs, full config  |
 //! | obs        | the [`ObsConfig`], if observability was on                |
 //! | benchmark  | the name of the profile the run draws from                |

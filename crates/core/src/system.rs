@@ -501,10 +501,6 @@ impl System {
         self.obs.counter_set("l2/migrations", l2.migrations);
         self.obs
             .counter_set("l2/migrations_aborted", l2.migrations_aborted);
-        self.obs
-            .counter_set("l2/replicas_created", l2.replicas_created);
-        self.obs
-            .counter_set("l2/replicas_dropped", l2.replicas_dropped);
         let c = &self.engine.counters;
         self.obs
             .counter_set("sys/l2_transactions", c.l2_transactions);

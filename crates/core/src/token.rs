@@ -43,9 +43,6 @@ pub(crate) enum Token {
     MigrationMove { line: LineAddr },
     /// L1 invalidation (coherence or L2 eviction).
     Invalidate { line: LineAddr },
-    /// A read-only replica copy travelling to its new cluster
-    /// (replication extension).
-    ReplicaFill { line: LineAddr, cluster: ClusterId },
     /// An L2 miss travelling to a memory controller.
     MemRequest { line: LineAddr },
     /// A line fetched from DRAM travelling from a memory controller to
@@ -75,10 +72,6 @@ impl Token {
                 9,
                 u64::from(txn) | (u64::from(layer) << 32) | (u64::from(step) << 40),
             ),
-            Token::ReplicaFill { line, cluster } => {
-                debug_assert!(line.0 < (1 << 40), "line address too large for token");
-                (10, line.0 | (u64::from(cluster.0) << 40))
-            }
             Token::MemRequest { line } => (11, line.0),
             Token::MemFill { line } => (12, line.0),
         };
@@ -87,8 +80,8 @@ impl Token {
     }
 
     /// The transaction this token belongs to, if it carries one (the
-    /// line-scoped tokens — migrations, invalidations, replica and
-    /// memory traffic — serve no single transaction; their network time
+    /// line-scoped tokens — migrations, invalidations and memory
+    /// traffic — serve no single transaction; their network time
     /// lands in the waiters' memory-wait bucket or in no bucket at all).
     pub(crate) fn txn_id(self) -> Option<TxnId> {
         match self {
@@ -102,7 +95,6 @@ impl Token {
             | Token::WriteAck { txn } => Some(txn),
             Token::MigrationMove { .. }
             | Token::Invalidate { .. }
-            | Token::ReplicaFill { .. }
             | Token::MemRequest { .. }
             | Token::MemFill { .. } => None,
         }
@@ -121,10 +113,9 @@ impl Token {
             | Token::FoundForWrite { .. }
             | Token::WriteAck { .. }
             | Token::MemRequest { .. } => (TrafficClass::Control, false),
-            Token::DataToCpu { .. }
-            | Token::WriteData { .. }
-            | Token::ReplicaFill { .. }
-            | Token::MemFill { .. } => (TrafficClass::Data, true),
+            Token::DataToCpu { .. } | Token::WriteData { .. } | Token::MemFill { .. } => {
+                (TrafficClass::Data, true)
+            }
             Token::MigrationMove { .. } => (TrafficClass::Migration, true),
             Token::Invalidate { .. } => (TrafficClass::Coherence, false),
         }
@@ -154,10 +145,6 @@ impl Token {
                 txn,
                 layer: ((payload >> 32) & 0xff) as u8,
                 step: ((payload >> 40) & 0xff) as u8,
-            },
-            10 => Token::ReplicaFill {
-                line: LineAddr(payload & ((1 << 40) - 1)),
-                cluster: ClusterId(((payload >> 40) & 0xffff) as u16),
             },
             11 => Token::MemRequest {
                 line: LineAddr(payload),
@@ -207,8 +194,6 @@ pub(crate) enum TimedEvent {
     MemoryFetched { line: LineAddr },
     /// A migrated line finished writing into its destination bank.
     MigrationDone { line: LineAddr },
-    /// A replica copy finished writing into its new cluster's bank.
-    ReplicaInstalled { line: LineAddr, cluster: ClusterId },
 }
 
 #[cfg(test)]
@@ -241,11 +226,7 @@ mod tests {
             Token::WriteData { .. } => ((Data, true), Some(Token::WriteAck { txn: 2 })),
             Token::WriteAck { .. } => ((Control, false), Some(Token::MigrationMove { line })),
             Token::MigrationMove { .. } => ((Migration, true), Some(Token::Invalidate { line })),
-            Token::Invalidate { .. } => (
-                (Coherence, false),
-                Some(Token::ReplicaFill { line, cluster }),
-            ),
-            Token::ReplicaFill { .. } => ((Data, true), Some(Token::MemRequest { line })),
+            Token::Invalidate { .. } => ((Coherence, false), Some(Token::MemRequest { line })),
             Token::MemRequest { .. } => ((Control, false), Some(Token::MemFill { line })),
             Token::MemFill { .. } => ((Data, true), None),
         };
@@ -259,12 +240,15 @@ mod tests {
             next = after;
         }
         kinds.sort_unstable();
-        assert_eq!(kinds, (0..13).collect::<Vec<u64>>(), "every kind visited");
+        // Kind 10 belonged to a retired token; the others kept their tags.
+        let expected: Vec<u64> = (0..13).filter(|&k| k != 10).collect();
+        assert_eq!(kinds, expected, "every kind visited");
     }
 
     #[test]
     fn corrupt_tokens_are_rejected() {
         assert_eq!(Token::decode(63 << 56), None);
+        assert_eq!(Token::decode(10 << 56), None, "the retired kind");
         assert_eq!(Token::decode(13 << 56), None, "the first unused kind");
     }
 }

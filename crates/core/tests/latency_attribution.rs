@@ -1,4 +1,4 @@
-//! The attribution sum invariant, end to end: across a 10-cell sweep of
+//! The attribution sum invariant, end to end: across a 9-cell sweep of
 //! schemes, benchmarks, and extension features, every cycle of every
 //! completed transaction must land in exactly one of the five phase
 //! buckets — so the aggregated bucket counters must equal the summed
@@ -15,7 +15,6 @@ use nim_workload::BenchmarkProfile;
 struct Cell {
     scheme: Scheme,
     benchmark: BenchmarkProfile,
-    replication: bool,
     edge_memory: bool,
     narrow_bus: bool,
     /// Measure from transaction 0 so cold misses (and their memory
@@ -28,7 +27,6 @@ impl Cell {
         Self {
             scheme,
             benchmark,
-            replication: false,
             edge_memory: false,
             narrow_bus: false,
             cold: false,
@@ -53,18 +51,15 @@ fn phase_buckets_sum_to_latency_across_the_sweep() {
             cells.push(c);
         }
     }
-    // Extension paths ride the same engine: replication creates the
-    // replica-install flow, edge MCs reroute the memory path, and a
-    // narrow bus stretches dTDMA serialisation so pillar waits dominate.
-    let mut repl = Cell::new(Scheme::CmpDnuca3d, BenchmarkProfile::swim());
-    repl.replication = true;
-    cells.push(repl);
+    // Extension paths ride the same engine: edge MCs reroute the memory
+    // path, and a narrow bus stretches dTDMA serialisation so pillar
+    // waits dominate.
     let mut edge = Cell::new(Scheme::CmpSnuca3d, BenchmarkProfile::art());
     edge.edge_memory = true;
     edge.narrow_bus = true;
     edge.cold = true;
     cells.push(edge);
-    assert_eq!(cells.len(), 10);
+    assert_eq!(cells.len(), 9);
 
     for cell in &cells {
         let mut cfg = nim_types::SystemConfig::default();
@@ -77,15 +72,14 @@ fn phase_buckets_sum_to_latency_across_the_sweep() {
             .prewarm(!cell.cold)
             .warmup_transactions(if cell.cold { 0 } else { 50 })
             .sampled_transactions(400)
-            .replication(cell.replication)
             .edge_memory_controllers(cell.edge_memory)
             .build()
             .expect("system builds");
         let report = sys.run(&cell.benchmark).expect("run completes");
         let c = &report.counters;
         let label = format!(
-            "{:?}/{}/repl={}/edge_mc={}/narrow_bus={}",
-            cell.scheme, cell.benchmark.name, cell.replication, cell.edge_memory, cell.narrow_bus
+            "{:?}/{}/edge_mc={}/narrow_bus={}",
+            cell.scheme, cell.benchmark.name, cell.edge_memory, cell.narrow_bus
         );
 
         assert!(c.l2_transactions > 0, "{label}: empty sample window");

@@ -2,9 +2,11 @@
 //! the full system and the transaction outcomes are checked exactly.
 //! Small CPU counts keep every L2 transaction attributable.
 
-use nim_core::{BuildError, RunError, Scheme, SystemBuilder};
+use nim_core::experiments::{ExperimentScale, SweepSpec};
+use nim_core::{BuildError, FabricKind, RunError, Scheme, SystemBuilder};
 use nim_types::{AccessKind, Address, ConfigError, CpuId, SystemConfig, TraceOp};
-use nim_workload::ReplayTrace;
+use nim_workload::{BenchmarkProfile, ReplayTrace};
+use proptest::prelude::*;
 
 fn op(kind: AccessKind, addr: u64) -> TraceOp {
     TraceOp {
@@ -249,4 +251,30 @@ fn a_sampling_target_past_u64_max_saturates() {
         system.run_with_source("scenario", &mut trace),
         Err(RunError::Stalled { completed: 1, .. })
     ));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every cell the CLI's `--scheme`, `--fabric`, `--layers`,
+    /// `--pillars`, `--cpus` and `--l2-scale` flags can describe either
+    /// builds and runs, or is refused with a typed error — never a panic.
+    #[test]
+    fn every_describable_cell_builds_or_fails_with_a_typed_error(
+        (scheme, fabric, layers) in (0usize..4, 0usize..2, 0u8..=9),
+        (pillars, cpus, l2_scale) in (0u16..=100, 0u32..=130, 0u32..=4),
+    ) {
+        let mut spec = SweepSpec::new(Scheme::ALL[scheme], 0)
+            .layers(layers)
+            .pillars(pillars)
+            .l2_scale(l2_scale);
+        spec.cpus = Some(cpus);
+        spec.fabric = Some(FabricKind::ALL[fabric]);
+        let scale = ExperimentScale { seed: 42, warmup: 0, sample: 20 };
+        if let Ok(mut system) = spec.builder(scale).build() {
+            let mut gen = system.begin(&BenchmarkProfile::synthetic());
+            let ran = system.run_until(&mut gen, 20);
+            prop_assert!(ran.is_ok(), "{spec:?}: {ran:?}");
+        }
+    }
 }

@@ -294,10 +294,10 @@ fn corrupted_snapshots_fail_with_a_typed_error() {
     );
     // The recipe re-encoded with another seed, checksum and all: the
     // replay cannot reach the recorded state. The seed follows the
-    // 10-byte header and the recipe's scheme, fabric and three flags.
+    // 10-byte header and the recipe's scheme, fabric and two flags.
     let mut reseeded = bytes.clone();
-    assert_eq!(reseeded[15..23], SEED.to_le_bytes(), "the recipe's seed");
-    reseeded[15..23].copy_from_slice(&(SEED + 1).to_le_bytes());
+    assert_eq!(reseeded[14..22], SEED.to_le_bytes(), "the recipe's seed");
+    reseeded[14..22].copy_from_slice(&(SEED + 1).to_le_bytes());
     let cycle = match refusal(&resealed(reseeded)) {
         Ok(SnapshotError::Diverged { cycle }) => cycle,
         other => panic!("a reseeded recipe must diverge, got {other:?}"),
@@ -311,15 +311,16 @@ fn corrupted_snapshots_fail_with_a_typed_error() {
 #[test]
 fn version_mismatched_snapshots_fail_with_a_typed_error() {
     // The u16 after the 8-byte magic is the global snapshot version; a
-    // v2 image (which held live state) is refused like any other.
-    for found in [0xFFFF, 2] {
+    // v2 image (which held live state) and a v3 image (whose recipe held
+    // since-deleted fields) are refused like any other.
+    for found in [0xFFFF, 2, 3] {
         let mut bytes = valid_snapshot();
         bytes[8..10].copy_from_slice(&u16::to_le_bytes(found));
         assert_eq!(
             refusal(&bytes),
             Ok(SnapshotError::Codec(CodecError::UnsupportedVersion {
                 found,
-                supported: 3
+                supported: 4
             }))
         );
     }
@@ -426,28 +427,28 @@ fn snapshot_images_are_byte_stable() {
         ..ObsConfig::default()
     });
     let cells = [
-        ("sim 2-layer", dnuca3d(), (171, 0xc9f8_06bc_1b94_5dce)),
+        ("sim 2-layer", dnuca3d(), (161, 0x0626_ffd3_1d2e_9d4b)),
         (
             "sim 4-layer",
             dnuca3d().layers(4),
-            (171, 0x0f28_6abd_63a2_3464),
+            (161, 0x45df_b9d3_47ca_2147),
         ),
         (
             "ideal",
             SystemBuilder::new(Scheme::CmpSnuca3d)
                 .layers(4)
                 .fabric(FabricKind::Ideal),
-            (171, 0xedc1_76f4_a2eb_71c4),
+            (161, 0x5f78_18d5_c390_24f9),
         ),
         (
-            "replication + edge memory controllers",
-            dnuca3d().replication(true).edge_memory_controllers(true),
-            (171, 0xc86f_25a4_4367_657b),
+            "edge memory controllers",
+            dnuca3d().edge_memory_controllers(true),
+            (161, 0x2ea8_9856_3b89_becb),
         ),
         (
             "sampling and tracing on",
             dnuca3d().observability(observed),
-            (198, 0xfd5a_fa1b_b207_a14b),
+            (188, 0x2d80_666e_e9c0_04a4),
         ),
     ];
     let (got, want): (Vec<_>, Vec<_>) = cells

@@ -280,29 +280,16 @@ impl Obs {
         }
     }
 
-    /// Records one snapshot at `now` and arms the next aligned epoch
-    /// (`(now / every + 1) * every`).
-    pub fn record_sample(&self, now: u64, pairs: &[(&str, f64)]) {
-        if let Some(inner) = &self.inner {
-            if inner.sample_every == 0 {
-                return;
-            }
-            inner.sampler.borrow_mut().record(now, pairs);
-            let every = inner.sample_every;
-            inner.next_sample.set((now / every + 1) * every);
-        }
-    }
-
     /// Records one snapshot at `now` from parallel `names`/`values`
-    /// slices and arms the next aligned epoch — the allocation-lean
-    /// sibling of [`Obs::record_sample`] for callers that precompute
-    /// their column names once and reuse a values buffer every epoch.
+    /// slices and arms the next aligned epoch (`(now / every + 1) *
+    /// every`). The first snapshot fixes the columns; callers name the
+    /// same columns every epoch and reuse a values buffer.
     pub fn record_sample_cols(&self, now: u64, names: &[String], values: &[f64]) {
         if let Some(inner) = &self.inner {
             if inner.sample_every == 0 {
                 return;
             }
-            inner.sampler.borrow_mut().record_cols(now, names, values);
+            inner.sampler.borrow_mut().record(now, names, values);
             let every = inner.sample_every;
             inner.next_sample.set((now / every + 1) * every);
         }
@@ -408,8 +395,7 @@ impl Obs {
         let sampler = inner.sampler.borrow();
         if inner.sample_every > 0 {
             for row in sampler.rows() {
-                for (col, name) in sampler.columns().iter().enumerate() {
-                    let v = row.values.get(col).copied().unwrap_or(0.0);
+                for (name, &v) in sampler.columns().iter().zip(&row.values) {
                     line.push_str("{\"name\":");
                     json::push_json_string(&mut line, name);
                     let _ = write!(
@@ -516,11 +502,12 @@ mod tests {
         });
         assert!(!obs.sample_due(99));
         assert!(obs.sample_due(100));
-        obs.record_sample(100, &[("m", 1.0)]);
+        let names = ["m".to_string()];
+        obs.record_sample_cols(100, &names, &[1.0]);
         assert!(!obs.sample_due(150));
         // A sample taken several epochs late is one row, then re-aligns.
         assert!(obs.sample_due(437));
-        obs.record_sample(437, &[("m", 2.0)]);
+        obs.record_sample_cols(437, &names, &[2.0]);
         assert!(!obs.sample_due(499));
         assert!(obs.sample_due(500));
     }
@@ -570,7 +557,7 @@ mod tests {
             class: "data",
             flits: 5,
         });
-        obs.record_sample(10, &[("occ", 0.5)]);
+        obs.record_sample_cols(10, &["occ".to_string()], &[0.5]);
         let mut buf = Vec::new();
         obs.export_trace(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

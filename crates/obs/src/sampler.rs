@@ -12,17 +12,16 @@ pub struct SampleRow {
     pub cycle: u64,
     /// Wall-clock seconds since the sampler started.
     pub wall_secs: f64,
-    /// Values aligned with [`EpochSampler::columns`]; rows recorded
-    /// before a column existed are padded with 0 at export.
+    /// Values aligned with [`EpochSampler::columns`].
     pub values: Vec<f64>,
 }
 
 /// Snapshots named scalar series every N cycles.
 ///
-/// Columns are registered lazily on first use, so callers just report
-/// `(name, value)` pairs each epoch. The sampler also timestamps each
-/// row with wall-clock time, from which [`EpochSampler::cycles_per_sec`]
-/// derives simulated-cycles-per-wall-second self-profiling.
+/// The first row fixes the columns; each later row is the same columns'
+/// values. The sampler also timestamps each row with wall-clock time,
+/// from which [`EpochSampler::cycles_per_sec`] derives
+/// simulated-cycles-per-wall-second self-profiling.
 #[derive(Clone, Debug)]
 pub struct EpochSampler {
     every: u64,
@@ -47,7 +46,7 @@ impl EpochSampler {
         self.every
     }
 
-    /// Registered column names, in registration order.
+    /// Column names, as the first row named them.
     pub fn columns(&self) -> &[String] {
         &self.columns
     }
@@ -57,58 +56,26 @@ impl EpochSampler {
         &self.rows
     }
 
-    /// Records one snapshot at `cycle` from `(name, value)` pairs.
-    /// Unknown names become new columns.
-    pub fn record(&mut self, cycle: u64, pairs: &[(&str, f64)]) {
-        let mut values = vec![0.0; self.columns.len()];
-        for (name, value) in pairs {
-            let idx = match self.columns.iter().position(|c| c == name) {
-                Some(i) => i,
-                None => {
-                    self.columns.push((*name).to_string());
-                    values.push(0.0);
-                    self.columns.len() - 1
-                }
-            };
-            values[idx] = *value;
-        }
-        self.rows.push(SampleRow {
-            cycle,
-            wall_secs: self.started.elapsed().as_secs_f64(),
-            values,
-        });
-    }
-
-    /// Records one snapshot from parallel `names`/`values` slices whose
-    /// layout is the same every epoch — the allocation-lean path for
-    /// callers that precompute their column names once (the simulator's
-    /// per-epoch sampler). After the first call registers the columns,
-    /// each subsequent epoch is a single `memcpy`-style copy with no
-    /// string comparisons.
+    /// Records one snapshot at `cycle` from parallel `names`/`values`
+    /// slices. The first row fixes the columns for the run; every later
+    /// row must name the same columns in the same order, so recording
+    /// is a copy of the values with no string comparisons.
     ///
     /// # Panics
     ///
-    /// Panics if `names` and `values` lengths differ.
-    pub fn record_cols(&mut self, cycle: u64, names: &[String], values: &[f64]) {
+    /// Panics if `names` and `values` lengths differ, and (debug builds)
+    /// if `names` differ from the columns the first row fixed.
+    pub fn record(&mut self, cycle: u64, names: &[String], values: &[f64]) {
         assert_eq!(names.len(), values.len(), "column/value length mismatch");
-        let aligned = self.columns.len() == names.len()
-            && self.columns.iter().zip(names).all(|(c, n)| c == n);
-        if aligned {
-            self.rows.push(SampleRow {
-                cycle,
-                wall_secs: self.started.elapsed().as_secs_f64(),
-                values: values.to_vec(),
-            });
-            return;
+        if self.rows.is_empty() {
+            self.columns = names.to_vec();
         }
-        // First call (or an interleaved pair-based caller changed the
-        // layout): fall back to name matching.
-        let pairs: Vec<(&str, f64)> = names
-            .iter()
-            .map(String::as_str)
-            .zip(values.iter().copied())
-            .collect();
-        self.record(cycle, &pairs);
+        debug_assert_eq!(self.columns, names, "the first row fixed the columns");
+        self.rows.push(SampleRow {
+            cycle,
+            wall_secs: self.started.elapsed().as_secs_f64(),
+            values: values.to_vec(),
+        });
     }
 
     /// Simulated cycles per wall-clock second between the first and last
@@ -147,8 +114,7 @@ impl EpochSampler {
                 out.push(',');
             }
             let _ = write!(out, "\n  [{},{}", row.cycle, json_f64(row.wall_secs));
-            for col in 0..self.columns.len() {
-                let v = row.values.get(col).copied().unwrap_or(0.0);
+            for &v in &row.values {
                 out.push(',');
                 out.push_str(&json_f64(v));
             }
@@ -163,28 +129,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn columns_grow_lazily_and_old_rows_pad() {
+    fn the_first_row_fixes_the_columns() {
         let mut s = EpochSampler::new(100);
-        s.record(100, &[("a", 1.0)]);
-        s.record(200, &[("a", 2.0), ("b", 9.0)]);
-        assert_eq!(s.columns(), &["a".to_string(), "b".to_string()]);
-        assert_eq!(s.rows()[0].values, vec![1.0]);
+        let names = ["a".to_string(), "b".to_string()];
+        s.record(100, &names, &[1.0, 0.5]);
+        s.record(200, &names, &[2.0, 9.0]);
+        assert_eq!(s.columns(), &names);
+        assert_eq!(s.rows()[0].values, vec![1.0, 0.5]);
         assert_eq!(s.rows()[1].values, vec![2.0, 9.0]);
         let mut out = String::new();
         s.write_json(&mut out);
-        // Row 0 pads the missing "b" column with 0 in the export.
-        assert!(out.contains("[100,"), "{out}");
+        assert!(out.contains("\"columns\":[\"a\",\"b\"]"), "{out}");
+        assert!(out.contains("[100,") && out.contains(",1.0,0.5]"), "{out}");
         assert!(out.ends_with("]}"), "{out}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the first row fixed the columns")]
+    fn a_later_row_may_not_rename_the_columns() {
+        let mut s = EpochSampler::new(100);
+        s.record(100, &["a".to_string()], &[1.0]);
+        s.record(200, &["b".to_string()], &[2.0]);
     }
 
     #[test]
     fn cycles_per_sec_needs_two_rows() {
         let mut s = EpochSampler::new(10);
         assert_eq!(s.cycles_per_sec(), 0.0);
-        s.record(10, &[]);
+        s.record(10, &[], &[]);
         assert_eq!(s.cycles_per_sec(), 0.0);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        s.record(1010, &[]);
+        s.record(1010, &[], &[]);
         assert!(s.cycles_per_sec() > 0.0);
     }
 }

@@ -64,13 +64,14 @@ fn epoch_sampler_aligns_after_gaps() {
     assert!(!obs.sample_due(0), "cycle 0 is not an epoch boundary");
     assert!(!obs.sample_due(999));
     assert!(obs.sample_due(1000));
-    obs.record_sample(1000, &[("a", 1.0)]);
+    let names = ["a".to_string()];
+    obs.record_sample_cols(1000, &names, &[1.0]);
     assert!(!obs.sample_due(1999));
     assert!(obs.sample_due(2000));
 
     // A caller that misses epochs 2..=7 takes one snapshot late and the
     // next boundary realigns to the grid.
-    obs.record_sample(7321, &[("a", 2.0)]);
+    obs.record_sample_cols(7321, &names, &[2.0]);
     assert!(!obs.sample_due(7999));
     assert!(obs.sample_due(8000));
 
@@ -129,8 +130,9 @@ fn metrics_export_combines_final_and_epochs() {
     obs.counter_add("l2/hits/0/1", 12);
     obs.gauge_set("pillar/0/occupancy", 0.25);
     obs.histogram_record("noc/latency", 33);
-    obs.record_sample(50, &[("pillar/0/occupancy", 0.25)]);
-    obs.record_sample(100, &[("pillar/0/occupancy", 0.5)]);
+    let names = ["pillar/0/occupancy".to_string()];
+    obs.record_sample_cols(50, &names, &[0.25]);
+    obs.record_sample_cols(100, &names, &[0.5]);
 
     let mut buf = Vec::new();
     obs.export_metrics(&mut buf).unwrap();

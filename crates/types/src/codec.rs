@@ -33,7 +33,7 @@ use crate::hash::FxHasher;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NIMSNAP\0";
 
 /// The top-level snapshot format version: the only one read or written.
-pub const SNAPSHOT_VERSION: u16 = 3;
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Bytes of the trailing checksum.
 const CHECKSUM_BYTES: usize = 8;
@@ -509,7 +509,7 @@ mod tests {
         assert_eq!(ByteReader::open(&bad).unwrap_err(), CodecError::BadMagic);
 
         // Any other version is refused, an older one included.
-        for found in [2, SNAPSHOT_VERSION + 1, 0xff] {
+        for found in [2, 3, SNAPSHOT_VERSION + 1, 0xff] {
             let mut skewed = bytes.clone();
             skewed[8] = found as u8; // version low byte
             let supported = SNAPSHOT_VERSION;

@@ -42,9 +42,10 @@ pub enum ConfigError {
     /// The dTDMA bus saturates beyond 8 layers (paper §3.1: the bus is
     /// preferable to a vertical NoC only below 9 device layers).
     TooManyLayers(u8),
-    /// A parameter exceeds what the model can represent (a router's
-    /// occupancy masks give every port 8 VC bits; a VC ring indexes its
-    /// flits with 14 bits).
+    /// A parameter exceeds what the model can represent (the directory's
+    /// sharer set and the builder's cluster masks hold 64 CPUs; a
+    /// router's occupancy masks give every port 8 VC bits; a VC ring
+    /// indexes its flits with 14 bits).
     TooLarge {
         /// Name of the offending parameter.
         what: &'static str,
@@ -99,16 +100,13 @@ pub struct L1Config {
     pub line_bytes: u32,
     /// Hit latency in cycles.
     pub latency: u32,
-    /// Whether stores write through to L2 (the paper's L1 is write-through).
-    pub write_through: bool,
 }
 
 crate::codec_struct!(L1Config {
     bytes,
     ways,
     line_bytes,
-    latency,
-    write_through
+    latency
 });
 
 impl L1Config {
@@ -124,14 +122,13 @@ impl L1Config {
 }
 
 impl Default for L1Config {
-    /// Table 4: 64 KB, 2-way, 64 B lines, 3-cycle, write-through.
+    /// Table 4: 64 KB, 2-way, 64 B lines, 3-cycle.
     fn default() -> Self {
         Self {
             bytes: 64 * 1024,
             ways: 2,
             line_bytes: 64,
             latency: 3,
-            write_through: true,
         }
     }
 }
@@ -236,10 +233,9 @@ pub struct NetworkConfig {
     /// through-silicon wires — a coarser via-pitch budget, Table 2)
     /// serialise each flit over several bus cycles.
     pub bus_width_bits: u32,
-    /// Flits per *data* packet (a 64 B line in 4 × 128-bit flits).
+    /// Flits per *data* packet (a 64 B line in 4 × 128-bit flits);
+    /// control packets (requests, acks, tag probes) are one flit.
     pub data_packet_flits: u32,
-    /// Flits per *control* packet (requests, acks, tag probes).
-    pub control_packet_flits: u32,
     /// Router traversal latency in cycles (single-stage router).
     pub router_latency: u32,
     /// Virtual channels per physical channel.
@@ -254,7 +250,6 @@ crate::codec_struct!(NetworkConfig {
     flit_bits,
     bus_width_bits,
     data_packet_flits,
-    control_packet_flits,
     router_latency,
     vcs_per_port,
     vc_depth_flits
@@ -283,7 +278,6 @@ impl Default for NetworkConfig {
             flit_bits: 128,
             bus_width_bits: 128,
             data_packet_flits: 4,
-            control_packet_flits: 1,
             router_latency: 1,
             vcs_per_port: 3,
             vc_depth_flits: 4,
@@ -296,8 +290,6 @@ impl Default for NetworkConfig {
 pub struct SystemConfig {
     /// Number of processor cores.
     pub num_cpus: u32,
-    /// Instructions issued per cycle (the paper models single-issue cores).
-    pub issue_width: u32,
     /// Private L1 parameters (applies to both I and D sides).
     pub l1: L1Config,
     /// Shared L2 parameters.
@@ -317,7 +309,6 @@ pub struct SystemConfig {
 
 crate::codec_struct!(SystemConfig {
     num_cpus,
-    issue_width,
     l1,
     l2,
     memory_latency,
@@ -330,7 +321,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         Self {
             num_cpus: 8,
-            issue_width: 1,
             l1: L1Config::default(),
             l2: L2Config::default(),
             memory_latency: 260,
@@ -348,7 +338,8 @@ impl SystemConfig {
     ///
     /// Returns a [`ConfigError`] describing the first violated constraint:
     /// power-of-two geometry, nonzero counts, one-line-per-packet capacity,
-    /// CPU seating limits, and the 8-layer dTDMA bound.
+    /// the 64-CPU sharer set, CPU seating limits, and the 8-layer dTDMA
+    /// bound.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn pow2(what: &'static str, v: u64) -> Result<(), ConfigError> {
             if v > 0 && v.is_power_of_two() {
@@ -360,8 +351,12 @@ impl SystemConfig {
         if self.num_cpus == 0 {
             return Err(ConfigError::Zero("num_cpus"));
         }
-        if self.issue_width == 0 {
-            return Err(ConfigError::Zero("issue_width"));
+        if self.num_cpus > 64 {
+            return Err(ConfigError::TooLarge {
+                what: "num_cpus",
+                value: self.num_cpus.into(),
+                max: 64,
+            });
         }
         if self.network.layers == 0 {
             return Err(ConfigError::Zero("network.layers"));
@@ -462,12 +457,10 @@ mod tests {
     fn default_matches_table_4() {
         let cfg = SystemConfig::default();
         assert_eq!(cfg.num_cpus, 8);
-        assert_eq!(cfg.issue_width, 1);
         assert_eq!(cfg.l1.bytes, 64 * 1024);
         assert_eq!(cfg.l1.ways, 2);
         assert_eq!(cfg.l1.line_bytes, 64);
         assert_eq!(cfg.l1.latency, 3);
-        assert!(cfg.l1.write_through);
         assert_eq!(cfg.l2.total_banks(), 256);
         assert_eq!(cfg.l2.bank_bytes, 64 * 1024); // 256 × 64 KB = 16 MB
         assert_eq!(cfg.l2.ways, 16);
@@ -535,6 +528,23 @@ mod tests {
             ..SystemConfig::default()
         };
         assert_eq!(cfg.validate(), Err(ConfigError::Zero("num_cpus")));
+    }
+
+    #[test]
+    fn validate_rejects_more_cpus_than_the_sharer_set_holds() {
+        let with = |num_cpus| SystemConfig {
+            num_cpus,
+            ..SystemConfig::default().with_pillars(16).with_layers(8)
+        };
+        assert_eq!(with(64).validate(), Ok(()));
+        let too_many = Err(ConfigError::TooLarge {
+            what: "num_cpus",
+            value: 65,
+            max: 64,
+        });
+        assert_eq!(with(65).validate(), too_many);
+        // One layer has no pillar seats to count, so only this bound holds.
+        assert_eq!(with(65).flattened().validate(), too_many);
     }
 
     #[test]

@@ -8,22 +8,14 @@ use nim_types::{L1Config, L2Config, NetworkConfig, SystemConfig};
 use proptest::prelude::*;
 
 fn l1() -> impl Strategy<Value = L1Config> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<bool>(),
+    (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
+        |(bytes, ways, line_bytes, latency)| L1Config {
+            bytes,
+            ways,
+            line_bytes,
+            latency,
+        },
     )
-        .prop_map(
-            |(bytes, ways, line_bytes, latency, write_through)| L1Config {
-                bytes,
-                ways,
-                line_bytes,
-                latency,
-                write_through,
-            },
-        )
 }
 
 fn l2() -> impl Strategy<Value = L2Config> {
@@ -48,24 +40,16 @@ fn l2() -> impl Strategy<Value = L2Config> {
 fn network() -> impl Strategy<Value = NetworkConfig> {
     (
         (any::<u8>(), any::<u16>(), any::<u32>(), any::<u32>()),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-        ),
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
     )
         .prop_map(|((layers, pillars, flit_bits, bus_width_bits), rest)| {
-            let (data_packet_flits, control_packet_flits, router_latency, vcs_per_port, depth) =
-                rest;
+            let (data_packet_flits, router_latency, vcs_per_port, depth) = rest;
             NetworkConfig {
                 layers,
                 pillars,
                 flit_bits,
                 bus_width_bits,
                 data_packet_flits,
-                control_packet_flits,
                 router_latency,
                 vcs_per_port,
                 vc_depth_flits: depth,
@@ -75,14 +59,13 @@ fn network() -> impl Strategy<Value = NetworkConfig> {
 
 fn system() -> impl Strategy<Value = SystemConfig> {
     (
-        (any::<u32>(), any::<u32>(), l1(), l2()),
+        (any::<u32>(), l1(), l2()),
         (any::<u32>(), any::<u16>(), any::<u32>(), network()),
     )
-        .prop_map(|((num_cpus, issue_width, l1, l2), rest)| {
+        .prop_map(|((num_cpus, l1, l2), rest)| {
             let (memory_latency, memory_controllers, memory_interval, network) = rest;
             SystemConfig {
                 num_cpus,
-                issue_width,
                 l1,
                 l2,
                 memory_latency,

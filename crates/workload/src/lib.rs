@@ -24,7 +24,6 @@
 mod generator;
 mod profile;
 mod replay;
-mod trace_io;
 
 pub use generator::{
     cpu_regions, shared_region, CpuRegions, Region, TraceGenerator, TraceSource,
@@ -32,4 +31,3 @@ pub use generator::{
 };
 pub use profile::BenchmarkProfile;
 pub use replay::ReplayTrace;
-pub use trace_io::{TraceReadError, TraceReader, TraceWriter, TRACE_HEADER};

@@ -1,19 +1,15 @@
-//! Replaying recorded traces.
+//! Replaying scripted reference streams.
 //!
-//! [`ReplayTrace`] loads a trace written by
-//! [`TraceWriter`](crate::TraceWriter) into per-CPU queues and implements
-//! [`TraceSource`], so a recorded reference stream can drive the
-//! simulator exactly as the synthetic generator does — useful for
-//! comparing cache policies on bit-identical inputs, or for driving the
-//! system with externally captured traces.
+//! [`ReplayTrace`] holds per-CPU queues of references and implements
+//! [`TraceSource`], so a recorded or hand-written reference stream can
+//! drive the simulator exactly as the synthetic generator does — the
+//! scenario tests script single transactions through it.
 
 use std::collections::VecDeque;
-use std::io::BufRead;
 
 use nim_types::{CpuId, TraceOp};
 
 use crate::generator::TraceSource;
-use crate::trace_io::{TraceReadError, TraceReader};
 
 /// A fully-loaded trace, ready to replay.
 #[derive(Clone, Debug, Default)]
@@ -24,22 +20,6 @@ pub struct ReplayTrace {
 }
 
 impl ReplayTrace {
-    /// Loads a trace from any reader (see
-    /// [`TRACE_HEADER`](crate::TRACE_HEADER) for the format). Pass
-    /// `&mut reader` to keep using the reader afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse errors from [`TraceReader`].
-    pub fn from_reader<R: BufRead>(input: R) -> Result<Self, TraceReadError> {
-        let mut reader = TraceReader::new(input)?;
-        let mut trace = ReplayTrace::default();
-        while let Some((cpu, op)) = reader.next_record()? {
-            trace.push(cpu, op);
-        }
-        Ok(trace)
-    }
-
     /// Appends one reference to a CPU's queue.
     pub fn push(&mut self, cpu: CpuId, op: TraceOp) {
         if self.queues.len() <= cpu.index() {
@@ -79,21 +59,19 @@ impl TraceSource for ReplayTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BenchmarkProfile, TraceGenerator, TraceWriter};
+    use crate::{BenchmarkProfile, TraceGenerator};
 
     #[test]
     fn replay_reproduces_the_recorded_stream_per_cpu() {
         let mut gen = TraceGenerator::new(&BenchmarkProfile::synthetic(), 2, 9);
-        let mut writer = TraceWriter::new(Vec::new()).unwrap();
+        let mut replay = ReplayTrace::default();
         let mut expected: Vec<Vec<TraceOp>> = vec![Vec::new(); 2];
         for i in 0..200u16 {
             let cpu = CpuId(i % 2);
             let op = gen.next_op(cpu);
-            writer.record(cpu, op).unwrap();
+            replay.push(cpu, op);
             expected[cpu.index()].push(op);
         }
-        let bytes = writer.finish().unwrap();
-        let mut replay = ReplayTrace::from_reader(bytes.as_slice()).unwrap();
         assert_eq!(replay.len(), 200);
         assert_eq!(replay.remaining(CpuId(0)), 100);
         for cpu in [CpuId(0), CpuId(1)] {

@@ -238,6 +238,20 @@ fn zero_is_not_a_scale() {
 }
 
 #[test]
+fn more_cpus_than_the_sharer_set_holds_are_refused() {
+    // A one-layer chip has no pillar seats to bound its CPU count, so
+    // these once reached an assert in the directory (exit 101).
+    for line in [
+        "run --layers 1 --cpus 65",
+        "run --scheme dnuca2d --cpus 65",
+        "compare --cpus 65",
+    ] {
+        let err = refused(line);
+        assert!(err.contains("num_cpus must be at most 64"), "{line}: {err}");
+    }
+}
+
+#[test]
 fn retired_flags_and_commands_are_refused() {
     let retired = "--shards 2|--topology 8-layer|--placements corners|--fabric latency-table|\
                    --snapshot-every 100";

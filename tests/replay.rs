@@ -3,7 +3,7 @@
 
 use network_in_memory::core::{Scheme, SystemBuilder};
 use network_in_memory::types::CpuId;
-use network_in_memory::workload::{BenchmarkProfile, ReplayTrace, TraceGenerator, TraceWriter};
+use network_in_memory::workload::{BenchmarkProfile, ReplayTrace, TraceGenerator};
 
 #[test]
 fn replaying_a_recorded_trace_reproduces_the_run() {
@@ -12,15 +12,12 @@ fn replaying_a_recorded_trace_reproduces_the_run() {
 
     // Record a long-enough trace from the deterministic generator.
     let mut gen = TraceGenerator::new(&bench, cpus, 77);
-    let mut writer = TraceWriter::new(Vec::new()).unwrap();
     let mut recorded = ReplayTrace::default();
     for i in 0..200_000u32 {
         let cpu = CpuId::from_index((i % cpus) as usize);
         let op = gen.next_op(cpu);
-        writer.record(cpu, op).unwrap();
         recorded.push(cpu, op);
     }
-    let bytes = writer.finish().unwrap();
 
     // Live run from a fresh generator with the same seed.
     let mut live_gen = TraceGenerator::new(&bench, cpus, 77);
@@ -32,7 +29,7 @@ fn replaying_a_recorded_trace_reproduces_the_run() {
         .run_with_source(bench.name, &mut live_gen)
         .unwrap();
 
-    // Replay from the in-memory queues...
+    // Replay from the recorded queues.
     let mut replay = recorded;
     let from_memory = SystemBuilder::new(Scheme::CmpSnuca3d)
         .warmup_transactions(100)
@@ -42,19 +39,7 @@ fn replaying_a_recorded_trace_reproduces_the_run() {
         .run_with_source(bench.name, &mut replay)
         .unwrap();
 
-    // ...and from the serialized file.
-    let mut from_disk_trace = ReplayTrace::from_reader(bytes.as_slice()).unwrap();
-    let from_disk = SystemBuilder::new(Scheme::CmpSnuca3d)
-        .warmup_transactions(100)
-        .sampled_transactions(800)
-        .build()
-        .unwrap()
-        .run_with_source(bench.name, &mut from_disk_trace)
-        .unwrap();
-
     assert_eq!(live.counters, from_memory.counters);
     assert_eq!(live.cycles, from_memory.cycles);
-    assert_eq!(from_memory.counters, from_disk.counters);
-    assert_eq!(from_memory.cycles, from_disk.cycles);
-    assert_eq!(from_memory.instructions, from_disk.instructions);
+    assert_eq!(live.instructions, from_memory.instructions);
 }
