@@ -34,13 +34,6 @@ impl Cluster {
         self.id
     }
 
-    /// Tag-array probe: is `line` resident here?
-    pub fn contains(&self, map: &L2Map, line: LineAddr) -> bool {
-        let bank = map.bank_in_cluster(line) as usize;
-        let set = map.set_in_bank(line);
-        self.banks[bank].lookup(set, line).is_some()
-    }
-
     /// Marks `line` most-recently used (on a hit).
     pub fn touch(&mut self, map: &L2Map, line: LineAddr) {
         let bank = map.bank_in_cluster(line) as usize;
@@ -79,16 +72,22 @@ mod tests {
         (map, Cluster::new(ClusterId(3), &map, l2.ways))
     }
 
+    /// The tag-array probe: the one set of the one bank `line` maps to.
+    fn contains(cl: &Cluster, map: &L2Map, line: LineAddr) -> bool {
+        let bank = &cl.banks[map.bank_in_cluster(line) as usize];
+        bank.lookup(map.set_in_bank(line), line).is_some()
+    }
+
     #[test]
     fn insert_contains_remove_round_trip() {
         let (map, mut cl) = cluster();
         let line = LineAddr(0xdead);
-        assert!(!cl.contains(&map, line));
+        assert!(!contains(&cl, &map, line));
         cl.insert(&map, line);
-        assert!(cl.contains(&map, line));
+        assert!(contains(&cl, &map, line));
         assert_eq!(cl.occupancy(), 1);
         assert!(cl.remove(&map, line));
-        assert!(!cl.contains(&map, line));
+        assert!(!contains(&cl, &map, line));
     }
 
     #[test]
@@ -100,7 +99,7 @@ mod tests {
         let b = LineAddr(0b0001);
         cl.insert(&map, a);
         cl.insert(&map, b);
-        assert!(cl.contains(&map, a) && cl.contains(&map, b));
+        assert!(contains(&cl, &map, a) && contains(&cl, &map, b));
         assert_eq!(cl.occupancy(), 2);
     }
 

@@ -70,7 +70,7 @@ pub struct L2Stats {
     pub evictions: u64,
     /// Migrations committed.
     pub migrations: u64,
-    /// Migrations aborted (line evicted mid-flight, or cancelled).
+    /// Migrations aborted (line evicted mid-flight).
     pub migrations_aborted: u64,
 }
 
@@ -182,23 +182,6 @@ impl NucaL2 {
         }
     }
 
-    /// Invalidates `line`; returns its cluster if it was resident.
-    pub fn remove(&mut self, line: LineAddr) -> Option<ClusterId> {
-        let cl = self.resident.remove(&line)?;
-        let removed = self.clusters[cl.index()].remove(&self.map, line);
-        debug_assert!(removed, "resident map out of sync");
-        if let Some(to) = self.migrating.remove(&line) {
-            self.stats.migrations_aborted += 1;
-            self.obs
-                .emit(Category::Migration, || EventData::MigrationAbort {
-                    line: line.0,
-                    from: u32::from(cl.0),
-                    to: u32::from(to.0),
-                });
-        }
-        Some(cl)
-    }
-
     /// Starts a lazy migration of `line` to cluster `to`. The line remains
     /// visible at its current location until [`commit_migration`].
     ///
@@ -259,20 +242,6 @@ impl NucaL2 {
             self.note_eviction(victim);
         }
         Ok(MigrationOutcome { from, to, evicted })
-    }
-
-    /// Abandons an in-flight migration (the line stays where it is).
-    pub fn abort_migration(&mut self, line: LineAddr) {
-        if let Some(to) = self.migrating.remove(&line) {
-            self.stats.migrations_aborted += 1;
-            let from = self.locate(line).unwrap_or(to);
-            self.obs
-                .emit(Category::Migration, || EventData::MigrationAbort {
-                    line: line.0,
-                    from: u32::from(from.0),
-                    to: u32::from(to.0),
-                });
-        }
     }
 
     /// Sizes the residency map for `lines` more resident lines, clamped
@@ -441,31 +410,6 @@ mod tests {
         let out = l2.commit_migration(mover).unwrap();
         assert!(out.evicted.is_some(), "destination set was full");
         assert_eq!(l2.locate(out.evicted.unwrap()), None);
-    }
-
-    #[test]
-    fn remove_aborts_migration_and_clears_maps() {
-        let mut l2 = l2();
-        let line = line_in_cluster(4, 2);
-        l2.insert(line);
-        l2.begin_migration(line, ClusterId(5)).unwrap();
-        assert_eq!(l2.remove(line), Some(ClusterId(4)));
-        assert_eq!(l2.locate(line), None);
-        assert_eq!(l2.migration_of(line), None);
-        assert_eq!(l2.stats().migrations_aborted, 1);
-        assert_eq!(l2.remove(line), None, "double remove");
-    }
-
-    #[test]
-    fn abort_is_idempotent() {
-        let mut l2 = l2();
-        let line = line_in_cluster(0, 3);
-        l2.insert(line);
-        l2.begin_migration(line, ClusterId(1)).unwrap();
-        l2.abort_migration(line);
-        l2.abort_migration(line);
-        assert_eq!(l2.stats().migrations_aborted, 1);
-        assert_eq!(l2.locate(line), Some(ClusterId(0)), "line untouched");
     }
 
     #[test]

@@ -120,7 +120,8 @@ mod tests {
         let local = layout.cluster_at_grid(0, 1, 1);
         let plan = SearchPlan::new(&layout, local);
         let disc = 1 + layout.lateral_neighbors(local).len();
-        let remote = layout.num_clusters() as usize - layout.clusters_per_layer() as usize;
+        let per_layer = layout.num_clusters() / u16::from(layout.layers());
+        let remote = usize::from(layout.num_clusters() - per_layer);
         assert_eq!(
             plan.step1.len(),
             disc + remote,
@@ -145,7 +146,7 @@ mod tests {
                 .count();
             assert_eq!(
                 on_layer,
-                layout.clusters_per_layer() as usize,
+                usize::from(layout.num_clusters() / u16::from(layout.layers())),
                 "every cluster of layer {layer} is one bus hop away"
             );
         }

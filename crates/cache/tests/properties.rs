@@ -37,21 +37,17 @@ proptest! {
 #[derive(Clone, Debug)]
 enum L2Op {
     Insert(u16),
-    Remove(u16),
     Touch(u16),
     BeginMigration(u16, u16),
     CommitMigration(u16),
-    AbortMigration(u16),
 }
 
 fn arb_op() -> impl Strategy<Value = L2Op> {
     prop_oneof![
         any::<u16>().prop_map(L2Op::Insert),
-        any::<u16>().prop_map(L2Op::Remove),
         any::<u16>().prop_map(L2Op::Touch),
         (any::<u16>(), any::<u16>()).prop_map(|(l, c)| L2Op::BeginMigration(l, c)),
         any::<u16>().prop_map(L2Op::CommitMigration),
-        any::<u16>().prop_map(L2Op::AbortMigration),
     ]
 }
 
@@ -83,13 +79,6 @@ proptest! {
                         prop_assert_eq!(l2.locate(line), Some(placed.cluster));
                     }
                 }
-                L2Op::Remove(s) => {
-                    let line = line(s);
-                    let was = l2.locate(line).is_some();
-                    let removed = l2.remove(line).is_some();
-                    prop_assert_eq!(was, removed);
-                    expected_resident.remove(&line);
-                }
                 L2Op::Touch(s) => {
                     let line = line(s);
                     let located = l2.locate(line);
@@ -110,9 +99,6 @@ proptest! {
                             expected_resident.remove(&victim);
                         }
                     }
-                }
-                L2Op::AbortMigration(s) => {
-                    l2.abort_migration(line(s));
                 }
             }
             // Invariants: every expected line is resident, occupancy

@@ -1,22 +1,24 @@
 //! Distributed directory-based MSI coherence for private L1 caches.
 //!
 //! The protocol's functional core: the directory decides which L1s may
-//! hold which lines and which invalidation/flush messages each access
-//! generates. The system driver (`nim-core`) turns those decisions into
-//! packets on the on-chip network so coherence traffic contends with
-//! regular L2 traffic, as in the paper (§5.1).
+//! hold which lines and which invalidation messages each access
+//! generates. The paper's L1s are write-through, so no line is ever
+//! Modified and the directory records sharers only. The system driver
+//! (`nim-core`) turns those decisions into packets on the on-chip
+//! network so coherence traffic contends with regular L2 traffic, as in
+//! the paper (§5.1).
 //!
 //! # Examples
 //!
 //! ```
-//! use nim_coherence::{DirAccess, Directory, WritePolicy};
+//! use nim_coherence::{DirAccess, Directory};
 //! use nim_types::{CpuId, LineAddr};
 //!
-//! let mut dir = Directory::new(8, WritePolicy::WriteThrough);
+//! let mut dir = Directory::with_cpus(8);
 //! dir.access(CpuId(0), LineAddr(0x40), DirAccess::Read);
 //! dir.access(CpuId(1), LineAddr(0x40), DirAccess::Read);
-//! let out = dir.access(CpuId(0), LineAddr(0x40), DirAccess::Write);
-//! assert_eq!(out.invalidations, vec![CpuId(1)]);
+//! let invalidate = dir.access(CpuId(0), LineAddr(0x40), DirAccess::Write);
+//! assert_eq!(invalidate, vec![CpuId(1)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -24,4 +26,4 @@
 
 mod directory;
 
-pub use directory::{CoherenceOutcome, DirAccess, Directory, LineState, SharerSet, WritePolicy};
+pub use directory::{DirAccess, Directory, SharerSet, WritePolicy};

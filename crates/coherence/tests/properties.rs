@@ -1,8 +1,11 @@
-//! Property-based tests: the MSI directory's protocol invariants hold
+//! Property-based tests: the directory's sharer sets stay consistent
+//! and report exactly the invalidations a reference model predicts,
 //! under arbitrary interleavings of accesses, evictions, and
 //! invalidations.
 
-use nim_coherence::{DirAccess, Directory, LineState, WritePolicy};
+use std::collections::{BTreeSet, HashMap};
+
+use nim_coherence::{DirAccess, Directory};
 use nim_types::{CpuId, LineAddr};
 use proptest::prelude::*;
 
@@ -31,78 +34,75 @@ fn cpu(c: u8) -> CpuId {
     CpuId(u16::from(c % 8))
 }
 
-fn check(policy: WritePolicy, ops: Vec<Op>) -> Result<(), TestCaseError> {
-    let mut dir = Directory::new(8, policy);
-    for op in ops {
-        match op {
-            Op::Read(c, l) => {
-                let out = dir.access(cpu(c), line(l), DirAccess::Read);
-                // A read never invalidates anyone.
-                prop_assert!(out.invalidations.is_empty());
-                prop_assert!(dir.holds(line(l), cpu(c)));
-            }
-            Op::Write(c, l) => {
-                let out = dir.access(cpu(c), line(l), DirAccess::Write);
-                // The writer never invalidates itself.
-                prop_assert!(!out.invalidations.contains(cpu(c)));
-                // After a write, the writer is the only holder.
-                prop_assert_eq!(dir.sharers(line(l)), vec![cpu(c)]);
-            }
-            Op::Evict(c, l) => {
-                dir.evict(cpu(c), line(l));
-                prop_assert!(!dir.holds(line(l), cpu(c)));
-            }
-            Op::InvalidateAll(l) => {
-                dir.invalidate_all(line(l));
-                prop_assert_eq!(dir.state(line(l)), LineState::Invalid);
-                prop_assert!(dir.sharers(line(l)).is_empty());
-            }
-        }
-        dir.check_invariants()
-            .map_err(|e| TestCaseError::fail(format!("invariant violated: {e}")))?;
-        // Write-through never leaves a Modified line behind.
-        if policy == WritePolicy::WriteThrough {
-            for l in 0..16u8 {
-                prop_assert_ne!(dir.state(line(l)), LineState::Modified);
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #[test]
     fn write_through_invariants_hold(ops in proptest::collection::vec(arb_op(), 1..300)) {
-        check(WritePolicy::WriteThrough, ops)?;
+        let mut dir = Directory::with_cpus(8);
+        for op in ops {
+            match op {
+                Op::Read(c, l) => {
+                    let out = dir.access(cpu(c), line(l), DirAccess::Read);
+                    // A read never invalidates anyone.
+                    prop_assert!(out.is_empty());
+                    prop_assert!(dir.holds(line(l), cpu(c)));
+                }
+                Op::Write(c, l) => {
+                    let out = dir.access(cpu(c), line(l), DirAccess::Write);
+                    // The writer never invalidates itself.
+                    prop_assert!(!out.contains(cpu(c)));
+                    // After a write, the writer is the only holder.
+                    prop_assert_eq!(dir.sharers(line(l)), vec![cpu(c)]);
+                }
+                Op::Evict(c, l) => {
+                    dir.evict(cpu(c), line(l));
+                    prop_assert!(!dir.holds(line(l), cpu(c)));
+                }
+                Op::InvalidateAll(l) => {
+                    dir.invalidate_all(line(l));
+                    prop_assert!(dir.sharers(line(l)).is_empty());
+                }
+            }
+            dir.check_invariants()
+                .map_err(|e| TestCaseError::fail(format!("invariant violated: {e}")))?;
+        }
     }
 
-    #[test]
-    fn write_back_invariants_hold(ops in proptest::collection::vec(arb_op(), 1..300)) {
-        check(WritePolicy::WriteBack, ops)?;
-    }
-
+    /// Every reported list names exactly the CPUs a plain set-per-line
+    /// model says hold the line, so the engine's invalidation count
+    /// (one message per listed CPU) is the model's count.
     #[test]
     fn invalidation_counts_match_reported_lists(
         ops in proptest::collection::vec(arb_op(), 1..200),
     ) {
-        let mut dir = Directory::new(8, WritePolicy::WriteThrough);
-        let mut counted = 0u64;
+        let mut dir = Directory::with_cpus(8);
+        let mut model: HashMap<LineAddr, BTreeSet<CpuId>> = HashMap::new();
         for op in ops {
-            match op {
+            let (told, due) = match op {
                 Op::Read(c, l) => {
-                    counted += dir.access(cpu(c), line(l), DirAccess::Read).invalidations.len() as u64;
+                    model.entry(line(l)).or_default().insert(cpu(c));
+                    (dir.access(cpu(c), line(l), DirAccess::Read), Vec::new())
                 }
                 Op::Write(c, l) => {
-                    counted += dir.access(cpu(c), line(l), DirAccess::Write).invalidations.len() as u64;
+                    let holders = model.entry(line(l)).or_default();
+                    let others: Vec<CpuId> = holders.iter().copied().filter(|&h| h != cpu(c)).collect();
+                    *holders = BTreeSet::from([cpu(c)]);
+                    (dir.access(cpu(c), line(l), DirAccess::Write), others)
                 }
                 Op::Evict(c, l) => {
+                    model.entry(line(l)).or_default().remove(&cpu(c));
                     dir.evict(cpu(c), line(l));
+                    continue;
                 }
                 Op::InvalidateAll(l) => {
-                    counted += dir.invalidate_all(line(l)).len() as u64;
+                    let holders = model.remove(&line(l)).unwrap_or_default();
+                    (dir.invalidate_all(line(l)), holders.into_iter().collect())
                 }
-            }
+            };
+            prop_assert_eq!(told, due);
         }
-        prop_assert_eq!(dir.invalidations_sent, counted);
+        for (l, holders) in &model {
+            let held: Vec<CpuId> = holders.iter().copied().collect();
+            prop_assert_eq!(dir.sharers(*l), held);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! nothing in the simulation dispatches on `Scheme` again.
 
 use nim_cache::{NucaL2, SearchPlan};
-use nim_coherence::{Directory, WritePolicy};
+use nim_coherence::Directory;
 use nim_cpu::InOrderCore;
 use nim_noc::{Network, VerticalMode};
 use nim_obs::Obs;
@@ -228,7 +228,7 @@ impl SystemBuilder {
         net.set_obs(self.obs.clone());
         let mut l2 = NucaL2::new(&cfg.l2);
         l2.set_obs(self.obs.clone());
-        let mut dir = Directory::new(cfg.num_cpus, WritePolicy::WriteThrough);
+        let mut dir = Directory::with_cpus(cfg.num_cpus);
         dir.set_obs(self.obs.clone());
         let cores = Cores::new(
             seats

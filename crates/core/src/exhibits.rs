@@ -258,7 +258,7 @@ fn table2() -> Exhibit {
 
 /// Table 3: the thermal profile of the seven placement configurations
 /// ([`table3_thermal`]).
-pub fn table3() -> Exhibit {
+fn table3() -> Exhibit {
     let rows = table3_thermal().expect("the shipped Table 3 rows place");
     let rows = rows
         .iter()

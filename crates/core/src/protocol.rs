@@ -593,8 +593,7 @@ impl Engine {
         self.finish_counters(f, id, &t, now);
         self.cores.store_completed(t.cpu);
         let token = Token::Invalidate { line: t.line };
-        let outcome = self.dir.access(t.cpu, t.line, DirAccess::Write);
-        for sharer in outcome.invalidations.iter() {
+        for sharer in self.dir.access(t.cpu, t.line, DirAccess::Write).iter() {
             self.counters.invalidations += 1;
             self.send_from_cpu(f, t.cpu, self.seat(sharer).coord, token);
         }

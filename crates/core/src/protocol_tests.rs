@@ -356,12 +356,12 @@ fn phase_buckets_survive_a_search_retry() {
     let mut clock = 0;
     let mut moved = false;
     for _ in 0..100_000 {
-        // The instant step 2 is issued, yank the line to the local
+        // The instant step 2 is issued, migrate the line to the local
         // cluster — every step-2 probe now misses a resident line,
         // which is exactly the racing-migration retry condition.
         if !moved && eng.txns.get(0).is_some_and(|t| t.step == 2) {
-            eng.l2.remove(line);
-            eng.l2.insert_at(line, local);
+            eng.l2.begin_migration(line, local).unwrap();
+            eng.l2.commit_migration(line).unwrap();
             moved = true;
         }
         if let Some((due, ev)) = f.pop_event() {

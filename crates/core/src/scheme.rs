@@ -35,11 +35,6 @@ impl Scheme {
         matches!(self, Scheme::CmpSnuca3d | Scheme::CmpDnuca3d)
     }
 
-    /// Whether cache lines migrate toward their accessors.
-    pub fn migrates(self) -> bool {
-        !matches!(self, Scheme::CmpSnuca3d)
-    }
-
     /// The CPU placement policy the scheme uses. `cpus_exceed_pillars`
     /// selects Algorithm 1 (shared pillars) over maximal offsetting.
     pub fn placement(self, cpus_exceed_pillars: bool) -> PlacementPolicy {
@@ -83,10 +78,6 @@ mod tests {
         assert!(!Scheme::CmpDnuca2d.is_3d());
         assert!(Scheme::CmpSnuca3d.is_3d());
         assert!(Scheme::CmpDnuca3d.is_3d());
-        assert!(Scheme::CmpDnuca.migrates());
-        assert!(Scheme::CmpDnuca2d.migrates());
-        assert!(!Scheme::CmpSnuca3d.migrates(), "SNUCA = static NUCA");
-        assert!(Scheme::CmpDnuca3d.migrates());
     }
 
     #[test]

@@ -516,7 +516,8 @@ impl System {
             let _ = write!(name, "phase/{}", phase.name());
             self.obs.counter_set(&name, cycles);
         }
-        self.obs
-            .gauge_set("sim/cycles_per_sec", self.obs.cycles_per_sec());
+        if let Some(rate) = self.obs.cycles_per_sec() {
+            self.obs.gauge_set("sim/cycles_per_sec", rate);
+        }
     }
 }

@@ -7,6 +7,7 @@ use nim_core::{BuildError, FabricKind, RunError, Scheme, SystemBuilder};
 use nim_types::{AccessKind, Address, ConfigError, CpuId, SystemConfig, TraceOp};
 use nim_workload::{BenchmarkProfile, ReplayTrace};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 fn op(kind: AccessKind, addr: u64) -> TraceOp {
     TraceOp {
@@ -253,28 +254,63 @@ fn a_sampling_target_past_u64_max_saturates() {
     ));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+/// A cell as `(scheme, fabric, layers)` and `(pillars, cpus, l2_scale)`
+/// indices into the CLI's value spaces.
+type Cell = ((usize, usize, u8), (u16, u32, u32));
 
-    /// Every cell the CLI's `--scheme`, `--fabric`, `--layers`,
-    /// `--pillars`, `--cpus` and `--l2-scale` flags can describe either
-    /// builds and runs, or is refused with a typed error — never a panic.
-    #[test]
-    fn every_describable_cell_builds_or_fails_with_a_typed_error(
-        (scheme, fabric, layers) in (0usize..4, 0usize..2, 0u8..=9),
-        (pillars, cpus, l2_scale) in (0u16..=100, 0u32..=130, 0u32..=4),
-    ) {
-        let mut spec = SweepSpec::new(Scheme::ALL[scheme], 0)
-            .layers(layers)
-            .pillars(pillars)
-            .l2_scale(l2_scale);
-        spec.cpus = Some(cpus);
-        spec.fabric = Some(FabricKind::ALL[fabric]);
-        let scale = ExperimentScale { seed: 42, warmup: 0, sample: 20 };
-        if let Ok(mut system) = spec.builder(scale).build() {
-            let mut gen = system.begin(&BenchmarkProfile::synthetic());
-            let ran = system.run_until(&mut gen, 20);
-            prop_assert!(ran.is_ok(), "{spec:?}: {ran:?}");
+/// Every value the cell flags accept at the parser, most of it
+/// unbuildable.
+fn any_cell() -> impl Strategy<Value = Cell> {
+    (
+        (0usize..4, 0usize..2, 0u8..=9),
+        (0u16..=100, 0u32..=130, 0u32..=4),
+    )
+}
+
+/// Stacked chips a 3D scheme seats: 2–8 layers, 1, 2, 4 or 8 pillars,
+/// one CPU per pillar at most (maximal offsetting), a paper L2 scale.
+fn stacked_cell() -> impl Strategy<Value = Cell> {
+    let pillars = (0u32..4).prop_map(|p| 1u16 << p);
+    let seated = (pillars, 1u32..=8).prop_map(|(p, c)| (p, c.min(u32::from(p))));
+    ((2usize..4, 0usize..2, 2u8..=8), (seated, 0u32..3))
+        .prop_map(|(head, ((pillars, cpus), scale))| (head, (pillars, cpus, 1 << scale)))
+}
+
+/// Every cell the CLI's `--scheme`, `--fabric`, `--layers`,
+/// `--pillars`, `--cpus` and `--l2-scale` flags can describe either
+/// builds and runs, or is refused with a typed error — never a panic.
+/// Half the cases come from the stacked region, and at least one of
+/// them must build a multi-layer chip and run it.
+#[test]
+fn every_describable_cell_builds_or_fails_with_a_typed_error() {
+    static STACKED_RAN: AtomicU32 = AtomicU32::new(0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        fn describable_cell(
+            ((scheme, fabric, layers), (pillars, cpus, l2_scale))
+                in prop_oneof![any_cell(), stacked_cell()],
+        ) {
+            let mut spec = SweepSpec::new(Scheme::ALL[scheme], 0)
+                .layers(layers)
+                .pillars(pillars)
+                .l2_scale(l2_scale);
+            spec.cpus = Some(cpus);
+            spec.fabric = Some(FabricKind::ALL[fabric]);
+            let scale = ExperimentScale { seed: 42, warmup: 0, sample: 20 };
+            if let Ok(mut system) = spec.builder(scale).build() {
+                let mut gen = system.begin(&BenchmarkProfile::synthetic());
+                let ran = system.run_until(&mut gen, 20);
+                prop_assert!(ran.is_ok(), "{spec:?}: {ran:?}");
+                if system.layout().layers() >= 2 {
+                    STACKED_RAN.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
     }
+    describable_cell();
+    assert!(
+        STACKED_RAN.load(Ordering::Relaxed) > 0,
+        "no multi-layer cell was built and run"
+    );
 }

@@ -263,11 +263,6 @@ impl Obs {
         self.inner.as_ref().map(|i| f(&i.metrics.borrow()))
     }
 
-    /// The configured sampling epoch (0 when sampling is off).
-    pub fn sample_every(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.sample_every)
-    }
-
     /// Whether an epoch boundary has been reached or passed at `now`.
     /// The driver loop checks this every cycle and records a sample when
     /// true; a caller that samples late takes one snapshot and the next
@@ -331,11 +326,13 @@ impl Obs {
         h.finish()
     }
 
-    /// Simulated cycles per wall-clock second measured by the sampler.
-    pub fn cycles_per_sec(&self) -> f64 {
+    /// Simulated cycles per wall-clock second measured by the sampler,
+    /// or `None` when it has not measured a rate (see
+    /// [`EpochSampler::cycles_per_sec`]).
+    pub fn cycles_per_sec(&self) -> Option<f64> {
         self.inner
             .as_ref()
-            .map_or(0.0, |i| i.sampler.borrow().cycles_per_sec())
+            .and_then(|i| i.sampler.borrow().cycles_per_sec())
     }
 
     /// Events currently in the ring.
@@ -416,7 +413,7 @@ impl Obs {
             Category::Meta.index(),
             trace.len(),
             trace.dropped(),
-            json::json_f64(sampler.cycles_per_sec())
+            json::json_f64(sampler.cycles_per_sec().unwrap_or(0.0))
         );
         flush(w, &mut line, &mut first)?;
         w.write_all(b"\n]\n")

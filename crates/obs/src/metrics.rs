@@ -68,11 +68,6 @@ impl MetricsRegistry {
         self.metrics.insert(name.to_string(), Metric::Histogram(h));
     }
 
-    /// Looks up one metric.
-    pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
-    }
-
     /// A counter's value, or 0 if absent / not a counter.
     pub fn counter(&self, name: &str) -> u64 {
         match self.metrics.get(name) {
@@ -150,7 +145,7 @@ mod tests {
         r.gauge_set("a/occ", 0.5);
         r.gauge_set("a/occ", 0.75);
         assert_eq!(r.counter("a/hits"), 5);
-        assert_eq!(r.get("a/occ"), Some(&Metric::Gauge(0.75)));
+        assert_eq!(r.metrics.get("a/occ"), Some(&Metric::Gauge(0.75)));
         assert_eq!(r.counter("missing"), 0);
     }
 

@@ -41,11 +41,6 @@ impl EpochSampler {
         }
     }
 
-    /// The epoch length in cycles.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
     /// Column names, as the first row named them.
     pub fn columns(&self) -> &[String] {
         &self.columns
@@ -79,18 +74,14 @@ impl EpochSampler {
     }
 
     /// Simulated cycles per wall-clock second between the first and last
-    /// snapshot (0 with fewer than two rows or no elapsed time).
-    pub fn cycles_per_sec(&self) -> f64 {
+    /// snapshot, or `None` with fewer than two rows or no elapsed time.
+    pub fn cycles_per_sec(&self) -> Option<f64> {
         let (first, last) = match (self.rows.first(), self.rows.last()) {
             (Some(f), Some(l)) if l.cycle > f.cycle => (f, l),
-            _ => return 0.0,
+            _ => return None,
         };
         let dt = last.wall_secs - first.wall_secs;
-        if dt <= 0.0 {
-            0.0
-        } else {
-            (last.cycle - first.cycle) as f64 / dt
-        }
+        (dt > 0.0).then(|| (last.cycle - first.cycle) as f64 / dt)
     }
 
     /// Appends the sampler as one JSON object:
@@ -100,7 +91,7 @@ impl EpochSampler {
             out,
             "{{\"every\":{},\"cycles_per_sec\":{},\"columns\":[",
             self.every,
-            json_f64(self.cycles_per_sec())
+            json_f64(self.cycles_per_sec().unwrap_or(0.0))
         );
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
@@ -156,11 +147,11 @@ mod tests {
     #[test]
     fn cycles_per_sec_needs_two_rows() {
         let mut s = EpochSampler::new(10);
-        assert_eq!(s.cycles_per_sec(), 0.0);
+        assert_eq!(s.cycles_per_sec(), None);
         s.record(10, &[], &[]);
-        assert_eq!(s.cycles_per_sec(), 0.0);
+        assert_eq!(s.cycles_per_sec(), None);
         std::thread::sleep(std::time::Duration::from_millis(2));
         s.record(1010, &[], &[]);
-        assert!(s.cycles_per_sec() > 0.0);
+        assert!(s.cycles_per_sec().is_some_and(|r| r > 0.0));
     }
 }

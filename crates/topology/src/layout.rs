@@ -235,12 +235,6 @@ impl ChipLayout {
         self.width as usize * self.height as usize
     }
 
-    /// Number of clusters on each layer.
-    #[inline]
-    pub const fn clusters_per_layer(&self) -> u16 {
-        self.clusters_per_layer
-    }
-
     /// Total clusters.
     #[inline]
     pub const fn num_clusters(&self) -> u16 {
@@ -375,19 +369,6 @@ impl ChipLayout {
         )
     }
 
-    /// The bank at a mesh node (every node hosts exactly one bank).
-    pub fn bank_at(&self, c: Coord) -> BankId {
-        debug_assert!(self.contains(c));
-        let cluster = self.cluster_of(c);
-        let lx = c.x % self.cluster_w;
-        let ly = c.y % self.cluster_h;
-        BankId(
-            u32::from(cluster.0) * self.banks_per_cluster
-                + u32::from(ly) * u32::from(self.cluster_w)
-                + u32::from(lx),
-        )
-    }
-
     /// Clusters sharing a grid edge with `cl` on the same layer.
     pub fn lateral_neighbors(&self, cl: ClusterId) -> Vec<ClusterId> {
         let layer = self.cluster_layer(cl);
@@ -468,30 +449,6 @@ impl ChipLayout {
             .enumerate()
             .min_by_key(|(_, &(x, y))| c.manhattan_2d(Coord::new(x, y, c.layer)))
             .map(|(i, _)| PillarId::from_index(i))
-    }
-
-    /// Hop count of the cheapest route from `a` to `b`: XY Manhattan
-    /// within a layer, `min_p(d(a,p) + 1 + d(p,b))` across layers (the
-    /// `1` is the vertical bus hop). This is the shortest-path metric of
-    /// the chip graph, so it is symmetric and obeys the triangle
-    /// inequality for every pillar set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a cross-layer query when the chip has no pillars.
-    pub fn route_cost(&self, a: Coord, b: Coord) -> u32 {
-        if a.same_layer(b) {
-            return a.manhattan_2d(b);
-        }
-        self.pillars
-            .iter()
-            .map(|&(x, y)| {
-                let on_src = Coord::new(x, y, a.layer);
-                let on_dst = Coord::new(x, y, b.layer);
-                a.manhattan_2d(on_src) + 1 + on_dst.manhattan_2d(b)
-            })
-            .min()
-            .expect("cross-layer route on a chip without pillars")
     }
 
     /// Positions of `n` memory controllers: evenly spaced around the
@@ -626,7 +583,7 @@ mod tests {
         assert_eq!(l.num_nodes(), 256);
         assert_eq!((l.cluster_w, l.cluster_h), (4, 4));
         assert_eq!(l.cluster_grid(), (4, 2));
-        assert_eq!(l.clusters_per_layer(), 8);
+        assert_eq!(l.clusters_per_layer, 8);
         assert_eq!(l.num_clusters(), 16);
     }
 
@@ -641,7 +598,7 @@ mod tests {
     fn four_layer_layout_is_8x8() {
         let l = ChipLayout::new(&SystemConfig::default().with_layers(4)).unwrap();
         assert_eq!((l.width(), l.height(), l.layers()), (8, 8, 4));
-        assert_eq!(l.clusters_per_layer(), 4);
+        assert_eq!(l.clusters_per_layer, 4);
     }
 
     #[test]
@@ -660,8 +617,10 @@ mod tests {
         let mut seen = vec![false; l.num_nodes()];
         for b in 0..256u32 {
             let c = l.coord_of_bank(BankId(b));
-            assert_eq!(l.bank_at(c), BankId(b));
-            assert_eq!(u32::from(l.cluster_of(c).0), b / l.banks_per_cluster);
+            let cluster = u32::from(l.cluster_of(c).0);
+            let within = u32::from(c.y % l.cluster_h) * u32::from(l.cluster_w)
+                + u32::from(c.x % l.cluster_w);
+            assert_eq!(cluster * l.banks_per_cluster + within, b);
             seen[l.node_index(c)] = true;
         }
         assert!(seen.iter().all(|&s| s), "every node hosts a bank");

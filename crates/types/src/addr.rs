@@ -130,12 +130,6 @@ impl L2Map {
         }
     }
 
-    /// Number of clusters in the decomposition.
-    #[inline]
-    pub const fn clusters(&self) -> u32 {
-        self.clusters
-    }
-
     /// Number of banks per cluster.
     #[inline]
     pub const fn banks_per_cluster(&self) -> u32 {
@@ -207,12 +201,6 @@ impl L2Map {
             bank.0 % self.banks_per_cluster,
         )
     }
-
-    /// Total number of banks.
-    #[inline]
-    pub const fn total_banks(&self) -> u32 {
-        self.clusters * self.banks_per_cluster
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +267,6 @@ mod tests {
                 assert_eq!(m.split_bank(g), (ClusterId(c), b));
             }
         }
-        assert_eq!(m.total_banks(), 256);
     }
 
     #[test]
@@ -292,7 +279,7 @@ mod tests {
     fn bigger_caches_shift_cluster_field() {
         // 32 MB: 16 clusters × 32 banks × 64 sets.
         let m = L2Map::new(16, 32, 64);
-        assert_eq!(m.total_banks(), 512);
+        assert_eq!(m.banks_per_cluster(), 32);
         let line = LineAddr(1 << 11); // cluster bit 0 for this geometry
         assert_eq!(m.home_cluster(line), ClusterId(1));
     }

@@ -34,13 +34,6 @@ impl Coord {
         Self { x, y, layer }
     }
 
-    /// The same `(x, y)` position on a different layer.
-    #[inline]
-    #[must_use]
-    pub const fn on_layer(self, layer: u8) -> Self {
-        Self { layer, ..self }
-    }
-
     /// Manhattan distance within a layer, ignoring the layer component.
     ///
     /// ```
@@ -247,12 +240,6 @@ mod tests {
         let pillar = Coord::new(1, 0, 0);
         // 1 hop to pillar + 1 bus hop + 1 hop back, regardless of 3 layers.
         assert_eq!(a.hop_distance_via_pillar(b, pillar), 3);
-    }
-
-    #[test]
-    fn on_layer_moves_only_the_layer() {
-        let c = Coord::new(3, 4, 0).on_layer(2);
-        assert_eq!(c, Coord::new(3, 4, 2));
     }
 
     #[test]

@@ -88,15 +88,6 @@ define_id! {
     PacketId, u64, "pkt"
 }
 
-impl PacketId {
-    /// Returns the next packet identifier, used by packet allocators.
-    #[inline]
-    #[must_use]
-    pub fn next(self) -> Self {
-        Self(self.0 + 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,11 +120,6 @@ mod tests {
         assert_eq!(format!("{}", BankId(7)), "bank7");
         assert_eq!(format!("{:?}", PillarId(1)), "pillar1");
         assert_eq!(format!("{}", PacketId(9)), "pkt9");
-    }
-
-    #[test]
-    fn packet_id_next_increments() {
-        assert_eq!(PacketId(4).next(), PacketId(5));
     }
 
     #[test]

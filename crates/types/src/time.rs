@@ -24,20 +24,6 @@ impl Cycle {
     /// Time zero.
     pub const ZERO: Cycle = Cycle(0);
 
-    /// Saturating subtraction: `self - other`, or zero if `other` is later.
-    #[inline]
-    #[must_use]
-    pub const fn saturating_sub(self, other: Cycle) -> u64 {
-        self.0.saturating_sub(other.0)
-    }
-
-    /// The later of two times.
-    #[inline]
-    #[must_use]
-    pub fn max(self, other: Cycle) -> Cycle {
-        Cycle(self.0.max(other.0))
-    }
-
     /// The earlier of two times.
     #[inline]
     #[must_use]
@@ -124,12 +110,6 @@ mod tests {
         t += 5;
         t += 7;
         assert_eq!(t, Cycle(12));
-    }
-
-    #[test]
-    fn saturating_sub_clamps_to_zero() {
-        assert_eq!(Cycle(3).saturating_sub(Cycle(10)), 0);
-        assert_eq!(Cycle(10).saturating_sub(Cycle(3)), 7);
     }
 
     #[test]

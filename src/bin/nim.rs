@@ -19,7 +19,7 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 use std::slice::from_ref;
 
-use network_in_memory::core::exhibits::{breakdown, run_exhibits, shipped, table3};
+use network_in_memory::core::exhibits::{breakdown, run_exhibits, shipped};
 use network_in_memory::core::experiments::{run_cells, ExperimentScale, SweepSpec};
 use network_in_memory::core::{FabricKind, RunReport, Scheme, System, SystemBuilder};
 use network_in_memory::obs::{CategoryMask, Obs, ObsConfig};
@@ -40,7 +40,6 @@ COMMANDS:
                deduplicated batch: `nim report [id..]` keeps the
                named ones of table1 table2 table3 fig13 fig14 fig15
                fig16 fig17 fig18 (default: all — exhibits.txt)
-    thermal    print the Table 3 thermal profiles
     list       list benchmarks and schemes
     help       show this message
 
@@ -142,7 +141,7 @@ impl Cli {
 }
 
 /// Every subcommand but `help`.
-const COMMANDS: &[&str] = &["run", "compare", "breakdown", "report", "thermal", "list"];
+const COMMANDS: &[&str] = &["run", "compare", "breakdown", "report", "list"];
 /// The subcommands that honour a flag, by kind of flag. The cell's
 /// fields other than its scheme, which `compare` and `breakdown` sweep.
 const CELL: &[&str] = &["run", "compare", "breakdown"];
@@ -350,8 +349,8 @@ fn cmd_run(cli: &Cli) -> Result<(), Box<dyn Error>> {
         obs.export_metrics(&mut BufWriter::new(file))?;
         eprintln!("metrics -> {path}");
     }
-    if obs.is_enabled() && obs.sample_every() > 0 {
-        eprintln!("simulated {:.0} cycles/sec", obs.cycles_per_sec());
+    if let Some(rate) = obs.cycles_per_sec() {
+        eprintln!("simulated {rate:.0} cycles/sec");
     }
     Ok(())
 }
@@ -392,7 +391,6 @@ fn dispatch(command: &str, cli: Cli) -> Result<(), Box<dyn Error>> {
                 println!("  {}", s.label());
             }
         }
-        "thermal" => print!("{}", table3().table),
         "report" => cmd_report(&cli)?,
         "run" => cmd_run(&cli)?,
         "compare" => {
@@ -436,6 +434,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Parses `line`, split at whitespace, as the flags of `nim <command>`.
     fn cli(command: &str, line: &str) -> Result<Cli, String> {
@@ -491,7 +490,7 @@ mod tests {
         let run_only = "--trace-out t --trace-filter all --metrics-out m --sample-every 1 \
                         --trace-txn-sample 1 --snapshot-out s --resume r";
         let run_only: Vec<&str> = run_only.split_whitespace().collect();
-        for command in ["compare", "breakdown", "report", "thermal", "list"] {
+        for command in ["compare", "breakdown", "report", "list"] {
             for pair in run_only.chunks(2) {
                 let err = cli_err(command, &pair.join(" "));
                 assert!(err.contains(pair[0]) && err.contains(command), "{err}");
@@ -600,6 +599,89 @@ mod tests {
         assert_eq!(scheme("CMP-DNUCA-2D").unwrap(), Scheme::CmpDnuca2d);
         assert_eq!(scheme("3d").unwrap(), Scheme::CmpDnuca3d);
         assert!(scheme("bogus").is_err());
+    }
+
+    /// Every `--flag` `nim help` prints: the parser's flag table.
+    fn table_flags() -> Vec<&'static str> {
+        let mut flags: Vec<&str> = HELP
+            .split_whitespace()
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    /// Values a user can type: numbers at and past the integer edges,
+    /// negatives, the empty string, names, and `--trace-filter` lists
+    /// well- and ill-formed.
+    fn arb_value() -> impl Strategy<Value = String> {
+        const WORDS: [&str; 14] = [
+            "",
+            "-1",
+            "-0",
+            "18446744073709551616",
+            "1e3",
+            "x",
+            "ideal",
+            "dnuca",
+            "swim",
+            "all",
+            "none",
+            "-",
+            ",",
+            "table3",
+        ];
+        const CATEGORIES: [&str; 12] = [
+            "packet",
+            "hop",
+            "pillar",
+            "search",
+            "migration",
+            "coherence",
+            "bank",
+            "memory",
+            "meta",
+            "all",
+            "bogus",
+            "",
+        ];
+        let category = (any::<bool>(), 0..CATEGORIES.len())
+            .prop_map(|(minus, i)| format!("{}{}", if minus { "-" } else { "" }, CATEGORIES[i]));
+        prop_oneof![
+            (0..WORDS.len()).prop_map(|i| WORDS[i].to_owned()),
+            any::<u64>().prop_map(|v| v.to_string()),
+            Just(u64::MAX.to_string()),
+            proptest::collection::vec(category, 1..4).prop_map(|list| list.join(",")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `parse` never panics: any sequence of table flags with any
+        /// values, a last flag perhaps missing its value, is a `Cli` or
+        /// an error naming a flag of the line.
+        #[test]
+        fn parse_never_panics(
+            command in 0..COMMANDS.len(),
+            pairs in proptest::collection::vec((0usize..64, arb_value()), 0..6),
+            (dangles, dangling) in (any::<bool>(), 0usize..64),
+        ) {
+            let flags = table_flags();
+            let mut args = Vec::new();
+            for (flag, value) in pairs {
+                args.push(flags[flag % flags.len()].to_owned());
+                args.push(value);
+            }
+            if dangles {
+                args.push(flags[dangling % flags.len()].to_owned());
+            }
+            if let Err(e) = parse(COMMANDS[command], &args) {
+                let named = args.iter().any(|a| a.starts_with("--") && e.contains(a.as_str()));
+                prop_assert!(named, "nim {} {args:?}: {e}", COMMANDS[command]);
+            }
+        }
     }
 
     #[test]

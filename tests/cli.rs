@@ -226,6 +226,30 @@ fn resume_replays_the_image_to_its_point() {
 }
 
 #[test]
+fn a_rate_is_reported_only_when_one_was_measured() {
+    // One epoch boundary at most: no two samples, so no rate to print
+    // or publish.
+    let metrics = scratch("rate.json");
+    let line = format!(
+        "run --warmup 0 --sample 3 --sample-every 18446744073709551615 --metrics-out {}",
+        metrics.display()
+    );
+    let out = nim(&line);
+    assert!(out.status.success(), "`nim {line}` failed");
+    let err = String::from_utf8(out.stderr).expect("utf-8 output");
+    assert!(!err.contains("cycles/sec"), "{err}");
+    let json = std::fs::read_to_string(&metrics).expect("the metrics were written");
+    assert!(!json.contains("sim/cycles_per_sec"), "{json}");
+    std::fs::remove_file(&metrics).expect("the metrics are ours to remove");
+    // Many epochs: a nonzero rate.
+    let out = nim("run --warmup 20 --sample 300 --sample-every 100");
+    let err = String::from_utf8(out.stderr).expect("utf-8 output");
+    let rate = err.lines().find_map(|l| l.strip_prefix("simulated "));
+    let rate = rate.and_then(|r| r.strip_suffix(" cycles/sec"));
+    assert!(rate.is_some_and(|r| r != "0"), "{err}");
+}
+
+#[test]
 fn zero_is_not_a_scale() {
     // Zero sampled transactions used to print an all-zero row (and
     // `report fig13` a 9.00 "speedup") with exit 0.
@@ -260,8 +284,13 @@ fn retired_flags_and_commands_are_refused() {
         let unknown = err.contains("unknown option") || err.contains("unknown fabric");
         assert!(unknown, "{retired}: {err}");
     }
-    let err = refused("scale --layers 2");
-    assert!(err.contains("unknown command 'scale'"), "{err}");
+    for command in ["scale", "thermal"] {
+        let err = refused(&format!("{command} --layers 2"));
+        assert!(
+            err.contains(&format!("unknown command '{command}'")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

@@ -251,6 +251,7 @@ const FROZEN_FOR_NIMBENCH: &[(&str, &str)] = &[
     ("crates/core/src/builder.rs", "shards"),
     ("crates/core/src/builder.rs", "horizon_skipping"),
     ("crates/core/src/snapshot.rs", "resume_from"),
+    ("crates/coherence/src/directory.rs", "WritePolicy"),
 ];
 
 /// Whether `text` spells `name` as a whole word.
