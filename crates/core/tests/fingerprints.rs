@@ -16,13 +16,14 @@ use nim_obs::{CategoryMask, Obs, ObsConfig};
 use nim_types::{FxHasher, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
-/// One recorded cell: scheme, benchmark, edge memory, chip depth,
-/// tracing, pillar bus width, fabric, digest.
+/// One recorded cell: scheme, benchmark, edge memory, chip depth, CPU
+/// count, tracing, pillar bus width, fabric, digest.
 struct Cell {
     scheme: Scheme,
     benchmark: &'static str,
     edge_memory: bool,
     layers: u8,
+    cpus: u32,
     /// Trace every category, the per-flit `hop` firehose included, so
     /// the digest holds the `FlitHop` / `PacketDeliver` emission order.
     trace_hops: bool,
@@ -34,12 +35,13 @@ struct Cell {
     digest: u64,
 }
 
-const CELLS: [Cell; 10] = [
+const CELLS: [Cell; 11] = [
     Cell {
         scheme: Scheme::CmpDnuca,
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -50,6 +52,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -60,6 +63,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -70,6 +74,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -82,6 +87,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "swim",
         edge_memory: true,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -94,6 +100,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: true,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -104,6 +111,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 4,
+        cpus: 8,
         trace_hops: true,
         bus_width_bits: 128,
         fabric: FabricKind::Sim,
@@ -118,6 +126,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 32,
         fabric: FabricKind::Sim,
@@ -128,6 +137,7 @@ const CELLS: [Cell; 10] = [
         benchmark: "swim",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 32,
         fabric: FabricKind::Sim,
@@ -138,10 +148,24 @@ const CELLS: [Cell; 10] = [
         benchmark: "art",
         edge_memory: false,
         layers: 2,
+        cpus: 8,
         trace_hops: false,
         bus_width_bits: 128,
         fabric: FabricKind::Ideal,
         digest: 0xa092_d552_c107_ef9f,
+    },
+    // The eviction path: 64 CPUs' swim working sets overflow one
+    // layer's L2 during the prewarm, so placements evict PLRU victims.
+    Cell {
+        scheme: Scheme::CmpDnuca3d,
+        benchmark: "swim",
+        edge_memory: false,
+        layers: 1,
+        cpus: 64,
+        trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
+        digest: 0x7e26_f652_36cb_0bd1,
     },
 ];
 
@@ -153,7 +177,8 @@ fn profile(name: &str) -> BenchmarkProfile {
     }
 }
 
-fn digest_of(cell: &Cell) -> u64 {
+/// The run's digest and the L2 evictions it made.
+fn digest_of(cell: &Cell) -> (u64, u64) {
     let obs = Obs::new(ObsConfig {
         trace: cell.trace_hops,
         mask: if cell.trace_hops {
@@ -169,6 +194,7 @@ fn digest_of(cell: &Cell) -> u64 {
     let mut sys = SystemBuilder::new(cell.scheme)
         .config(cfg)
         .layers(cell.layers)
+        .cpus(cell.cpus)
         .fabric(cell.fabric)
         .seed(42)
         .warmup_transactions(50)
@@ -204,19 +230,20 @@ fn digest_of(cell: &Cell) -> u64 {
     }
     let mut h = FxHasher::default();
     h.write(blob.as_bytes());
-    h.finish()
+    (h.finish(), obs.counter("l2/evictions"))
 }
 
 #[test]
 fn run_fingerprints_match_the_recorded_pre_refactor_values() {
     for cell in &CELLS {
-        let got = digest_of(cell);
+        let (got, evictions) = digest_of(cell);
         let label = format!(
-            "{:?}/{}/edge_mc={}/layers={}/hops={}/bus={}/fabric={}",
+            "{:?}/{}/edge_mc={}/layers={}/cpus={}/hops={}/bus={}/fabric={}",
             cell.scheme,
             cell.benchmark,
             cell.edge_memory,
             cell.layers,
+            cell.cpus,
             cell.trace_hops,
             cell.bus_width_bits,
             cell.fabric.name()
@@ -225,8 +252,11 @@ fn run_fingerprints_match_the_recorded_pre_refactor_values() {
         // --nocapture` prints fresh digests instead of asserting — use it
         // to re-record after an *intentional* behavior change.
         if std::env::var_os("NIM_RECORD_FP").is_some() {
-            eprintln!("RECORD {label} 0x{got:016x}");
+            eprintln!("RECORD {label} 0x{got:016x} evictions={evictions}");
             continue;
+        }
+        if cell.cpus == 64 {
+            assert!(evictions > 0, "{label}: the eviction row evicted nothing");
         }
         assert_eq!(
             got, cell.digest,
