@@ -24,14 +24,12 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-pub mod cluster;
 pub mod migration;
 pub mod nuca;
 pub mod plru;
 pub mod search;
 
 pub use bank::{Bank, Inserted};
-pub use cluster::Cluster;
 pub use migration::migration_target;
 pub use nuca::{L2Stats, MigrationError, MigrationOutcome, NucaL2, Placement};
 pub use plru::TreePlru;
