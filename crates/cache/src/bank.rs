@@ -75,16 +75,14 @@ impl Bank {
             .map(|w| w as u32)
     }
 
-    /// Marks `line` most-recently used in its set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not resident.
-    pub fn touch(&mut self, set: u32, line: LineAddr) {
-        let way = self
-            .lookup(set, line)
-            .expect("touch of a non-resident line");
+    /// Marks `line` most-recently used in its set; returns whether it
+    /// was resident (a miss leaves the set as it was).
+    pub fn touch(&mut self, set: u32, line: LineAddr) -> bool {
+        let Some(way) = self.lookup(set, line) else {
+            return false;
+        };
         self.plru[set as usize].touch(way);
+        true
     }
 
     /// Inserts `line` into `set`, evicting the pseudo-LRU victim if full.
@@ -115,6 +113,16 @@ impl Bank {
         };
         self.empty[set as usize] |= 1 << way;
         true
+    }
+
+    /// Every resident line with its set, set by set.
+    pub fn resident(&self) -> impl Iterator<Item = (u32, LineAddr)> + '_ {
+        let sets = self.lines.chunks_exact(self.ways).zip(&self.empty);
+        sets.enumerate().flat_map(|(set, (slots, &empty))| {
+            let ways = slots.iter().enumerate();
+            ways.filter(move |(w, _)| (empty >> w) & 1 == 0)
+                .map(move |(_, &line)| (set as u32, line))
+        })
     }
 
     /// Number of resident lines in the bank.
@@ -295,8 +303,8 @@ mod tests {
 
     /// Seeded insert / remove / touch / lookup scripts drive the slab and
     /// the per-set oracle side by side; every return value, the
-    /// occupancy, and every set's visible ways, tree and empty mask must
-    /// agree after every step.
+    /// occupancy, the resident lines, and every set's visible ways, tree
+    /// and empty mask must agree after every step.
     #[test]
     fn slab_matches_the_per_set_oracle() {
         for ways in [1u32, 2, 4, 16, 32] {
@@ -318,14 +326,22 @@ mod tests {
                             assert_eq!(bank.insert(set, line), o.insert(line), "{at}");
                         }
                         1 => assert_eq!(bank.remove(set, line), o.remove(line), "{at}"),
-                        2 if o.lookup(line).is_some() => {
-                            bank.touch(set, line);
-                            o.plru.touch(o.lookup(line).expect("resident"));
+                        2 => {
+                            let way = o.lookup(line);
+                            if let Some(w) = way {
+                                o.plru.touch(w);
+                            }
+                            assert_eq!(bank.touch(set, line), way.is_some(), "{at}");
                         }
                         _ => assert_eq!(bank.lookup(set, line), o.lookup(line), "{at}"),
                     }
                     let held: usize = oracle.iter().map(Set::occupancy).sum();
                     assert_eq!(bank.occupancy(), held, "{at}");
+                    let resident = oracle
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(s, o)| o.lines.iter().flatten().map(move |&l| (s as u32, l)));
+                    assert!(bank.resident().eq(resident), "{at}");
                     for (s, o) in oracle.iter().enumerate() {
                         assert_eq!(bank.visible(s), o.lines, "{at} set {s}");
                         assert_eq!(bank.plru[s], o.plru, "{at} set {s}");

@@ -1,11 +1,13 @@
 //! The shared NUCA L2: placement, location tracking, and lazy migration.
 //!
-//! Placement follows the paper (§4.2.2): a line's *initial* cluster comes
-//! from the low-order bits of its tag; its bank within the cluster and set
-//! within the bank come from the index bits. Once lines migrate, the
-//! cluster can no longer be derived from the address, so [`NucaL2`] keeps
-//! the authoritative line → cluster map (the union of all cluster tag
-//! arrays).
+//! Placement follows the paper (§4.2.2): a line's *initial* (home)
+//! cluster comes from the low-order bits of its tag; its bank within the
+//! cluster and set within the bank come from the index bits. Migration
+//! moves a line only between clusters (§4.2.3), so a line's bank and set
+//! stay fixed by its address and only its cluster can leave home. The
+//! cluster tag arrays are therefore the record of where a line lives:
+//! [`NucaL2`] keeps a map only of the lines resident away from their home
+//! cluster, and the home cluster's set answers for every other line.
 //!
 //! Migration is *lazy* (§4.2.3): a migrating line stays visible at its old
 //! location until the move commits, so searches issued mid-migration never
@@ -84,11 +86,15 @@ pub struct NucaL2 {
     /// fixed by its address and only its cluster moves. Each bank is its
     /// own allocation: one slab for the whole L2 built slower.
     banks: Vec<Bank>,
-    /// Authoritative line → committed cluster map. [`FxHashMap`] because
+    /// Committed cluster of every resident line whose cluster is not its
+    /// home cluster, and of no other line: a line absent here is either
+    /// in its home cluster's set or not resident. [`FxHashMap`] because
     /// [`NucaL2::locate`] sits on the per-transaction hot path and the
     /// keys are trusted line addresses.
-    resident: FxHashMap<LineAddr, ClusterId>,
-    /// Line slots across every bank (the most `resident` can hold).
+    moved: FxHashMap<LineAddr, ClusterId>,
+    /// Resident lines across every bank.
+    lines: usize,
+    /// Line slots across every bank (the most `moved` can hold).
     slots: usize,
     /// Lines mid-migration: line → destination cluster.
     migrating: FxHashMap<LineAddr, ClusterId>,
@@ -106,7 +112,8 @@ impl NucaL2 {
             banks: (0..l2.clusters * map.banks_per_cluster())
                 .map(|_| Bank::new(map.sets_per_bank(), l2.ways))
                 .collect(),
-            resident: FxHashMap::default(),
+            moved: FxHashMap::default(),
+            lines: 0,
             slots: l2.clusters as usize * l2.lines_per_cluster() as usize,
             migrating: FxHashMap::default(),
             stats: L2Stats::default(),
@@ -135,9 +142,25 @@ impl NucaL2 {
 
     /// Which cluster currently holds `line` (its *visible* location; a
     /// mid-migration line reports its old cluster — lazy migration).
+    /// A line that left home answers from the away map; any other line
+    /// from one probe of its home cluster's set.
     #[inline]
     pub fn locate(&self, line: LineAddr) -> Option<ClusterId> {
-        self.resident.get(&line).copied()
+        if let Some(cl) = self.moved_to(line) {
+            return Some(cl);
+        }
+        let home = self.home_cluster(line);
+        self.in_set(line, home).then_some(home)
+    }
+
+    /// The committed cluster of `line` if it is resident away from home.
+    /// The map is probed only while it holds anything.
+    #[inline]
+    fn moved_to(&self, line: LineAddr) -> Option<ClusterId> {
+        if self.moved.is_empty() {
+            return None;
+        }
+        self.moved.get(&line).copied()
     }
 
     /// The cluster a line would be *initially* placed in.
@@ -146,23 +169,39 @@ impl NucaL2 {
         self.map.home_cluster(line)
     }
 
-    /// The bank `line` maps to in `cluster`, and its set there.
+    /// The index of the bank `line` maps to in `cluster`, and its set
+    /// there.
     #[inline]
-    fn bank_of(&mut self, line: LineAddr, cluster: ClusterId) -> (&mut Bank, u32) {
+    fn slot_of(&self, line: LineAddr, cluster: ClusterId) -> (usize, u32) {
         let bank = self
             .map
             .global_bank(cluster, self.map.bank_in_cluster(line));
-        (&mut self.banks[bank.index()], self.map.set_in_bank(line))
+        (bank.index(), self.map.set_in_bank(line))
+    }
+
+    /// The bank `line` maps to in `cluster`, and its set there.
+    #[inline]
+    fn bank_of(&mut self, line: LineAddr, cluster: ClusterId) -> (&mut Bank, u32) {
+        let (bank, set) = self.slot_of(line, cluster);
+        (&mut self.banks[bank], set)
+    }
+
+    /// Whether `cluster`'s tag array holds `line`: one set probe.
+    #[inline]
+    fn in_set(&self, line: LineAddr, cluster: ClusterId) -> bool {
+        let (bank, set) = self.slot_of(line, cluster);
+        self.banks[bank].lookup(set, line).is_some()
     }
 
     /// Marks a hit on `line` (updates pseudo-LRU at its location).
     ///
     /// Returns the cluster that served the hit, or `None` on a miss.
     pub fn touch(&mut self, line: LineAddr) -> Option<ClusterId> {
-        let cl = self.locate(line)?;
+        let cl = self
+            .moved_to(line)
+            .unwrap_or_else(|| self.home_cluster(line));
         let (bank, set) = self.bank_of(line, cl);
-        bank.touch(set, line);
-        Some(cl)
+        bank.touch(set, line).then_some(cl)
     }
 
     /// Places `line` at its home cluster (servicing an L2 miss).
@@ -187,10 +226,13 @@ impl NucaL2 {
         debug_assert!(self.locate(line).is_none(), "line already resident");
         let (bank, set) = self.bank_of(line, cluster);
         let ins = bank.insert(set, line);
-        self.resident.insert(line, cluster);
+        if cluster != self.home_cluster(line) {
+            self.moved.insert(line, cluster);
+        }
+        self.lines += 1;
         self.stats.insertions += 1;
         if let Some(victim) = ins.evicted {
-            self.note_eviction(victim);
+            self.note_eviction(victim, cluster);
         }
         Placement {
             cluster,
@@ -231,7 +273,8 @@ impl NucaL2 {
     }
 
     /// Completes a migration: the line disappears from its old cluster and
-    /// appears at the destination, evicting a victim there if needed.
+    /// appears at the destination, evicting a victim there if needed. A
+    /// line that arrives back home leaves the away map.
     ///
     /// # Errors
     ///
@@ -242,13 +285,19 @@ impl NucaL2 {
             .migrating
             .remove(&line)
             .ok_or(MigrationError::NotResident(line))?;
-        let from = self.locate(line).ok_or(MigrationError::NotResident(line))?;
+        let home = self.home_cluster(line);
+        let from = self.moved_to(line).unwrap_or(home);
         let (bank, set) = self.bank_of(line, from);
-        let removed = bank.remove(set, line);
-        debug_assert!(removed);
+        if !bank.remove(set, line) {
+            return Err(MigrationError::NotResident(line));
+        }
         let (bank, set) = self.bank_of(line, to);
         let evicted = bank.insert(set, line).evicted;
-        self.resident.insert(line, to);
+        if to == home {
+            self.moved.remove(&line);
+        } else {
+            self.moved.insert(line, to);
+        }
         self.stats.migrations += 1;
         self.obs
             .emit(Category::Migration, || EventData::MigrationCommit {
@@ -257,27 +306,28 @@ impl NucaL2 {
                 to: u32::from(to.0),
             });
         if let Some(victim) = evicted {
-            self.note_eviction(victim);
+            self.note_eviction(victim, to);
         }
         Ok(MigrationOutcome { from, to, evicted })
     }
 
-    /// Sizes the residency map for `lines` more resident lines, clamped
-    /// to the L2's line count, so a fill of a known working set (the
-    /// prewarm) grows it once instead of rehashing at every doubling.
+    /// Sizes the away map for `lines` more lines resident away from
+    /// their home cluster, clamped to the L2's line count, so a fill that
+    /// parks a known set of lines (the prewarm) grows it once instead of
+    /// rehashing at every doubling.
     pub fn reserve(&mut self, lines: usize) {
-        let room = self.slots - self.resident.len();
-        self.resident.reserve(lines.min(room));
+        let room = self.slots - self.moved.len();
+        self.moved.reserve(lines.min(room));
     }
 
-    /// Resident lines the residency map holds before it must grow.
+    /// Lines away from home the away map holds before it must grow.
     pub fn residency_capacity(&self) -> usize {
-        self.resident.capacity()
+        self.moved.capacity()
     }
 
     /// Total resident lines.
     pub fn occupancy(&self) -> usize {
-        self.resident.len()
+        self.lines
     }
 
     /// Lines resident in one cluster.
@@ -287,22 +337,25 @@ impl NucaL2 {
         banks.iter().map(Bank::occupancy).sum()
     }
 
-    /// Bookkeeping shared by every eviction path: the victim leaves the
-    /// resident map, and a migration it had in flight is aborted.
-    fn note_eviction(&mut self, victim: LineAddr) {
+    /// Bookkeeping shared by every eviction path: the victim, evicted
+    /// from `cl`'s set, leaves the line count and the away map, and a
+    /// migration it had in flight is aborted.
+    fn note_eviction(&mut self, victim: LineAddr, cl: ClusterId) {
         self.stats.evictions += 1;
-        let cl = self.resident.remove(&victim);
+        self.lines -= 1;
+        if cl != self.home_cluster(victim) {
+            self.moved.remove(&victim);
+        }
         self.obs.emit(Category::Bank, || EventData::Eviction {
             line: victim.0,
-            cluster: cl.map_or(u32::MAX, |c| u32::from(c.0)),
+            cluster: u32::from(cl.0),
         });
         if let Some(to) = self.migrating.remove(&victim) {
             self.stats.migrations_aborted += 1;
-            let from = cl.unwrap_or(to);
             self.obs
                 .emit(Category::Migration, || EventData::MigrationAbort {
                     line: victim.0,
-                    from: u32::from(from.0),
+                    from: u32::from(cl.0),
                     to: u32::from(to.0),
                 });
         }
@@ -310,11 +363,55 @@ impl NucaL2 {
 
     /// Whether `cluster` holds a copy of `line` — its committed location
     /// or an in-flight migration destination. This is what a tag probe
-    /// of that cluster would answer. The migration map is probed only
-    /// while it holds anything.
+    /// of that cluster would answer. The committed location costs one
+    /// lookup: the home set when `cluster` is home, the away map
+    /// otherwise. The migration map is probed only while it holds
+    /// anything.
     pub fn has_copy_at(&self, line: LineAddr, cluster: ClusterId) -> bool {
-        self.locate(line) == Some(cluster)
-            || (!self.migrating.is_empty() && self.migration_of(line) == Some(cluster))
+        let committed = if cluster == self.home_cluster(line) {
+            self.in_set(line, cluster)
+        } else {
+            self.moved_to(line) == Some(cluster)
+        };
+        committed || (!self.migrating.is_empty() && self.migration_of(line) == Some(cluster))
+    }
+
+    /// Asserts the L2's structural invariants: every resident line sits
+    /// in exactly one set across the clusters, the one its address maps
+    /// to; a line has an away-map entry exactly when it is resident away
+    /// from its home cluster, and the entry names that cluster; the line
+    /// count equals the sum of bank occupancies; and every migrating line
+    /// is resident somewhere other than its destination. Walks every
+    /// bank, so it is meant for tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first line that breaks an invariant.
+    pub fn check_invariants(&self) {
+        let per = self.map.banks_per_cluster() as usize;
+        let mut seen: FxHashMap<LineAddr, ClusterId> = FxHashMap::default();
+        for (b, bank) in self.banks.iter().enumerate() {
+            let cl = ClusterId::from_index(b / per);
+            for (set, line) in bank.resident() {
+                assert_eq!(self.slot_of(line, cl), (b, set), "{line} outside its set");
+                if let Some(other) = seen.insert(line, cl) {
+                    panic!("{line} is resident in both {other} and {cl}");
+                }
+                let away = (cl != self.home_cluster(line)).then_some(cl);
+                assert_eq!(self.moved.get(&line).copied(), away, "{line} in {cl}");
+            }
+        }
+        let away = seen.iter().filter(|(l, c)| self.home_cluster(**l) != **c);
+        assert_eq!(self.moved.len(), away.count(), "stale away-map entries");
+        let held: usize = self.banks.iter().map(Bank::occupancy).sum();
+        assert_eq!((self.lines, seen.len()), (held, held), "line count");
+        for (line, to) in &self.migrating {
+            let from = seen.get(line).copied();
+            assert!(
+                from.is_some_and(|f| f != *to),
+                "{line} migrates from {from:?} to {to}"
+            );
+        }
     }
 }
 

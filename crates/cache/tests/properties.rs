@@ -1,6 +1,8 @@
 //! Property-based tests for replacement, placement, and migration state.
 
-use nim_cache::{NucaL2, TreePlru};
+use std::collections::HashMap;
+
+use nim_cache::{MigrationError, NucaL2, TreePlru};
 use nim_types::{ClusterId, L2Config, LineAddr};
 use proptest::prelude::*;
 
@@ -149,10 +151,183 @@ fn a_reserve_clamped_to_the_l2_is_never_outgrown() {
     l2.reserve(usize::MAX);
     let capacity = l2.residency_capacity();
     assert!((1024..2048).contains(&capacity), "clamped: {capacity}");
-    // Lines 0..1024 fill every way of every set exactly.
+    // Lines 0..1024, each placed one cluster past its home, fill every
+    // way of every set exactly and all land in the away map.
     for i in 0..1024u64 {
-        assert_eq!(l2.insert(LineAddr(i)).evicted, None);
+        let line = LineAddr(i);
+        let away = ClusterId((l2.home_cluster(line).0 + 1) % 16);
+        assert_eq!(l2.insert_at(line, away).evicted, None);
     }
     assert_eq!(l2.occupancy(), 1024);
+    l2.check_invariants();
     assert_eq!(l2.residency_capacity(), capacity, "the map never grew");
+}
+
+/// What the oracle test does to a line; cluster seeds wrap to the
+/// oracle L2's 16 clusters.
+#[derive(Clone, Debug)]
+enum OracleAct {
+    Insert,
+    InsertAt(u16),
+    BeginMigration(u16),
+    CommitMigration,
+    /// Begin and commit a migration back to the line's home cluster.
+    MigrateHome,
+    Touch,
+}
+
+/// A line seed (an index into a pool twice the oracle L2's capacity)
+/// and what to do to that line. `InsertAt` is listed twice so that
+/// most placements land away from home.
+fn arb_oracle_op() -> impl Strategy<Value = (u16, OracleAct)> {
+    let act = prop_oneof![
+        Just(OracleAct::Insert),
+        any::<u16>().prop_map(OracleAct::InsertAt),
+        any::<u16>().prop_map(OracleAct::InsertAt),
+        any::<u16>().prop_map(OracleAct::BeginMigration),
+        Just(OracleAct::CommitMigration),
+        Just(OracleAct::MigrateHome),
+        Just(OracleAct::Touch),
+    ];
+    (any::<u16>(), act)
+}
+
+/// 16 clusters × 2 banks × one 2-way set: 64 line slots, so a pool of
+/// 128 lines fills sets and evicts constantly.
+fn oracle_l2() -> NucaL2 {
+    NucaL2::new(&L2Config {
+        banks_per_cluster: 2,
+        bank_bytes: 128,
+        ways: 2,
+        ..L2Config::default()
+    })
+}
+
+const POOL: u16 = 128;
+
+/// The line → committed-cluster map every resident line used to keep,
+/// with the in-flight migrations beside it, and the victims of the
+/// current step.
+#[derive(Default)]
+struct Oracle {
+    resident: HashMap<LineAddr, ClusterId>,
+    migrating: HashMap<LineAddr, ClusterId>,
+    victims: Vec<LineAddr>,
+}
+
+impl Oracle {
+    fn evict(&mut self, victim: Option<LineAddr>) {
+        if let Some(v) = victim {
+            assert!(self.resident.remove(&v).is_some(), "{v} was not resident");
+            self.migrating.remove(&v);
+            self.victims.push(v);
+        }
+    }
+
+    /// Where `line` has a copy: its committed cluster, and an in-flight
+    /// migration's destination.
+    fn copies(&self, line: LineAddr) -> (Option<ClusterId>, Option<ClusterId>) {
+        let get = |m: &HashMap<LineAddr, ClusterId>| m.get(&line).copied();
+        (get(&self.resident), get(&self.migrating))
+    }
+
+    fn begin(&mut self, line: LineAddr, to: ClusterId) -> Result<(), MigrationError> {
+        let from = *self
+            .resident
+            .get(&line)
+            .ok_or(MigrationError::NotResident(line))?;
+        if from == to {
+            return Err(MigrationError::SamePlace(line));
+        }
+        if self.migrating.contains_key(&line) {
+            return Err(MigrationError::InFlight(line));
+        }
+        self.migrating.insert(line, to);
+        Ok(())
+    }
+}
+
+/// Commits `line`'s migration in both, checking the outcome.
+fn commit(l2: &mut NucaL2, oracle: &mut Oracle, line: LineAddr) -> Result<(), TestCaseError> {
+    match oracle.migrating.remove(&line) {
+        Some(to) => {
+            let out = l2.commit_migration(line).expect("in flight");
+            let from = oracle.resident.insert(line, to);
+            prop_assert_eq!((Some(out.from), out.to), (from, to));
+            oracle.evict(out.evicted);
+        }
+        None => prop_assert!(l2.commit_migration(line).is_err()),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every placement and migration path against the map the L2 used to
+    /// keep. After every step the L2's own invariants must hold, `locate`
+    /// and `migration_of` must answer as the oracle does for every pool
+    /// line, and `has_copy_at` must for every cluster on each line the
+    /// step changed (its operand and its victims; no other line's answer
+    /// can move).
+    #[test]
+    fn l2_answers_like_a_full_residency_map(
+        ops in proptest::collection::vec(arb_oracle_op(), 1..250),
+    ) {
+        let mut l2 = oracle_l2();
+        let clusters = L2Config::default().clusters as u16;
+        let mut oracle = Oracle::default();
+        for (seed, act) in ops {
+            let operand = LineAddr(u64::from(seed % POOL));
+            match act {
+                OracleAct::Insert | OracleAct::InsertAt(_)
+                    if oracle.resident.contains_key(&operand) => {}
+                OracleAct::Insert => {
+                    let placed = l2.insert(operand);
+                    prop_assert_eq!(placed.cluster, l2.home_cluster(operand));
+                    oracle.resident.insert(operand, placed.cluster);
+                    oracle.evict(placed.evicted);
+                }
+                OracleAct::InsertAt(c) => {
+                    let placed = l2.insert_at(operand, ClusterId(c % clusters));
+                    oracle.resident.insert(operand, placed.cluster);
+                    oracle.evict(placed.evicted);
+                }
+                OracleAct::BeginMigration(c) => {
+                    let to = ClusterId(c % clusters);
+                    let want = oracle.begin(operand, to);
+                    prop_assert_eq!(l2.begin_migration(operand, to), want);
+                }
+                OracleAct::CommitMigration => commit(&mut l2, &mut oracle, operand)?,
+                OracleAct::MigrateHome => {
+                    let home = l2.home_cluster(operand);
+                    let want = oracle.begin(operand, home);
+                    prop_assert_eq!(l2.begin_migration(operand, home), want);
+                    if want.is_ok() {
+                        commit(&mut l2, &mut oracle, operand)?;
+                    }
+                }
+                OracleAct::Touch => {
+                    let want = oracle.resident.get(&operand).copied();
+                    prop_assert_eq!(l2.touch(operand), want);
+                }
+            }
+            l2.check_invariants();
+            for l in (0..u64::from(POOL)).map(LineAddr) {
+                let (at, to) = oracle.copies(l);
+                prop_assert_eq!((l, l2.locate(l), l2.migration_of(l)), (l, at, to));
+            }
+            let changed = std::mem::take(&mut oracle.victims);
+            for l in changed.into_iter().chain([operand]) {
+                let (at, to) = oracle.copies(l);
+                for c in (0..clusters).map(ClusterId) {
+                    let copy = at == Some(c) || to == Some(c);
+                    prop_assert_eq!((l, c, l2.has_copy_at(l, c)), (l, c, copy));
+                }
+            }
+            prop_assert_eq!(l2.occupancy(), oracle.resident.len());
+            let held: usize = (0..clusters).map(|c| l2.cluster_occupancy(ClusterId(c))).sum();
+            prop_assert_eq!(held, oracle.resident.len());
+        }
+    }
 }

@@ -2,11 +2,16 @@
 //!
 //! The paper warms its caches for 500 M cycles before sampling;
 //! [`Engine::prewarm`] installs the state that warm-up converges to
-//! instead, in one pass over the workload's regions. Two things keep the
-//! pass cheap without changing where any line lands:
+//! instead, in one pass over the workload's regions. Three things keep
+//! the pass cheap without changing where any line lands:
 //!
-//! * the residency map is sized once for the whole working set (clamped
-//!   to the L2's line count), so it never rehashes mid-fill;
+//! * the L2's away map (the lines resident outside their home cluster)
+//!   is sized once for every line a migrating scheme can park away from
+//!   home — every CPU's private lines, and none under the static scheme
+//!   — so it never rehashes mid-fill;
+//! * the regions are pairwise disjoint, so a line is installed at most
+//!   once and the duplicate check asks only the cluster about to be
+//!   filled (one lookup, no extra set probe);
 //! * a private line's parking cluster depends only on its owner and its
 //!   home cluster, so [`SteadyMemo`] computes each of those at most
 //!   `cpus × clusters` fixed points once, not once per line.
@@ -39,13 +44,6 @@ impl SteadyMemo {
     }
 }
 
-/// Lines a prewarm installs at most: the shared region plus every CPU's
-/// stream, hot and code regions.
-fn working_set_lines(profile: &BenchmarkProfile, regions: &[CpuRegions]) -> usize {
-    let private = |r: &CpuRegions| r.stream.lines + r.hot.lines + r.code.lines;
-    shared_region(profile).lines as usize + regions.iter().map(private).sum::<u32>() as usize
-}
-
 impl Engine {
     /// Installs the workload's working set before simulation, standing in
     /// for the paper's 500 M-cycle warm-up run: the shared region goes to
@@ -59,7 +57,13 @@ impl Engine {
         let regions: Vec<CpuRegions> = (0..self.cores.len())
             .map(|i| cpu_regions(profile, CpuId::from_index(i)))
             .collect();
-        self.l2.reserve(working_set_lines(profile, &regions));
+        // Only a private line can park away from home, and only under a
+        // migrating scheme.
+        if self.policy.migrates {
+            let private = |r: &CpuRegions| r.stream.lines + r.hot.lines + r.code.lines;
+            self.l2
+                .reserve(regions.iter().map(private).sum::<u32>() as usize);
+        }
         let mut memo = SteadyMemo::new(self);
         // Bulk data first so later hot/code installs win any conflicts.
         for addr in shared_region(profile).line_addrs() {
@@ -88,15 +92,19 @@ impl Engine {
 
     /// Places the line of `addr` in the L2 unless it is resident already:
     /// at its owner's steady cluster under a migrating scheme, else at its
-    /// home cluster. A victim leaves every L1 that held it.
+    /// home cluster. A victim leaves every L1 that held it. The regions
+    /// are pairwise disjoint, so a resident line was installed from this
+    /// same region (two addresses of one line, when lines are wider than
+    /// the regions' 64-byte stride) and sits where it is about to go:
+    /// asking that one cluster answers what asking every cluster would.
     fn install(&mut self, memo: &mut SteadyMemo, addr: Address, owner: Option<CpuId>) -> LineAddr {
         let line = addr.line(self.line_bytes);
-        if self.l2.locate(line).is_none() {
-            let home = self.l2.home_cluster(line);
-            let cluster = match owner {
-                Some(cpu) if self.policy.migrates => memo.get(self, cpu, home),
-                _ => home,
-            };
+        let home = self.l2.home_cluster(line);
+        let cluster = match owner {
+            Some(cpu) if self.policy.migrates => memo.get(self, cpu, home),
+            _ => home,
+        };
+        if !self.l2.has_copy_at(line, cluster) {
             let placed = self.l2.insert_at(line, cluster);
             if let Some(victim) = placed.evicted {
                 for sharer in self.dir.invalidate_all(victim).iter() {
@@ -163,16 +171,22 @@ mod tests {
         }
     }
 
+    /// The away map is reserved for every private line under a migrating
+    /// scheme and not at all under the static one, and the prewarm never
+    /// outgrows that.
     #[test]
     fn the_residency_map_is_sized_once() {
         for profile in BenchmarkProfile::all() {
             for scheme in Scheme::ALL {
                 let mut eng = engine(scheme, 2);
-                let regions: Vec<CpuRegions> = (0..eng.cores.len())
+                let private: u32 = (0..eng.cores.len())
                     .map(|i| cpu_regions(&profile, CpuId::from_index(i)))
-                    .collect();
+                    .map(|r| r.stream.lines + r.hot.lines + r.code.lines)
+                    .sum();
                 let mut sized = engine(scheme, 2).l2;
-                sized.reserve(working_set_lines(&profile, &regions));
+                if eng.policy.migrates {
+                    sized.reserve(private as usize);
+                }
                 eng.prewarm(&profile);
                 assert_eq!(
                     eng.l2.residency_capacity(),
@@ -180,6 +194,30 @@ mod tests {
                     "{} {scheme:?}: the map changed size during the prewarm",
                     profile.name
                 );
+            }
+        }
+    }
+
+    /// `install`'s target-cluster duplicate check relies on this: no two
+    /// regions of a shipped profile share a byte, at any CPU count the
+    /// directory allows.
+    #[test]
+    fn every_profiles_regions_are_pairwise_disjoint() {
+        let mut profiles = BenchmarkProfile::all();
+        profiles.push(BenchmarkProfile::synthetic());
+        for profile in profiles {
+            let mut spans = vec![shared_region(&profile)];
+            for i in 0..64 {
+                let r = cpu_regions(&profile, CpuId::from_index(i));
+                spans.extend([r.hot, r.stream, r.code]);
+            }
+            let mut spans: Vec<(u64, u64)> = spans
+                .iter()
+                .map(|r| (r.base, r.base + u64::from(r.lines) * 64))
+                .collect();
+            spans.sort_unstable();
+            for pair in spans.windows(2) {
+                assert!(pair[0].1 <= pair[1].0, "{}: {pair:x?}", profile.name);
             }
         }
     }

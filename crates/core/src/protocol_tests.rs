@@ -6,13 +6,15 @@
 //! clock): read hits found in step 1, step 2, and over a vertical
 //! pillar broadcast; read misses served flat and through edge memory
 //! controllers; the write-through store path; L2 evictions; and the
-//! migration trigger.
+//! migration trigger. Every quiesced engine, and a few whole `System`
+//! runs, must leave the L2's structural invariants holding.
 
 use super::*;
 
 use nim_cpu::CoreAction;
 use nim_noc::SendRequest;
 use nim_types::{Address, PacketId, TraceOp};
+use nim_workload::BenchmarkProfile;
 
 use crate::builder::SystemBuilder;
 use crate::fabric::TestFabric;
@@ -52,7 +54,7 @@ fn deliver(req: &SendRequest, at: u64) -> Delivered {
 
 /// Pumps scheduled events and recorded sends until the system
 /// quiesces; returns every decoded token that crossed the fabric, in
-/// delivery order.
+/// delivery order. The quiesced L2 must hold its invariants.
 fn pump(eng: &mut Engine, f: &mut TestFabric) -> Vec<Token> {
     let mut log = Vec::new();
     let mut clock = 0;
@@ -64,6 +66,7 @@ fn pump(eng: &mut Engine, f: &mut TestFabric) -> Vec<Token> {
         }
         let sent = f.take_sent();
         if sent.is_empty() {
+            eng.l2.check_invariants();
             return log;
         }
         clock += 1;
@@ -379,8 +382,34 @@ fn phase_buckets_survive_a_search_retry() {
         }
     }
     assert!(eng.txns.is_empty(), "transaction completed");
+    eng.l2.check_invariants();
     assert_eq!(eng.counters.search_retries, 1, "the race forced a retry");
     assert_eq!(eng.counters.l2_hits, 1, "the retry found the line");
     let total: u64 = eng.counters.phase_cycles().iter().sum();
     assert_eq!(total, eng.counters.hit_latency_sum);
+}
+
+/// Whole `System` runs keep the L2's invariants: every scheme on the
+/// default chip, where migration parks lines away from home and brings
+/// some back, and an 8-layer, 64-CPU chip whose working set overflows
+/// the L2, so the prewarm and the run both evict.
+#[test]
+fn system_runs_leave_the_l2_consistent() {
+    let profile = BenchmarkProfile::swim();
+    let mut cells: Vec<_> = Scheme::ALL.iter().map(|&s| (s, 2, 8)).collect();
+    cells.push((Scheme::CmpDnuca3d, 8, 64));
+    for (scheme, layers, cpus) in cells {
+        let mut sys = SystemBuilder::new(scheme)
+            .layers(layers)
+            .cpus(cpus)
+            .warmup_transactions(200)
+            .sampled_transactions(1_500)
+            .build()
+            .expect("system builds");
+        sys.run(&profile).expect("run completes");
+        sys.engine.l2.check_invariants();
+        if cpus == 64 {
+            assert!(sys.engine.l2.stats().evictions > 0, "the L2 overflows");
+        }
+    }
 }
