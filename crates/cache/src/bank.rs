@@ -19,16 +19,16 @@ use crate::plru::TreePlru;
 
 /// Result of inserting a line into a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Inserted {
+pub(crate) struct Inserted {
     /// Way the line was placed in.
-    pub way: u32,
+    pub(crate) way: u32,
     /// Line evicted to make room, if the set was full.
-    pub evicted: Option<LineAddr>,
+    pub(crate) evicted: Option<LineAddr>,
 }
 
 /// One cache bank: a column of sets.
 #[derive(Clone, Debug)]
-pub struct Bank {
+pub(crate) struct Bank {
     ways: usize,
     /// `sets × ways` slots, set-major: set `s` owns `[s·ways, (s+1)·ways)`.
     /// A slot whose `empty` bit is set holds a stale or fill value.
@@ -46,7 +46,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if `ways` is not a power of two in `1..=32`.
-    pub fn new(sets: u32, ways: u32) -> Self {
+    pub(crate) fn new(sets: u32, ways: u32) -> Self {
         let plru = TreePlru::new(ways);
         Self {
             ways: ways as usize,
@@ -66,7 +66,7 @@ impl Bank {
     /// Whether `line` is resident in `set`; returns the way if so. An
     /// empty way never matches, whatever its slot still holds.
     #[inline]
-    pub fn lookup(&self, set: u32, line: LineAddr) -> Option<u32> {
+    pub(crate) fn lookup(&self, set: u32, line: LineAddr) -> Option<u32> {
         let empty = self.empty[set as usize];
         self.slots(set as usize)
             .iter()
@@ -77,7 +77,7 @@ impl Bank {
 
     /// Marks `line` most-recently used in its set; returns whether it
     /// was resident (a miss leaves the set as it was).
-    pub fn touch(&mut self, set: u32, line: LineAddr) -> bool {
+    pub(crate) fn touch(&mut self, set: u32, line: LineAddr) -> bool {
         let Some(way) = self.lookup(set, line) else {
             return false;
         };
@@ -87,7 +87,7 @@ impl Bank {
 
     /// Inserts `line` into `set`, evicting the pseudo-LRU victim if full.
     /// A set with a free way fills its lowest one and evicts nothing.
-    pub fn insert(&mut self, set: u32, line: LineAddr) -> Inserted {
+    pub(crate) fn insert(&mut self, set: u32, line: LineAddr) -> Inserted {
         debug_assert!(self.lookup(set, line).is_none(), "line already present");
         let s = set as usize;
         let (way, full) = match self.empty[s] {
@@ -107,7 +107,7 @@ impl Bank {
     }
 
     /// Removes `line` from `set`; returns whether it was present.
-    pub fn remove(&mut self, set: u32, line: LineAddr) -> bool {
+    pub(crate) fn remove(&mut self, set: u32, line: LineAddr) -> bool {
         let Some(way) = self.lookup(set, line) else {
             return false;
         };
@@ -116,7 +116,7 @@ impl Bank {
     }
 
     /// Every resident line with its set, set by set.
-    pub fn resident(&self) -> impl Iterator<Item = (u32, LineAddr)> + '_ {
+    pub(crate) fn resident(&self) -> impl Iterator<Item = (u32, LineAddr)> + '_ {
         let sets = self.lines.chunks_exact(self.ways).zip(&self.empty);
         sets.enumerate().flat_map(|(set, (slots, &empty))| {
             let ways = slots.iter().enumerate();
@@ -126,7 +126,7 @@ impl Bank {
     }
 
     /// Number of resident lines in the bank.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         let free: u32 = self.empty.iter().map(|m| m.count_ones()).sum();
         self.lines.len() - free as usize
     }

@@ -21,15 +21,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
-pub mod migration;
-pub mod nuca;
-pub mod plru;
-pub mod search;
+pub(crate) mod bank;
+pub(crate) mod migration;
+pub(crate) mod nuca;
+pub(crate) mod plru;
+pub(crate) mod search;
 
-pub use bank::{Bank, Inserted};
 pub use migration::migration_target;
 pub use nuca::{L2Stats, MigrationError, MigrationOutcome, NucaL2, Placement};
 pub use plru::TreePlru;

@@ -45,7 +45,7 @@ impl TreePlru {
 
     /// Number of ways tracked.
     #[inline]
-    pub fn ways(&self) -> u32 {
+    pub(crate) fn ways(&self) -> u32 {
         u32::from(self.ways)
     }
 

@@ -36,7 +36,7 @@ pub struct SharerSet(u64);
 impl SharerSet {
     /// Number of CPUs in the set.
     #[inline]
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 

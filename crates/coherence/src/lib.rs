@@ -22,6 +22,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
 mod directory;

@@ -108,7 +108,7 @@ impl SystemBuilder {
     }
 
     /// Number of vertical pillars.
-    pub fn pillars(mut self, pillars: u16) -> Self {
+    pub(crate) fn pillars(mut self, pillars: u16) -> Self {
         self.recipe.cfg.network.pillars = pillars;
         self
     }

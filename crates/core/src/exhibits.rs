@@ -8,7 +8,7 @@
 //! cells under another spelling — and hands back finished [`Table`]s,
 //! which print themselves. DESIGN.md §5 lists the shipped exhibits.
 //!
-//! Each simulated exhibit also carries [`Claim`]s: the derived numbers
+//! Each simulated exhibit also carries `Claim`s: the derived numbers
 //! EXPERIMENTS.md quotes (mean deltas, extremes, orderings), computed
 //! from the finished table and printed under it, so the prose cannot
 //! drift from the record.
@@ -26,11 +26,11 @@ use crate::scheme::Scheme;
 use crate::txn::Phase;
 
 /// A value column: its head and how its numbers print.
-pub type Column = (&'static str, fn(f64) -> String);
+pub(crate) type Column = (&'static str, fn(f64) -> String);
 
 /// A derived number printed under a table: what it is, and how to read
 /// it off the finished table.
-pub type Claim = (&'static str, fn(&Table) -> f64);
+pub(crate) type Claim = (&'static str, fn(&Table) -> f64);
 
 /// A finished exhibit. `Display` is the one renderer: label column
 /// left-aligned, value columns right-aligned to their widest entry, one
@@ -40,14 +40,14 @@ pub struct Table {
     /// Heading, as the paper captions it.
     pub title: &'static str,
     /// Head of the label column.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// The value columns.
-    pub columns: Vec<Column>,
+    pub(crate) columns: Vec<Column>,
     /// Row label and one value per column; a value the row lacks prints
     /// as `-`.
-    pub rows: Vec<(String, Vec<f64>)>,
+    pub(crate) rows: Vec<(String, Vec<f64>)>,
     /// Derived numbers printed under the rows.
-    pub claims: Vec<Claim>,
+    pub(crate) claims: Vec<Claim>,
 }
 
 impl fmt::Display for Table {
@@ -80,11 +80,11 @@ impl fmt::Display for Table {
 #[derive(Clone, Debug)]
 pub struct Exhibit {
     /// Everything but the simulated rows, which [`run_exhibits`] appends.
-    pub table: Table,
+    pub(crate) table: Table,
     /// Row label and the cells the row is read from.
-    pub rows: Vec<(String, Vec<SweepSpec>)>,
+    pub(crate) rows: Vec<(String, Vec<SweepSpec>)>,
     /// A row's values from its cells' reports, in cell order.
-    pub read: fn(&[RunReport]) -> Vec<f64>,
+    pub(crate) read: fn(&[RunReport]) -> Vec<f64>,
 }
 
 /// What [`run_exhibits`] hands back.

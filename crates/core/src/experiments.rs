@@ -200,7 +200,7 @@ pub(crate) fn distinct(
     cells
 }
 
-/// Runs every cell across [`crate::parallel::configured_jobs`] worker
+/// Runs every cell across `crate::parallel::configured_jobs` worker
 /// threads and returns the per-cell outcomes **in cell order** — the
 /// ordering (and, because each cell is a seeded, self-contained
 /// simulation, every value) is bit-identical to running the cells
@@ -250,9 +250,9 @@ pub struct Table3Row {
     /// Peak temperature, °C.
     pub peak_c: f64,
     /// Average temperature, °C.
-    pub avg_c: f64,
+    pub(crate) avg_c: f64,
     /// Minimum temperature, °C.
-    pub min_c: f64,
+    pub(crate) min_c: f64,
 }
 
 /// Table 3: temperature profile of the seven placement configurations

@@ -33,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
 mod attribution;
@@ -61,6 +62,5 @@ pub use error::{BuildError, RunError, SnapshotError};
 pub use fabric::FabricKind;
 pub use report::{Counters, RunReport};
 pub use scheme::Scheme;
-pub use snapshot::ResumedRun;
 pub use system::System;
 pub use txn::Phase;

@@ -48,7 +48,7 @@ pub fn set_jobs_override(jobs: Option<usize>) {
 /// The worker count [`par_map`] will use: the [`set_jobs_override`] value
 /// if set, else `NIM_JOBS` if parseable and non-zero, else
 /// [`std::thread::available_parallelism`] (1 if even that is unknown).
-pub fn configured_jobs() -> usize {
+pub(crate) fn configured_jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
@@ -63,7 +63,7 @@ pub fn configured_jobs() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Maps `f` over `items` with [`configured_jobs`] workers, returning the
+/// Maps `f` over `items` with `configured_jobs` workers, returning the
 /// results in item order — deterministically equal to the sequential
 /// `items.iter().enumerate().map(|(i, it)| f(i, it))`.
 ///

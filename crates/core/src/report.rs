@@ -22,36 +22,36 @@ pub struct Counters {
     /// Cache-line migrations committed.
     pub migrations: u64,
     /// Data-bank accesses (reads + writes + migration writes).
-    pub bank_accesses: u64,
+    pub(crate) bank_accesses: u64,
     /// Tag-array probes.
-    pub tag_accesses: u64,
+    pub(crate) tag_accesses: u64,
     /// L1 invalidation messages sent.
     pub invalidations: u64,
     /// Lines evicted from the L2 (written back to memory).
     pub l2_evictions: u64,
     /// Searches re-issued because a migration raced the probes.
-    pub search_retries: u64,
+    pub(crate) search_retries: u64,
     /// Hits served by a step-1 probe (local cluster or the vicinity
     /// cylinder).
     pub step1_hits: u64,
     /// Hits served by the step-2 multicast.
     pub step2_hits: u64,
     /// Latency sum of step-1 hits.
-    pub step1_latency_sum: u64,
+    pub(crate) step1_latency_sum: u64,
     /// Latency sum of step-2 hits.
-    pub step2_latency_sum: u64,
+    pub(crate) step2_latency_sum: u64,
     /// Cycles completed transactions spent traversing the horizontal
     /// mesh (wormhole hops, router waits, reply fan-out).
-    pub noc_hop_cycles: u64,
+    pub(crate) noc_hop_cycles: u64,
     /// Cycles completed transactions spent waiting for a dTDMA pillar
     /// slot.
-    pub pillar_wait_cycles: u64,
+    pub(crate) pillar_wait_cycles: u64,
     /// Cycles completed transactions spent queueing behind tag-array
     /// and bank serialization.
-    pub resource_queue_cycles: u64,
+    pub(crate) resource_queue_cycles: u64,
     /// Cycles completed transactions spent in L2 service proper (tag
     /// lookups, bank reads/writes).
-    pub l2_service_cycles: u64,
+    pub(crate) l2_service_cycles: u64,
     /// Cycles completed transactions spent waiting on DRAM (channel
     /// queueing, the access itself, and the memory-side network legs).
     pub mem_wait_cycles: u64,
@@ -169,7 +169,7 @@ impl RunReport {
     }
 
     /// Mean cycles per completed transaction spent in each attribution
-    /// phase, in [`Phase::ALL`](crate::txn::Phase::ALL) order. The five
+    /// phase, in `Phase::ALL` order. The five
     /// means sum to the mean end-to-end transaction latency.
     pub fn latency_breakdown(&self) -> [f64; 5] {
         let n = self.counters.l2_transactions;
@@ -181,7 +181,7 @@ impl RunReport {
     /// Activity counts for the energy model: bank and tag accesses over
     /// the window, flit hops and bus transfers over the whole run
     /// (warm-up included — see [`RunReport::network`]).
-    pub fn activity(&self) -> ActivityCounts {
+    pub(crate) fn activity(&self) -> ActivityCounts {
         ActivityCounts {
             flit_hops: self.network.flit_hops,
             bus_transfers: self.bus_transfers,
@@ -190,7 +190,7 @@ impl RunReport {
         }
     }
 
-    /// L2 memory-system energy of [`RunReport::activity`]: the bank and
+    /// L2 memory-system energy of `RunReport::activity`: the bank and
     /// tag terms cover the window, the flit-hop and bus-transfer terms
     /// the whole run, so a short sample reads the warm-up's network
     /// energy.

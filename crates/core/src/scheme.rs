@@ -31,13 +31,13 @@ impl Scheme {
     ];
 
     /// Whether the scheme stacks multiple device layers.
-    pub fn is_3d(self) -> bool {
+    pub(crate) fn is_3d(self) -> bool {
         matches!(self, Scheme::CmpSnuca3d | Scheme::CmpDnuca3d)
     }
 
     /// The CPU placement policy the scheme uses. `cpus_exceed_pillars`
     /// selects Algorithm 1 (shared pillars) over maximal offsetting.
-    pub fn placement(self, cpus_exceed_pillars: bool) -> PlacementPolicy {
+    pub(crate) fn placement(self, cpus_exceed_pillars: bool) -> PlacementPolicy {
         match self {
             Scheme::CmpDnuca => PlacementPolicy::Edges,
             Scheme::CmpDnuca2d => PlacementPolicy::Interior2d,

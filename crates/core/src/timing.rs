@@ -27,22 +27,22 @@ const TAG_INITIATION: u64 = 2;
 /// [`ClaimedDelay::total`] matters, and it equals what `claim` returned
 /// before the split existed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClaimedDelay {
+pub(crate) struct ClaimedDelay {
     /// Cycles waiting for the resource's slot (serialization queueing).
-    pub queue: u64,
+    pub(crate) queue: u64,
     /// Cycles of service once the slot is held.
-    pub service: u64,
+    pub(crate) service: u64,
 }
 
 impl ClaimedDelay {
     /// A zero delay (e.g. a tag check the oracle skips).
-    pub const NONE: ClaimedDelay = ClaimedDelay {
+    pub(crate) const NONE: ClaimedDelay = ClaimedDelay {
         queue: 0,
         service: 0,
     };
 
     /// Total cycles until the claimed operation completes.
-    pub fn total(self) -> u64 {
+    pub(crate) fn total(self) -> u64 {
         self.queue.saturating_add(self.service)
     }
 }

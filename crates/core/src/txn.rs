@@ -49,7 +49,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in bucket order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::NocHop,
         Phase::PillarWait,
         Phase::ResourceQueue,
@@ -58,7 +58,7 @@ impl Phase {
     ];
 
     /// Stable short name (used for metric keys and sampler columns).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::NocHop => "noc_hop",
             Phase::PillarWait => "pillar_wait",

@@ -64,16 +64,17 @@ pub struct CoreStats {
     /// Instructions retired.
     pub instructions: u64,
     /// Cycles stalled waiting for load/fetch data.
-    pub data_stall_cycles: u64,
+    pub(crate) data_stall_cycles: u64,
     /// Cycles stalled on a full store buffer.
-    pub store_stall_cycles: u64,
+    pub(crate) store_stall_cycles: u64,
     /// Stores issued to the L2 (write-through traffic).
-    pub stores_issued: u64,
+    pub(crate) stores_issued: u64,
 }
 
 impl CoreStats {
     /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ipc(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
@@ -108,12 +109,6 @@ impl InOrderCore {
             store_buffer_depth: STORE_BUFFER_DEPTH,
             stats: CoreStats::default(),
         }
-    }
-
-    /// This core's id.
-    #[inline]
-    pub fn id(&self) -> CpuId {
-        self.id
     }
 
     /// Performance counters.

@@ -11,9 +11,9 @@ use nim_types::{Address, L1Config, LineAddr};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct L1Stats {
     /// Lookups that hit.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that missed.
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,7 +99,8 @@ impl L1Cache {
 
     /// Whether the line containing `addr` is resident (no LRU/counter
     /// side effects).
-    pub fn contains(&self, addr: Address) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, addr: Address) -> bool {
         let line = addr.line(self.line_bytes);
         self.set(self.set_of(line)).iter().any(|w| w.line == line)
     }
@@ -132,7 +133,7 @@ impl L1Cache {
 
     /// Drops `line` (coherence invalidation). Returns whether it was
     /// present. The set's last filled way takes the freed slot.
-    pub fn invalidate(&mut self, line: LineAddr) -> bool {
+    pub(crate) fn invalidate(&mut self, line: LineAddr) -> bool {
         let set = self.set_of(line);
         let Some(i) = self.set(set).iter().position(|w| w.line == line) else {
             return false;

@@ -38,11 +38,11 @@ pub struct BusStats {
 /// One transceiver interface: the per-layer queue feeding the bus.
 #[derive(Clone, Debug)]
 pub(crate) struct Iface {
-    pub q: FlitFifo,
+    pub(crate) q: FlitFifo,
     /// Destination-side VC bound by the in-transfer packet (set by its
     /// head flit, cleared by its tail), so multi-flit packets land in a
     /// single VC even when the arbiter interleaves transmitters.
-    pub bound_vc: Option<usize>,
+    pub(crate) bound_vc: Option<usize>,
 }
 
 impl Iface {
@@ -58,12 +58,12 @@ impl Iface {
 #[derive(Clone, Debug)]
 pub(crate) struct DtdmaBus {
     #[allow(dead_code)] // identifies the bus in diagnostics and tests
-    pub pillar: PillarId,
+    pub(crate) pillar: PillarId,
     /// Pillar position, identical on every layer.
-    pub xy: (u8, u8),
+    pub(crate) xy: (u8, u8),
     /// Round-robin pointer over interfaces (the dynamic slot schedule).
-    pub rr: usize,
-    pub stats: BusStats,
+    pub(crate) rr: usize,
+    pub(crate) stats: BusStats,
 }
 
 impl DtdmaBus {

@@ -52,7 +52,7 @@ pub struct ZeroLoadPath {
     /// The tail flit's accumulated dTDMA wait (0 on same-layer routes).
     pub bus_wait: u32,
     /// The pillar the packet crosses layers on, if any.
-    pub pillar: Option<PillarId>,
+    pub(crate) pillar: Option<PillarId>,
 }
 
 /// Predicts the zero-load timing of a packet of `flits` flits sent from

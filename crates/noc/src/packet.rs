@@ -24,18 +24,18 @@ pub enum FlitKind {
 impl FlitKind {
     /// Whether this flit performs head duties (VC allocation).
     #[inline]
-    pub const fn is_head(self) -> bool {
+    pub(crate) const fn is_head(self) -> bool {
         matches!(self, FlitKind::Head | FlitKind::HeadTail)
     }
 
     /// Whether this flit performs tail duties (resource release).
     #[inline]
-    pub const fn is_tail(self) -> bool {
+    pub(crate) const fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
 
     /// The kind of flit number `seq` in a packet of `len` flits.
-    pub const fn for_position(seq: u32, len: u32) -> FlitKind {
+    pub(crate) const fn for_position(seq: u32, len: u32) -> FlitKind {
         if len == 1 {
             FlitKind::HeadTail
         } else if seq == 0 {
@@ -62,17 +62,18 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
-    /// All classes, for dense indexing.
-    pub const ALL: [TrafficClass; 4] = [
+    /// All classes, in [`index`](Self::index) order.
+    #[cfg(test)]
+    pub(crate) const ALL: [TrafficClass; 4] = [
         TrafficClass::Control,
         TrafficClass::Data,
         TrafficClass::Migration,
         TrafficClass::Coherence,
     ];
 
-    /// Dense index matching [`TrafficClass::ALL`].
+    /// Dense index, in declaration order.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             TrafficClass::Control => 0,
             TrafficClass::Data => 1,
@@ -83,7 +84,7 @@ impl TrafficClass {
 
     /// Stable lowercase name, used as a trace-event label.
     #[inline]
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             TrafficClass::Control => "control",
             TrafficClass::Data => "data",
@@ -99,34 +100,34 @@ impl TrafficClass {
 /// about packets (look-ahead routing computes the output port from the
 /// destination on the fly).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Packet this flit belongs to.
-    pub pkt: PacketId,
+    pub(crate) pkt: PacketId,
     /// Head/body/tail position.
-    pub kind: FlitKind,
+    pub(crate) kind: FlitKind,
     /// Injecting node.
-    pub src: Coord,
+    pub(crate) src: Coord,
     /// Destination node.
-    pub dst: Coord,
+    pub(crate) dst: Coord,
     /// Pillar to ride for inter-layer traversal (the transaction owner's
     /// dedicated pillar); `None` lets routers pick the nearest.
-    pub via: Option<PillarId>,
+    pub(crate) via: Option<PillarId>,
     /// Message class for statistics.
-    pub class: TrafficClass,
+    pub(crate) class: TrafficClass,
     /// Opaque sender cookie, returned on delivery.
-    pub token: u64,
+    pub(crate) token: u64,
     /// Cycle the packet was handed to [`Network::send`].
     ///
     /// [`Network::send`]: crate::Network::send
-    pub injected: Cycle,
+    pub(crate) injected: Cycle,
     /// Cycle this flit last moved (prevents multi-hop teleports within a
     /// single simulated cycle).
-    pub arrived: Cycle,
+    pub(crate) arrived: Cycle,
     /// Router traversals so far (head flit only is meaningful).
-    pub hops: u16,
+    pub(crate) hops: u16,
     /// Cycles spent waiting for dTDMA pillar slots so far (head flit
     /// only is meaningful) — the vertical-arbitration share of latency.
-    pub bus_wait: u32,
+    pub(crate) bus_wait: u32,
 }
 
 impl Flit {

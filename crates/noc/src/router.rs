@@ -34,11 +34,11 @@ use crate::vc::Vc;
 /// claims an output, body flits follow contiguously until the tail).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Hold {
-    pub pkt: PacketId,
+    pub(crate) pkt: PacketId,
     /// Input direction the packet is streaming from.
-    pub in_dir: u8,
+    pub(crate) in_dir: u8,
     /// VC index within that input port.
-    pub vc: u8,
+    pub(crate) vc: u8,
 }
 
 /// Mask position of VC `vc` of input port `in_dir`.
@@ -62,10 +62,10 @@ fn vc_slot(in_dir: usize, vc: usize) -> usize {
 /// One router: a flat array of input VCs plus switch-allocation state.
 #[derive(Clone, Debug)]
 pub(crate) struct Router {
-    pub coord: Coord,
+    pub(crate) coord: Coord,
     /// Node index of the router each mesh / `Up` / `Down` output links
     /// to, filled in by the network builder (unused entries stay 0).
-    pub next: [u32; Dir::COUNT],
+    pub(crate) next: [u32; Dir::COUNT],
     /// Ports that exist (each is an input and an output), as a bitmask
     /// over [`Dir::index`].
     ports: u8,
@@ -81,7 +81,7 @@ pub(crate) struct Router {
     held: [Hold; Dir::COUNT],
     /// Per-output round-robin arbitration pointer: the [`vc_bit`]
     /// position that wins arbitration first.
-    pub rr: [u8; Dir::COUNT],
+    pub(crate) rr: [u8; Dir::COUNT],
     /// Every input VC at its [`vc_bit`]; the slots of ports that do not
     /// exist, and of VCs past `vcs_per_port`, are [`Vc::ABSENT`].
     vcs: [Vc; SLOTS],

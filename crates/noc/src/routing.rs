@@ -151,8 +151,8 @@ pub(crate) fn route_reference(
 /// besides the flit and its position.
 #[derive(Clone, Debug)]
 pub(crate) struct Routing {
-    pub layout: ChipLayout,
-    pub mode: VerticalMode,
+    pub(crate) layout: ChipLayout,
+    pub(crate) mode: VerticalMode,
 }
 
 impl Routing {

@@ -9,7 +9,7 @@ pub use nim_obs::LatencyHistogram;
 /// Counters accumulated by the network across a run.
 ///
 /// Per-class breakdowns are indexed by
-/// [`TrafficClass::index`](crate::packet::TrafficClass::index); the energy
+/// `TrafficClass::index`; the energy
 /// model in `nim-power` consumes the flit-hop and bus-transfer counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {

@@ -25,15 +25,15 @@ use crate::packet::FlitFifo;
 /// owner protocol, together with the router masks that summarise it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Vc {
-    pub fifo: FlitFifo,
+    pub(crate) fifo: FlitFifo,
     /// The packet whose head flit allocated the VC, until its tail leaves.
-    pub owner: Option<PacketId>,
+    pub(crate) owner: Option<PacketId>,
     /// Look-ahead route of the packet the VC holds: the output port its
     /// flits request at this router. A head flit only ever enters an
     /// empty VC, so the route is computed once, as the head becomes the
     /// front, and a blocked flit costs no routing on later cycles.
     /// Derived state: meaningful only while the VC is non-empty.
-    pub out: Dir,
+    pub(crate) out: Dir,
 }
 
 impl Vc {

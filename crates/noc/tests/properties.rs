@@ -80,6 +80,24 @@ fn run_traffic(mode: VerticalMode, traffic: Vec<Traffic>) -> Result<(), TestCase
     Ok(())
 }
 
+/// The case real proptest once shrank a failure of the two delivery
+/// properties to: one 1-flit packet from the far edge of layer 0 to the
+/// other edge of layer 1, with nothing else in flight.
+#[test]
+fn one_flit_packet_across_the_chip_and_up_a_layer() {
+    let traffic = vec![Traffic {
+        src: Coord::new(13, 4, 0),
+        dst: Coord::new(0, 4, 1),
+        flits: 1,
+        gap: 0,
+    }];
+    for mode in [VerticalMode::Pillars, VerticalMode::Mesh3d] {
+        if let Err(e) = run_traffic(mode, traffic.clone()) {
+            panic!("{mode:?}: {e:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -33,7 +33,7 @@ pub enum Category {
 
 impl Category {
     /// Every category, in bit order.
-    pub const ALL: [Category; 10] = [
+    pub(crate) const ALL: [Category; 10] = [
         Category::Packet,
         Category::Hop,
         Category::Pillar,
@@ -47,7 +47,7 @@ impl Category {
     ];
 
     /// Stable lowercase name (the trace `cat` field and filter token).
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Category::Packet => "packet",
             Category::Hop => "hop",
@@ -64,7 +64,7 @@ impl Category {
 
     /// Position in [`Category::ALL`] (also the Perfetto track id).
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -109,7 +109,7 @@ impl CategoryMask {
 
     /// Whether `cat` is enabled.
     #[inline]
-    pub const fn contains(self, cat: Category) -> bool {
+    pub(crate) const fn contains(self, cat: Category) -> bool {
         self.0 & (1 << cat.index()) != 0
     }
 
@@ -121,7 +121,7 @@ impl CategoryMask {
 
     /// This mask minus `cat`.
     #[must_use]
-    pub const fn without(self, cat: Category) -> CategoryMask {
+    pub(crate) const fn without(self, cat: Category) -> CategoryMask {
         CategoryMask(self.0 & !(1 << cat.index()))
     }
 

@@ -9,9 +9,9 @@ use crate::json::push_json_string;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
     /// Simulation cycle at which the event occurred.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// The typed payload.
-    pub data: EventData,
+    pub(crate) data: EventData,
 }
 
 /// How one payload field type is written as a JSON value.
@@ -177,7 +177,7 @@ impl Event {
     /// Appends this event as one Chrome `trace_event` instant-event JSON
     /// object (no trailing newline or comma). `ts` is the simulation
     /// cycle, mapped 1 cycle = 1 µs; `tid` is the category track.
-    pub fn write_chrome_json(&self, out: &mut String) {
+    pub(crate) fn write_chrome_json(&self, out: &mut String) {
         let cat = self.data.category();
         match self.data.phase() {
             // Async span halves carry an `id` (pairs "b" with "e") and

@@ -64,7 +64,7 @@ impl LatencyHistogram {
 
     /// The standard latency readout — (p50, p95, p99) upper bounds —
     /// in one call. All zeros for an empty histogram.
-    pub fn percentiles(&self) -> (u64, u64, u64) {
+    pub(crate) fn percentiles(&self) -> (u64, u64, u64) {
         (
             self.quantile_upper_bound(0.50),
             self.quantile_upper_bound(0.95),

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a JSON string literal (with quotes),
 /// escaping quotes, backslashes, and control characters per RFC 8259.
-pub fn push_json_string(out: &mut String, s: &str) {
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -29,7 +29,7 @@ pub fn push_json_string(out: &mut String, s: &str) {
 
 /// Formats an `f64` as a JSON number (JSON has no NaN/Infinity; those
 /// degrade to `0`).
-pub fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
             format!("{:.1}", v)

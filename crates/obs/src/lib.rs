@@ -40,6 +40,7 @@
 //! below every simulator crate without cycles and build offline.
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 
 mod category;
 mod event;
@@ -53,8 +54,8 @@ pub use category::{Category, CategoryMask};
 pub use event::{Event, EventData};
 pub use hist::LatencyHistogram;
 pub use metrics::{Metric, MetricsRegistry};
-pub use ring::TraceBuffer;
-pub use sampler::{EpochSampler, SampleRow};
+pub(crate) use ring::TraceBuffer;
+pub(crate) use sampler::EpochSampler;
 
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
@@ -175,8 +176,8 @@ impl Obs {
     }
 
     /// The last stamped cycle (0 when disabled).
-    #[inline]
-    pub fn now(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.now.get())
     }
 
@@ -328,7 +329,7 @@ impl Obs {
 
     /// Simulated cycles per wall-clock second measured by the sampler,
     /// or `None` when it has not measured a rate (see
-    /// [`EpochSampler::cycles_per_sec`]).
+    /// `EpochSampler::cycles_per_sec`).
     pub fn cycles_per_sec(&self) -> Option<f64> {
         self.inner
             .as_ref()

@@ -29,7 +29,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Adds `delta` to a counter, creating it at zero first.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
         match self.metrics.get_mut(name) {
             Some(Metric::Counter(v)) => *v += delta,
             Some(other) => *other = Metric::Counter(delta),
@@ -41,18 +41,18 @@ impl MetricsRegistry {
     }
 
     /// Sets a counter to an absolute value.
-    pub fn counter_set(&mut self, name: &str, value: u64) {
+    pub(crate) fn counter_set(&mut self, name: &str, value: u64) {
         self.metrics
             .insert(name.to_string(), Metric::Counter(value));
     }
 
     /// Sets a gauge.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
         self.metrics.insert(name.to_string(), Metric::Gauge(value));
     }
 
     /// Records one sample into a histogram, creating it if absent.
-    pub fn histogram_record(&mut self, name: &str, sample: u64) {
+    pub(crate) fn histogram_record(&mut self, name: &str, sample: u64) {
         match self.metrics.get_mut(name) {
             Some(Metric::Histogram(h)) => h.record(sample),
             _ => {
@@ -64,12 +64,12 @@ impl MetricsRegistry {
     }
 
     /// Stores a pre-built histogram (e.g. one accumulated elsewhere).
-    pub fn histogram_set(&mut self, name: &str, h: LatencyHistogram) {
+    pub(crate) fn histogram_set(&mut self, name: &str, h: LatencyHistogram) {
         self.metrics.insert(name.to_string(), Metric::Histogram(h));
     }
 
     /// A counter's value, or 0 if absent / not a counter.
-    pub fn counter(&self, name: &str) -> u64 {
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         match self.metrics.get(name) {
             Some(Metric::Counter(v)) => *v,
             _ => 0,
@@ -90,17 +90,12 @@ impl MetricsRegistry {
     }
 
     /// Number of registered metrics.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.metrics.len()
     }
 
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// Appends the registry as one JSON object.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         out.push('{');
         let mut first = true;
         for (name, metric) in &self.metrics {

@@ -8,7 +8,7 @@ use crate::event::Event;
 /// increments — a long run keeps the most recent window rather than
 /// exhausting memory or silently losing the tail.
 #[derive(Clone, Debug)]
-pub struct TraceBuffer {
+pub(crate) struct TraceBuffer {
     buf: Vec<Event>,
     cap: usize,
     /// Index of the oldest event once the ring has wrapped.
@@ -18,7 +18,7 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// Creates a buffer holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> TraceBuffer {
+    pub(crate) fn new(capacity: usize) -> TraceBuffer {
         TraceBuffer {
             buf: Vec::new(),
             cap: capacity.max(1),
@@ -28,7 +28,7 @@ impl TraceBuffer {
     }
 
     /// Appends an event, evicting the oldest if full.
-    pub fn push(&mut self, e: Event) {
+    pub(crate) fn push(&mut self, e: Event) {
         if self.buf.len() < self.cap {
             self.buf.push(e);
         } else {
@@ -39,27 +39,22 @@ impl TraceBuffer {
     }
 
     /// Events currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The ring capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Iterates events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())

@@ -7,13 +7,13 @@ use crate::json::{json_f64, push_json_string};
 
 /// One snapshot row.
 #[derive(Clone, Debug)]
-pub struct SampleRow {
+pub(crate) struct SampleRow {
     /// Simulation cycle of the snapshot.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Wall-clock seconds since the sampler started.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Values aligned with [`EpochSampler::columns`].
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
 }
 
 /// Snapshots named scalar series every N cycles.
@@ -23,7 +23,7 @@ pub struct SampleRow {
 /// from which [`EpochSampler::cycles_per_sec`] derives
 /// simulated-cycles-per-wall-second self-profiling.
 #[derive(Clone, Debug)]
-pub struct EpochSampler {
+pub(crate) struct EpochSampler {
     every: u64,
     started: Instant,
     columns: Vec<String>,
@@ -32,7 +32,7 @@ pub struct EpochSampler {
 
 impl EpochSampler {
     /// Creates a sampler with the given epoch length (cycles, min 1).
-    pub fn new(every: u64) -> EpochSampler {
+    pub(crate) fn new(every: u64) -> EpochSampler {
         EpochSampler {
             every: every.max(1),
             started: Instant::now(),
@@ -42,12 +42,12 @@ impl EpochSampler {
     }
 
     /// Column names, as the first row named them.
-    pub fn columns(&self) -> &[String] {
+    pub(crate) fn columns(&self) -> &[String] {
         &self.columns
     }
 
     /// Recorded rows, oldest first.
-    pub fn rows(&self) -> &[SampleRow] {
+    pub(crate) fn rows(&self) -> &[SampleRow] {
         &self.rows
     }
 
@@ -60,7 +60,7 @@ impl EpochSampler {
     ///
     /// Panics if `names` and `values` lengths differ, and (debug builds)
     /// if `names` differ from the columns the first row fixed.
-    pub fn record(&mut self, cycle: u64, names: &[String], values: &[f64]) {
+    pub(crate) fn record(&mut self, cycle: u64, names: &[String], values: &[f64]) {
         assert_eq!(names.len(), values.len(), "column/value length mismatch");
         if self.rows.is_empty() {
             self.columns = names.to_vec();
@@ -75,7 +75,7 @@ impl EpochSampler {
 
     /// Simulated cycles per wall-clock second between the first and last
     /// snapshot, or `None` with fewer than two rows or no elapsed time.
-    pub fn cycles_per_sec(&self) -> Option<f64> {
+    pub(crate) fn cycles_per_sec(&self) -> Option<f64> {
         let (first, last) = match (self.rows.first(), self.rows.last()) {
             (Some(f), Some(l)) if l.cycle > f.cycle => (f, l),
             _ => return None,
@@ -86,7 +86,7 @@ impl EpochSampler {
 
     /// Appends the sampler as one JSON object:
     /// `{"every":N,"columns":[...],"rows":[[cycle,wall_secs,v...],...]}`.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"every\":{},\"cycles_per_sec\":{},\"columns\":[",

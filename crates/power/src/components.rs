@@ -17,7 +17,7 @@ pub struct ComponentSpec {
     /// Area in mm².
     pub area_mm2: f64,
     /// How many instances a design needs ("2 per client", ...).
-    pub multiplicity: &'static str,
+    pub(crate) multiplicity: &'static str,
 }
 
 /// Generic 5-port NoC router (N, S, E, W, local), 90 nm synthesis.

@@ -23,13 +23,13 @@
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// One flit through one router (buffer write + crossbar + link).
-    pub router_flit_j: f64,
+    pub(crate) router_flit_j: f64,
     /// One flit across a dTDMA pillar.
-    pub bus_flit_j: f64,
+    pub(crate) bus_flit_j: f64,
     /// One 64 KB data-bank access.
-    pub bank_access_j: f64,
+    pub(crate) bank_access_j: f64,
     /// One cluster tag-array probe.
-    pub tag_access_j: f64,
+    pub(crate) tag_access_j: f64,
 }
 
 impl Default for EnergyModel {

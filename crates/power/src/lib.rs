@@ -2,19 +2,19 @@
 //!
 //! Three pieces:
 //!
-//! * [`components`] — the paper's Table 1: synthesised 90 nm power/area of
+//! * `components` — the paper's Table 1: synthesised 90 nm power/area of
 //!   the 5-port router and the dTDMA transceiver/arbiter, plus the
 //!   `3n + log2(n)` control-wire arithmetic.
-//! * [`vias`] — Table 2: device area a pillar's through-silicon wiring
+//! * `vias` — Table 2: device area a pillar's through-silicon wiring
 //!   wastes at each via pitch.
-//! * [`energy`] — activity-based L2 energy: routers, buses, banks, tag
+//! * `energy` — activity-based L2 energy: routers, buses, banks, tag
 //!   arrays; this is what quantifies the paper's "fewer migrations →
 //!   lower power" argument.
 //!
 //! # Examples
 //!
 //! ```
-//! use nim_power::energy::{ActivityCounts, EnergyModel};
+//! use nim_power::{ActivityCounts, EnergyModel};
 //!
 //! let model = EnergyModel::default();
 //! let counts = ActivityCounts { flit_hops: 1_000, ..Default::default() };
@@ -22,11 +22,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
-pub mod components;
-pub mod energy;
-pub mod vias;
+pub(crate) mod components;
+pub(crate) mod energy;
+pub(crate) mod vias;
 
 pub use components::{
     control_wires_per_layer, pillar_wires, table1, ComponentSpec, DTDMA_ARBITER, DTDMA_TRANSCEIVER,

@@ -13,7 +13,7 @@ use crate::components::pillar_wires;
 
 /// Effective pitch² cost per wire implied by Table 2 (a 25 × 25 via
 /// field for 170 wires).
-pub const PAD_FACTOR: f64 = 625.0 / 170.0;
+pub(crate) const PAD_FACTOR: f64 = 625.0 / 170.0;
 
 /// The four via pitches of Table 2, in µm.
 pub const TABLE2_PITCHES_UM: [f64; 4] = [10.0, 5.0, 1.0, 0.2];

@@ -15,7 +15,7 @@
 //! power then matches the T1's envelope).
 
 /// Ambient / heat-sink reference temperature (°C).
-pub const AMBIENT_C: f64 = 45.0;
+pub(crate) const AMBIENT_C: f64 = 45.0;
 
 /// Lateral tile-to-tile thermal resistance (K/W).
 ///
@@ -23,27 +23,27 @@ pub const AMBIENT_C: f64 = 45.0;
 /// k ≈ 150 W/(m·K) gives ~20-60 K/W depending on the effective thickness
 /// that conducts laterally; 34 K/W (≈ 0.13 mm effective thickness)
 /// reproduces the Table 3 anchor row's peak-over-average spread.
-pub const R_LATERAL: f64 = 34.0;
+pub(crate) const R_LATERAL: f64 = 34.0;
 
 /// Vertical tile-to-tile resistance between adjacent device layers (K/W).
 ///
 /// The 10 µm inter-wafer gap (paper §3.1) is filled by bonding adhesive
 /// and the inter-layer dielectric stack (k_eff well below bulk silicon);
 /// with interface effects this is ~10 K/W over a 1.5 mm × 1.5 mm tile.
-pub const R_VERTICAL: f64 = 12.0;
+pub(crate) const R_VERTICAL: f64 = 12.0;
 
 /// Per-tile resistance from layer 0 into the heat sink (K/W).
 ///
 /// Junction-to-ambient resistance of ~0.12 K/W for the full 288 mm² die
 /// footprint, apportioned over 256 tiles ≈ 30 K/W per tile. This is the
 /// one constant tuned against the Table 3 anchor row.
-pub const R_SINK: f64 = 30.0;
+pub(crate) const R_SINK: f64 = 30.0;
 
 /// Power of one CPU core tile (W), following the paper's T1 argument.
-pub const CPU_W: f64 = 8.0;
+pub(crate) const CPU_W: f64 = 8.0;
 
 /// Residual power of one clock-gated 64 KB cache-bank tile (W).
-pub const BANK_W: f64 = 0.05;
+pub(crate) const BANK_W: f64 = 0.05;
 
 #[cfg(test)]
 mod tests {

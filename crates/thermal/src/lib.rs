@@ -26,9 +26,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
-pub mod calib;
+pub(crate) mod calib;
 mod model;
 
 pub use model::{ThermalConfig, ThermalModel, ThermalProfile};

@@ -22,7 +22,7 @@ use nim_types::Coord;
 
 use crate::calib;
 
-/// Thermal network parameters (see [`calib`] for the calibration story).
+/// Thermal network parameters (see `calib` for the calibration story).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ThermalConfig {
     /// Ambient (heat-sink) temperature in °C.

@@ -231,7 +231,7 @@ impl ChipLayout {
 
     /// Nodes per layer.
     #[inline]
-    pub const fn nodes_per_layer(&self) -> usize {
+    pub(crate) const fn nodes_per_layer(&self) -> usize {
         self.width as usize * self.height as usize
     }
 

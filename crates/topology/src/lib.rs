@@ -7,12 +7,12 @@
 //! of `(x, y)` positions (paper §3.1). CPUs are seated on or near pillars
 //! with thermally-aware offsets (paper §3.3, Algorithm 1).
 //!
-//! * [`layout`] — [`ChipLayout`]: all geometry derived from a
+//! * `layout` — [`ChipLayout`]: all geometry derived from a
 //!   [`SystemConfig`](nim_types::SystemConfig), the O(1) nearest-pillar
 //!   table and the route-cost metric included.
-//! * [`placement`] — [`PlacementPolicy`] and the seating of CPUs.
+//! * `placement` — [`PlacementPolicy`] and the seating of CPUs.
 //! * [`floorplan`] — what occupies each tile, for the thermal model.
-//! * [`topology`] — names the frozen benchmark compiles against.
+//! * `topology` — names the frozen benchmark compiles against.
 //!
 //! # Examples
 //!
@@ -31,12 +31,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
 pub mod floorplan;
-pub mod layout;
-pub mod placement;
-pub mod topology;
+pub(crate) mod layout;
+pub(crate) mod placement;
+pub(crate) mod topology;
 
 pub use floorplan::Floorplan;
 pub use layout::{ChipLayout, TopologyError};

@@ -61,7 +61,8 @@ impl IdSet {
     }
 
     /// The members, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words
             .iter()
             .enumerate()

@@ -8,7 +8,7 @@
 //! version-skewed image comes back as a [`CodecError`], never as a
 //! misparse.
 //!
-//! The top-level [`SNAPSHOT_MAGIC`] / [`SNAPSHOT_VERSION`] pair gates
+//! The top-level `SNAPSHOT_MAGIC` / `SNAPSHOT_VERSION` pair gates
 //! compatibility: readers reject images of any other version, older or
 //! newer, with [`CodecError::UnsupportedVersion`].
 //!
@@ -30,10 +30,10 @@ use core::hash::Hasher as _;
 use crate::hash::FxHasher;
 
 /// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"NIMSNAP\0";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NIMSNAP\0";
 
 /// The top-level snapshot format version: the only one read or written.
-pub const SNAPSHOT_VERSION: u16 = 4;
+pub(crate) const SNAPSHOT_VERSION: u16 = 4;
 
 /// Bytes of the trailing checksum.
 const CHECKSUM_BYTES: usize = 8;
@@ -48,7 +48,7 @@ pub enum CodecError {
         /// Bytes actually remaining.
         remaining: usize,
     },
-    /// The file does not start with [`SNAPSHOT_MAGIC`].
+    /// The file does not start with `SNAPSHOT_MAGIC`.
     BadMagic,
     /// The file was written in another format version.
     UnsupportedVersion {
@@ -102,7 +102,7 @@ pub struct ByteWriter {
 
 impl ByteWriter {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -116,7 +116,7 @@ impl ByteWriter {
     }
 
     /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
@@ -134,27 +134,27 @@ impl ByteWriter {
     }
 
     /// Appends a `u16`, little-endian.
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Appends a `usize` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
@@ -164,7 +164,7 @@ impl ByteWriter {
     ///
     /// Panics if the string is longer than `u32::MAX` bytes — no name the
     /// simulator records comes near it.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u32(u32::try_from(s.len()).expect("string too long for snapshot"));
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -190,7 +190,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::BadMagic`] if the magic does not match,
     /// [`CodecError::UnsupportedVersion`] if the image's version is not
-    /// [`SNAPSHOT_VERSION`], [`CodecError::UnexpectedEof`] if it is too
+    /// `SNAPSHOT_VERSION`, [`CodecError::UnexpectedEof`] if it is too
     /// short to hold a checksum, and [`CodecError::Corrupt`] if the
     /// checksum disagrees with the bytes.
     pub fn open(image: &'a [u8]) -> Result<Self, CodecError> {
@@ -257,7 +257,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// See [`ByteReader::u8`].
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
 
@@ -266,7 +266,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// See [`ByteReader::u8`].
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
 
@@ -275,7 +275,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// See [`ByteReader::u8`].
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
@@ -284,7 +284,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Corrupt`] on a non-boolean byte.
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -297,7 +297,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Corrupt`] if the value does not fit a `usize`.
-    pub fn usize(&mut self) -> Result<usize, CodecError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, CodecError> {
         usize::try_from(self.u64()?).map_err(|_| CodecError::Corrupt("usize overflow"))
     }
 
@@ -308,7 +308,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::UnexpectedEof`] if the length runs past the end,
     /// [`CodecError::Corrupt`] on invalid UTF-8.
-    pub fn str(&mut self) -> Result<String, CodecError> {
+    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Corrupt("invalid UTF-8"))

@@ -25,7 +25,7 @@ impl Coord {
     /// Creates a coordinate.
     ///
     /// ```
-    /// use nim_types::geom::Coord;
+    /// use nim_types::Coord;
     /// let c = Coord::new(3, 4, 1);
     /// assert_eq!((c.x, c.y, c.layer), (3, 4, 1));
     /// ```
@@ -37,7 +37,7 @@ impl Coord {
     /// Manhattan distance within a layer, ignoring the layer component.
     ///
     /// ```
-    /// use nim_types::geom::Coord;
+    /// use nim_types::Coord;
     /// assert_eq!(Coord::new(0, 0, 0).manhattan_2d(Coord::new(3, 4, 1)), 7);
     /// ```
     #[inline]

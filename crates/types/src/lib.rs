@@ -7,19 +7,19 @@
 //!
 //! # Overview
 //!
-//! * [`id`] — strongly-typed identifiers ([`CpuId`], [`ClusterId`], ...).
-//! * [`geom`] — 3D coordinates on the stacked mesh and port directions.
+//! * `id` — strongly-typed identifiers ([`CpuId`], [`ClusterId`], ...).
+//! * `geom` — 3D coordinates on the stacked mesh and port directions.
 //! * [`addr`] — physical addresses and NUCA line-address decomposition.
-//! * [`time`] — the [`Cycle`] newtype used for all simulated time.
-//! * [`config`] — [`SystemConfig`], the paper's Table 4 parameters.
-//! * [`hash`] — [`FxHashMap`], the de-SipHashed map for hot-path keys.
-//! * [`bitset`] — [`IdSet`], ordered small-integer sets as bitmaps.
+//! * `time` — the [`Cycle`] newtype used for all simulated time.
+//! * `config` — [`SystemConfig`], the paper's Table 4 parameters.
+//! * `hash` — [`FxHashMap`], the de-SipHashed map for hot-path keys.
+//! * `bitset` — [`IdSet`], ordered small-integer sets as bitmaps.
 //! * [`codec`] — the versioned binary snapshot codec.
 //!
 //! # Examples
 //!
 //! ```
-//! use nim_types::config::SystemConfig;
+//! use nim_types::SystemConfig;
 //!
 //! let cfg = SystemConfig::default();
 //! assert_eq!(cfg.num_cpus, 8);
@@ -27,17 +27,18 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(dead_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod bitset;
+pub(crate) mod bitset;
 pub mod codec;
-pub mod config;
-pub mod geom;
-pub mod hash;
-pub mod id;
-pub mod time;
-pub mod trace;
+pub(crate) mod config;
+pub(crate) mod geom;
+pub(crate) mod hash;
+pub(crate) mod id;
+pub(crate) mod time;
+pub(crate) mod trace;
 
 pub use addr::{Address, LineAddr};
 pub use bitset::{bits, IdSet};

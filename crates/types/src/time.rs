@@ -12,7 +12,7 @@ use core::ops::{Add, AddAssign, Sub};
 /// A point in simulated time, or a duration, measured in clock cycles.
 ///
 /// ```
-/// use nim_types::time::Cycle;
+/// use nim_types::Cycle;
 /// let t = Cycle(100) + 26;
 /// assert_eq!(t, Cycle(126));
 /// assert_eq!(t - Cycle(100), 26);
@@ -25,9 +25,9 @@ impl Cycle {
     pub const ZERO: Cycle = Cycle(0);
 
     /// The earlier of two times.
-    #[inline]
+    #[cfg(test)]
     #[must_use]
-    pub fn min(self, other: Cycle) -> Cycle {
+    pub(crate) fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
     }
 }

@@ -168,7 +168,7 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if the profile fails [`BenchmarkProfile::validate`].
+    /// Panics if the profile fails `BenchmarkProfile::validate`.
     pub fn new(profile: &BenchmarkProfile, num_cpus: u32, seed: u64) -> Self {
         profile
             .validate()

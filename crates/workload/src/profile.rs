@@ -49,7 +49,7 @@ pub struct BenchmarkProfile {
 
 impl BenchmarkProfile {
     /// `ammp` — molecular dynamics; few L2 transactions.
-    pub fn ammp() -> Self {
+    pub(crate) fn ammp() -> Self {
         Self {
             name: "ammp",
             fastforward_mcycles: 3_633,
@@ -68,7 +68,7 @@ impl BenchmarkProfile {
     }
 
     /// `apsi` — air pollution model; moderate L2 traffic.
-    pub fn apsi() -> Self {
+    pub(crate) fn apsi() -> Self {
         Self {
             name: "apsi",
             fastforward_mcycles: 4_453,
@@ -106,7 +106,7 @@ impl BenchmarkProfile {
     }
 
     /// `equake` — earthquake wave propagation.
-    pub fn equake() -> Self {
+    pub(crate) fn equake() -> Self {
         Self {
             name: "equake",
             fastforward_mcycles: 21_538,
@@ -125,7 +125,7 @@ impl BenchmarkProfile {
     }
 
     /// `fma3d` — crash simulation; the fewest L2 transactions.
-    pub fn fma3d() -> Self {
+    pub(crate) fn fma3d() -> Self {
         Self {
             name: "fma3d",
             fastforward_mcycles: 18_535,
@@ -260,7 +260,7 @@ impl BenchmarkProfile {
     }
 
     /// Sanity check on the probability parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (what, v) in [
             ("mem_per_instr", self.mem_per_instr),
             ("store_frac", self.store_frac),

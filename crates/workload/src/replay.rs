@@ -29,17 +29,20 @@ impl ReplayTrace {
     }
 
     /// References still queued for one CPU.
-    pub fn remaining(&self, cpu: CpuId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self, cpu: CpuId) -> usize {
         self.queues.get(cpu.index()).map_or(0, VecDeque::len)
     }
 
     /// Total references still queued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Whether every queue is drained.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.queues.iter().all(VecDeque::is_empty)
     }
 }

@@ -88,14 +88,6 @@ fn no_source_file_outgrows_the_limit() {
     }
 }
 
-/// Uncalled `pub` items that stay, each with the reason. Shrink-only:
-/// an entry whose item is gone, or has gained a caller, fails as stale.
-const UNCALLED_ALLOWLIST: &[(&str, &str, &str)] = &[(
-    "crates/core/src/system.rs",
-    "bank_access_counts",
-    "examples/thermal_activity.rs draws it; ROADMAP item 5's `table3-activity` exhibit adopts it",
-)];
-
 /// The text of `path` that counts as a caller: comments, `use`
 /// declarations and `#[cfg(test)] mod` items are dropped. With `defs`,
 /// the name in each `pub fn|struct|enum|trait|const|static|type NAME`
@@ -166,13 +158,14 @@ fn workspace_sources(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
 /// that matters calls it.
 ///
 /// *Definitions* are `pub fn|struct|enum|trait|const|static|type` items
-/// in non-test code under `crates/*/src`. *Callers* are non-test code
-/// under `crates/*/src` and `src/`, `examples/nimbench/src`, and the
+/// in non-test code under `crates/*/src`. `pub(crate)` items are not
+/// definitions here: each library crate denies `dead_code`, so rustc
+/// judges them. *Callers* are non-test code under `crates/*/src` and
+/// `src/`, `examples/*.rs`, `examples/nimbench/src`, and the
 /// integration tests under `tests/` and `crates/*/tests/`. Comments
-/// (doc-tests included), `use` declarations, `#[cfg(test)]` modules
-/// (in-file, or a `*_tests.rs` file) and `examples/*.rs` do not count.
-/// An item whose name no caller mentions must go, or be listed in
-/// [`UNCALLED_ALLOWLIST`] with the reason it stays.
+/// (doc-tests included), `use` declarations and `#[cfg(test)]` modules
+/// (in-file, or a `*_tests.rs` file) do not count. An item whose name
+/// no caller mentions must go.
 ///
 /// Blind spots: matching is by word, so it never flags a live item but
 /// misses a dead one that shares its name with a live one (`new`,
@@ -184,6 +177,13 @@ fn every_pub_item_has_a_caller_that_matters() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (defining, mut calling) = workspace_sources(root);
     rust_sources(&root.join("examples/nimbench/src"), &mut calling);
+    let examples = fs::read_dir(root.join("examples")).expect("examples/ exists");
+    calling.extend(
+        examples
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "rs")),
+    );
     assert!(
         !defining.is_empty() && !calling.is_empty(),
         "guard found no source files"
@@ -207,26 +207,15 @@ fn every_pub_item_has_a_caller_that_matters() {
         .collect();
     defs.retain(|(_, _, name)| !called.contains(name.as_str()));
 
-    let fresh: Vec<String> = defs
+    let uncalled: Vec<String> = defs
         .iter()
-        .filter(|(rel, _, name)| {
-            !UNCALLED_ALLOWLIST
-                .iter()
-                .any(|(p, n, _)| p == rel && n == name)
-        })
         .map(|(rel, line, name)| format!("{rel}:{line}: `{name}` has no caller that matters"))
         .collect();
     assert!(
-        fresh.is_empty(),
-        "delete these, or list them in UNCALLED_ALLOWLIST with the reason they stay:\n{}",
-        fresh.join("\n")
+        uncalled.is_empty(),
+        "delete these:\n{}",
+        uncalled.join("\n")
     );
-    for (rel, name, _) in UNCALLED_ALLOWLIST {
-        assert!(
-            defs.iter().any(|(r, _, n)| r == rel && n == name),
-            "`{name}` in {rel} is gone or has a caller now — drop its UNCALLED_ALLOWLIST entry"
-        );
-    }
 }
 
 /// The marker every frozen definition sits under.
