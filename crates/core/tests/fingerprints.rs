@@ -16,12 +16,15 @@ use nim_obs::{CategoryMask, Obs, ObsConfig};
 use nim_types::{FxHasher, SystemConfig};
 use nim_workload::BenchmarkProfile;
 
-/// One recorded cell: scheme, benchmark, edge memory, chip depth, CPU
-/// count, tracing, pillar bus width, fabric, digest.
+/// One recorded cell: scheme, benchmark, edge memory, L2 prewarm, chip
+/// depth, CPU count, tracing, pillar bus width, fabric, digest.
 struct Cell {
     scheme: Scheme,
     benchmark: &'static str,
     edge_memory: bool,
+    /// Start from the workload's working set installed in the L2. Off,
+    /// the run starts cold and its misses reach memory.
+    prewarm: bool,
     layers: u8,
     cpus: u32,
     /// Trace every category, the per-flit `hop` firehose included, so
@@ -35,11 +38,12 @@ struct Cell {
     digest: u64,
 }
 
-const CELLS: [Cell; 11] = [
+const CELLS: [Cell; 13] = [
     Cell {
         scheme: Scheme::CmpDnuca,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -51,6 +55,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpDnuca2d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -62,6 +67,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpSnuca3d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -73,6 +79,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpDnuca3d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -80,12 +87,14 @@ const CELLS: [Cell; 11] = [
         fabric: FabricKind::Sim,
         digest: 0x7937_2178_aaec_bf72,
     },
-    // Extension path: edge memory controllers ride the same transaction
-    // engine, so they are pinned too.
+    // Edge memory controllers on a prewarmed L2: swim's working set is
+    // resident, so this run makes no L2 miss and its digest equals the
+    // same run without edge controllers. The cold rows below reach them.
     Cell {
         scheme: Scheme::CmpSnuca3d,
         benchmark: "swim",
         edge_memory: true,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -93,12 +102,41 @@ const CELLS: [Cell; 11] = [
         fabric: FabricKind::Sim,
         digest: 0xe54d_7767_51cf_ddd7,
     },
+    // Extension path: a cold L2 sends its misses over the network to the
+    // edge memory controllers, so the controllers' DRAM channels and the
+    // `MemRequest` / `MemFill` legs are pinned, on the flit-level network
+    // and on the modeled fabric.
+    Cell {
+        scheme: Scheme::CmpSnuca3d,
+        benchmark: "swim",
+        edge_memory: true,
+        prewarm: false,
+        layers: 2,
+        cpus: 8,
+        trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Sim,
+        digest: 0x0b92_8e6f_f0d3_c698,
+    },
+    Cell {
+        scheme: Scheme::CmpSnuca3d,
+        benchmark: "swim",
+        edge_memory: true,
+        prewarm: false,
+        layers: 2,
+        cpus: 8,
+        trace_hops: false,
+        bus_width_bits: 128,
+        fabric: FabricKind::Ideal,
+        digest: 0x1bb2_f9d8_f4d9_a573,
+    },
     // Full-trace cells: every `FlitHop`, `PacketDeliver` and bus event,
     // stamps and order included, on the default chip and on 4 layers.
     Cell {
         scheme: Scheme::CmpDnuca3d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: true,
@@ -110,6 +148,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpDnuca3d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 4,
         cpus: 8,
         trace_hops: true,
@@ -125,6 +164,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpSnuca3d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -136,6 +176,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpDnuca3d,
         benchmark: "swim",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -147,6 +188,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpDnuca3d,
         benchmark: "art",
         edge_memory: false,
+        prewarm: true,
         layers: 2,
         cpus: 8,
         trace_hops: false,
@@ -160,6 +202,7 @@ const CELLS: [Cell; 11] = [
         scheme: Scheme::CmpDnuca3d,
         benchmark: "swim",
         edge_memory: false,
+        prewarm: true,
         layers: 1,
         cpus: 64,
         trace_hops: false,
@@ -177,8 +220,8 @@ fn profile(name: &str) -> BenchmarkProfile {
     }
 }
 
-/// The run's digest and the L2 evictions it made.
-fn digest_of(cell: &Cell) -> (u64, u64) {
+/// The run's digest, and the L2 evictions and misses it made.
+fn digest_of(cell: &Cell) -> (u64, u64, u64) {
     let obs = Obs::new(ObsConfig {
         trace: cell.trace_hops,
         mask: if cell.trace_hops {
@@ -200,6 +243,7 @@ fn digest_of(cell: &Cell) -> (u64, u64) {
         .warmup_transactions(50)
         .sampled_transactions(400)
         .edge_memory_controllers(cell.edge_memory)
+        .prewarm(cell.prewarm)
         .observability(obs.clone())
         .build()
         .expect("system builds");
@@ -230,18 +274,23 @@ fn digest_of(cell: &Cell) -> (u64, u64) {
     }
     let mut h = FxHasher::default();
     h.write(blob.as_bytes());
-    (h.finish(), obs.counter("l2/evictions"))
+    (
+        h.finish(),
+        obs.counter("l2/evictions"),
+        obs.counter("sys/l2_misses"),
+    )
 }
 
 #[test]
 fn run_fingerprints_match_the_recorded_pre_refactor_values() {
     for cell in &CELLS {
-        let (got, evictions) = digest_of(cell);
+        let (got, evictions, misses) = digest_of(cell);
         let label = format!(
-            "{:?}/{}/edge_mc={}/layers={}/cpus={}/hops={}/bus={}/fabric={}",
+            "{:?}/{}/edge_mc={}/prewarm={}/layers={}/cpus={}/hops={}/bus={}/fabric={}",
             cell.scheme,
             cell.benchmark,
             cell.edge_memory,
+            cell.prewarm,
             cell.layers,
             cell.cpus,
             cell.trace_hops,
@@ -252,11 +301,17 @@ fn run_fingerprints_match_the_recorded_pre_refactor_values() {
         // --nocapture` prints fresh digests instead of asserting — use it
         // to re-record after an *intentional* behavior change.
         if std::env::var_os("NIM_RECORD_FP").is_some() {
-            eprintln!("RECORD {label} 0x{got:016x} evictions={evictions}");
+            eprintln!("RECORD {label} 0x{got:016x} evictions={evictions} misses={misses}");
             continue;
         }
         if cell.cpus == 64 {
             assert!(evictions > 0, "{label}: the eviction row evicted nothing");
+        }
+        if cell.edge_memory && !cell.prewarm {
+            assert!(
+                misses > 0,
+                "{label}: the cold edge row reached no controller"
+            );
         }
         assert_eq!(
             got, cell.digest,
