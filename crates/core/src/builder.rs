@@ -9,21 +9,19 @@
 use nim_cache::{NucaL2, SearchPlan};
 use nim_coherence::Directory;
 use nim_cpu::InOrderCore;
-use nim_noc::{Network, VerticalMode};
 use nim_obs::Obs;
 use nim_topology::ChipLayout;
 use nim_types::{FxHashMap, SystemConfig};
 
 use crate::cores::Cores;
 use crate::error::BuildError;
-use crate::fabric::{FabricKind, FabricState, LatencyModel, SimFabric};
+use crate::fabric::{FabricKind, SimFabric};
 use crate::fanout::StepFanout;
 use crate::policy::{MemoryRoute, Policy};
 use crate::protocol::Engine;
 use crate::report::Counters;
 use crate::scheme::Scheme;
 use crate::system::{SampleBuf, System};
-use crate::timing::Ports;
 use crate::txn::TxnTable;
 
 /// Configures and creates a [`System`].
@@ -224,8 +222,9 @@ impl SystemBuilder {
             cluster_cpus[layout.cluster_of(seat.coord).index()] |= 1 << seat.cpu.index();
             cpu_at.insert(seat.coord, seat.cpu);
         }
-        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
-        net.set_obs(self.obs.clone());
+        // Built before the L2 and the cores: built after them, the same
+        // allocations made a cold build 2.5x slower (glibc, 2-vCPU VM).
+        let fabric = SimFabric::new(recipe.fabric, &layout, &cfg, self.obs.clone());
         let mut l2 = NucaL2::new(&cfg.l2);
         l2.set_obs(self.obs.clone());
         let mut dir = Directory::with_cpus(cfg.num_cpus);
@@ -246,15 +245,6 @@ impl SystemBuilder {
                 }
             },
         );
-        let model = LatencyModel::new(recipe.fabric, &layout, &cfg.network);
-        let ports = Ports::of_chip(
-            &cfg,
-            layout.num_clusters() as usize,
-            layout.num_nodes(),
-            cfg.memory_controllers as usize,
-        );
-        let shared = FabricState::new(ports, cfg.network.data_packet_flits, self.obs.clone());
-        let fabric = SimFabric::new(net, model, shared);
         let engine = Engine {
             seats,
             plans,

@@ -1,5 +1,6 @@
-//! The timed queue behind both of [`SimFabric`]'s queues — timed events
-//! and modeled deliveries — as a timing wheel.
+//! The timed queue behind the fabric's timed events and the ideal
+//! fabric's deliveries (both kept inside [`SimFabric`]), as a timing
+//! wheel.
 //!
 //! Every delay the engine schedules is a small bounded integer (Table 4:
 //! 4-cycle tag, 5-cycle bank, 1-cycle router, 260-cycle memory), so the
@@ -45,7 +46,7 @@ struct Bucket {
 
 /// A timed queue: items pop in due-cycle order, same-cycle items in
 /// push order (a sequence number breaks the tie). Serves both the
-/// timed-event queue and the modeled fabrics' delivery queue.
+/// timed-event queue and the ideal fabric's delivery queue.
 #[derive(Debug)]
 pub(crate) struct DueQueue<T> {
     /// Storage of every ring entry: memory follows the live item count,

@@ -10,19 +10,20 @@
 //! packet is carried:
 //!
 //! * [`SimFabric`] — the real thing: the cycle-accurate 3D NoC (or the
-//!   analytic latency model standing in for it).
+//!   analytic latency model standing in for it), the one place that
+//!   knows when a packet arrives; the run loop drains one delivery stream.
 //! * [`TestFabric`] — a recording double for unit tests: packets land in
 //!   an inspectable list and no network is ever constructed.
 //!
 //! This seam is what makes the protocol transitions unit-testable and
 //! is the hook for alternative execution substrates: [`SimFabric`] can
 //! swap its flit-level network for an analytic latency model
-//! ([`FabricKind::Ideal`]) without the protocol code changing.
+//! ([`FabricKind::Ideal`]) without the protocol or run loop changing.
 
-use nim_noc::{zero_load_path, Network, SendRequest};
+use nim_noc::{zero_load_path, Network, SendRequest, VerticalMode};
 use nim_obs::{Category, EventData, Obs};
 use nim_topology::ChipLayout;
-use nim_types::{ClusterId, Coord, Cycle, NetworkConfig, PacketId, PillarId};
+use nim_types::{ClusterId, Coord, Cycle, PacketId, PillarId, SystemConfig};
 
 use crate::due_queue::DueQueue;
 use crate::timing::Ports;
@@ -198,95 +199,138 @@ impl FabricKind {
 }
 
 /// The analytic timing engine behind [`FabricKind::Ideal`]: zero-load
-/// path costs from the layout, no contention state at all.
+/// path costs, no contention state, and the deliveries not yet handed out.
 #[derive(Debug)]
-pub(crate) struct LatencyModel {
+struct LatencyModel {
     layout: ChipLayout,
     /// Cycles a flit dwells in one router.
     hop_latency: u64,
     bus_k: u64,
+    /// Same-cycle deliveries pop in send order.
+    queue: DueQueue<Delivered>,
 }
 
 impl LatencyModel {
-    /// The model behind `kind`; `None` for the flit-level network.
-    pub(crate) fn new(kind: FabricKind, layout: &ChipLayout, net: &NetworkConfig) -> Option<Self> {
-        match kind {
-            FabricKind::Sim => None,
-            FabricKind::Ideal => Some(Self {
-                layout: layout.clone(),
-                hop_latency: u64::from(net.router_latency),
-                bus_k: u64::from(net.bus_cycles_per_flit()),
-            }),
-        }
-    }
-}
-
-/// The real fabric: the 3D NoC beside the shared [`FabricState`], owned
-/// together so the run loop in [`System`](crate::System) can tick the
-/// network while protocol code stays behind the [`Fabric`] trait.
-///
-/// With a [`LatencyModel`] attached, sends bypass the flit-level
-/// network entirely: each packet's delivery is computed analytically at
-/// injection and queued on the modeled-delivery queue, which the run
-/// loop drains alongside network deliveries. The network object remains
-/// the clock owner but never carries traffic, so its statistics stay
-/// zero under the modeled fabric.
-#[derive(Debug)]
-pub(crate) struct SimFabric {
-    /// The cycle-accurate 3D mesh + dTDMA pillar network.
-    pub(crate) net: Network,
-    /// `Some` for the modeled fabric; `None` runs the flit-level network.
-    model: Option<LatencyModel>,
-    /// Deliveries synthesized by the model (always empty under
-    /// [`FabricKind::Sim`]); same-cycle deliveries pop in send order.
-    pub(crate) modeled: DueQueue<Delivered>,
-    /// Event queue, ports and census.
-    pub(crate) shared: FabricState,
-}
-
-impl SimFabric {
-    pub(crate) fn new(net: Network, model: Option<LatencyModel>, shared: FabricState) -> Self {
-        Self {
-            net,
-            model,
-            modeled: DueQueue::default(),
-            shared,
-        }
-    }
-
-    /// Computes one packet's delivery analytically and queues it.
-    fn carry_modeled(&mut self, req: SendRequest) {
-        let SendRequest {
-            src,
-            dst,
-            via,
-            class,
-            flits,
-            token,
-        } = req;
-        let model = self.model.as_ref().expect("modeled send requires a model");
-        let now = self.net.now();
+    /// Computes the delivery of one packet sent at `now` and queues it.
+    fn carry(&mut self, req: SendRequest, now: Cycle) {
         let path = zero_load_path(
-            &model.layout,
-            src,
-            dst,
-            via,
-            flits,
-            model.hop_latency,
-            model.bus_k,
+            &self.layout,
+            req.src,
+            req.dst,
+            req.via,
+            req.flits,
+            self.hop_latency,
+            self.bus_k,
         );
         let due = now.0.saturating_add(path.latency);
-        self.modeled.push(due, |seq| Delivered {
+        self.queue.push(due, |seq| Delivered {
             packet: PacketId(seq),
-            src,
-            dst,
-            class,
-            token,
+            src: req.src,
+            dst: req.dst,
+            class: req.class,
+            token: req.token,
             injected: now,
             delivered: Cycle(due),
             hops: path.hops,
             bus_wait: path.bus_wait,
         });
+    }
+}
+
+/// The real fabric: the 3D NoC, the optional [`LatencyModel`] and the
+/// shared [`FabricState`]. The run loop in [`System`](crate::System)
+/// ticks it; protocol code reaches it only through the [`Fabric`] trait.
+///
+/// With a model attached, sends bypass the flit-level network entirely:
+/// each packet's delivery is computed analytically at injection and
+/// queued in the model. The network then only keeps the clock; it never
+/// carries traffic, so its statistics stay zero.
+#[derive(Debug)]
+pub(crate) struct SimFabric {
+    /// The cycle-accurate 3D mesh + dTDMA pillar network.
+    net: Network,
+    /// `Some` for the modeled fabric; `None` runs the flit-level network.
+    model: Option<LatencyModel>,
+    /// This cycle's network deliveries not yet handed out, reversed so
+    /// that popping yields them in delivery order.
+    arrived: Vec<Delivered>,
+    /// Event queue, ports and census.
+    shared: FabricState,
+}
+
+impl SimFabric {
+    /// The fabric of `kind` for a chip of `layout` built from `cfg`.
+    pub(crate) fn new(kind: FabricKind, layout: &ChipLayout, cfg: &SystemConfig, obs: Obs) -> Self {
+        let mut net = Network::new(layout, &cfg.network, VerticalMode::Pillars);
+        net.set_obs(obs.clone());
+        let model = match kind {
+            FabricKind::Sim => None,
+            FabricKind::Ideal => Some(LatencyModel {
+                layout: layout.clone(),
+                hop_latency: u64::from(cfg.network.router_latency),
+                bus_k: u64::from(cfg.network.bus_cycles_per_flit()),
+                queue: DueQueue::default(),
+            }),
+        };
+        let ports = Ports::of_chip(
+            cfg,
+            layout.num_clusters() as usize,
+            layout.num_nodes(),
+            cfg.memory_controllers as usize,
+        );
+        Self {
+            net,
+            model,
+            arrived: Vec::new(),
+            shared: FabricState::new(ports, cfg.network.data_packet_flits, obs),
+        }
+    }
+
+    /// The current simulated time.
+    #[inline]
+    pub(crate) fn now(&self) -> Cycle {
+        self.net.now()
+    }
+
+    /// The on-chip network; under the modeled fabric it only keeps time.
+    pub(crate) fn network(&self) -> &Network {
+        &self.net
+    }
+
+    /// Advances one cycle and returns the new time.
+    #[inline]
+    pub(crate) fn tick(&mut self) -> Cycle {
+        self.net.tick();
+        if self.net.has_deliveries() {
+            self.net.drain_delivered_into(&mut self.arrived);
+            self.arrived.reverse();
+        }
+        self.net.now()
+    }
+
+    /// Pops the next timed event due by `now`.
+    #[inline]
+    pub(crate) fn pop_event(&mut self, now: Cycle) -> Option<TimedEvent> {
+        self.shared.events.pop_due(now.0)
+    }
+
+    /// Pops the next packet delivered by `now`; one cycle's deliveries
+    /// come in node order from the network, in send order from the model.
+    #[inline]
+    pub(crate) fn pop_delivered(&mut self, now: Cycle) -> Option<Delivered> {
+        match &mut self.model {
+            Some(model) => model.queue.pop_due(now.0),
+            None => self.arrived.pop(),
+        }
+    }
+
+    /// Whether nothing is in flight: no flit, no undelivered packet and
+    /// no pending timed event.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.net.is_idle()
+            && self.arrived.is_empty()
+            && self.shared.events.is_empty()
+            && self.model.as_ref().is_none_or(|m| m.queue.is_empty())
     }
 }
 
@@ -301,8 +345,8 @@ impl Fabric for SimFabric {
 
     #[inline]
     fn carry(&mut self, req: SendRequest) {
-        if self.model.is_some() {
-            self.carry_modeled(req);
+        if let Some(model) = &mut self.model {
+            model.carry(req, self.net.now());
         } else {
             self.net.send(req);
         }

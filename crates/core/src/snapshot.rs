@@ -37,7 +37,7 @@ use nim_workload::{BenchmarkProfile, TraceGenerator, TraceSource};
 
 use crate::builder::Recipe;
 use crate::error::{RunError, SnapshotError};
-use crate::report::RunReport;
+use crate::report::{Counters, RunReport};
 use crate::system::{Pause, System};
 use crate::SystemBuilder;
 
@@ -65,19 +65,7 @@ impl System {
     /// instructions at this cycle, folded with the references `served`
     /// so far by the source driving the run.
     fn digest(&self, benchmark: &str, served: u64) -> u64 {
-        let mut bus = Vec::new();
-        self.fabric.net.bus_stats_into(&mut bus);
-        let state = RunReport {
-            scheme: self.recipe.scheme,
-            benchmark: benchmark.to_string(),
-            cycles: self.fabric.net.now().0,
-            instructions: self.total_instructions(),
-            num_cpus: self.recipe.cfg.num_cpus,
-            counters: self.engine.counters,
-            network: self.fabric.net.stats().clone(),
-            bus_transfers: bus.iter().map(|b| b.transfers).sum(),
-            bus_contention_cycles: bus.iter().map(|b| b.contention_cycles).sum(),
-        };
+        let state = self.report_since(benchmark.to_string(), (Counters::default(), 0, 0));
         let mut h = FxHasher::default();
         h.write_u64(state.fingerprint());
         h.write_u64(served);
@@ -107,7 +95,7 @@ impl System {
             recipe: self.recipe,
             obs: self.obs.config(),
             benchmark: progress.benchmark.clone(),
-            cycle: self.fabric.net.now().0,
+            cycle: self.fabric.now().0,
             digest: self.digest(&progress.benchmark, source.served()),
         };
         let mut w = ByteWriter::image();
@@ -219,7 +207,7 @@ impl SystemBuilder {
         let mut generator = system.begin(&profile);
         let reached = system.advance(&mut generator, Pause::At(point.cycle));
         let at_point = matches!(reached, Ok(None))
-            && system.fabric.net.now().0 == point.cycle
+            && system.fabric.now().0 == point.cycle
             && system.digest(&point.benchmark, generator.served()) == point.digest;
         if !at_point {
             return Err(SnapshotError::Diverged { cycle: point.cycle });

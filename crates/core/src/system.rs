@@ -6,10 +6,10 @@
 //! build time), the typed transaction table
 //! ([`txn`](crate::txn)), and the simulation fabric
 //! ([`fabric`](crate::fabric) — the 3D NoC, the timed-event queue, and
-//! the contention models of [`timing`](crate::timing)). The driver owns
-//! the clock: it advances everything in lock-step one cycle at a time,
-//! feeds due events and delivered packets to the engine, and ticks the
-//! cores. Assembly lives in [`SystemBuilder`].
+//! the contention models of [`timing`](crate::timing)). The driver
+//! advances everything in lock-step one cycle at a time: it ticks the
+//! fabric, feeds the engine the events and deliveries the fabric says
+//! are due, and ticks the cores. Assembly lives in [`SystemBuilder`].
 //!
 //! [`SystemBuilder`]: crate::SystemBuilder
 
@@ -22,7 +22,7 @@ use nim_workload::{BenchmarkProfile, TraceGenerator, TraceSource};
 
 use crate::builder::Recipe;
 use crate::error::RunError;
-use crate::fabric::SimFabric;
+use crate::fabric::{Fabric, SimFabric};
 use crate::protocol::Engine;
 use crate::report::{Counters, RunReport};
 use crate::scheme::Scheme;
@@ -149,12 +149,14 @@ impl System {
     /// per-bank power for thermal analysis (the paper's closing
     /// discussion points at exactly this coupling).
     pub fn bank_access_counts(&self) -> &[u64] {
-        &self.fabric.shared.bank_accesses
+        &self.fabric.shared().bank_accesses
     }
 
     /// The on-chip network, for utilisation and congestion analysis.
+    /// Under [`FabricKind::Ideal`](crate::FabricKind::Ideal) it carries
+    /// no traffic and only keeps the clock.
     pub fn network(&self) -> &Network {
-        &self.fabric.net
+        self.fabric.network()
     }
 
     /// The observability handle attached at build time (disabled by
@@ -231,22 +233,14 @@ impl System {
     fn begin_run(&mut self, benchmark: &str, unreplayable: Option<&'static str>) {
         self.used = true;
         let warmed = self.recipe.warmup == 0;
-        let window_start = if warmed {
-            Some((
-                self.engine.counters,
-                self.fabric.net.now().0,
-                self.total_instructions(),
-            ))
-        } else {
-            None
-        };
+        let window_start = warmed.then(|| self.mark());
         self.progress = Some(RunProgress {
             benchmark: benchmark.to_string(),
             unreplayable,
             carried: LoopCarried {
                 warmed,
                 window_start,
-                last_progress: self.fabric.net.now().0,
+                last_progress: self.fabric.now().0,
                 last_count: self.engine.counters.l2_transactions,
             },
         });
@@ -255,19 +249,24 @@ impl System {
     /// Builds the report for a completed run and clears the run state.
     fn finish_report(&mut self) -> RunReport {
         let p = self.progress.take().expect("run in progress");
-        let (start_counters, start_cycle, start_instr) =
-            p.carried.window_start.expect("sampling window started");
-        let mut bus = Vec::new();
-        self.fabric.net.bus_stats_into(&mut bus);
-        self.publish_obs_metrics(&bus);
+        let start = p.carried.window_start.expect("sampling window started");
+        self.publish_obs_metrics();
+        self.report_since(p.benchmark, start)
+    }
+
+    /// A report of the run since `start` (counters, cycle and retired
+    /// instructions there), with the network's cumulative statistics.
+    pub(crate) fn report_since(&self, benchmark: String, start: (Counters, u64, u64)) -> RunReport {
+        let (counters, cycle, instructions) = start;
+        let bus = self.fabric.network().bus_stats();
         RunReport {
             scheme: self.recipe.scheme,
-            benchmark: p.benchmark,
-            cycles: self.fabric.net.now().0 - start_cycle,
-            instructions: self.total_instructions() - start_instr,
+            benchmark,
+            cycles: self.fabric.now().0 - cycle,
+            instructions: self.total_instructions() - instructions,
             num_cpus: self.recipe.cfg.num_cpus,
-            counters: self.engine.counters.minus(&start_counters),
-            network: self.fabric.net.stats().clone(),
+            counters: self.engine.counters.minus(&counters),
+            network: self.fabric.network().stats().clone(),
             bus_transfers: bus.iter().map(|b| b.transfers).sum(),
             bus_contention_cycles: bus.iter().map(|b| b.contention_cycles).sum(),
         }
@@ -312,8 +311,6 @@ impl System {
             mut last_progress,
             mut last_count,
         } = self.progress.as_ref().expect("run in progress").carried;
-        // Network deliveries of the current cycle, reused across cycles.
-        let mut delivered: Vec<nim_noc::Delivered> = Vec::new();
         let result = loop {
             if self.engine.counters.l2_transactions >= target {
                 break Ok(true);
@@ -321,50 +318,32 @@ impl System {
             let paused = match pause {
                 Pause::Never => false,
                 Pause::After(stop) => self.engine.counters.l2_transactions >= stop,
-                Pause::At(cycle) => self.fabric.net.now().0 >= cycle,
+                Pause::At(cycle) => self.fabric.now().0 >= cycle,
             };
             if paused {
                 break Ok(false);
             }
-            // A dried-up trace (every core halted) with nothing in flight
-            // can never make progress; report it without spinning the
-            // watchdog out.
-            if self.fabric.net.is_idle()
-                && self.fabric.shared.events.is_empty()
-                && self.fabric.modeled.is_empty()
-                && self.engine.txns.is_empty()
-                && self.engine.cores.iter().all(InOrderCore::is_halted)
+            // The watchdog, or a dried-up trace (every core halted) with
+            // nothing in flight, which can never make progress: report it
+            // without spinning the watchdog out.
+            if self.fabric.now().0 - last_progress > WATCHDOG_CYCLES
+                || (self.fabric.is_quiet()
+                    && self.engine.txns.is_empty()
+                    && self.engine.cores.iter().all(InOrderCore::is_halted))
             {
                 break Err(RunError::Stalled {
-                    cycle: self.fabric.net.now().0,
+                    cycle: self.fabric.now().0,
                     completed: self.engine.counters.l2_transactions,
                 });
             }
-            if self.fabric.net.now().0 - last_progress > WATCHDOG_CYCLES {
-                break Err(RunError::Stalled {
-                    cycle: self.fabric.net.now().0,
-                    completed: self.engine.counters.l2_transactions,
-                });
-            }
-            self.fabric.net.tick();
-            let now = self.fabric.net.now();
+            let now = self.fabric.tick();
             if self.obs.sample_due(now.0) {
                 self.record_obs_sample(now.0);
             }
-            // Timed events due this cycle.
-            while let Some(ev) = self.fabric.shared.events.pop_due(now.0) {
+            while let Some(ev) = self.fabric.pop_event(now) {
                 self.engine.handle_event(&mut self.fabric, ev, now);
             }
-            // Network deliveries (flit-level fabric) and modeled
-            // deliveries (the ideal fabric) — at most one stream is
-            // ever populated for a given run.
-            if self.fabric.net.has_deliveries() {
-                self.fabric.net.drain_delivered_into(&mut delivered);
-                for d in delivered.drain(..) {
-                    self.engine.handle_delivered(&mut self.fabric, d, now);
-                }
-            }
-            while let Some(d) = self.fabric.modeled.pop_due(now.0) {
+            while let Some(d) = self.fabric.pop_delivered(now) {
                 self.engine.handle_delivered(&mut self.fabric, d, now);
             }
             // Cores: only those due this cycle are ticked; the others
@@ -386,12 +365,12 @@ impl System {
             if !warmed && self.engine.counters.l2_transactions >= self.recipe.warmup {
                 warmed = true;
                 self.engine.cores.settle(now.0);
-                window_start = Some((self.engine.counters, now.0, self.total_instructions()));
+                window_start = Some(self.mark());
             }
         };
         // Reports, digests and `stats()` read the counters as if every
         // core had ticked every cycle.
-        self.engine.cores.settle(self.fabric.net.now().0);
+        self.engine.cores.settle(self.fabric.now().0);
         self.progress.as_mut().expect("run in progress").carried = LoopCarried {
             warmed,
             window_start,
@@ -408,7 +387,17 @@ impl System {
         }
     }
 
-    pub(crate) fn total_instructions(&self) -> u64 {
+    /// The counters, cycle and retired instructions now: where a
+    /// measurement window starts.
+    fn mark(&self) -> (Counters, u64, u64) {
+        (
+            self.engine.counters,
+            self.fabric.now().0,
+            self.total_instructions(),
+        )
+    }
+
+    fn total_instructions(&self) -> u64 {
         self.engine
             .cores
             .iter()
@@ -423,7 +412,7 @@ impl System {
     /// snapshot reuses [`SampleBuf`]'s vectors and allocates nothing.
     fn record_obs_sample(&mut self, now: u64) {
         self.fabric
-            .net
+            .network()
             .bus_occupancies_into(&mut self.sample_buf.occ);
         let SampleBuf { names, values, occ } = &mut self.sample_buf;
         if names.is_empty() {
@@ -440,7 +429,7 @@ impl System {
         for cl in 0..self.engine.layout.num_clusters() {
             values.push(self.engine.l2.cluster_occupancy(ClusterId(cl)) as f64);
         }
-        let net = self.fabric.net.stats();
+        let net = self.fabric.network().stats();
         values.push(self.engine.counters.l2_hits as f64);
         values.push(self.engine.counters.l2_misses as f64);
         values.push(self.engine.counters.migrations as f64);
@@ -455,23 +444,22 @@ impl System {
 
     /// Publishes end-of-run totals into the metrics registry: the
     /// per-router traversal map (the link-utilization heatmap source),
-    /// per-pillar bus statistics (passed in by the caller, which already
-    /// collected them for the [`RunReport`]), L2 and transaction
-    /// counters, and the packet latency distribution. Formatted metric
-    /// names share one reused `String` buffer.
-    fn publish_obs_metrics(&self, bus: &[nim_noc::BusStats]) {
+    /// per-pillar bus statistics, L2 and transaction counters, and the
+    /// packet latency distribution. Formatted metric names share one
+    /// reused `String` buffer.
+    fn publish_obs_metrics(&self) {
         if !self.obs.is_enabled() {
             return;
         }
         use std::fmt::Write as _;
         let mut name = String::new();
-        for (i, &n) in self.fabric.net.traversals().iter().enumerate() {
+        for (i, &n) in self.fabric.network().traversals().iter().enumerate() {
             let c = self.engine.layout.coord_of_index(i);
             name.clear();
             let _ = write!(name, "noc/traversals/{}/{}/{}", c.x, c.y, c.layer);
             self.obs.counter_set(&name, n);
         }
-        for (i, b) in bus.iter().enumerate() {
+        for (i, b) in self.fabric.network().bus_stats().iter().enumerate() {
             name.clear();
             let _ = write!(name, "pillar/{i}/transfers");
             self.obs.counter_set(&name, b.transfers);
@@ -485,7 +473,7 @@ impl System {
             let _ = write!(name, "pillar/{i}/peak_queued");
             self.obs.counter_set(&name, b.peak_queued);
         }
-        let net = self.fabric.net.stats();
+        let net = self.fabric.network().stats();
         self.obs.counter_set("net/packets_sent", net.packets_sent);
         self.obs
             .counter_set("net/packets_delivered", net.packets_delivered);

@@ -8,7 +8,7 @@
 //! until it completes?* Claiming advances the port's schedule, so
 //! back-to-back requests queue. The model knows nothing about
 //! transactions or the network; [`Ports::of_chip`] instantiates it once
-//! per resource class, [`SimFabric`] wires the three into the simulation,
+//! per resource class when [`SimFabric`] is built, which keeps the three,
 //! and the protocol engine reaches them only through the [`Fabric`]
 //! trait.
 //!

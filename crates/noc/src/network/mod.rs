@@ -1,7 +1,7 @@
 //! The cycle-accurate network engine.
 //!
-//! [`Network`] owns every router, pillar bus, injection queue, and delivery
-//! queue of the chip and advances them one clock cycle per [`Network::tick`].
+//! [`Network`] owns every router, pillar bus, injection queue, and the
+//! delivery list of the chip and advances them one cycle per [`Network::tick`].
 //! Each cycle runs three phases:
 //!
 //! 1. **Bus phase** ([`bus_phase`]) — every dTDMA pillar transfers at most
@@ -92,9 +92,11 @@ pub struct Network {
     /// Pooled backing store for every VC and transceiver FIFO.
     arena: FlitArena,
     injectors: Vec<Injector>,
-    outbox: Vec<VecDeque<Delivered>>,
-    /// Nodes whose outbox holds undrained deliveries.
-    delivered_nodes: IdSet,
+    /// Packets delivered and not yet drained, in delivery order. Only
+    /// the router phase delivers, it walks the routers in node order,
+    /// and a router ejects at most one flit a cycle through its one
+    /// local port, so one cycle's deliveries are in node order.
+    delivered: Vec<Delivered>,
     /// Routers with buffered flits: between phases, exactly those with
     /// `occupancy > 0`.
     dirty: IdSet,
@@ -211,8 +213,7 @@ impl Network {
             ifaces,
             arena,
             injectors: vec![Injector::default(); n],
-            outbox: vec![VecDeque::new(); n],
-            delivered_nodes: IdSet::new(n),
+            delivered: Vec::new(),
             dirty: IdSet::new(n),
             visiting: IdSet::new(n),
             inj_active: IdSet::new(n),
@@ -357,34 +358,28 @@ impl Network {
         id
     }
 
-    /// Pops the oldest packet delivered at node `c`, if any.
+    /// Pops the oldest undrained packet delivered at node `c`, if any.
     pub fn pop_delivered(&mut self, c: Coord) -> Option<Delivered> {
-        let idx = self.rt.layout.node_index(c);
-        self.outbox[idx].pop_front()
+        let at = self.delivered.iter().position(|d| d.dst == c)?;
+        Some(self.delivered.remove(at))
     }
 
-    /// Drains every delivered packet, in (node, arrival) order.
+    /// Drains every delivered packet, in delivery order (node order
+    /// within a cycle).
     pub fn drain_delivered(&mut self) -> Vec<Delivered> {
-        let mut out = Vec::new();
-        self.drain_delivered_into(&mut out);
-        out
+        std::mem::take(&mut self.delivered)
     }
 
     /// Whether any delivered packets await pickup.
     #[inline]
     pub fn has_deliveries(&self) -> bool {
-        !self.delivered_nodes.is_empty()
+        !self.delivered.is_empty()
     }
 
-    /// Drains all delivered packets into `buf` (in node order, then
-    /// arrival order per node), touching only the nodes that actually
-    /// received something.
+    /// Appends every delivered packet to `buf`, in delivery order (node
+    /// order within a cycle).
     pub fn drain_delivered_into(&mut self, buf: &mut Vec<Delivered>) {
-        let mut at = 0;
-        while let Some(n) = self.delivered_nodes.take_next(at) {
-            at = n + 1;
-            buf.extend(self.outbox[n].drain(..));
-        }
+        buf.append(&mut self.delivered);
     }
 
     // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
@@ -447,9 +442,9 @@ impl Network {
         }
     }
 
-    /// A flit left the network at node `node`'s local port; a tail
-    /// completes its packet, which lands in the node's outbox.
-    fn deliver(&mut self, node: usize, f: Flit, now: Cycle) {
+    /// A flit left the network at its destination's local port; a tail
+    /// completes its packet, which joins the delivered list.
+    fn deliver(&mut self, f: Flit, now: Cycle) {
         self.flits_in_flight -= 1;
         if f.kind.is_tail() {
             let d = Delivered {
@@ -471,8 +466,7 @@ impl Network {
                     latency: d.latency(),
                     hops: u32::from(d.hops),
                 });
-            self.outbox[node].push_back(d);
-            self.delivered_nodes.insert(node);
+            self.delivered.push(d);
         }
     }
 
@@ -480,10 +474,9 @@ impl Network {
     /// every router's masks, counters and cached routes agree with its VC
     /// contents (`Router::check_invariants`); between phases a router is
     /// in the dirty set iff it buffers a flit, a node in the injection
-    /// set iff packets pend there, a bus active iff flits queue at it,
-    /// and every non-empty outbox is in the delivered set; and
-    /// `flits_in_flight` counts exactly the buffered, interface-queued
-    /// and not-yet-injected flits.
+    /// set iff packets pend there, and a bus active iff flits queue at
+    /// it; and `flits_in_flight` counts exactly the buffered,
+    /// interface-queued and not-yet-injected flits.
     ///
     /// Cost is linear in the chip; meant for tests and debug builds.
     ///
@@ -511,10 +504,6 @@ impl Network {
                 .iter()
                 .map(|p| u64::from(p.req.flits - p.seq))
                 .sum::<u64>();
-            assert!(
-                self.outbox[n].is_empty() || self.delivered_nodes.contains(n),
-                "node {n}: deliveries missing from the delivered set"
-            );
         }
         for b in 0..self.buses.len() {
             let queued = self.bus_queued(b);

@@ -148,7 +148,7 @@ impl Network {
         match out {
             Dir::Local => {
                 self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
-                self.deliver(n, f, now);
+                self.deliver(f, now);
                 return true;
             }
             Dir::Vertical => {

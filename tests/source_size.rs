@@ -154,6 +154,46 @@ fn workspace_sources(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
     (library, rest)
 }
 
+/// Lines of library and binary code that can panic, under ROADMAP item
+/// 9(a)'s counting rule: a line counts when it holds `unwrap()`,
+/// `expect(` or `panic!`, in non-test code under `crates/*/src` and
+/// `src/` as [`calling_text`] reads it (comments, `use` declarations,
+/// `#[cfg(test)] mod` items and `*_tests.rs` files aside). Pinned
+/// exactly, like [`ALLOWLIST`]: a new site fails the guard, and so does
+/// a removed one until the pin is lowered to match.
+const PANIC_SITES: usize = 53;
+
+#[test]
+fn panic_sites_match_the_pinned_count() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut sources, _) = workspace_sources(root);
+    rust_sources(&root.join("src"), &mut sources);
+    sources.retain(|p| {
+        !p.file_stem()
+            .is_some_and(|s| s.to_string_lossy().ends_with("_tests"))
+    });
+    let mut sites = Vec::new();
+    for path in &sources {
+        let rel = relative(root, path);
+        for line in calling_text(path, None).lines() {
+            if ["unwrap()", "expect(", "panic!"]
+                .iter()
+                .any(|w| line.contains(w))
+            {
+                sites.push(format!("{rel}: {}", line.trim()));
+            }
+        }
+    }
+    assert_eq!(
+        sites.len(),
+        PANIC_SITES,
+        "{} panic sites against the pinned {PANIC_SITES} — a new one needs a typed \
+         error or a reason; a removed one lowers the pin:\n{}",
+        sites.len(),
+        sites.join("\n")
+    );
+}
+
 /// ROADMAP item 5, mechanically: a `pub` item stays only if something
 /// that matters calls it.
 ///
