@@ -20,7 +20,7 @@
 //! swap its flit-level network for an analytic latency model
 //! ([`FabricKind::Ideal`]) without the protocol or run loop changing.
 
-use nim_noc::{zero_load_path, Network, SendRequest, VerticalMode};
+use nim_noc::{zero_load_path, Network, SendRequest};
 use nim_obs::{Category, EventData, Obs};
 use nim_topology::ChipLayout;
 use nim_types::{ClusterId, Coord, Cycle, PacketId, PillarId, SystemConfig};
@@ -261,7 +261,7 @@ pub(crate) struct SimFabric {
 impl SimFabric {
     /// The fabric of `kind` for a chip of `layout` built from `cfg`.
     pub(crate) fn new(kind: FabricKind, layout: &ChipLayout, cfg: &SystemConfig, obs: Obs) -> Self {
-        let mut net = Network::new(layout, &cfg.network, VerticalMode::Pillars);
+        let mut net = Network::new(layout, &cfg.network);
         net.set_obs(obs.clone());
         let model = match kind {
             FabricKind::Sim => None,

@@ -31,7 +31,7 @@ impl Scheme {
     ];
 
     /// Whether the scheme stacks multiple device layers.
-    pub(crate) fn is_3d(self) -> bool {
+    pub fn is_3d(self) -> bool {
         matches!(self, Scheme::CmpSnuca3d | Scheme::CmpDnuca3d)
     }
 

@@ -77,10 +77,8 @@ pub(crate) struct RunProgress {
 /// The driver loop's carried bookkeeping.
 #[derive(Clone, Copy, Debug)]
 struct LoopCarried {
-    /// Whether the warm-up target has been passed.
-    warmed: bool,
     /// Counter/cycle/instruction baselines at the start of the
-    /// measurement window (`None` until warmed).
+    /// measurement window (`None` until the warm-up target is passed).
     window_start: Option<(Counters, u64, u64)>,
     /// Cycle of the last completed transaction (watchdog anchor).
     last_progress: u64,
@@ -91,9 +89,8 @@ struct LoopCarried {
 /// Where a driven run pauses.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Pause {
-    /// Nowhere: the run goes on to its sampling target.
-    Never,
-    /// At the first cycle with at least this many completed transactions.
+    /// At the first cycle with at least this many completed
+    /// transactions; `u64::MAX` runs on to the sampling target.
     After(u64),
     /// At this cycle (a snapshot's replay).
     At(u64),
@@ -224,21 +221,19 @@ impl System {
         &mut self,
         source: &mut dyn TraceSource,
     ) -> Result<RunReport, RunError> {
-        let report = self.advance(source, Pause::Never)?;
-        Ok(report.expect("with no pause requested the loop ends only at the sampling target"))
+        let report = self.advance(source, Pause::After(u64::MAX))?;
+        Ok(report.expect("the sampling target comes before u64::MAX transactions"))
     }
 
     /// Arms the run bookkeeping for a fresh run; `unreplayable` says why
     /// no snapshot may name a point of it, if one may not.
     fn begin_run(&mut self, benchmark: &str, unreplayable: Option<&'static str>) {
         self.used = true;
-        let warmed = self.recipe.warmup == 0;
-        let window_start = warmed.then(|| self.mark());
+        let window_start = (self.recipe.warmup == 0).then(|| self.mark());
         self.progress = Some(RunProgress {
             benchmark: benchmark.to_string(),
             unreplayable,
             carried: LoopCarried {
-                warmed,
                 window_start,
                 last_progress: self.fabric.now().0,
                 last_count: self.engine.counters.l2_transactions,
@@ -306,7 +301,6 @@ impl System {
     ) -> Result<Option<RunReport>, RunError> {
         let target = self.recipe.warmup.saturating_add(self.recipe.sample);
         let LoopCarried {
-            mut warmed,
             mut window_start,
             mut last_progress,
             mut last_count,
@@ -316,7 +310,6 @@ impl System {
                 break Ok(true);
             }
             let paused = match pause {
-                Pause::Never => false,
                 Pause::After(stop) => self.engine.counters.l2_transactions >= stop,
                 Pause::At(cycle) => self.fabric.now().0 >= cycle,
             };
@@ -362,8 +355,8 @@ impl System {
                 last_count = self.engine.counters.l2_transactions;
                 last_progress = now.0;
             }
-            if !warmed && self.engine.counters.l2_transactions >= self.recipe.warmup {
-                warmed = true;
+            if window_start.is_none() && self.engine.counters.l2_transactions >= self.recipe.warmup
+            {
                 self.engine.cores.settle(now.0);
                 window_start = Some(self.mark());
             }
@@ -372,7 +365,6 @@ impl System {
         // core had ticked every cycle.
         self.engine.cores.settle(self.fabric.now().0);
         self.progress.as_mut().expect("run in progress").carried = LoopCarried {
-            warmed,
             window_start,
             last_progress,
             last_count,

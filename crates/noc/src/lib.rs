@@ -5,21 +5,21 @@
 //! layer — single-stage routers, 3 virtual channels per physical channel,
 //! dimension-order routing, 128-bit flits — joined vertically by dTDMA
 //! bus *communication pillars* that give single-hop transfer between any
-//! two layers. The rejected 7-port full-3D-mesh router is also available
-//! ([`VerticalMode::Mesh3d`]) so the paper's design-search comparison can
-//! be reproduced.
+//! two layers. The pillars are the one vertical interconnect: the 7-port
+//! full-3D-mesh router the paper's design search rejected (§3.1) is not
+//! modelled, and Table 1 (`nim report table1`) carries that comparison.
 //!
 //! # Examples
 //!
 //! ```
-//! use nim_noc::{Network, SendRequest, TrafficClass, VerticalMode};
+//! use nim_noc::{Network, SendRequest, TrafficClass};
 //! use nim_topology::ChipLayout;
 //! use nim_types::{Coord, SystemConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = SystemConfig::default();
 //! let layout = ChipLayout::new(&cfg)?;
-//! let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+//! let mut net = Network::new(&layout, &cfg.network);
 //!
 //! // A 64 B cache line crosses from layer 0 to layer 1 as one 4-flit packet.
 //! let src = Coord::new(3, 3, 0);
@@ -53,7 +53,6 @@ mod vc;
 
 pub use dtdma::BusStats;
 pub use latency::{zero_load_path, ZeroLoadPath};
-pub use network::{Network, WindowStats};
+pub use network::{Network, VerticalMode, WindowStats};
 pub use packet::{Delivered, FlitKind, SendRequest, TrafficClass};
-pub use routing::VerticalMode;
 pub use stats::{LatencyHistogram, NetworkStats};

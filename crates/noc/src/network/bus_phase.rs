@@ -31,7 +31,7 @@ impl Network {
         if self.bus_ready_at[b] > now.0 {
             return;
         }
-        let layers = self.rt.layout.layers() as usize;
+        let layers = self.layout.layers() as usize;
         let eligible = self
             .bus_ifaces(b)
             .iter()
@@ -53,10 +53,7 @@ impl Network {
                 continue;
             };
             let (px, py) = self.buses[b].xy;
-            let dest_idx = self
-                .rt
-                .layout
-                .node_index(Coord::new(px, py, front.dst.layer));
+            let dest_idx = self.layout.node_index(Coord::new(px, py, front.dst.layer));
             let vi = Dir::Vertical.index();
             let dest = &self.routers[dest_idx];
             let vc_sel = if front.kind.is_head() {
@@ -88,7 +85,7 @@ impl Network {
             f.bus_wait += (now.0 - f.arrived.0) as u32;
             f.arrived = now;
             f.hops += 1;
-            self.routers[dest_idx].push(&mut self.arena, &self.rt, vi, vc, f);
+            self.routers[dest_idx].push(&mut self.arena, &self.layout, vi, vc, f);
             self.dirty.insert(dest_idx);
             let iface = &mut self.ifaces[src];
             iface.bound_vc = if f.kind.is_tail() {

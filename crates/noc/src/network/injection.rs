@@ -56,7 +56,7 @@ impl Network {
             hops: 0,
             bus_wait: 0,
         };
-        self.routers[n].push(&mut self.arena, &self.rt, li, v, flit);
+        self.routers[n].push(&mut self.arena, &self.layout, li, v, flit);
         self.dirty.insert(n);
         let inj = &mut self.injectors[n];
         let front = inj.queue.front_mut().expect("checked above");

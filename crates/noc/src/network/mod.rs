@@ -35,7 +35,6 @@ use nim_types::{Coord, Cycle, Dir, IdSet, NetworkConfig, PacketId};
 use crate::dtdma::{BusStats, DtdmaBus, Iface};
 use crate::packet::{Delivered, Flit, FlitArena, SendRequest};
 use crate::router::Router;
-use crate::routing::{Routing, VerticalMode};
 use crate::stats::NetworkStats;
 
 /// One pending packet at a node's network interface.
@@ -69,13 +68,20 @@ pub struct WindowStats {
     pub inline: u64,
 }
 
-/// The on-chip network: stacked wormhole meshes joined by dTDMA pillars
-/// (or by a full 3D mesh in the ablation mode).
+// nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VerticalMode {
+    /// dTDMA bus pillars, the one vertical interconnect.
+    Pillars,
+}
+
+/// The on-chip network: stacked wormhole meshes joined by dTDMA pillars.
 #[derive(Clone, Debug)]
 pub struct Network {
-    rt: Routing,
+    layout: ChipLayout,
     /// Cycles a flit dwells in a router before it may leave (Table 4:
-    /// 1-cycle single-stage router; the 7-port ablation uses 2).
+    /// a 1-cycle single-stage router).
     router_latency: u64,
     /// Bus index at each node position, if the node is a pillar node.
     bus_of_node: Vec<Option<u16>>,
@@ -131,22 +137,14 @@ fn c3(c: Coord) -> [u16; 3] {
 }
 
 impl Network {
-    /// Builds the network for a chip layout.
-    ///
-    /// `mode` selects the vertical interconnect: [`VerticalMode::Pillars`]
-    /// is the paper's hybrid NoC/bus design; [`VerticalMode::Mesh3d`] is
-    /// the rejected 7-port router kept for the design-search ablation.
-    pub fn new(layout: &ChipLayout, cfg: &NetworkConfig, mode: VerticalMode) -> Self {
+    /// Builds the network for a chip layout: one dTDMA bus per pillar
+    /// (none on a one-layer chip), and a `Vertical` port on each pillar
+    /// node's router.
+    pub fn new(layout: &ChipLayout, cfg: &NetworkConfig) -> Self {
         let vcs = cfg.vcs_per_port as usize;
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
-        // Only pillar mode on a stacked chip has buses.
-        let pillars = mode == VerticalMode::Pillars && layout.layers() > 1;
-        let buses_len = if pillars {
-            layout.num_pillars() as usize
-        } else {
-            0
-        };
+        let buses_len = layout.num_pillars() as usize;
         let mut arena = FlitArena::default();
         let mut routers = Vec::with_capacity(n);
         let mut bus_of_node = vec![None; n];
@@ -160,20 +158,8 @@ impl Network {
                     ports.push(d);
                 }
             }
-            match mode {
-                VerticalMode::Pillars => {
-                    if pillars && layout.is_pillar_node(c) {
-                        ports.push(Dir::Vertical);
-                    }
-                }
-                VerticalMode::Mesh3d => {
-                    if c.layer + 1 < layout.layers() {
-                        ports.push(Dir::Up);
-                    }
-                    if c.layer > 0 {
-                        ports.push(Dir::Down);
-                    }
-                }
+            if layout.is_pillar_node(c) {
+                ports.push(Dir::Vertical);
             }
             let mut router = Router::new(&mut arena, c, &ports, vcs, depth);
             // Tabulate where each output leads, so a hop is one load
@@ -182,12 +168,7 @@ impl Network {
                 let (x, y) = d
                     .step(c.x, c.y, layout.width(), layout.height())
                     .expect("port exists");
-                let layer = match d {
-                    Dir::Up => c.layer + 1,
-                    Dir::Down => c.layer - 1,
-                    _ => c.layer,
-                };
-                router.next[d.index()] = layout.node_index(Coord::new(x, y, layer)) as u32;
+                router.next[d.index()] = layout.node_index(Coord::new(x, y, c.layer)) as u32;
             }
             routers.push(router);
         }
@@ -203,7 +184,7 @@ impl Network {
             buses.push(DtdmaBus::new(pillar, xy));
         }
         Self {
-            rt: Routing::new(layout, mode),
+            layout: layout.clone(),
             router_latency: u64::from(cfg.router_latency).max(1),
             bus_of_node,
             bus_cycles_per_flit: u64::from(cfg.bus_cycles_per_flit()).max(1),
@@ -233,10 +214,10 @@ impl Network {
     pub fn new_sharded(
         layout: &ChipLayout,
         cfg: &NetworkConfig,
-        mode: VerticalMode,
+        _mode: VerticalMode,
         _shards: usize,
     ) -> Self {
-        Self::new(layout, cfg, mode)
+        Self::new(layout, cfg)
     }
 
     // nimbench-frozen: examples/nimbench compiles against this name; ROADMAP item 1 Step A deletes it
@@ -327,18 +308,18 @@ impl Network {
     pub fn send(&mut self, req: SendRequest) -> PacketId {
         assert!(req.flits >= 1, "packet must have at least one flit");
         assert!(
-            self.rt.layout.contains(req.src),
+            self.layout.contains(req.src),
             "src {} outside mesh",
             req.src
         );
         assert!(
-            self.rt.layout.contains(req.dst),
+            self.layout.contains(req.dst),
             "dst {} outside mesh",
             req.dst
         );
         let id = PacketId(self.next_pkt);
         self.next_pkt += 1;
-        let node = self.rt.layout.node_index(req.src);
+        let node = self.layout.node_index(req.src);
         self.injectors[node].queue.push_back(Pending {
             id,
             req,
@@ -417,7 +398,7 @@ impl Network {
     /// Bus `b`'s transceiver interfaces, one per layer.
     #[inline]
     fn bus_ifaces(&self, b: usize) -> &[Iface] {
-        let layers = self.rt.layout.layers() as usize;
+        let layers = self.layout.layers() as usize;
         &self.ifaces[b * layers..(b + 1) * layers]
     }
 
@@ -487,7 +468,7 @@ impl Network {
         let mut flits = 0u64;
         assert!(self.visiting.is_empty(), "mid-phase visiting set");
         for (n, router) in self.routers.iter().enumerate() {
-            flits += router.check_invariants(&self.arena, &self.rt);
+            flits += router.check_invariants(&self.arena, &self.layout);
             assert_eq!(
                 self.dirty.contains(n),
                 router.occupancy() > 0,

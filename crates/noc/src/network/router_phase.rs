@@ -156,7 +156,7 @@ impl Network {
                 // transceiver interface; the bus phase later drains it.
                 let bus_idx =
                     self.bus_of_node[n].expect("vertical output on non-pillar node") as usize;
-                let layers = self.rt.layout.layers() as usize;
+                let layers = self.layout.layers() as usize;
                 let slot = bus_idx * layers + self.routers[n].coord.layer as usize;
                 if self.ifaces[slot].q.is_full() {
                     return false;
@@ -183,7 +183,7 @@ impl Network {
                 self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
                 f.arrived = now;
                 f.hops += 1;
-                self.routers[dest_idx].push(&mut self.arena, &self.rt, ii, dvc, f);
+                self.routers[dest_idx].push(&mut self.arena, &self.layout, ii, dvc, f);
                 self.dirty.insert(dest_idx);
                 self.count_hop(n, f.class);
             }

@@ -7,10 +7,10 @@ use super::*;
 use crate::packet::TrafficClass;
 use nim_types::{PillarId, SystemConfig};
 
-fn net(mode: VerticalMode) -> (ChipLayout, Network) {
+fn net() -> (ChipLayout, Network) {
     let cfg = SystemConfig::default();
     let layout = ChipLayout::new(&cfg).unwrap();
-    let network = Network::new(&layout, &cfg.network, mode);
+    let network = Network::new(&layout, &cfg.network);
     (layout, network)
 }
 
@@ -33,7 +33,7 @@ fn send_one(
 
 #[test]
 fn single_flit_same_layer_zero_load_latency() {
-    let (_, mut net) = net(VerticalMode::Pillars);
+    let (_, mut net) = net();
     let src = Coord::new(0, 0, 0);
     let dst = Coord::new(3, 0, 0);
     send_one(&mut net, src, dst, None, 1);
@@ -45,11 +45,19 @@ fn single_flit_same_layer_zero_load_latency() {
     assert_eq!(d.hops, 3);
     assert_eq!(d.token, 7);
     assert_eq!(net.stats().packets_delivered, 1);
+
+    // A one-layer chip has no pillar, so no bus, and the same timing.
+    let cfg = SystemConfig::default().with_layers(1);
+    let layout = ChipLayout::new(&cfg).unwrap();
+    let mut flat = Network::new(&layout, &cfg.network);
+    assert!(flat.bus_stats().is_empty(), "a one-layer chip has no bus");
+    send_one(&mut flat, src, dst, None, 1);
+    assert_eq!(flat.run_until_idle(100), Some(5));
 }
 
 #[test]
 fn four_flit_packet_streams_behind_its_head() {
-    let (_, mut net) = net(VerticalMode::Pillars);
+    let (_, mut net) = net();
     let src = Coord::new(0, 0, 0);
     let dst = Coord::new(3, 0, 0);
     send_one(&mut net, src, dst, None, 4);
@@ -62,7 +70,7 @@ fn four_flit_packet_streams_behind_its_head() {
 
 #[test]
 fn delivery_to_self_works() {
-    let (_, mut net) = net(VerticalMode::Pillars);
+    let (_, mut net) = net();
     let here = Coord::new(2, 2, 0);
     send_one(&mut net, here, here, None, 1);
     net.run_until_idle(50).expect("drains");
@@ -72,7 +80,7 @@ fn delivery_to_self_works() {
 
 #[test]
 fn cross_layer_rides_the_pillar_bus() {
-    let (layout, mut net) = net(VerticalMode::Pillars);
+    let (layout, mut net) = net();
     let p = PillarId(0);
     let (px, py) = layout.pillar_xy(p);
     let src = Coord::new(px, py, 0);
@@ -89,7 +97,7 @@ fn cross_layer_rides_the_pillar_bus() {
 
 #[test]
 fn cross_layer_from_off_pillar_walks_to_the_pillar() {
-    let (layout, mut net) = net(VerticalMode::Pillars);
+    let (layout, mut net) = net();
     let p = PillarId(0);
     let (px, py) = layout.pillar_xy(p);
     let src = Coord::new(px.saturating_sub(1), py, 0);
@@ -102,20 +110,8 @@ fn cross_layer_from_off_pillar_walks_to_the_pillar() {
 }
 
 #[test]
-fn mesh3d_mode_climbs_with_up_down_ports() {
-    let (_, mut net) = net(VerticalMode::Mesh3d);
-    let src = Coord::new(0, 0, 0);
-    let dst = Coord::new(2, 0, 1);
-    send_one(&mut net, src, dst, None, 1);
-    net.run_until_idle(100).expect("drains");
-    let d = net.pop_delivered(dst).unwrap();
-    assert_eq!(d.hops, 3, "2 lateral + 1 vertical mesh hop");
-    assert_eq!(net.stats().bus_transfers, 0, "no buses in mesh3d mode");
-}
-
-#[test]
 fn pillar_contention_is_observable() {
-    let (layout, mut net) = net(VerticalMode::Pillars);
+    let (layout, mut net) = net();
     let p = PillarId(0);
     let (px, py) = layout.pillar_xy(p);
     // Two senders on different layers both crossing simultaneously.
@@ -146,7 +142,7 @@ fn pillar_contention_is_observable() {
 
 #[test]
 fn many_packets_all_arrive_exactly_once() {
-    let (layout, mut net) = net(VerticalMode::Pillars);
+    let (layout, mut net) = net();
     let mut expected = Vec::new();
     // All-to-all among a set of nodes spread over both layers.
     let nodes = [
@@ -188,7 +184,7 @@ fn many_packets_all_arrive_exactly_once() {
 
 #[test]
 fn per_source_destination_order_is_preserved() {
-    let (_, mut net) = net(VerticalMode::Pillars);
+    let (_, mut net) = net();
     let src = Coord::new(0, 0, 0);
     let dst = Coord::new(5, 5, 0);
     for t in 0..10u64 {
@@ -212,7 +208,7 @@ fn per_source_destination_order_is_preserved() {
 fn heavy_random_traffic_drains_without_deadlock() {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-    let (layout, mut net) = net(VerticalMode::Pillars);
+    let (layout, mut net) = net();
     let mut rng = StdRng::seed_from_u64(42);
     let mut sent = 0u64;
     for _ in 0..400 {
@@ -252,7 +248,7 @@ fn heavy_random_traffic_drains_without_deadlock() {
 
 #[test]
 fn stats_latency_matches_deliveries() {
-    let (_, mut net) = net(VerticalMode::Pillars);
+    let (_, mut net) = net();
     send_one(&mut net, Coord::new(0, 0, 0), Coord::new(1, 0, 0), None, 1);
     send_one(&mut net, Coord::new(4, 4, 0), Coord::new(4, 6, 0), None, 1);
     net.run_until_idle(100).unwrap();
@@ -260,18 +256,4 @@ fn stats_latency_matches_deliveries() {
     let sum: u64 = ds.iter().map(|d| d.latency()).sum();
     assert_eq!(net.stats().total_latency, sum);
     assert_eq!(net.stats().avg_latency(), sum as f64 / 2.0);
-}
-
-#[test]
-fn mesh3d_four_layer_traffic() {
-    let cfg = SystemConfig::default().with_layers(4);
-    let layout = ChipLayout::new(&cfg).unwrap();
-    let mut net = Network::new(&layout, &cfg.network, VerticalMode::Mesh3d);
-    send_one(&mut net, Coord::new(0, 0, 0), Coord::new(0, 0, 3), None, 1);
-    net.run_until_idle(100).expect("drains");
-    let d = net.pop_delivered(Coord::new(0, 0, 3)).unwrap();
-    assert_eq!(
-        d.hops, 3,
-        "each layer crossing is a mesh hop in 3D-mesh mode"
-    );
 }

@@ -9,8 +9,7 @@
 //!
 //! Pillar routers carry one extra physical channel — the `Vertical` port —
 //! interfacing the dTDMA bus (Figure 7); the router sees it as just
-//! another port. The 7-port 3D-mesh ablation router instead carries `Up`
-//! and `Down` ports.
+//! another port.
 //!
 //! # Hot state
 //!
@@ -24,10 +23,11 @@
 //! of a VC, which keeps masks and `occupancy` exact by construction
 //! (DESIGN.md §6e).
 
+use nim_topology::ChipLayout;
 use nim_types::{bits, Coord, Dir, PacketId};
 
 use crate::packet::{Flit, FlitArena, FlitFifo};
-use crate::routing::{route_reference, Routing};
+use crate::routing::{route, route_reference};
 use crate::vc::Vc;
 
 /// An output port held by an in-flight packet (wormhole: once a head flit
@@ -47,12 +47,14 @@ pub(crate) fn vc_bit(in_dir: usize, vc: usize) -> usize {
     in_dir << 3 | vc
 }
 
-/// VC slots per router: eight per port, one per mask bit.
-const SLOTS: usize = Dir::COUNT * 8;
+/// VC slots per router: eight per port, one per mask bit, rounded up to
+/// a power of two so that `SLOTS - 1` is a mask. Six ports give 48 bits;
+/// a mask of 47 would alias slots, so the array keeps 64.
+const SLOTS: usize = (Dir::COUNT * 8).next_power_of_two();
 
 /// The slot of VC `vc` of port `in_dir`: its mask bit, masked so the
-/// index needs no bounds check (`in_dir < 8` and `vc < 8` make the mask a
-/// no-op).
+/// index needs no bounds check (`in_dir < Dir::COUNT` and `vc < 8` make
+/// the mask a no-op).
 #[inline]
 fn vc_slot(in_dir: usize, vc: usize) -> usize {
     debug_assert!(in_dir < Dir::COUNT && vc < 8, "VC ({in_dir}, {vc})");
@@ -63,8 +65,8 @@ fn vc_slot(in_dir: usize, vc: usize) -> usize {
 #[derive(Clone, Debug)]
 pub(crate) struct Router {
     pub(crate) coord: Coord,
-    /// Node index of the router each mesh / `Up` / `Down` output links
-    /// to, filled in by the network builder (unused entries stay 0).
+    /// Node index of the router each mesh output links to, filled in by
+    /// the network builder (unused entries stay 0).
     pub(crate) next: [u32; Dir::COUNT],
     /// Ports that exist (each is an input and an output), as a bitmask
     /// over [`Dir::index`].
@@ -181,7 +183,7 @@ impl Router {
     pub(crate) fn push(
         &mut self,
         arena: &mut FlitArena,
-        rt: &Routing,
+        layout: &ChipLayout,
         in_dir: usize,
         vc: usize,
         flit: Flit,
@@ -191,7 +193,7 @@ impl Router {
         if flit.kind.is_head() {
             debug_assert!(slot.is_free(), "head flit into occupied VC");
             slot.owner = Some(flit.pkt);
-            slot.out = rt.out(self.coord, flit.dst, flit.via);
+            slot.out = route(layout, self.coord, flit.dst, flit.via);
             self.owned |= bit;
         } else {
             debug_assert!(
@@ -289,7 +291,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics, naming the router and VC, on the first disagreement.
-    pub(crate) fn check_invariants(&self, arena: &FlitArena, rt: &Routing) -> u64 {
+    pub(crate) fn check_invariants(&self, arena: &FlitArena, layout: &ChipLayout) -> u64 {
         let at = self.coord;
         let mut flits = 0;
         for (bit, vc) in self.vcs.iter().enumerate() {
@@ -310,7 +312,7 @@ impl Router {
                 "{what}: owner bit"
             );
             if let Some(f) = vc.fifo.front(arena) {
-                let want = route_reference(&rt.layout, rt.mode, at, f.dst, f.via);
+                let want = route_reference(layout, at, f.dst, f.via);
                 assert_eq!(vc.out, want, "{what}: cached route");
             }
             flits += vc.fifo.len() as u64;
@@ -398,12 +400,9 @@ mod tests {
     #[test]
     fn drop_front_after_front_leaves_the_state_pop_left() {
         use crate::packet::{FlitKind, TrafficClass};
-        use crate::routing::VerticalMode;
-        use nim_topology::ChipLayout;
         use nim_types::{Cycle, SystemConfig};
 
         let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
-        let rt = Routing::new(&layout, VerticalMode::Pillars);
         let mut arena = FlitArena::default();
         let e = Dir::East.index();
         let mut a = Router::new(&mut arena, Coord::new(1, 1, 0), &[Dir::East], 2, 4);
@@ -457,7 +456,7 @@ mod tests {
             match step {
                 Push(vc, pkt, seq, len) => {
                     for r in [&mut a, &mut b] {
-                        r.push(&mut arena, &rt, e, vc, flit(pkt, seq, len));
+                        r.push(&mut arena, &layout, e, vc, flit(pkt, seq, len));
                     }
                 }
                 Pop(vc) => {
@@ -476,7 +475,7 @@ mod tests {
                 assert_eq!(a.vc(e, vc).owner, b.vc(e, vc).owner, "step {i} VC {vc}");
                 assert_eq!(a.vc(e, vc).fifo.len(), b.vc(e, vc).fifo.len(), "step {i}");
             }
-            b.check_invariants(&arena, &rt);
+            b.check_invariants(&arena, &layout);
         }
         assert_eq!((b.occ, b.owned, b.occupancy), (0, 0, 0), "script drains");
     }
@@ -489,7 +488,7 @@ mod tests {
         assert_eq!(usize::from(r.rr[0]), vc_bit(2, 2));
         r.advance_rr(0, vc_bit(2, 2));
         assert_eq!(usize::from(r.rr[0]), vc_bit(3, 0), "port wraps to the next");
-        r.advance_rr(0, vc_bit(7, 2));
+        r.advance_rr(0, vc_bit(Dir::COUNT - 1, 2));
         assert_eq!(r.rr[0], 0, "last VC of the last port wraps to 0");
     }
 }

@@ -1,16 +1,11 @@
 //! Route computation.
 //!
 //! The paper uses dimension-order (XY) routing within each layer (Table 4).
-//! Inter-layer traversal depends on the vertical interconnect:
+//! A cross-layer packet routes XY to the transaction's pillar, takes the
+//! dTDMA bus straight to the destination layer (one hop), then routes XY
+//! to the destination.
 //!
-//! * **Pillar mode** (the paper's design): route XY to the transaction's
-//!   pillar, take the dTDMA bus straight to the destination layer (one
-//!   hop), then XY to the destination.
-//! * **Mesh3d mode** (the rejected 7-port router, kept as an ablation):
-//!   route XY within the layer first, then climb layer by layer over the
-//!   `Up`/`Down` ports (XYZ dimension order).
-//!
-//! Either way a route is one target choice plus one table-driven XY step
+//! A route is one target choice plus one table-driven XY step
 //! ([`xy_toward`]); no per-chip table is built.
 //!
 //! Dimension-order routing is deterministic and deadlock-free on a mesh;
@@ -20,17 +15,6 @@
 use nim_topology::ChipLayout;
 use nim_types::{Coord, Dir, PillarId};
 
-/// How the layers of the stack are interconnected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VerticalMode {
-    /// dTDMA bus pillars with hybridised 6-port routers (the paper's
-    /// proposal).
-    Pillars,
-    /// Full 3D mesh with 7-port routers (the rejected alternative,
-    /// reproduced for the §3.1 design-search ablation).
-    Mesh3d,
-}
-
 /// One XY step toward a target, indexed by the signs of Δx and Δy
 /// ([`sign_index`]): x resolves before y, and a zero vector is `Local`.
 const XY_STEP: [[Dir; 3]; 3] = [
@@ -38,10 +22,6 @@ const XY_STEP: [[Dir; 3]; 3] = [
     [Dir::South, Dir::Local, Dir::North],
     [Dir::East; 3],
 ];
-
-/// The Mesh3d ablation's layer step once x and y agree, indexed like
-/// [`XY_STEP`] by the sign of Δlayer.
-const Z_STEP: [Dir; 3] = [Dir::Down, Dir::Local, Dir::Up];
 
 /// `0`, `1` or `2` as `to` is below, equal to or above `from`.
 #[inline]
@@ -60,22 +40,14 @@ pub(crate) fn xy_toward(at: Coord, dst_x: u8, dst_y: u8) -> Dir {
 /// back to the layout's nearest-pillar table.
 ///
 /// The flit first picks its in-layer target — the destination on the
-/// destination's layer (and always in Mesh3d mode), else the pillar,
-/// which it leaves by `Vertical` once it stands on it — then takes one
-/// [`xy_toward`] step; Mesh3d turns an in-place step into `Up`/`Down`.
+/// destination's layer, else the pillar, which it leaves by `Vertical`
+/// once it stands on it — then takes one [`xy_toward`] step.
 ///
 /// # Panics
 ///
-/// Panics if a cross-layer route is requested in pillar mode on a chip
-/// with no pillars.
-pub(crate) fn route(
-    layout: &ChipLayout,
-    mode: VerticalMode,
-    at: Coord,
-    dst: Coord,
-    via: Option<PillarId>,
-) -> Dir {
-    let (tx, ty) = if mode == VerticalMode::Pillars && at.layer != dst.layer {
+/// Panics if a cross-layer route is requested on a chip with no pillars.
+pub(crate) fn route(layout: &ChipLayout, at: Coord, dst: Coord, via: Option<PillarId>) -> Dir {
+    let (tx, ty) = if at.layer != dst.layer {
         let pillar = via
             .or_else(|| layout.nearest_pillar(at))
             .expect("cross-layer route requires a pillar");
@@ -87,10 +59,7 @@ pub(crate) fn route(
     } else {
         (dst.x, dst.y)
     };
-    match xy_toward(at, tx, ty) {
-        Dir::Local if mode == VerticalMode::Mesh3d => Z_STEP[sign_index(at.layer, dst.layer)],
-        step => step,
-    }
+    xy_toward(at, tx, ty)
 }
 
 /// The comparison chain [`route`] replaced, kept as its oracle: this
@@ -98,7 +67,6 @@ pub(crate) fn route(
 /// checked tick) compare routes against it.
 pub(crate) fn route_reference(
     layout: &ChipLayout,
-    mode: VerticalMode,
     at: Coord,
     dst: Coord,
     via: Option<PillarId>,
@@ -116,57 +84,18 @@ pub(crate) fn route_reference(
             Dir::Local
         }
     }
-    match mode {
-        VerticalMode::Pillars => {
-            if at.layer == dst.layer {
-                xy(at, dst.x, dst.y)
-            } else {
-                let pillar = via
-                    .or_else(|| layout.nearest_pillar(at))
-                    .expect("cross-layer route requires a pillar");
-                let (px, py) = layout.pillar_xy(pillar);
-                if (at.x, at.y) == (px, py) {
-                    Dir::Vertical
-                } else {
-                    xy(at, px, py)
-                }
-            }
+    if at.layer == dst.layer {
+        xy(at, dst.x, dst.y)
+    } else {
+        let pillar = via
+            .or_else(|| layout.nearest_pillar(at))
+            .expect("cross-layer route requires a pillar");
+        let (px, py) = layout.pillar_xy(pillar);
+        if (at.x, at.y) == (px, py) {
+            Dir::Vertical
+        } else {
+            xy(at, px, py)
         }
-        VerticalMode::Mesh3d => {
-            let step = xy(at, dst.x, dst.y);
-            if step != Dir::Local {
-                step
-            } else if at.layer < dst.layer {
-                Dir::Up
-            } else if at.layer > dst.layer {
-                Dir::Down
-            } else {
-                Dir::Local
-            }
-        }
-    }
-}
-
-/// The static routing context of a network: everything [`route`] needs
-/// besides the flit and its position.
-#[derive(Clone, Debug)]
-pub(crate) struct Routing {
-    pub(crate) layout: ChipLayout,
-    pub(crate) mode: VerticalMode,
-}
-
-impl Routing {
-    pub(crate) fn new(layout: &ChipLayout, mode: VerticalMode) -> Self {
-        Self {
-            layout: layout.clone(),
-            mode,
-        }
-    }
-
-    /// Output port at `at` for a flit heading to `dst` over `via`.
-    #[inline]
-    pub(crate) fn out(&self, at: Coord, dst: Coord, via: Option<PillarId>) -> Dir {
-        route(&self.layout, self.mode, at, dst, via)
     }
 }
 
@@ -192,13 +121,7 @@ mod tests {
     #[test]
     fn same_layer_route_is_pure_xy() {
         let l = layout();
-        let d = route(
-            &l,
-            VerticalMode::Pillars,
-            Coord::new(0, 0, 0),
-            Coord::new(3, 1, 0),
-            None,
-        );
+        let d = route(&l, Coord::new(0, 0, 0), Coord::new(3, 1, 0), None);
         assert_eq!(d, Dir::East);
     }
 
@@ -210,17 +133,11 @@ mod tests {
         let dst = Coord::new(0, 0, 1);
         // Standing on the pillar: go vertical.
         let at = Coord::new(px, py, 0);
-        assert_eq!(
-            route(&l, VerticalMode::Pillars, at, dst, Some(p)),
-            Dir::Vertical
-        );
+        assert_eq!(route(&l, at, dst, Some(p)), Dir::Vertical);
         // One hop west of the pillar: go east towards it, even though the
         // final destination is west.
         let at = Coord::new(px - 1, py, 0);
-        assert_eq!(
-            route(&l, VerticalMode::Pillars, at, dst, Some(p)),
-            Dir::East
-        );
+        assert_eq!(route(&l, at, dst, Some(p)), Dir::East);
     }
 
     #[test]
@@ -230,32 +147,11 @@ mod tests {
         let (px, py) = l.pillar_xy(p);
         let at = Coord::new(px, py, 1); // just got off the bus on layer 1
         let dst = Coord::new(0, 0, 1);
-        assert_eq!(
-            route(&l, VerticalMode::Pillars, at, dst, Some(p)),
-            Dir::West
-        );
-    }
-
-    #[test]
-    fn mesh3d_routes_xy_then_z() {
-        let l = layout();
-        let dst = Coord::new(3, 3, 1);
-        assert_eq!(
-            route(&l, VerticalMode::Mesh3d, Coord::new(0, 3, 0), dst, None),
-            Dir::East
-        );
-        assert_eq!(
-            route(&l, VerticalMode::Mesh3d, Coord::new(3, 3, 0), dst, None),
-            Dir::Up
-        );
-        assert_eq!(
-            route(&l, VerticalMode::Mesh3d, Coord::new(3, 3, 1), dst, None),
-            Dir::Local
-        );
+        assert_eq!(route(&l, at, dst, Some(p)), Dir::West);
     }
 
     /// Every position × target × `via ∈ {None} ∪ pillars`, on every
-    /// layer × pillar count and in both vertical modes.
+    /// layer × pillar count.
     #[test]
     fn route_equals_the_comparison_chain_everywhere() {
         for layers in [1, 2, 4, 8] {
@@ -270,15 +166,10 @@ mod tests {
                 let nodes: Vec<_> = (0..l.num_nodes()).map(|i| l.coord_of_index(i)).collect();
                 for &at in &nodes {
                     for &dst in &nodes {
-                        assert_eq!(
-                            route(&l, VerticalMode::Mesh3d, at, dst, None),
-                            route_reference(&l, VerticalMode::Mesh3d, at, dst, None),
-                            "Mesh3d {at} -> {dst}"
-                        );
                         for &via in &vias {
                             assert_eq!(
-                                route(&l, VerticalMode::Pillars, at, dst, via),
-                                route_reference(&l, VerticalMode::Pillars, at, dst, via),
+                                route(&l, at, dst, via),
+                                route_reference(&l, at, dst, via),
                                 "{layers} layers, {pillars} pillars: {at} -> {dst} via {via:?}"
                             );
                         }
@@ -292,6 +183,6 @@ mod tests {
     fn arrival_routes_local() {
         let l = layout();
         let c = Coord::new(4, 4, 1);
-        assert_eq!(route(&l, VerticalMode::Pillars, c, c, None), Dir::Local);
+        assert_eq!(route(&l, c, c, None), Dir::Local);
     }
 }

@@ -44,7 +44,8 @@ pub struct NetworkStats {
 
 impl NetworkStats {
     /// Mean end-to-end packet latency in cycles.
-    pub fn avg_latency(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn avg_latency(&self) -> f64 {
         if self.packets_delivered == 0 {
             0.0
         } else {

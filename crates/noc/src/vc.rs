@@ -63,7 +63,6 @@ mod tests {
     use super::*;
     use crate::packet::{Flit, FlitArena, FlitKind, TrafficClass};
     use crate::router::Router;
-    use crate::routing::{Routing, VerticalMode};
     use nim_topology::ChipLayout;
     use nim_types::{Coord, Cycle, SystemConfig};
 
@@ -86,11 +85,11 @@ mod tests {
     }
 
     /// A router at the origin with one east input port of `vcs` VCs.
-    fn one_port(vcs: usize) -> (FlitArena, Routing, Router) {
+    fn one_port(vcs: usize) -> (FlitArena, ChipLayout, Router) {
         let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
         let mut arena = FlitArena::default();
         let r = Router::new(&mut arena, Coord::new(0, 0, 0), &[Dir::East], vcs, 4);
-        (arena, Routing::new(&layout, VerticalMode::Pillars), r)
+        (arena, layout, r)
     }
 
     /// Reads the front flit of `(in_dir, vc)` and drops it, as a move does.
@@ -102,15 +101,15 @@ mod tests {
 
     #[test]
     fn ownership_lifecycle() {
-        let (mut arena, rt, mut r) = one_port(1);
+        let (mut arena, layout, mut r) = one_port(1);
         assert!(r.vc(EAST, 0).is_free());
-        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Head));
+        r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Head));
         assert!(!r.vc(EAST, 0).is_free());
         assert!(r.vc(EAST, 0).accepts_continuation(PacketId(1)));
         assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(2)));
-        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Body));
-        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Body));
-        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Tail));
+        r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Body));
+        r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Body));
+        r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Tail));
         assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(1)), "full");
         assert_eq!(take(&mut r, &arena, EAST, 0).kind, FlitKind::Head);
         assert_eq!(take(&mut r, &arena, EAST, 0).kind, FlitKind::Body);
@@ -119,13 +118,13 @@ mod tests {
         take(&mut r, &arena, EAST, 0);
         take(&mut r, &arena, EAST, 0);
         assert!(r.vc(EAST, 0).is_free(), "tail leaving releases ownership");
-        r.check_invariants(&arena, &rt);
+        r.check_invariants(&arena, &layout);
     }
 
     #[test]
     fn single_flit_packet_frees_immediately() {
-        let (mut arena, rt, mut r) = one_port(1);
-        r.push(&mut arena, &rt, EAST, 0, flit(9, FlitKind::HeadTail));
+        let (mut arena, layout, mut r) = one_port(1);
+        r.push(&mut arena, &layout, EAST, 0, flit(9, FlitKind::HeadTail));
         assert!(!r.vc(EAST, 0).is_free());
         take(&mut r, &arena, EAST, 0);
         assert!(r.vc(EAST, 0).is_free());
@@ -133,22 +132,22 @@ mod tests {
 
     #[test]
     fn input_port_vc_selection() {
-        let (mut arena, rt, mut r) = one_port(3);
+        let (mut arena, layout, mut r) = one_port(3);
         assert_eq!(r.free_vc(EAST), Some(0));
-        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Head));
+        r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Head));
         assert_eq!(r.free_vc(EAST), Some(1), "skips the owned VC");
         assert_eq!(r.continuation_vc(EAST, PacketId(1)), Some(0));
         assert_eq!(r.continuation_vc(EAST, PacketId(2)), None);
         assert_eq!(r.occupancy(), 1);
         assert_eq!(r.vc(EAST, 0).out, Dir::East, "route cached at head push");
-        r.check_invariants(&arena, &rt);
+        r.check_invariants(&arena, &layout);
     }
 
     #[test]
     fn all_vcs_busy_blocks_new_heads() {
-        let (mut arena, rt, mut r) = one_port(2);
-        r.push(&mut arena, &rt, EAST, 0, flit(1, FlitKind::Head));
-        r.push(&mut arena, &rt, EAST, 1, flit(2, FlitKind::Head));
+        let (mut arena, layout, mut r) = one_port(2);
+        r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Head));
+        r.push(&mut arena, &layout, EAST, 1, flit(2, FlitKind::Head));
         assert_eq!(r.free_vc(EAST), None);
     }
 }

@@ -2,14 +2,14 @@
 //! slot allocation (= round-robin fairness among active clients) and
 //! single-hop transfer between arbitrary layer pairs.
 
-use nim_noc::{Network, SendRequest, TrafficClass, VerticalMode};
+use nim_noc::{Network, SendRequest, TrafficClass};
 use nim_topology::ChipLayout;
 use nim_types::{Coord, PillarId, SystemConfig};
 
 fn four_layer_net() -> (ChipLayout, Network) {
     let cfg = SystemConfig::default().with_layers(4);
     let layout = ChipLayout::new(&cfg).unwrap();
-    let net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+    let net = Network::new(&layout, &cfg.network);
     (layout, net)
 }
 
@@ -103,7 +103,7 @@ fn narrow_buses_serialise_each_flit() {
         let mut cfg = SystemConfig::default();
         cfg.network.bus_width_bits = bus_width;
         let layout = ChipLayout::new(&cfg).unwrap();
-        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+        let mut net = Network::new(&layout, &cfg.network);
         let p = PillarId(0);
         let (px, py) = layout.pillar_xy(p);
         for i in 0..10u64 {

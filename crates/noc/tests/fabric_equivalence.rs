@@ -8,7 +8,7 @@
 //! pointers and bus serialisation windows from leaking between probes,
 //! so every run is a genuine contention-free measurement.
 
-use nim_noc::{zero_load_path, Network, SendRequest, TrafficClass, VerticalMode};
+use nim_noc::{zero_load_path, Network, SendRequest, TrafficClass};
 use nim_topology::ChipLayout;
 use nim_types::{Coord, PillarId, SystemConfig};
 
@@ -24,7 +24,7 @@ fn probe(cfg: &SystemConfig, src: Coord, dst: Coord, via: Option<PillarId>, flit
         u64::from(cfg.network.router_latency),
         u64::from(cfg.network.bus_cycles_per_flit()),
     );
-    let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+    let mut net = Network::new(&layout, &cfg.network);
     net.send(SendRequest {
         src,
         dst,

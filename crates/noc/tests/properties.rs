@@ -2,7 +2,7 @@
 //! every packet is delivered exactly once at its destination, and latency
 //! is bounded below by the zero-load minimum.
 
-use nim_noc::{Network, SendRequest, TrafficClass, VerticalMode};
+use nim_noc::{Network, SendRequest, TrafficClass};
 use nim_topology::ChipLayout;
 use nim_types::{Coord, SystemConfig};
 use proptest::prelude::*;
@@ -34,10 +34,10 @@ fn arb_traffic(w: u8, h: u8, layers: u8) -> impl Strategy<Value = Traffic> {
         })
 }
 
-fn run_traffic(mode: VerticalMode, traffic: Vec<Traffic>) -> Result<(), TestCaseError> {
+fn run_traffic(traffic: Vec<Traffic>) -> Result<(), TestCaseError> {
     let cfg = SystemConfig::default();
     let layout = ChipLayout::new(&cfg).expect("layout");
-    let mut net = Network::new(&layout, &cfg.network, mode);
+    let mut net = Network::new(&layout, &cfg.network);
     let mut expected = std::collections::HashMap::new();
     for (i, t) in traffic.iter().enumerate() {
         net.send(SendRequest {
@@ -61,16 +61,13 @@ fn run_traffic(mode: VerticalMode, traffic: Vec<Traffic>) -> Result<(), TestCase
     let mut min_latency_ok = true;
     for d in net.drain_delivered() {
         *seen.entry((d.dst, d.token)).or_insert(0u32) += 1;
-        let zero_load = match mode {
-            VerticalMode::Mesh3d => u64::from(d.src.manhattan_3d(d.dst)),
-            VerticalMode::Pillars => u64::from(
-                layout.hops(d.src, d.dst, None).min(
-                    layout
-                        .nearest_pillar(d.src)
-                        .map_or(u32::MAX, |p| layout.hops(d.src, d.dst, Some(p))),
-                ),
+        let zero_load = u64::from(
+            layout.hops(d.src, d.dst, None).min(
+                layout
+                    .nearest_pillar(d.src)
+                    .map_or(u32::MAX, |p| layout.hops(d.src, d.dst, Some(p))),
             ),
-        };
+        );
         if d.latency() < zero_load {
             min_latency_ok = false;
         }
@@ -91,10 +88,8 @@ fn one_flit_packet_across_the_chip_and_up_a_layer() {
         flits: 1,
         gap: 0,
     }];
-    for mode in [VerticalMode::Pillars, VerticalMode::Mesh3d] {
-        if let Err(e) = run_traffic(mode, traffic.clone()) {
-            panic!("{mode:?}: {e:?}");
-        }
+    if let Err(e) = run_traffic(traffic) {
+        panic!("{e:?}");
     }
 }
 
@@ -105,14 +100,7 @@ proptest! {
     fn pillar_network_delivers_everything_exactly_once(
         traffic in proptest::collection::vec(arb_traffic(16, 8, 2), 1..150),
     ) {
-        run_traffic(VerticalMode::Pillars, traffic)?;
-    }
-
-    #[test]
-    fn mesh3d_network_delivers_everything_exactly_once(
-        traffic in proptest::collection::vec(arb_traffic(16, 8, 2), 1..150),
-    ) {
-        run_traffic(VerticalMode::Mesh3d, traffic)?;
+        run_traffic(traffic)?;
     }
 
     #[test]
@@ -121,7 +109,7 @@ proptest! {
     ) {
         let cfg = SystemConfig::default();
         let layout = ChipLayout::new(&cfg).expect("layout");
-        let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+        let mut net = Network::new(&layout, &cfg.network);
         let n = traffic.len() as u64;
         for (i, t) in traffic.iter().enumerate() {
             net.send(SendRequest {

@@ -1,8 +1,7 @@
 //! Router-latency semantics: the configurable per-hop dwell time behaves
-//! exactly linearly at zero load — the knob the §3.1 ablation relies on
-//! to model the slower 7-port router.
+//! exactly linearly at zero load.
 
-use nim_noc::{Network, SendRequest, TrafficClass, VerticalMode};
+use nim_noc::{Network, SendRequest, TrafficClass};
 use nim_topology::ChipLayout;
 use nim_types::{Coord, SystemConfig};
 
@@ -10,7 +9,7 @@ fn one_packet_latency(router_latency: u32, hops: u8, flits: u32) -> u64 {
     let mut cfg = SystemConfig::default().flattened();
     cfg.network.router_latency = router_latency;
     let layout = ChipLayout::new(&cfg).unwrap();
-    let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+    let mut net = Network::new(&layout, &cfg.network);
     net.send(SendRequest {
         src: Coord::new(0, 0, 0),
         dst: Coord::new(hops, 0, 0),

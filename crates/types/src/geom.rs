@@ -97,9 +97,7 @@ impl From<(u8, u8, u8)> for Coord {
 /// processing element — cache bank and/or CPU). Pillar routers additionally
 /// have the `Vertical` port connecting to the dTDMA bus; the bus is a single
 /// entity for communicating both up and down, so there is one vertical port,
-/// not two (paper §3). The `Up`/`Down` ports exist only on the 7-port
-/// full-3D-mesh router that the paper's design search rejected (§3.1); they
-/// are modelled here so the rejection can be reproduced as an ablation.
+/// not two (paper §3), and no router has more than six ports.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Dir {
     /// Towards larger `y`.
@@ -114,23 +112,17 @@ pub enum Dir {
     Local,
     /// The dTDMA pillar (present only on pillar routers).
     Vertical,
-    /// Towards larger `layer` (7-port 3D-mesh ablation router only).
-    Up,
-    /// Towards smaller `layer` (7-port 3D-mesh ablation router only).
-    Down,
 }
 
 impl Dir {
     /// All possible router ports, in canonical order.
-    pub const ALL: [Dir; 8] = [
+    pub const ALL: [Dir; 6] = [
         Dir::North,
         Dir::South,
         Dir::East,
         Dir::West,
         Dir::Local,
         Dir::Vertical,
-        Dir::Up,
-        Dir::Down,
     ];
 
     /// The four mesh (compass) directions.
@@ -151,8 +143,6 @@ impl Dir {
             Dir::West => Dir::East,
             Dir::Local => Dir::Local,
             Dir::Vertical => Dir::Vertical,
-            Dir::Up => Dir::Down,
-            Dir::Down => Dir::Up,
         }
     }
 
@@ -166,13 +156,11 @@ impl Dir {
             Dir::West => 3,
             Dir::Local => 4,
             Dir::Vertical => 5,
-            Dir::Up => 6,
-            Dir::Down => 7,
         }
     }
 
     /// Number of distinct ports (the size of [`Dir::ALL`]).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// Applies one hop in this direction to `(x, y)`; `Local` and
     /// `Vertical` leave the position unchanged.
@@ -185,7 +173,7 @@ impl Dir {
             Dir::South => y.checked_sub(1).map(|ny| (x, ny)),
             Dir::East => (x + 1 < width).then(|| (x + 1, y)),
             Dir::West => x.checked_sub(1).map(|nx| (nx, y)),
-            Dir::Local | Dir::Vertical | Dir::Up | Dir::Down => Some((x, y)),
+            Dir::Local | Dir::Vertical => Some((x, y)),
         }
     }
 }
@@ -199,8 +187,6 @@ impl fmt::Display for Dir {
             Dir::West => "W",
             Dir::Local => "local",
             Dir::Vertical => "vertical",
-            Dir::Up => "up",
-            Dir::Down => "down",
         };
         f.write_str(s)
     }

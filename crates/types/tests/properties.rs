@@ -93,7 +93,7 @@ proptest! {
     fn dir_step_stays_in_bounds(
         x in 0u8..64, y in 0u8..64,
         w in 1u8..=64, h in 1u8..=64,
-        dir_idx in 0usize..8,
+        dir_idx in 0usize..Dir::COUNT,
     ) {
         prop_assume!(x < w && y < h);
         let d = Dir::ALL[dir_idx];

@@ -261,6 +261,20 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             "{flag} does not combine with --resume: the image records it"
         ));
     }
+    if command == "run" && !cell.scheme.is_3d() {
+        // A 2D scheme flattens the chip to one layer with no pillars.
+        // (`compare` and `breakdown` keep both for their 3D rows.)
+        let given = [
+            ("--layers", cell.layers.is_some()),
+            ("--pillars", cell.pillars.is_some()),
+        ];
+        if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
+            let scheme = cell.scheme;
+            return Err(format!(
+                "{flag} does not apply to {scheme}: it has one layer"
+            ));
+        }
+    }
     if run.snapshot_out.is_some() && scale.warmup == 0 {
         // The snapshot is taken at the warmup boundary: with no warmup
         // there is none, and the run would write nothing.
@@ -503,6 +517,20 @@ mod tests {
         }
         // A cell field one subcommand had is valid on all that take the cell.
         assert!(cli("compare", "--cpus 4 --pillars 4").is_ok());
+        // A 2D scheme has one layer and no pillars to count.
+        for (flags, flag, scheme) in [
+            ("--scheme dnuca --layers 4", "--layers", "CMP-DNUCA"),
+            ("--pillars 2 --scheme dnuca2d", "--pillars", "CMP-DNUCA-2D"),
+        ] {
+            assert_eq!(
+                cli_err("run", flags),
+                format!("{flag} does not apply to {scheme}: it has one layer")
+            );
+        }
+        // Their 3D rows honour both.
+        for command in ["compare", "breakdown"] {
+            assert!(cli(command, "--layers 4 --pillars 2").is_ok());
+        }
         // report takes exhibit ids and the scale, not a cell.
         let cli = cli("report", "fig18 --sample 300 table1").unwrap();
         assert_eq!(

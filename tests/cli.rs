@@ -59,7 +59,8 @@ fn breakdown_honours_every_cell_axis() {
     assert_eq!(two[..2], four[..2]);
     assert_ne!(two[2], four[2]);
     assert_ne!(two[3], four[3]);
-    // Each row is the cell `nim run --scheme <s> --layers 4` simulates.
+    // Each row is scheme <s>'s cell with `--layers 4`, which the 2D
+    // schemes flatten (and `nim run` refuses for them).
     let scale = ExperimentScale {
         seed: 42,
         warmup: 50,
@@ -91,6 +92,8 @@ fn flags_only_a_single_run_can_honour_are_refused_elsewhere() {
     for line in [
         format!("compare --bench art {flags}"),
         "breakdown --bench art --layers 4 --fabric ideal --resume /nonexistent".into(),
+        "run --scheme dnuca --layers 4".into(),
+        "run --scheme dnuca2d --pillars 2".into(),
     ] {
         let err = refused(&line);
         assert!(

@@ -275,6 +275,7 @@ const FROZEN_FOR_NIMBENCH: &[(&str, &str)] = &[
     ("crates/noc/src/network/mod.rs", "window_stats"),
     ("crates/noc/src/network/mod.rs", "window_spawn_min"),
     ("crates/noc/src/network/mod.rs", "next_event_at"),
+    ("crates/noc/src/network/mod.rs", "VerticalMode"),
     ("crates/topology/src/topology.rs", "ShardPlan"),
     ("crates/topology/src/topology.rs", "MeshTopology"),
     ("crates/core/src/builder.rs", "shards"),

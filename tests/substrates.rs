@@ -3,11 +3,11 @@
 //! power models' paper-anchored outputs.
 
 use network_in_memory::cache::{NucaL2, SearchPlan};
-use network_in_memory::noc::{Network, SendRequest, TrafficClass, VerticalMode};
+use network_in_memory::noc::{Network, SendRequest, TrafficClass};
 use network_in_memory::power::{pillar_wires, table2_row, GENERIC_ROUTER};
 use network_in_memory::thermal::{ThermalConfig, ThermalModel};
 use network_in_memory::topology::{ChipLayout, Floorplan, PlacementPolicy};
-use network_in_memory::types::{ClusterId, Coord, LineAddr, SystemConfig};
+use network_in_memory::types::{ClusterId, LineAddr, SystemConfig};
 
 #[test]
 fn a_cache_line_fits_exactly_in_one_data_packet() {
@@ -28,7 +28,7 @@ fn network_serves_every_cluster_center_from_every_seat() {
     let seats = PlacementPolicy::MaximalOffset
         .place(&layout, cfg.num_cpus)
         .unwrap();
-    let mut net = Network::new(&layout, &cfg.network, VerticalMode::Pillars);
+    let mut net = Network::new(&layout, &cfg.network);
     let mut sent = 0u64;
     for seat in &seats {
         for cl in 0..layout.num_clusters() {
@@ -97,24 +97,4 @@ fn via_area_justifies_the_pillar_budget() {
     let router_um2 = GENERIC_ROUTER.area_mm2 * 1e6;
     assert!(table2_row(5.0) / router_um2 < 0.05);
     assert!(table2_row(0.2) / router_um2 < 1e-3);
-}
-
-#[test]
-fn mesh3d_and_pillar_networks_are_interchangeable_at_the_api() {
-    // The §3.1 ablation needs both vertical fabrics behind one API.
-    let cfg = SystemConfig::default();
-    let layout = ChipLayout::new(&cfg).unwrap();
-    for mode in [VerticalMode::Pillars, VerticalMode::Mesh3d] {
-        let mut net = Network::new(&layout, &cfg.network, mode);
-        net.send(SendRequest {
-            src: Coord::new(0, 0, 0),
-            dst: Coord::new(5, 5, 1),
-            via: layout.nearest_pillar(Coord::new(0, 0, 0)),
-            class: TrafficClass::Data,
-            flits: 4,
-            token: 1,
-        });
-        net.run_until_idle(10_000).expect("drains");
-        assert_eq!(net.stats().packets_delivered, 1, "{mode:?}");
-    }
 }
