@@ -15,7 +15,7 @@
 
 use nim_obs::{Category, EventData, Obs};
 use nim_types::addr::L2Map;
-use nim_types::{ClusterId, FxHashMap, L2Config, LineAddr};
+use nim_types::{ClusterId, FxHashMap, L2Config, LineAddr, LineMap};
 
 use crate::bank::Bank;
 
@@ -88,10 +88,11 @@ pub struct NucaL2 {
     banks: Vec<Bank>,
     /// Committed cluster of every resident line whose cluster is not its
     /// home cluster, and of no other line: a line absent here is either
-    /// in its home cluster's set or not resident. [`FxHashMap`] because
-    /// [`NucaL2::locate`] sits on the per-transaction hot path and the
-    /// keys are trusted line addresses.
-    moved: FxHashMap<LineAddr, ClusterId>,
+    /// in its home cluster's set or not resident. A [`LineMap`]: it sits
+    /// on the per-transaction hot path ([`NucaL2::locate`]), and with no
+    /// tombstones a table sized once by [`NucaL2::reserve`] keeps its size
+    /// however many lines leave home and come back.
+    moved: LineMap<ClusterId>,
     /// Resident lines across every bank.
     lines: usize,
     /// Line slots across every bank (the most `moved` can hold).
@@ -112,7 +113,7 @@ impl NucaL2 {
             banks: (0..l2.clusters * map.banks_per_cluster())
                 .map(|_| Bank::new(map.sets_per_bank(), l2.ways))
                 .collect(),
-            moved: FxHashMap::default(),
+            moved: LineMap::default(),
             lines: 0,
             slots: l2.clusters as usize * l2.lines_per_cluster() as usize,
             migrating: FxHashMap::default(),
@@ -160,7 +161,7 @@ impl NucaL2 {
         if self.moved.is_empty() {
             return None;
         }
-        self.moved.get(&line).copied()
+        self.moved.get(line)
     }
 
     /// The cluster a line would be *initially* placed in.
@@ -294,7 +295,7 @@ impl NucaL2 {
         let (bank, set) = self.bank_of(line, to);
         let evicted = bank.insert(set, line).evicted;
         if to == home {
-            self.moved.remove(&line);
+            self.moved.remove(line);
         } else {
             self.moved.insert(line, to);
         }
@@ -344,7 +345,7 @@ impl NucaL2 {
         self.stats.evictions += 1;
         self.lines -= 1;
         if cl != self.home_cluster(victim) {
-            self.moved.remove(&victim);
+            self.moved.remove(victim);
         }
         self.obs.emit(Category::Bank, || EventData::Eviction {
             line: victim.0,
@@ -398,11 +399,13 @@ impl NucaL2 {
                     panic!("{line} is resident in both {other} and {cl}");
                 }
                 let away = (cl != self.home_cluster(line)).then_some(cl);
-                assert_eq!(self.moved.get(&line).copied(), away, "{line} in {cl}");
+                assert_eq!(self.moved.get(line), away, "{line} in {cl}");
             }
         }
-        let away = seen.iter().filter(|(l, c)| self.home_cluster(**l) != **c);
-        assert_eq!(self.moved.len(), away.count(), "stale away-map entries");
+        for (line, cl) in self.moved.iter() {
+            let held_away = seen.get(&line) == Some(&cl) && cl != self.home_cluster(line);
+            assert!(held_away, "stale away-map entry: {line} in {cl}");
+        }
         let held: usize = self.banks.iter().map(Bank::occupancy).sum();
         assert_eq!((self.lines, seen.len()), (held, held), "line count");
         for (line, to) in &self.migrating {

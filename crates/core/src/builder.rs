@@ -11,7 +11,7 @@ use nim_coherence::Directory;
 use nim_cpu::InOrderCore;
 use nim_obs::Obs;
 use nim_topology::ChipLayout;
-use nim_types::{FxHashMap, SystemConfig};
+use nim_types::{FxHashMap, LineMap, SystemConfig};
 
 use crate::cores::Cores;
 use crate::error::BuildError;
@@ -255,7 +255,7 @@ impl SystemBuilder {
             dir,
             cores,
             txns: TxnTable::default(),
-            last_accessor: FxHashMap::default(),
+            last_accessor: LineMap::default(),
             mc_coords: layout.memory_controller_coords(cfg.memory_controllers),
             counters: Counters::default(),
             policy,

@@ -8,7 +8,8 @@
 //! * the L2's away map (the lines resident outside their home cluster)
 //!   is sized once for every line a migrating scheme can park away from
 //!   home — every CPU's private lines, and none under the static scheme
-//!   — so it never rehashes mid-fill;
+//!   — so it never rehashes mid-fill (it leaves no tombstones either, so
+//!   the run keeps that size while no more lines are away at once);
 //! * the regions are pairwise disjoint, so a line is installed at most
 //!   once and the duplicate check asks only the cluster about to be
 //!   filled (one lookup, no extra set probe);

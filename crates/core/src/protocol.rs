@@ -19,7 +19,9 @@ use nim_coherence::{DirAccess, Directory};
 use nim_cpu::MemRequest;
 use nim_obs::{Category, EventData};
 use nim_topology::{ChipLayout, CpuSeat};
-use nim_types::{AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr, PillarId};
+use nim_types::{
+    AccessKind, ClusterId, Coord, CpuId, Cycle, FxHashMap, LineAddr, LineMap, PillarId,
+};
 
 use crate::cores::Cores;
 use crate::fabric::{ClaimedDelay, Delivered, Fabric};
@@ -60,8 +62,9 @@ pub(crate) struct Engine {
     pub(crate) cores: Cores,
     /// Live transactions + the MSHR miss ledger.
     pub(crate) txns: TxnTable,
-    /// CPU that last accessed each line (drives the migration trigger).
-    pub(crate) last_accessor: FxHashMap<LineAddr, CpuId>,
+    /// CPU that last accessed each line (drives the migration trigger);
+    /// recorded only under a scheme that migrates.
+    pub(crate) last_accessor: LineMap<CpuId>,
     /// Memory-controller positions (edges of layer 0).
     pub(crate) mc_coords: Vec<Coord>,
     /// Protocol counters (the report's raw material).
@@ -580,7 +583,8 @@ impl Engine {
             self.dir.evict(t.cpu, ev);
         }
         self.dir.access(t.cpu, t.line, DirAccess::Read);
-        let repeated = self.last_accessor.insert(t.line, t.cpu) == Some(t.cpu);
+        let repeated =
+            self.policy.migrates && self.last_accessor.insert(t.line, t.cpu) == Some(t.cpu);
         self.maybe_migrate(f, t.cpu, t.line, repeated);
     }
 
@@ -597,7 +601,8 @@ impl Engine {
             self.counters.invalidations += 1;
             self.send_from_cpu(f, t.cpu, self.seat(sharer).coord, token);
         }
-        let repeated = self.last_accessor.insert(t.line, t.cpu) == Some(t.cpu);
+        let repeated =
+            self.policy.migrates && self.last_accessor.insert(t.line, t.cpu) == Some(t.cpu);
         self.maybe_migrate(f, t.cpu, t.line, repeated);
     }
 

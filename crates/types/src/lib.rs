@@ -13,6 +13,7 @@
 //! * `time` — the [`Cycle`] newtype used for all simulated time.
 //! * `config` — [`SystemConfig`], the paper's Table 4 parameters.
 //! * `hash` — [`FxHashMap`], the de-SipHashed map for hot-path keys.
+//! * `line_map` — [`LineMap`], the tombstone-free map for per-line tables.
 //! * `bitset` — [`IdSet`], ordered small-integer sets as bitmaps.
 //! * [`codec`] — the versioned binary snapshot codec.
 //!
@@ -37,6 +38,7 @@ pub(crate) mod config;
 pub(crate) mod geom;
 pub(crate) mod hash;
 pub(crate) mod id;
+pub(crate) mod line_map;
 pub(crate) mod time;
 pub(crate) mod trace;
 
@@ -47,5 +49,6 @@ pub use config::{ConfigError, L1Config, L2Config, NetworkConfig, SystemConfig};
 pub use geom::{Coord, Dir};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use id::{BankId, ClusterId, CpuId, PacketId, PillarId};
+pub use line_map::LineMap;
 pub use time::Cycle;
 pub use trace::{AccessKind, TraceOp};

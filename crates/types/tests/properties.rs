@@ -1,11 +1,41 @@
-//! Property-based tests for address decomposition, geometry, and the
-//! FxHash map used on the simulator's hot paths.
+//! Property-based tests for address decomposition, geometry, the FxHash
+//! map used on the simulator's hot paths and the per-line `LineMap`.
 
 use std::collections::HashMap;
 
 use nim_types::addr::L2Map;
-use nim_types::{Address, Coord, Dir, FxHashMap, LineAddr};
+use nim_types::{Address, Coord, Dir, FxHashMap, LineAddr, LineMap};
 use proptest::prelude::*;
+
+/// The multiplier `LineMap` hashes with: a key's home slot is the top
+/// bits of `key × GOLDEN`. If the map's hash changes, the keys below
+/// merely stop colliding; the oracle still holds.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The key whose product with [`GOLDEN`] is `product` (the multiplier
+/// is odd, so it has an inverse mod 2^64; Newton's iteration doubles
+/// the correct low bits each step).
+fn key_hashing_to(product: u64) -> u64 {
+    let mut inv = GOLDEN;
+    for _ in 0..6 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(GOLDEN.wrapping_mul(inv)));
+    }
+    product.wrapping_mul(inv)
+}
+
+/// A key drawn from one of three pools, each with few enough members
+/// that hits, overwrites and removals are common: sixteen small lines;
+/// lines whose home is one of the first four slots of every table up
+/// to 64 slots (so they share home slots); and lines homed at the last
+/// slot of every such table (so their runs wrap past it to slot 0).
+fn line_key(pool: u8, pick: u64) -> LineAddr {
+    let low = (pick % 8) << 40;
+    match pool % 3 {
+        0 => LineAddr(pick % 16),
+        1 => LineAddr(key_hashing_to(((pick >> 3) % 4) << 58 | low)),
+        _ => LineAddr(key_hashing_to(63 << 58 | low)),
+    }
+}
 
 fn arb_geometry() -> impl Strategy<Value = (u32, u32, u32)> {
     // clusters, banks per cluster, sets per bank — powers of two.
@@ -125,5 +155,40 @@ proptest! {
         for (k, v) in &reference {
             prop_assert_eq!(fx.get(k), Some(v));
         }
+    }
+
+    #[test]
+    fn line_map_agrees_with_std_hashmap(
+        ops in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u64>(), any::<u32>()),
+            0..300,
+        ),
+    ) {
+        let mut map: LineMap<u32> = LineMap::default();
+        let mut reference: HashMap<LineAddr, u32> = HashMap::new();
+        for &(op, pool, pick, val) in &ops {
+            let key = line_key(pool, pick);
+            match op % 7 {
+                0..=2 => prop_assert_eq!(map.insert(key, val), reference.insert(key, val)),
+                3 | 4 => prop_assert_eq!(map.remove(key), reference.remove(&key)),
+                5 => prop_assert_eq!(map.get(key), reference.get(&key).copied()),
+                _ => {
+                    let extra = val as usize % 64;
+                    map.reserve(extra);
+                    prop_assert!(map.capacity() >= map.len() + extra);
+                }
+            }
+            prop_assert_eq!(map.len(), reference.len());
+            prop_assert_eq!(map.is_empty(), reference.is_empty());
+            prop_assert!(map.len() <= map.capacity());
+        }
+        for (k, v) in &reference {
+            prop_assert_eq!(map.get(*k), Some(*v));
+        }
+        let mut held: Vec<(LineAddr, u32)> = map.iter().collect();
+        let mut want: Vec<(LineAddr, u32)> = reference.into_iter().collect();
+        held.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(held, want);
     }
 }

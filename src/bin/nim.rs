@@ -275,6 +275,11 @@ fn parse(command: &str, args: &[String]) -> Result<Cli, String> {
             ));
         }
     }
+    if cell.layers == Some(1) && cell.pillars.is_some() {
+        // One layer has no vertical interconnect: the count would be
+        // dropped unread.
+        return Err("--pillars does not apply to a one-layer chip: it has no pillars".into());
+    }
     if run.snapshot_out.is_some() && scale.warmup == 0 {
         // The snapshot is taken at the warmup boundary: with no warmup
         // there is none, and the run would write nothing.
@@ -530,6 +535,14 @@ mod tests {
         // Their 3D rows honour both.
         for command in ["compare", "breakdown"] {
             assert!(cli(command, "--layers 4 --pillars 2").is_ok());
+        }
+        // A one-layer chip has no pillars to count, under any scheme.
+        for command in ["run", "compare", "breakdown"] {
+            assert_eq!(
+                cli_err(command, "--layers 1 --pillars 4"),
+                "--pillars does not apply to a one-layer chip: it has no pillars"
+            );
+            assert!(cli(command, "--layers 1").is_ok());
         }
         // report takes exhibit ids and the scale, not a cell.
         let cli = cli("report", "fig18 --sample 300 table1").unwrap();

@@ -94,6 +94,8 @@ fn flags_only_a_single_run_can_honour_are_refused_elsewhere() {
         "breakdown --bench art --layers 4 --fabric ideal --resume /nonexistent".into(),
         "run --scheme dnuca --layers 4".into(),
         "run --scheme dnuca2d --pillars 2".into(),
+        "run --layers 1 --pillars 4".into(),
+        "compare --layers 1 --pillars 4".into(),
     ] {
         let err = refused(&line);
         assert!(
