@@ -19,7 +19,7 @@
 
 use nim_types::PillarId;
 
-use crate::packet::{FlitArena, FlitFifo};
+use crate::packet::FlitFifo;
 
 /// Counters kept per pillar bus.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,9 +46,9 @@ pub(crate) struct Iface {
 }
 
 impl Iface {
-    pub(crate) fn new(arena: &mut FlitArena, cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self {
-            q: FlitFifo::new(arena, cap),
+            q: FlitFifo::new(cap),
             bound_vc: None,
         }
     }
@@ -80,7 +80,7 @@ impl DtdmaBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Flit, FlitKind, TrafficClass};
+    use crate::packet::{Flit, FlitArena, FlitKind, TrafficClass};
     use nim_types::{Coord, Cycle, PacketId};
 
     fn flit() -> Flit {
@@ -102,12 +102,13 @@ mod tests {
     #[test]
     fn iface_respects_capacity() {
         let mut arena = FlitArena::default();
-        let mut a = Iface::new(&mut arena, 2);
-        let b = Iface::new(&mut arena, 2);
+        let mut a = Iface::new(2);
+        let b = Iface::new(2);
         a.q.push_back(&mut arena, flit());
         a.q.push_back(&mut arena, flit());
         assert!(a.q.is_full());
         assert!(!b.q.is_full(), "interfaces are independent");
+        assert_eq!(arena.slab_len(), 2, "slots only for the flits queued");
         assert_eq!(a.q.len() + b.q.len(), 2);
         assert_eq!(a.bound_vc, None);
     }

@@ -78,7 +78,7 @@ impl Network {
                     });
             }
             // The flit read above moves; its slot is not read again.
-            self.ifaces[src].q.advance();
+            self.ifaces[src].q.advance(&mut self.arena);
             let mut f = front;
             // `arrived` still holds the bus-enqueue stamp: the span up
             // to this grant is time spent waiting for a dTDMA slot.

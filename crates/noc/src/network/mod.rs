@@ -95,7 +95,8 @@ pub struct Network {
     /// Each pillar bus's per-layer transceiver interface, indexed
     /// `bus * layers + layer`.
     ifaces: Vec<Iface>,
-    /// Pooled backing store for every VC and transceiver FIFO.
+    /// Pooled slab every VC and transceiver FIFO links its flits
+    /// through; it grows only with the flits buffered at once.
     arena: FlitArena,
     injectors: Vec<Injector>,
     /// Packets delivered and not yet drained, in delivery order. Only
@@ -145,7 +146,6 @@ impl Network {
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
         let buses_len = layout.num_pillars() as usize;
-        let mut arena = FlitArena::default();
         let mut routers = Vec::with_capacity(n);
         let mut bus_of_node = vec![None; n];
         let mut ports = Vec::with_capacity(Dir::COUNT);
@@ -161,7 +161,7 @@ impl Network {
             if layout.is_pillar_node(c) {
                 ports.push(Dir::Vertical);
             }
-            let mut router = Router::new(&mut arena, c, &ports, vcs, depth);
+            let mut router = Router::new(c, &ports, vcs, depth);
             // Tabulate where each output leads, so a hop is one load
             // (`Local` and `Vertical` step nowhere: they link to `i`).
             for &d in &ports {
@@ -179,7 +179,7 @@ impl Network {
             let xy = layout.pillar_xy(pillar);
             for layer in 0..layout.layers() {
                 bus_of_node[layout.node_index(Coord::new(xy.0, xy.1, layer))] = Some(p);
-                ifaces.push(Iface::new(&mut arena, depth));
+                ifaces.push(Iface::new(depth));
             }
             buses.push(DtdmaBus::new(pillar, xy));
         }
@@ -192,7 +192,7 @@ impl Network {
             routers,
             buses,
             ifaces,
-            arena,
+            arena: FlitArena::default(),
             injectors: vec![Injector::default(); n],
             delivered: Vec::new(),
             dirty: IdSet::new(n),
@@ -457,7 +457,9 @@ impl Network {
     /// in the dirty set iff it buffers a flit, a node in the injection
     /// set iff packets pend there, and a bus active iff flits queue at
     /// it; and `flits_in_flight` counts exactly the buffered,
-    /// interface-queued and not-yet-injected flits.
+    /// interface-queued and not-yet-injected flits; and the VC and
+    /// interface FIFOs with the arena's free list partition the flit
+    /// slab (`FlitArena::check_partition`).
     ///
     /// Cost is linear in the chip; meant for tests and debug builds.
     ///
@@ -496,6 +498,9 @@ impl Network {
             flits += queued as u64;
         }
         assert_eq!(self.flits_in_flight, flits, "flits_in_flight");
+        let vcs = self.routers.iter().flat_map(Router::fifos);
+        self.arena
+            .check_partition(vcs.chain(self.ifaces.iter().map(|i| &i.q)));
     }
 }
 

@@ -14,7 +14,9 @@
 //! gives, so outputs contend for inputs exactly as if every port were
 //! probed (DESIGN.md §6e has the full argument). A move reads its flit
 //! once: the winner's front is copied out, decided on, and dropped from
-//! its VC by `Router::drop_front` without another arena read.
+//! its VC by `Router::drop_front`, which frees its arena slot without
+//! reading the flit again. The drop precedes the downstream push, so
+//! the push takes back the slot just freed.
 
 use nim_obs::{Category, EventData};
 use nim_types::{bits, Cycle, Dir};
@@ -147,7 +149,7 @@ impl Network {
     ) -> bool {
         match out {
             Dir::Local => {
-                self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
                 self.deliver(f, now);
                 return true;
             }
@@ -161,7 +163,7 @@ impl Network {
                 if self.ifaces[slot].q.is_full() {
                     return false;
                 }
-                self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
                 f.arrived = now;
                 self.ifaces[slot].q.push_back(&mut self.arena, f);
                 self.touched_buses.insert(bus_idx);
@@ -180,7 +182,7 @@ impl Network {
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                self.routers[n].drop_front(in_dir, vc, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
                 f.arrived = now;
                 f.hops += 1;
                 self.routers[dest_idx].push(&mut self.arena, &self.layout, ii, dvc, f);

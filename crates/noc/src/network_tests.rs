@@ -257,3 +257,58 @@ fn stats_latency_matches_deliveries() {
     assert_eq!(net.stats().total_latency, sum);
     assert_eq!(net.stats().avg_latency(), sum as f64 / 2.0);
 }
+
+/// The flit slab grows with the flits buffered, not with the chip: an
+/// idle network holds no slot, a drained burst leaves the slab as long
+/// as the most flits ever buffered at once, and the same burst again
+/// reuses those slots.
+#[test]
+fn the_flit_slab_holds_only_the_flits_buffered_at_peak() {
+    let (layout, mut net) = net();
+    for _ in 0..1_000 {
+        net.tick();
+    }
+    assert_eq!(net.arena.slab_len(), 0, "an idle network buffers nothing");
+    let buffered = |net: &Network| -> usize {
+        let vcs: usize = net
+            .routers
+            .iter()
+            .flat_map(Router::fifos)
+            .map(|q| q.len())
+            .sum();
+        vcs + (0..net.buses.len())
+            .map(|b| net.bus_queued(b))
+            .sum::<usize>()
+    };
+    let burst = |net: &mut Network| {
+        let mut peak = 0;
+        for i in 0..layout.num_nodes() {
+            let src = layout.coord_of_index(i);
+            let dst = layout.coord_of_index((i * 37 + 11) % layout.num_nodes());
+            net.send(SendRequest {
+                src,
+                dst,
+                via: layout.nearest_pillar(src),
+                class: TrafficClass::Data,
+                flits: 4,
+                token: i as u64,
+            });
+        }
+        // Within a tick the bus and router phases never add a buffered
+        // flit and injection never removes one, so tick ends see the peak.
+        while !net.is_idle() {
+            net.tick();
+            peak = peak.max(buffered(net));
+        }
+        peak
+    };
+    let peak = burst(&mut net);
+    assert!(peak > 100, "the burst loads the network ({peak} flits)");
+    assert_eq!(net.arena.slab_len(), peak);
+    let again = burst(&mut net);
+    assert!(
+        again <= peak,
+        "the same burst peaks no higher ({again} > {peak})"
+    );
+    assert_eq!(net.arena.slab_len(), peak, "the second burst reuses slots");
+}

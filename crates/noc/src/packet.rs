@@ -5,6 +5,9 @@
 //! configuration a 64 B cache line travels as one 4-flit packet of 128-bit
 //! flits (§3.2); control messages (requests, tag probes, acks) are single
 //! head-tail flits.
+//!
+//! Buffered flits live in one pooled [`FlitArena`]; every router VC and
+//! pillar transceiver queue is a bounded [`FlitFifo`] linked through it.
 
 use nim_types::{Coord, Cycle, PacketId, PillarId};
 
@@ -130,8 +133,9 @@ pub(crate) struct Flit {
     pub(crate) bus_wait: u32,
 }
 
+#[cfg(test)]
 impl Flit {
-    /// Filler for arena slots no live flit occupies.
+    /// The tests' template flit.
     pub(crate) const VACANT: Flit = Flit {
         pkt: PacketId(u64::MAX),
         kind: FlitKind::HeadTail,
@@ -147,54 +151,141 @@ impl Flit {
     };
 }
 
+/// The link of a slot with nothing after it: the end of the free list.
+const NIL: u32 = u32::MAX;
+
 /// Pooled backing store for every flit FIFO in the network.
 ///
-/// Router VCs and pillar transceiver queues each own a fixed-size window
-/// of one contiguous slab, so the per-cycle hot path reads cache-adjacent
-/// slots instead of chasing one heap allocation per queue, and bursts
-/// never reallocate.
-#[derive(Clone, Debug, Default)]
+/// One slab of flits with a parallel array of links. A slot is either
+/// on one [`FlitFifo`]'s list or on the arena's LIFO free list. A push
+/// takes the most recently freed slot and grows the slab only when none
+/// is free, so the slab is as long as the most flits ever buffered at
+/// once (about 70 in a loaded cell), never what the FIFO capacities
+/// could hold (14 464 on the default chip). A hop frees a slot and the
+/// next push takes that same slot back, so the live flits stay within a
+/// few hot kilobytes.
+#[derive(Clone, Debug)]
 pub(crate) struct FlitArena {
     slots: Vec<Flit>,
+    /// `next[s]`: the slot after `s` on its FIFO or on the free list.
+    next: Vec<u32>,
+    /// Most recently freed slot, or [`NIL`].
+    free: u32,
 }
 
-impl FlitArena {
-    /// Reserves `cap` contiguous slots and returns their base index.
-    fn alloc(&mut self, cap: usize) -> u32 {
-        let base = self.slots.len();
-        self.slots.resize(base + cap, Flit::VACANT);
-        u32::try_from(base).expect("flit arena exceeds u32 slots")
+impl Default for FlitArena {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+        }
     }
 }
 
-/// A bounded flit FIFO: a ring over a fixed [`FlitArena`] window.
+impl FlitArena {
+    /// Stores `flit` in a free slot, or in a new one, and returns it.
+    #[inline]
+    fn take(&mut self, flit: Flit) -> u32 {
+        let s = self.free;
+        if s == NIL {
+            return self.grow(flit);
+        }
+        self.free = self.next[s as usize];
+        self.slots[s as usize] = flit;
+        s
+    }
+
+    #[cold]
+    fn grow(&mut self, flit: Flit) -> u32 {
+        // Invariant: the slab holds at most the sum of the FIFO capacities.
+        let s = u32::try_from(self.slots.len()).expect("flit slab exceeds u32 slots");
+        self.slots.push(flit);
+        self.next.push(NIL);
+        s
+    }
+
+    /// Puts slot `s` on the free list; returns the slot that followed it.
+    #[inline]
+    fn release(&mut self, s: u32) -> u32 {
+        let after = std::mem::replace(&mut self.next[s as usize], self.free);
+        self.free = s;
+        after
+    }
+
+    /// Slots in the slab, live or free.
+    #[cfg(test)]
+    pub(crate) fn slab_len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Asserts that `fifos` and the free list partition the slab: every
+    /// slot is on exactly one of their lists, and the live slots number
+    /// the FIFOs' total length.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot on two lists or on none.
+    pub(crate) fn check_partition<'a>(&self, fifos: impl IntoIterator<Item = &'a FlitFifo>) {
+        let mut seen = vec![false; self.slots.len()];
+        let mut mark = |s: u32, what: &str| {
+            let i = s as usize;
+            assert!(
+                i < seen.len() && !seen[i],
+                "slab slot {s} on a {what}: past the slab, or on another list"
+            );
+            seen[i] = true;
+        };
+        let mut live = 0;
+        for q in fifos {
+            let mut s = q.head;
+            for _ in 0..q.len {
+                mark(s, "FIFO");
+                s = self.next[s as usize];
+            }
+            live += q.len();
+        }
+        let mut free = 0;
+        let mut s = self.free;
+        while s != NIL {
+            mark(s, "free list");
+            s = self.next[s as usize];
+            free += 1;
+        }
+        // No slot was marked twice, so this also puts every slot on a list.
+        assert_eq!(self.slots.len() - free, live, "live slab slots");
+    }
+}
+
+/// A bounded flit FIFO: a linked list through the [`FlitArena`] slab.
 ///
-/// Ring indices wrap by compare, never by `%`: every index is below
-/// `2 × cap`, and a FIFO push or pop sits on the per-flit hot path.
+/// It owns no storage: a push takes an arena slot and an advance frees
+/// one, so an empty FIFO costs nothing beyond this record. `cap` bounds
+/// the list, so back-pressure is exactly that of a fixed buffer.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FlitFifo {
-    base: u32,
+    /// Slot of the oldest flit; meaningful while `len > 0`.
+    head: u32,
+    /// Slot of the newest flit; meaningful while `len > 0`.
+    tail: u32,
     cap: u16,
-    head: u16,
     len: u16,
 }
 
 impl FlitFifo {
-    /// The FIFO of a port that does not exist: zero capacity, no arena
-    /// slots, always both empty and full.
+    /// The FIFO of a port that does not exist: zero capacity, always
+    /// both empty and full.
     pub(crate) const ABSENT: FlitFifo = FlitFifo {
-        base: 0,
+        head: NIL,
+        tail: NIL,
         cap: 0,
-        head: 0,
         len: 0,
     };
 
-    /// Creates a FIFO of `cap` flits backed by freshly reserved arena
-    /// slots.
-    pub(crate) fn new(arena: &mut FlitArena, cap: usize) -> Self {
+    /// Creates an empty FIFO of `cap` flits.
+    pub(crate) fn new(cap: usize) -> Self {
         assert!((1..=1 << 14).contains(&cap), "unreasonable FIFO depth");
         Self {
-            base: arena.alloc(cap),
             cap: cap as u16,
             ..Self::ABSENT
         }
@@ -220,16 +311,6 @@ impl FlitFifo {
         self.len == self.cap
     }
 
-    /// Arena index of the `i`-th queued flit (`i <= len <= cap`).
-    #[inline]
-    fn slot(&self, i: u16) -> usize {
-        let mut k = self.head + i;
-        if k >= self.cap {
-            k -= self.cap;
-        }
-        self.base as usize + usize::from(k)
-    }
-
     /// Appends a flit.
     ///
     /// # Panics
@@ -239,8 +320,13 @@ impl FlitFifo {
     #[inline]
     pub(crate) fn push_back(&mut self, arena: &mut FlitArena, flit: Flit) {
         debug_assert!(!self.is_full(), "push into full flit FIFO");
-        let s = self.slot(self.len);
-        arena.slots[s] = flit;
+        let s = arena.take(flit);
+        if self.len == 0 {
+            self.head = s;
+        } else {
+            arena.next[self.tail as usize] = s;
+        }
+        self.tail = s;
         self.len += 1;
     }
 
@@ -250,23 +336,21 @@ impl FlitFifo {
         if self.len == 0 {
             None
         } else {
-            Some(&arena.slots[self.slot(0)])
+            Some(&arena.slots[self.head as usize])
         }
     }
 
     /// Drops the oldest queued flit — the one the caller already read
-    /// through [`front`](Self::front) — without reading the arena again.
+    /// through [`front`](Self::front) — and frees its slot, without
+    /// reading the flit again.
     ///
     /// # Panics
     ///
     /// Panics (debug) when empty.
     #[inline]
-    pub(crate) fn advance(&mut self) {
+    pub(crate) fn advance(&mut self, arena: &mut FlitArena) {
         debug_assert!(!self.is_empty(), "advance on an empty flit FIFO");
-        self.head += 1;
-        if self.head == self.cap {
-            self.head = 0;
-        }
+        self.head = arena.release(self.head);
         self.len -= 1;
     }
 }
@@ -356,7 +440,7 @@ mod tests {
     #[test]
     fn flit_fifo_wraps_and_respects_capacity() {
         let mut arena = FlitArena::default();
-        let mut q = FlitFifo::new(&mut arena, 2);
+        let mut q = FlitFifo::new(2);
         let mut f = Flit::VACANT;
         assert!(q.is_empty() && !q.is_full());
         assert_eq!(q.capacity(), 2);
@@ -368,25 +452,82 @@ mod tests {
             assert!(q.is_full());
             assert_eq!(q.len(), 2);
             assert_eq!(q.front(&arena).unwrap().token, round);
-            q.advance();
+            q.advance(&mut arena);
             assert_eq!(q.front(&arena).unwrap().token, round + 100);
-            q.advance();
+            q.advance(&mut arena);
             assert_eq!(q.front(&arena), None);
         }
+        assert_eq!(arena.slab_len(), 2, "freed slots are reused");
+        arena.check_partition([&q]);
+        assert!(FlitFifo::ABSENT.is_empty() && FlitFifo::ABSENT.is_full());
     }
 
     #[test]
     fn arena_windows_are_disjoint() {
         let mut arena = FlitArena::default();
-        let mut a = FlitFifo::new(&mut arena, 4);
-        let mut b = FlitFifo::new(&mut arena, 4);
+        let mut a = FlitFifo::new(4);
+        let mut b = FlitFifo::new(4);
         let mut f = Flit::VACANT;
-        f.token = 1;
-        a.push_back(&mut arena, f);
-        f.token = 2;
-        b.push_back(&mut arena, f);
-        assert_eq!(a.front(&arena).unwrap().token, 1);
-        assert_eq!(b.front(&arena).unwrap().token, 2);
+        for i in 0..3 {
+            f.token = i;
+            a.push_back(&mut arena, f);
+            f.token = 10 + i;
+            b.push_back(&mut arena, f);
+        }
+        for i in 0..3 {
+            assert_eq!(a.front(&arena).unwrap().token, i);
+            assert_eq!(b.front(&arena).unwrap().token, 10 + i);
+            arena.check_partition([&a, &b]);
+            a.advance(&mut arena);
+            b.advance(&mut arena);
+        }
+        assert!(a.is_empty() && b.is_empty());
+        arena.check_partition([&a, &b]);
+    }
+
+    /// Seeded push / advance scripts over FIFOs of several capacities on
+    /// one arena, each FIFO checked against a `VecDeque` after every
+    /// step, and the slab never longer than the most flits ever live.
+    #[test]
+    fn flit_fifos_sharing_one_pool_match_vecdeques() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::VecDeque;
+
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut arena = FlitArena::default();
+            let mut fifos: Vec<FlitFifo> = [1, 2, 3, 4, 4, 7].map(FlitFifo::new).to_vec();
+            let mut oracle = vec![VecDeque::new(); fifos.len()];
+            let (mut live, mut peak) = (0, 0);
+            let mut f = Flit::VACANT;
+            for step in 0..4_000u64 {
+                let i = rng.random_range(0..fifos.len());
+                let (q, o) = (&mut fifos[i], &mut oracle[i]);
+                // Pushes lead while `step` is in the first half of each
+                // 1 000, advances in the second: the pool fills and drains.
+                let push = rng.random_bool(if step % 1_000 < 500 { 0.7 } else { 0.3 });
+                if push && !q.is_full() {
+                    f.token = step;
+                    q.push_back(&mut arena, f);
+                    o.push_back(f);
+                    live += 1;
+                    peak = usize::max(peak, live);
+                } else if !push && !q.is_empty() {
+                    q.advance(&mut arena);
+                    o.pop_front();
+                    live -= 1;
+                }
+                for (q, o) in fifos.iter().zip(&oracle) {
+                    assert_eq!(q.front(&arena), o.front(), "seed {seed} step {step}");
+                    assert_eq!(q.len(), o.len(), "seed {seed} step {step}");
+                    assert_eq!(q.is_full(), o.len() == q.capacity());
+                }
+                assert_eq!(arena.slab_len(), peak, "seed {seed} step {step}");
+            }
+            assert!(peak > 10, "seed {seed}: the script fills the FIFOs");
+            arena.check_partition(&fifos);
+        }
     }
 
     #[test]

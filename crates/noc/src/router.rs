@@ -91,20 +91,14 @@ pub(crate) struct Router {
 
 impl Router {
     /// Creates a router with input and output ports in `ports`.
-    pub(crate) fn new(
-        arena: &mut FlitArena,
-        coord: Coord,
-        ports: &[Dir],
-        vcs: usize,
-        depth: usize,
-    ) -> Self {
+    pub(crate) fn new(coord: Coord, ports: &[Dir], vcs: usize, depth: usize) -> Self {
         assert!((1..=8).contains(&vcs), "1 to 8 VCs per port");
         let mut slots = [Vc::ABSENT; SLOTS];
         let mut mask = 0u8;
         for d in ports {
             mask |= 1 << d.index();
             for vc in &mut slots[vc_bit(d.index(), 0)..][..vcs] {
-                vc.fifo = FlitFifo::new(arena, depth);
+                vc.fifo = FlitFifo::new(depth);
             }
         }
         Self {
@@ -206,18 +200,24 @@ impl Router {
         self.occupancy += 1;
     }
 
-    /// Drops the front flit of VC `vc` of port `in_dir`: the flit the
-    /// caller has already read and moved, `tail` telling whether it was
-    /// a tail (which releases the VC).
+    /// Drops the front flit of VC `vc` of port `in_dir`, freeing its
+    /// arena slot: the flit the caller has already read and moved,
+    /// `tail` telling whether it was a tail (which releases the VC).
     ///
     /// # Panics
     ///
     /// Panics (debug) if the VC is empty.
     #[inline]
-    pub(crate) fn drop_front(&mut self, in_dir: usize, vc: usize, tail: bool) {
+    pub(crate) fn drop_front(
+        &mut self,
+        arena: &mut FlitArena,
+        in_dir: usize,
+        vc: usize,
+        tail: bool,
+    ) {
         let bit = 1u64 << vc_bit(in_dir, vc);
         let slot = &mut self.vcs[vc_slot(in_dir, vc)];
-        slot.fifo.advance();
+        slot.fifo.advance(arena);
         if slot.fifo.is_empty() {
             self.occ &= !bit;
         }
@@ -242,6 +242,11 @@ impl Router {
             let front = vc.fifo.front(arena).expect("occupancy bit on an empty VC");
             (bit, vc.out, front)
         })
+    }
+
+    /// Every VC's FIFO, the absent ports' included.
+    pub(crate) fn fifos(&self) -> impl Iterator<Item = &FlitFifo> {
+        self.vcs.iter().map(|vc| &vc.fifo)
     }
 
     /// Outputs currently held by a packet, as a bitmask over
@@ -343,9 +348,7 @@ mod tests {
 
     #[test]
     fn ports_are_created_where_requested() {
-        let mut arena = FlitArena::default();
         let r = Router::new(
-            &mut arena,
             Coord::new(0, 0, 0),
             &[Dir::East, Dir::North, Dir::Local],
             3,
@@ -369,8 +372,7 @@ mod tests {
             Dir::Local,
             Dir::Vertical,
         ];
-        let mut arena = FlitArena::default();
-        let r = Router::new(&mut arena, Coord::new(2, 2, 0), &dirs, 3, 4);
+        let r = Router::new(Coord::new(2, 2, 0), &dirs, 3, 4);
         assert_eq!(
             r.ports().count_ones(),
             6,
@@ -381,11 +383,11 @@ mod tests {
     /// What the removed `Router::pop` did: read the front flit, advance
     /// the FIFO, clear the occupancy bit when it empties, and release
     /// the VC by the kind of the flit it read.
-    fn pop_reference(r: &mut Router, arena: &FlitArena, in_dir: usize, vc: usize) -> Flit {
+    fn pop_reference(r: &mut Router, arena: &mut FlitArena, in_dir: usize, vc: usize) -> Flit {
         let bit = 1u64 << vc_bit(in_dir, vc);
         let v = &mut r.vcs[vc_slot(in_dir, vc)];
         let flit = *v.fifo.front(arena).expect("pop from an empty VC");
-        v.fifo.advance();
+        v.fifo.advance(arena);
         if v.fifo.is_empty() {
             r.occ &= !bit;
         }
@@ -405,8 +407,8 @@ mod tests {
         let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
         let mut arena = FlitArena::default();
         let e = Dir::East.index();
-        let mut a = Router::new(&mut arena, Coord::new(1, 1, 0), &[Dir::East], 2, 4);
-        let mut b = Router::new(&mut arena, Coord::new(1, 1, 0), &[Dir::East], 2, 4);
+        let mut a = Router::new(Coord::new(1, 1, 0), &[Dir::East], 2, 4);
+        let mut b = Router::new(Coord::new(1, 1, 0), &[Dir::East], 2, 4);
         let flit = |pkt: u64, seq: u32, len: u32| Flit {
             pkt: PacketId(pkt),
             kind: FlitKind::for_position(seq, len),
@@ -460,9 +462,9 @@ mod tests {
                     }
                 }
                 Pop(vc) => {
-                    let popped = pop_reference(&mut a, &arena, e, vc);
+                    let popped = pop_reference(&mut a, &mut arena, e, vc);
                     let front = *b.vc(e, vc).fifo.front(&arena).unwrap();
-                    b.drop_front(e, vc, front.kind.is_tail());
+                    b.drop_front(&mut arena, e, vc, front.kind.is_tail());
                     assert_eq!(front, popped, "step {i}");
                 }
             }
@@ -482,8 +484,7 @@ mod tests {
 
     #[test]
     fn round_robin_pointer_wraps_by_port_then_to_zero() {
-        let mut arena = FlitArena::default();
-        let mut r = Router::new(&mut arena, Coord::new(0, 0, 0), &[Dir::Local], 3, 4);
+        let mut r = Router::new(Coord::new(0, 0, 0), &[Dir::Local], 3, 4);
         r.advance_rr(0, vc_bit(2, 1));
         assert_eq!(usize::from(r.rr[0]), vc_bit(2, 2));
         r.advance_rr(0, vc_bit(2, 2));

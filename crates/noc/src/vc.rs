@@ -7,12 +7,13 @@
 //! is released when the tail flit drains, so a packet never interleaves
 //! with another inside one VC.
 //!
-//! Flit storage lives in the network-wide
-//! [`FlitArena`](crate::packet::FlitArena); the `Vc` itself
-//! is a small inline record (ring indices, owner, cached output port),
-//! and a router keeps all of its VCs in one flat array
+//! A VC holds no flit storage of its own: its [`FlitFifo`] is a linked
+//! list through the network-wide [`FlitArena`](crate::packet::FlitArena)
+//! slab, which holds only the flits actually buffered. The `Vc` itself
+//! is a small inline record (list ends, owner, cached output port), and
+//! a router keeps all of its VCs in one flat array
 //! ([`Router`](crate::router::Router)), so a visit touches one VC record
-//! and one arena line per occupied VC.
+//! and one slab slot per occupied VC.
 
 use nim_types::{Dir, PacketId};
 
@@ -87,15 +88,14 @@ mod tests {
     /// A router at the origin with one east input port of `vcs` VCs.
     fn one_port(vcs: usize) -> (FlitArena, ChipLayout, Router) {
         let layout = ChipLayout::new(&SystemConfig::default()).unwrap();
-        let mut arena = FlitArena::default();
-        let r = Router::new(&mut arena, Coord::new(0, 0, 0), &[Dir::East], vcs, 4);
-        (arena, layout, r)
+        let r = Router::new(Coord::new(0, 0, 0), &[Dir::East], vcs, 4);
+        (FlitArena::default(), layout, r)
     }
 
     /// Reads the front flit of `(in_dir, vc)` and drops it, as a move does.
-    fn take(r: &mut Router, arena: &FlitArena, in_dir: usize, vc: usize) -> Flit {
+    fn take(r: &mut Router, arena: &mut FlitArena, in_dir: usize, vc: usize) -> Flit {
         let f = *r.vc(in_dir, vc).fifo.front(arena).expect("non-empty VC");
-        r.drop_front(in_dir, vc, f.kind.is_tail());
+        r.drop_front(arena, in_dir, vc, f.kind.is_tail());
         f
     }
 
@@ -111,12 +111,12 @@ mod tests {
         r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Body));
         r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Tail));
         assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(1)), "full");
-        assert_eq!(take(&mut r, &arena, EAST, 0).kind, FlitKind::Head);
-        assert_eq!(take(&mut r, &arena, EAST, 0).kind, FlitKind::Body);
+        assert_eq!(take(&mut r, &mut arena, EAST, 0).kind, FlitKind::Head);
+        assert_eq!(take(&mut r, &mut arena, EAST, 0).kind, FlitKind::Body);
         assert!(!r.vc(EAST, 0).is_free(), "owner retained until tail leaves");
         assert_eq!(r.free_vc(EAST), None, "drained for now, but still owned");
-        take(&mut r, &arena, EAST, 0);
-        take(&mut r, &arena, EAST, 0);
+        take(&mut r, &mut arena, EAST, 0);
+        take(&mut r, &mut arena, EAST, 0);
         assert!(r.vc(EAST, 0).is_free(), "tail leaving releases ownership");
         r.check_invariants(&arena, &layout);
     }
@@ -126,7 +126,7 @@ mod tests {
         let (mut arena, layout, mut r) = one_port(1);
         r.push(&mut arena, &layout, EAST, 0, flit(9, FlitKind::HeadTail));
         assert!(!r.vc(EAST, 0).is_free());
-        take(&mut r, &arena, EAST, 0);
+        take(&mut r, &mut arena, EAST, 0);
         assert!(r.vc(EAST, 0).is_free());
     }
 
