@@ -9,30 +9,32 @@
 //! Every set's slots live in one set-major slab beside one pseudo-LRU
 //! tree and one empty-way mask per set, so a bank is three allocations
 //! however many sets it has, and an insert finds its free way with one
-//! bit scan instead of a slot walk. A slot is a bare [`LineAddr`] (8
-//! bytes): the empty-way mask alone says which ways are empty, and the
-//! value left in an empty way's slot is never read as a line.
-
-use nim_types::LineAddr;
+//! bit scan instead of a slot walk. A slot is the line's 4-byte tag
+//! ([`L2Map::tag`](nim_types::addr::L2Map::tag)): the bank and the set
+//! holding it fix the line's other address bits, so the bank speaks only
+//! tags and the L2 rebuilds a victim's line from its tag, bank and set.
+//! A default set's 16 tags take 64 bytes. The empty-way mask alone says
+//! which ways are empty, and the value left in an empty way's slot is
+//! never read as a tag.
 
 use crate::plru::TreePlru;
 
-/// Result of inserting a line into a set.
+/// Result of inserting a tag into a set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Inserted {
-    /// Way the line was placed in.
+    /// Way the tag was placed in.
     pub(crate) way: u32,
-    /// Line evicted to make room, if the set was full.
-    pub(crate) evicted: Option<LineAddr>,
+    /// Tag evicted to make room, if the set was full.
+    pub(crate) evicted: Option<u32>,
 }
 
 /// One cache bank: a column of sets.
 #[derive(Clone, Debug)]
 pub(crate) struct Bank {
     ways: usize,
-    /// `sets × ways` slots, set-major: set `s` owns `[s·ways, (s+1)·ways)`.
+    /// `sets × ways` tags, set-major: set `s` owns `[s·ways, (s+1)·ways)`.
     /// A slot whose `empty` bit is set holds a stale or fill value.
-    lines: Vec<LineAddr>,
+    tags: Vec<u32>,
     /// Replacement state, one tree per set.
     plru: Vec<TreePlru>,
     /// Bit `w` of entry `s` is set while way `w` of set `s` is empty
@@ -50,7 +52,7 @@ impl Bank {
         let plru = TreePlru::new(ways);
         Self {
             ways: ways as usize,
-            lines: vec![LineAddr(0); sets as usize * ways as usize],
+            tags: vec![0; sets as usize * ways as usize],
             plru: vec![plru; sets as usize],
             // Every way of every set starts free.
             empty: vec![u32::MAX >> (32 - ways); sets as usize],
@@ -59,36 +61,36 @@ impl Bank {
 
     /// The way slots of `set`, empty ways included.
     #[inline]
-    fn slots(&self, set: usize) -> &[LineAddr] {
-        &self.lines[set * self.ways..(set + 1) * self.ways]
+    fn slots(&self, set: usize) -> &[u32] {
+        &self.tags[set * self.ways..(set + 1) * self.ways]
     }
 
-    /// Whether `line` is resident in `set`; returns the way if so. An
+    /// Whether `tag` is resident in `set`; returns the way if so. An
     /// empty way never matches, whatever its slot still holds.
     #[inline]
-    pub(crate) fn lookup(&self, set: u32, line: LineAddr) -> Option<u32> {
+    pub(crate) fn lookup(&self, set: u32, tag: u32) -> Option<u32> {
         let empty = self.empty[set as usize];
         self.slots(set as usize)
             .iter()
             .enumerate()
-            .position(|(w, slot)| *slot == line && (empty >> w) & 1 == 0)
+            .position(|(w, &slot)| slot == tag && (empty >> w) & 1 == 0)
             .map(|w| w as u32)
     }
 
-    /// Marks `line` most-recently used in its set; returns whether it
+    /// Marks `tag` most-recently used in its set; returns whether it
     /// was resident (a miss leaves the set as it was).
-    pub(crate) fn touch(&mut self, set: u32, line: LineAddr) -> bool {
-        let Some(way) = self.lookup(set, line) else {
+    pub(crate) fn touch(&mut self, set: u32, tag: u32) -> bool {
+        let Some(way) = self.lookup(set, tag) else {
             return false;
         };
         self.plru[set as usize].touch(way);
         true
     }
 
-    /// Inserts `line` into `set`, evicting the pseudo-LRU victim if full.
+    /// Inserts `tag` into `set`, evicting the pseudo-LRU victim if full.
     /// A set with a free way fills its lowest one and evicts nothing.
-    pub(crate) fn insert(&mut self, set: u32, line: LineAddr) -> Inserted {
-        debug_assert!(self.lookup(set, line).is_none(), "line already present");
+    pub(crate) fn insert(&mut self, set: u32, tag: u32) -> Inserted {
+        debug_assert!(self.lookup(set, tag).is_none(), "tag already present");
         let s = set as usize;
         let (way, full) = match self.empty[s] {
             0 => (self.plru[s].victim(), true),
@@ -98,7 +100,7 @@ impl Bank {
                 (way, false)
             }
         };
-        let old = core::mem::replace(&mut self.lines[s * self.ways + way as usize], line);
+        let old = core::mem::replace(&mut self.tags[s * self.ways + way as usize], tag);
         self.plru[s].touch(way);
         Inserted {
             way,
@@ -106,29 +108,35 @@ impl Bank {
         }
     }
 
-    /// Removes `line` from `set`; returns whether it was present.
-    pub(crate) fn remove(&mut self, set: u32, line: LineAddr) -> bool {
-        let Some(way) = self.lookup(set, line) else {
+    /// Removes `tag` from `set`; returns whether it was present.
+    pub(crate) fn remove(&mut self, set: u32, tag: u32) -> bool {
+        let Some(way) = self.lookup(set, tag) else {
             return false;
         };
         self.empty[set as usize] |= 1 << way;
         true
     }
 
-    /// Every resident line with its set, set by set.
-    pub(crate) fn resident(&self) -> impl Iterator<Item = (u32, LineAddr)> + '_ {
-        let sets = self.lines.chunks_exact(self.ways).zip(&self.empty);
+    /// Every resident tag with its set, set by set.
+    pub(crate) fn resident(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let sets = self.tags.chunks_exact(self.ways).zip(&self.empty);
         sets.enumerate().flat_map(|(set, (slots, &empty))| {
             let ways = slots.iter().enumerate();
             ways.filter(move |(w, _)| (empty >> w) & 1 == 0)
-                .map(move |(_, &line)| (set as u32, line))
+                .map(move |(_, &tag)| (set as u32, tag))
         })
     }
 
     /// Number of resident lines in the bank.
     pub(crate) fn occupancy(&self) -> usize {
         let free: u32 = self.empty.iter().map(|m| m.count_ones()).sum();
-        self.lines.len() - free as usize
+        self.tags.len() - free as usize
+    }
+
+    /// Bytes the tag slab holds, as allocated.
+    #[cfg(test)]
+    pub(crate) fn tag_store_bytes(&self) -> usize {
+        self.tags.capacity() * core::mem::size_of_val(&self.tags[0])
     }
 }
 
@@ -143,7 +151,7 @@ mod tests {
     /// a walk.
     #[derive(Clone, Debug)]
     struct Set {
-        lines: Vec<Option<LineAddr>>,
+        lines: Vec<Option<u32>>,
         plru: TreePlru,
     }
 
@@ -155,14 +163,14 @@ mod tests {
             }
         }
 
-        fn lookup(&self, line: LineAddr) -> Option<u32> {
+        fn lookup(&self, line: u32) -> Option<u32> {
             self.lines
                 .iter()
                 .position(|slot| *slot == Some(line))
                 .map(|w| w as u32)
         }
 
-        fn insert(&mut self, line: LineAddr) -> Inserted {
+        fn insert(&mut self, line: u32) -> Inserted {
             if let Some(way) = self.lines.iter().position(Option::is_none) {
                 let way = way as u32;
                 self.lines[way as usize] = Some(line);
@@ -176,7 +184,7 @@ mod tests {
             Inserted { way, evicted }
         }
 
-        fn remove(&mut self, line: LineAddr) -> bool {
+        fn remove(&mut self, line: u32) -> bool {
             match self.lookup(line) {
                 Some(way) => {
                     self.lines[way as usize] = None;
@@ -194,7 +202,7 @@ mod tests {
     #[test]
     fn insert_then_lookup_round_trips() {
         let mut bank = Bank::new(64, 16);
-        let line = LineAddr(0xabc);
+        let line = 0xabc;
         let ins = bank.insert(3, line);
         assert_eq!(ins.evicted, None);
         assert_eq!(bank.lookup(3, line), Some(ins.way));
@@ -205,49 +213,49 @@ mod tests {
     #[test]
     fn full_set_evicts_the_plru_victim() {
         let mut bank = Bank::new(1, 4);
-        for i in 0..4u64 {
-            assert_eq!(bank.insert(0, LineAddr(i)).evicted, None);
+        for i in 0..4u32 {
+            assert_eq!(bank.insert(0, i).evicted, None);
         }
-        let ins = bank.insert(0, LineAddr(100));
+        let ins = bank.insert(0, 100);
         let victim = ins.evicted.expect("set was full");
-        assert!(victim.0 < 4);
+        assert!(victim < 4);
         assert_eq!(bank.lookup(0, victim), None);
-        assert_eq!(bank.lookup(0, LineAddr(100)), Some(ins.way));
+        assert_eq!(bank.lookup(0, 100), Some(ins.way));
         assert_eq!(bank.occupancy(), 4);
     }
 
     #[test]
     fn touch_protects_a_hot_line_from_eviction() {
         let mut bank = Bank::new(1, 4);
-        for i in 0..4u64 {
-            bank.insert(0, LineAddr(i));
+        for i in 0..4u32 {
+            bank.insert(0, i);
         }
         // Keep line 0 hot while streaming new lines through.
-        for i in 4..20u64 {
-            bank.touch(0, LineAddr(0));
-            let ins = bank.insert(0, LineAddr(i));
-            assert_ne!(ins.evicted, Some(LineAddr(0)), "hot line evicted at i={i}");
+        for i in 4..20u32 {
+            bank.touch(0, 0);
+            let ins = bank.insert(0, i);
+            assert_ne!(ins.evicted, Some(0), "hot line evicted at i={i}");
         }
-        assert!(bank.lookup(0, LineAddr(0)).is_some());
+        assert!(bank.lookup(0, 0).is_some());
     }
 
     #[test]
     fn remove_frees_the_slot() {
         let mut bank = Bank::new(2, 2);
-        bank.insert(1, LineAddr(7));
-        assert!(bank.remove(1, LineAddr(7)));
-        assert!(!bank.remove(1, LineAddr(7)), "double remove is a no-op");
+        bank.insert(1, 7);
+        assert!(bank.remove(1, 7));
+        assert!(!bank.remove(1, 7), "double remove is a no-op");
         assert_eq!(bank.occupancy(), 0);
         // The freed way is reused without eviction.
-        bank.insert(1, LineAddr(8));
-        bank.insert(1, LineAddr(9));
-        assert_eq!(bank.insert(0, LineAddr(10)).evicted, None);
+        bank.insert(1, 8);
+        bank.insert(1, 9);
+        assert_eq!(bank.insert(0, 10).evicted, None);
     }
 
     impl Bank {
         /// The ways of `set` as the oracle sees them: `None` where the
         /// empty-way mask marks the way empty.
-        fn visible(&self, set: usize) -> Vec<Option<LineAddr>> {
+        fn visible(&self, set: usize) -> Vec<Option<u32>> {
             let empty = self.empty[set];
             let ways = self.slots(set).iter().enumerate();
             ways.map(|(w, &line)| ((empty >> w) & 1 == 0).then_some(line))
@@ -259,28 +267,28 @@ mod tests {
     fn an_empty_bank_misses_its_fill_value() {
         let bank = Bank::new(4, 16);
         for set in 0..4 {
-            assert_eq!(bank.lookup(set, LineAddr(0)), None, "set {set}");
+            assert_eq!(bank.lookup(set, 0), None, "set {set}");
         }
     }
 
     #[test]
     fn a_removed_line_left_in_its_slot_misses() {
         let mut bank = Bank::new(1, 4);
-        bank.insert(0, LineAddr(5));
-        bank.insert(0, LineAddr(6));
-        assert!(bank.remove(0, LineAddr(5)));
-        assert_eq!(bank.lines[0], LineAddr(5), "the slot keeps the stale line");
-        assert_eq!(bank.lookup(0, LineAddr(5)), None);
-        assert_eq!(bank.lookup(0, LineAddr(6)), Some(1));
+        bank.insert(0, 5);
+        bank.insert(0, 6);
+        assert!(bank.remove(0, 5));
+        assert_eq!(bank.tags[0], 5, "the slot keeps the stale line");
+        assert_eq!(bank.lookup(0, 5), None);
+        assert_eq!(bank.lookup(0, 6), Some(1));
     }
 
     #[test]
     fn an_insert_into_a_freed_way_evicts_nothing() {
         let mut bank = Bank::new(1, 2);
-        bank.insert(0, LineAddr(5));
-        bank.insert(0, LineAddr(6));
-        assert!(bank.remove(0, LineAddr(5)));
-        let ins = bank.insert(0, LineAddr(7));
+        bank.insert(0, 5);
+        bank.insert(0, 6);
+        assert!(bank.remove(0, 5));
+        let ins = bank.insert(0, 7);
         assert_eq!(
             ins,
             Inserted {
@@ -289,7 +297,7 @@ mod tests {
             }
         );
         // The full set's next insert evicts the PLRU victim, line 6.
-        assert_eq!(bank.insert(0, LineAddr(8)).evicted, Some(LineAddr(6)));
+        assert_eq!(bank.insert(0, 8).evicted, Some(6));
     }
 
     #[test]
@@ -298,7 +306,7 @@ mod tests {
         let l2 = nim_types::L2Config::default();
         let bank = Bank::new(l2.sets_per_bank(), l2.ways);
         assert_eq!(bank.plru.len(), 64);
-        assert_eq!(bank.lines.len(), 64 * 16);
+        assert_eq!(bank.tags.len(), 64 * 16);
     }
 
     /// Seeded insert / remove / touch / lookup scripts drive the slab and
@@ -314,11 +322,10 @@ mod tests {
                 let mut oracle: Vec<Set> = (0..sets).map(|_| Set::new(ways)).collect();
                 // Twice the set's capacity in distinct lines per set, so
                 // sets fill, evict and drain.
-                let lines = u64::from(2 * ways);
+                let lines = 2 * ways;
                 for step in 0..2_000 {
                     let set = rng.random_range(0..sets);
-                    let line =
-                        LineAddr(rng.random_range(0..lines) * u64::from(sets) + u64::from(set));
+                    let line = rng.random_range(0..lines) * sets + set;
                     let o = &mut oracle[set as usize];
                     let at = format!("ways={ways} sets={sets} step={step}");
                     match rng.random_range(0..4u8) {

@@ -180,18 +180,27 @@ impl NucaL2 {
         (bank.index(), self.map.set_in_bank(line))
     }
 
-    /// The bank `line` maps to in `cluster`, and its set there.
+    /// The bank `line` maps to in `cluster`, its set there and its tag.
     #[inline]
-    fn bank_of(&mut self, line: LineAddr, cluster: ClusterId) -> (&mut Bank, u32) {
+    fn bank_of(&mut self, line: LineAddr, cluster: ClusterId) -> (&mut Bank, u32, u32) {
         let (bank, set) = self.slot_of(line, cluster);
-        (&mut self.banks[bank], set)
+        let tag = self.map.tag(line);
+        (&mut self.banks[bank], set, tag)
+    }
+
+    /// The line a victim `tag` of `line`'s set stands for: the line of
+    /// that bank and set with that tag.
+    #[inline]
+    fn victim_of(&self, line: LineAddr, tag: u32) -> LineAddr {
+        let map = &self.map;
+        map.line_of(tag, map.bank_in_cluster(line), map.set_in_bank(line))
     }
 
     /// Whether `cluster`'s tag array holds `line`: one set probe.
     #[inline]
     fn in_set(&self, line: LineAddr, cluster: ClusterId) -> bool {
         let (bank, set) = self.slot_of(line, cluster);
-        self.banks[bank].lookup(set, line).is_some()
+        self.banks[bank].lookup(set, self.map.tag(line)).is_some()
     }
 
     /// Marks a hit on `line` (updates pseudo-LRU at its location).
@@ -201,8 +210,8 @@ impl NucaL2 {
         let cl = self
             .moved_to(line)
             .unwrap_or_else(|| self.home_cluster(line));
-        let (bank, set) = self.bank_of(line, cl);
-        bank.touch(set, line).then_some(cl)
+        let (bank, set, tag) = self.bank_of(line, cl);
+        bank.touch(set, tag).then_some(cl)
     }
 
     /// Places `line` at its home cluster (servicing an L2 miss).
@@ -225,20 +234,20 @@ impl NucaL2 {
     /// id is out of range.
     pub fn insert_at(&mut self, line: LineAddr, cluster: ClusterId) -> Placement {
         debug_assert!(self.locate(line).is_none(), "line already resident");
-        let (bank, set) = self.bank_of(line, cluster);
-        let ins = bank.insert(set, line);
+        let (bank, set, tag) = self.bank_of(line, cluster);
+        let evicted = bank
+            .insert(set, tag)
+            .evicted
+            .map(|t| self.victim_of(line, t));
         if cluster != self.home_cluster(line) {
             self.moved.insert(line, cluster);
         }
         self.lines += 1;
         self.stats.insertions += 1;
-        if let Some(victim) = ins.evicted {
+        if let Some(victim) = evicted {
             self.note_eviction(victim, cluster);
         }
-        Placement {
-            cluster,
-            evicted: ins.evicted,
-        }
+        Placement { cluster, evicted }
     }
 
     /// Starts a lazy migration of `line` to cluster `to`. The line remains
@@ -288,12 +297,15 @@ impl NucaL2 {
             .ok_or(MigrationError::NotResident(line))?;
         let home = self.home_cluster(line);
         let from = self.moved_to(line).unwrap_or(home);
-        let (bank, set) = self.bank_of(line, from);
-        if !bank.remove(set, line) {
+        let (bank, set, tag) = self.bank_of(line, from);
+        if !bank.remove(set, tag) {
             return Err(MigrationError::NotResident(line));
         }
-        let (bank, set) = self.bank_of(line, to);
-        let evicted = bank.insert(set, line).evicted;
+        let (bank, set, tag) = self.bank_of(line, to);
+        let evicted = bank
+            .insert(set, tag)
+            .evicted
+            .map(|t| self.victim_of(line, t));
         if to == home {
             self.moved.remove(line);
         } else {
@@ -377,10 +389,11 @@ impl NucaL2 {
         committed || (!self.migrating.is_empty() && self.migration_of(line) == Some(cluster))
     }
 
-    /// Asserts the L2's structural invariants: every resident line sits
-    /// in exactly one set across the clusters, the one its address maps
-    /// to; a line has an away-map entry exactly when it is resident away
-    /// from its home cluster, and the entry names that cluster; the line
+    /// Asserts the L2's structural invariants: every resident line,
+    /// rebuilt from its tag, bank and set, sits in exactly one set
+    /// across the clusters, the one its address maps to; a line has an
+    /// away-map entry exactly when it is resident away from its home
+    /// cluster, and the entry names that cluster; the line
     /// count equals the sum of bank occupancies; and every migrating line
     /// is resident somewhere other than its destination. Walks every
     /// bank, so it is meant for tests.
@@ -393,7 +406,8 @@ impl NucaL2 {
         let mut seen: FxHashMap<LineAddr, ClusterId> = FxHashMap::default();
         for (b, bank) in self.banks.iter().enumerate() {
             let cl = ClusterId::from_index(b / per);
-            for (set, line) in bank.resident() {
+            for (set, tag) in bank.resident() {
+                let line = self.map.line_of(tag, (b % per) as u32, set);
                 assert_eq!(self.slot_of(line, cl), (b, set), "{line} outside its set");
                 if let Some(other) = seen.insert(line, cl) {
                     panic!("{line} is resident in both {other} and {cl}");
@@ -537,7 +551,9 @@ mod tests {
     fn in_tags(l2: &NucaL2, line: LineAddr, cl: ClusterId) -> bool {
         let bank = l2.map.global_bank(cl, l2.map.bank_in_cluster(line));
         let set = l2.map.set_in_bank(line);
-        l2.banks[bank.index()].lookup(set, line).is_some()
+        l2.banks[bank.index()]
+            .lookup(set, l2.map.tag(line))
+            .is_some()
     }
 
     #[test]
@@ -603,6 +619,49 @@ mod tests {
         }
         for cl in 0..16u16 {
             assert_eq!(l2.cluster_occupancy(ClusterId(cl)), 1);
+        }
+    }
+
+    /// Lines whose tags sit at the top of the 32-bit range, all in one
+    /// set of one cluster: every victim an overflowing insert reports is
+    /// exactly a line that went in, rebuilt from its tag, bank and set.
+    #[test]
+    fn victims_at_the_top_of_the_tag_range_are_the_lines_that_went_in() {
+        let mut l2 = l2();
+        let map = *l2.map();
+        let (cl, bank, set) = (ClusterId(6), 5, 17);
+        let lines: Vec<LineAddr> = (0..40)
+            .map(|i| map.line_of(u32::MAX - i, bank, set))
+            .collect();
+        let mut victims = Vec::new();
+        for (i, &line) in lines.iter().enumerate() {
+            let evicted = l2.insert_at(line, cl).evicted;
+            assert_eq!(evicted.is_some(), i >= 16, "insert {i}");
+            if let Some(victim) = evicted {
+                assert!(lines[..i].contains(&victim), "{victim} never went in");
+                assert!(!victims.contains(&victim), "{victim} evicted twice");
+                assert_eq!(l2.locate(victim), None);
+                victims.push(victim);
+            }
+            l2.check_invariants();
+        }
+        let resident = lines.iter().filter(|&&l| l2.locate(l) == Some(cl)).count();
+        assert_eq!((resident, victims.len()), (16, 24));
+    }
+
+    /// A way stores a 4-byte tag: 262 144 ways take 1 MiB on the default
+    /// 16 MB L2, and 4 MiB at four times the capacity.
+    #[test]
+    fn the_tag_store_takes_four_bytes_a_way() {
+        for (scale, mib) in [(1, 1), (4, 4)] {
+            let l2 = NucaL2::new(&L2Config::default().scaled(scale));
+            let ways = l2.slots;
+            let bytes: usize = l2.banks.iter().map(Bank::tag_store_bytes).sum();
+            assert_eq!(
+                (ways, bytes),
+                (262_144 * scale as usize, mib << 20),
+                "×{scale}"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@ use core::error::Error;
 use core::fmt;
 
 use nim_topology::{PlacementError, TopologyError};
-use nim_types::ConfigError;
+use nim_types::{Address, ConfigError, CpuId};
 
 /// Error building a [`System`](crate::System).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,6 +66,15 @@ pub enum RunError {
         /// Transactions completed before the stall.
         completed: u64,
     },
+    /// The trace source handed `cpu` an address past the L2's tag range
+    /// ([`L2Map::fits`](nim_types::addr::L2Map::fits): 2^48 bytes on the
+    /// default chip). The op was not issued.
+    AddressOutOfRange {
+        /// The CPU the op was drawn for.
+        cpu: CpuId,
+        /// The byte address it named.
+        addr: Address,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -74,6 +83,10 @@ impl fmt::Display for RunError {
             RunError::Stalled { cycle, completed } => write!(
                 f,
                 "simulation stalled at cycle {cycle} after {completed} transactions"
+            ),
+            RunError::AddressOutOfRange { cpu, addr } => write!(
+                f,
+                "{cpu} was handed address {addr}, past the L2's tag range"
             ),
         }
     }
@@ -174,6 +187,11 @@ mod tests {
             completed: 3,
         };
         assert!(e.to_string().contains("cycle 10"));
+        let e = RunError::AddressOutOfRange {
+            cpu: CpuId(3),
+            addr: Address(1 << 60),
+        };
+        assert!(e.to_string().contains("0x1000000000000000"), "{e}");
         let e = SnapshotError::Diverged { cycle: 77 };
         assert!(e.to_string().contains("cycle 77"));
         let e = SnapshotError::from(nim_types::codec::CodecError::BadMagic);

@@ -168,7 +168,9 @@ impl System {
     /// # Errors
     ///
     /// Returns [`RunError::Stalled`] if the system makes no forward
-    /// progress (a protocol bug — should never happen).
+    /// progress (a protocol bug — should never happen), and
+    /// [`RunError::AddressOutOfRange`] if a reference falls past the
+    /// L2's tag range (no shipped profile reaches it).
     pub fn run(&mut self, profile: &BenchmarkProfile) -> Result<RunReport, RunError> {
         let mut gen = self.begin(profile);
         self.finish_run(&mut gen)
@@ -278,7 +280,9 @@ impl System {
     ///
     /// Returns [`RunError::Stalled`] if no transaction completes for an
     /// implausibly long time — including the case where the source runs
-    /// dry before the sampling target is reached.
+    /// dry before the sampling target is reached — and
+    /// [`RunError::AddressOutOfRange`] at the first reference past the
+    /// L2's tag range.
     pub fn run_with_source(
         &mut self,
         benchmark: &str,
@@ -291,7 +295,8 @@ impl System {
     /// The driver loop. Advances the simulation until the sampling
     /// target is reached (returns the report and ends the run), or until
     /// `pause` (returns `Ok(None)`, the run still in progress). A stalled
-    /// run is over: it leaves no run in progress. The loop-carried
+    /// run, or one handed an address past the L2's tag range, is over:
+    /// it leaves no run in progress. The loop-carried
     /// bookkeeping lives in [`RunProgress`], so a paused run continues
     /// bit-identically.
     pub(crate) fn advance(
@@ -305,6 +310,10 @@ impl System {
             mut last_progress,
             mut last_count,
         } = self.progress.as_ref().expect("run in progress").carried;
+        // A way stores a 32-bit tag, so an op past the tag range ends
+        // the run before it can reach the L2 (see `L2Map::fits`).
+        let map = *self.engine.l2.map();
+        let line_bytes = u64::from(self.recipe.cfg.l2.line_bytes);
         let result = loop {
             if self.engine.counters.l2_transactions >= target {
                 break Ok(true);
@@ -340,16 +349,28 @@ impl System {
                 self.engine.handle_delivered(&mut self.fabric, d, now);
             }
             // Cores: only those due this cycle are ticked; the others
-            // are waiting, counting down, or halted (see `cores.rs`).
+            // are waiting, counting down, or halted (see `cores.rs`). A
+            // core handed a stray op halts; the run ends with the cycle.
+            let mut stray = None;
             for i in 0..self.engine.cores.len() {
                 if !self.engine.cores.is_due(i, now.0) {
                     continue;
                 }
                 let cpu = CpuId::from_index(i);
-                let next_op = &mut || source.next_for(cpu);
+                let next_op = &mut || {
+                    let op = source.next_for(cpu)?;
+                    if map.fits(op.addr.line(line_bytes)) {
+                        return Some(op);
+                    }
+                    stray.get_or_insert(RunError::AddressOutOfRange { cpu, addr: op.addr });
+                    None
+                };
                 if let CoreAction::Request(req) = self.engine.cores.tick(i, now.0, next_op) {
                     self.engine.handle_request(&mut self.fabric, req, now);
                 }
+            }
+            if let Some(e) = stray {
+                break Err(e);
             }
             if self.engine.counters.l2_transactions != last_count {
                 last_count = self.engine.counters.l2_transactions;

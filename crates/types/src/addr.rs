@@ -145,7 +145,7 @@ impl L2Map {
     /// The cluster a line is *initially* placed in (low-order tag bits).
     #[inline]
     pub fn home_cluster(&self, line: LineAddr) -> ClusterId {
-        let shifted = line.0 >> (self.bank_bits + self.set_bits);
+        let shifted = line.0 >> self.tag_shift();
         ClusterId((shifted as u32 & (self.clusters - 1)) as u16)
     }
 
@@ -164,25 +164,44 @@ impl L2Map {
         ((line.0 >> self.bank_bits) & u64::from(self.sets_per_bank - 1)) as u32
     }
 
+    /// How far a line's tag sits above its bank and set bits.
+    #[inline]
+    const fn tag_shift(&self) -> u32 {
+        self.bank_bits + self.set_bits
+    }
+
+    /// Whether `line`'s tag fits the 32 bits a way stores: every line
+    /// below `2^(32 + bank bits + set bits)`, so every byte address
+    /// below 2^48 on the default chip (4 bank, 6 set and 6 line-offset
+    /// bits).
+    #[inline]
+    pub fn fits(&self, line: LineAddr) -> bool {
+        line.0 >> self.tag_shift() <= u64::from(u32::MAX)
+    }
+
     /// The tag that must be stored to disambiguate lines sharing a set
     /// (everything above bank+set bits; includes the home-cluster bits,
     /// since after migration a set may hold lines of any home cluster).
+    /// Only a line that [`fits`](Self::fits) has one: the simulator
+    /// refuses any other before it reaches the L2.
     #[inline]
-    pub fn tag(&self, line: LineAddr) -> u64 {
-        line.0 >> (self.bank_bits + self.set_bits)
+    pub fn tag(&self, line: LineAddr) -> u32 {
+        debug_assert!(self.fits(line), "{line} has no 32-bit tag");
+        (line.0 >> self.tag_shift()) as u32
     }
 
-    /// Reconstructs the line address from its decomposition. Inverse of
-    /// ([`tag`](Self::tag), [`set_in_bank`](Self::set_in_bank),
-    /// [`bank_in_cluster`](Self::bank_in_cluster)).
+    /// Rebuilds the line address a way's tag stands for from the bank
+    /// and set holding it. Inverse of ([`tag`](Self::tag),
+    /// [`bank_in_cluster`](Self::bank_in_cluster),
+    /// [`set_in_bank`](Self::set_in_bank)).
     #[inline]
-    pub fn compose(&self, tag: u64, set: u32, bank: u32) -> LineAddr {
+    pub fn line_of(&self, tag: u32, bank_in_cluster: u32, set: u32) -> LineAddr {
         debug_assert!(set < self.sets_per_bank);
-        debug_assert!(bank < self.banks_per_cluster);
+        debug_assert!(bank_in_cluster < self.banks_per_cluster);
         LineAddr(
-            (tag << (self.bank_bits + self.set_bits))
+            u64::from(tag) << self.tag_shift()
                 | u64::from(set) << self.bank_bits
-                | u64::from(bank),
+                | u64::from(bank_in_cluster),
         )
     }
 
@@ -240,9 +259,9 @@ mod tests {
     #[test]
     fn compose_inverts_decomposition() {
         let m = default_map();
-        for raw in [0u64, 1, 0x3fff, 0xdead_beef, u64::MAX >> 8] {
+        for raw in [0u64, 1, 0x3fff, 0xdead_beef, (1 << 42) - 1] {
             let line = LineAddr(raw);
-            let back = m.compose(m.tag(line), m.set_in_bank(line), m.bank_in_cluster(line));
+            let back = m.line_of(m.tag(line), m.bank_in_cluster(line), m.set_in_bank(line));
             assert_eq!(back, line);
         }
     }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use nim_types::addr::L2Map;
-use nim_types::{Address, Coord, Dir, FxHashMap, LineAddr, LineMap};
+use nim_types::{Address, Coord, Dir, FxHashMap, LineAddr, LineMap, SystemConfig};
 use proptest::prelude::*;
 
 /// The multiplier `LineMap` hashes with: a key's home slot is the top
@@ -49,13 +49,46 @@ proptest! {
         raw in any::<u64>(),
     ) {
         let map = L2Map::new(clusters, banks, sets);
-        let line = LineAddr(raw >> 8); // leave headroom for compose shifts
-        let back = map.compose(
+        // Every line whose tag fits 32 bits: below 2^(32 + shift).
+        let shift = banks.trailing_zeros() + sets.trailing_zeros();
+        let line = LineAddr(raw >> (32 - shift));
+        let back = map.line_of(
             map.tag(line),
-            map.set_in_bank(line),
             map.bank_in_cluster(line),
+            map.set_in_bank(line),
         );
         prop_assert_eq!(back, line);
+    }
+
+    /// Every L2 geometry the CLI describes (`--l2-scale` 1, 2 or 4, on
+    /// the 3D chip or flattened to 2D) rebuilds every line below its tag
+    /// limit from the tag, bank and set, and `fits` accepts exactly
+    /// those lines.
+    #[test]
+    fn cli_l2_geometries_rebuild_every_line_below_the_tag_limit(
+        scale in 0u32..3,
+        flat in any::<bool>(),
+        raw in any::<u64>(),
+        near_top in any::<bool>(),
+    ) {
+        let cfg = SystemConfig::default();
+        let cfg = if flat { cfg.flattened() } else { cfg };
+        let l2 = cfg.l2.scaled(1 << scale);
+        let map = l2.map();
+        let shift =
+            l2.banks_per_cluster.trailing_zeros() + l2.sets_per_bank().trailing_zeros();
+        let limit = 1u64 << (32 + shift);
+        // Half the cases probe the last 2^16 lines below the limit.
+        let line = if near_top { limit - 1 - (raw & 0xffff) } else { raw % limit };
+        let line = LineAddr(line);
+        prop_assert!(map.fits(line));
+        let (bank, set) = (map.bank_in_cluster(line), map.set_in_bank(line));
+        prop_assert_eq!(map.line_of(map.tag(line), bank, set), line);
+        prop_assert!(!map.fits(LineAddr(limit + (raw & 0xffff))));
+        prop_assert_eq!(map.tag(LineAddr(limit - 1)), u32::MAX);
+        // The limit in bytes: 2^(32 + shift + line bits), 2^48 at scale 1.
+        let bytes = 32 + shift + l2.line_bytes.trailing_zeros();
+        prop_assert_eq!(bytes, 48 + scale);
     }
 
     #[test]

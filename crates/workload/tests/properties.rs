@@ -119,3 +119,28 @@ proptest! {
         );
     }
 }
+
+/// The L2 stores 32-bit tags, so the default chip holds byte addresses
+/// below 2^48 (more at larger scales); a run handed one past that ends
+/// with an error. No shipped profile comes near it: every region any of
+/// them lays out, for up to 64 CPUs, ends below 2^48 bytes.
+#[test]
+fn every_shipped_region_lies_below_2_pow_48() {
+    let mut profiles = BenchmarkProfile::all();
+    profiles.push(BenchmarkProfile::synthetic());
+    for profile in &profiles {
+        let mut regions = vec![shared_region(profile)];
+        for c in 0..64 {
+            let r = cpu_regions(profile, CpuId(c));
+            regions.extend([r.hot, r.stream, r.code]);
+        }
+        for region in regions {
+            let end = region.base + u64::from(region.lines) * 64;
+            assert!(
+                end <= 1 << 48,
+                "{}: {region:?} ends at {end:#x}",
+                profile.name
+            );
+        }
+    }
+}

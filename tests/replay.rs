@@ -1,8 +1,8 @@
 //! Record/replay integration: a recorded trace drives the system to the
 //! exact same result as the live generator that produced it.
 
-use network_in_memory::core::{Scheme, SystemBuilder};
-use network_in_memory::types::CpuId;
+use network_in_memory::core::{RunError, Scheme, SystemBuilder};
+use network_in_memory::types::{AccessKind, Address, CpuId, TraceOp};
 use network_in_memory::workload::{BenchmarkProfile, ReplayTrace, TraceGenerator};
 
 #[test]
@@ -42,4 +42,45 @@ fn replaying_a_recorded_trace_reproduces_the_run() {
     assert_eq!(live.counters, from_memory.counters);
     assert_eq!(live.cycles, from_memory.cycles);
     assert_eq!(live.instructions, from_memory.instructions);
+}
+
+/// A way stores a 32-bit tag, so the default chip's L2 holds byte
+/// addresses below 2^48. A replayed op past that ends the run with a
+/// typed error before it is issued; the last line below it is served.
+#[test]
+fn an_address_past_the_tag_range_ends_the_run_with_a_typed_error() {
+    let replay = |addr: u64| {
+        let mut trace = ReplayTrace::default();
+        let op = TraceOp {
+            gap: 1,
+            kind: AccessKind::Read,
+            addr: Address(addr),
+        };
+        trace.push(CpuId(2), op);
+        SystemBuilder::new(Scheme::CmpDnuca3d)
+            .prewarm(false)
+            .warmup_transactions(0)
+            .sampled_transactions(1)
+            .build()
+            .unwrap()
+            .run_with_source("stray", &mut trace)
+    };
+    let err = replay(1 << 60).unwrap_err();
+    assert_eq!(
+        err,
+        RunError::AddressOutOfRange {
+            cpu: CpuId(2),
+            addr: Address(1 << 60),
+        }
+    );
+    assert!(err.to_string().contains("cpu2"), "{err}");
+    let report = replay((1 << 48) - 64).expect("the last line in range is served");
+    assert_eq!(report.counters.l2_misses, 1);
+    assert_eq!(
+        replay(1 << 48),
+        Err(RunError::AddressOutOfRange {
+            cpu: CpuId(2),
+            addr: Address(1 << 48),
+        })
+    );
 }
