@@ -1,7 +1,8 @@
-//! Golden [`NetworkStats`](nim_noc::NetworkStats) for three saturating
+//! Golden [`NetworkStats`](nim_noc::NetworkStats) for five saturating
 //! runs, recorded on the commit before the router phase went
 //! mask-driven (the four-layer row on the commit before the 3D-mesh
-//! mode was retired). Switch-contention counts and round-robin order
+//! mode was retired, the one- and eight-VC rows on the commit before
+//! routers stored only the VCs of the ports they have). Switch-contention counts and round-robin order
 //! are what a wrong arbitration order moves first, and saturation
 //! (every VC busy, multi-cycle routers, a serialising bus) is where
 //! they are most sensitive. Every tick also runs
@@ -109,5 +110,50 @@ fn narrow_bus_serialises_flits() {
     assert_eq!(
         saturation_digest(&mut net),
         [1010, 512, 212_816, 1010, 5232, 12_720, 1280, 142_657, 1272, 64]
+    );
+}
+
+/// Every node sends 6 packets on the default chip with `vcs` VCs of
+/// `depth` flits per port: the VC geometries at either end of what
+/// `SystemConfig::validate` accepts. The first round goes anywhere on
+/// the chip, the rest stay on the sender's layer: with one VC a port, a
+/// flood whose every round may cross layers deadlocks, because a
+/// packet's mesh leg after its pillar breaks dimension order.
+fn vc_geometry_digest(vcs: u32, depth: u32) -> [u64; 10] {
+    let mut cfg = SystemConfig::default();
+    cfg.network.vcs_per_port = vcs;
+    cfg.network.vc_depth_flits = depth;
+    cfg.validate().unwrap();
+    let layout = ChipLayout::new(&cfg).unwrap();
+    let mut net = Network::new(&layout, &cfg.network);
+    let n = layout.num_nodes();
+    flood(&mut net, &layout, 6, |i, r| {
+        let c = layout.coord_of_index((i * 29 + 7 + r * 53) % n);
+        let layer = if r == 0 {
+            c.layer
+        } else {
+            layout.coord_of_index(i).layer
+        };
+        Coord::new(c.x, c.y, layer)
+    });
+    saturation_digest(&mut net)
+}
+
+/// The one row with a single VC a port, so every packet holds its
+/// input port to itself until its tail leaves.
+#[test]
+fn one_vc_of_two_flits_per_port() {
+    assert_eq!(
+        vc_geometry_digest(1, 2),
+        [297, 1536, 225_767, 297, 12_234, 30_312, 312, 84_522, 296, 32]
+    );
+}
+
+/// The one row with the most VCs a port the configuration allows.
+#[test]
+fn eight_vcs_of_four_flits_per_port() {
+    assert_eq!(
+        vc_geometry_digest(8, 4),
+        [145, 1536, 65_028, 145, 12_234, 30_312, 312, 10_706, 282, 64]
     );
 }
