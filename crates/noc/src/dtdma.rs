@@ -17,8 +17,6 @@
 //! them; [`DtdmaBus`] keeps only the arbiter state (round-robin pointer,
 //! statistics) that the bus phase owns.
 
-use nim_types::PillarId;
-
 use crate::packet::FlitFifo;
 
 /// Counters kept per pillar bus.
@@ -54,11 +52,10 @@ impl Iface {
     }
 }
 
-/// A dTDMA pillar bus: the arbiter state shared across all layers.
+/// A dTDMA pillar bus: the arbiter state shared across all layers. Its
+/// index among the network's buses is its [`PillarId`](nim_types::PillarId).
 #[derive(Clone, Debug)]
 pub(crate) struct DtdmaBus {
-    #[allow(dead_code)] // identifies the bus in diagnostics and tests
-    pub(crate) pillar: PillarId,
     /// Pillar position, identical on every layer.
     pub(crate) xy: (u8, u8),
     /// Round-robin pointer over interfaces (the dynamic slot schedule).
@@ -67,9 +64,8 @@ pub(crate) struct DtdmaBus {
 }
 
 impl DtdmaBus {
-    pub(crate) fn new(pillar: PillarId, xy: (u8, u8)) -> Self {
+    pub(crate) fn new(xy: (u8, u8)) -> Self {
         Self {
-            pillar,
             xy,
             rr: 0,
             stats: BusStats::default(),
@@ -81,7 +77,7 @@ impl DtdmaBus {
 mod tests {
     use super::*;
     use crate::packet::{Flit, FlitArena, FlitKind, TrafficClass};
-    use nim_types::{Coord, Cycle, PacketId};
+    use nim_types::{Coord, Cycle, PacketId, PillarId};
 
     fn flit() -> Flit {
         Flit {
@@ -115,8 +111,8 @@ mod tests {
 
     #[test]
     fn bus_starts_with_zeroed_arbiter() {
-        let bus = DtdmaBus::new(PillarId(3), (1, 1));
-        assert_eq!(bus.pillar, PillarId(3));
+        let bus = DtdmaBus::new((1, 1));
+        assert_eq!(bus.xy, (1, 1));
         assert_eq!(bus.rr, 0);
         assert_eq!(bus.stats, BusStats::default());
     }

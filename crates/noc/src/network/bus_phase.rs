@@ -61,7 +61,7 @@ impl Network {
             } else {
                 self.ifaces[src]
                     .bound_vc
-                    .filter(|&v| dest.vc(vi, v).accepts_continuation(front.pkt))
+                    .filter(|&v| dest.accepts_continuation(vi, v, front.pkt))
             };
             let Some(vc) = vc_sel else {
                 continue;

@@ -38,7 +38,7 @@ impl Network {
         } else {
             self.injectors[n]
                 .vc
-                .filter(|&v| router.vc(li, v).accepts_continuation(p.id))
+                .filter(|&v| router.accepts_continuation(li, v, p.id))
         };
         let Some(v) = vc_sel else {
             return;

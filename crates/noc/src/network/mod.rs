@@ -83,8 +83,6 @@ pub struct Network {
     /// Cycles a flit dwells in a router before it may leave (Table 4:
     /// a 1-cycle single-stage router).
     router_latency: u64,
-    /// Bus index at each node position, if the node is a pillar node.
-    bus_of_node: Vec<Option<u16>>,
     /// Bus cycles per flit on the pillars (1 for a flit-wide bus; more
     /// when the via budget only affords a narrower vertical bus).
     bus_cycles_per_flit: u64,
@@ -146,47 +144,44 @@ impl Network {
         let depth = cfg.vc_depth_flits as usize;
         let n = layout.num_nodes();
         let buses_len = layout.num_pillars() as usize;
+        let layers = layout.layers() as usize;
         let mut routers = Vec::with_capacity(n);
-        let mut bus_of_node = vec![None; n];
         let mut ports = Vec::with_capacity(Dir::COUNT);
         for i in 0..n {
             let c = layout.coord_of_index(i);
+            // Tabulate where each output leads as its port is found, so a
+            // hop is one load; `Local` leads nowhere, so its entry is 0.
+            let mut next = [0; Dir::COUNT];
             ports.clear();
             ports.push(Dir::Local);
             for d in Dir::MESH {
-                if d.step(c.x, c.y, layout.width(), layout.height()).is_some() {
+                if let Some((x, y)) = d.step(c.x, c.y, layout.width(), layout.height()) {
                     ports.push(d);
+                    next[d.index()] = layout.node_index(Coord::new(x, y, c.layer)) as u32;
                 }
             }
-            if layout.is_pillar_node(c) {
+            // A pillar node's nearest pillar is its own; its vertical
+            // output fills that pillar's transceiver interface here.
+            if let Some(p) = layout
+                .nearest_pillar(c)
+                .filter(|_| layout.is_pillar_node(c))
+            {
                 ports.push(Dir::Vertical);
+                next[Dir::Vertical.index()] = (p.index() * layers + usize::from(c.layer)) as u32;
             }
             let mut router = Router::new(c, &ports, vcs, depth);
-            // Tabulate where each output leads, so a hop is one load
-            // (`Local` and `Vertical` step nowhere: they link to `i`).
-            for &d in &ports {
-                let (x, y) = d
-                    .step(c.x, c.y, layout.width(), layout.height())
-                    .expect("port exists");
-                router.next[d.index()] = layout.node_index(Coord::new(x, y, c.layer)) as u32;
-            }
+            router.next = next;
             routers.push(router);
         }
         let mut buses = Vec::with_capacity(buses_len);
-        let mut ifaces = Vec::with_capacity(buses_len * layout.layers() as usize);
+        let mut ifaces = Vec::with_capacity(buses_len * layers);
         for p in 0..buses_len as u16 {
-            let pillar = nim_types::PillarId(p);
-            let xy = layout.pillar_xy(pillar);
-            for layer in 0..layout.layers() {
-                bus_of_node[layout.node_index(Coord::new(xy.0, xy.1, layer))] = Some(p);
-                ifaces.push(Iface::new(depth));
-            }
-            buses.push(DtdmaBus::new(pillar, xy));
+            ifaces.extend((0..layers).map(|_| Iface::new(depth)));
+            buses.push(DtdmaBus::new(layout.pillar_xy(nim_types::PillarId(p))));
         }
         Self {
             layout: layout.clone(),
             router_latency: u64::from(cfg.router_latency).max(1),
-            bus_of_node,
             bus_cycles_per_flit: u64::from(cfg.bus_cycles_per_flit()).max(1),
             bus_ready_at: vec![0; buses_len],
             routers,

@@ -81,7 +81,10 @@ impl Network {
             let Some(&front) = self.routers[n].vc(in_dir, vc).fifo.front(&self.arena) else {
                 return;
             };
-            if front.pkt != hold.pkt || front.arrived.0 + self.router_latency > now.0 {
+            // The held VC is owned until its tail leaves through this
+            // output, so every flit in it is the holder's.
+            debug_assert_eq!(Some(front.pkt), self.routers[n].owner(in_dir, vc));
+            if front.arrived.0 + self.router_latency > now.0 {
                 return;
             }
             if self.try_move(n, in_dir, vc, out, front, now) {
@@ -122,7 +125,6 @@ impl Network {
                 router.set_hold(
                     oi,
                     Some(Hold {
-                        pkt: front.pkt,
                         in_dir: in_dir as u8,
                         vc: vc as u8,
                     }),
@@ -155,18 +157,18 @@ impl Network {
             }
             Dir::Vertical => {
                 // The vertical move fills this pillar node's own
-                // transceiver interface; the bus phase later drains it.
-                let bus_idx =
-                    self.bus_of_node[n].expect("vertical output on non-pillar node") as usize;
-                let layers = self.layout.layers() as usize;
-                let slot = bus_idx * layers + self.routers[n].coord.layer as usize;
+                // transceiver interface, whose slot `next` holds; the bus
+                // phase later drains it.
+                debug_assert!(self.routers[n].has_port(Dir::Vertical.index()));
+                let slot = self.routers[n].next[Dir::Vertical.index()] as usize;
                 if self.ifaces[slot].q.is_full() {
                     return false;
                 }
                 self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
                 f.arrived = now;
                 self.ifaces[slot].q.push_back(&mut self.arena, f);
-                self.touched_buses.insert(bus_idx);
+                self.touched_buses
+                    .insert(slot / self.layout.layers() as usize);
                 self.count_hop(n, f.class);
             }
             _ => {

@@ -312,3 +312,28 @@ fn the_flit_slab_holds_only_the_flits_buffered_at_peak() {
     );
     assert_eq!(net.arena.slab_len(), peak, "the second burst reuses slots");
 }
+
+/// Each router keeps VC records only for the ports it has, so on the
+/// default chip the routers and their VC slices take under 140 KB: every
+/// router once reserved 64 slots of 32 bytes, 563 200 bytes in all.
+#[test]
+fn routers_hold_only_the_vcs_of_their_ports() {
+    use crate::vc::Vc;
+    use std::mem::size_of;
+
+    let (layout, net) = net();
+    let vcs = SystemConfig::default().network.vcs_per_port as usize;
+    assert_eq!(vcs, 3, "the paper's 3 VCs per physical channel");
+    let (mut records, mut ports) = (0, 0);
+    for r in &net.routers {
+        let n = r.ports().count_ones() as usize;
+        assert_eq!(r.fifos().count(), n * vcs, "router at {}", r.coord);
+        records += r.fifos().count();
+        ports += n;
+    }
+    assert_eq!(net.routers.len(), layout.num_nodes());
+    assert_eq!(records, 3 * ports);
+    assert!(size_of::<Vc>() <= 24, "a Vc is {} bytes", size_of::<Vc>());
+    let bytes = net.routers.len() * size_of::<Router>() + records * size_of::<Vc>();
+    assert!(bytes <= 140_000, "{bytes} bytes of routers and VCs");
+}

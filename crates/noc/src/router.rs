@@ -14,11 +14,13 @@
 //! # Hot state
 //!
 //! Three masks answer everything the router phase asks without a walk
-//! over VC slots: `occ` (non-empty VCs), `owned` (VCs a packet holds) and
-//! `held_mask` (outputs streaming a packet). A VC's bit is
+//! over VC records: `occ` (non-empty VCs), `owned` (VCs a packet holds)
+//! and `held_mask` (outputs streaming a packet). A VC's bit is
 //! `in_dir * 8 + vc` — eight bits per port whatever the VC count, which
-//! `SystemConfig::validate` caps at 8 — and the VC record itself sits at
-//! that bit's slot of a fixed 64-slot array. [`Router::push`] and
+//! `SystemConfig::validate` caps at 8, so a port's VCs are one byte of a
+//! mask. The VC records themselves are dense: `vcs_per_port` of them per
+//! port the router has, in ascending port order in one boxed slice, with
+//! VC `vc` of port `in_dir` at `base[in_dir] + vc`. [`Router::push`] and
 //! [`Router::drop_front`] are the only code that moves a flit in or out
 //! of a VC, which keeps masks and `occupancy` exact by construction
 //! (DESIGN.md §6e).
@@ -31,10 +33,10 @@ use crate::routing::{route, route_reference};
 use crate::vc::Vc;
 
 /// An output port held by an in-flight packet (wormhole: once a head flit
-/// claims an output, body flits follow contiguously until the tail).
+/// claims an output, body flits follow contiguously until the tail). The
+/// held input VC's owner names the packet.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Hold {
-    pub(crate) pkt: PacketId,
     /// Input direction the packet is streaming from.
     pub(crate) in_dir: u8,
     /// VC index within that input port.
@@ -47,26 +49,15 @@ pub(crate) fn vc_bit(in_dir: usize, vc: usize) -> usize {
     in_dir << 3 | vc
 }
 
-/// VC slots per router: eight per port, one per mask bit, rounded up to
-/// a power of two so that `SLOTS - 1` is a mask. Six ports give 48 bits;
-/// a mask of 47 would alias slots, so the array keeps 64.
-const SLOTS: usize = (Dir::COUNT * 8).next_power_of_two();
-
-/// The slot of VC `vc` of port `in_dir`: its mask bit, masked so the
-/// index needs no bounds check (`in_dir < Dir::COUNT` and `vc < 8` make
-/// the mask a no-op).
-#[inline]
-fn vc_slot(in_dir: usize, vc: usize) -> usize {
-    debug_assert!(in_dir < Dir::COUNT && vc < 8, "VC ({in_dir}, {vc})");
-    vc_bit(in_dir, vc) & (SLOTS - 1)
-}
-
-/// One router: a flat array of input VCs plus switch-allocation state.
+/// One router: the input VCs of the ports it has, plus switch-allocation
+/// state.
 #[derive(Clone, Debug)]
 pub(crate) struct Router {
     pub(crate) coord: Coord,
-    /// Node index of the router each mesh output links to, filled in by
-    /// the network builder (unused entries stay 0).
+    /// Where each output leads, filled in by the network builder: the
+    /// node index of the router a mesh output links to, and on a pillar
+    /// node the transceiver-interface slot (`bus * layers + layer`) the
+    /// `Vertical` output fills. Other entries stay 0.
     pub(crate) next: [u32; Dir::COUNT],
     /// Ports that exist (each is an input and an output), as a bitmask
     /// over [`Dir::index`].
@@ -74,6 +65,10 @@ pub(crate) struct Router {
     /// Outputs with a wormhole hold; `held[o]` is meaningful iff bit `o`.
     held_mask: u8,
     vcs_per_port: u8,
+    /// Index in `vcs` of each port's VC 0, by [`Dir::index`]; 0 for a
+    /// port that does not exist, which no caller asks for. Eight entries,
+    /// so that a port index masked to 3 bits needs no bounds check.
+    base: [u8; 8],
     /// Non-empty VCs, bit [`vc_bit`].
     occ: u64,
     /// VCs owned by a packet (possibly drained for the moment), same bits.
@@ -84,39 +79,38 @@ pub(crate) struct Router {
     /// Per-output round-robin arbitration pointer: the [`vc_bit`]
     /// position that wins arbitration first.
     pub(crate) rr: [u8; Dir::COUNT],
-    /// Every input VC at its [`vc_bit`]; the slots of ports that do not
-    /// exist, and of VCs past `vcs_per_port`, are [`Vc::ABSENT`].
-    vcs: [Vc; SLOTS],
+    /// The input VCs of the ports in `ports`, `vcs_per_port` per port in
+    /// ascending [`Dir::index`] order.
+    vcs: Box<[Vc]>,
 }
 
 impl Router {
     /// Creates a router with input and output ports in `ports`.
     pub(crate) fn new(coord: Coord, ports: &[Dir], vcs: usize, depth: usize) -> Self {
         assert!((1..=8).contains(&vcs), "1 to 8 VCs per port");
-        let mut slots = [Vc::ABSENT; SLOTS];
-        let mut mask = 0u8;
-        for d in ports {
-            mask |= 1 << d.index();
-            for vc in &mut slots[vc_bit(d.index(), 0)..][..vcs] {
-                vc.fifo = FlitFifo::new(depth);
-            }
+        let mask = ports.iter().fold(0u8, |m, d| m | 1 << d.index());
+        let mut base = [0; 8];
+        for (i, d) in bits(u64::from(mask)).enumerate() {
+            base[d] = (i * vcs) as u8;
         }
+        let vc = Vc {
+            fifo: FlitFifo::new(depth),
+            owner: PacketId(0),
+            out: Dir::Local,
+        };
         Self {
             coord,
             next: [0; Dir::COUNT],
             ports: mask,
             held_mask: 0,
             vcs_per_port: vcs as u8,
+            base,
             occ: 0,
             owned: 0,
             occupancy: 0,
-            held: [Hold {
-                pkt: PacketId(u64::MAX),
-                in_dir: 0,
-                vc: 0,
-            }; Dir::COUNT],
+            held: [Hold { in_dir: 0, vc: 0 }; Dir::COUNT],
             rr: [0; Dir::COUNT],
-            vcs: slots,
+            vcs: vec![vc; mask.count_ones() as usize * vcs].into_boxed_slice(),
         }
     }
 
@@ -143,9 +137,40 @@ impl Router {
         self.occupancy
     }
 
+    /// Index in `vcs` of VC `vc` of port `in_dir`.
+    #[inline]
+    fn slot(&self, in_dir: usize, vc: usize) -> usize {
+        debug_assert!(
+            self.has_port(in_dir) && vc < self.vcs_per_port(),
+            "VC ({in_dir}, {vc})"
+        );
+        usize::from(self.base[in_dir & 7]) + vc
+    }
+
     #[inline]
     pub(crate) fn vc(&self, in_dir: usize, vc: usize) -> &Vc {
-        &self.vcs[vc_slot(in_dir, vc)]
+        &self.vcs[self.slot(in_dir, vc)]
+    }
+
+    /// The packet that owns VC `vc` of port `in_dir`, if any.
+    #[inline]
+    pub(crate) fn owner(&self, in_dir: usize, vc: usize) -> Option<PacketId> {
+        (self.owned >> vc_bit(in_dir, vc) & 1 != 0).then(|| self.vc(in_dir, vc).owner)
+    }
+
+    /// Whether a head flit of a *new* packet may allocate VC `vc` of port
+    /// `in_dir`: no packet owns it and it holds no flit.
+    #[inline]
+    pub(crate) fn is_free(&self, in_dir: usize, vc: usize) -> bool {
+        (self.occ | self.owned) >> vc_bit(in_dir, vc) & 1 == 0
+    }
+
+    /// Whether a non-head flit of `pkt` may enter VC `vc` of port
+    /// `in_dir` (right owner, space left).
+    #[inline]
+    pub(crate) fn accepts_continuation(&self, in_dir: usize, vc: usize, pkt: PacketId) -> bool {
+        let v = self.vc(in_dir, vc);
+        self.owned >> vc_bit(in_dir, vc) & 1 != 0 && v.owner == pkt && !v.fifo.is_full()
     }
 
     /// Index of a VC of port `in_dir` a new packet's head flit may
@@ -161,8 +186,11 @@ impl Router {
     /// another flit.
     #[inline]
     pub(crate) fn continuation_vc(&self, in_dir: usize, pkt: PacketId) -> Option<usize> {
-        bits(self.owned >> (in_dir << 3) & 0xff)
-            .find(|&v| self.vc(in_dir, v).accepts_continuation(pkt))
+        // Walks owned bits only, so the owner field is meaningful here.
+        bits(self.owned >> (in_dir << 3) & 0xff).find(|&v| {
+            let vc = self.vc(in_dir, v);
+            vc.owner == pkt && !vc.fifo.is_full()
+        })
     }
 
     /// Pushes a flit into VC `vc` of port `in_dir`, caching the packet's
@@ -182,18 +210,21 @@ impl Router {
         vc: usize,
         flit: Flit,
     ) {
+        debug_assert!(
+            !flit.kind.is_head() || self.is_free(in_dir, vc),
+            "head flit into occupied VC"
+        );
+        debug_assert!(
+            flit.kind.is_head() || self.accepts_continuation(in_dir, vc, flit.pkt),
+            "continuation flit into foreign or full VC"
+        );
         let bit = 1u64 << vc_bit(in_dir, vc);
-        let slot = &mut self.vcs[vc_slot(in_dir, vc)];
+        let i = self.slot(in_dir, vc);
+        let slot = &mut self.vcs[i];
         if flit.kind.is_head() {
-            debug_assert!(slot.is_free(), "head flit into occupied VC");
-            slot.owner = Some(flit.pkt);
+            slot.owner = flit.pkt;
             slot.out = route(layout, self.coord, flit.dst, flit.via);
             self.owned |= bit;
-        } else {
-            debug_assert!(
-                slot.accepts_continuation(flit.pkt),
-                "continuation flit into foreign or full VC"
-            );
         }
         slot.fifo.push_back(arena, flit);
         self.occ |= bit;
@@ -216,14 +247,14 @@ impl Router {
         tail: bool,
     ) {
         let bit = 1u64 << vc_bit(in_dir, vc);
-        let slot = &mut self.vcs[vc_slot(in_dir, vc)];
-        slot.fifo.advance(arena);
-        if slot.fifo.is_empty() {
+        let i = self.slot(in_dir, vc);
+        let fifo = &mut self.vcs[i].fifo;
+        fifo.advance(arena);
+        if fifo.is_empty() {
             self.occ &= !bit;
         }
         if tail {
-            debug_assert!(slot.fifo.is_empty(), "flits behind a tail");
-            slot.owner = None;
+            debug_assert!(fifo.is_empty(), "flits behind a tail");
             self.owned &= !bit;
         }
         self.occupancy -= 1;
@@ -244,7 +275,7 @@ impl Router {
         })
     }
 
-    /// Every VC's FIFO, the absent ports' included.
+    /// Every VC's FIFO.
     pub(crate) fn fifos(&self) -> impl Iterator<Item = &FlitFifo> {
         self.vcs.iter().map(|vc| &vc.fifo)
     }
@@ -288,8 +319,9 @@ impl Router {
         self.rr[oi] = vc_bit(in_dir, vc) as u8;
     }
 
-    /// Asserts that the masks, counters and cached routes agree with the
-    /// VC contents they summarise; a cached route is checked against
+    /// Asserts that the router holds `vcs_per_port` VC records for each
+    /// port it has, and that the masks, counters and cached routes agree
+    /// with the VC contents they summarise; a cached route is checked against
     /// [`route_reference`], not the `route` that filled it. Returns the
     /// buffered flit count.
     ///
@@ -298,30 +330,38 @@ impl Router {
     /// Panics, naming the router and VC, on the first disagreement.
     pub(crate) fn check_invariants(&self, arena: &FlitArena, layout: &ChipLayout) -> u64 {
         let at = self.coord;
+        let per_port = self.vcs_per_port();
+        assert_eq!(
+            self.vcs.len(),
+            self.ports.count_ones() as usize * per_port,
+            "{at}: VC records"
+        );
+        // The mask bits of the VCs that exist; no other bit may be set.
+        let mut present = 0u64;
         let mut flits = 0;
-        for (bit, vc) in self.vcs.iter().enumerate() {
-            let (in_dir, v) = (bit >> 3, bit & 7);
-            let what = format_args!("{at} port {in_dir} VC {v}");
-            assert!(
-                self.has_port(in_dir) && v < self.vcs_per_port() || vc.fifo.capacity() == 0,
-                "{what}"
-            );
-            assert_eq!(
-                self.occ >> bit & 1 != 0,
-                !vc.fifo.is_empty(),
-                "{what}: occ bit"
-            );
-            assert_eq!(
-                self.owned >> bit & 1 != 0,
-                vc.owner.is_some(),
-                "{what}: owner bit"
-            );
-            if let Some(f) = vc.fifo.front(arena) {
-                let want = route_reference(layout, at, f.dst, f.via);
-                assert_eq!(vc.out, want, "{what}: cached route");
+        for in_dir in bits(u64::from(self.ports)) {
+            present |= ((1 << per_port) - 1) << vc_bit(in_dir, 0);
+            for v in 0..per_port {
+                let (bit, vc) = (vc_bit(in_dir, v), self.vc(in_dir, v));
+                let what = format_args!("{at} port {in_dir} VC {v}");
+                assert!(vc.fifo.len() <= vc.fifo.capacity(), "{what}: overfull");
+                assert_eq!(
+                    self.occ >> bit & 1 != 0,
+                    !vc.fifo.is_empty(),
+                    "{what}: occ bit"
+                );
+                if let Some(f) = vc.fifo.front(arena) {
+                    let want = route_reference(layout, at, f.dst, f.via);
+                    assert_eq!(vc.out, want, "{what}: cached route");
+                }
+                flits += vc.fifo.len() as u64;
             }
-            flits += vc.fifo.len() as u64;
         }
+        assert_eq!(
+            (self.occ | self.owned) & !present,
+            0,
+            "{at}: mask bit of an absent VC"
+        );
         assert_eq!(u64::from(self.occupancy), flits, "{at}: occupancy");
         assert_eq!(
             self.held_mask & !self.ports,
@@ -336,7 +376,7 @@ impl Router {
                 self.has_port(in_dir) && v < self.vcs_per_port(),
                 "{at}: hold {oi}"
             );
-            assert_eq!(self.vc(in_dir, v).owner, Some(h.pkt), "{at}: hold {oi}");
+            assert!(self.owner(in_dir, v).is_some(), "{at}: hold {oi}");
         }
         flits
     }
@@ -359,7 +399,7 @@ mod tests {
         assert_eq!(r.ports().count_ones(), 3);
         assert_eq!(r.occupancy(), 0);
         assert_eq!(r.vc(Dir::East.index(), 2).fifo.capacity(), 4);
-        assert_eq!(r.vc(Dir::West.index(), 0).fifo.capacity(), 0);
+        assert_eq!(r.vcs.len(), 3 * 3, "VC records only for the ports it has");
     }
 
     #[test]
@@ -385,14 +425,13 @@ mod tests {
     /// the VC by the kind of the flit it read.
     fn pop_reference(r: &mut Router, arena: &mut FlitArena, in_dir: usize, vc: usize) -> Flit {
         let bit = 1u64 << vc_bit(in_dir, vc);
-        let v = &mut r.vcs[vc_slot(in_dir, vc)];
-        let flit = *v.fifo.front(arena).expect("pop from an empty VC");
-        v.fifo.advance(arena);
-        if v.fifo.is_empty() {
+        let fifo = &mut r.vcs[r.slot(in_dir, vc)].fifo;
+        let flit = *fifo.front(arena).expect("pop from an empty VC");
+        fifo.advance(arena);
+        if fifo.is_empty() {
             r.occ &= !bit;
         }
         if flit.kind.is_tail() {
-            v.owner = None;
             r.owned &= !bit;
         }
         r.occupancy -= 1;
@@ -474,7 +513,7 @@ mod tests {
                 "step {i}"
             );
             for vc in 0..2 {
-                assert_eq!(a.vc(e, vc).owner, b.vc(e, vc).owner, "step {i} VC {vc}");
+                assert_eq!(a.owner(e, vc), b.owner(e, vc), "step {i} VC {vc}");
                 assert_eq!(a.vc(e, vc).fifo.len(), b.vc(e, vc).fifo.len(), "step {i}");
             }
             b.check_invariants(&arena, &layout);

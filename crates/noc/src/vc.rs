@@ -10,10 +10,13 @@
 //! A VC holds no flit storage of its own: its [`FlitFifo`] is a linked
 //! list through the network-wide [`FlitArena`](crate::packet::FlitArena)
 //! slab, which holds only the flits actually buffered. The `Vc` itself
-//! is a small inline record (list ends, owner, cached output port), and
-//! a router keeps all of its VCs in one flat array
-//! ([`Router`](crate::router::Router)), so a visit touches one VC record
-//! and one slab slot per occupied VC.
+//! is a 24-byte inline record (list ends, owner, cached output port),
+//! and a router keeps only the VCs of the ports it has, densely in one
+//! slice ([`Router`](crate::router::Router)), so a visit touches one VC
+//! record and one slab slot per occupied VC. Whether a VC is owned lives
+//! in the router's `owned` mask, not in the record, which is why the
+//! owner is a bare [`PacketId`] and the ownership queries are
+//! [`Router`](crate::router::Router) methods.
 
 use nim_types::{Dir, PacketId};
 
@@ -27,36 +30,16 @@ use crate::packet::FlitFifo;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Vc {
     pub(crate) fifo: FlitFifo,
-    /// The packet whose head flit allocated the VC, until its tail leaves.
-    pub(crate) owner: Option<PacketId>,
+    /// The packet whose head flit allocated the VC. Meaningful only while
+    /// the router's `owned` bit for the VC is set: from that head's push
+    /// until its tail leaves.
+    pub(crate) owner: PacketId,
     /// Look-ahead route of the packet the VC holds: the output port its
     /// flits request at this router. A head flit only ever enters an
     /// empty VC, so the route is computed once, as the head becomes the
     /// front, and a blocked flit costs no routing on later cycles.
     /// Derived state: meaningful only while the VC is non-empty.
     pub(crate) out: Dir,
-}
-
-impl Vc {
-    /// The VC slot of a port the router does not have: zero capacity,
-    /// never written.
-    pub(crate) const ABSENT: Vc = Vc {
-        fifo: FlitFifo::ABSENT,
-        owner: None,
-        out: Dir::Local,
-    };
-
-    /// Whether a head flit of a *new* packet may allocate this VC.
-    #[inline]
-    pub(crate) fn is_free(&self) -> bool {
-        self.owner.is_none() && self.fifo.is_empty()
-    }
-
-    /// Whether a non-head flit of `pkt` may enter (right owner, space left).
-    #[inline]
-    pub(crate) fn accepts_continuation(&self, pkt: PacketId) -> bool {
-        self.owner == Some(pkt) && !self.fifo.is_full()
-    }
 }
 
 #[cfg(test)]
@@ -102,22 +85,22 @@ mod tests {
     #[test]
     fn ownership_lifecycle() {
         let (mut arena, layout, mut r) = one_port(1);
-        assert!(r.vc(EAST, 0).is_free());
+        assert!(r.is_free(EAST, 0));
         r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Head));
-        assert!(!r.vc(EAST, 0).is_free());
-        assert!(r.vc(EAST, 0).accepts_continuation(PacketId(1)));
-        assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(2)));
+        assert!(!r.is_free(EAST, 0));
+        assert!(r.accepts_continuation(EAST, 0, PacketId(1)));
+        assert!(!r.accepts_continuation(EAST, 0, PacketId(2)));
         r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Body));
         r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Body));
         r.push(&mut arena, &layout, EAST, 0, flit(1, FlitKind::Tail));
-        assert!(!r.vc(EAST, 0).accepts_continuation(PacketId(1)), "full");
+        assert!(!r.accepts_continuation(EAST, 0, PacketId(1)), "full");
         assert_eq!(take(&mut r, &mut arena, EAST, 0).kind, FlitKind::Head);
         assert_eq!(take(&mut r, &mut arena, EAST, 0).kind, FlitKind::Body);
-        assert!(!r.vc(EAST, 0).is_free(), "owner retained until tail leaves");
+        assert!(!r.is_free(EAST, 0), "owner retained until tail leaves");
         assert_eq!(r.free_vc(EAST), None, "drained for now, but still owned");
         take(&mut r, &mut arena, EAST, 0);
         take(&mut r, &mut arena, EAST, 0);
-        assert!(r.vc(EAST, 0).is_free(), "tail leaving releases ownership");
+        assert!(r.is_free(EAST, 0), "tail leaving releases ownership");
         r.check_invariants(&arena, &layout);
     }
 
@@ -125,9 +108,9 @@ mod tests {
     fn single_flit_packet_frees_immediately() {
         let (mut arena, layout, mut r) = one_port(1);
         r.push(&mut arena, &layout, EAST, 0, flit(9, FlitKind::HeadTail));
-        assert!(!r.vc(EAST, 0).is_free());
+        assert!(!r.is_free(EAST, 0));
         take(&mut r, &mut arena, EAST, 0);
-        assert!(r.vc(EAST, 0).is_free());
+        assert!(r.is_free(EAST, 0));
     }
 
     #[test]
