@@ -66,15 +66,15 @@ impl Bank {
     }
 
     /// Whether `tag` is resident in `set`; returns the way if so. An
-    /// empty way never matches, whatever its slot still holds.
+    /// empty way never matches, whatever its slot still holds. Every way
+    /// is compared, with no early exit: the matches form one mask, the
+    /// empty ways are masked out, and the lowest bit left is the way.
     #[inline]
     pub(crate) fn lookup(&self, set: u32, tag: u32) -> Option<u32> {
-        let empty = self.empty[set as usize];
-        self.slots(set as usize)
-            .iter()
-            .enumerate()
-            .position(|(w, &slot)| slot == tag && (empty >> w) & 1 == 0)
-            .map(|w| w as u32)
+        let ways = self.slots(set as usize).iter().enumerate();
+        let hits = ways.fold(0u32, |m, (w, &slot)| m | u32::from(slot == tag) << w);
+        let hits = hits & !self.empty[set as usize];
+        (hits != 0).then(|| hits.trailing_zeros())
     }
 
     /// Marks `tag` most-recently used in its set; returns whether it

@@ -76,6 +76,15 @@ pub struct L2Stats {
     pub migrations_aborted: u64,
 }
 
+/// Where a line sits in whichever cluster holds it: its bank within the
+/// cluster, its set in that bank and its tag, all fixed by its address.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    bank: u32,
+    set: u32,
+    tag: u32,
+}
+
 /// The shared NUCA L2 cache.
 #[derive(Clone, Debug)]
 pub struct NucaL2 {
@@ -170,37 +179,42 @@ impl NucaL2 {
         self.map.home_cluster(line)
     }
 
-    /// The index of the bank `line` maps to in `cluster`, and its set
-    /// there.
+    /// `line`'s bank within a cluster, set and tag, decoded once.
     #[inline]
-    fn slot_of(&self, line: LineAddr, cluster: ClusterId) -> (usize, u32) {
-        let bank = self
-            .map
-            .global_bank(cluster, self.map.bank_in_cluster(line));
-        (bank.index(), self.map.set_in_bank(line))
+    fn slot(&self, line: LineAddr) -> Slot {
+        Slot {
+            bank: self.map.bank_in_cluster(line),
+            set: self.map.set_in_bank(line),
+            tag: self.map.tag(line),
+        }
     }
 
-    /// The bank `line` maps to in `cluster`, its set there and its tag.
+    /// The index in `banks` of bank `bank` of `cluster`.
     #[inline]
-    fn bank_of(&mut self, line: LineAddr, cluster: ClusterId) -> (&mut Bank, u32, u32) {
-        let (bank, set) = self.slot_of(line, cluster);
-        let tag = self.map.tag(line);
-        (&mut self.banks[bank], set, tag)
+    fn bank_index(&self, cluster: ClusterId, bank: u32) -> usize {
+        self.map.global_bank(cluster, bank).index()
     }
 
-    /// The line a victim `tag` of `line`'s set stands for: the line of
-    /// that bank and set with that tag.
+    /// The bank `at` names in `cluster`.
     #[inline]
-    fn victim_of(&self, line: LineAddr, tag: u32) -> LineAddr {
-        let map = &self.map;
-        map.line_of(tag, map.bank_in_cluster(line), map.set_in_bank(line))
+    fn bank_mut(&mut self, cluster: ClusterId, at: Slot) -> &mut Bank {
+        let i = self.bank_index(cluster, at.bank);
+        &mut self.banks[i]
+    }
+
+    /// The line a victim `tag` evicted from slot `at` stands for: the
+    /// line of that bank and set with that tag.
+    #[inline]
+    fn victim_of(&self, at: Slot, tag: u32) -> LineAddr {
+        self.map.line_of(tag, at.bank, at.set)
     }
 
     /// Whether `cluster`'s tag array holds `line`: one set probe.
     #[inline]
     fn in_set(&self, line: LineAddr, cluster: ClusterId) -> bool {
-        let (bank, set) = self.slot_of(line, cluster);
-        self.banks[bank].lookup(set, self.map.tag(line)).is_some()
+        let at = self.slot(line);
+        let bank = &self.banks[self.bank_index(cluster, at.bank)];
+        bank.lookup(at.set, at.tag).is_some()
     }
 
     /// Marks a hit on `line` (updates pseudo-LRU at its location).
@@ -210,8 +224,8 @@ impl NucaL2 {
         let cl = self
             .moved_to(line)
             .unwrap_or_else(|| self.home_cluster(line));
-        let (bank, set, tag) = self.bank_of(line, cl);
-        bank.touch(set, tag).then_some(cl)
+        let at = self.slot(line);
+        self.bank_mut(cl, at).touch(at.set, at.tag).then_some(cl)
     }
 
     /// Places `line` at its home cluster (servicing an L2 miss).
@@ -228,17 +242,21 @@ impl NucaL2 {
     /// steady-state position (the paper samples after a 500 M-cycle
     /// warm-up during which exactly this convergence happens).
     ///
+    /// The line's bank, set and tag are decoded once, and a victim is
+    /// rebuilt from the same decode.
+    ///
     /// # Panics
     ///
     /// Panics (debug) if the line is already resident, or if the cluster
     /// id is out of range.
     pub fn insert_at(&mut self, line: LineAddr, cluster: ClusterId) -> Placement {
         debug_assert!(self.locate(line).is_none(), "line already resident");
-        let (bank, set, tag) = self.bank_of(line, cluster);
-        let evicted = bank
-            .insert(set, tag)
+        let at = self.slot(line);
+        let evicted = self
+            .bank_mut(cluster, at)
+            .insert(at.set, at.tag)
             .evicted
-            .map(|t| self.victim_of(line, t));
+            .map(|t| self.victim_of(at, t));
         if cluster != self.home_cluster(line) {
             self.moved.insert(line, cluster);
         }
@@ -297,15 +315,15 @@ impl NucaL2 {
             .ok_or(MigrationError::NotResident(line))?;
         let home = self.home_cluster(line);
         let from = self.moved_to(line).unwrap_or(home);
-        let (bank, set, tag) = self.bank_of(line, from);
-        if !bank.remove(set, tag) {
+        let at = self.slot(line);
+        if !self.bank_mut(from, at).remove(at.set, at.tag) {
             return Err(MigrationError::NotResident(line));
         }
-        let (bank, set, tag) = self.bank_of(line, to);
-        let evicted = bank
-            .insert(set, tag)
+        let evicted = self
+            .bank_mut(to, at)
+            .insert(at.set, at.tag)
             .evicted
-            .map(|t| self.victim_of(line, t));
+            .map(|t| self.victim_of(at, t));
         if to == home {
             self.moved.remove(line);
         } else {
@@ -408,7 +426,9 @@ impl NucaL2 {
             let cl = ClusterId::from_index(b / per);
             for (set, tag) in bank.resident() {
                 let line = self.map.line_of(tag, (b % per) as u32, set);
-                assert_eq!(self.slot_of(line, cl), (b, set), "{line} outside its set");
+                let at = self.slot(line);
+                let held = (self.bank_index(cl, at.bank), at.set);
+                assert_eq!(held, (b, set), "{line} outside its set");
                 if let Some(other) = seen.insert(line, cl) {
                     panic!("{line} is resident in both {other} and {cl}");
                 }

@@ -2,7 +2,7 @@
 //!
 //! The paper warms its caches for 500 M cycles before sampling;
 //! [`Engine::prewarm`] installs the state that warm-up converges to
-//! instead, in one pass over the workload's regions. Three things keep
+//! instead, in one pass over the workload's regions. Four things keep
 //! the pass cheap without changing where any line lands:
 //!
 //! * the L2's away map (the lines resident outside their home cluster)
@@ -10,9 +10,14 @@
 //!   home — every CPU's private lines, and none under the static scheme
 //!   — so it never rehashes mid-fill (it leaves no tombstones either, so
 //!   the run keeps that size while no more lines are away at once);
-//! * the regions are pairwise disjoint, so a line is installed at most
-//!   once and the duplicate check asks only the cluster about to be
-//!   filled (one lookup, no extra set probe);
+//! * every region starts on a 64 KiB boundary and no two share a byte,
+//!   so a line can come up twice only as consecutive addresses of one
+//!   region (lines wider than the regions' 64-byte stride): the pass
+//!   skips an address in the line it just installed and probes no tag
+//!   set for duplicates (`NucaL2::insert_at`'s debug assertion still
+//!   checks that the line is not resident);
+//! * each line goes in through one `NucaL2::insert_at`, which decodes
+//!   its bank, set and tag once;
 //! * a private line's parking cluster depends only on its owner and its
 //!   home cluster, so [`SteadyMemo`] computes each of those at most
 //!   `cpus × clusters` fixed points once, not once per line.
@@ -66,51 +71,59 @@ impl Engine {
                 .reserve(regions.iter().map(private).sum::<u32>() as usize);
         }
         let mut memo = SteadyMemo::new(self);
+        let mut last = None;
         // Bulk data first so later hot/code installs win any conflicts.
         for addr in shared_region(profile).line_addrs() {
-            self.install(&mut memo, addr, None);
+            self.install(&mut memo, &mut last, addr, None);
         }
         for (i, r) in regions.iter().enumerate() {
             for addr in r.stream.line_addrs() {
-                self.install(&mut memo, addr, Some(CpuId::from_index(i)));
+                self.install(&mut memo, &mut last, addr, Some(CpuId::from_index(i)));
             }
         }
         for (i, r) in regions.iter().enumerate() {
             let cpu = CpuId::from_index(i);
             for addr in r.hot.line_addrs() {
-                let line = self.install(&mut memo, addr, Some(cpu));
+                let line = self.install(&mut memo, &mut last, addr, Some(cpu));
                 if let Some(evicted) = self.cores.prefill(cpu, addr, AccessKind::Read) {
                     self.dir.evict(cpu, evicted);
                 }
                 self.dir.access(cpu, line, DirAccess::Read);
             }
             for addr in r.code.line_addrs() {
-                self.install(&mut memo, addr, Some(cpu));
+                self.install(&mut memo, &mut last, addr, Some(cpu));
                 self.cores.prefill(cpu, addr, AccessKind::IFetch);
             }
         }
     }
 
-    /// Places the line of `addr` in the L2 unless it is resident already:
-    /// at its owner's steady cluster under a migrating scheme, else at its
-    /// home cluster. A victim leaves every L1 that held it. The regions
-    /// are pairwise disjoint, so a resident line was installed from this
-    /// same region (two addresses of one line, when lines are wider than
-    /// the regions' 64-byte stride) and sits where it is about to go:
-    /// asking that one cluster answers what asking every cluster would.
-    fn install(&mut self, memo: &mut SteadyMemo, addr: Address, owner: Option<CpuId>) -> LineAddr {
+    /// Places the line of `addr` in the L2 unless it is `last`, the line
+    /// the previous address went into: at its owner's steady cluster
+    /// under a migrating scheme, else at its home cluster. A victim
+    /// leaves every L1 that held it. The regions start on 64 KiB
+    /// boundaries and share no byte, so a line already resident can only
+    /// be `last` (two addresses of one line, when lines are wider than
+    /// the regions' 64-byte stride); `insert_at` asserts as much in
+    /// debug builds.
+    fn install(
+        &mut self,
+        memo: &mut SteadyMemo,
+        last: &mut Option<LineAddr>,
+        addr: Address,
+        owner: Option<CpuId>,
+    ) -> LineAddr {
         let line = addr.line(self.line_bytes);
+        if last.replace(line) == Some(line) {
+            return line;
+        }
         let home = self.l2.home_cluster(line);
         let cluster = match owner {
             Some(cpu) if self.policy.migrates => memo.get(self, cpu, home),
             _ => home,
         };
-        if !self.l2.has_copy_at(line, cluster) {
-            let placed = self.l2.insert_at(line, cluster);
-            if let Some(victim) = placed.evicted {
-                for sharer in self.dir.invalidate_all(victim).iter() {
-                    self.cores.invalidate(sharer, victim);
-                }
+        if let Some(victim) = self.l2.insert_at(line, cluster).evicted {
+            for sharer in self.dir.invalidate_all(victim).iter() {
+                self.cores.invalidate(sharer, victim);
             }
         }
         line
@@ -199,9 +212,10 @@ mod tests {
         }
     }
 
-    /// `install`'s target-cluster duplicate check relies on this: no two
+    /// `install`'s consecutive-line dedupe relies on this: no two
     /// regions of a shipped profile share a byte, at any CPU count the
-    /// directory allows.
+    /// directory allows, and every region starts on a 64 KiB boundary,
+    /// so no line up to 64 KiB wide spans two regions.
     #[test]
     fn every_profiles_regions_are_pairwise_disjoint() {
         let mut profiles = BenchmarkProfile::all();
@@ -212,6 +226,9 @@ mod tests {
                 let r = cpu_regions(&profile, CpuId::from_index(i));
                 spans.extend([r.hot, r.stream, r.code]);
             }
+            for r in &spans {
+                assert_eq!(r.base % (64 << 10), 0, "{}: {:#x}", profile.name, r.base);
+            }
             let mut spans: Vec<(u64, u64)> = spans
                 .iter()
                 .map(|r| (r.base, r.base + u64::from(r.lines) * 64))
@@ -219,6 +236,41 @@ mod tests {
             spans.sort_unstable();
             for pair in spans.windows(2) {
                 assert!(pair[0].1 <= pair[1].0, "{}: {pair:x?}", profile.name);
+            }
+        }
+    }
+
+    /// One prewarm inserts each distinct line of the regions exactly once,
+    /// for every shipped profile under every scheme, at 64- and 128-byte
+    /// L2 lines (at 128 bytes two consecutive addresses of a region share
+    /// a line, which `install` must not insert twice), and leaves the L2
+    /// consistent.
+    #[test]
+    fn the_prewarm_inserts_each_distinct_line_once() {
+        for line_bytes in [64u32, 128] {
+            let mut cfg = nim_types::SystemConfig::default();
+            cfg.l2.line_bytes = line_bytes;
+            // A data packet carries one line.
+            cfg.network.data_packet_flits = line_bytes * 8 / cfg.network.flit_bits;
+            for profile in BenchmarkProfile::all() {
+                for scheme in Scheme::ALL {
+                    let sys = SystemBuilder::new(scheme).config(cfg).build();
+                    let mut eng = sys.expect("cell builds").engine;
+                    let mut regions = vec![shared_region(&profile)];
+                    for i in 0..eng.cores.len() {
+                        let r = cpu_regions(&profile, CpuId::from_index(i));
+                        regions.extend([r.stream, r.hot, r.code]);
+                    }
+                    let lines: std::collections::HashSet<LineAddr> = regions
+                        .iter()
+                        .flat_map(|r| r.line_addrs())
+                        .map(|a| a.line(u64::from(line_bytes)))
+                        .collect();
+                    eng.prewarm(&profile);
+                    let at = format!("{} {scheme:?} {line_bytes} B", profile.name);
+                    assert_eq!(eng.l2.stats().insertions, lines.len() as u64, "{at}");
+                    eng.l2.check_invariants();
+                }
             }
         }
     }
