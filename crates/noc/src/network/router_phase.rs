@@ -13,16 +13,17 @@
 //! served, in ascending [`Dir::index`] order — the order `Dir::ALL`
 //! gives, so outputs contend for inputs exactly as if every port were
 //! probed (DESIGN.md §6e has the full argument). A move reads its flit
-//! once: the winner's front is copied out, decided on, and dropped from
-//! its VC by `Router::drop_front`, which frees its arena slot without
-//! reading the flit again. The drop precedes the downstream push, so
-//! the push takes back the slot just freed.
+//! once: the winner's VC is located once (a `VcAt`: mask bit and slice
+//! index), its front is copied out, decided on, and dropped from the VC
+//! by `Router::drop_front`, which frees its arena slot without reading
+//! the flit or locating the VC again. The drop precedes the downstream
+//! push, so the push takes back the slot just freed.
 
 use nim_obs::{Category, EventData};
 use nim_types::{bits, Cycle, Dir};
 
 use crate::packet::{Flit, TrafficClass};
-use crate::router::{vc_bit, Hold};
+use crate::router::{vc_bit, Hold, VcAt};
 
 use super::{c3, Network};
 
@@ -78,7 +79,8 @@ impl Network {
             if *used >> vc_bit(in_dir, 0) & 0xff != 0 {
                 return;
             }
-            let Some(&front) = self.routers[n].vc(in_dir, vc).fifo.front(&self.arena) else {
+            let at = self.routers[n].at(in_dir, vc);
+            let Some(&front) = self.routers[n].vc_at(at).fifo.front(&self.arena) else {
                 return;
             };
             // The held VC is owned until its tail leaves through this
@@ -87,7 +89,7 @@ impl Network {
             if front.arrived.0 + self.router_latency > now.0 {
                 return;
             }
-            if self.try_move(n, in_dir, vc, out, front, now) {
+            if self.try_move(n, at, out, front, now) {
                 *used |= 0xff << vc_bit(in_dir, 0);
                 if front.kind.is_tail() {
                     self.routers[n].set_hold(oi, None);
@@ -113,12 +115,13 @@ impl Network {
             eligible.trailing_zeros()
         } as usize;
         let (in_dir, vc) = (bit >> 3, bit & 7);
+        let at = self.routers[n].at(in_dir, vc);
         let front = *self.routers[n]
-            .vc(in_dir, vc)
+            .vc_at(at)
             .fifo
             .front(&self.arena)
             .expect("requesting VC has a front flit");
-        if self.try_move(n, in_dir, vc, out, front, now) {
+        if self.try_move(n, at, out, front, now) {
             *used |= 0xff << vc_bit(in_dir, 0);
             let router = &mut self.routers[n];
             if !front.kind.is_tail() {
@@ -136,22 +139,14 @@ impl Network {
         }
     }
 
-    /// Attempts to move `f`, the front flit of `(in_dir, vc)` as the
+    /// Attempts to move `f`, the front flit of the input VC `at` as the
     /// caller read it, through `out`; the VC then drops its front without
-    /// reading it again. Returns `false` when downstream has no space or
-    /// no free VC (speculation failure — retry next cycle).
-    fn try_move(
-        &mut self,
-        n: usize,
-        in_dir: usize,
-        vc: usize,
-        out: Dir,
-        mut f: Flit,
-        now: Cycle,
-    ) -> bool {
+    /// reading or locating it again. Returns `false` when downstream has
+    /// no space or no free VC (speculation failure — retry next cycle).
+    fn try_move(&mut self, n: usize, at: VcAt, out: Dir, mut f: Flit, now: Cycle) -> bool {
         match out {
             Dir::Local => {
-                self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, at, f.kind.is_tail());
                 self.deliver(f, now);
                 return true;
             }
@@ -164,7 +159,7 @@ impl Network {
                 if self.ifaces[slot].q.is_full() {
                     return false;
                 }
-                self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, at, f.kind.is_tail());
                 f.arrived = now;
                 self.ifaces[slot].q.push_back(&mut self.arena, f);
                 self.touched_buses
@@ -184,7 +179,7 @@ impl Network {
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                self.routers[n].drop_front(&mut self.arena, in_dir, vc, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, at, f.kind.is_tail());
                 f.arrived = now;
                 f.hops += 1;
                 self.routers[dest_idx].push(&mut self.arena, &self.layout, ii, dvc, f);

@@ -49,6 +49,15 @@ pub(crate) fn vc_bit(in_dir: usize, vc: usize) -> usize {
     in_dir << 3 | vc
 }
 
+/// One input VC of one router, located once: its mask bit ([`vc_bit`])
+/// and its index in the router's VC slice. A move locates its source VC
+/// once and hands this to the front read and to [`Router::drop_front`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct VcAt {
+    bit: usize,
+    slot: usize,
+}
+
 /// One router: the input VCs of the ports it has, plus switch-allocation
 /// state.
 #[derive(Clone, Debug)]
@@ -152,6 +161,21 @@ impl Router {
         &self.vcs[self.slot(in_dir, vc)]
     }
 
+    /// Locates VC `vc` of port `in_dir`.
+    #[inline]
+    pub(crate) fn at(&self, in_dir: usize, vc: usize) -> VcAt {
+        VcAt {
+            bit: vc_bit(in_dir, vc),
+            slot: self.slot(in_dir, vc),
+        }
+    }
+
+    /// The VC `at` locates.
+    #[inline]
+    pub(crate) fn vc_at(&self, at: VcAt) -> &Vc {
+        &self.vcs[at.slot]
+    }
+
     /// The packet that owns VC `vc` of port `in_dir`, if any.
     #[inline]
     pub(crate) fn owner(&self, in_dir: usize, vc: usize) -> Option<PacketId> {
@@ -231,24 +255,17 @@ impl Router {
         self.occupancy += 1;
     }
 
-    /// Drops the front flit of VC `vc` of port `in_dir`, freeing its
-    /// arena slot: the flit the caller has already read and moved,
-    /// `tail` telling whether it was a tail (which releases the VC).
+    /// Drops the front flit of the VC `at` locates, freeing its arena
+    /// slot: the flit the caller has already read and moved, `tail`
+    /// telling whether it was a tail (which releases the VC).
     ///
     /// # Panics
     ///
     /// Panics (debug) if the VC is empty.
     #[inline]
-    pub(crate) fn drop_front(
-        &mut self,
-        arena: &mut FlitArena,
-        in_dir: usize,
-        vc: usize,
-        tail: bool,
-    ) {
-        let bit = 1u64 << vc_bit(in_dir, vc);
-        let i = self.slot(in_dir, vc);
-        let fifo = &mut self.vcs[i].fifo;
+    pub(crate) fn drop_front(&mut self, arena: &mut FlitArena, at: VcAt, tail: bool) {
+        let bit = 1u64 << at.bit;
+        let fifo = &mut self.vcs[at.slot].fifo;
         fifo.advance(arena);
         if fifo.is_empty() {
             self.occ &= !bit;
@@ -503,7 +520,7 @@ mod tests {
                 Pop(vc) => {
                     let popped = pop_reference(&mut a, &mut arena, e, vc);
                     let front = *b.vc(e, vc).fifo.front(&arena).unwrap();
-                    b.drop_front(&mut arena, e, vc, front.kind.is_tail());
+                    b.drop_front(&mut arena, b.at(e, vc), front.kind.is_tail());
                     assert_eq!(front, popped, "step {i}");
                 }
             }

@@ -78,7 +78,7 @@ mod tests {
     /// Reads the front flit of `(in_dir, vc)` and drops it, as a move does.
     fn take(r: &mut Router, arena: &mut FlitArena, in_dir: usize, vc: usize) -> Flit {
         let f = *r.vc(in_dir, vc).fifo.front(arena).expect("non-empty VC");
-        r.drop_front(arena, in_dir, vc, f.kind.is_tail());
+        r.drop_front(arena, r.at(in_dir, vc), f.kind.is_tail());
         f
     }
 
