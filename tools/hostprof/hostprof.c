@@ -12,7 +12,8 @@
  *       entry of call <skip> to the entry of call <skip> + <count> and
  *       records every instruction: exact counts over a fixed span of the
  *       program's own work (with a once-per-cycle function, a fixed span
- *       of simulated cycles), comparable across two builds.
+ *       of simulated cycles), comparable across two builds. A <count> of 0
+ *       steps call <skip> alone, from its entry to its return.
  *   hostprof count -- <cmd> [args..]
  *       runs <cmd> under user-mode hardware counters (perf_event_open,
  *       inherited by its threads and children, enabled at exec) and prints
@@ -103,7 +104,9 @@ static void sample_or_step(pid_t pid, int step, useconds_t wait_us, size_t budge
 }
 
 /* `window`: an int3 at lo + off; `skip` hits step over it, the next one
- * removes it and starts single-stepping until `count` more entries. */
+ * removes it and starts single-stepping until `count` more entries, or,
+ * for `count` 0, until that call returns (its `ret` pops the stack above
+ * where it stood at the entry). */
 static void window(pid_t pid, unsigned long long off, size_t skip, size_t count) {
     unsigned long long bp = 0;
     long orig = 0;
@@ -135,10 +138,12 @@ static void window(pid_t pid, unsigned long long off, size_t skip, size_t count)
         }
         ptrace(PTRACE_CONT, pid, 0, sig);
     }
+    unsigned long long sp = 0;
     for (calls = 0;;) {
         struct user_regs_struct regs;
         if (ptrace(PTRACE_GETREGS, pid, 0, &regs)) return;
-        if (regs.rip == bp && calls++ == count) return;
+        if (!sp) sp = regs.rsp; /* at the entry: the return address's slot */
+        if (count ? regs.rip == bp && calls++ == count : regs.rsp > sp) return;
         record(regs.rip);
         ptrace(PTRACE_SINGLESTEP, pid, 0, 0);
         if (waitpid(pid, &st, 0) < 0 || WIFEXITED(st) || WIFSIGNALED(st)) return;
