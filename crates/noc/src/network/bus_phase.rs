@@ -15,12 +15,15 @@ impl Network {
         }
         // A bus only ever re-marks itself, so the active set is drained
         // and refilled in place.
-        let mut at = 0;
-        while let Some(b) = self.bus_active.take_next(at) {
-            at = b + 1;
-            self.process_bus(b, now);
-            if self.bus_queued(b) > 0 {
-                self.bus_active.insert(b);
+        for w in 0..self.bus_active.word_count() {
+            let mut word = self.bus_active.take_word(w);
+            while word != 0 {
+                let b = w << 6 | word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.process_bus(b, now);
+                if self.bus_queued(b) > 0 {
+                    self.bus_active.insert(b);
+                }
             }
         }
     }

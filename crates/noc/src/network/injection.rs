@@ -14,12 +14,15 @@ impl Network {
         if self.inj_active.is_empty() {
             return;
         }
-        let mut at = 0;
-        while let Some(n) = self.inj_active.take_next(at) {
-            at = n + 1;
-            self.inject_at(n, now);
-            if !self.injectors[n].queue.is_empty() {
-                self.inj_active.insert(n);
+        for w in 0..self.inj_active.word_count() {
+            let mut word = self.inj_active.take_word(w);
+            while word != 0 {
+                let n = w << 6 | word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.inject_at(n, now);
+                if !self.injectors[n].queue.is_empty() {
+                    self.inj_active.insert(n);
+                }
             }
         }
     }

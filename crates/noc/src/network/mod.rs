@@ -408,13 +408,16 @@ impl Network {
     /// settling once at the end of the tick observes the maximum a
     /// per-enqueue update would record.
     fn settle_touched(&mut self) {
-        let mut at = 0;
-        while let Some(b) = self.touched_buses.take_next(at) {
-            at = b + 1;
-            let queued = self.bus_queued(b) as u64;
-            let stats = &mut self.buses[b].stats;
-            stats.peak_queued = stats.peak_queued.max(queued);
-            self.bus_active.insert(b);
+        for w in 0..self.touched_buses.word_count() {
+            let mut word = self.touched_buses.take_word(w);
+            while word != 0 {
+                let b = w << 6 | word.trailing_zeros() as usize;
+                word &= word - 1;
+                let queued = self.bus_queued(b) as u64;
+                let stats = &mut self.buses[b].stats;
+                stats.peak_queued = stats.peak_queued.max(queued);
+                self.bus_active.insert(b);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! visibility) so the engine file itself stays within the size guard.
 
 use super::*;
-use crate::packet::TrafficClass;
+use crate::packet::{FlitKind, TrafficClass};
 use nim_types::{PillarId, SystemConfig};
 
 fn net() -> (ChipLayout, Network) {
@@ -336,4 +336,172 @@ fn routers_hold_only_the_vcs_of_their_ports() {
     assert!(size_of::<Vc>() <= 24, "a Vc is {} bytes", size_of::<Vc>());
     let bytes = net.routers.len() * size_of::<Router>() + records * size_of::<Vc>();
     assert!(bytes <= 140_000, "{bytes} bytes of routers and VCs");
+}
+
+/// Flit `seq` of a `len`-flit packet `pkt` bound for `dst`, last moved
+/// at cycle 0.
+fn flit(pkt: u64, seq: u32, len: u32, dst: Coord) -> Flit {
+    Flit {
+        pkt: PacketId(pkt),
+        kind: FlitKind::for_position(seq, len),
+        dst,
+        class: TrafficClass::Data,
+        token: pkt,
+        ..Flit::VACANT
+    }
+}
+
+/// Buffers `f` in VC `vc` of input port `from` of the router at `at`,
+/// with the bookkeeping a hop or an injection does.
+fn place(net: &mut Network, at: Coord, from: Dir, vc: usize, f: Flit) {
+    let n = net.layout.node_index(at);
+    net.routers[n].push(&mut net.arena, &net.layout, from.index(), vc, f);
+    net.dirty.insert(n);
+    net.flits_in_flight += 1;
+}
+
+/// Visits the router at `at`, which must hold exactly one occupied VC,
+/// at cycle `now`: once through the one-VC visit and once, on a copy,
+/// through the general routine, as the router phase would mid-walk.
+/// Asserts that the two leave every router (masks, holds, round-robin
+/// pointers, VCs), interface, statistic, traversal count, delivery,
+/// work set and arena slot alike and that both keep the invariants;
+/// returns the state they agree on.
+fn visit_both_ways(net: &Network, at: Coord, now: Cycle) -> Network {
+    let n = net.layout.node_index(at);
+    let occ = net.routers[n].occupied();
+    assert!(occ.is_power_of_two(), "{at}: {occ:#x} is not one VC");
+    let mut fast = net.clone();
+    // The walk has taken `n` out of the set it visits.
+    fast.dirty = IdSet::new(net.routers.len());
+    for i in (0..net.routers.len()).filter(|&i| i != n && net.dirty.contains(i)) {
+        fast.dirty.insert(i);
+    }
+    let mut general = fast.clone();
+    fast.visit_one(n, occ.trailing_zeros() as usize, now);
+    general.process_router(n, now);
+    for net in [&mut fast, &mut general] {
+        if net.routers[n].occupancy() > 0 {
+            net.dirty.insert(n);
+        }
+        net.settle_touched();
+        net.check_invariants();
+    }
+    for (i, (a, b)) in fast.routers.iter().zip(&general.routers).enumerate() {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "router {i}");
+    }
+    assert_eq!(fast.stats, general.stats);
+    assert_eq!(fast.traversals, general.traversals);
+    assert_eq!(fast.delivered, general.delivered);
+    assert_eq!(fast.flits_in_flight, general.flits_in_flight);
+    assert_eq!(
+        format!("{:?}", fast.ifaces),
+        format!("{:?}", general.ifaces)
+    );
+    assert_eq!(format!("{:?}", fast.buses), format!("{:?}", general.buses));
+    assert_eq!(format!("{:?}", fast.arena), format!("{:?}", general.arena));
+    for i in 0..net.routers.len() {
+        assert_eq!(
+            fast.dirty.contains(i),
+            general.dirty.contains(i),
+            "dirty {i}"
+        );
+    }
+    fast
+}
+
+#[test]
+fn a_one_vc_visit_does_what_the_general_routine_does() {
+    let (_, mut net) = net();
+    let (here, east) = (Coord::new(1, 1, 0), Coord::new(2, 1, 0));
+    let (n, e) = (net.layout.node_index(here), Dir::East.index());
+    let far = Coord::new(5, 1, 0);
+    let now = Cycle(9);
+
+    // A head to a free mesh output moves and claims it.
+    place(&mut net, here, Dir::West, 0, flit(1, 0, 4, far));
+    net = visit_both_ways(&net, here, now);
+    assert_eq!(net.traversals[n], 1);
+    assert!(net.routers[n].hold(e).is_some(), "the head holds East");
+    assert_eq!(net.routers[n].occupied(), 0, "drained, still owned");
+
+    // A head whose output that drained VC holds waits, uncounted.
+    place(&mut net, here, Dir::South, 1, flit(2, 0, 1, far));
+    net = visit_both_ways(&net, here, now);
+    assert_eq!((net.traversals[n], net.stats.switch_contention), (1, 0));
+    let waiting = net.routers[n].occupied();
+
+    // A body and a tail follow on the held output; the tail releases it.
+    // The waiting head is dropped first, so one VC is occupied again.
+    let south = net.routers[n].at(Dir::South.index(), 1);
+    net.routers[n].drop_front(&mut net.arena, south, true);
+    net.flits_in_flight -= 1;
+    assert_eq!(net.routers[n].occupied() & waiting, 0);
+    for seq in 1..4 {
+        place(&mut net, here, Dir::West, 0, flit(1, seq, 4, far));
+        net = visit_both_ways(&net, here, now);
+        assert_eq!(net.traversals[n], 1 + u64::from(seq));
+    }
+    assert!(net.routers[n].hold(e).is_none(), "the tail released East");
+    assert_eq!(net.stats.switch_contention, 0);
+
+    // A head blocked downstream (every VC of the next router's West
+    // input taken) counts one switch-allocation loss.
+    for vc in 1..3 {
+        place(
+            &mut net,
+            east,
+            Dir::West,
+            vc,
+            flit(10 + vc as u64, 0, 1, far),
+        );
+    }
+    place(&mut net, here, Dir::North, 2, flit(3, 0, 4, far));
+    net = visit_both_ways(&net, here, now);
+    assert_eq!(net.stats.switch_contention, 1);
+    assert_eq!(net.traversals[n], 4, "nothing moved");
+}
+
+#[test]
+fn a_one_vc_visit_ejects_a_one_flit_packet_to_local() {
+    let (_, mut net) = net();
+    let here = Coord::new(1, 1, 0);
+    let now = Cycle(9);
+    place(&mut net, here, Dir::West, 2, flit(4, 0, 1, here));
+    net = visit_both_ways(&net, here, now);
+    assert_eq!(net.delivered.len(), 1);
+    assert_eq!(net.delivered[0].packet, PacketId(4));
+    assert_eq!(net.stats.flit_hops, 0, "an ejection is no hop");
+}
+
+#[test]
+fn a_one_vc_visit_into_a_full_transceiver_interface_waits_and_counts() {
+    let (layout, mut net) = net();
+    let (px, py) = layout.pillar_xy(PillarId(0));
+    let (here, up) = (Coord::new(px, py, 0), Coord::new(px, py, 1));
+    let n = layout.node_index(here);
+    let slot = net.routers[n].next[Dir::Vertical.index()] as usize;
+    let depth = net.ifaces[slot].q.capacity();
+    for i in 0..depth - 1 {
+        let mut f = flit(20 + i as u64, 0, 1, up);
+        f.via = Some(PillarId(0));
+        net.ifaces[slot].q.push_back(&mut net.arena, f);
+        net.flits_in_flight += 1;
+    }
+    net.bus_active.insert(0);
+    let now = Cycle(9);
+    let climb = |pkt| Flit {
+        via: Some(PillarId(0)),
+        ..flit(pkt, 0, 1, up)
+    };
+    // The last free slot of the interface takes one flit...
+    place(&mut net, here, Dir::West, 0, climb(1));
+    assert_eq!(net.routers[n].vc(Dir::West.index(), 0).out, Dir::Vertical);
+    net = visit_both_ways(&net, here, now);
+    assert!(net.ifaces[slot].q.is_full());
+    assert_eq!((net.traversals[n], net.stats.switch_contention), (1, 0));
+    // ...and the next waits behind the full interface, counted once.
+    place(&mut net, here, Dir::East, 1, climb(2));
+    net = visit_both_ways(&net, here, now);
+    assert_eq!((net.traversals[n], net.stats.switch_contention), (1, 1));
 }

@@ -140,6 +140,12 @@ impl Router {
         usize::from(self.vcs_per_port)
     }
 
+    /// The non-empty VCs, as a mask over [`vc_bit`].
+    #[inline]
+    pub(crate) fn occupied(&self) -> u64 {
+        self.occ
+    }
+
     /// Total flits buffered in this router.
     #[inline]
     pub(crate) fn occupancy(&self) -> u32 {

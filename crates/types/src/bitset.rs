@@ -69,26 +69,27 @@ impl IdSet {
             .flat_map(|(w, &word)| bits(word).map(move |b| (w << 6) + b))
     }
 
-    /// Removes and returns the smallest member `>= from` — the draining
-    /// walk a phase uses while it re-inserts ids into the same set:
-    /// `while let Some(id) = set.take_next(at) { at = id + 1; … }` visits
-    /// the members in ascending order, and an id inserted behind the
-    /// cursor stays for the next walk.
+    /// How many 64-id words the set spans: the bound of a word walk.
     #[inline]
-    pub fn take_next(&mut self, from: usize) -> Option<usize> {
-        if self.len == 0 {
-            return None;
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Removes and returns word `w`, the members `64 * w ..= 64 * w + 63`
+    /// as bits — the draining walk a phase uses while it re-inserts ids
+    /// into the same set: `for w in 0..set.word_count()` takes each word
+    /// once and visits its bits lowest first, so the members come out in
+    /// ascending order, and an id inserted into a word already taken
+    /// stays for the next walk.
+    #[inline]
+    pub fn take_word(&mut self, w: usize) -> u64 {
+        let word = std::mem::take(&mut self.words[w]);
+        // Without POPCNT a count is a dozen instructions; skip it for an
+        // empty word.
+        if word != 0 {
+            self.len -= word.count_ones();
         }
-        let mut w = from >> 6;
-        let mut word = *self.words.get(w)? & (!0 << (from & 63));
-        while word == 0 {
-            w += 1;
-            word = *self.words.get(w)?;
-        }
-        let b = word.trailing_zeros() as usize;
-        self.words[w] &= !(1 << b);
-        self.len -= 1;
-        Some((w << 6) + b)
+        word
     }
 }
 
@@ -109,18 +110,33 @@ mod tests {
 
     #[test]
     fn draining_keeps_reinserted_ids_for_the_next_pass() {
-        let mut s = IdSet::new(128);
-        s.insert(5);
-        s.insert(70);
-        let (mut seen, mut at) = (Vec::new(), 0);
-        while let Some(id) = s.take_next(at) {
-            at = id + 1;
-            seen.push(id);
-            s.insert(5);
+        let mut s = IdSet::new(200);
+        for id in [70, 5, 199, 64, 6] {
+            s.insert(id);
         }
-        assert_eq!(seen, [5, 70]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), [5]);
-        assert_eq!(s.take_next(6), None);
-        assert_eq!(s.take_next(200), None, "past the universe");
+        let mut seen = Vec::new();
+        for w in 0..s.word_count() {
+            let mut word = s.take_word(w);
+            while word != 0 {
+                let id = (w << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                seen.push(id);
+                // Behind the walk in this word (5), in this word's own
+                // taken bits (70), and a word already walked (6).
+                s.insert(5);
+                if id == 70 {
+                    s.insert(70);
+                    s.insert(6);
+                }
+            }
+        }
+        assert_eq!(seen, [5, 6, 64, 70, 199], "ascending, each once");
+        assert_eq!(s.iter().collect::<Vec<_>>(), [5, 6, 70]);
+        assert_eq!(s.len, 3, "len counts the re-inserted ids exactly");
+        assert_eq!(s.take_word(1), 1 << (70 - 64));
+        assert_eq!(s.len, 2);
+        assert_eq!(s.take_word(3), 0, "an empty word takes nothing");
+        assert_eq!(s.len, 2);
+        assert_eq!(s.word_count(), 4, "200 ids span four words");
     }
 }
