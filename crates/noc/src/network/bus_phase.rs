@@ -80,20 +80,20 @@ impl Network {
                         waiting: eligible as u32,
                     });
             }
-            // The flit read above moves; its slot is not read again.
-            self.ifaces[src].q.advance(&mut self.arena);
-            let mut f = front;
+            // The flit read above moves with its slot, updated in place.
+            let s = self.ifaces[src].q.unlink_front(&self.arena);
+            let moved = self.arena.flit_mut(s);
             // `arrived` still holds the bus-enqueue stamp: the span up
             // to this grant is time spent waiting for a dTDMA slot.
-            f.bus_wait += (now.0 - f.arrived.0) as u32;
-            f.arrived = now;
-            f.hops += 1;
-            self.routers[dest_idx].push(&mut self.arena, &self.layout, vi, vc, f);
+            moved.bus_wait += (now.0 - moved.arrived.0) as u32;
+            moved.arrived = now;
+            moved.hops += 1;
+            self.routers[dest_idx].link(&mut self.arena, &self.layout, vi, vc, s);
             self.dirty.insert(dest_idx);
             let iface = &mut self.ifaces[src];
-            iface.bound_vc = if f.kind.is_tail() {
+            iface.bound_vc = if front.kind.is_tail() {
                 None
-            } else if f.kind.is_head() {
+            } else if front.kind.is_head() {
                 Some(vc)
             } else {
                 iface.bound_vc
@@ -104,7 +104,7 @@ impl Network {
             self.obs.emit(Category::Pillar, || EventData::BusGrant {
                 pillar: b as u32,
                 from_layer: i as u16,
-                to_layer: u16::from(f.dst.layer),
+                to_layer: u16::from(front.dst.layer),
             });
             self.buses[b].rr = if i + 1 == layers { 0 } else { i + 1 };
             self.bus_ready_at[b] = now.0 + self.bus_cycles_per_flit;

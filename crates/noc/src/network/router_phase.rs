@@ -24,11 +24,14 @@
 //! if every port were probed (DESIGN.md §6e has the full argument).
 //!
 //! Either way a move reads its flit once: the winner's VC is located
-//! once (a `VcAt`: mask bit and slice index), its front is copied out,
-//! decided on, and dropped from the VC by `Router::drop_front`, which
-//! frees its arena slot without reading the flit or locating the VC
-//! again. The drop precedes the downstream push, so the push takes back
-//! the slot just freed.
+//! once (a `VcAt`: mask bit and slice index), and its front is copied
+//! out and decided on. A hop then moves the flit's arena slot, not the
+//! flit: `Router::unlink_front` takes the slot off the VC without
+//! locating the VC again, `arrived` and `hops` change in place, and
+//! `Router::link` (or the transceiver interface's `link_back`) appends
+//! the slot downstream. The free list is untouched, which is the state
+//! a free and a push left before: the list is LIFO, so the push took
+//! back the slot just freed. Only an ejection frees the slot.
 //!
 //! [`IdSet::take_word`]: nim_types::IdSet::take_word
 
@@ -212,13 +215,15 @@ impl Network {
     }
 
     /// Attempts to move `f`, the front flit of the input VC `at` as the
-    /// caller read it, through `out`; the VC then drops its front without
-    /// reading or locating it again. Returns `false` when downstream has
-    /// no space or no free VC (speculation failure — retry next cycle).
-    fn try_move(&mut self, n: usize, at: VcAt, out: Dir, mut f: Flit, now: Cycle) -> bool {
+    /// caller read it, through `out`; the VC then gives up its front
+    /// without reading or locating it again. Returns `false` when
+    /// downstream has no space or no free VC (speculation failure —
+    /// retry next cycle).
+    fn try_move(&mut self, n: usize, at: VcAt, out: Dir, f: Flit, now: Cycle) -> bool {
+        let tail = f.kind.is_tail();
         match out {
             Dir::Local => {
-                self.routers[n].drop_front(&mut self.arena, at, f.kind.is_tail());
+                self.routers[n].drop_front(&mut self.arena, at, tail);
                 self.deliver(f, now);
                 return true;
             }
@@ -231,9 +236,9 @@ impl Network {
                 if self.ifaces[slot].q.is_full() {
                     return false;
                 }
-                self.routers[n].drop_front(&mut self.arena, at, f.kind.is_tail());
-                f.arrived = now;
-                self.ifaces[slot].q.push_back(&mut self.arena, f);
+                let s = self.routers[n].unlink_front(&self.arena, at, tail);
+                self.arena.flit_mut(s).arrived = now;
+                self.ifaces[slot].q.link_back(&mut self.arena, s);
                 self.touched_buses
                     .insert(slot / self.layout.layers() as usize);
                 self.count_hop(n, f.class);
@@ -251,10 +256,11 @@ impl Network {
                 let Some(dvc) = dvc else {
                     return false;
                 };
-                self.routers[n].drop_front(&mut self.arena, at, f.kind.is_tail());
-                f.arrived = now;
-                f.hops += 1;
-                self.routers[dest_idx].push(&mut self.arena, &self.layout, ii, dvc, f);
+                let s = self.routers[n].unlink_front(&self.arena, at, tail);
+                let moved = self.arena.flit_mut(s);
+                moved.arrived = now;
+                moved.hops += 1;
+                self.routers[dest_idx].link(&mut self.arena, &self.layout, ii, dvc, s);
                 self.dirty.insert(dest_idx);
                 self.count_hop(n, f.class);
             }

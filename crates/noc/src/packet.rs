@@ -161,9 +161,10 @@ const NIL: u32 = u32::MAX;
 /// takes the most recently freed slot and grows the slab only when none
 /// is free, so the slab is as long as the most flits ever buffered at
 /// once (about 70 in a loaded cell), never what the FIFO capacities
-/// could hold (14 464 on the default chip). A hop frees a slot and the
-/// next push takes that same slot back, so the live flits stay within a
-/// few hot kilobytes.
+/// could hold (14 464 on the default chip). A hop moves its flit's slot
+/// from one FIFO's list to the next, and an ejection frees a slot that
+/// the next injection takes back, so the live flits stay within a few
+/// hot kilobytes.
 #[derive(Clone, Debug)]
 pub(crate) struct FlitArena {
     slots: Vec<Flit>,
@@ -186,7 +187,7 @@ impl Default for FlitArena {
 impl FlitArena {
     /// Stores `flit` in a free slot, or in a new one, and returns it.
     #[inline]
-    fn take(&mut self, flit: Flit) -> u32 {
+    pub(crate) fn take(&mut self, flit: Flit) -> u32 {
         let s = self.free;
         if s == NIL {
             return self.grow(flit);
@@ -205,12 +206,24 @@ impl FlitArena {
         s
     }
 
-    /// Puts slot `s` on the free list; returns the slot that followed it.
+    /// Puts slot `s` on the free list.
     #[inline]
-    fn release(&mut self, s: u32) -> u32 {
-        let after = std::mem::replace(&mut self.next[s as usize], self.free);
+    pub(crate) fn release(&mut self, s: u32) {
+        self.next[s as usize] = self.free;
         self.free = s;
-        after
+    }
+
+    /// The flit in slot `s`.
+    #[inline]
+    pub(crate) fn flit(&self, s: u32) -> &Flit {
+        &self.slots[s as usize]
+    }
+
+    /// The flit in slot `s`, to update in place while the slot moves
+    /// from one FIFO to another.
+    #[inline]
+    pub(crate) fn flit_mut(&mut self, s: u32) -> &mut Flit {
+        &mut self.slots[s as usize]
     }
 
     /// Slots in the slab, live or free.
@@ -259,8 +272,10 @@ impl FlitArena {
 
 /// A bounded flit FIFO: a linked list through the [`FlitArena`] slab.
 ///
-/// It owns no storage: a push takes an arena slot and an advance frees
-/// one, so an empty FIFO costs nothing beyond this record. `cap` bounds
+/// It owns no storage: an injection's push takes an arena slot, an
+/// ejection frees one, and a move between FIFOs relinks the slot
+/// ([`unlink_front`](Self::unlink_front), [`link_back`](Self::link_back)),
+/// so an empty FIFO costs nothing beyond this record. `cap` bounds
 /// the list, so back-pressure is exactly that of a fixed buffer.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FlitFifo {
@@ -304,16 +319,28 @@ impl FlitFifo {
         self.len == self.cap
     }
 
-    /// Appends a flit.
+    /// Appends a flit: a slot from [`FlitArena::take`], then
+    /// [`link_back`](Self::link_back) — the tests' shorthand.
     ///
     /// # Panics
     ///
-    /// Panics (debug) when full — callers check
-    /// [`is_full`](Self::is_full) first.
-    #[inline]
+    /// Panics (debug) when full.
+    #[cfg(test)]
     pub(crate) fn push_back(&mut self, arena: &mut FlitArena, flit: Flit) {
-        debug_assert!(!self.is_full(), "push into full flit FIFO");
         let s = arena.take(flit);
+        self.link_back(arena, s);
+    }
+
+    /// Appends the flit in slot `s`, which is on no list: one
+    /// [`unlink_front`](Self::unlink_front) took it off another FIFO, so
+    /// a move relinks the slot and copies no flit.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) when full.
+    #[inline]
+    pub(crate) fn link_back(&mut self, arena: &mut FlitArena, s: u32) {
+        debug_assert!(!self.is_full(), "push into full flit FIFO");
         if self.len == 0 {
             self.head = s;
         } else {
@@ -333,18 +360,33 @@ impl FlitFifo {
         }
     }
 
-    /// Drops the oldest queued flit — the one the caller already read
-    /// through [`front`](Self::front) — and frees its slot, without
-    /// reading the flit again.
+    /// Drops the oldest queued flit and frees its slot:
+    /// [`unlink_front`](Self::unlink_front), then
+    /// [`FlitArena::release`] — the tests' shorthand.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) when empty.
+    #[cfg(test)]
+    pub(crate) fn advance(&mut self, arena: &mut FlitArena) {
+        let s = self.unlink_front(arena);
+        arena.release(s);
+    }
+
+    /// Takes the oldest queued flit's slot off this FIFO without freeing
+    /// it, for [`link_back`](Self::link_back) into another FIFO. The
+    /// slot keeps its flit; until it is linked again it is on no list.
     ///
     /// # Panics
     ///
     /// Panics (debug) when empty.
     #[inline]
-    pub(crate) fn advance(&mut self, arena: &mut FlitArena) {
-        debug_assert!(!self.is_empty(), "advance on an empty flit FIFO");
-        self.head = arena.release(self.head);
+    pub(crate) fn unlink_front(&mut self, arena: &FlitArena) -> u32 {
+        debug_assert!(!self.is_empty(), "unlink from an empty flit FIFO");
+        let s = self.head;
+        self.head = arena.next[s as usize];
         self.len -= 1;
+        s
     }
 }
 
@@ -477,9 +519,10 @@ mod tests {
         arena.check_partition([&a, &b]);
     }
 
-    /// Seeded push / advance scripts over FIFOs of several capacities on
-    /// one arena, each FIFO checked against a `VecDeque` after every
-    /// step, and the slab never longer than the most flits ever live.
+    /// Seeded push / advance / move scripts over FIFOs of several
+    /// capacities on one arena, each FIFO checked against a `VecDeque`
+    /// after every step, and the slab never longer than the most flits
+    /// ever live: a move relinks a slot and allocates nothing.
     #[test]
     fn flit_fifos_sharing_one_pool_match_vecdeques() {
         use rand::rngs::StdRng;
@@ -494,7 +537,17 @@ mod tests {
             let (mut live, mut peak) = (0, 0);
             let mut f = Flit::VACANT;
             for step in 0..4_000u64 {
-                let i = rng.random_range(0..fifos.len());
+                let (i, j) = (
+                    rng.random_range(0..fifos.len()),
+                    rng.random_range(0..fifos.len()),
+                );
+                if i != j && rng.random_bool(0.2) && !fifos[i].is_empty() && !fifos[j].is_full() {
+                    // A hop: the front's slot moves on, nothing is freed.
+                    let s = fifos[i].unlink_front(&arena);
+                    fifos[j].link_back(&mut arena, s);
+                    let moved = oracle[i].pop_front();
+                    oracle[j].extend(moved);
+                }
                 let (q, o) = (&mut fifos[i], &mut oracle[i]);
                 // Pushes lead while `step` is in the first half of each
                 // 1 000, advances in the second: the pool fills and drains.

@@ -20,8 +20,9 @@
 //! `SystemConfig::validate` caps at 8, so a port's VCs are one byte of a
 //! mask. The VC records themselves are dense: `vcs_per_port` of them per
 //! port the router has, in ascending port order in one boxed slice, with
-//! VC `vc` of port `in_dir` at `base[in_dir] + vc`. [`Router::push`] and
-//! [`Router::drop_front`] are the only code that moves a flit in or out
+//! VC `vc` of port `in_dir` at `base[in_dir] + vc`. [`Router::link`]
+//! (behind [`Router::push`]) and [`Router::unlink_front`] (behind
+//! [`Router::drop_front`]) are the only code that moves a flit in or out
 //! of a VC, which keeps masks and `occupancy` exact by construction
 //! (DESIGN.md §6e).
 
@@ -51,7 +52,8 @@ pub(crate) fn vc_bit(in_dir: usize, vc: usize) -> usize {
 
 /// One input VC of one router, located once: its mask bit ([`vc_bit`])
 /// and its index in the router's VC slice. A move locates its source VC
-/// once and hands this to the front read and to [`Router::drop_front`].
+/// once and hands this to the front read and to [`Router::unlink_front`]
+/// or [`Router::drop_front`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct VcAt {
     bit: usize,
@@ -240,6 +242,24 @@ impl Router {
         vc: usize,
         flit: Flit,
     ) {
+        let s = arena.take(flit);
+        self.link(arena, layout, in_dir, vc, s);
+    }
+
+    /// [`push`](Self::push) for a flit already in the arena: links slot
+    /// `s`, which [`unlink_front`](Self::unlink_front) or
+    /// `FlitFifo::unlink_front` took off its last FIFO, so a hop moves
+    /// the slot and copies no flit.
+    #[inline]
+    pub(crate) fn link(
+        &mut self,
+        arena: &mut FlitArena,
+        layout: &ChipLayout,
+        in_dir: usize,
+        vc: usize,
+        s: u32,
+    ) {
+        let flit = arena.flit(s);
         debug_assert!(
             !flit.kind.is_head() || self.is_free(in_dir, vc),
             "head flit into occupied VC"
@@ -256,7 +276,7 @@ impl Router {
             slot.out = route(layout, self.coord, flit.dst, flit.via);
             self.owned |= bit;
         }
-        slot.fifo.push_back(arena, flit);
+        slot.fifo.link_back(arena, s);
         self.occ |= bit;
         self.occupancy += 1;
     }
@@ -270,9 +290,18 @@ impl Router {
     /// Panics (debug) if the VC is empty.
     #[inline]
     pub(crate) fn drop_front(&mut self, arena: &mut FlitArena, at: VcAt, tail: bool) {
+        let s = self.unlink_front(arena, at, tail);
+        arena.release(s);
+    }
+
+    /// [`drop_front`](Self::drop_front) without the free: returns the
+    /// front flit's slot, still holding the flit, for
+    /// [`link`](Self::link) or `FlitFifo::link_back` downstream.
+    #[inline]
+    pub(crate) fn unlink_front(&mut self, arena: &FlitArena, at: VcAt, tail: bool) -> u32 {
         let bit = 1u64 << at.bit;
         let fifo = &mut self.vcs[at.slot].fifo;
-        fifo.advance(arena);
+        let s = fifo.unlink_front(arena);
         if fifo.is_empty() {
             self.occ &= !bit;
         }
@@ -281,6 +310,7 @@ impl Router {
             self.owned &= !bit;
         }
         self.occupancy -= 1;
+        s
     }
 
     /// The front flit of every non-empty VC, in ascending (port, VC)

@@ -24,8 +24,8 @@ use crate::packet::FlitFifo;
 
 /// One virtual channel: a bounded FIFO owned by at most one packet.
 ///
-/// Plain data: [`Router::push`](crate::router::Router::push) and
-/// [`Router::drop_front`](crate::router::Router::drop_front) run the
+/// Plain data: [`Router::link`](crate::router::Router::link) and
+/// [`Router::unlink_front`](crate::router::Router::unlink_front) run the
 /// owner protocol, together with the router masks that summarise it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Vc {
